@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test fmt-check race cover bench bench-payload bench-cache bench-check bench-all experiments chaos fuzz clean
+.PHONY: all build test fmt-check race cover bench bench-payload bench-cache bench-check bench-all bench-e2e bench-e2e-trace experiments chaos fuzz clean
 
 all: build test
 
@@ -26,9 +26,13 @@ fmt-check:
 # transport that feeds them, the generated-bindings byte-identity tests,
 # the datapath span recorder, and the fault-injection layers (per-QP
 # delay lines, injector, link staller), plus the windowed-metrics shard
-# rotation and the gauge sampler.
+# rotation and the gauge sampler. The second pass repeats the poller-wake
+# tests three times: the CQ kick (lost-wake-up stress), the block free lists,
+# and the stack-level liveness and idle tests, whose packages are the root
+# package, internal/rdma and internal/rpcrdma.
 race:
 	go test -race ./internal/offload/... ./internal/rpcrdma/... ./internal/xrpc/... ./internal/gentest/... ./internal/trace/... ./internal/rdma/... ./internal/fault/... ./internal/fabric/... ./internal/metrics/... ./internal/rpccache/... ./internal/workload/...
+	go test -race -count=3 -run 'Kick|Wait|Liveness|IdleStack|Recycled|SteadyState' . ./internal/rdma ./internal/rpcrdma
 
 # Aggregate coverage over every package, with a summary and an HTML-ready
 # profile at cover.out.
@@ -89,6 +93,18 @@ bench-check:
 		| go run ./cmd/benchjson -compare BENCH_connscale.json -tolerance 0.5
 	go test -bench 'BenchmarkCache' -benchmem -count 1 -benchtime $(BENCHTIME) -run '^$$' ./internal/rpccache \
 		| go run ./cmd/benchjson -compare BENCH_cache.json -tolerance 0.5 -metric-tolerance hit_rate=0.05
+
+# The end-to-end ledger (bench/README.md): four workloads through the real
+# xRPC front end, gated metrics as one JSON line per workload on stdout, then
+# the benchmark module's own smoke test. bench-e2e-trace is the traced
+# per-layer run with the budget table (rtt_p50_us = xrpc.echo + deser.scan +
+# deser.fill + rpcrdma.echo + offload.self + residual.wakeup).
+bench-e2e:
+	bash bench/run.sh
+	(cd bench && go test ./...)
+
+bench-e2e-trace:
+	bash bench/run.sh --trace 1
 
 # Full benchmark sweep across every package (nothing written).
 bench-all:

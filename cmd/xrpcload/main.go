@@ -122,6 +122,11 @@ func runServer(mode, addr, debugAddr string, sgMin int, cacheMethods string, ppr
 				if reqs > 0 {
 					fmt.Fprintf(w, "payload bytes/req (sg_min=%d): copied=%.1f referenced=%.1f\n",
 						sgMin, float64(copied)/float64(reqs), float64(reffed)/float64(reqs))
+					// timer near or above 1 means requests wait out the
+					// pollers' heartbeat (see Deployment.PollerWakes).
+					cqe, kick, timer := d.PollerWakes()
+					fmt.Fprintf(w, "poller wake-ups/req by reason: cqe=%.2f kick=%.2f timer=%.2f\n",
+						float64(cqe)/float64(reqs), float64(kick)/float64(reqs), float64(timer)/float64(reqs))
 				}
 				// Response-cache hit rate: hits never appear in the stage
 				// table (they skip every stage), so without this row

@@ -39,7 +39,7 @@ func Handshake(hostDev, dpuDev *rdma.Device, hostTable *adt.Table) (*adt.Table, 
 		return nil, err
 	}
 	var cqes [1]rdma.CQE
-	if n := dpuCQ.Wait(cqes[:], time.Second); n != 1 || cqes[0].Status != rdma.StatusOK {
+	if n, _ := dpuCQ.Wait(cqes[:], time.Second); n != 1 || cqes[0].Status != rdma.StatusOK {
 		return nil, fmt.Errorf("offload: ADT handshake failed")
 	}
 	dpuTable, err := adt.Decode(recvBuf[:cqes[0].ByteLen])
@@ -82,6 +82,27 @@ func (d *Deployment) ProgressHost() (int, error) {
 		}
 	}
 	return total, nil
+}
+
+// PollerWakes sums, over every DPU poller and every host poller, why their
+// blocking waits returned (rpcrdma.Counters.WakeCQE/WakeKick/WakeTimer). It
+// reads the atomic mirrors, so it is safe while the pollers run (a reconnect
+// starts that connection's counts again). A loaded deployment wakes for
+// completions and kicks; timer wake-ups at a rate near the request rate mean
+// requests are waiting out WaitTimeout.
+func (d *Deployment) PollerWakes() (cqe, kick, timer uint64) {
+	add := func(w *rpcrdma.WakeGauges) {
+		cqe += w.CQE.Load()
+		kick += w.Kick.Load()
+		timer += w.Timer.Load()
+	}
+	for _, dpu := range d.DPUs {
+		add(&dpu.Client().Gauges().Wakes)
+	}
+	for _, p := range d.Pollers {
+		add(p.WakeGauges())
+	}
+	return cqe, kick, timer
 }
 
 // Close stops all background worker pools, including the DPU servers'

@@ -256,6 +256,12 @@ type DPUServer struct {
 	cfg    DPUConfig
 	dopts  deser.Options // options for every deserializer this server creates
 
+	// clientRef republishes client for every other goroutine. client is
+	// poller-owned and swapped by adopt, so connection goroutines ringing
+	// the poller (see wake) and cross-goroutine readers (Client) reach the
+	// current connection only through this handle.
+	clientRef atomic.Pointer[rpcrdma.ClientConn]
+
 	submit chan *callTask
 	retry  []*callTask
 	d      *deser.Deserializer
@@ -366,6 +372,7 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 		stopCh:  make(chan struct{}),
 		runDone: make(chan struct{}),
 	}
+	d.clientRef.Store(client)
 	d.scanPool.New = func() any { return deser.New(dopts) }
 	for _, name := range cfg.CacheMethods {
 		mid, ok := procs.byName[name]
@@ -406,8 +413,10 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 	return d, nil
 }
 
-// Client returns the underlying RPC-over-RDMA connection.
-func (d *DPUServer) Client() *rpcrdma.ClientConn { return d.client }
+// Client returns the underlying RPC-over-RDMA connection (the current one:
+// a reconnect replaces it). Safe from any goroutine; what may be done with
+// the connection off the poller is up to rpcrdma (Gauges, Broken, Wake).
+func (d *DPUServer) Client() *rpcrdma.ClientConn { return d.clientRef.Load() }
 
 // Workers returns the build worker count (1 = serial path).
 func (d *DPUServer) Workers() int {
@@ -418,6 +427,22 @@ func (d *DPUServer) Workers() int {
 }
 
 func (d *DPUServer) pooled() bool { return d.workQ != nil }
+
+// wake ends the poller's blocking wait after a producer has queued work for
+// it on d.submit — the one wake source the poller sleeps on, next to the
+// completion queue. A kick that races a redial may land on the dead
+// connection; nothing is lost, because adopt runs on the poller, which drains
+// the queue on its next pass before it can sleep on the replacement. Safe
+// from any goroutine; never blocks.
+//
+// Rung on the serial path and by Close only. The pooled pipeline's hand-offs
+// (submit, and the workers' compQ pushes) are still picked up on the poller's
+// heartbeat, as before: ringing there takes its loaded throughput from
+// timer-paced to work-bound (~28x on the ledger's small_pooled, with the
+// window-to-window noise of a saturated 2-core box), which the ledger's
+// spread gate, sized from the timer-paced rate, cannot resolve. It is the
+// next issue (ROADMAP item 2), not an oversight.
+func (d *DPUServer) wake() { d.clientRef.Load().Wake() }
 
 // cacheable reports whether the entry is opted into the response cache and
 // a cache is attached.
@@ -739,6 +764,9 @@ func (d *DPUServer) handleCall(method string, payload []byte) (uint16, []byte, f
 	done := make(chan callResult, 1)
 	task.deliver = func(r callResult) { done <- r }
 	d.submit <- task
+	if !d.pooled() {
+		d.wake() // the pooled pipeline stays heartbeat-paced: see wake
+	}
 	// Close the shutdown race: if the poller exited between the closed
 	// check above and the send, its final drain may have run before our
 	// task landed in the channel. Once closed is visible, submitters
@@ -1414,6 +1442,7 @@ func (d *DPUServer) adopt(nc *rpcrdma.ClientConn) {
 		nc.SetHoldPartial(true)
 	}
 	d.client = nc
+	d.clientRef.Store(nc)
 	d.epoch++
 	d.reconBroken = false
 	d.reconErr = nil
@@ -1607,6 +1636,7 @@ func (d *DPUServer) shutdown(err error) {
 // Idempotent.
 func (d *DPUServer) Close() {
 	d.stopOnce.Do(func() { close(d.stopCh) })
+	d.wake() // a Run loop asleep in its poller wait must see stopCh now
 	if d.running.Load() {
 		<-d.runDone
 		return

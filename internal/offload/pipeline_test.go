@@ -199,7 +199,9 @@ func TestPipelineSoak(t *testing.T) {
 	for _, dpu := range d.DPUs {
 		go dpu.Run(stop)
 	}
+	hostDone := make(chan struct{})
 	go func() {
+		defer close(hostDone)
 		for {
 			select {
 			case <-stop:
@@ -213,6 +215,7 @@ func TestPipelineSoak(t *testing.T) {
 	}()
 	defer func() {
 		close(stop)
+		<-hostDone // ServerPoller.Close is owner-side: not under a running Progress
 		d.Close()
 	}()
 

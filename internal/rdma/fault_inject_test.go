@@ -53,11 +53,11 @@ func TestWaitAfterShutdownDrains(t *testing.T) {
 	}
 	cq.Shutdown()
 	var out [4]CQE
-	if n := cq.Wait(out[:], time.Minute); n != 1 || out[0].WRID != 7 {
+	if n, _ := cq.Wait(out[:], time.Minute); n != 1 || out[0].WRID != 7 {
 		t.Fatalf("Wait after shutdown = %d (%v), want the queued entry", n, out[:n])
 	}
 	start := time.Now()
-	if n := cq.Wait(out[:], time.Minute); n != 0 {
+	if n, _ := cq.Wait(out[:], time.Minute); n != 0 {
 		t.Fatalf("second Wait = %d, want 0", n)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -74,14 +74,14 @@ func TestCloseSparesSharedRecvCQ(t *testing.T) {
 	// The shared recv CQ still blocks (no shutdown), so Wait times out.
 	var out [1]CQE
 	start := time.Now()
-	if n := host.recvCQ.Wait(out[:], 20*time.Millisecond); n != 0 {
+	if n, _ := host.recvCQ.Wait(out[:], 20*time.Millisecond); n != 0 {
 		t.Fatalf("Wait = %d, want timeout", n)
 	}
 	if time.Since(start) < 20*time.Millisecond {
 		t.Fatal("shared recv CQ was shut down by QP.Close")
 	}
 	// The send CQ (owned) was shut down.
-	if n := host.sendCQ.Wait(out[:], 10*time.Second); n != 0 {
+	if n, _ := host.sendCQ.Wait(out[:], 10*time.Second); n != 0 {
 		t.Fatalf("send CQ Wait = %d", n)
 	}
 	_ = dpu
@@ -158,7 +158,7 @@ func TestInjectDelayPreservesOrder(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for len(got) < n && time.Now().Before(deadline) {
 		var out [8]CQE
-		k := host.recvCQ.Wait(out[:], 50*time.Millisecond)
+		k, _ := host.recvCQ.Wait(out[:], 50*time.Millisecond)
 		got = append(got, out[:k]...)
 	}
 	if len(got) != n {

@@ -18,6 +18,9 @@
 //   - Completion queues have finite depth; overflow is sticky and fatal
 //     for the queue, mirroring the "overflowing the RDMA completion queue
 //     ... massively reduces performance" warning.
+//   - A blocked CQ.Wait is the poll() on the completion channel; CQ.Kick is
+//     the eventfd an application adds to the same poll() set so that its own
+//     threads can wake the poller.
 //
 // The "wire" underneath is the simulated PCIe fabric (internal/fabric),
 // which accounts every byte for the Fig. 8b bandwidth reproduction.
@@ -81,17 +84,56 @@ type CQE struct {
 	ByteLen uint32
 }
 
-// CQ is a completion queue with a blocking completion channel.
+// CQ is a completion queue with a blocking completion channel. Any number
+// of goroutines may push completions, Kick and Shutdown; Poll and Wait belong
+// to the single goroutine that owns the queue (its poller).
 type CQ struct {
 	ch       chan CQE
 	overflow atomic.Bool
 	done     chan struct{}
 	doneOnce sync.Once
+	// kick is the software wake source that shares the owner's blocking
+	// wait with the completion channel — the eventfd in the same poll() set
+	// as the ibv_comp_channel. It holds at most one token, so a kick that
+	// lands while the owner is busy is remembered until its next Wait.
+	kick chan struct{}
+	// timer is the owner's reusable wait timer (one per CQ instead of one
+	// per Wait), created by the first Wait that has to block.
+	timer *time.Timer
 }
+
+// Wake says why a Wait returned; pollers count it (Counters.Wake*), which
+// is how a timer-bound datapath shows up on /metrics.
+type Wake uint8
+
+// Wake reasons.
+const (
+	// WakeNone: Wait never armed its timer — the timeout was not positive,
+	// or the queue is shut down and Wait degraded to a Poll.
+	WakeNone Wake = iota
+	// WakeCQE: a completion was (or became) available.
+	WakeCQE
+	// WakeKick: a producer rang Kick.
+	WakeKick
+	// WakeTimer: the timeout elapsed with nothing to do.
+	WakeTimer
+)
 
 // NewCQ returns a CQ of the given depth.
 func NewCQ(depth int) *CQ {
-	return &CQ{ch: make(chan CQE, depth), done: make(chan struct{})}
+	return &CQ{ch: make(chan CQE, depth), done: make(chan struct{}), kick: make(chan struct{}, 1)}
+}
+
+// Kick makes the owner's current Wait — or, if it is not waiting, its next
+// one — return at once. Producers that hand the owner work through some
+// other queue ring it after the hand-off, so the owner sleeps on one wake
+// source instead of sleeping out its timeout. It never blocks and never
+// allocates; kicks coalesce into one token. Safe from any goroutine.
+func (cq *CQ) Kick() {
+	select {
+	case cq.kick <- struct{}{}:
+	default:
+	}
 }
 
 // Shutdown wakes every current and future Wait caller. Completions already
@@ -138,35 +180,57 @@ func (cq *CQ) Poll(out []CQE) int {
 	return n
 }
 
-// Wait blocks until at least one completion is available or the timeout
-// elapses, then drains up to len(out) entries. This models the poll()
-// system-call path the paper uses to avoid 100% CPU under low load.
-func (cq *CQ) Wait(out []CQE, timeout time.Duration) int {
+// Wait blocks until at least one completion is available, a producer rings
+// Kick, or the timeout elapses, then drains up to len(out) entries and says
+// what woke it. This models the poll() system-call path the paper uses to
+// avoid 100% CPU under low load. A kick returns whatever completions are
+// pollable (possibly none): the caller is expected to look at its other
+// queues and come back. Owner-only.
+func (cq *CQ) Wait(out []CQE, timeout time.Duration) (int, Wake) {
 	if len(out) == 0 {
-		return 0
+		return 0, WakeNone
 	}
 	select {
 	case e := <-cq.ch:
 		out[0] = e
-		return 1 + cq.Poll(out[1:])
+		return 1 + cq.Poll(out[1:]), WakeCQE
 	default:
 	}
 	if timeout <= 0 {
-		return 0
+		return 0, WakeNone
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	if cq.timer == nil {
+		cq.timer = time.NewTimer(timeout)
+	} else {
+		cq.timer.Reset(timeout)
+	}
 	select {
 	case e := <-cq.ch:
+		cq.stopTimer()
 		out[0] = e
-		return 1 + cq.Poll(out[1:])
-	case <-t.C:
-		return 0
+		return 1 + cq.Poll(out[1:]), WakeCQE
+	case <-cq.kick:
+		cq.stopTimer()
+		return cq.Poll(out), WakeKick
+	case <-cq.timer.C:
+		return 0, WakeTimer
 	case <-cq.done:
 		// Shut down while blocked: drain whatever is pollable and return,
 		// so pollers notice teardown immediately instead of sleeping out
 		// the timer.
-		return cq.Poll(out)
+		cq.stopTimer()
+		return cq.Poll(out), WakeNone
+	}
+}
+
+// stopTimer disarms the wait timer and leaves its channel empty for the next
+// Reset (the module's go line predates the timers that do this themselves).
+func (cq *CQ) stopTimer() {
+	if !cq.timer.Stop() {
+		select {
+		case <-cq.timer.C:
+		default:
+		}
 	}
 }
 

@@ -191,7 +191,7 @@ func TestWaitBlocksAndWakes(t *testing.T) {
 	var out [4]CQE
 	// Nothing yet: times out.
 	start := time.Now()
-	if n := host.recvCQ.Wait(out[:], 20*time.Millisecond); n != 0 {
+	if n, _ := host.recvCQ.Wait(out[:], 20*time.Millisecond); n != 0 {
 		t.Fatal("spurious wakeup")
 	}
 	if time.Since(start) < 15*time.Millisecond {
@@ -205,13 +205,13 @@ func TestWaitBlocksAndWakes(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		dpu.PostWriteImm(1, []byte("x"), 0, 5)
 	}()
-	n := host.recvCQ.Wait(out[:], time.Second)
+	n, _ := host.recvCQ.Wait(out[:], time.Second)
 	wg.Wait()
 	if n != 1 || out[0].ImmData != 5 {
 		t.Fatalf("Wait got %d completions", n)
 	}
 	// Zero-length out.
-	if host.recvCQ.Wait(nil, time.Millisecond) != 0 {
+	if n, _ := host.recvCQ.Wait(nil, time.Millisecond); n != 0 {
 		t.Error("Wait(nil) should return 0")
 	}
 }
@@ -280,7 +280,8 @@ func TestConcurrentBidirectionalTraffic(t *testing.T) {
 		got := 0
 		deadline := time.Now().Add(5 * time.Second)
 		for got < msgs && time.Now().Before(deadline) {
-			got += qp.recvCQ.Wait(out, 100*time.Millisecond)
+			n, _ := qp.recvCQ.Wait(out, 100*time.Millisecond)
+			got += n
 		}
 		if got != msgs {
 			errs <- errors.New("missing completions")

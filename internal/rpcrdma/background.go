@@ -2,6 +2,8 @@ package rpcrdma
 
 import (
 	"sync"
+
+	"dpurpc/internal/rdma"
 )
 
 // Background RPC execution (Sec. III-D): "Foreground RPCs are directly
@@ -41,7 +43,10 @@ type bgResult struct {
 	spec ResponseSpec
 }
 
-func newBGPool(workers int, handler Handler) *bgPool {
+// newBGPool starts the workers; each rings wake (the poller's receive CQ)
+// after queueing a result, so the poller drains it at once instead of on its
+// next heartbeat.
+func newBGPool(workers int, handler Handler, wake *rdma.CQ) *bgPool {
 	p := &bgPool{tasks: make(chan bgTask, 4*IDPoolSize/16)}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
@@ -54,6 +59,7 @@ func newBGPool(workers int, handler Handler) *bgPool {
 				p.mu.Lock()
 				p.results = append(p.results, bgResult{id: t.id, spec: spec})
 				p.mu.Unlock()
+				wake.Kick()
 			}
 		}()
 	}

@@ -120,7 +120,10 @@ type CallSpec struct {
 	SGBytes int
 }
 
-// block is a request block under construction or awaiting send/ack.
+// block is a request block under construction or awaiting send/ack. Blocks
+// are recycled through ClientConn.freeBlocks (see newBlock / recycleBlock), so
+// a block and its four parallel slices are allocated once per slot of
+// in-flight depth, not once per block sent.
 type block struct {
 	off      uint64 // SBuf offset (== remote RBuf offset, mirrored)
 	buf      []byte // SBuf slice, cap = allocated size
@@ -182,6 +185,13 @@ type ClientConn struct {
 	started   []int64  // per-ID enqueue timestamps (latency instrumentation)
 	freeIDs   []uint16 // IDs to return to the pool at the next send
 	ackBlocks uint16   // response blocks processed since the last send
+
+	// freeBlocks is the owner's free list of block structs: filled where a
+	// block's send-buffer memory is freed (acknowledgment, deadline reap of an
+	// unsent block, a faulted ack-only post), drained by takeBlock. ready is
+	// handleResponseBlock's per-block dispatch list, kept for its capacity.
+	freeBlocks []*block
+	ready      []delivered
 
 	// traceTab is the out-of-band trace-ID table shared with the peer
 	// ServerConn, indexed by request ID (see Connect); nil when neither
@@ -249,6 +259,13 @@ type ClientConn struct {
 	cqes []rdma.CQE
 }
 
+// delivered is one response of an inbound block, parsed and waiting for the
+// block's bookkeeping to finish before its continuation runs.
+type delivered struct {
+	cont func(Response)
+	resp Response
+}
+
 // ConnGauges are atomic occupancy mirrors of one ClientConn, refreshed by
 // its owner during Progress so cross-goroutine samplers (the resource-gauge
 // poller behind /gauges) can read send-arena occupancy and queue depths
@@ -261,6 +278,8 @@ type ConnGauges struct {
 	Unacked     atomic.Int64  // sent blocks awaiting acknowledgment
 	Outstanding atomic.Int64  // requests awaiting responses
 	Credits     atomic.Int64  // current send credits
+	// Wakes mirrors Counters.WakeCQE/WakeKick/WakeTimer as they are counted.
+	Wakes WakeGauges
 }
 
 // Gauges returns the connection's atomic occupancy mirrors. Safe to read
@@ -344,11 +363,32 @@ func (c *ClientConn) newBlock(firstSlot int) (*block, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &block{
-		off:  off,
-		buf:  c.sbuf[off : off+uint64(size)],
-		used: PreambleSize,
-	}, nil
+	return c.takeBlock(off, size), nil
+}
+
+// takeBlock returns an empty block over size bytes of send buffer at off,
+// reusing a recycled struct (and its slices' capacity) when one is free.
+func (c *ClientConn) takeBlock(off uint64, size int) *block {
+	var b *block
+	if n := len(c.freeBlocks); n > 0 {
+		b = c.freeBlocks[n-1]
+		c.freeBlocks = c.freeBlocks[:n-1]
+	} else {
+		b = &block{}
+	}
+	b.off, b.buf, b.used = off, c.sbuf[off:off+uint64(size)], PreambleSize
+	return b
+}
+
+// recycleBlock returns a block whose send-buffer memory has just been freed
+// to the free list. The pointer slices are cleared so a parked block pins no
+// continuation or trace handle, and so its next tenant can never observe the
+// previous one's; the scalar fields are reset for the same reason.
+func (c *ClientConn) recycleBlock(b *block) {
+	clear(b.conts)
+	clear(b.trs)
+	*b = block{conts: b.conts[:0], times: b.times[:0], trs: b.trs[:0], ids: b.ids[:0]}
+	c.freeBlocks = append(c.freeBlocks, b)
 }
 
 // reclaimBlock recovers from send-arena exhaustion. Under load the arena is
@@ -375,7 +415,8 @@ func (c *ClientConn) reclaimBlock(slot int) (*block, error) {
 			if remain <= 0 || c.broken != nil {
 				break
 			}
-			n := c.recvCQ.Wait(c.cqes, remain)
+			n, why := c.recvCQ.Wait(c.cqes, remain)
+			countWake(&c.Counters, &c.gauges.Wakes, why)
 			if n == 0 {
 				continue
 			}
@@ -585,11 +626,13 @@ func (c *ClientConn) Cancel(r *Reservation) {
 	if b == c.cur && r.idx == len(b.conts)-1 &&
 		r.hdrPos+HeaderSize+alignUp(r.size) == b.used {
 		b.used = r.hdrPos
+		b.conts[r.idx] = nil
 		b.conts = b.conts[:r.idx]
 		if b.times != nil {
 			b.times = b.times[:r.idx]
 		}
 		if b.trs != nil {
+			b.trs[r.idx] = nil
 			b.trs = b.trs[:r.idx]
 		}
 		c.outstanding--
@@ -855,6 +898,7 @@ func (c *ClientConn) processRequestBlockAcks(count int) error {
 		c.credits++
 		c.Counters.BlocksAcked++
 		c.unacked = c.unacked[0:copy(c.unacked, c.unacked[1:])]
+		c.recycleBlock(b)
 	}
 	return nil
 }
@@ -884,12 +928,11 @@ func (c *ClientConn) handleResponseBlock(imm uint32, byteLen uint32) error {
 	if err := c.processRequestBlockAcks(int(p.ackBlocks)); err != nil {
 		return err
 	}
-	// Dispatch after bookkeeping so continuations can safely re-enqueue.
-	type delivered struct {
-		cont func(Response)
-		resp Response
-	}
-	var ready []delivered
+	// Dispatch after bookkeeping so continuations can safely re-enqueue. The
+	// list is detached from the connection while in use, so a nested call
+	// could only ever allocate its own.
+	ready := c.ready[:0]
+	c.ready = nil
 	pos := PreambleSize
 	for i := 0; i < int(p.msgCount); i++ {
 		if pos+HeaderSize > int(p.blockLen) {
@@ -962,6 +1005,8 @@ func (c *ClientConn) handleResponseBlock(imm uint32, byteLen uint32) error {
 		}
 	}
 	c.inDispatch = false
+	clear(ready) // drop the continuations and payload views
+	c.ready = ready[:0]
 	// Acknowledge the block — unless a continuation took a hold on it
 	// (payload escaping to a worker), or earlier blocks are still held:
 	// acknowledgments are positional (the server frees its oldest block per
@@ -1071,8 +1116,13 @@ func (c *ClientConn) Progress() (int, error) {
 	n := c.recvCQ.Poll(c.cqes)
 	if n == 0 && !c.cfg.BusyPoll && c.Counters.BlocksSent == sentBefore {
 		// Idle: sleep on the completion channel (the poll() path of
-		// Sec. III-C), but never past a pending commit-batch deadline.
-		n = c.recvCQ.Wait(c.cqes, c.waitBudget())
+		// Sec. III-C), but never past a pending commit-batch deadline. A
+		// producer that hands this connection's owner work through another
+		// queue rings Wake, which ends the sleep at once; the caller then
+		// finds that work on its next pass.
+		var why rdma.Wake
+		n, why = c.recvCQ.Wait(c.cqes, c.waitBudget())
+		countWake(&c.Counters, &c.gauges.Wakes, why)
 	}
 	events, err := c.processRecvCQEs(c.cqes[:n])
 	if err != nil {
@@ -1182,7 +1232,7 @@ func (c *ClientConn) reapDeadlines() {
 			c.Counters.RequestsTimedOut++
 			reaped++
 		}
-		b.conts = nil
+		c.recycleBlock(b)
 	}
 	if reaped > 0 {
 		c.dumpFlight(fmt.Sprintf("request timeout (%d reaped)", reaped))
@@ -1208,7 +1258,7 @@ func (c *ClientConn) sendAckOnly() {
 	if err != nil {
 		return // no room: a future request block will carry the acks
 	}
-	b := &block{off: off, buf: c.sbuf[off : off+BlockAlign], used: PreambleSize}
+	b := c.takeBlock(off, BlockAlign)
 	for _, id := range c.freeIDs {
 		c.pool.Free(id)
 	}
@@ -1223,6 +1273,7 @@ func (c *ClientConn) sendAckOnly() {
 			// and give the block back; a later pass resends the acks.
 			c.ackBlocks += ack
 			_ = c.alloc.Free(b.off)
+			c.recycleBlock(b)
 			c.Counters.SendFaultRetries++
 			c.fr.Record(FlightSendRetry, int64(b.seq), 0)
 			return
@@ -1332,6 +1383,14 @@ func (c *ClientConn) Drain(timeout time.Duration) error {
 // FaultInjector returns the fault injector attached to this side's QP, nil
 // when fault injection is disabled.
 func (c *ClientConn) FaultInjector() *fault.Injector { return c.injector }
+
+// Wake makes the owner's blocking wait in Progress return at once (or its
+// next one, if it is busy). Whoever queues work for the owner somewhere other
+// than this connection's completion queue — an xRPC goroutine submitting a
+// call — rings it after the hand-off, so WaitTimeout is an idle heartbeat and
+// not a latency for that hand-off. Never blocks, never allocates; a no-op on
+// a BusyPoll connection. Safe from any goroutine.
+func (c *ClientConn) Wake() { c.recvCQ.Kick() }
 
 // Close tears down the connection.
 func (c *ClientConn) Close() {

@@ -43,12 +43,21 @@
 //     (ReserveResponse/CommitResponse/CancelResponse, enabled by
 //     Config.HostWorkers > 1), so both directions scale across cores while
 //     QP/CQ state stays single-threaded.
+//   - Event-driven pollers: without BusyPoll a poller with nothing to do
+//     sleeps on its receive CQ (the poll() path of Sec. III-C) and is woken
+//     by the next completion or by Wake, which producers ring after handing
+//     it work through any other queue; WaitTimeout is only the idle
+//     heartbeat. Per-block state (blocks, their parallel slices, request-
+//     block trackers) is recycled through owner-private free lists, so the
+//     smaller blocks that prompt wake-ups produce cost no allocations.
 package rpcrdma
 
 import (
+	"sync/atomic"
 	"time"
 
 	"dpurpc/internal/fault"
+	"dpurpc/internal/rdma"
 	"dpurpc/internal/trace"
 )
 
@@ -107,9 +116,19 @@ type Config struct {
 	// Ignored when CommitBatch <= 1.
 	CommitFlushTimeout time.Duration
 	// BusyPoll spins on the CQ instead of sleeping on the completion
-	// channel (Sec. III-C: ~10% faster at 100% CPU).
+	// channel (Sec. III-C: ~10% faster at 100% CPU). Without it the poller
+	// sleeps whenever a pass finds nothing to do and is woken by the next
+	// completion or by ClientConn.Wake / ServerPoller.Wake, so what busy
+	// polling still buys is the wake-up itself (a goroutine hand-off), not
+	// a timer.
 	BusyPoll bool
-	// WaitTimeout bounds one blocking wait when BusyPoll is false.
+	// WaitTimeout is the idle heartbeat when BusyPoll is false: the longest
+	// a poller sleeps with nothing to wake it, which bounds how late the
+	// deadline reaper and the dead-peer probe run. It is not a latency
+	// wherever the producer rings Wake: completions, calls submitted on
+	// the serial DPU path and host worker completions all end the sleep
+	// at once. (The pooled DPU pipeline does not ring yet: its hand-offs
+	// still wait for this timer, see offload.DPUServer.wake.)
 	WaitTimeout time.Duration
 	// BackgroundWorkers (server side) > 0 enables background RPC
 	// execution (Sec. III-D): handlers run on a pool of that many worker
@@ -294,4 +313,35 @@ type Counters struct {
 	SGSegmentsSent     uint64 // descriptor-backed segments placed
 	SGBytesSent        uint64 // payload bytes carried in segments (never re-copied by the receiver)
 	SGMessagesReceived uint64 // inbound messages whose SG table validated
+
+	// Poller wake-ups: why each blocking wait on the receive CQ returned
+	// (all zero under BusyPoll, which never blocks). On the server side they
+	// belong to the poller, not to a connection: see ServerPoller.Counters.
+	// A loaded stack wakes on completions and kicks; WakeTimer per request
+	// near or above one means requests are waiting out WaitTimeout.
+	WakeCQE   uint64 // a completion arrived
+	WakeKick  uint64 // a producer rang Wake (submitted call, host worker completion, Close)
+	WakeTimer uint64 // WaitTimeout (or a commit-batch deadline) elapsed
+}
+
+// WakeGauges are atomic mirrors of a poller's Counters.Wake* fields, bumped
+// together with them, so live scrapers can read the wake-up mix of a running
+// poller without touching its owner-only counters.
+type WakeGauges struct {
+	CQE, Kick, Timer atomic.Uint64
+}
+
+// countWake records why a poller's blocking wait returned.
+func countWake(ct *Counters, live *WakeGauges, why rdma.Wake) {
+	switch why {
+	case rdma.WakeCQE:
+		ct.WakeCQE++
+		live.CQE.Add(1)
+	case rdma.WakeKick:
+		ct.WakeKick++
+		live.Kick.Add(1)
+	case rdma.WakeTimer:
+		ct.WakeTimer++
+		live.Timer.Add(1)
+	}
 }

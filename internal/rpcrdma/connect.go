@@ -63,7 +63,7 @@ func Connect(clientDev, serverDev *rdma.Device, ccfg, scfg Config, poller *Serve
 	if err != nil {
 		return nil, nil, err
 	}
-	sc, err := newServerConn(scfg, serverQP, serverSendCQ, serverSBuf, serverRBuf, h, needed)
+	sc, err := newServerConn(scfg, serverQP, serverSendCQ, poller.recvCQ, serverSBuf, serverRBuf, h, needed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"dpurpc/internal/arena"
+	"dpurpc/internal/rdma"
 	"dpurpc/internal/trace"
 )
 
@@ -56,17 +57,21 @@ type respTask struct {
 // duplexPool runs handler and build stages on worker goroutines. Channel
 // capacities equal the connection's in-flight bound (dxMax), and the poller
 // admits at most that many tasks, so no send on workQ or compQ ever blocks.
+// After each compQ send the worker kicks wake — the poller's receive CQ — so
+// a poller asleep with duplex work in flight commits the completion at once.
 type duplexPool struct {
 	handler Handler
 	workQ   chan *respTask
 	compQ   chan *respTask
+	wake    *rdma.CQ
 	wg      sync.WaitGroup
 	closed  bool
 }
 
-func newDuplexPool(workers, maxInflight int, h Handler) *duplexPool {
+func newDuplexPool(workers, maxInflight int, h Handler, wake *rdma.CQ) *duplexPool {
 	p := &duplexPool{
 		handler: h,
+		wake:    wake,
 		workQ:   make(chan *respTask, maxInflight),
 		compQ:   make(chan *respTask, maxInflight),
 	}
@@ -97,6 +102,7 @@ func (p *duplexPool) worker(wid int) {
 			}
 		}
 		p.compQ <- t
+		p.wake.Kick()
 	}
 }
 

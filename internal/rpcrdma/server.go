@@ -90,15 +90,19 @@ func (s *ServerConn) markAnswered(id uint16) {
 
 // advanceAckPrefix counts leading fully-answered request blocks into
 // ackReady, preserving receive order so the client frees its oldest blocks
-// first.
+// first. A fully-answered block has no entry left in reqBlockOf, so its
+// state goes back to the free list here.
 func (s *ServerConn) advanceAckPrefix() {
 	for len(s.reqBlocks) > 0 && s.reqBlocks[0].remaining == 0 {
+		s.freeReqBlocks = append(s.freeReqBlocks, s.reqBlocks[0])
 		s.reqBlocks = s.reqBlocks[0:copy(s.reqBlocks, s.reqBlocks[1:])]
 		s.ackReady++
 	}
 }
 
-// respBlock is a response block under construction or in flight.
+// respBlock is a response block under construction or in flight. Like the
+// client's blocks they are recycled (ServerConn.freeRespBlocks): taken by
+// newRespBlock, returned where the client's acknowledgment frees the block.
 type respBlock struct {
 	off     uint64
 	buf     []byte
@@ -125,6 +129,11 @@ type ServerConn struct {
 	cur    *respBlock
 	sendQ  []*respBlock
 	unfree []*respBlock // sent, awaiting the client's preamble ack
+	// Poller-owned free lists of per-block state, and the scratch the
+	// request walk allocates each block's IDs into.
+	freeRespBlocks []*respBlock
+	freeReqBlocks  []*reqBlockState
+	idScratch      []uint16
 
 	// bg is the background worker pool (nil in foreground mode).
 	bg        *bgPool
@@ -178,7 +187,9 @@ type ServerConn struct {
 	Counters Counters
 }
 
-func newServerConn(cfg Config, qp *rdma.QP, sendCQ *rdma.CQ, sbuf []byte, rbuf *rdma.MR, h Handler, recvPosts int) (*ServerConn, error) {
+// newServerConn builds the host endpoint. wakeCQ is the poller's shared
+// receive CQ, which the worker pools ring when they queue a completion.
+func newServerConn(cfg Config, qp *rdma.QP, sendCQ, wakeCQ *rdma.CQ, sbuf []byte, rbuf *rdma.MR, h Handler, recvPosts int) (*ServerConn, error) {
 	s := &ServerConn{
 		cfg: cfg, qp: qp, sendCQ: sendCQ, sbuf: sbuf, rbuf: rbuf,
 		alloc:     arena.NewAllocator(uint64(len(sbuf))),
@@ -194,10 +205,10 @@ func newServerConn(cfg Config, qp *rdma.QP, sendCQ *rdma.CQ, sbuf []byte, rbuf *
 	}
 	if cfg.HostWorkers > 1 {
 		s.dxMax = 4 * cfg.HostWorkers
-		s.duplex = newDuplexPool(cfg.HostWorkers, s.dxMax, h)
+		s.duplex = newDuplexPool(cfg.HostWorkers, s.dxMax, h, wakeCQ)
 		s.dxReadyQ = make(map[uint64]*respTask)
 	} else if cfg.BackgroundWorkers > 0 {
-		s.bg = newBGPool(cfg.BackgroundWorkers, h)
+		s.bg = newBGPool(cfg.BackgroundWorkers, h, wakeCQ)
 	}
 	if _, err := s.alloc.Alloc(BlockAlign, BlockAlign); err != nil {
 		return nil, err
@@ -246,7 +257,15 @@ func (s *ServerConn) newRespBlock(firstSlot int) (*respBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &respBlock{off: off, buf: s.sbuf[off : off+uint64(size)], used: PreambleSize}, nil
+	var b *respBlock
+	if n := len(s.freeRespBlocks); n > 0 {
+		b = s.freeRespBlocks[n-1]
+		s.freeRespBlocks = s.freeRespBlocks[:n-1]
+	} else {
+		b = &respBlock{}
+	}
+	*b = respBlock{off: off, buf: s.sbuf[off : off+uint64(size)], used: PreambleSize, ids: b.ids[:0]}
+	return b, nil
 }
 
 // RespReservation is a claimed response slot in the outgoing batch: header
@@ -600,19 +619,30 @@ func (s *ServerConn) handleRequestBlock(imm uint32, byteLen uint32) error {
 		s.credits++
 		s.Counters.BlocksAcked++
 		s.unfree = s.unfree[0:copy(s.unfree, s.unfree[1:])]
+		s.freeRespBlocks = append(s.freeRespBlocks, b)
 	}
-	// 2. Allocate IDs for this block's requests, mirroring the client.
-	ids := make([]uint16, p.msgCount)
-	for i := range ids {
+	// 2. Allocate IDs for this block's requests, mirroring the client. The
+	// scratch is safe to reuse per block: the walk below is the only reader
+	// and handlers cannot reenter it.
+	ids := s.idScratch[:0]
+	for i := 0; i < int(p.msgCount); i++ {
 		id, err := s.pool.Alloc()
 		if err != nil {
 			return err
 		}
-		ids[i] = id
+		ids = append(ids, id)
 	}
+	s.idScratch = ids
 	// Track the block for acknowledgment. An ack-only block (msgCount 0)
 	// is complete on receipt and enters the ack prefix immediately.
-	rb := &reqBlockState{remaining: int(p.msgCount)}
+	var rb *reqBlockState
+	if n := len(s.freeReqBlocks); n > 0 {
+		rb = s.freeReqBlocks[n-1]
+		s.freeReqBlocks = s.freeReqBlocks[:n-1]
+	} else {
+		rb = &reqBlockState{}
+	}
+	rb.remaining = int(p.msgCount)
 	s.reqBlocks = append(s.reqBlocks, rb)
 	for _, id := range ids {
 		s.reqBlockOf[id] = rb
@@ -756,6 +786,12 @@ type ServerPoller struct {
 	pending   []pendingConn
 	postedWRs int
 
+	// Counters holds the poller-level counters — the Wake* fields: why each
+	// blocking wait on the shared CQ returned. Owner-only, like every
+	// connection's Counters; wakes mirrors them for live readers.
+	Counters Counters
+	wakes    WakeGauges
+
 	// Owner-only reap state: stale completions for a reaped QP are dropped
 	// (the QP died mid-flight), and the reaped connections' counters
 	// accumulate in dead so aggregate accounting survives churn.
@@ -863,8 +899,12 @@ func (sp *ServerPoller) Progress() (int, error) {
 	events := 0
 	sp.admitPending()
 	n := sp.recvCQ.Poll(sp.cqes)
-	if n == 0 && !sp.cfg.BusyPoll && !sp.duplexBusy() {
-		n = sp.recvCQ.Wait(sp.cqes, sp.waitBudget())
+	if n == 0 && !sp.cfg.BusyPoll {
+		// Idle: sleep until a request block lands, a worker pool kicks the
+		// CQ after queueing a completion, or the heartbeat elapses.
+		var why rdma.Wake
+		n, why = sp.recvCQ.Wait(sp.cqes, sp.waitBudget())
+		countWake(&sp.Counters, &sp.wakes, why)
 	}
 	var firstErr error
 	for _, e := range sp.cqes[:n] {
@@ -988,17 +1028,13 @@ func (sp *ServerPoller) waitBudget() time.Duration {
 	return w
 }
 
-// duplexBusy reports whether any connection has duplex work in flight, in
-// which case the poller must keep spinning to commit completions instead of
-// blocking on the receive CQ.
-func (sp *ServerPoller) duplexBusy() bool {
-	for _, conn := range sp.conns {
-		if conn.duplex != nil && (conn.dxInflight > 0 || len(conn.dxBacklog) > 0) {
-			return true
-		}
-	}
-	return false
-}
+// Wake makes the poller's blocking wait in Progress return at once (or its
+// next one, if it is busy); see ClientConn.Wake. Safe from any goroutine.
+func (sp *ServerPoller) Wake() { sp.recvCQ.Kick() }
+
+// WakeGauges returns the atomic mirrors of Counters.Wake*. Safe to read from
+// any goroutine.
+func (sp *ServerPoller) WakeGauges() *WakeGauges { return &sp.wakes }
 
 // Drain runs the poller until every live connection has no buffered or
 // in-flight response work — send queues empty, no open partial block, no

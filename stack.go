@@ -289,11 +289,25 @@ func (s *Stack) Window() *metrics.RPCWindow { return s.window }
 // RegisterGauges registers this stack's live resource sources on a sampler:
 // per-connection protocol-endpoint state (arena occupancy, send-queue and
 // partial-block depth, outstanding requests, credits) refreshed by each DPU
-// poller pass. The sampler polls them at its own low rate; the datapath only
+// poller pass, plus the deployment-wide poller wake-up mix
+// (rpcrdma_poller_wakeups_total by reason). The sampler polls them at its own low rate; the datapath only
 // ever writes a handful of per-pass atomics. No-op for baseline stacks.
 func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 	if smp == nil || s.deployment == nil {
 		return
+	}
+	// Why the pollers (DPU and host, summed) left their blocking wait. Under
+	// load timer stays flat while cqe and kick climb; timer climbing at the
+	// request rate means requests are waiting out the heartbeat.
+	for i, reason := range []string{"cqe", "kick", "timer"} {
+		i := i
+		smp.Register("rpcrdma_poller_wakeups_total",
+			"Returns from the pollers' blocking wait, by what ended it.",
+			map[string]string{"reason": reason},
+			func() float64 {
+				cqe, kick, timer := s.deployment.PollerWakes()
+				return float64([3]uint64{cqe, kick, timer}[i])
+			})
 	}
 	for i, dpu := range s.deployment.DPUs {
 		g := dpu.Client().Gauges()
@@ -408,6 +422,12 @@ func (s *Stack) Close() {
 		close(stop)
 	}
 	if s.deployment != nil {
+		// A host poller asleep in its wait sees its stop channel only when
+		// it wakes; ring it rather than wait out the heartbeat. (The DPU
+		// pollers are rung by deployment.Close below.)
+		for _, p := range s.deployment.Pollers {
+			p.Wake()
+		}
 		// Host pollers drive the duplex response pipeline; let them drain
 		// out before Close tears down the worker pools under them.
 		s.pollers.Wait()
