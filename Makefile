@@ -29,10 +29,14 @@ fmt-check:
 # rotation and the gauge sampler. The second pass repeats the poller-wake
 # tests three times: the CQ kick (lost-wake-up stress), the block free lists,
 # and the stack-level liveness and idle tests, whose packages are the root
-# package, internal/rdma and internal/rpcrdma.
+# package, internal/rdma and internal/rpcrdma. The third repeats the xRPC
+# front end's buffer-ownership tests: pooled request frames, response-buffer
+# release on every path (poisoned on release), and the reusable handler
+# goroutines.
 race:
 	go test -race ./internal/offload/... ./internal/rpcrdma/... ./internal/xrpc/... ./internal/gentest/... ./internal/trace/... ./internal/rdma/... ./internal/fault/... ./internal/fabric/... ./internal/metrics/... ./internal/rpccache/... ./internal/workload/...
 	go test -race -count=3 -run 'Kick|Wait|Liveness|IdleStack|Recycled|SteadyState' . ./internal/rdma ./internal/rpcrdma
+	go test -race -count=3 -run 'Frame|Release|Worker|Poison' ./internal/xrpc ./internal/offload .
 
 # Aggregate coverage over every package, with a summary and an HTML-ready
 # profile at cover.out.
@@ -124,11 +128,13 @@ chaos:
 		./internal/offload ./internal/rpcrdma ./internal/harness
 	go run ./cmd/dpurpc-bench -experiment chaos
 
-# Short fuzz pass over the three untrusted-input surfaces.
+# Short fuzz pass over the untrusted-input surfaces. FuzzServeConn's corpus is
+# checked in (internal/xrpc/testdata/fuzz), so its seeds also run in `go test`.
 fuzz:
 	go test -fuzz FuzzDeserialize -fuzztime 30s ./internal/deser
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/protodsl
 	go test -fuzz FuzzDecode -fuzztime 30s ./internal/adt
+	go test -fuzz FuzzServeConn -fuzztime 30s ./internal/xrpc
 
 clean:
 	go clean ./...

@@ -146,16 +146,14 @@ func runServer(mode, addr, debugAddr string, sgMin int, cacheMethods string, ppr
 				}
 			}
 		}
-		// Resource gauges: poll the per-connection occupancy numbers (arena
-		// bytes, queue depths, credits) at a low rate into /gauges series and
-		// /metrics mirrors. Only the offloaded stack has rpcrdma connections.
-		var smp *metrics.Sampler
-		if stack.Deployment() != nil {
-			smp = metrics.NewSampler(100*time.Millisecond, 256, opts.Registry)
-			stack.RegisterGauges(smp)
-			smp.Start()
-			defer smp.Stop()
-		}
+		// Resource gauges: poll the xRPC front end's bounds and, on the
+		// offloaded stack, the per-connection occupancy numbers (arena bytes,
+		// queue depths, credits) at a low rate into /gauges series and
+		// /metrics mirrors.
+		smp := metrics.NewSampler(100*time.Millisecond, 256, opts.Registry)
+		stack.RegisterGauges(smp)
+		smp.Start()
+		defer smp.Stop()
 		dbg, err := trace.ListenDebug(debugAddr, trace.NewDebugMuxOpts(trace.DebugOptions{
 			Registry:     opts.Registry,
 			Tracer:       tracer,
@@ -168,10 +166,7 @@ func runServer(mode, addr, debugAddr string, sgMin int, cacheMethods string, ppr
 			fatal(err)
 		}
 		defer dbg.Close()
-		endpoints := "/metrics /trace /anatomy /tail /healthz"
-		if smp != nil {
-			endpoints += " /gauges"
-		}
+		endpoints := "/metrics /trace /anatomy /tail /healthz /gauges"
 		if pprofEnabled {
 			endpoints += " /debug/pprof/"
 		}

@@ -1,0 +1,112 @@
+package dpurpc_test
+
+import (
+	"testing"
+	"time"
+
+	"dpurpc"
+	"dpurpc/internal/metrics"
+	"dpurpc/internal/xrpc"
+)
+
+// The xRPC front end's bounds are exported through RegisterGauges on both
+// kinds of stack, and the frame gauge is back at zero once the connections
+// are gone.
+func TestFrontEndFrameGauges(t *testing.T) {
+	for name, newStack := range map[string]func(*dpurpc.Schema, map[string]dpurpc.Impl, dpurpc.StackOptions) (*dpurpc.Stack, error){
+		"offloaded": dpurpc.NewOffloadedStack,
+		"baseline":  dpurpc.NewBaselineStack,
+	} {
+		t.Run(name, func(t *testing.T) {
+			schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stack, err := newStack(schema, greeterImpls(t, schema), dpurpc.StackOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stack.Close()
+			smp := metrics.NewSampler(time.Hour, 4, nil) // sampled by hand
+			stack.RegisterGauges(smp)
+			addr, err := stack.ListenAndServe("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := dpurpc.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := schema.NewMessage("demo.HelloRequest")
+			req.SetString("name", "gauge")
+			for i := 0; i < 20; i++ {
+				if _, err := cl.Call(schema, "demo.Greeter", "Hello", req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl.Close()
+			last := func(key string) float64 {
+				t.Helper()
+				smp.SampleOnce()
+				s := smp.Series()[key]
+				if len(s) == 0 {
+					t.Fatalf("gauge %s not registered (have %v)", key, smp.SeriesKeys())
+				}
+				return s[len(s)-1].V
+			}
+			for _, key := range []string{"rpc_conn_bytes_capped_total", "rpc_conn_idle_closed_total"} {
+				if v := last(key); v != 0 {
+					t.Errorf("%s = %v on a connection that was neither capped nor idle", key, v)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for last("xrpc_frame_bytes_in_flight") != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("xrpc_frame_bytes_in_flight = %v with every connection closed", last("xrpc_frame_bytes_in_flight"))
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// Stack.Handler keeps its two-result signature by copying a pooled response
+// out before releasing it: with released buffers poisoned, earlier responses
+// must survive later calls.
+func TestHandlerCopiesBeforeRelease(t *testing.T) {
+	xrpc.SetPoisonOnRelease(true)
+	defer xrpc.SetPoisonOnRelease(false)
+	for _, opts := range []dpurpc.StackOptions{
+		{},
+		{OffloadResponseSerialization: true},
+		{DPUWorkers: 2, OffloadResponseSerialization: true},
+	} {
+		schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stack, err := dpurpc.NewOffloadedStack(schema, greeterImpls(t, schema), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		call := stack.Handler()
+		var kept [][]byte
+		for i := 0; i < 50; i++ {
+			req := schema.NewMessage("demo.HelloRequest")
+			req.SetString("name", "n")
+			req.SetUint32("times", uint32(i))
+			status, resp := call("/demo.Greeter/Hello", req.Marshal(nil))
+			if status != 0 {
+				t.Fatalf("%+v call %d: status %d", opts, i, status)
+			}
+			kept = append(kept, resp)
+		}
+		for i, resp := range kept {
+			out := schema.NewMessage("demo.HelloReply")
+			if err := out.Unmarshal(resp); err != nil || out.GetString("text") != "hello n" || len(out.Nums("echoes")) != i {
+				t.Fatalf("%+v: response %d did not survive later calls (err %v)", opts, i, err)
+			}
+		}
+		stack.Close()
+	}
+}

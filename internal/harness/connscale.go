@@ -224,19 +224,23 @@ func runConnScalePoint(opts Options, pt connScalePoint) (ConnScaleRow, error) {
 		h := dpuSrv.XRPCHandler()
 		for w := 0; w < pt.driversPerConn; w++ {
 			workWG.Add(1)
-			go func(h xrpc.ServerHandler, worker int) {
+			go func(h xrpc.ReleasingHandler, worker int) {
 				defer workWG.Done()
 				for i := 0; i < perDriver; i++ {
 					payload := payloads[(worker+i)%len(payloads)]
 					t0 := time.Now()
 					var status uint16
 					var resp []byte
+					var release func()
 					backoff := 200 * time.Microsecond
 					for attempt := 0; ; attempt++ {
-						status, resp = h(method, payload)
+						status, resp, release = h(method, payload)
 						if status == xrpc.StatusOK || attempt+1 >= pt.maxAttempts ||
 							!xrpc.Retryable(status, nil) {
 							break
+						}
+						if release != nil {
+							release()
 						}
 						retries.Add(1)
 						time.Sleep(backoff)
@@ -256,6 +260,9 @@ func runConnScalePoint(opts Options, pt connScalePoint) (ConnScaleRow, error) {
 						failed.Add(1)
 					default:
 						untyped.Add(1)
+					}
+					if release != nil {
+						release()
 					}
 				}
 			}(h, ci*pt.driversPerConn+w)

@@ -71,7 +71,7 @@ func TestCacheSurvivesReconnect(t *testing.T) {
 	group.Start()
 
 	dpu := d.DPUs[0]
-	h := dpu.XRPCHandler()
+	h := dpu.XRPCHandler().Copying()
 	reqDesc := reg.Message("echopb.Req")
 	m := protomsg.New(reqDesc)
 	m.SetUint64("id", 7)

@@ -140,7 +140,7 @@ func chaosSoak(t *testing.T, plan fault.Plan) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := xrpc.NewStreamServer(dpu.XRPCStreamHandler())
+		srv := xrpc.NewReleasingServer(dpu.XRPCHandler())
 		go srv.Serve(ln)
 		defer srv.Close()
 		for c := 0; c < clientsPerConn; c++ {

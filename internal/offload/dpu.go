@@ -96,8 +96,12 @@ type callTask struct {
 	segs     int // SG payload segments the scan found (0 = inline message)
 	segBytes int // 8-aligned bytes of the segment area
 	err      error
-	measured bool  // need already computed (SubmitLocal path)
-	finished bool  // poller-owned: result delivered, ignore later signals
+	measured bool // need already computed (SubmitLocal path)
+	finished bool // poller-owned: result decided, ignore later signals
+	// onWorker is set from queueWork until the task comes back through compQ
+	// (reclaim): a worker may be reading data, so the task must not finish.
+	// Poller-owned.
+	onWorker bool
 	reserved int64 // ns timestamp at reserve (commit-latency metric)
 	admit    int64 // ns timestamp at admission (windowed-latency metric)
 	// epoch tags the connection whose resources (reservation or response
@@ -128,14 +132,20 @@ type callResult struct {
 	release func()
 }
 
-// respBufPool recycles host-response copies on the serial/legacy path only.
-// Pooled mode uses per-worker scratch stocks (wscratch) instead, so the hot
-// path never touches this contended global.
+// respBufPool recycles response buffers on the serial path: the poller takes
+// one per response and the xRPC transport hands it back (putRespBuf) after
+// writing the frame. Pooled mode uses per-worker scratch stocks (wscratch)
+// instead, so its hot path never touches this contended global.
 var respBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
 		return &b
 	},
+}
+
+func putRespBuf(bp *[]byte) {
+	xrpc.PoisonReleased(*bp)
+	respBufPool.Put(bp)
 }
 
 // wscratch is one worker's private stock of response scratch buffers. The
@@ -158,6 +168,7 @@ func (w *wscratch) get() []byte {
 }
 
 func (w *wscratch) put(b []byte) {
+	xrpc.PoisonReleased(b)
 	select {
 	case w.free <- b:
 	default:
@@ -683,30 +694,18 @@ func (d *DPUServer) buildInto(dd *deser.Deserializer, task *callTask, dst []byte
 
 // XRPCHandler terminates xRPC calls: it resolves the method, scans the
 // payload with its compiled decode plan (sizing it exactly and pre-decoding
-// the structure), and hands the request to the poller for the fill.
-// It blocks until the host's response arrives, preserving the synchronous
-// xRPC contract per connection. Response buffers returned through this
-// legacy interface cannot be recycled (the transport writes them after the
-// handler returns); use XRPCStreamHandler for the pooled-buffer path.
-func (d *DPUServer) XRPCHandler() xrpc.ServerHandler {
-	return func(method string, payload []byte) (uint16, []byte) {
-		status, resp, _ := d.handleCall(method, payload)
-		return status, resp
-	}
-}
-
-// XRPCStreamHandler is XRPCHandler for xrpc.NewStreamServer: the response
-// frame is written before the handler returns, so pooled response buffers
-// are recycled immediately after delivery.
-func (d *DPUServer) XRPCStreamHandler() xrpc.StreamHandler {
-	return func(method string, payload []byte, respond xrpc.RespondFunc) {
-		status, resp, release := d.handleCall(method, payload)
-		respond(status, resp)
-		if release != nil {
-			release()
-		}
-	}
-}
+// the structure), and hands the request to the poller for the fill. It blocks
+// until the host's response arrives, preserving the synchronous xRPC contract
+// per connection. Serial and pooled servers answer through this one contract:
+// the returned release recycles the response buffer once the transport has
+// written it.
+//
+// payload is the transport's pooled request frame (xrpc.ReleasingHandler):
+// the scan, the fill, the SG segment placement and the cache probe and insert
+// all read it in place, and none of them may still be reading it when this
+// returns — the transport recycles it after writing the response. finish
+// asserts that no pipeline worker still holds the request.
+func (d *DPUServer) XRPCHandler() xrpc.ReleasingHandler { return d.handleCall }
 
 func (d *DPUServer) handleCall(method string, payload []byte) (uint16, []byte, func()) {
 	id, ok := d.procs.byName[method]
@@ -728,7 +727,10 @@ func (d *DPUServer) handleCall(method string, payload []byte) (uint16, []byte, f
 		return status, resp, nil
 	}
 	task := &callTask{procID: id, entry: e, data: payload, tr: tr, admit: admit}
-	if d.pooled() {
+	// From the configuration, not pooled(): that reads workQ, which the
+	// poller clears at shutdown while connection goroutines are still here.
+	pooled := d.cfg.Workers > 1
+	if pooled {
 		// The planned scan runs on a pipeline worker; a failure surfaces as
 		// StatusInvalidArgument below, exactly like the inline path.
 	} else {
@@ -764,7 +766,7 @@ func (d *DPUServer) handleCall(method string, payload []byte) (uint16, []byte, f
 	done := make(chan callResult, 1)
 	task.deliver = func(r callResult) { done <- r }
 	d.submit <- task
-	if !d.pooled() {
+	if !pooled {
 		d.wake() // the pooled pipeline stays heartbeat-paced: see wake
 	}
 	// Close the shutdown race: if the poller exited between the closed
@@ -854,6 +856,14 @@ func (d *DPUServer) SubmitLocal(fullMethod string, payload []byte, cb func(statu
 // signalled twice at shutdown (pool drain and client.Abort through their
 // registered continuation); only the first wins. Poller-owned.
 func (d *DPUServer) finish(task *callTask, r callResult) {
+	if task.onWorker {
+		// Finishing lets the xRPC caller return, and its transport then
+		// recycles the request frame task.data points into — while a worker
+		// may still be inside Scan or buildInto on it. Every path that gives
+		// up on requests quiesces (enterReconnect) or joins (stopPool) the
+		// workers and takes the tasks back first.
+		panic("offload: request finished while a pipeline worker still holds it")
+	}
 	if task.finished {
 		if r.release != nil {
 			r.release()
@@ -881,6 +891,15 @@ func (d *DPUServer) finish(task *callTask, r callResult) {
 	// deliver is safe).
 	d.cacheInsert(task, r)
 	task.deliver(r)
+}
+
+// reclaim takes a task back from the worker pool: it came through compQ, or
+// sat in a dispatch run that was never flushed. Only now may it finish.
+// Poller-owned.
+func (d *DPUServer) reclaim(task *callTask) {
+	task.next = nil
+	d.onWorkers--
+	task.onWorker = false
 }
 
 // respond forwards one protocol response to the task's xRPC caller: the
@@ -933,14 +952,14 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 		bp := respBufPool.Get().(*[]byte)
 		serialized, err := deser.Serialize(view, (*bp)[:0])
 		if err != nil {
-			respBufPool.Put(bp)
+			putRespBuf(bp)
 			d.failTask(task, err)
 			return
 		}
 		*bp = serialized
 		d.serialized.Add(uint64(len(serialized)))
 		out = serialized
-		release = func() { respBufPool.Put(bp) }
+		release = func() { putRespBuf(bp) }
 	} else if len(resp.Payload) > 0 {
 		// Host-serialized protobuf: copy it out of the block (its slot is
 		// recycled after this continuation) into a pooled buffer and
@@ -948,7 +967,7 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 		bp := respBufPool.Get().(*[]byte)
 		*bp = append((*bp)[:0], resp.Payload...)
 		out = *bp
-		release = func() { respBufPool.Put(bp) }
+		release = func() { putRespBuf(bp) }
 	}
 	if traced {
 		task.tr.Span(trace.StageRespSerialize, trace.ProcDPU, 0, serT0, trace.Now())
@@ -975,6 +994,7 @@ const maxRunLen = 8
 // Poller-owned.
 func (d *DPUServer) queueWork(task *callTask) {
 	d.onWorkers++
+	task.onWorker = true
 	if task.stage == stageSerialize || len(task.data) > deser.SmallFastPathMax {
 		d.flushRun()
 		if m := d.cfg.Pipeline; m != nil && task.stage != stageSerialize {
@@ -1171,8 +1191,7 @@ func (d *DPUServer) collectCompletions() (drained int) {
 		case head := <-d.compQ:
 			for task := head; task != nil; {
 				next := task.next
-				task.next = nil
-				d.onWorkers--
+				d.reclaim(task)
 				drained++
 				d.completeTask(task)
 				task = next
@@ -1382,8 +1401,7 @@ func (d *DPUServer) enterReconnect(err error) {
 			head := <-d.compQ
 			for task := head; task != nil; {
 				next := task.next
-				task.next = nil
-				d.onWorkers--
+				d.reclaim(task)
 				d.completeTask(task)
 				task = next
 			}
@@ -1562,8 +1580,7 @@ func (d *DPUServer) stopPool(err error) {
 	// never handed to a worker).
 	for task := d.runHead; task != nil; {
 		next := task.next
-		task.next = nil
-		d.onWorkers--
+		d.reclaim(task)
 		switch task.stage {
 		case stageSerialize:
 			d.respInflight--
@@ -1588,8 +1605,7 @@ func (d *DPUServer) stopPool(err error) {
 		case head := <-d.compQ:
 			for task := head; task != nil; {
 				next := task.next
-				task.next = nil
-				d.onWorkers--
+				d.reclaim(task)
 				switch task.stage {
 				case stageBuild:
 					d.inflight--

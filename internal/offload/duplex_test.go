@@ -74,7 +74,7 @@ func TestDuplexSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := xrpc.NewStreamServer(dpu.XRPCStreamHandler())
+		srv := xrpc.NewReleasingServer(dpu.XRPCHandler())
 		go srv.Serve(ln)
 		defer srv.Close()
 		for c := 0; c < clientsPerConn; c++ {

@@ -77,7 +77,7 @@ func TestKitchenSink(t *testing.T) {
 	var done atomic.Uint64
 	var bad atomic.Uint64
 	for c, dpuSrv := range d.DPUs {
-		h := dpuSrv.XRPCHandler()
+		h := dpuSrv.XRPCHandler().Copying()
 		go func(c int, h xrpc.ServerHandler) {
 			for i := 0; i < perConn; i++ {
 				status, resp := h("/rs.Svc/Lookup", payloads[c][i])

@@ -138,7 +138,7 @@ func TestOffloadedDatapathEndToEnd(t *testing.T) {
 
 	// Drive requests through the DPU's xRPC handler from a separate
 	// goroutine (as the xRPC connection goroutines would).
-	handler := dpu.XRPCHandler()
+	handler := dpu.XRPCHandler().Copying()
 	const perScenario = 50
 	var wg sync.WaitGroup
 	var failures atomic.Uint64
@@ -249,7 +249,7 @@ func TestOffloadOverRealTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := xrpc.NewServer(d.DPUs[0].XRPCHandler())
+	srv := xrpc.NewReleasingServer(d.DPUs[0].XRPCHandler())
 	go srv.Serve(ln)
 	defer srv.Close()
 
@@ -348,7 +348,7 @@ func TestHostHandlerStatusPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	dpu := d.DPUs[0]
-	handler := dpu.XRPCHandler()
+	handler := dpu.XRPCHandler().Copying()
 	type result struct {
 		status uint16
 		resp   []byte
@@ -426,7 +426,7 @@ func TestMultiConnectionDeployment(t *testing.T) {
 	var done atomic.Uint64
 	const per = 40
 	for i, dpu := range d.DPUs {
-		handler := dpu.XRPCHandler()
+		handler := dpu.XRPCHandler().Copying()
 		go func(i int, h xrpc.ServerHandler) {
 			rng := mt19937.New(uint32(3 + i)) // one source per goroutine
 			for j := 0; j < per; j++ {
@@ -463,7 +463,7 @@ func TestDPUServerShutdownFailsPending(t *testing.T) {
 	// After shutdown, new calls fail fast (possibly racing one last poll).
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		st, _ := dpu.XRPCHandler()("/benchpb.Bench/CallSmall",
+		st, _ := dpu.XRPCHandler().Copying()("/benchpb.Bench/CallSmall",
 			env.GenSmall(mt19937.New(4)).Marshal(nil))
 		if st == xrpc.StatusUnavailable {
 			return

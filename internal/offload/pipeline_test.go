@@ -230,7 +230,7 @@ func TestPipelineSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := xrpc.NewStreamServer(dpu.XRPCStreamHandler())
+		srv := xrpc.NewReleasingServer(dpu.XRPCHandler())
 		go srv.Serve(ln)
 		defer srv.Close()
 		for c := 0; c < clientsPerConn; c++ {
@@ -291,7 +291,7 @@ func TestPipelineSoak(t *testing.T) {
 	// surface as INVALID_ARGUMENT, unknown methods never enter it.
 	cl, err := xrpc.Dial(func() string {
 		ln, _ := net.Listen("tcp", "127.0.0.1:0")
-		srv := xrpc.NewStreamServer(d.DPUs[0].XRPCStreamHandler())
+		srv := xrpc.NewReleasingServer(d.DPUs[0].XRPCHandler())
 		go srv.Serve(ln)
 		t.Cleanup(srv.Close)
 		return ln.Addr().String()

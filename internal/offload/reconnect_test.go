@@ -74,7 +74,7 @@ func TestReconnectResumesTransparently(t *testing.T) {
 			group.Start()
 
 			dpu := d.DPUs[0]
-			h := dpu.XRPCHandler()
+			h := dpu.XRPCHandler().Copying()
 			reqDesc := reg.Message("echopb.Req")
 			const drivers = 4
 			const callsPerDriver = 400
@@ -219,7 +219,7 @@ func TestReconnectFlightDumpBudget(t *testing.T) {
 	group.Start()
 
 	dpu := d.DPUs[0]
-	h := dpu.XRPCHandler()
+	h := dpu.XRPCHandler().Copying()
 	reqDesc := reg.Message("echopb.Req")
 	call := func(id uint64) uint16 {
 		m := protomsg.New(reqDesc)
@@ -324,7 +324,7 @@ func TestReconnectBudgetExhausted(t *testing.T) {
 		ok     bool
 	}
 	results := make(chan result, 2)
-	h := dpu.XRPCHandler()
+	h := dpu.XRPCHandler().Copying()
 	go func() {
 		s, _ := h("/echopb.Echo/Call", payload(1))
 		results <- result{status: s}
@@ -457,7 +457,7 @@ func TestDPUAdmissionShed(t *testing.T) {
 	group.Start()
 
 	dpu := d.DPUs[0]
-	h := dpu.XRPCHandler()
+	h := dpu.XRPCHandler().Copying()
 	reqDesc := reg.Message("echopb.Req")
 	var ok, unavailable, other atomic.Uint64
 	var wg sync.WaitGroup

@@ -84,219 +84,97 @@ var (
 	ErrClosed     = errors.New("xrpc: connection closed")
 )
 
-// writeFrame writes one frame: header + body parts.
-func writeFrame(w io.Writer, ftype uint8, streamID uint32, parts ...[]byte) error {
-	body := 0
-	for _, p := range parts {
-		body += len(p)
-	}
+// ioBufSize is the bufio buffer on each side of a connection. A frame whose
+// payload is at least this large bypasses the write buffer (see frameWriter).
+const ioBufSize = 64 << 10
+
+// frameHeaderLen is the fixed part of a frame: length, type, stream ID.
+const frameHeaderLen = 9
+
+// frameWriter frames messages onto one connection; its owner serializes
+// calls. Headers are appended in place into the bufio buffer, so nothing
+// header-sized escapes to the heap per frame.
+type frameWriter struct {
+	conn net.Conn
+	bw   *bufio.Writer
+
+	// Vectored-write scratch: the header blob, and the two-element vector
+	// net.Buffers consumes (kept here so taking its address allocates nothing).
+	hdr    []byte
+	vecArr [2][]byte
+	vec    net.Buffers
+}
+
+func newFrameWriter(conn net.Conn) frameWriter {
+	return frameWriter{conn: conn, bw: bufio.NewWriterSize(conn, ioBufSize)}
+}
+
+func appendFrameHeader(b []byte, bodyLen int, ftype uint8, streamID uint32, word uint16) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(bodyLen+5))
+	b = append(b, ftype)
+	b = binary.LittleEndian.AppendUint32(b, streamID)
+	return binary.LittleEndian.AppendUint16(b, word)
+}
+
+// writeFrame writes one frame whose body is word ‖ method ‖ payload: a request
+// (word = len(method)) or a response (word = status, no method). Small frames
+// are buffered until the owner flushes. A payload of at least ioBufSize goes
+// out at once as a single vectored write of {header, payload} — the header
+// blob is prepended to the value instead of the value being copied through
+// the write buffer — after whatever was buffered before it.
+func (w *frameWriter) writeFrame(ftype uint8, streamID uint32, word uint16, method string, payload []byte) error {
+	body := 2 + len(method) + len(payload)
 	if body+5 > MaxFrameSize {
 		return ErrFrameSize
 	}
-	var hdr [9]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(body+5))
-	hdr[4] = ftype
-	binary.LittleEndian.PutUint32(hdr[5:9], streamID)
-	if _, err := w.Write(hdr[:]); err != nil {
+	if len(payload) < ioBufSize {
+		w.bw.Write(appendFrameHeader(w.bw.AvailableBuffer(), body, ftype, streamID, word))
+		w.bw.WriteString(method)
+		_, err := w.bw.Write(payload) // bufio errors are sticky: the last one tells
 		return err
 	}
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
+	if err := w.bw.Flush(); err != nil {
+		return err
 	}
-	return nil
+	w.hdr = append(appendFrameHeader(w.hdr[:0], body, ftype, streamID, word), method...)
+	w.vecArr = [2][]byte{w.hdr, payload}
+	w.vec = w.vecArr[:]
+	_, err := w.vec.WriteTo(w.conn)
+	w.vecArr[1] = nil
+	return err
 }
 
-// readFrame reads one frame into buf (grown as needed) and returns
-// (type, streamID, body, error). body aliases buf.
-func readFrame(r io.Reader, buf *[]byte) (uint8, uint32, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
+// readFrameHeader consumes one frame header and returns the frame's type,
+// stream ID and body length. The header is parsed in place in the read
+// buffer.
+func readFrameHeader(br *bufio.Reader) (ftype uint8, streamID uint32, bodyLen int, err error) {
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	length := binary.LittleEndian.Uint32(hdr[:])
+	length := binary.LittleEndian.Uint32(hdr[0:4])
+	ftype, streamID = hdr[4], binary.LittleEndian.Uint32(hdr[5:9])
 	if length < 5 || length > MaxFrameSize {
-		return 0, 0, nil, ErrFrameSize
+		return 0, 0, 0, ErrFrameSize
 	}
-	if cap(*buf) < int(length) {
-		*buf = make([]byte, length)
-	}
-	b := (*buf)[:length]
-	if _, err := io.ReadFull(r, b); err != nil {
-		return 0, 0, nil, err
-	}
-	return b[0], binary.LittleEndian.Uint32(b[1:5]), b[5:], nil
-}
-
-// ServerHandler processes one raw request and returns (status, response
-// payload). The DPU offload layer plugs in here; so does the host baseline.
-type ServerHandler func(method string, payload []byte) (uint16, []byte)
-
-// RespondFunc sends the response for one request. It writes the frame
-// synchronously: when it returns, the transport holds no reference to resp,
-// so a pooled resp buffer may be recycled immediately.
-type RespondFunc func(status uint16, resp []byte)
-
-// StreamHandler is ServerHandler with an explicit respond callback, for
-// handlers that recycle their response buffers (the DPU offload layer's
-// pooled path). respond must be called exactly once before returning.
-type StreamHandler func(method string, payload []byte, respond RespondFunc)
-
-// Server accepts xRPC connections.
-type Server struct {
-	handler ServerHandler
-	stream  StreamHandler
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	requests uint64
-}
-
-// NewServer returns a server dispatching to handler.
-func NewServer(handler ServerHandler) *Server {
-	return &Server{handler: handler, conns: make(map[net.Conn]struct{})}
-}
-
-// NewStreamServer returns a server dispatching to a StreamHandler, whose
-// response buffers are released back to the handler as soon as the frame is
-// written.
-func NewStreamServer(handler StreamHandler) *Server {
-	return &Server{stream: handler, conns: make(map[net.Conn]struct{})}
-}
-
-// Requests returns the number of requests served.
-func (s *Server) Requests() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requests
-}
-
-// Serve accepts connections on ln until Close. It blocks.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
-}
-
-// maxConnConcurrency bounds in-flight handler invocations per connection
-// (pipelined requests are dispatched concurrently, as gRPC streams are).
-const maxConnConcurrency = 1024
-
-func (s *Server) serveConn(conn net.Conn) {
-	var wg sync.WaitGroup
-	defer func() {
-		wg.Wait()
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-
-	preface := make([]byte, len(Preface))
-	if _, err := io.ReadFull(br, preface); err != nil || string(preface) != Preface {
-		return
-	}
-
-	// Responses from concurrent handlers serialize through wmu; the reader
-	// flushes opportunistically when the inbound side goes quiet.
-	var wmu sync.Mutex
-	writeResp := func(streamID uint32, st uint16, resp []byte) bool {
-		var status [2]byte
-		binary.LittleEndian.PutUint16(status[:], st)
-		wmu.Lock()
-		defer wmu.Unlock()
-		if err := writeFrame(bw, frameResponse, streamID, status[:], resp); err != nil {
-			return false
-		}
-		return bw.Flush() == nil
-	}
-
-	sem := make(chan struct{}, maxConnConcurrency)
-	var buf []byte
-	for {
-		ftype, streamID, body, err := readFrame(br, &buf)
-		if err != nil {
-			return
-		}
-		if ftype != frameRequest || len(body) < 2 {
-			return
-		}
-		mlen := int(binary.LittleEndian.Uint16(body[0:2]))
-		if 2+mlen > len(body) {
-			return
-		}
-		method := string(body[2 : 2+mlen])
-		// The read buffer is reused by the next frame, and the handler may
-		// outlive this iteration: copy the payload.
-		payload := append([]byte(nil), body[2+mlen:]...)
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(streamID uint32) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			if s.stream != nil {
-				s.stream(method, payload, func(st uint16, resp []byte) {
-					writeResp(streamID, st, resp)
-				})
-			} else {
-				st, resp := s.handler(method, payload)
-				writeResp(streamID, st, resp)
-			}
-			s.mu.Lock()
-			s.requests++
-			s.mu.Unlock()
-		}(streamID)
-	}
-}
-
-// Close stops accepting and closes all connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
+	br.Discard(frameHeaderLen)
+	return ftype, streamID, int(length) - 5, nil
 }
 
 // Client is an xRPC client connection supporting pipelined asynchronous
-// calls.
+// calls. It does not redial: the server closes a connection that has been
+// idle — nothing in flight, nothing sent — for a whole connIdleTimeout, the
+// protocol has no ping to keep one open, and every call after that fails; a
+// caller that may sit quiet for minutes dials again when that happens.
 type Client struct {
 	conn net.Conn
-	bw   *bufio.Writer
+
+	// wmu serializes writers and is held across socket writes; mu guards the
+	// call table and is never held across one, so the reader goroutine can
+	// always deliver responses — and so drain the server — while a writer is
+	// blocked on a server that has stopped reading until responses drain.
+	wmu sync.Mutex
+	fw  frameWriter
 
 	mu      sync.Mutex
 	nextID  uint32
@@ -332,11 +210,11 @@ func Dial(addr string) (*Client, error) {
 func NewClient(conn net.Conn) (*Client, error) {
 	c := &Client{
 		conn:       conn,
-		bw:         bufio.NewWriterSize(conn, 64<<10),
+		fw:         newFrameWriter(conn),
 		pending:    map[uint32]func(uint16, []byte, error){},
 		readerDone: make(chan struct{}),
 	}
-	if _, err := io.WriteString(c.bw, Preface); err != nil {
+	if _, err := c.fw.bw.WriteString(Preface); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -346,20 +224,25 @@ func NewClient(conn net.Conn) (*Client, error) {
 
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
-	br := bufio.NewReaderSize(c.conn, 64<<10)
+	br := bufio.NewReaderSize(c.conn, ioBufSize)
 	var buf []byte
 	for {
-		ftype, streamID, body, err := readFrame(br, &buf)
+		ftype, streamID, n, err := readFrameHeader(br)
+		if err == nil && (ftype != frameResponse || n < 2) {
+			err = ErrCorrupt
+		}
+		if err == nil {
+			if cap(buf) < n {
+				buf = make([]byte, n)
+			}
+			_, err = io.ReadFull(br, buf[:n])
+		}
 		if err != nil {
 			c.failAll(err)
 			return
 		}
-		if ftype != frameResponse || len(body) < 2 {
-			c.failAll(ErrCorrupt)
-			return
-		}
-		status := binary.LittleEndian.Uint16(body[0:2])
-		payload := body[2:]
+		status := binary.LittleEndian.Uint16(buf[0:2])
+		payload := buf[2:n]
 		c.mu.Lock()
 		cb := c.pending[streamID]
 		delete(c.pending, streamID)
@@ -395,8 +278,8 @@ func (c *Client) goWithID(method string, payload []byte, idOut *uint32, cb func(
 	if len(method) > 1<<16-1 {
 		return ErrCorrupt
 	}
-	var mlen [2]byte
-	binary.LittleEndian.PutUint16(mlen[:], uint16(len(method)))
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -421,24 +304,31 @@ func (c *Client) goWithID(method string, payload []byte, idOut *uint32, cb func(
 	c.nextID = id + 1
 	*idOut = id
 	c.pending[id] = cb
-	err := writeFrame(c.bw, frameRequest, id, mlen[:], []byte(method), payload)
+	c.mu.Unlock()
+	err := c.fw.writeFrame(frameRequest, id, uint16(len(method)), method, payload)
 	if err != nil {
+		c.mu.Lock()
 		delete(c.pending, id)
 		c.werr = err
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 	return err
 }
 
 // Flush pushes buffered requests to the wire.
 func (c *Client) Flush() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.fw.bw.Flush(); err != nil {
+		c.mu.Lock()
 		c.werr = err
+		c.mu.Unlock()
 		return err
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpurpc/internal/metrics"
@@ -60,8 +61,7 @@ type StackOptions struct {
 	// each DPU poller reserves protocol slots and that many workers
 	// measure and build requests in parallel directly into them
 	// (reserve → parallel build → commit). 0 or 1 keeps the serial
-	// datapath. With the pipeline enabled the stack serves xRPC through
-	// the stream interface so response buffers are recycled.
+	// datapath.
 	DPUWorkers int
 	// HostWorkers > 1 runs the host-side duplex response pipeline: the
 	// host poller admits requests and that many workers run handlers and
@@ -125,8 +125,7 @@ func (o *StackOptions) fill() {
 // need only a different address — exactly the paper's "only configuration
 // change" property.
 type Stack struct {
-	handler xrpc.ServerHandler
-	stream  xrpc.StreamHandler // set when the DPU pipeline is enabled
+	handler xrpc.ReleasingHandler
 	srv     *xrpc.Server
 
 	mu      sync.Mutex
@@ -216,34 +215,13 @@ func NewOffloadedStack(schema *Schema, impls map[string]Impl, opts StackOptions)
 	}
 	// The xRPC front end spreads calls across the DPU connections
 	// round-robin (the many-to-one-to-one multiplexing of Sec. III-C).
-	var next int
-	var mu sync.Mutex
-	handlers := make([]xrpc.ServerHandler, len(d.DPUs))
+	handlers := make([]xrpc.ReleasingHandler, len(d.DPUs))
 	for i, dpuSrv := range d.DPUs {
 		handlers[i] = dpuSrv.XRPCHandler()
 	}
-	st.handler = func(method string, payload []byte) (uint16, []byte) {
-		mu.Lock()
-		h := handlers[next%len(handlers)]
-		next++
-		mu.Unlock()
-		return h(method, payload)
-	}
-	if opts.DPUWorkers > 1 {
-		// Pipelined servers respond through the stream interface so their
-		// pooled response buffers are recycled right after the frame is
-		// written (the legacy handler must keep buffers alive).
-		streams := make([]xrpc.StreamHandler, len(d.DPUs))
-		for i, dpuSrv := range d.DPUs {
-			streams[i] = dpuSrv.XRPCStreamHandler()
-		}
-		st.stream = func(method string, payload []byte, respond xrpc.RespondFunc) {
-			mu.Lock()
-			h := streams[next%len(streams)]
-			next++
-			mu.Unlock()
-			h(method, payload, respond)
-		}
+	var next atomic.Uint64
+	st.handler = func(method string, payload []byte) (uint16, []byte, func()) {
+		return handlers[(next.Add(1)-1)%uint64(len(handlers))](method, payload)
 	}
 	st.instrument()
 	return st, nil
@@ -256,25 +234,23 @@ func NewBaselineStack(schema *Schema, impls map[string]Impl, opts StackOptions) 
 	if err != nil {
 		return nil, err
 	}
-	st := &Stack{handler: base.XRPCHandler(), registry: opts.Registry, window: opts.Window}
+	st := &Stack{handler: base.XRPCHandler().Releasing(), registry: opts.Registry, window: opts.Window}
 	st.instrument()
 	return st, nil
 }
 
-// instrument wraps the xRPC entry points with per-method metrics when a
+// instrument wraps the xRPC entry point with per-method metrics when a
 // registry is configured, and — on baseline stacks — with windowed latency
 // observation (offloaded stacks observe at the DPU poller instead, where the
-// trace ID is at hand). Must run before Serve.
+// trace ID is at hand); then it builds the xRPC server around the result.
 func (s *Stack) instrument() {
 	if s.registry != nil {
-		rm := newRPCMetrics(s.registry)
-		s.handler = rm.wrapHandler(s.handler)
-		s.stream = rm.wrapStream(s.stream)
+		s.handler = newRPCMetrics(s.registry).wrapHandler(s.handler)
 	}
 	if s.window != nil && s.deployment == nil {
 		s.handler = wrapHandlerWindow(s.window, s.handler)
-		s.stream = wrapStreamWindow(s.window, s.stream)
 	}
+	s.srv = xrpc.NewReleasingServer(s.handler)
 }
 
 // Metrics returns the registry configured in StackOptions (nil if none).
@@ -287,13 +263,27 @@ func (s *Stack) Tracer() *trace.Tracer { return s.tracer }
 func (s *Stack) Window() *metrics.RPCWindow { return s.window }
 
 // RegisterGauges registers this stack's live resource sources on a sampler:
-// per-connection protocol-endpoint state (arena occupancy, send-queue and
-// partial-block depth, outstanding requests, credits) refreshed by each DPU
-// poller pass, plus the deployment-wide poller wake-up mix
-// (rpcrdma_poller_wakeups_total by reason). The sampler polls them at its own low rate; the datapath only
-// ever writes a handful of per-pass atomics. No-op for baseline stacks.
+// the xRPC front end's bounds (request-frame bytes in flight, connections
+// stopped at the frame-byte cap, connections closed idle) and, on offloaded
+// stacks, per-connection protocol-endpoint state (arena occupancy, send-queue
+// and partial-block depth, outstanding requests, credits) refreshed by each
+// DPU poller pass, plus the deployment-wide poller wake-up mix
+// (rpcrdma_poller_wakeups_total by reason). The sampler polls them at its own
+// low rate; the datapath only ever writes a handful of atomics.
 func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
-	if smp == nil || s.deployment == nil {
+	if smp == nil {
+		return
+	}
+	smp.Register("xrpc_frame_bytes_in_flight",
+		"Capacity of the pooled request frames xRPC connections currently own.", nil,
+		func() float64 { return float64(s.srv.Stats().FrameBytesInFlight) })
+	smp.Register("rpc_conn_bytes_capped_total",
+		"Times an xRPC connection stopped reading at its in-flight frame-byte cap.", nil,
+		func() float64 { return float64(s.srv.Stats().BytesCapped) })
+	smp.Register("rpc_conn_idle_closed_total",
+		"xRPC connections closed by the idle read deadline.", nil,
+		func() float64 { return float64(s.srv.Stats().IdleClosed) })
+	if s.deployment == nil {
 		return
 	}
 	// Why the pollers (DPU and host, summed) left their blocking wait. Under
@@ -364,9 +354,10 @@ func (s *Stack) InvalidateMethod(service, method string) int {
 }
 
 // Handler exposes the raw xRPC handler (useful for in-process testing
-// without TCP).
+// without TCP). The response is the caller's to keep: a pooled response
+// buffer is copied out and released before returning.
 func (s *Stack) Handler() func(method string, payload []byte) (status uint16, resp []byte) {
-	return s.handler
+	return s.handler.Copying()
 }
 
 // Deployment returns the offloaded deployment internals (nil for the
@@ -398,11 +389,6 @@ func (s *Stack) Serve(ln net.Listener) error {
 		return errors.New("dpurpc: already serving")
 	}
 	s.serving = true
-	if s.stream != nil {
-		s.srv = xrpc.NewStreamServer(s.stream)
-	} else {
-		s.srv = xrpc.NewServer(s.handler)
-	}
 	go s.srv.Serve(ln)
 	return nil
 }
@@ -415,9 +401,7 @@ func (s *Stack) Close() {
 		return
 	}
 	s.closed = true
-	if s.srv != nil {
-		s.srv.Close()
-	}
+	s.srv.Close()
 	for _, stop := range s.stops {
 		close(stop)
 	}

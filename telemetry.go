@@ -59,73 +59,30 @@ func (m *rpcMetrics) method(name string) *methodMetrics {
 	return mm
 }
 
-// wrapHandler instruments the synchronous xRPC handler path.
-func (m *rpcMetrics) wrapHandler(h xrpc.ServerHandler) xrpc.ServerHandler {
-	if h == nil {
-		return nil
-	}
-	return func(method string, payload []byte) (uint16, []byte) {
+// wrapHandler instruments the xRPC handler.
+func (m *rpcMetrics) wrapHandler(h xrpc.ReleasingHandler) xrpc.ReleasingHandler {
+	return func(method string, payload []byte) (uint16, []byte, func()) {
 		mm := m.method(method)
 		mm.requests.Inc()
 		mm.reqBytes.Add(uint64(len(payload)))
 		m.inflight.Add(1)
-		status, resp := h(method, payload)
+		status, resp, release := h(method, payload)
 		m.inflight.Add(-1)
 		if status != xrpc.StatusOK {
 			mm.errors.Inc()
 		}
 		mm.respBytes.Add(uint64(len(resp)))
-		return status, resp
+		return status, resp, release
 	}
 }
 
-// wrapHandlerWindow adds windowed latency observation to the synchronous
-// handler path (baseline stacks: no trace IDs, so exemplars stay unresolved).
-func wrapHandlerWindow(win *metrics.RPCWindow, h xrpc.ServerHandler) xrpc.ServerHandler {
-	if h == nil {
-		return nil
-	}
-	return func(method string, payload []byte) (uint16, []byte) {
+// wrapHandlerWindow adds windowed latency observation to the handler
+// (baseline stacks: no trace IDs, so exemplars stay unresolved).
+func wrapHandlerWindow(win *metrics.RPCWindow, h xrpc.ReleasingHandler) xrpc.ReleasingHandler {
+	return func(method string, payload []byte) (uint16, []byte, func()) {
 		start := trace.Now()
-		status, resp := h(method, payload)
+		status, resp, release := h(method, payload)
 		win.Observe(trace.Now()-start, 0, status != xrpc.StatusOK)
-		return status, resp
-	}
-}
-
-// wrapStreamWindow is wrapHandlerWindow for the streaming path; the request
-// is observed when its respond callback fires.
-func wrapStreamWindow(win *metrics.RPCWindow, h xrpc.StreamHandler) xrpc.StreamHandler {
-	if h == nil {
-		return nil
-	}
-	return func(method string, payload []byte, respond xrpc.RespondFunc) {
-		start := trace.Now()
-		h(method, payload, func(status uint16, resp []byte) {
-			win.Observe(trace.Now()-start, 0, status != xrpc.StatusOK)
-			respond(status, resp)
-		})
-	}
-}
-
-// wrapStream instruments the streaming xRPC handler path; the RPC counts as
-// in-flight until its respond callback fires.
-func (m *rpcMetrics) wrapStream(h xrpc.StreamHandler) xrpc.StreamHandler {
-	if h == nil {
-		return nil
-	}
-	return func(method string, payload []byte, respond xrpc.RespondFunc) {
-		mm := m.method(method)
-		mm.requests.Inc()
-		mm.reqBytes.Add(uint64(len(payload)))
-		m.inflight.Add(1)
-		h(method, payload, func(status uint16, resp []byte) {
-			m.inflight.Add(-1)
-			if status != xrpc.StatusOK {
-				mm.errors.Inc()
-			}
-			mm.respBytes.Add(uint64(len(resp)))
-			respond(status, resp)
-		})
+		return status, resp, release
 	}
 }
