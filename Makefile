@@ -128,9 +128,12 @@ chaos:
 		./internal/offload ./internal/rpcrdma ./internal/harness
 	go run ./cmd/dpurpc-bench -experiment chaos
 
-# Short fuzz pass over the untrusted-input surfaces. FuzzServeConn's corpus is
-# checked in (internal/xrpc/testdata/fuzz), so its seeds also run in `go test`.
+# Short fuzz pass over the untrusted-input surfaces. FuzzPlannedDecode fuzzes
+# the decoder production runs (Scan + Fill) against the interpretive one and
+# protomsg. Its corpus and FuzzServeConn's are checked in
+# (internal/{deser,xrpc}/testdata/fuzz), so their seeds also run in `go test`.
 fuzz:
+	go test -fuzz FuzzPlannedDecode -fuzztime 30s ./internal/deser
 	go test -fuzz FuzzDeserialize -fuzztime 30s ./internal/deser
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/protodsl
 	go test -fuzz FuzzDecode -fuzztime 30s ./internal/adt

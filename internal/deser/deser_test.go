@@ -59,6 +59,21 @@ message Deep {
   uint32 n = 1;
   Deep inner = 2;
 }
+
+enum Color { RED = 0; GREEN = 1; BLUE = 2; }
+
+// Packed carries one packed varint field per varint kind: every element
+// width (1, 4, 8), zigzag and not.
+message Packed {
+  repeated int32 i32 = 1;
+  repeated int64 i64 = 2;
+  repeated uint64 u64 = 3;
+  repeated sint32 s32 = 4;
+  repeated sint64 s64 = 5;
+  repeated bool b = 6;
+  repeated Color e = 7;
+  repeated uint32 u32 = 8;
+}
 `
 
 var (
@@ -67,12 +82,14 @@ var (
 	charDesc   *protodesc.Message
 	everyDesc  *protodesc.Message
 	deepDesc   *protodesc.Message
+	packedDesc *protodesc.Message
 
 	smallLay  *abi.Layout
 	intArrLay *abi.Layout
 	charLay   *abi.Layout
 	everyLay  *abi.Layout
 	deepLay   *abi.Layout
+	packedLay *abi.Layout
 )
 
 func init() {
@@ -89,8 +106,9 @@ func init() {
 	charDesc = reg.Message("t.CharArray")
 	everyDesc = reg.Message("t.Everything")
 	deepDesc = reg.Message("t.Deep")
-	lays := abi.ComputeAll([]*protodesc.Message{smallDesc, intArrDesc, charDesc, everyDesc, deepDesc})
-	smallLay, intArrLay, charLay, everyLay, deepLay = lays[0], lays[1], lays[2], lays[3], lays[4]
+	packedDesc = reg.Message("t.Packed")
+	lays := abi.ComputeAll([]*protodesc.Message{smallDesc, intArrDesc, charDesc, everyDesc, deepDesc, packedDesc})
+	smallLay, intArrLay, charLay, everyLay, deepLay, packedLay = lays[0], lays[1], lays[2], lays[3], lays[4], lays[5]
 	for i, l := range lays {
 		l.SetClassID(uint32(i))
 	}

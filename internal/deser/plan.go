@@ -7,10 +7,17 @@
 //
 //	Scan  — one structure-discovery pass over the wire bytes producing the
 //	        exact arena size, per-message repeated-element counts, and a
-//	        compact parse-notes record (field boundaries and pre-decoded
-//	        varint values in pooled scratch);
+//	        compact parse-notes record in pooled scratch: field boundaries,
+//	        and packed varints decoded a word at a time and written at their
+//	        arena width (zigzag decoded, 32-bit kinds narrowed, bools
+//	        normalized) into one element stream;
 //	Fill  — a replay of the notes into the arena with no re-decoding and no
-//	        re-validation.
+//	        re-validation; a packed varint run is one copy out of the
+//	        element stream.
+//
+// Decoding stays in Scan on purpose: on the serial DPU path Scan runs on the
+// xRPC handler goroutines, in parallel across requests, while Fill runs on
+// the connection's single poller.
 //
 // Fill reproduces the interpretive deserializer's allocation sequence
 // byte-for-byte: object, array pre-allocations in field-index order, then
@@ -25,6 +32,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"dpurpc/internal/abi"
@@ -40,7 +49,7 @@ const (
 	nopString                  // singular string/bytes; val references the payload
 	nopMessage                 // singular message; a nested body follows
 	nopRepElem                 // one unpacked repeated-scalar element; val holds bits
-	nopRepVals                 // n pre-decoded repeated-scalar elements from the vals stream
+	nopRepVals                 // n packed-varint elements, stored at arena width in the elems stream
 	nopRepCopy                 // packed fixed-width run; val references the payload (bulk copy)
 	nopRepString               // one repeated string/bytes element; val references the payload
 	nopRepMessage              // one repeated message element; a nested body follows
@@ -223,12 +232,13 @@ type noteOp struct {
 }
 
 // Notes is the compact parse-notes record one Scan produces: the replay
-// stream (ops), pre-decoded packed-varint values (vals), and per-message
-// repeated-element counts (counts) in pre-order message-entry order. A Notes
-// is valid only together with the wire bytes it was scanned from.
+// stream (ops), packed-varint elements already in their arena byte form
+// (elems), and per-message repeated-element counts (counts) in pre-order
+// message-entry order. A Notes is valid only together with the wire bytes it
+// was scanned from.
 type Notes struct {
 	ops    []noteOp
-	vals   []uint64
+	elems  []byte
 	counts []uint32
 	need   int
 	// Scatter-gather accounting (Options.SGPayloadMin > 0): segBytes is the
@@ -246,7 +256,7 @@ type Notes struct {
 
 func (no *Notes) reset() {
 	no.ops = no.ops[:0]
-	no.vals = no.vals[:0]
+	no.elems = no.elems[:0]
 	no.counts = no.counts[:0]
 	no.need = 0
 	no.segBytes = 0
@@ -540,8 +550,10 @@ func (d *Deserializer) scanBody(p *Plan, body []byte, bodyOff int, no *Notes, de
 	return nil
 }
 
-// scanRepScalar scans one wire value (packed record or single element) of a
-// repeated scalar field.
+// scanRepScalar scans one wire value of a repeated scalar field: a packed
+// fixed-width record (noted as a payload reference for one bulk copy), a
+// packed varint record (decoded into the elems stream at arena width), or a
+// single unpacked element.
 func (d *Deserializer) scanRepScalar(a *action, rest []byte, absPos int, wt wire.Type, no *Notes, cbase int, fr *frame) (int, error) {
 	fr.cursors[a.repIdx]++ // field present: all-empty-packed detection
 	ci := cbase + int(a.repIdx)
@@ -561,64 +573,24 @@ func (d *Deserializer) scanRepScalar(a *action, rest []byte, absPos int, wt wire
 			if len(payload) == 0 {
 				return n, nil
 			}
-			if fs == int(a.elem) {
-				// Wire and arena widths agree (every fixed kind): one bulk
-				// copy record replays the whole run.
-				no.ops = append(no.ops, noteOp{act: a, op: nopRepCopy,
-					val: packRef(absPos+n-len(payload), len(payload))})
-				return n, nil
-			}
-			// Width-converting fallback: pre-decode each element.
-			for pos := 0; pos < len(payload); pos += fs {
-				var bits uint64
-				if fs == 4 {
-					v, _ := wire.Fixed32(payload[pos:])
-					bits = uint64(v)
-				} else {
-					v, _ := wire.Fixed64(payload[pos:])
-					bits = v
-				}
-				no.vals = append(no.vals, bits)
-			}
-			no.ops = append(no.ops, noteOp{act: a, op: nopRepVals, n: cnt})
+			// Wire and arena widths agree for every fixed kind
+			// (abi.scalarSlotSize): one bulk copy record replays the run.
+			no.ops = append(no.ops, noteOp{act: a, op: nopRepCopy,
+				val: packRef(absPos+n-len(payload), len(payload))})
 			return n, nil
 		}
-		// Packed varints: decode and convert once; the fill replays stores.
-		// Decoding dominates the varint-heavy workloads, so the one-byte
-		// case is handled without a call and only zigzag kinds convert
-		// (narrowing and bool normalization fall out of the element-width
-		// stores in fillBody). Every payload byte belongs to exactly one
-		// varint, so the stats charge is the payload length.
-		// vals stays in a local so append keeps the slice header in
-		// registers instead of writing it back through no every element.
-		vals := no.vals
-		vstart := len(vals)
-		zig := a.zig
-		pos := 0
-		for pos < len(payload) {
-			var v uint64
-			if c := payload[pos]; c < 0x80 {
-				v = uint64(c)
-				pos++
-			} else if pos+1 < len(payload) && payload[pos+1] < 0x80 {
-				v = uint64(c&0x7f) | uint64(payload[pos+1])<<7
-				pos += 2
-			} else {
-				var vn int
-				v, vn = wire.Uvarint(payload[pos:])
-				if vn <= 0 {
-					return 0, fmt.Errorf("%w: bad packed varint", ErrMalformed)
-				}
-				pos += vn
-			}
-			if zig {
-				v = uint64(wire.DecodeZigZag(v))
-			}
-			vals = append(vals, v)
+		// Packed varints: decoded here, a word at a time, straight into
+		// arena-width elements, so the fill replays the run with one copy.
+		// Every payload byte belongs to exactly one varint, so the stats
+		// charge is the payload length.
+		start := len(no.elems)
+		elems, ok := appendPackedVarints(no.elems, payload, a.elem, a.zig)
+		if !ok {
+			return 0, fmt.Errorf("%w: bad packed varint", ErrMalformed)
 		}
-		no.vals = vals
+		no.elems = elems
 		d.Stats.VarintBytes += uint64(len(payload))
-		if cnt := uint32(len(vals) - vstart); cnt > 0 {
+		if cnt := uint32((len(elems) - start) / int(a.elem)); cnt > 0 {
 			no.counts[ci] += cnt
 			no.ops = append(no.ops, noteOp{act: a, op: nopRepVals, n: cnt})
 		}
@@ -632,6 +604,86 @@ func (d *Deserializer) scanRepScalar(a *action, rest []byte, absPos int, wt wire
 	no.counts[ci]++
 	no.ops = append(no.ops, noteOp{act: a, op: nopRepElem, val: bits})
 	return n, nil
+}
+
+// Word-at-a-time varint masks: the continuation bit and the seven data bits
+// of every byte of a little-endian 8-byte load.
+const (
+	varintStops = 0x8080808080808080
+	varintData  = 0x7f7f7f7f7f7f7f7f
+)
+
+// appendPackedVarints decodes the packed varint run src and appends each
+// element to dst in its w-byte arena form (w = 1, 4 or 8): zigzag decoded
+// when zig, then stored by writeSlot, which narrows 32-bit kinds and
+// normalizes bools — the bits storedScalar gives. It reports false on a
+// truncated or overlong varint.
+//
+// The decode is word-at-a-time in two steps per 64-byte block. First, eight
+// 8-byte loads gather the block's stop bits (clear continuation bits) into
+// one bitmap; each set bit ends a varint, so walking the bitmap hands every
+// element its start without waiting for the previous element's decode. Then
+// each varint is cut from one unaligned 8-byte load, masked up to its first
+// stop bit, and its 7-bit groups are packed in three shift/mask steps. A
+// varint with no stop bit in its first 8 bytes (9 or 10 bytes long, or
+// malformed) and the tail after the last whole block go through
+// wire.Uvarint, which owns every malformed-input check. Cutting varints
+// word by word instead (advance past each word's last stop bit) chains every
+// load on the previous word's decode and leaves a data-dependent inner loop
+// every ~3 elements; on the ledger's payloads it ran 1.5x slower than this.
+func appendPackedVarints(dst, src []byte, w uint32, zig bool) ([]byte, bool) {
+	// Each element takes at least one wire byte: reserve the worst case so
+	// the stores below never reallocate.
+	o := len(dst)
+	dst = slices.Grow(dst, len(src)*int(w))
+	out := dst[:cap(dst)]
+	start := 0 // first byte of the next varint
+	// A block's last varint starts at most 63 bytes in; its 8-byte load
+	// must stay inside src.
+	for base := 0; len(src)-base >= 72; base += 64 {
+		var ends uint64
+		for k := 0; k < 8; k++ {
+			x := binary.LittleEndian.Uint64(src[base+8*k:])
+			// Gather bit 7 of each byte (inverted) into one byte.
+			ends |= (((^x >> 7) & 0x0101010101010101) * 0x0102040810204080 >> 56) << (8 * k)
+		}
+		for ends != 0 {
+			end := base + bits.TrailingZeros64(ends)
+			ends &= ends - 1
+			x := binary.LittleEndian.Uint64(src[start:])
+			var v uint64
+			if stops := ^x & varintStops; stops != 0 {
+				v = x & (stops ^ (stops - 1)) & varintData
+				v = v&0x007f007f007f007f | (v&0x7f007f007f007f00)>>1
+				v = v&0x00003fff00003fff | (v&0x3fff00003fff0000)>>2
+				v = v&0x000000000fffffff | (v&0x0fffffff00000000)>>4
+			} else {
+				var n int
+				if v, n = wire.Uvarint(src[start:]); n <= 0 {
+					return dst, false
+				}
+			}
+			if zig {
+				v = uint64(wire.DecodeZigZag(v))
+			}
+			writeSlot(out[o:o+int(w)], w, v)
+			o += int(w)
+			start = end + 1
+		}
+	}
+	for start < len(src) {
+		v, n := wire.Uvarint(src[start:])
+		if n <= 0 {
+			return dst, false
+		}
+		if zig {
+			v = uint64(wire.DecodeZigZag(v))
+		}
+		writeSlot(out[o:o+int(w)], w, v)
+		o += int(w)
+		start += n
+	}
+	return dst[:o], true
 }
 
 // sizeNotes replays the allocation sequence of one message body through the
@@ -683,8 +735,8 @@ func (d *Deserializer) Fill(p *Plan, data []byte, no *Notes, bump *arena.Bump, b
 		}
 	}
 	before := bump.Used()
-	opi, cti, vi := 0, 0, 0
-	off, err := d.fillBody(p, data, no, &opi, &cti, &vi, bump, base, 0)
+	opi, cti, ei := 0, 0, 0
+	off, err := d.fillBody(p, data, no, &opi, &cti, &ei, bump, base, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -793,7 +845,7 @@ func (d *Deserializer) fillSimple(p *Plan, data []byte, bump *arena.Bump, base u
 	return objOff, nil
 }
 
-func (d *Deserializer) fillBody(p *Plan, data []byte, no *Notes, opi, cti, vi *int, bump *arena.Bump, base uint64, depth int) (uint64, error) {
+func (d *Deserializer) fillBody(p *Plan, data []byte, no *Notes, opi, cti, ei *int, bump *arena.Bump, base uint64, depth int) (uint64, error) {
 	lay := p.lay
 	obj, bumpOff, err := bump.Alloc(int(lay.Size), abi.ObjectAlign)
 	if err != nil {
@@ -852,7 +904,7 @@ func (d *Deserializer) fillBody(p *Plan, data []byte, no *Notes, opi, cti, vi *i
 			d.segCur += uint64(alignUp8(ln))
 			setPresence(obj, lay, int(a.index))
 		case nopMessage:
-			childOff, err := d.fillBody(a.sub, data, no, opi, cti, vi, bump, base, depth+1)
+			childOff, err := d.fillBody(a.sub, data, no, opi, cti, ei, bump, base, depth+1)
 			if err != nil {
 				return 0, err
 			}
@@ -868,33 +920,16 @@ func (d *Deserializer) fillBody(p *Plan, data []byte, no *Notes, opi, cti, vi *i
 			writeSlot(el, a.elem, op.val)
 			d.Stats.ReplayedBytes += uint64(a.elem)
 		case nopRepVals:
-			vals := no.vals[*vi : *vi+int(op.n)]
-			*vi += int(op.n)
+			n := int(op.n) * int(a.elem)
 			i := fr.cursors[a.repIdx]
 			fr.cursors[a.repIdx] += op.n
-			arr, err := sliceAt(bump, base, fr.refs[a.repIdx]+uint64(i)*uint64(a.elem), int(op.n)*int(a.elem))
+			arr, err := sliceAt(bump, base, fr.refs[a.repIdx]+uint64(i)*uint64(a.elem), n)
 			if err != nil {
 				return 0, err
 			}
-			switch a.elem {
-			case 1:
-				for j, v := range vals {
-					if v != 0 {
-						arr[j] = 1
-					} else {
-						arr[j] = 0
-					}
-				}
-			case 4:
-				for j, v := range vals {
-					binary.LittleEndian.PutUint32(arr[j*4:], uint32(v))
-				}
-			default:
-				for j, v := range vals {
-					binary.LittleEndian.PutUint64(arr[j*8:], v)
-				}
-			}
-			d.Stats.ReplayedBytes += uint64(int(op.n) * int(a.elem))
+			copy(arr, no.elems[*ei:*ei+n])
+			*ei += n
+			d.Stats.ReplayedBytes += uint64(n)
 		case nopRepCopy:
 			payload := payloadOf(data, op.val)
 			i := fr.cursors[a.repIdx]
@@ -917,7 +952,7 @@ func (d *Deserializer) fillBody(p *Plan, data []byte, no *Notes, opi, cti, vi *i
 				return 0, err
 			}
 		case nopRepMessage:
-			childOff, err := d.fillBody(a.sub, data, no, opi, cti, vi, bump, base, depth+1)
+			childOff, err := d.fillBody(a.sub, data, no, opi, cti, ei, bump, base, depth+1)
 			if err != nil {
 				return 0, err
 			}

@@ -11,6 +11,7 @@ import (
 	"dpurpc/internal/mt19937"
 	"dpurpc/internal/protomsg"
 	"dpurpc/internal/wire"
+	"dpurpc/internal/workload"
 )
 
 // planShapes returns one representative message per benchmark layout,
@@ -74,6 +75,7 @@ func planShapes() []struct {
 		deep = next
 	}
 
+	env := workload.NewEnv()
 	return []struct {
 		name string
 		lay  *abi.Layout
@@ -84,6 +86,8 @@ func planShapes() []struct {
 		{"CharArray", charLay, chars.Marshal(nil)},
 		{"Everything", everyLay, every.Marshal(nil)},
 		{"Deep", deepLay, deep.Marshal(nil)},
+		// The ledger's ints_decode message: 4096 packed uint32s, ~11 KB.
+		{"Ints4096", env.IntsLay, env.GenInts(rng, 4096).Marshal(nil)},
 	}
 }
 
@@ -303,30 +307,35 @@ func TestPlannedZeroAllocSteadyState(t *testing.T) {
 
 // TestScanFillPooledZeroAlloc: the split Scan/Fill flow the DPU pipeline
 // uses (pooled notes handed between stages) must also be allocation-free at
-// steady state.
+// steady state, including the notes' packed-varint element stream at the
+// ledger's 4096-element shape.
 func TestScanFillPooledZeroAlloc(t *testing.T) {
-	c := planShapes()[3] // Everything
-	need, err := measureBase0(c.lay, c.data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bump := arena.NewBump(make([]byte, need))
-	d := New(Options{ValidateUTF8: true})
-	p := PlanFor(c.lay)
-	run := func() {
-		bump.Reset()
-		no, err := d.Scan(p, c.data)
+	for _, c := range planShapes() {
+		if c.name != "Everything" && c.name != "Ints4096" {
+			continue
+		}
+		need, err := measureBase0(c.lay, c.data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Fill(p, c.data, no, bump, 0); err != nil {
-			t.Fatal(err)
+		bump := arena.NewBump(make([]byte, need))
+		d := New(Options{ValidateUTF8: true})
+		p := PlanFor(c.lay)
+		run := func() {
+			bump.Reset()
+			no, err := d.Scan(p, c.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Fill(p, c.data, no, bump, 0); err != nil {
+				t.Fatal(err)
+			}
+			no.Release()
 		}
-		no.Release()
-	}
-	run() // warm pool and scratch capacities
-	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Errorf("pooled scan/fill allocates %.1f objects/op", allocs)
+		run() // warm pool and scratch capacities
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("%s: pooled scan/fill allocates %.1f objects/op", c.name, allocs)
+		}
 	}
 }
 
@@ -360,131 +369,149 @@ func FuzzPlannedDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0x0a, 0x00})
 
-	layouts := []*abi.Layout{smallLay, everyLay, intArrLay, charLay, deepLay}
+	// The checked-in corpus (testdata/fuzz/FuzzPlannedDecode) adds packed
+	// varints straddling 8-byte words and 64-byte blocks, 9- and 10-byte
+	// varints at the payload tail, and truncated or overlong packed records.
+	layouts := []*abi.Layout{smallLay, everyLay, intArrLay, charLay, deepLay, packedLay}
 	plans := make([]*Plan, len(layouts))
 	for i, lay := range layouts {
 		plans[i] = PlanFor(lay)
 	}
-	bufI := make([]byte, 1<<20)
-	bufP := make([]byte, 1<<20)
-	bufD := make([]byte, 1<<20)
-	bufS := make([]byte, 2<<20)
+	buf := newDecodeBuffers()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for i, lay := range layouts {
-			var ioff uint64
-			var bi *arena.Bump
-			need, ierr := MeasureExact(lay, data)
-			if ierr == nil {
-				if need+GuardBytes > len(bufI) {
-					continue // bounded-demand asserted elsewhere
-				}
-				di := New(Options{ValidateUTF8: true})
-				bi = arena.NewBump(bufI[:need+GuardBytes])
-				ioff, ierr = di.Deserialize(lay, data, bi, 0)
-			}
-
-			dp := New(Options{ValidateUTF8: true})
-			no, perr := dp.Scan(plans[i], data)
-			var poff uint64
-			var bp *arena.Bump
-			if perr == nil {
-				if no.Need() != need && ierr == nil {
-					t.Fatalf("layout %d: Need %d != MeasureExact %d", i, no.Need(), need)
-				}
-				bp = arena.NewBump(bufP[:no.Need()+GuardBytes])
-				poff, perr = dp.Fill(plans[i], data, no, bp, 0)
-				no.Release()
-			}
-
-			if (ierr == nil) != (perr == nil) {
-				t.Fatalf("layout %d: accept/reject divergence: interpretive %v, planned %v", i, ierr, perr)
-			}
-
-			// The fused DeserializePlanned entry must make the same
-			// accept/reject decision — for simple layouts under
-			// SmallFastPathMax this drives the scan-bypass fast path's own
-			// validation.
-			dd := New(Options{ValidateUTF8: true})
-			var bd *arena.Bump
-			if ierr == nil {
-				bd = arena.NewBump(bufD[:need+GuardBytes])
-			} else {
-				bd = arena.NewBump(bufD)
-			}
-			doff, derr := dd.DeserializePlanned(plans[i], data, bd, 0)
-			if (ierr == nil) != (derr == nil) {
-				t.Fatalf("layout %d: fused accept/reject divergence: interpretive %v, fused %v", i, ierr, derr)
-			}
-			if ierr != nil {
-				continue
-			}
-			if poff != ioff || !bytes.Equal(bp.Bytes(), bi.Bytes()) {
-				t.Fatalf("layout %d: planned arena diverges from interpretive", i)
-			}
-			if doff != ioff || !bytes.Equal(bd.Bytes(), bi.Bytes()) {
-				t.Fatalf("layout %d: fused arena diverges from interpretive", i)
-			}
-
-			// protomsg reference: if the one-copy reference decoder accepts
-			// the input, the arena object must re-serialize to bytes the
-			// reference decodes to an equal message.
-			v := abi.MakeView(&abi.Region{Buf: bp.Bytes()}, poff, lay)
-			if err := abi.Verify(v); err != nil {
-				t.Fatalf("layout %d: accepted object fails Verify: %v", i, err)
-			}
-			reser, err := Serialize(v, nil)
-			if err != nil {
-				t.Fatalf("layout %d: accepted object cannot re-serialize: %v", i, err)
-			}
-			ref := protomsg.New(lay.Msg)
-			if ref.Unmarshal(data) == nil {
-				ref2 := protomsg.New(lay.Msg)
-				if err := ref2.Unmarshal(reser); err != nil {
-					t.Fatalf("layout %d: reference rejects re-serialized bytes: %v", i, err)
-				}
-				if !protomsg.Equal(ref, ref2) {
-					t.Fatalf("layout %d: arena object disagrees with protomsg reference", i)
-				}
-			}
-
-			// Scatter-gather leg: with a low threshold the SG scan must
-			// make the same accept decision, and the descriptor-backed
-			// object (FillSG + PlaceSegments) must re-serialize to the
-			// same bytes as the copy-fill object.
-			ds := New(Options{ValidateUTF8: true, SGPayloadMin: 16})
-			ns, serr := ds.Scan(plans[i], data)
-			if serr != nil {
-				t.Fatalf("layout %d: SG scan rejects input the inline scan accepts: %v", i, serr)
-			}
-			const sgBase = 64
-			objArea := alignUp8(ns.Need())
-			if sgBase+objArea+ns.SegBytes() > len(bufS) {
-				ns.Release()
-				continue
-			}
-			bs := arena.NewBump(bufS[sgBase : sgBase+objArea])
-			soff, serr := ds.FillSG(plans[i], data, ns, bs, sgBase, uint64(sgBase+objArea))
-			if serr != nil {
-				t.Fatalf("layout %d: FillSG fails on scanned input: %v", i, serr)
-			}
-			refs := ds.PlaceSegments(data, ns, bufS[sgBase+objArea:sgBase+objArea+ns.SegBytes()], nil)
-			if len(refs) != ns.SegCount() {
-				t.Fatalf("layout %d: placed %d refs, notes say %d", i, len(refs), ns.SegCount())
-			}
-			ns.Release()
-			sv := abi.MakeView(&abi.Region{Buf: bufS}, soff, lay)
-			if err := abi.Verify(sv); err != nil {
-				t.Fatalf("layout %d: SG object fails Verify: %v", i, err)
-			}
-			sser, err := Serialize(sv, nil)
-			if err != nil {
-				t.Fatalf("layout %d: SG object cannot re-serialize: %v", i, err)
-			}
-			if !bytes.Equal(sser, reser) {
-				t.Fatalf("layout %d: SG object re-serializes differently from copy-fill object", i)
-			}
+			buf.check(t, lay.Msg.Name, lay, plans[i], data)
 		}
 	})
+}
+
+// decodeBuffers is the scratch one differential check decodes into.
+type decodeBuffers struct{ interp, planned, fused, sg []byte }
+
+func newDecodeBuffers() *decodeBuffers {
+	return &decodeBuffers{make([]byte, 1<<20), make([]byte, 1<<20), make([]byte, 1<<20), make([]byte, 2<<20)}
+}
+
+// check is FuzzPlannedDecode's oracle for one input and layout: the planned
+// split (Scan + Fill), fused (DeserializePlanned) and scatter-gather paths
+// must accept exactly what the interpretive decoder accepts and, on
+// acceptance, build its arena byte for byte; the object must agree with
+// protomsg whenever protomsg accepts the input. Failures are reported under
+// name. It returns the interpretive and planned errors (both nil, unchecked,
+// past the scratch size).
+func (b *decodeBuffers) check(t *testing.T, name string, lay *abi.Layout, p *Plan, data []byte) (ierr, perr error) {
+	t.Helper()
+	var ioff uint64
+	var bi *arena.Bump
+	need, ierr := MeasureExact(lay, data)
+	if ierr == nil {
+		if need+GuardBytes > len(b.interp) {
+			return nil, nil // bounded-demand asserted elsewhere
+		}
+		di := New(Options{ValidateUTF8: true})
+		bi = arena.NewBump(b.interp[:need+GuardBytes])
+		ioff, ierr = di.Deserialize(lay, data, bi, 0)
+	}
+
+	dp := New(Options{ValidateUTF8: true})
+	no, perr := dp.Scan(p, data)
+	var poff uint64
+	var bp *arena.Bump
+	if perr == nil {
+		if no.Need() != need && ierr == nil {
+			t.Fatalf("%s: Need %d != MeasureExact %d", name, no.Need(), need)
+		}
+		bp = arena.NewBump(b.planned[:no.Need()+GuardBytes])
+		poff, perr = dp.Fill(p, data, no, bp, 0)
+		no.Release()
+	}
+
+	if (ierr == nil) != (perr == nil) {
+		t.Fatalf("%s: accept/reject divergence: interpretive %v, planned %v", name, ierr, perr)
+	}
+
+	// The fused DeserializePlanned entry must make the same accept/reject
+	// decision — for simple layouts under SmallFastPathMax this drives the
+	// scan-bypass fast path's own validation.
+	dd := New(Options{ValidateUTF8: true})
+	var bd *arena.Bump
+	if ierr == nil {
+		bd = arena.NewBump(b.fused[:need+GuardBytes])
+	} else {
+		bd = arena.NewBump(b.fused)
+	}
+	doff, derr := dd.DeserializePlanned(p, data, bd, 0)
+	if (ierr == nil) != (derr == nil) {
+		t.Fatalf("%s: fused accept/reject divergence: interpretive %v, fused %v", name, ierr, derr)
+	}
+	if ierr != nil {
+		return ierr, perr
+	}
+	if poff != ioff || !bytes.Equal(bp.Bytes(), bi.Bytes()) {
+		t.Fatalf("%s: planned arena diverges from interpretive", name)
+	}
+	if doff != ioff || !bytes.Equal(bd.Bytes(), bi.Bytes()) {
+		t.Fatalf("%s: fused arena diverges from interpretive", name)
+	}
+
+	// protomsg reference: if the one-copy reference decoder accepts the
+	// input, the arena object must re-serialize to bytes the reference
+	// decodes to an equal message.
+	v := abi.MakeView(&abi.Region{Buf: bp.Bytes()}, poff, lay)
+	if err := abi.Verify(v); err != nil {
+		t.Fatalf("%s: accepted object fails Verify: %v", name, err)
+	}
+	reser, err := Serialize(v, nil)
+	if err != nil {
+		t.Fatalf("%s: accepted object cannot re-serialize: %v", name, err)
+	}
+	ref := protomsg.New(lay.Msg)
+	if ref.Unmarshal(data) == nil {
+		ref2 := protomsg.New(lay.Msg)
+		if err := ref2.Unmarshal(reser); err != nil {
+			t.Fatalf("%s: reference rejects re-serialized bytes: %v", name, err)
+		}
+		if !protomsg.Equal(ref, ref2) {
+			t.Fatalf("%s: arena object disagrees with protomsg reference", name)
+		}
+	}
+
+	// Scatter-gather leg: with a low threshold the SG scan must make the
+	// same accept decision, and the descriptor-backed object (FillSG +
+	// PlaceSegments) must re-serialize to the same bytes as the copy-fill
+	// object.
+	ds := New(Options{ValidateUTF8: true, SGPayloadMin: 16})
+	ns, serr := ds.Scan(p, data)
+	if serr != nil {
+		t.Fatalf("%s: SG scan rejects input the inline scan accepts: %v", name, serr)
+	}
+	defer ns.Release()
+	const sgBase = 64
+	objArea := alignUp8(ns.Need())
+	if sgBase+objArea+ns.SegBytes() > len(b.sg) {
+		return nil, nil
+	}
+	bs := arena.NewBump(b.sg[sgBase : sgBase+objArea])
+	soff, serr := ds.FillSG(p, data, ns, bs, sgBase, uint64(sgBase+objArea))
+	if serr != nil {
+		t.Fatalf("%s: FillSG fails on scanned input: %v", name, serr)
+	}
+	refs := ds.PlaceSegments(data, ns, b.sg[sgBase+objArea:sgBase+objArea+ns.SegBytes()], nil)
+	if len(refs) != ns.SegCount() {
+		t.Fatalf("%s: placed %d refs, notes say %d", name, len(refs), ns.SegCount())
+	}
+	sv := abi.MakeView(&abi.Region{Buf: b.sg}, soff, lay)
+	if err := abi.Verify(sv); err != nil {
+		t.Fatalf("%s: SG object fails Verify: %v", name, err)
+	}
+	sser, err := Serialize(sv, nil)
+	if err != nil {
+		t.Fatalf("%s: SG object cannot re-serialize: %v", name, err)
+	}
+	if !bytes.Equal(sser, reser) {
+		t.Fatalf("%s: SG object re-serializes differently from copy-fill object", name)
+	}
+	return nil, nil
 }
 
 // TestScanBypassShape: simple layouts under SmallFastPathMax must take the

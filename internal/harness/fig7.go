@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"fmt"
 	"time"
 
+	"dpurpc/internal/abi"
 	"dpurpc/internal/arena"
 	"dpurpc/internal/deser"
 	"dpurpc/internal/mt19937"
@@ -42,9 +44,9 @@ func DefaultFig7Counts() []int {
 }
 
 // Fig7 reproduces Fig. 7: for each element count it generates the message,
-// runs the real arena deserializer to collect operation counts, models the
-// single-core per-platform times, and (when wallIters > 0) also measures
-// wall-clock time of the real implementation on this machine.
+// runs the planned arena deserializer the datapath runs (Scan + Fill) to
+// collect operation counts, models the single-core per-platform times, and
+// (when wallIters > 0) also measures its wall-clock time on this machine.
 func Fig7(opts Options, counts []int, wallIters int) ([]Fig7Row, error) {
 	env := workload.NewEnv()
 	var rows []Fig7Row
@@ -64,11 +66,15 @@ func Fig7(opts Options, counts []int, wallIters int) ([]Fig7Row, error) {
 				return nil, err
 			}
 			bump := arena.NewBump(make([]byte, need+deser.GuardBytes))
+			plan := deser.PlanFor(lay)
 			d := deser.New(deser.Options{ValidateUTF8: true})
-			if _, err := d.Deserialize(lay, data, bump, 0); err != nil {
+			if _, err := d.DeserializePlanned(plan, data, bump, 0); err != nil {
 				return nil, err
 			}
-			stats := d.Stats
+			stats, err := decodeStats(d.Stats, lay, data, need)
+			if err != nil {
+				return nil, fmt.Errorf("fig7 %s/%d: %w", kind, n, err)
+			}
 
 			row := Fig7Row{
 				Kind:      kind,
@@ -82,7 +88,7 @@ func Fig7(opts Options, counts []int, wallIters int) ([]Fig7Row, error) {
 				start := time.Now()
 				for i := 0; i < wallIters; i++ {
 					bump.Reset()
-					if _, err := d.Deserialize(lay, data, bump, 0); err != nil {
+					if _, err := d.DeserializePlanned(plan, data, bump, 0); err != nil {
 						return nil, err
 					}
 				}
@@ -92,4 +98,21 @@ func Fig7(opts Options, counts []int, wallIters int) ([]Fig7Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// decodeStats returns the paper's cost-model inputs from a planned decode's
+// stats — the replay-side counters (ScannedBytes, ReplayedBytes) that only
+// the planned path charges are dropped — after checking they equal what the
+// interpretive deserializer charges for the same message (need bytes, as
+// MeasureExact reports).
+func decodeStats(planned deser.Stats, lay *abi.Layout, data []byte, need int) (deser.Stats, error) {
+	planned.ScannedBytes, planned.ReplayedBytes = 0, 0
+	d := deser.New(deser.Options{ValidateUTF8: true})
+	if _, err := d.Deserialize(lay, data, arena.NewBump(make([]byte, need+deser.GuardBytes)), 0); err != nil {
+		return deser.Stats{}, err
+	}
+	if planned != d.Stats {
+		return deser.Stats{}, fmt.Errorf("planned stats %+v != interpretive %+v", planned, d.Stats)
+	}
+	return planned, nil
 }
