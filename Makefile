@@ -8,9 +8,13 @@ build:
 	go build ./...
 	go vet ./...
 
+# The second pass repeats the host duplex pool's liveness tests (slow and
+# sleeping handlers at 16 credits, out-of-order completion) on one CPU, where
+# a credit-protocol deadlock shows up as a "stalled" failure.
 test: fmt-check
 	go vet ./...
 	go test ./...
+	GOMAXPROCS=1 go test -count=20 -run 'Duplex|Background|PollerClose' ./internal/rpcrdma
 	@echo "advisory: quick benchmark comparison against the checked-in snapshots"
 	@$(MAKE) --no-print-directory bench-check BENCHTIME=20000x \
 		|| echo "bench-check: regressions above are ADVISORY here; run 'make bench-check' for a full-length pass"
@@ -24,17 +28,17 @@ fmt-check:
 # and response-serialization pipelines (worker pools + pollers), the host
 # duplex pool, the protocol layer they reserve/commit into, the xRPC
 # transport that feeds them, the generated-bindings byte-identity tests,
-# the datapath span recorder, and the fault-injection layers (per-QP
-# delay lines, injector, link staller), plus the windowed-metrics shard
-# rotation and the gauge sampler. The second pass repeats the poller-wake
-# tests three times: the CQ kick (lost-wake-up stress), the block free lists,
-# and the stack-level liveness and idle tests, whose packages are the root
-# package, internal/rdma and internal/rpcrdma. The third repeats the xRPC
-# front end's buffer-ownership tests: pooled request frames, response-buffer
-# release on every path (poisoned on release), and the reusable handler
-# goroutines.
+# the decoder's pooled scan scratch, the datapath span recorder, and the
+# fault-injection layers (per-QP delay lines, injector, link staller), plus
+# the windowed-metrics shard rotation and the gauge sampler. The second pass
+# repeats the poller-wake tests three times: the CQ kick (lost-wake-up
+# stress), the block free lists, and the stack-level liveness and idle tests,
+# whose packages are the root package, internal/rdma and internal/rpcrdma.
+# The third repeats the xRPC front end's buffer-ownership tests: pooled
+# request frames, response-buffer release on every path (poisoned on
+# release), and the reusable handler goroutines.
 race:
-	go test -race ./internal/offload/... ./internal/rpcrdma/... ./internal/xrpc/... ./internal/gentest/... ./internal/trace/... ./internal/rdma/... ./internal/fault/... ./internal/fabric/... ./internal/metrics/... ./internal/rpccache/... ./internal/workload/...
+	go test -race ./internal/offload/... ./internal/rpcrdma/... ./internal/xrpc/... ./internal/gentest/... ./internal/trace/... ./internal/rdma/... ./internal/fault/... ./internal/fabric/... ./internal/metrics/... ./internal/rpccache/... ./internal/workload/... ./internal/deser/...
 	go test -race -count=3 -run 'Kick|Wait|Liveness|IdleStack|Recycled|SteadyState' . ./internal/rdma ./internal/rpcrdma
 	go test -race -count=3 -run 'Frame|Release|Worker|Poison' ./internal/xrpc ./internal/offload .
 

@@ -11,7 +11,7 @@ import (
 
 // TestStackExtensionsEndToEnd runs the public API with both paper
 // extensions enabled: response serialization on the DPU and background
-// (worker-pool) handler execution. Client-observable behaviour must match
+// handler execution on the host duplex pool. Client-observable behaviour must match
 // the default stack exactly.
 func TestStackExtensionsEndToEnd(t *testing.T) {
 	schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
@@ -21,8 +21,8 @@ func TestStackExtensionsEndToEnd(t *testing.T) {
 	variants := map[string]dpurpc.StackOptions{
 		"default":      {},
 		"resp-offload": {OffloadResponseSerialization: true},
-		"background":   {BackgroundWorkers: 4},
-		"both":         {OffloadResponseSerialization: true, BackgroundWorkers: 4},
+		"host-workers": {HostWorkers: 4},
+		"both":         {OffloadResponseSerialization: true, HostWorkers: 4},
 	}
 	want := map[string]string{}
 	for name, opts := range variants {
@@ -62,7 +62,8 @@ func TestStackExtensionsEndToEnd(t *testing.T) {
 }
 
 // TestBackgroundStackSlowHandlerDoesNotBlock exercises the Sec. III-D
-// motivation through the public API: one slow RPC, many fast ones.
+// motivation through the public API: one slow RPC, many fast ones, with
+// handlers on the host duplex pool.
 func TestBackgroundStackSlowHandlerDoesNotBlock(t *testing.T) {
 	schema, err := dpurpc.ParseSchema("slow.proto", `
 syntax = "proto3";
@@ -87,7 +88,7 @@ service S { rpc Do (Req) returns (Rep); }
 			},
 		},
 	}
-	stack, err := dpurpc.NewOffloadedStack(schema, impls, dpurpc.StackOptions{BackgroundWorkers: 4})
+	stack, err := dpurpc.NewOffloadedStack(schema, impls, dpurpc.StackOptions{HostWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func (d *Deployment) PollerWakes() (cqe, kick, timer uint64) {
 	return cqe, kick, timer
 }
 
-// Close stops all background worker pools, including the DPU servers'
+// Close stops all worker pools: the host duplex pools and the DPU servers'
 // deserialization pipelines.
 func (d *Deployment) Close() {
 	for _, dpu := range d.DPUs {
@@ -146,14 +146,11 @@ type DeployConfig struct {
 	// are distributed round-robin (Sec. III-C: a server poller may share
 	// several connections; Table I runs 8 host threads). Default 1.
 	HostPollers int
-	// BackgroundWorkers > 0 runs host handlers on a worker pool instead of
-	// the poller thread (Sec. III-D's background RPCs).
-	BackgroundWorkers int
 	// HostWorkers > 1 enables the host-side duplex response pipeline on
 	// every connection: handlers AND response builds (objconv.ToArena /
-	// Marshal) run on a pool of this many workers, with slots reserved in
-	// receive order and committed as builds complete. Supersedes
-	// BackgroundWorkers when set.
+	// Marshal) run on a pool of this many workers instead of the poller
+	// thread (Sec. III-D's background RPCs), with slots reserved as
+	// handlers finish and committed as builds complete.
 	HostWorkers int
 	// DPUWorkers > 1 enables the multi-core deserialization pipeline on
 	// every DPU server: the poller reserves block slots, a pool of this
@@ -248,7 +245,6 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 	}
 	ccfg := cfg.ClientCfg.WithDefaults(true)
 	scfg := cfg.ServerCfg.WithDefaults(false)
-	scfg.BackgroundWorkers = cfg.BackgroundWorkers
 	scfg.HostWorkers = cfg.HostWorkers
 	if cfg.HostAdmitMaxInflight > 0 {
 		scfg.AdmitMaxInflight = cfg.HostAdmitMaxInflight

@@ -136,7 +136,7 @@ func TestResponseSerializationOffload(t *testing.T) {
 }
 
 func TestBackgroundDeployment(t *testing.T) {
-	// The Sec. III-D extension end to end: host handlers run on a worker
+	// The Sec. III-D extension end to end: host handlers run on the duplex
 	// pool; a deliberately slow handler must not block fast ones.
 	env := workload.NewEnv()
 	var slowStarted, slowDone atomic.Bool
@@ -158,7 +158,7 @@ func TestBackgroundDeployment(t *testing.T) {
 	ccfg, scfg := smallTestCfg()
 	d, err := NewDeploymentWith(env.Table, impls, DeployConfig{
 		Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-		BackgroundWorkers: 4,
+		HostWorkers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ type HostServer struct {
 	// reqObserver, when set, sees every dispatched request before its
 	// handler runs. Test hook (byte-identity pins). Called from whichever
 	// goroutine runs the handler — synchronize externally when pollers or
-	// background workers are concurrent.
+	// duplex workers are concurrent.
 	reqObserver func(rpcrdma.Request)
 	// tracer resolves propagated trace IDs (Request.Trace) and records a
 	// host.handler span around every traced dispatch.

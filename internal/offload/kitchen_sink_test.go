@@ -13,7 +13,8 @@ import (
 )
 
 // TestKitchenSink combines every feature in one deployment: multiple
-// connections, multiple host pollers, background handler execution,
+// connections, multiple host pollers, background handler execution on the
+// duplex pool,
 // response-serialization offload, and mixed workloads with handler-side
 // delays — then checks totals, integrity, and memory reclamation.
 func TestKitchenSink(t *testing.T) {
@@ -41,7 +42,7 @@ func TestKitchenSink(t *testing.T) {
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections:                  4,
 		HostPollers:                  2,
-		BackgroundWorkers:            3,
+		HostWorkers:                  3,
 		OffloadResponseSerialization: true,
 		ClientCfg:                    ccfg,
 		ServerCfg:                    scfg,
@@ -132,10 +133,10 @@ func TestKitchenSink(t *testing.T) {
 			t.Errorf("dpu %d responses = %d", i, st.Responses)
 		}
 	}
-	// Background pools drained.
+	// Duplex pools drained.
 	for _, p := range d.Pollers {
-		if p.BackgroundPending() != 0 {
-			t.Error("background tasks pending at quiescence")
+		if p.ResponsePending() != 0 {
+			t.Error("duplex tasks pending at quiescence")
 		}
 	}
 }

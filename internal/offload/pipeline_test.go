@@ -171,7 +171,7 @@ func echoData(id uint64) string {
 }
 
 // TestPipelineSoak drives many concurrent xRPC clients through multi-worker
-// DPU servers with host background workers (out-of-order responses) and
+// DPU servers with host duplex workers (out-of-order responses) and
 // verifies every stream gets exactly its own payload back. Run under -race
 // this is the pipeline's synchronization pin.
 func TestPipelineSoak(t *testing.T) {
@@ -190,7 +190,7 @@ func TestPipelineSoak(t *testing.T) {
 	ccfg, scfg := smallTestCfg()
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
-		DPUWorkers: 4, BackgroundWorkers: 2,
+		DPUWorkers: 4, HostWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

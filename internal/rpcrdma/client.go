@@ -271,13 +271,16 @@ type delivered struct {
 // poller behind /gauges) can read send-arena occupancy and queue depths
 // without touching the single-owner connection state.
 type ConnGauges struct {
-	ArenaInUse  atomic.Uint64 // send-arena bytes in use (incl. SG segments)
-	ArenaSize   atomic.Uint64 // send-arena capacity
-	SendQueued  atomic.Int64  // sealed blocks waiting for credits/IDs
-	PartialMsgs atomic.Int64  // messages in the open partial commit batch
-	Unacked     atomic.Int64  // sent blocks awaiting acknowledgment
-	Outstanding atomic.Int64  // requests awaiting responses
-	Credits     atomic.Int64  // current send credits
+	ArenaInUse    atomic.Uint64 // send-arena bytes in use (incl. SG segments)
+	ArenaSize     atomic.Uint64 // send-arena capacity
+	SendQueued    atomic.Int64  // sealed blocks waiting for credits/IDs
+	PartialMsgs   atomic.Int64  // messages in the open partial commit batch
+	Unacked       atomic.Int64  // sent blocks awaiting acknowledgment
+	Outstanding   atomic.Int64  // requests awaiting responses
+	Credits       atomic.Int64  // current send credits
+	CreditStalls  atomic.Uint64 // mirrors Counters.CreditStalls
+	AckOnlyBlocks atomic.Uint64 // mirrors Counters.AckOnlyBlocks
+	AcksPending   atomic.Int64  // response blocks processed but not yet acknowledged
 	// Wakes mirrors Counters.WakeCQE/WakeKick/WakeTimer as they are counted.
 	Wakes WakeGauges
 }
@@ -299,6 +302,9 @@ func (c *ClientConn) refreshGauges() {
 	c.gauges.Unacked.Store(int64(len(c.unacked)))
 	c.gauges.Outstanding.Store(int64(c.outstanding))
 	c.gauges.Credits.Store(int64(c.credits))
+	c.gauges.CreditStalls.Store(c.Counters.CreditStalls)
+	c.gauges.AckOnlyBlocks.Store(c.Counters.AckOnlyBlocks)
+	c.gauges.AcksPending.Store(int64(c.ackBlocks))
 }
 
 func newClientConn(cfg Config, qp *rdma.QP, sendCQ, recvCQ *rdma.CQ, sbuf []byte, rbuf *rdma.MR, recvPosts int) (*ClientConn, error) {
@@ -705,7 +711,8 @@ func (c *ClientConn) waitBudget() time.Duration {
 // trySend transmits queued blocks while credits and request IDs allow.
 func (c *ClientConn) trySend() {
 	for len(c.sendQ) > 0 {
-		if c.credits == 0 {
+		// Liveness rule (a), see ServerConn.canSend.
+		if c.credits == 0 || (c.credits == 1 && c.ackBlocks == 0) {
 			c.Counters.CreditStalls++
 			c.fr.Record(FlightCreditStall, int64(len(c.sendQ)), 0)
 			return
@@ -1287,6 +1294,7 @@ func (c *ClientConn) sendAckOnly() {
 		c.Counters.MinCreditsSeen = uint64(c.credits)
 	}
 	c.Counters.BlocksSent++
+	c.Counters.PayloadBytesSent += uint64(b.used)
 	c.Counters.AckOnlyBlocks++
 	c.fr.Record(FlightAckOnly, int64(ack), 0)
 	c.unacked = append(c.unacked, b)

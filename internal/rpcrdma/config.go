@@ -14,7 +14,8 @@
 //     the receiver locates the block at offset = bucket * 1024 in its
 //     mirrored receive buffer (Sec. IV-E).
 //   - Credit-based congestion control, one credit per in-flight block per
-//     direction (Sec. IV-C).
+//     direction (Sec. IV-C), kept live by two rules (Sec. VI-A, see
+//     ServerConn.canSend and flushPartial).
 //   - Implicit acknowledgments (Sec. IV-B), piggybacked in both directions:
 //     the client acks response blocks with a counter in the preamble of its
 //     next request block, and the server acks request blocks with a counter
@@ -31,9 +32,8 @@
 //   - Foreground execution: handlers run in the server poller thread
 //     (Sec. III-D); client pollers own one connection each, server pollers
 //     may share several over one completion queue (Sec. III-C). Background
-//     execution — the extension Sec. III-D designs for — is available via
-//     Config.BackgroundWorkers: handlers run on a thread pool and responses
-//     complete out of order.
+//     execution — the extension Sec. III-D designs for — is the duplex
+//     pool (Config.HostWorkers > 1); responses complete out of order.
 //   - Object-payload responses (header flag): the response-serialization
 //     offload of Sec. III-A, where the host ships a response object through
 //     the shared region and the DPU produces the wire bytes.
@@ -92,7 +92,7 @@ type Config struct {
 	// BlockSize is the standard block allocation size; messages larger
 	// than it get a dedicated single-message block.
 	BlockSize int
-	// Credits bounds in-flight blocks in the send direction.
+	// Credits bounds in-flight blocks in the send direction (at least 2).
 	Credits int
 	// SBufSize is the local send-buffer (and the peer's mirrored
 	// receive-buffer) size.
@@ -130,19 +130,12 @@ type Config struct {
 	// at once. (The pooled DPU pipeline does not ring yet: its hand-offs
 	// still wait for this timer, see offload.DPUServer.wake.)
 	WaitTimeout time.Duration
-	// BackgroundWorkers (server side) > 0 enables background RPC
-	// execution (Sec. III-D): handlers run on a pool of that many worker
-	// goroutines instead of the poller thread, and responses complete out
-	// of order. Request blocks are recycled only once every request in
-	// them is answered (the explicit ack counter in response preambles),
-	// so handlers may read their payload views for their whole lifetime.
-	BackgroundWorkers int
-	// HostWorkers (server side) > 1 enables the duplex response pipeline:
-	// handlers AND response-payload builds run on a pool of that many
-	// worker goroutines, response slots are reserved in receive order by
-	// the poller, and blocks transmit once every slot in them commits.
-	// Supersedes BackgroundWorkers when set (the duplex pool runs the
-	// handler too). A failed build is committed as an error tombstone
+	// HostWorkers (server side) > 1 enables the duplex response pipeline,
+	// which is also background RPC execution (Sec. III-D): handlers AND
+	// response builds run on a pool of that many worker goroutines, slots
+	// are reserved as handlers finish, and blocks transmit once every slot
+	// in them commits. Handlers may read their payload views for their
+	// whole run. A failed build is committed as an error tombstone
 	// (status 13, error flag set) instead of breaking the connection.
 	HostWorkers int
 	// AdmitMaxInflight (server side) > 0 enables admission control on the

@@ -26,6 +26,14 @@ func Connect(clientDev, serverDev *rdma.Device, ccfg, scfg Config, poller *Serve
 	if h == nil {
 		return nil, nil, errors.New("rpcrdma: nil handler")
 	}
+	// Under liveness rule (a) a single credit could never carry data.
+	const creditRule = "rpcrdma: %s credits %d < 2: a block that acknowledges nothing may not take the last credit"
+	if ccfg.Credits < 2 {
+		return nil, nil, fmt.Errorf(creditRule, "client", ccfg.Credits)
+	}
+	if scfg.Credits < 2 {
+		return nil, nil, fmt.Errorf(creditRule, "server", scfg.Credits)
+	}
 	// The client must be able to absorb every in-flight response block.
 	if ccfg.CQDepth < scfg.Credits+recvSlack {
 		return nil, nil, fmt.Errorf("rpcrdma: client CQ depth %d < server credits %d + slack",

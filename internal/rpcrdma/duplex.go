@@ -3,6 +3,7 @@ package rpcrdma
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 
 	"dpurpc/internal/arena"
@@ -13,18 +14,20 @@ import (
 // The duplex pipeline parallelizes the response direction the same way the
 // client's Reserve/Commit split parallelized requests: worker goroutines
 // run the handler and build response payloads, while the poller thread owns
-// every QP/CQ/allocator mutation. A request flows
+// every QP/CQ/allocator mutation (and long-running RPCs stay off it,
+// Sec. III-D). A request flows
 //
 //	poller: dxAdmit            → workQ (stage dxHandle)
 //	worker: run handler        → compQ
-//	poller: dxReserveReady     → ReserveResponse in receive order → workQ (stage dxBuild)
+//	poller: dxReserveReady     → ReserveResponse in completion order → workQ (stage dxBuild)
 //	worker: spec.Build(Dst)    → compQ
 //	poller: dxCollect          → CommitResponse (or error tombstone)
 //
-// Reservations happen strictly in receive order (dxNextRes), preserving the
-// deterministic request-ID replay contract; commits happen in completion
-// order, which is safe because a reserved slot's position in its block is
-// fixed and trySendResponses stalls on blocks with pending slots.
+// Reservations follow handler completion order (dxReady), so a slow handler
+// holds back no other response; commits follow build completion, safe because
+// a slot's position is fixed at reserve and trySendResponses stalls on blocks
+// with pending slots. Neither order matters to the ID replay: headers carry
+// request IDs, and both sides free them in slot order on acknowledgment.
 
 // duplexBuildFailed is the status a failed response build is tombstoned
 // with. Mirrors xrpc.StatusInternal (rpcrdma deliberately does not import
@@ -39,11 +42,10 @@ const (
 )
 
 // respTask carries one request through the duplex pipeline. It lives in
-// exactly one place at a time (workQ, a worker, compQ, or dxReadyQ), so its
+// exactly one place at a time (workQ, a worker, compQ, or dxReady), so its
 // fields need no locking.
 type respTask struct {
 	id    uint16
-	seq   uint64
 	req   Request
 	stage respStage
 	spec  ResponseSpec
@@ -106,8 +108,9 @@ func (p *duplexPool) worker(wid int) {
 	}
 }
 
+// close stops the workers; a nil pool (no duplex pipeline) is a no-op.
 func (p *duplexPool) close() {
-	if p.closed {
+	if p == nil || p.closed {
 		return
 	}
 	p.closed = true
@@ -119,11 +122,10 @@ func (p *duplexPool) close() {
 // backlog when the in-flight bound is reached (backpressure keeps channel
 // occupancy under the channel capacity). Poller-only.
 func (s *ServerConn) dxAdmit(id uint16, req Request) {
-	t := &respTask{id: id, seq: s.dxSeqNext, req: req, stage: dxHandle}
+	t := &respTask{id: id, req: req, stage: dxHandle}
 	if s.traceOf != nil {
 		t.tr = s.traceOf[id]
 	}
-	s.dxSeqNext++
 	if s.dxInflight < s.dxMax {
 		s.dxInflight++
 		s.duplex.workQ <- t
@@ -143,7 +145,7 @@ func (s *ServerConn) dxDispatchBacklog() {
 	}
 }
 
-// dxCollect drains completed stages: handler results queue for in-order
+// dxCollect drains completed stages: handler results queue for
 // reservation; finished builds commit (or tombstone on build error — the
 // slot is already on the wire path, so the request must still be answered).
 // Returns the number of completions drained. Poller-only.
@@ -156,7 +158,7 @@ func (s *ServerConn) dxCollect() int {
 			switch t.stage {
 			case dxHandle:
 				s.Counters.DuplexHandled++
-				s.dxReadyQ[t.seq] = t
+				s.dxReady = append(s.dxReady, t)
 			case dxBuild:
 				s.dxInflight--
 				if t.err != nil {
@@ -180,30 +182,24 @@ func (s *ServerConn) dxCollect() int {
 	}
 }
 
-// dxReserveReady reserves response slots in receive order for handler
-// results that are ready, then hands each build back to the pool. A
-// specless response (Build == nil) commits immediately. On send-buffer
-// exhaustion the task waits; client acks will free blocks and a later pass
-// retries. Poller-only.
+// dxReserveReady reserves response slots for finished handlers in the order
+// they finished, then hands each build back to the pool. A specless
+// response (Build == nil) commits immediately. On send-buffer exhaustion
+// the rest wait; client acks will free blocks and a later pass retries.
+// Poller-only.
 func (s *ServerConn) dxReserveReady() {
-	for {
-		t, ok := s.dxReadyQ[s.dxNextRes]
-		if !ok {
-			return
-		}
+	n := 0
+	for ; n < len(s.dxReady); n++ {
+		t := s.dxReady[n]
 		r, err := s.ReserveResponse(t.id, t.spec.Size)
 		if err != nil {
 			if errors.Is(err, arena.ErrOutOfMemory) {
-				return // retry after acks reclaim blocks
+				break // retry after acks reclaim blocks
 			}
 			s.fail(err)
-			delete(s.dxReadyQ, s.dxNextRes)
-			s.dxNextRes++
 			s.dxInflight--
 			continue
 		}
-		delete(s.dxReadyQ, s.dxNextRes)
-		s.dxNextRes++
 		r.SG, r.SGSegs, r.SGBytes = t.spec.SG, t.spec.SGSegs, t.spec.SGBytes
 		if t.spec.Build == nil {
 			s.dxInflight--
@@ -216,10 +212,11 @@ func (s *ServerConn) dxReserveReady() {
 		t.stage = dxBuild
 		s.duplex.workQ <- t
 	}
+	s.dxReady = slices.Delete(s.dxReady, 0, n)
 }
 
 // dxProgress is the per-Progress duplex update: collect completions,
-// reserve in order, refill from the backlog, and collect again so a build
+// reserve, refill from the backlog, and collect again so a build
 // finishing mid-pass commits without waiting a full cycle. Poller-only.
 func (s *ServerConn) dxProgress() {
 	drained := s.dxCollect()

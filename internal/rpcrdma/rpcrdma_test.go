@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,11 +224,53 @@ func TestCreditLimitRespected(t *testing.T) {
 	if r.client.Credits() != 2 {
 		t.Errorf("credits not restored: %d", r.client.Credits())
 	}
-	// MinCreditsSeen must have hit zero.
-	if r.client.Counters.MinCreditsSeen != 0 {
+	// Data blocks stop at 1 credit: a block that acknowledges nothing may
+	// not take the last one.
+	if r.client.Counters.MinCreditsSeen != 1 {
 		t.Errorf("min credits = %d", r.client.Counters.MinCreditsSeen)
 	}
 	// And the connection never went RNR (the point of credits, Sec. IV-C).
+}
+
+func TestConnectRejectsSingleCredit(t *testing.T) {
+	// One credit could never carry data, since a block that acknowledges
+	// nothing may not take a side's last credit; Connect refuses the
+	// configuration and names the side and the rule.
+	cases := []struct {
+		name             string
+		client, server   int
+		wantErrSubstring string
+	}{
+		{"both-2", 2, 2, ""},
+		{"client-1", 1, 8, "client credits 1 < 2"},
+		{"server-1", 8, 1, "server credits 1 < 2"},
+		{"client-negative", -3, 8, "client credits -3 < 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ccfg, scfg := smallCfg()
+			ccfg.Credits, scfg.Credits = tc.client, tc.server
+			link := fabric.NewLink()
+			poller := NewServerPoller(scfg)
+			defer poller.Close()
+			_, _, err := Connect(rdma.NewDevice("dpu", link, fabric.DPUToHost),
+				rdma.NewDevice("host", link, fabric.HostToDPU), ccfg, scfg, poller, echoHandler)
+			if tc.wantErrSubstring == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			for _, want := range []string{tc.wantErrSubstring, "acknowledges nothing", "last credit"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q lacks %q", err, want)
+				}
+			}
+		})
+	}
 }
 
 func TestCreditsNeverNegativeAndRestored(t *testing.T) {
@@ -523,20 +566,50 @@ func TestNoRNREverUnderLoad(t *testing.T) {
 }
 
 func TestFabricAccountingMatchesTraffic(t *testing.T) {
-	ccfg, scfg := smallCfg()
-	r := newRig(t, ccfg, scfg, nil)
-	r.call(t, 100, 64)
-	d2h := r.link.Stats(fabric.DPUToHost)
-	h2d := r.link.Stats(fabric.HostToDPU)
-	if d2h.Bytes != r.client.Counters.PayloadBytesSent {
-		t.Errorf("dpu->host bytes %d vs counter %d", d2h.Bytes, r.client.Counters.PayloadBytesSent)
+	check := func(t *testing.T, r *testRig) {
+		t.Helper()
+		d2h := r.link.Stats(fabric.DPUToHost)
+		h2d := r.link.Stats(fabric.HostToDPU)
+		if d2h.Bytes != r.client.Counters.PayloadBytesSent {
+			t.Errorf("dpu->host bytes %d vs counter %d", d2h.Bytes, r.client.Counters.PayloadBytesSent)
+		}
+		if h2d.Bytes != r.server.Counters.PayloadBytesSent {
+			t.Errorf("host->dpu bytes %d vs counter %d", h2d.Bytes, r.server.Counters.PayloadBytesSent)
+		}
+		if d2h.Transfers != r.client.Counters.BlocksSent {
+			t.Error("transfer count mismatch")
+		}
 	}
-	if h2d.Bytes != r.server.Counters.PayloadBytesSent {
-		t.Errorf("host->dpu bytes %d vs counter %d", h2d.Bytes, r.server.Counters.PayloadBytesSent)
-	}
-	if d2h.Transfers != r.client.Counters.BlocksSent {
-		t.Error("transfer count mismatch")
-	}
+	t.Run("echo", func(t *testing.T) {
+		ccfg, scfg := smallCfg()
+		r := newRig(t, ccfg, scfg, nil)
+		r.call(t, 100, 64)
+		check(t, r)
+	})
+	t.Run("ack-only", func(t *testing.T) {
+		// A held request keeps the client outstanding after a fast
+		// response lands, with nothing queued to carry the acknowledgment:
+		// the event loop sends it in an empty block, whose bytes count too.
+		ccfg, scfg := duplexCfg(2)
+		release := make(chan struct{})
+		r := newRig(t, ccfg, scfg, func(req Request) ResponseSpec {
+			if req.Method == 99 {
+				select { // bounded, so a failed run still closes the pool
+				case <-release:
+				case <-time.After(10 * time.Second):
+				}
+			}
+			return ResponseSpec{}
+		})
+		defer r.poller.Close()
+		slowDone, fastDone := false, false
+		r.client.Enqueue(CallSpec{Method: 99, Size: 8, OnResponse: func(Response) { slowDone = true }})
+		r.client.Enqueue(CallSpec{Method: 1, Size: 8, OnResponse: func(Response) { fastDone = true }})
+		pumpUntil(t, r, func() bool { return fastDone && r.client.Counters.AckOnlyBlocks > 0 })
+		close(release)
+		pumpUntil(t, r, func() bool { return slowDone })
+		check(t, r)
+	})
 }
 
 func TestPreambleHeaderRoundTrip(t *testing.T) {
@@ -663,5 +736,133 @@ func BenchmarkEchoRoundTrip64B(b *testing.B) {
 			poller.Progress()
 		}
 		done += n
+	}
+}
+
+func TestExactAcksForegroundStillCorrect(t *testing.T) {
+	// The exact (per-block-completion) acknowledgment counter behaves like
+	// the paper's implicit scheme for foreground servers: all memory and
+	// credits return after quiescence.
+	ccfg, scfg := smallCfg()
+	r := newRig(t, ccfg, scfg, nil)
+	r.call(t, 1000, 64)
+	if r.client.Credits() != ccfg.Credits {
+		t.Errorf("credits not restored: %d", r.client.Credits())
+	}
+	if r.client.alloc.Live() != 1 {
+		t.Errorf("client leaked %d blocks", r.client.alloc.Live()-1)
+	}
+	if len(r.server.reqBlockOf) != 0 {
+		t.Errorf("server retains %d in-flight request IDs", len(r.server.reqBlockOf))
+	}
+}
+
+func TestObjectFlagRoundTrip(t *testing.T) {
+	// The response-serialization-offload marker travels end to end.
+	ccfg, scfg := smallCfg()
+	h := func(req Request) ResponseSpec {
+		return ResponseSpec{
+			Object: true,
+			Size:   24,
+			Build: func(dst []byte, regionOff uint64) (uint32, int, error) {
+				binary.LittleEndian.PutUint64(dst[8:], 0x1122334455667788)
+				return 8, 24, nil
+			},
+		}
+	}
+	r := newRig(t, ccfg, scfg, h)
+	var resp Response
+	got := false
+	r.client.Enqueue(CallSpec{Size: 8, OnResponse: func(rp Response) {
+		got = true
+		resp = Response{Status: rp.Status, Err: rp.Err, Object: rp.Object,
+			Root: rp.Root, RegionOff: rp.RegionOff,
+			Payload: append([]byte(nil), rp.Payload...)}
+	}})
+	r.pump(t)
+	if !got {
+		t.Fatal("no response")
+	}
+	if !resp.Object {
+		t.Error("object flag lost")
+	}
+	if resp.Root != 8 {
+		t.Errorf("root = %d", resp.Root)
+	}
+	if binary.LittleEndian.Uint64(resp.Payload[8:]) != 0x1122334455667788 {
+		t.Error("object payload wrong")
+	}
+}
+
+func TestHeaderObjectFlag(t *testing.T) {
+	var b [HeaderSize]byte
+	h := header{payloadLen: 8, response: true, object: true}
+	putHeader(b[:], h)
+	got, err := parseHeader(b[:])
+	if err != nil || !got.object {
+		t.Errorf("object flag round trip: %+v %v", got, err)
+	}
+	h.object = false
+	putHeader(b[:], h)
+	got, _ = parseHeader(b[:])
+	if got.object {
+		t.Error("object flag set spuriously")
+	}
+}
+
+func TestLatencyObserver(t *testing.T) {
+	ccfg, scfg := smallCfg()
+	var samples []float64
+	ccfg.LatencyObserver = func(ns float64) { samples = append(samples, ns) }
+	r := newRig(t, ccfg, scfg, nil)
+	r.call(t, 200, 32)
+	if len(samples) != 200 {
+		t.Fatalf("observed %d latencies", len(samples))
+	}
+	for i, ns := range samples {
+		if ns < 0 || ns > 60e9 {
+			t.Fatalf("sample %d implausible: %g ns", i, ns)
+		}
+	}
+}
+
+func TestAbortFailsEverything(t *testing.T) {
+	ccfg, scfg := smallCfg()
+	r := newRig(t, ccfg, scfg, nil)
+	results := map[string]int{}
+	// One request in flight, one still buffered (never flushed).
+	r.client.Enqueue(CallSpec{Size: 8, OnResponse: func(resp Response) {
+		if resp.Err {
+			results["first-failed"]++
+		} else {
+			results["first-ok"]++
+		}
+	}})
+	r.client.Flush() // now in flight, unanswered (no server progress)
+	r.client.Enqueue(CallSpec{Size: 8, OnResponse: func(resp Response) {
+		if resp.Err {
+			results["second-failed"]++
+		} else {
+			results["second-ok"]++
+		}
+	}})
+	// Abort before the server ever runs.
+	r.client.Abort(99)
+	if r.client.Outstanding() != 0 {
+		t.Errorf("outstanding = %d after abort", r.client.Outstanding())
+	}
+	if results["first-failed"] != 1 || results["second-failed"] != 1 {
+		t.Errorf("continuations not failed: %v", results)
+	}
+	if r.client.Broken() == nil {
+		t.Error("connection not broken after abort")
+	}
+	if err := r.client.Enqueue(CallSpec{Size: 8}); err == nil {
+		t.Error("enqueue after abort accepted")
+	}
+	// Double abort is harmless (continuations fire at most once).
+	r.client.Abort(99)
+	if results["first-failed"] != 1 || results["second-failed"] != 1 {
+		t.Errorf("double abort re-fired continuations: %v", results)
 	}
 }

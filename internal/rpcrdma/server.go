@@ -135,18 +135,12 @@ type ServerConn struct {
 	freeReqBlocks  []*reqBlockState
 	idScratch      []uint16
 
-	// bg is the background worker pool (nil in foreground mode).
-	bg        *bgPool
-	bgScratch []bgResult
-
 	// duplex is the response-direction pipeline (nil unless
 	// Config.HostWorkers > 1): handlers and response builds run on the
-	// pool, the poller reserves slots in receive order and commits them as
-	// builds complete. See duplex.go.
+	// pool, the poller reserves slots as handlers finish (dxReady) and
+	// commits them as builds complete. See duplex.go.
 	duplex     *duplexPool
-	dxSeqNext  uint64
-	dxNextRes  uint64
-	dxReadyQ   map[uint64]*respTask
+	dxReady    []*respTask
 	dxInflight int
 	dxBacklog  []*respTask
 	dxMax      int
@@ -188,7 +182,7 @@ type ServerConn struct {
 }
 
 // newServerConn builds the host endpoint. wakeCQ is the poller's shared
-// receive CQ, which the worker pools ring when they queue a completion.
+// receive CQ, which the duplex workers ring when they queue a completion.
 func newServerConn(cfg Config, qp *rdma.QP, sendCQ, wakeCQ *rdma.CQ, sbuf []byte, rbuf *rdma.MR, h Handler, recvPosts int) (*ServerConn, error) {
 	s := &ServerConn{
 		cfg: cfg, qp: qp, sendCQ: sendCQ, sbuf: sbuf, rbuf: rbuf,
@@ -206,9 +200,6 @@ func newServerConn(cfg Config, qp *rdma.QP, sendCQ, wakeCQ *rdma.CQ, sbuf []byte
 	if cfg.HostWorkers > 1 {
 		s.dxMax = 4 * cfg.HostWorkers
 		s.duplex = newDuplexPool(cfg.HostWorkers, s.dxMax, h, wakeCQ)
-		s.dxReadyQ = make(map[uint64]*respTask)
-	} else if cfg.BackgroundWorkers > 0 {
-		s.bg = newBGPool(cfg.BackgroundWorkers, h, wakeCQ)
 	}
 	if _, err := s.alloc.Alloc(BlockAlign, BlockAlign); err != nil {
 		return nil, err
@@ -297,8 +288,8 @@ type RespReservation struct {
 
 // ReserveResponse claims a response slot for request id with a payload
 // capacity of size bytes. The slot joins the current block in call order
-// (preserving the deterministic ID replay contract); the block transmits
-// only after every reserved slot commits. Poller-only.
+// (any order keeps the ID replay contract, see duplex.go); the block
+// transmits only after every reserved slot commits. Poller-only.
 func (s *ServerConn) ReserveResponse(id uint16, size int) (*RespReservation, error) {
 	if s.broken != nil {
 		return nil, s.broken
@@ -494,14 +485,16 @@ func (s *ServerConn) sealResp(reason flushReason) {
 
 // flushPartial seals the partial current block unless reserved slots are
 // still building — the response-direction analogue of the client's
-// holdPartial batching. With CommitBatch > 1 it applies the coalescing
-// policy instead of sealing every pass: the block waits for CommitBatch
-// responses or its CommitFlushTimeout, whichever comes first.
+// holdPartial batching — or while it could not be sent (liveness rule (b):
+// responses coalesce into the open block instead of each stranding a
+// BlockSize of send arena in its own). With CommitBatch > 1 it applies the
+// coalescing policy instead of sealing every pass: the block waits for
+// CommitBatch responses or its CommitFlushTimeout, whichever comes first.
 func (s *ServerConn) flushPartial() {
 	if s.cur == nil || s.cur.msgs == 0 {
 		return
 	}
-	if s.cur.pending > 0 {
+	if s.cur.pending > 0 || !s.canSend() {
 		return
 	}
 	if s.cfg.CommitBatch > 1 {
@@ -518,9 +511,17 @@ func (s *ServerConn) flushPartial() {
 	s.sealResp(flushExplicit)
 }
 
+// canSend applies liveness rule (a) (Sec. VI-A): a block that acknowledges
+// nothing may not take the last credit. One that acknowledges something
+// returns a credit to the peer, which then owes an acknowledgment of its
+// own, so both sides can never sit at zero credits with acks owed.
+func (s *ServerConn) canSend() bool {
+	return s.credits > 1 || (s.credits == 1 && s.ackReady > 0)
+}
+
 func (s *ServerConn) trySendResponses() {
 	for len(s.sendQ) > 0 {
-		if s.credits == 0 {
+		if !s.canSend() {
 			s.Counters.CreditStalls++
 			return
 		}
@@ -712,17 +713,11 @@ func (s *ServerConn) handleRequestBlock(imm uint32, byteLen uint32) error {
 			}
 		}
 		if s.duplex != nil {
-			// Duplex pipeline: handler AND response build run on the
-			// worker pool; the poller reserves slots in receive order and
-			// commits them as builds complete. Payload lifetime is covered
-			// by ConservativeAcks, as in the background path.
+			// Duplex pipeline (Sec. III-D background execution): handler
+			// AND response build run on the worker pool. The payload view
+			// outlives sibling responses: the block is acknowledged only
+			// once every request in it is answered.
 			s.dxAdmit(ids[i], req)
-		} else if s.bg != nil {
-			// Background execution (Sec. III-D): dispatch to the pool;
-			// the response is appended when a later Progress drains it.
-			// The payload view stays valid because the client recycles
-			// the block only after all its responses (ConservativeAcks).
-			s.bg.submit(ids[i], req)
 		} else {
 			// Foreground execution in the poller thread.
 			if err := s.appendResponse(ids[i], s.handler(req)); err != nil {
@@ -839,7 +834,7 @@ func (sp *ServerPoller) admitPending() {
 
 // reap detaches a broken connection: its receive-WR budget returns to the
 // shared CQ (making room for a redialed replacement), its counters fold
-// into the dead aggregate, its worker pools stop, and later completions
+// into the dead aggregate, its worker pool stops, and later completions
 // for its QP are ignored. Owner-only.
 func (sp *ServerPoller) reap(qpNum uint32, conn *ServerConn) {
 	delete(sp.conns, qpNum)
@@ -848,12 +843,7 @@ func (sp *ServerPoller) reap(qpNum uint32, conn *ServerConn) {
 	sp.mu.Lock()
 	sp.postedWRs -= conn.recvPosts
 	sp.mu.Unlock()
-	if conn.bg != nil {
-		conn.bg.close()
-	}
-	if conn.duplex != nil {
-		conn.duplex.close()
-	}
+	conn.duplex.close()
 }
 
 // NewServerPoller returns a poller whose shared CQ can absorb depth
@@ -942,9 +932,9 @@ func (sp *ServerPoller) Progress() (int, error) {
 			conn.fail(err)
 		}
 	}
-	// Flush all connections: collect completed background responses, seal
-	// partial response blocks, and transmit. Broken connections are reaped
-	// after reporting their sticky error once — the poller and its other
+	// Flush all connections: collect completed duplex work, seal partial
+	// response blocks, and transmit. Broken connections are reaped after
+	// reporting their sticky error once — the poller and its other
 	// connections keep running.
 	for qpNum, conn := range sp.conns {
 		if conn.broken == nil && conn.qp.Dead() {
@@ -955,15 +945,6 @@ func (sp *ServerPoller) Progress() (int, error) {
 			conn.fail(fmt.Errorf("peer QP closed"))
 		}
 		conn.drainSendCQ(sp.cqes)
-		if conn.bg != nil {
-			conn.bgScratch = conn.bg.drain(conn.bgScratch[:0])
-			for _, r := range conn.bgScratch {
-				if err := conn.appendResponse(r.id, r.spec); err != nil {
-					conn.fail(err)
-					break
-				}
-			}
-		}
 		if conn.duplex != nil {
 			conn.dxProgress()
 		}
@@ -979,27 +960,13 @@ func (sp *ServerPoller) Progress() (int, error) {
 	return events, firstErr
 }
 
-// BackgroundPending returns the number of requests currently executing (or
-// queued) on background workers across all connections.
-func (sp *ServerPoller) BackgroundPending() int {
-	n := 0
-	for _, conn := range sp.conns {
-		if conn.bg != nil {
-			n += conn.bg.Pending()
-		}
-	}
-	return n
-}
-
 // ResponsePending returns the number of requests inside the duplex
 // response pipeline (queued, building, or awaiting commit) across all
 // connections.
 func (sp *ServerPoller) ResponsePending() int {
 	n := 0
 	for _, conn := range sp.conns {
-		if conn.duplex != nil {
-			n += conn.dxInflight + len(conn.dxBacklog)
-		}
+		n += conn.dxInflight + len(conn.dxBacklog)
 	}
 	return n
 }
@@ -1038,9 +1005,9 @@ func (sp *ServerPoller) WakeGauges() *WakeGauges { return &sp.wakes }
 
 // Drain runs the poller until every live connection has no buffered or
 // in-flight response work — send queues empty, no open partial block, no
-// background or duplex work pending — or the allowed time expires
-// (ErrDrainTimeout). Broken connections are skipped (their work can never
-// drain; their sticky errors stay observable via Broken). Owner-only.
+// duplex work pending — or the allowed time expires (ErrDrainTimeout).
+// Broken connections are skipped (their work can never drain; their sticky
+// errors stay observable via Broken). Owner-only.
 func (sp *ServerPoller) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -1050,8 +1017,7 @@ func (sp *ServerPoller) Drain(timeout time.Duration) error {
 				continue
 			}
 			if len(conn.sendQ) > 0 || (conn.cur != nil && conn.cur.msgs > 0) ||
-				(conn.bg != nil && conn.bg.Pending() > 0) ||
-				(conn.duplex != nil && (conn.dxInflight > 0 || len(conn.dxBacklog) > 0)) {
+				conn.dxInflight > 0 || len(conn.dxBacklog) > 0 {
 				idle = false
 				break
 			}
@@ -1075,18 +1041,13 @@ func (sp *ServerPoller) Drain(timeout time.Duration) error {
 	}
 }
 
-// Close stops the background and duplex worker pools (if any) and shuts
-// down the shared receive CQ so a poller goroutine blocked in Wait wakes
-// immediately instead of finishing its timeout.
+// Close stops the duplex worker pools (if any) and shuts down the shared
+// receive CQ so a poller goroutine blocked in Wait wakes immediately
+// instead of finishing its timeout.
 func (sp *ServerPoller) Close() {
 	sp.recvCQ.Shutdown()
 	sp.admitPending()
 	for _, conn := range sp.conns {
-		if conn.bg != nil {
-			conn.bg.close()
-		}
-		if conn.duplex != nil {
-			conn.duplex.close()
-		}
+		conn.duplex.close()
 	}
 }

@@ -40,11 +40,6 @@ type StackOptions struct {
 	// always and to responses when OffloadResponseSerialization is on.
 	// 0 (the default) keeps every payload inline. Offloaded stacks only.
 	SGPayloadMin int
-	// BackgroundWorkers > 0 runs host handlers on a worker pool instead of
-	// the poller thread (Sec. III-D background RPCs) — for long-running
-	// handlers that must not stall the datapath. Handlers must then be
-	// safe for concurrent invocation.
-	BackgroundWorkers int
 	// CommitBatch > 1 enables commit/doorbell coalescing on both
 	// directions of every connection: blocks seal after accumulating this
 	// many messages (or CommitFlushTimeout elapses), so one doorbell
@@ -65,10 +60,11 @@ type StackOptions struct {
 	DPUWorkers int
 	// HostWorkers > 1 runs the host-side duplex response pipeline: the
 	// host poller admits requests and that many workers run handlers and
-	// build response objects in parallel into protocol slots reserved in
-	// receive order (the response-direction mirror of DPUWorkers).
-	// Supersedes BackgroundWorkers when set. 0 or 1 keeps the serial
-	// response path. Handlers must be safe for concurrent invocation.
+	// build response objects in parallel into protocol slots reserved as
+	// handlers finish (the response-direction mirror of DPUWorkers, and
+	// Sec. III-D's background RPCs: a slow handler stalls no other call).
+	// 0 or 1 keeps the serial response path. Handlers must be safe for
+	// concurrent invocation.
 	HostWorkers int
 	// Registry, when non-nil, receives per-method RPC series (requests,
 	// errors, request/response bytes, in-flight gauge) recorded at the
@@ -155,7 +151,6 @@ func NewOffloadedStack(schema *Schema, impls map[string]Impl, opts StackOptions)
 		ServerCfg:                    opts.ServerConfig,
 		OffloadResponseSerialization: opts.OffloadResponseSerialization,
 		SGPayloadMin:                 opts.SGPayloadMin,
-		BackgroundWorkers:            opts.BackgroundWorkers,
 		CommitBatch:                  opts.CommitBatch,
 		CommitFlushTimeout:           opts.CommitFlushTimeout,
 		HostPollers:                  opts.HostPollers,
@@ -266,8 +261,9 @@ func (s *Stack) Window() *metrics.RPCWindow { return s.window }
 // the xRPC front end's bounds (request-frame bytes in flight, connections
 // stopped at the frame-byte cap, connections closed idle) and, on offloaded
 // stacks, per-connection protocol-endpoint state (arena occupancy, send-queue
-// and partial-block depth, outstanding requests, credits) refreshed by each
-// DPU poller pass, plus the deployment-wide poller wake-up mix
+// and partial-block depth, outstanding requests, credits, and the liveness
+// signals: credit stalls, ack-only blocks, acknowledgments pending) refreshed
+// by each DPU poller pass, plus the deployment-wide poller wake-up mix
 // (rpcrdma_poller_wakeups_total by reason). The sampler polls them at its own
 // low rate; the datapath only ever writes a handful of atomics.
 func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
@@ -323,6 +319,15 @@ func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 		smp.Register("conn_credits",
 			"Send credits remaining on the connection.", l,
 			func() float64 { return float64(g.Credits.Load()) })
+		smp.Register("conn_credit_stalls_total",
+			"Sends deferred for lack of a credit on the DPU client endpoint.", l,
+			func() float64 { return float64(g.CreditStalls.Load()) })
+		smp.Register("conn_ack_only_blocks_total",
+			"Empty blocks the DPU client sent only to carry acknowledgments.", l,
+			func() float64 { return float64(g.AckOnlyBlocks.Load()) })
+		smp.Register("conn_acks_pending",
+			"Response blocks the DPU client processed but has not yet acknowledged.", l,
+			func() float64 { return float64(g.AcksPending.Load()) })
 	}
 }
 
@@ -415,7 +420,7 @@ func (s *Stack) Close() {
 		// Host pollers drive the duplex response pipeline; let them drain
 		// out before Close tears down the worker pools under them.
 		s.pollers.Wait()
-		s.deployment.Close() // stops background and duplex worker pools
+		s.deployment.Close() // stops the worker pools
 	}
 }
 

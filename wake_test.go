@@ -2,10 +2,12 @@ package dpurpc_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"dpurpc"
+	"dpurpc/internal/metrics"
 )
 
 // heartbeatOptions returns opts with both pollers' idle heartbeat raised to
@@ -120,5 +122,65 @@ func TestIdleStackStaysIdle(t *testing.T) {
 				t.Error("idle for 1s: no heartbeat at all (the reaper and the dead-peer probe never ran)")
 			}
 		})
+	}
+}
+
+// The credit protocol's liveness signals are exported per connection:
+// credit stalls, ack-only blocks and the acknowledgments the DPU client owes
+// the host. With two request credits, concurrent callers run out of credits
+// at once, so the stall series must climb; the other two must be readable.
+func TestCreditGauges(t *testing.T) {
+	schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := dpurpc.StackOptions{HostWorkers: 2}
+	opts.ClientConfig.Credits = 2
+	opts.ClientConfig.CQDepth = 2 * dpurpc.DefaultServerConfig().Credits
+	stack, err := dpurpc.NewOffloadedStack(schema, greeterImpls(t, schema), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	smp := metrics.NewSampler(time.Hour, 4, nil) // sampled by hand
+	stack.RegisterGauges(smp)
+	last := func(name string) float64 {
+		t.Helper()
+		smp.SampleOnce()
+		s := smp.Series()[name+`{conn="0"}`]
+		if len(s) == 0 {
+			t.Fatalf("gauge %s not registered (have %v)", name, smp.SeriesKeys())
+		}
+		return s[len(s)-1].V
+	}
+	req := schema.NewMessage("demo.HelloRequest")
+	req.SetString("name", "c")
+	payload := req.Marshal(nil)
+	call := stack.Handler()
+	deadline := time.Now().Add(5 * time.Second)
+	for last("conn_credit_stalls_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("conn_credit_stalls_total stayed 0 with 2 credits and 8 concurrent callers")
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if status, _ := call("/demo.Greeter/Hello", payload); status != 0 {
+						t.Errorf("status %d", status)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if v := last("conn_ack_only_blocks_total"); v < 0 {
+		t.Errorf("conn_ack_only_blocks_total = %v", v)
+	}
+	if v := last("conn_acks_pending"); v < 0 || v > float64(dpurpc.DefaultServerConfig().Credits) {
+		t.Errorf("conn_acks_pending = %v, want within [0, server credits]", v)
 	}
 }
