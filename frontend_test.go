@@ -110,3 +110,75 @@ func TestHandlerCopiesBeforeRelease(t *testing.T) {
 		stack.Close()
 	}
 }
+
+// A business handler that panics answers that one call INTERNAL; the process,
+// the connection and the next call on it carry on, and the panic is counted.
+func TestHandlerPanicAnswersInternal(t *testing.T) {
+	offloaded := func(opts dpurpc.StackOptions) func(*dpurpc.Schema, map[string]dpurpc.Impl, dpurpc.StackOptions) (*dpurpc.Stack, error) {
+		return func(s *dpurpc.Schema, impls map[string]dpurpc.Impl, _ dpurpc.StackOptions) (*dpurpc.Stack, error) {
+			return dpurpc.NewOffloadedStack(s, impls, opts)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		newStack func(*dpurpc.Schema, map[string]dpurpc.Impl, dpurpc.StackOptions) (*dpurpc.Stack, error)
+	}{
+		{"host_workers_0", offloaded(dpurpc.StackOptions{})},
+		{"host_workers_2", offloaded(dpurpc.StackOptions{HostWorkers: 2})},
+		{"baseline", dpurpc.NewBaselineStack},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			impls := greeterImpls(t, schema)
+			hello := impls["demo.Greeter"]["Hello"]
+			impls["demo.Greeter"]["Hello"] = func(req dpurpc.View) (*dpurpc.Message, uint16) {
+				if string(req.StrName("name")) == "boom" {
+					panic("handler bug")
+				}
+				return hello(req)
+			}
+			stack, err := tc.newStack(schema, impls, dpurpc.StackOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stack.Close()
+			smp := metrics.NewSampler(time.Hour, 4, nil) // sampled by hand
+			stack.RegisterGauges(smp)
+			addr, err := stack.ListenAndServe("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := dpurpc.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			call := func(name string) (uint16, []byte) {
+				t.Helper()
+				req := schema.NewMessage("demo.HelloRequest")
+				req.SetString("name", name)
+				status, resp, err := cl.Raw().Call("/demo.Greeter/Hello", req.Marshal(nil))
+				if err != nil {
+					t.Fatalf("call %q: %v", name, err)
+				}
+				return status, resp
+			}
+			if status, _ := call("boom"); status != xrpc.StatusInternal {
+				t.Fatalf("panicking handler: status %d, want INTERNAL (%d)", status, xrpc.StatusInternal)
+			}
+			status, resp := call("after")
+			out := schema.NewMessage("demo.HelloReply")
+			if status != xrpc.StatusOK || out.Unmarshal(resp) != nil || out.GetString("text") != "hello after" {
+				t.Fatalf("call after the panic: status %d, reply %q", status, out.GetString("text"))
+			}
+			smp.SampleOnce()
+			s := smp.Series()["host_handler_panics_total"]
+			if len(s) == 0 || s[len(s)-1].V != 1 {
+				t.Fatalf("host_handler_panics_total = %v, want 1", s)
+			}
+		})
+	}
+}

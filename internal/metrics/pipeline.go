@@ -9,15 +9,9 @@ type PipelineMetrics struct {
 	// QueueDepth is the number of tasks inside the pipeline (admitted but
 	// not yet committed or failed), sampled by the poller every Progress.
 	QueueDepth *Gauge
-	// Measures / Builds count completed worker stages.
-	Measures *Counter
-	Builds   *Counter
-	// Runs counts worker claims (one channel handoff each); RunTasks
-	// counts the tasks those claims carried. RunTasks/Runs is the average
-	// run length — how well small-request batching amortizes the
-	// per-message channel op.
-	Runs     *Counter
-	RunTasks *Counter
+	// Builds counts fills completed by pipeline workers (small inline
+	// requests are filled on the poller and not counted).
+	Builds *Counter
 	// BusyNS accumulates worker busy time in nanoseconds; divide by
 	// wall-time x workers for utilization (see Utilization).
 	BusyNS *Counter
@@ -36,10 +30,7 @@ func NewPipelineMetrics(r *Registry, labels map[string]string) *PipelineMetrics 
 	if r == nil {
 		return &PipelineMetrics{
 			QueueDepth:      &Gauge{},
-			Measures:        &Counter{},
 			Builds:          &Counter{},
-			Runs:            &Counter{},
-			RunTasks:        &Counter{},
 			BusyNS:          &Counter{},
 			CommitLatencyUS: NewHistogram(DefaultCommitLatencyBounds),
 		}
@@ -47,14 +38,8 @@ func NewPipelineMetrics(r *Registry, labels map[string]string) *PipelineMetrics 
 	return &PipelineMetrics{
 		QueueDepth: r.Gauge("dpu_pipeline_queue_depth",
 			"tasks inside the DPU deserialization pipeline", labels),
-		Measures: r.Counter("dpu_pipeline_measures_total",
-			"measure stages completed by pipeline workers", labels),
 		Builds: r.Counter("dpu_pipeline_builds_total",
 			"build stages completed by pipeline workers", labels),
-		Runs: r.Counter("dpu_pipeline_runs_total",
-			"worker claims (channel handoffs) of task runs", labels),
-		RunTasks: r.Counter("dpu_pipeline_run_tasks_total",
-			"tasks carried by worker claims", labels),
 		BusyNS: r.Counter("dpu_pipeline_worker_busy_ns_total",
 			"cumulative pipeline worker busy time in nanoseconds", labels),
 		CommitLatencyUS: r.Histogram("dpu_pipeline_commit_latency_us",

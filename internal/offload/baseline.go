@@ -14,6 +14,7 @@ import (
 type BaselineStats struct {
 	Requests      uint64
 	Errors        uint64
+	HandlerPanics uint64 // handlers that panicked (answered INTERNAL)
 	WireBytes     uint64
 	ResponseBytes uint64
 	Deser         deser.Stats
@@ -30,6 +31,7 @@ type BaselineServer struct {
 
 	requests  atomic.Uint64
 	errors    atomic.Uint64
+	panics    atomic.Uint64
 	wireBytes atomic.Uint64
 	respBytes atomic.Uint64
 
@@ -56,6 +58,7 @@ func (b *BaselineServer) Stats() BaselineStats {
 	return BaselineStats{
 		Requests:      b.requests.Load(),
 		Errors:        b.errors.Load(),
+		HandlerPanics: b.panics.Load(),
 		WireBytes:     b.wireBytes.Load(),
 		ResponseBytes: b.respBytes.Load(),
 		Deser:         ds,
@@ -100,7 +103,10 @@ func (b *BaselineServer) XRPCHandler() xrpc.ServerHandler {
 		b.requests.Add(1)
 		b.wireBytes.Add(uint64(len(payload)))
 		view := abi.MakeView(&abi.Region{Buf: bump.Bytes(), Base: 0}, root, e.in)
-		resp, status := e.handler(view)
+		resp, status, panicked := e.call(view)
+		if panicked {
+			b.panics.Add(1)
+		}
 		if status != 0 {
 			b.errors.Add(1)
 			return status, nil

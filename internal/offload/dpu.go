@@ -68,15 +68,14 @@ type DPUStats struct {
 
 // Pipeline stages a task moves through when the worker pool is enabled.
 const (
-	stageMeasure   = iota // planned scan (exact size + parse notes) on a worker
-	stageBuild            // plan fill replaying the notes into the reserved slot
+	stageBuild     = iota // plan fill replaying the notes into the reserved slot
 	stageSerialize        // response serialization (or copy-out) on a worker
 )
 
-// callTask carries one xRPC request from its connection goroutine to the
+// callTask carries one scanned xRPC request from where it entered to the
 // connection's poller, and (in pooled mode) between the poller and the
-// build workers. Worker-written fields (need, notes, root, used, err) are
-// synchronized by the workQ/compQ channel handoffs.
+// workers. Worker-written fields (notes, root, used, err) are synchronized
+// by the workQ/compQ channel handoffs.
 type callTask struct {
 	procID  uint16
 	entry   *procEntry
@@ -87,16 +86,13 @@ type callTask struct {
 	tr      *trace.Active // span recorder handle (nil when untraced)
 
 	// Pipeline fields (pooled mode only).
-	seq      uint64 // admission order; reserves replay it exactly
 	stage    uint8
-	next     *callTask // intrusive run link: small tasks claimed together (see queueWork)
 	res      *rpcrdma.Reservation
 	root     uint32
 	used     int
 	segs     int // SG payload segments the scan found (0 = inline message)
 	segBytes int // 8-aligned bytes of the segment area
 	err      error
-	measured bool // need already computed (SubmitLocal path)
 	finished bool // poller-owned: result decided, ignore later signals
 	// onWorker is set from queueWork until the task comes back through compQ
 	// (reclaim): a worker may be reading data, so the task must not finish.
@@ -177,13 +173,15 @@ func (w *wscratch) put(b []byte) {
 
 // DPUConfig tunes one DPU server.
 type DPUConfig struct {
-	// Workers is the number of deserialization worker goroutines. <= 1
-	// selects the serial path: the planned scan runs where the call enters
-	// (connection goroutine or poller) and the poller replays the fill
-	// inline. > 1 enables the reserve → parallel build → commit pipeline:
-	// the poller reserves block slots in admission order, workers fill in
-	// place and in parallel directly into them, and the poller commits
-	// completed slots — it alone still owns QP/CQ progress.
+	// Workers is the number of deserialization worker goroutines. On both
+	// paths the planned scan runs where the call enters (connection
+	// goroutine or poller). <= 1 selects the serial path: the poller replays
+	// the fill inline. > 1 enables the reserve → parallel build → commit
+	// pipeline: the poller reserves block slots in submit order, workers
+	// fill large and scatter-gather requests in place and in parallel
+	// directly into them (small inline ones the poller fills itself), and
+	// the poller commits completed slots — it alone still owns QP/CQ
+	// progress.
 	Workers int
 	// MaxInflight bounds tasks inside the pipeline (admitted but not yet
 	// committed); 0 means 4x Workers.
@@ -219,8 +217,8 @@ type DPUConfig struct {
 	// goroutine and must return a fresh ClientConn wired to a fresh
 	// server-side peer (see offload.NewDeploymentWith, which builds one per
 	// connection from connect.go). Requests in flight on the wire at break
-	// time fail typed (UNAVAILABLE, exactly once); queued and measured
-	// requests ride through and re-reserve on the replacement.
+	// time fail typed (UNAVAILABLE, exactly once); queued requests ride
+	// through and reserve on the replacement.
 	Redial func() (*rpcrdma.ClientConn, error)
 	// ReconnectBudget bounds consecutive failed redial attempts before the
 	// break becomes terminal (the server shuts down and pending requests
@@ -295,22 +293,12 @@ type DPUServer struct {
 	compQ chan *callTask
 	wg    sync.WaitGroup
 
-	// Poller-owned pipeline state.
-	seqNext   uint64
-	nextRes   uint64               // next admission seq to reserve
-	measuredQ map[uint64]*callTask // measured tasks awaiting their reserve turn
-	inflight  int
-
-	// Run accumulation (poller-owned): consecutive small tasks chained
-	// through callTask.next, handed to one worker as a single claim.
-	runHead *callTask
-	runTail *callTask
-	runLen  int
+	// Poller-owned pipeline state: tasks reserved and not yet committed.
+	inflight int
 
 	// onWorkers counts tasks handed to queueWork and not yet returned
-	// through compQ (including run-buffered tasks not yet flushed), so
-	// enterReconnect can quiesce the worker stages before aborting the
-	// connection. Poller-owned.
+	// through compQ, so enterReconnect can quiesce the worker stages before
+	// aborting the connection. Poller-owned.
 	onWorkers int
 
 	// Poller-owned response-pipeline state: serialize tasks in flight on
@@ -411,7 +399,6 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 		// poller/worker send ever blocks.
 		d.workQ = make(chan *callTask, 2*d.cfg.MaxInflight)
 		d.compQ = make(chan *callTask, 2*d.cfg.MaxInflight)
-		d.measuredQ = make(map[uint64]*callTask)
 		// Block boundaries must match the serial path while builds lag
 		// reserves: the poller flushes partial blocks itself once the
 		// pipeline drains.
@@ -440,19 +427,12 @@ func (d *DPUServer) Workers() int {
 func (d *DPUServer) pooled() bool { return d.workQ != nil }
 
 // wake ends the poller's blocking wait after a producer has queued work for
-// it on d.submit — the one wake source the poller sleeps on, next to the
-// completion queue. A kick that races a redial may land on the dead
-// connection; nothing is lost, because adopt runs on the poller, which drains
-// the queue on its next pass before it can sleep on the replacement. Safe
-// from any goroutine; never blocks.
-//
-// Rung on the serial path and by Close only. The pooled pipeline's hand-offs
-// (submit, and the workers' compQ pushes) are still picked up on the poller's
-// heartbeat, as before: ringing there takes its loaded throughput from
-// timer-paced to work-bound (~28x on the ledger's small_pooled, with the
-// window-to-window noise of a saturated 2-core box), which the ledger's
-// spread gate, sized from the timer-paced rate, cannot resolve. It is the
-// next issue (ROADMAP item 2), not an oversight.
+// it somewhere other than the completion queue: a connection goroutine after
+// d.submit, a pipeline worker after d.compQ, and Close after stopCh. A kick
+// that races a redial may land on the dead connection; nothing is lost,
+// because adopt runs on the poller, which drains both queues on its next pass
+// before it can sleep on the replacement. Safe from any goroutine; never
+// blocks.
 func (d *DPUServer) wake() { d.clientRef.Load().Wake() }
 
 // cacheable reports whether the entry is opted into the response cache and
@@ -552,48 +532,42 @@ func (d *DPUServer) foldStats(dd *deser.Deserializer) {
 	dd.Stats.Reset()
 }
 
-// worker is one pipeline build core: it measures payloads and deserializes
-// them in place into reserved block slots, never touching protocol state.
-// Each claim off workQ may be a run of tasks chained through next (see
-// queueWork); the whole run is processed and returned in one compQ handoff.
-// wid (1..N) is its lane in trace output.
+// worker is one pipeline core: it deserializes large requests in place into
+// reserved block slots and serializes (or copies out) responses, never
+// touching protocol state. Each finished task goes back through compQ and
+// rings the poller. wid (1..N) is its lane in trace output.
 func (d *DPUServer) worker(wid int) {
 	defer d.wg.Done()
 	dd := deser.New(d.dopts)
 	ws := newWScratch()
-	for head := range d.workQ {
-		for task := head; task != nil; task = task.next {
-			d.workTask(dd, ws, task, wid)
-		}
-		d.compQ <- head
+	for task := range d.workQ {
+		d.workTask(dd, ws, task, wid)
+		d.compQ <- task
+		d.wake()
 	}
+}
+
+// fill runs a reserved task's build stage: it replays the parse notes into
+// the task's block slot and records the root and the bytes used (or the
+// error) for the commit.
+func (d *DPUServer) fill(dd *deser.Deserializer, task *callTask) {
+	rootAbs, used, err := d.buildInto(dd, task, task.res.Dst, task.res.RegionOff)
+	task.notes.Release()
+	task.notes = nil
+	if err != nil {
+		task.err = err
+		return
+	}
+	task.root = uint32(rootAbs - task.res.RegionOff)
+	task.used = used
 }
 
 // workTask runs one task's current stage on a worker goroutine.
 func (d *DPUServer) workTask(dd *deser.Deserializer, ws *wscratch, task *callTask, wid int) {
 	start := time.Now()
 	switch task.stage {
-	case stageMeasure:
-		task.notes, task.err = dd.Scan(task.entry.plan, task.data)
-		if task.err == nil {
-			task.need = task.notes.Need()
-			task.segs = task.notes.SegCount()
-			task.segBytes = task.notes.SegBytes()
-		}
-		d.foldStats(dd)
-		if m := d.cfg.Pipeline; m != nil {
-			m.Measures.Inc()
-		}
 	case stageBuild:
-		rootAbs, used, err := d.buildInto(dd, task, task.res.Dst, task.res.RegionOff)
-		task.notes.Release()
-		task.notes = nil
-		if err != nil {
-			task.err = err
-		} else {
-			task.root = uint32(rootAbs - task.res.RegionOff)
-			task.used = used
-		}
+		d.fill(dd, task)
 		d.foldStats(dd)
 		if m := d.cfg.Pipeline; m != nil {
 			m.Builds.Inc()
@@ -625,13 +599,8 @@ func (d *DPUServer) workTask(dd *deser.Deserializer, ws *wscratch, task *callTas
 		}
 	}
 	if task.tr != nil {
-		var stage string
-		switch task.stage {
-		case stageMeasure:
-			stage = trace.StageMeasure
-		case stageBuild:
-			stage = trace.StageBuild
-		case stageSerialize:
+		stage := trace.StageBuild
+		if task.stage == stageSerialize {
 			stage = trace.StageRespSerialize
 		}
 		task.tr.Span(stage, trace.ProcDPU, wid, start.UnixNano(), time.Now().UnixNano())
@@ -726,37 +695,26 @@ func (d *DPUServer) handleCall(method string, payload []byte) (uint16, []byte, f
 	if resp, status, ok := d.cacheProbe(id, e, payload, tr, admit); ok {
 		return status, resp, nil
 	}
-	task := &callTask{procID: id, entry: e, data: payload, tr: tr, admit: admit}
-	// From the configuration, not pooled(): that reads workQ, which the
-	// poller clears at shutdown while connection goroutines are still here.
-	pooled := d.cfg.Workers > 1
-	if pooled {
-		// The planned scan runs on a pipeline worker; a failure surfaces as
-		// StatusInvalidArgument below, exactly like the inline path.
-	} else {
-		// Serial path: scan here on the connection goroutine (the poller
-		// owns d.d), so the poller's Build only replays the notes. The scan
-		// sizes exactly, making the tail-commit shrink a no-op.
-		var mT0 int64
-		if task.tr != nil {
-			mT0 = trace.Now()
-		}
-		sd := d.scanPool.Get().(*deser.Deserializer)
-		notes, err := sd.Scan(e.plan, payload)
-		d.foldStats(sd)
-		d.scanPool.Put(sd)
-		if err != nil {
-			d.errors.Add(1)
-			d.cfg.Tracer.Finish(task.tr, true)
-			return xrpc.StatusInvalidArgument, nil, nil
-		}
-		task.tr.Span(trace.StageMeasure, trace.ProcDPU, 0, mT0, trace.Now())
-		task.need = notes.Need()
-		task.segs = notes.SegCount()
-		task.segBytes = notes.SegBytes()
-		task.notes = notes
-		task.measured = true
+	// Scan here on the connection goroutine (the poller owns d.d), so the
+	// poller — or a pipeline worker — only replays the notes. The scan sizes
+	// exactly, which the pipeline's interior commits require and which makes
+	// the serial path's tail-commit shrink a no-op.
+	var mT0 int64
+	if tr != nil {
+		mT0 = trace.Now()
 	}
+	sd := d.scanPool.Get().(*deser.Deserializer)
+	notes, err := sd.Scan(e.plan, payload)
+	d.foldStats(sd)
+	d.scanPool.Put(sd)
+	if err != nil {
+		d.errors.Add(1)
+		d.cfg.Tracer.Finish(tr, true)
+		return xrpc.StatusInvalidArgument, nil, nil
+	}
+	tr.Span(trace.StageMeasure, trace.ProcDPU, 0, mT0, trace.Now())
+	task := &callTask{procID: id, entry: e, data: payload, tr: tr, admit: admit,
+		need: notes.Need(), segs: notes.SegCount(), segBytes: notes.SegBytes(), notes: notes}
 	if d.closed.Load() {
 		task.notes.Release()
 		task.notes = nil
@@ -766,9 +724,7 @@ func (d *DPUServer) handleCall(method string, payload []byte) (uint16, []byte, f
 	done := make(chan callResult, 1)
 	task.deliver = func(r callResult) { done <- r }
 	d.submit <- task
-	if !pooled {
-		d.wake() // the pooled pipeline stays heartbeat-paced: see wake
-	}
+	d.wake()
 	// Close the shutdown race: if the poller exited between the closed
 	// check above and the send, its final drain may have run before our
 	// task landed in the channel. Once closed is visible, submitters
@@ -839,7 +795,6 @@ func (d *DPUServer) SubmitLocal(fullMethod string, payload []byte, cb func(statu
 		segBytes: notes.SegBytes(),
 		notes:    notes,
 		data:     payload,
-		measured: true,
 		tr:       tr,
 		admit:    admit,
 		deliver: func(r callResult) {
@@ -893,11 +848,9 @@ func (d *DPUServer) finish(task *callTask, r callResult) {
 	task.deliver(r)
 }
 
-// reclaim takes a task back from the worker pool: it came through compQ, or
-// sat in a dispatch run that was never flushed. Only now may it finish.
-// Poller-owned.
+// reclaim takes a task back from the worker pool after it came through
+// compQ. Only now may it finish. Poller-owned.
 func (d *DPUServer) reclaim(task *callTask) {
-	task.next = nil
 	d.onWorkers--
 	task.onWorker = false
 }
@@ -980,54 +933,11 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 	})
 }
 
-// maxRunLen caps a small-task run so claims still spread across workers.
-const maxRunLen = 8
-
-// queueWork hands one task to the worker pool. Small requests (payloads at
-// or under deser.SmallFastPathMax) are not sent immediately: consecutive
-// ones are chained through next and claimed by one worker in a single
-// channel op — the dispatch-side analogue of commit coalescing, amortizing
-// the per-message handoff that dominates small-message cost. Large and
-// serialize-stage tasks flush the pending run (preserving dispatch order)
-// and travel alone. The poller flushes the run each Progress pass
-// (flushRun), so batching never adds more than one pass of latency.
-// Poller-owned.
+// queueWork hands one task to the worker pool. Poller-owned.
 func (d *DPUServer) queueWork(task *callTask) {
 	d.onWorkers++
 	task.onWorker = true
-	if task.stage == stageSerialize || len(task.data) > deser.SmallFastPathMax {
-		d.flushRun()
-		if m := d.cfg.Pipeline; m != nil && task.stage != stageSerialize {
-			m.Runs.Inc()
-			m.RunTasks.Add(1)
-		}
-		d.workQ <- task
-		return
-	}
-	if d.runHead == nil {
-		d.runHead, d.runTail = task, task
-	} else {
-		d.runTail.next = task
-		d.runTail = task
-	}
-	d.runLen++
-	if d.runLen >= maxRunLen {
-		d.flushRun()
-	}
-}
-
-// flushRun sends the accumulated small-task run as one worker claim.
-// Poller-owned.
-func (d *DPUServer) flushRun() {
-	if d.runHead == nil {
-		return
-	}
-	if m := d.cfg.Pipeline; m != nil {
-		m.Runs.Inc()
-		m.RunTasks.Add(uint64(d.runLen))
-	}
-	d.workQ <- d.runHead
-	d.runHead, d.runTail, d.runLen = nil, nil, 0
+	d.workQ <- task
 }
 
 // dispatchResp enters one response into the serialization pipeline,
@@ -1135,42 +1045,29 @@ func (d *DPUServer) Progress() (int, error) {
 }
 
 // progressPooled is the pipelined Progress: collect worker completions,
-// replay reserves in admission order, commit finished builds, admit new
-// work, and advance the protocol loop — all protocol interaction stays on
-// this (poller) goroutine.
+// reserve submitted tasks in submit order (filling small ones inline), flush
+// a drained pipeline, and advance the protocol loop — all protocol
+// interaction stays on this (poller) goroutine.
 func (d *DPUServer) progressPooled() (int, error) {
 	drained := d.collectCompletions()
-	d.reserveReady()
 	d.admit()
 	d.admitResponses()
-	d.reserveReady()
-	d.flushRun()
+	if err := d.flushDrained(); err != nil {
+		return 0, err
+	}
 	n, err := d.progressClient()
 	if err != nil {
 		return n, err
 	}
 	drained += d.collectCompletions()
 	d.admitResponses()
-	d.reserveReady()
-	d.flushRun()
+	d.admit()
 	if drained == 0 && d.inflight+d.respInflight > 0 {
 		// Busy-poll cooperation: every outstanding task is on a worker
 		// goroutine and nothing completed this pass, so yield the poller's
 		// core — otherwise a spinning poller starves the very workers it
 		// is waiting on when GOMAXPROCS is small.
 		runtime.Gosched()
-	}
-	if d.inflight == 0 && len(d.retry) == 0 && !d.reconBroken {
-		// Pipeline drained: flush the partial block the event loop held
-		// back (holdPartial) while builds were in flight.
-		if ferr := d.client.Flush(); ferr != nil {
-			if d.reconnectEnabled() {
-				d.enterReconnect(ferr)
-				return n, nil
-			}
-			d.failAll(ferr)
-			return n, ferr
-		}
 	}
 	if m := d.cfg.Pipeline; m != nil {
 		m.QueueDepth.Set(float64(d.inflight))
@@ -1181,35 +1078,45 @@ func (d *DPUServer) progressPooled() (int, error) {
 	return n, err
 }
 
-// collectCompletions drains the worker completion queue: measured tasks
-// join the reserve reorder buffer; built tasks are committed (or cancelled
-// on failure). Each claim may carry a run of tasks chained through next;
-// every task in the chain completes individually. Never blocks.
+// flushDrained flushes the partial block the event loop holds back
+// (holdPartial) while builds are in flight, once none are. It runs before
+// progressClient, which may sleep: a commit made inline this pass must be on
+// the wire by then, or it waits out the heartbeat. Poller-owned.
+func (d *DPUServer) flushDrained() error {
+	if d.inflight > 0 || d.reconBroken {
+		return nil
+	}
+	err := d.client.Flush()
+	if err == nil {
+		return nil
+	}
+	if d.reconnectEnabled() {
+		d.enterReconnect(err)
+		return nil
+	}
+	d.failAll(err)
+	return err
+}
+
+// collectCompletions drains the worker completion queue: built tasks are
+// committed (or cancelled on failure), serialized responses delivered.
+// Never blocks.
 func (d *DPUServer) collectCompletions() (drained int) {
 	for {
 		select {
-		case head := <-d.compQ:
-			for task := head; task != nil; {
-				next := task.next
-				d.reclaim(task)
-				drained++
-				d.completeTask(task)
-				task = next
-			}
+		case task := <-d.compQ:
+			d.reclaim(task)
+			drained++
+			d.completeTask(task)
 		default:
 			return
 		}
 	}
 }
 
-// completeTask applies one worker-completed task to poller state.
+// completeTask applies one completed task to poller state.
 func (d *DPUServer) completeTask(task *callTask) {
 	switch task.stage {
-	case stageMeasure:
-		// Keep failed measures in the reorder buffer too: their
-		// admission slot must pass through nextRes so later
-		// reserves replay admission order exactly.
-		d.measuredQ[task.seq] = task
 	case stageBuild:
 		d.inflight--
 		if task.epoch != d.epoch {
@@ -1266,72 +1173,30 @@ func (d *DPUServer) completeTask(task *callTask) {
 	}
 }
 
-// reserveReady reserves block slots for measured tasks in admission order
-// and dispatches their build stage. Out-of-memory pauses the replay (the
-// protocol loop will free space); any other reserve error fails the task.
-func (d *DPUServer) reserveReady() {
-	for !d.reconBroken {
-		task, ok := d.measuredQ[d.nextRes]
-		if !ok {
-			return
-		}
-		if task.err != nil {
-			// Measure failed on the worker: reject exactly like the inline
-			// path (StatusInvalidArgument), consuming the admission slot.
-			delete(d.measuredQ, d.nextRes)
-			d.nextRes++
-			d.inflight--
-			d.finish(task, callResult{status: xrpc.StatusInvalidArgument, err: true})
-			continue
-		}
-		var rT0 int64
-		if task.tr != nil {
-			rT0 = trace.Now()
-		}
-		res, err := d.client.Reserve(task.procID, sgSlotSize(task.need, task.segs, task.segBytes),
-			func(resp rpcrdma.Response) { d.respond(task, resp) })
-		if err != nil {
-			if errors.Is(err, arena.ErrOutOfMemory) {
+// admit reserves block slots for submitted tasks in submit order — tasks
+// queued on d.retry first, then the submit channel — while the pipeline has
+// room. Out-of-memory leaves the task at the head of d.retry (the protocol
+// loop will free space), exactly as on the serial path; any other reserve
+// error fails the task.
+func (d *DPUServer) admit() {
+	for !d.reconBroken && d.inflight < d.cfg.MaxInflight {
+		if len(d.retry) > 0 {
+			if !d.reserve(d.retry[0]) {
 				return
 			}
-			delete(d.measuredQ, d.nextRes)
-			d.nextRes++
-			d.inflight--
-			d.failTask(task, err)
+			d.retry = d.retry[0:copy(d.retry, d.retry[1:])]
 			continue
 		}
-		task.tr.Span(trace.StageReserve, trace.ProcDPU, 0, rT0, trace.Now())
-		d.client.AttachTrace(res, task.tr)
-		if task.segs > 0 {
-			res.SG, res.SGSegs, res.SGBytes = true, task.segs, task.segBytes
-		}
-		delete(d.measuredQ, d.nextRes)
-		d.nextRes++
-		task.res = res
-		task.epoch = d.epoch
-		task.stage = stageBuild
-		task.reserved = time.Now().UnixNano()
-		d.queueWork(task)
-	}
-}
-
-// admit moves submitted tasks into the pipeline while capacity allows,
-// assigning admission sequence numbers — the order reserves (and therefore
-// block layout and request IDs) will replay.
-func (d *DPUServer) admit() {
-	for d.inflight < d.cfg.MaxInflight && len(d.retry) > 0 {
-		task := d.retry[0]
-		d.retry = d.retry[0:copy(d.retry, d.retry[1:])]
-		d.admitTask(task)
-	}
-	for d.inflight < d.cfg.MaxInflight {
 		select {
 		case task := <-d.submit:
 			if d.overAdmission() {
 				d.shedTask(task)
 				continue
 			}
-			d.admitTask(task)
+			if !d.reserve(task) {
+				d.retry = append(d.retry, task)
+				return
+			}
 		default:
 			return
 		}
@@ -1348,16 +1213,47 @@ func (d *DPUServer) admit() {
 	}
 }
 
-func (d *DPUServer) admitTask(task *callTask) {
-	task.seq = d.seqNext
-	d.seqNext++
-	d.inflight++
-	if task.measured {
-		d.measuredQ[task.seq] = task
-		return
+// reserve reserves one task's block slot and runs its build stage: a small
+// inline request (at most deser.SmallFastPathMax wire bytes, no SG segments)
+// is filled and committed right here, anything larger goes to a worker. It
+// returns false, leaving the task untouched, when the send arena is out of
+// memory. Poller-owned.
+func (d *DPUServer) reserve(task *callTask) bool {
+	var rT0 int64
+	if task.tr != nil {
+		rT0 = trace.Now()
 	}
-	task.stage = stageMeasure
-	d.queueWork(task)
+	res, err := d.client.Reserve(task.procID, sgSlotSize(task.need, task.segs, task.segBytes),
+		func(resp rpcrdma.Response) { d.respond(task, resp) })
+	if err != nil {
+		if errors.Is(err, arena.ErrOutOfMemory) {
+			return false
+		}
+		d.failTask(task, err)
+		return true
+	}
+	task.tr.Span(trace.StageReserve, trace.ProcDPU, 0, rT0, trace.Now())
+	d.client.AttachTrace(res, task.tr)
+	if task.segs > 0 {
+		res.SG, res.SGSegs, res.SGBytes = true, task.segs, task.segBytes
+	}
+	d.inflight++
+	task.res = res
+	task.epoch = d.epoch
+	task.stage = stageBuild
+	task.reserved = time.Now().UnixNano()
+	if task.segs > 0 || len(task.data) > deser.SmallFastPathMax {
+		d.queueWork(task)
+		return true
+	}
+	var bT0 int64
+	if task.tr != nil {
+		bT0 = trace.Now()
+	}
+	d.fill(d.d, task)
+	task.tr.Span(trace.StageBuild, trace.ProcDPU, 0, bT0, trace.Now())
+	d.completeTask(task)
+	return true
 }
 
 func (d *DPUServer) progressClient() (int, error) {
@@ -1389,22 +1285,17 @@ func (d *DPUServer) reconnectEnabled() bool {
 // already-broken connection — so the Abort below never races a worker over
 // task state. Abort then fails every request bound to the dead connection
 // exactly once through its registered continuation (UNAVAILABLE); queued
-// (retry) and measured (measuredQ) requests are untouched and re-reserve on
-// the replacement after adopt. Poller-owned.
+// requests (d.retry and the submit channel) are untouched and reserve on the
+// replacement after adopt. Poller-owned.
 func (d *DPUServer) enterReconnect(err error) {
 	if d.reconBroken {
 		return
 	}
 	if d.pooled() {
-		d.flushRun()
 		for d.onWorkers > 0 {
-			head := <-d.compQ
-			for task := head; task != nil; {
-				next := task.next
-				d.reclaim(task)
-				d.completeTask(task)
-				task = next
-			}
+			task := <-d.compQ
+			d.reclaim(task)
+			d.completeTask(task)
 		}
 	}
 	d.reconBroken = true
@@ -1450,8 +1341,8 @@ func (d *DPUServer) tryReconnect() error {
 // recorder's remaining dump budget carries so the per-server dump cap spans
 // reconnects. The epoch advances so completions still holding the dead
 // connection's resources (reservations, response holds) are never applied
-// to the replacement. Queued and measured requests re-reserve through the
-// normal admission path — the fresh connection pairs a fresh ID pool with
+// to the replacement. Queued requests reserve through the normal admission
+// path — the fresh connection pairs a fresh ID pool with
 // its fresh server-side peer, so the deterministic request-ID replay stays
 // aligned. Poller-owned.
 func (d *DPUServer) adopt(nc *rpcrdma.ClientConn) {
@@ -1576,58 +1467,28 @@ func (d *DPUServer) stopPool(err error) {
 	if d.workQ == nil {
 		return
 	}
-	// Fail tasks stranded in an unflushed dispatch run first (they were
-	// never handed to a worker).
-	for task := d.runHead; task != nil; {
-		next := task.next
-		d.reclaim(task)
-		switch task.stage {
-		case stageSerialize:
-			d.respInflight--
-			d.releaseHold(task)
-		case stageBuild:
-			d.inflight--
-			if task.epoch == d.epoch {
-				d.client.Cancel(task.res)
-			}
-		default:
-			d.inflight--
-		}
-		d.failTask(task, err)
-		task = next
-	}
-	d.runHead, d.runTail, d.runLen = nil, nil, 0
 	close(d.workQ)
 	d.wg.Wait()
 	d.workQ = nil
 	for {
 		select {
-		case head := <-d.compQ:
-			for task := head; task != nil; {
-				next := task.next
-				d.reclaim(task)
-				switch task.stage {
-				case stageBuild:
-					d.inflight--
-				case stageSerialize:
-					d.respInflight--
-					d.releaseHold(task)
-					if task.outRelease != nil {
-						// Recycle the worker's scratch before failing the task.
-						task.outRelease()
-						task.outRelease = nil
-						task.out = nil
-					}
-				}
-				d.failTask(task, err)
-				task = next
-			}
-		default:
-			for seq, task := range d.measuredQ {
-				delete(d.measuredQ, seq)
+		case task := <-d.compQ:
+			d.reclaim(task)
+			switch task.stage {
+			case stageBuild:
 				d.inflight--
-				d.failTask(task, err)
+			case stageSerialize:
+				d.respInflight--
+				d.releaseHold(task)
+				if task.outRelease != nil {
+					// Recycle the worker's scratch before failing the task.
+					task.outRelease()
+					task.outRelease = nil
+					task.out = nil
+				}
 			}
+			d.failTask(task, err)
+		default:
 			return
 		}
 	}

@@ -17,7 +17,8 @@ type HostStats struct {
 	Requests       uint64 // handler invocations
 	ResponseBytes  uint64 // serialized response bytes produced on the host
 	ResponseMsgs   uint64 // non-empty responses serialized
-	HandlerErrors  uint64
+	HandlerErrors  uint64 // non-OK handler statuses, panics included
+	HandlerPanics  uint64 // handlers that panicked (answered INTERNAL)
 	UnknownMethods uint64
 }
 
@@ -56,6 +57,7 @@ type HostServer struct {
 	responseBytes  atomic.Uint64
 	responseMsgs   atomic.Uint64
 	handlerErrors  atomic.Uint64
+	handlerPanics  atomic.Uint64
 	unknownMethods atomic.Uint64
 }
 
@@ -121,6 +123,7 @@ func (h *HostServer) Stats() HostStats {
 		ResponseBytes:  h.responseBytes.Load(),
 		ResponseMsgs:   h.responseMsgs.Load(),
 		HandlerErrors:  h.handlerErrors.Load(),
+		HandlerPanics:  h.handlerPanics.Load(),
 		UnknownMethods: h.unknownMethods.Load(),
 	}
 }
@@ -169,7 +172,10 @@ func (h *HostServer) dispatch(req rpcrdma.Request) rpcrdma.ResponseSpec {
 		h.handlerErrors.Add(1)
 		return rpcrdma.ResponseSpec{Status: uint16(StatusInvalidArgument), Err: true}
 	}
-	resp, status := e.handler(view)
+	resp, status, panicked := e.call(view)
+	if panicked {
+		h.handlerPanics.Add(1)
+	}
 	if status != 0 {
 		h.handlerErrors.Add(1)
 		return rpcrdma.ResponseSpec{Status: status, Err: true}

@@ -96,6 +96,19 @@ func buildProcTable(table *adt.Table, impls map[string]Impl, needHandlers bool) 
 	return pt, nil
 }
 
+// call runs the method's business handler. A handler that panics answers
+// StatusInternal instead of taking the process — and every other connection
+// — down with it; panicked reports that it did.
+func (e *procEntry) call(view abi.View) (resp *protomsg.Message, status uint16, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			resp, status, panicked = nil, StatusInternal, true
+		}
+	}()
+	resp, status = e.handler(view)
+	return resp, status, false
+}
+
 func (pt *procTable) byID(id uint16) *procEntry {
 	if int(id) >= len(pt.entries) {
 		return nil

@@ -194,6 +194,11 @@ type Client struct {
 	latRing  [hedgeLatencyWindow]int64
 	latCount uint64
 
+	// rbuf is the reader goroutine's response buffer, reused across frames.
+	// It grows to the largest response up to the largest pooled frame class;
+	// a bigger response is read into a buffer of its own and not kept.
+	rbuf []byte
+
 	readerDone chan struct{}
 }
 
@@ -225,15 +230,18 @@ func NewClient(conn net.Conn) (*Client, error) {
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	br := bufio.NewReaderSize(c.conn, ioBufSize)
-	var buf []byte
 	for {
 		ftype, streamID, n, err := readFrameHeader(br)
 		if err == nil && (ftype != frameResponse || n < 2) {
 			err = ErrCorrupt
 		}
+		buf := c.rbuf
 		if err == nil {
 			if cap(buf) < n {
 				buf = make([]byte, n)
+				if n <= 1<<maxFrameBits {
+					c.rbuf = buf
+				}
 			}
 			_, err = io.ReadFull(br, buf[:n])
 		}

@@ -94,6 +94,28 @@ func TestLargePayload(t *testing.T) {
 	}
 }
 
+// The client's read buffer is reused for responses up to the largest pooled
+// frame class and never grows past it: one 4 MiB response must not pin
+// 4 MiB for the rest of the connection's life.
+func TestClientReadBufferBounded(t *testing.T) {
+	_, addr := startServer(t, echo)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{100 << 10, 4 << 20, 10, 1000} {
+		payload := bytes.Repeat([]byte{byte(n)}, n)
+		status, resp, err := c.Call("/t.S/Echo", payload)
+		if err != nil || status != StatusOK || !bytes.Equal(resp, payload) {
+			t.Fatalf("%d-byte echo: status %d, %d bytes back, err %v", n, status, len(resp), err)
+		}
+	}
+	c.Close() // the reader goroutine has exited: rbuf is safe to read
+	if got := cap(c.rbuf); got > 1<<maxFrameBits || got < 100<<10 {
+		t.Fatalf("read buffer capacity %d after a 4 MiB response, want the 100 KiB one kept and at most %d", got, 1<<maxFrameBits)
+	}
+}
+
 func TestStatusCodesPropagate(t *testing.T) {
 	_, addr := startServer(t, func(method string, payload []byte) (uint16, []byte) {
 		return StatusNotFound, []byte("missing")

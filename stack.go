@@ -130,6 +130,10 @@ type Stack struct {
 	serving bool
 	closed  bool
 
+	// handlerPanics counts business handlers that panicked (and answered
+	// INTERNAL), on whichever side runs them.
+	handlerPanics func() uint64
+
 	// Offloaded-only internals (nil for the baseline).
 	deployment *offload.Deployment
 	schema     *Schema // method-name resolution for InvalidateMethod
@@ -179,7 +183,8 @@ func NewOffloadedStack(schema *Schema, impls map[string]Impl, opts StackOptions)
 	if d.Cache != nil && opts.Registry != nil {
 		d.Cache.EnableMetrics(opts.Registry, offload.MethodNames(schema.Table))
 	}
-	st := &Stack{deployment: d, schema: schema, registry: opts.Registry, tracer: opts.Tracer, window: opts.Window}
+	st := &Stack{deployment: d, schema: schema, registry: opts.Registry, tracer: opts.Tracer, window: opts.Window,
+		handlerPanics: func() uint64 { return d.Host.Stats().HandlerPanics }}
 	// One poller goroutine per DPU connection plus one host server poller.
 	for _, dpuSrv := range d.DPUs {
 		stop := make(chan struct{})
@@ -229,7 +234,8 @@ func NewBaselineStack(schema *Schema, impls map[string]Impl, opts StackOptions) 
 	if err != nil {
 		return nil, err
 	}
-	st := &Stack{handler: base.XRPCHandler().Releasing(), registry: opts.Registry, window: opts.Window}
+	st := &Stack{handler: base.XRPCHandler().Releasing(), registry: opts.Registry, window: opts.Window,
+		handlerPanics: func() uint64 { return base.Stats().HandlerPanics }}
 	st.instrument()
 	return st, nil
 }
@@ -259,7 +265,8 @@ func (s *Stack) Window() *metrics.RPCWindow { return s.window }
 
 // RegisterGauges registers this stack's live resource sources on a sampler:
 // the xRPC front end's bounds (request-frame bytes in flight, connections
-// stopped at the frame-byte cap, connections closed idle) and, on offloaded
+// stopped at the frame-byte cap, connections closed idle), the business
+// handlers that panicked and answered INTERNAL, and, on offloaded
 // stacks, per-connection protocol-endpoint state (arena occupancy, send-queue
 // and partial-block depth, outstanding requests, credits, and the liveness
 // signals: credit stalls, ack-only blocks, acknowledgments pending) refreshed
@@ -279,6 +286,9 @@ func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 	smp.Register("rpc_conn_idle_closed_total",
 		"xRPC connections closed by the idle read deadline.", nil,
 		func() float64 { return float64(s.srv.Stats().IdleClosed) })
+	smp.Register("host_handler_panics_total",
+		"Business handlers that panicked; each call answered INTERNAL.", nil,
+		func() float64 { return float64(s.handlerPanics()) })
 	if s.deployment == nil {
 		return
 	}
