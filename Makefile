@@ -11,13 +11,14 @@ build:
 # The second pass repeats the host duplex pool's liveness tests (slow and
 # sleeping handlers at 16 credits, out-of-order completion) on one CPU, where
 # a credit-protocol deadlock shows up as a "stalled" failure. The third
-# repeats the pooled DPU pipeline's heartbeat-independence cases on one CPU,
-# where a lost poller kick shows up as a stall.
+# repeats the DPU poller's heartbeat-independence cases on one CPU (every
+# DPU case, with or without workers, runs the same poller loop), where a
+# lost poller kick shows up as a stall.
 test: fmt-check
 	go vet ./...
 	go test ./...
 	GOMAXPROCS=1 go test -count=20 -run 'Duplex|Background|PollerClose' ./internal/rpcrdma
-	GOMAXPROCS=1 go test -count=20 -run 'TestLivenessDoesNotDependOnHeartbeat/dpu_workers' .
+	GOMAXPROCS=1 go test -count=20 -run 'TestLivenessDoesNotDependOnHeartbeat/(serial|dpu_workers)' .
 	@echo "advisory: quick benchmark comparison against the checked-in snapshots"
 	@$(MAKE) --no-print-directory bench-check BENCHTIME=20000x \
 		|| echo "bench-check: regressions above are ADVISORY here; run 'make bench-check' for a full-length pass"

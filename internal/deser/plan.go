@@ -15,7 +15,7 @@
 //	        re-validation; a packed varint run is one copy out of the
 //	        element stream.
 //
-// Decoding stays in Scan on purpose: on the serial DPU path Scan runs on the
+// Decoding stays in Scan on purpose: on the DPU Scan runs on the
 // xRPC handler goroutines, in parallel across requests, while Fill runs on
 // the connection's single poller.
 //

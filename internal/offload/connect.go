@@ -152,14 +152,12 @@ type DeployConfig struct {
 	// thread (Sec. III-D's background RPCs), with slots reserved as
 	// handlers finish and committed as builds complete.
 	HostWorkers int
-	// DPUWorkers > 1 enables the multi-core deserialization pipeline on
-	// every DPU server: the poller reserves block slots, a pool of this
-	// many workers deserializes in parallel directly into them, and the
-	// poller commits in admission order. <= 1 keeps the serial datapath.
+	// DPUWorkers > 1 gives every DPU server a pool of this many workers:
+	// the poller reserves block slots, the workers deserialize large and
+	// scatter-gather requests in parallel directly into them, and the
+	// poller commits in admission order. <= 1 runs the same poller loop
+	// with no workers (see DPUConfig.Workers).
 	DPUWorkers int
-	// DPUMaxInflight bounds tasks inside each DPU pipeline (0 = 4x
-	// DPUWorkers).
-	DPUMaxInflight int
 	// DPUPipeline, when non-nil, instruments every DPU pipeline (the
 	// counters are shared across connections; all are atomic).
 	DPUPipeline *metrics.PipelineMetrics
@@ -341,7 +339,6 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 		}
 		dpu, err := NewDPUServerWith(dpuTable, client, DPUConfig{
 			Workers:             cfg.DPUWorkers,
-			MaxInflight:         cfg.DPUMaxInflight,
 			Pipeline:            cfg.DPUPipeline,
 			RespPipeline:        cfg.DPURespPipeline,
 			Tracer:              cfg.Tracer,

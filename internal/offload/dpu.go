@@ -33,6 +33,9 @@ var ErrAdmissionShed = errors.New("offload: admission control shed")
 // fails typed.
 var ErrReconnectExhausted = errors.New("offload: reconnect budget exhausted")
 
+// errUnknownMethod is newTask's cause for a method the table lacks.
+var errUnknownMethod = errors.New("offload: unknown method")
+
 // DPUStats aggregates the DPU-side work.
 type DPUStats struct {
 	Requests      uint64
@@ -66,14 +69,19 @@ type DPUStats struct {
 	Deser             deser.Stats
 }
 
-// Pipeline stages a task moves through when the worker pool is enabled.
+// Pipeline stages a task moves through.
 const (
 	stageBuild     = iota // plan fill replaying the notes into the reserved slot
 	stageSerialize        // response serialization (or copy-out) on a worker
 )
 
+// inflightPerWorker sizes the pipeline: at most this many request tasks per
+// worker (per poller, with no workers) are reserved and not yet committed,
+// and at most as many responses are on the workers.
+const inflightPerWorker = 4
+
 // callTask carries one scanned xRPC request from where it entered to the
-// connection's poller, and (in pooled mode) between the poller and the
+// connection's poller, and (with workers) between the poller and the
 // workers. Worker-written fields (notes, root, used, err) are synchronized
 // by the workQ/compQ channel handoffs.
 type callTask struct {
@@ -85,7 +93,7 @@ type callTask struct {
 	deliver func(callResult)
 	tr      *trace.Active // span recorder handle (nil when untraced)
 
-	// Pipeline fields (pooled mode only).
+	// Pipeline fields.
 	stage    uint8
 	res      *rpcrdma.Reservation
 	root     uint32
@@ -98,7 +106,9 @@ type callTask struct {
 	// (reclaim): a worker may be reading data, so the task must not finish.
 	// Poller-owned.
 	onWorker bool
-	reserved int64 // ns timestamp at reserve (commit-latency metric)
+	// reserved is the ns timestamp at reserve (or at response dispatch),
+	// stamped only for the commit-latency metrics (Pipeline, RespPipeline).
+	reserved int64
 	admit    int64 // ns timestamp at admission (windowed-latency metric)
 	// epoch tags the connection whose resources (reservation or response
 	// hold) this task carries; a reconnect bumps the server's epoch so
@@ -106,7 +116,7 @@ type callTask struct {
 	// replacement.
 	epoch uint64
 
-	// Response-pipeline fields (stageSerialize, pooled mode only). The
+	// Response-pipeline fields (stageSerialize, with workers only). The
 	// rpayload view stays valid while hold defers the block's ack.
 	hold       *rpcrdma.ResponseHold
 	rstatus    uint16
@@ -128,10 +138,11 @@ type callResult struct {
 	release func()
 }
 
-// respBufPool recycles response buffers on the serial path: the poller takes
-// one per response and the xRPC transport hands it back (putRespBuf) after
-// writing the frame. Pooled mode uses per-worker scratch stocks (wscratch)
-// instead, so its hot path never touches this contended global.
+// respBufPool recycles the buffers of responses the poller serializes (or
+// copies out) inline, which it does when there are no workers: the poller
+// takes one per response and the xRPC transport hands it back (putRespBuf)
+// after writing the frame. Workers use per-worker scratch stocks (wscratch)
+// instead, so their hot path never touches this contended global.
 var respBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -173,19 +184,16 @@ func (w *wscratch) put(b []byte) {
 
 // DPUConfig tunes one DPU server.
 type DPUConfig struct {
-	// Workers is the number of deserialization worker goroutines. On both
-	// paths the planned scan runs where the call enters (connection
-	// goroutine or poller). <= 1 selects the serial path: the poller replays
-	// the fill inline. > 1 enables the reserve → parallel build → commit
-	// pipeline: the poller reserves block slots in submit order, workers
-	// fill large and scatter-gather requests in place and in parallel
-	// directly into them (small inline ones the poller fills itself), and
-	// the poller commits completed slots — it alone still owns QP/CQ
-	// progress.
+	// Workers is the number of deserialization worker goroutines. Every
+	// count runs the same poller loop: a call is scanned where it enters
+	// (connection goroutine or poller), and the poller reserves block slots
+	// in submit order, commits them, and alone owns QP/CQ progress. <= 1
+	// starts no workers: the poller fills every request right after its
+	// reserve and serializes every response inline. > 1 starts that many:
+	// they fill large and scatter-gather requests in place and in parallel
+	// directly into their reserved slots (small inline ones the poller
+	// still fills itself) and serialize (or copy out) responses.
 	Workers int
-	// MaxInflight bounds tasks inside the pipeline (admitted but not yet
-	// committed); 0 means 4x Workers.
-	MaxInflight int
 	// Pipeline, when non-nil, receives queue depth, worker utilization,
 	// and commit-latency samples.
 	Pipeline *metrics.PipelineMetrics
@@ -274,8 +282,8 @@ type DPUServer struct {
 	submit chan *callTask
 	retry  []*callTask
 	d      *deser.Deserializer
-	// scanPool holds deserializers for the serial path's scans, which run on
-	// xRPC connection goroutines (d.d is poller-owned and must not be shared
+	// scanPool holds deserializers for the scans handleCall runs on xRPC
+	// connection goroutines (d.d is poller-owned and must not be shared
 	// with them). Per-server so every deserializer carries this server's
 	// options (SGPayloadMin in particular).
 	scanPool sync.Pool
@@ -292,6 +300,10 @@ type DPUServer struct {
 	workQ chan *callTask
 	compQ chan *callTask
 	wg    sync.WaitGroup
+
+	// maxInflight bounds inflight and respInflight: inflightPerWorker x
+	// max(Workers, 1).
+	maxInflight int
 
 	// Poller-owned pipeline state: tasks reserved and not yet committed.
 	inflight int
@@ -347,8 +359,8 @@ type DPUServer struct {
 }
 
 // NewDPUServer builds the DPU side from the table received at handshake and
-// an established RPC-over-RDMA client connection, with the serial (single
-// poller core) datapath.
+// an established RPC-over-RDMA client connection, with no workers (the
+// poller does every fill on its own core).
 func NewDPUServer(table *adt.Table, client *rpcrdma.ClientConn) (*DPUServer, error) {
 	return NewDPUServerWith(table, client, DPUConfig{})
 }
@@ -361,15 +373,16 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 	}
 	dopts := deser.Options{ValidateUTF8: true, ScalarUTF8: true, SGPayloadMin: cfg.SGPayloadMin}
 	d := &DPUServer{
-		table:   table,
-		procs:   procs,
-		client:  client,
-		cfg:     cfg,
-		submit:  make(chan *callTask, 4096),
-		dopts:   dopts,
-		d:       deser.New(dopts),
-		stopCh:  make(chan struct{}),
-		runDone: make(chan struct{}),
+		table:       table,
+		procs:       procs,
+		client:      client,
+		cfg:         cfg,
+		submit:      make(chan *callTask, 4096),
+		dopts:       dopts,
+		d:           deser.New(dopts),
+		stopCh:      make(chan struct{}),
+		runDone:     make(chan struct{}),
+		maxInflight: inflightPerWorker * max(cfg.Workers, 1),
 	}
 	d.clientRef.Store(client)
 	d.scanPool.New = func() any { return deser.New(dopts) }
@@ -390,19 +403,12 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 		d.cfg.ReconnectMaxBackoff = 50 * time.Millisecond
 	}
 	if cfg.Workers > 1 {
-		if d.cfg.MaxInflight <= 0 {
-			d.cfg.MaxInflight = 4 * cfg.Workers
-		}
 		// Both directions share the pool: request tasks (bounded by
-		// MaxInflight) and response tasks (bounded by respInflight <=
-		// MaxInflight), so channel capacity covers their sum and no
+		// maxInflight) and response tasks (bounded by respInflight <=
+		// maxInflight), so channel capacity covers their sum and no
 		// poller/worker send ever blocks.
-		d.workQ = make(chan *callTask, 2*d.cfg.MaxInflight)
-		d.compQ = make(chan *callTask, 2*d.cfg.MaxInflight)
-		// Block boundaries must match the serial path while builds lag
-		// reserves: the poller flushes partial blocks itself once the
-		// pipeline drains.
-		client.SetHoldPartial(true)
+		d.workQ = make(chan *callTask, 2*d.maxInflight)
+		d.compQ = make(chan *callTask, 2*d.maxInflight)
 		for i := 0; i < cfg.Workers; i++ {
 			d.wg.Add(1)
 			go d.worker(i + 1)
@@ -416,15 +422,14 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 // the connection off the poller is up to rpcrdma (Gauges, Broken, Wake).
 func (d *DPUServer) Client() *rpcrdma.ClientConn { return d.clientRef.Load() }
 
-// Workers returns the build worker count (1 = serial path).
+// Workers returns the build worker count (1 = no workers: the poller fills
+// every request).
 func (d *DPUServer) Workers() int {
 	if d.workQ == nil {
 		return 1
 	}
 	return d.cfg.Workers
 }
-
-func (d *DPUServer) pooled() bool { return d.workQ != nil }
 
 // wake ends the poller's blocking wait after a producer has queued work for
 // it somewhere other than the completion queue: a connection goroutine after
@@ -661,12 +666,74 @@ func (d *DPUServer) buildInto(dd *deser.Deserializer, task *callTask, dst []byte
 	return rootAbs, segOff + task.segBytes, nil
 }
 
+// newTask starts one call where it enters the DPU: it resolves the method,
+// begins the trace, stamps the admission time, probes the response cache,
+// and scans the payload with the method's compiled decode plan. The scan
+// sizes the request exactly (an interior slot of a shared block cannot
+// shrink after later reserves) and its notes ride the task, so the fill only
+// replays them. A nil task with a nil error is a call already answered here:
+// a cache hit or, on the poller, a shed.
+//
+// onPoller is SubmitLocal's variant: the call is already on the poller
+// goroutine, so it meets the admission gate before the scan and scans with
+// the poller-owned d.d. Otherwise (handleCall, on an xRPC connection
+// goroutine) the scan borrows a deserializer from scanPool and the poller
+// applies the gate when it admits the task.
+func (d *DPUServer) newTask(method string, payload []byte, onPoller bool) (*callTask, callResult, error) {
+	id, ok := d.procs.byName[method]
+	if !ok {
+		return nil, callResult{}, fmt.Errorf("%w %q", errUnknownMethod, method)
+	}
+	e := d.procs.byID(id)
+	tr := d.cfg.Tracer.Begin(method)
+	var admit int64
+	if d.cfg.Window != nil {
+		admit = trace.Now()
+	}
+	// A cache hit completes entirely on the DPU, so it never counts against
+	// the admission gate: shedding cached reads while the host-bound
+	// pipeline is saturated would throw away exactly the capacity the cache
+	// adds. The bytes alias an immutable cache entry, so there is nothing to
+	// release.
+	if resp, status, ok := d.cacheProbe(id, e, payload, tr, admit); ok {
+		return nil, callResult{status: status, resp: resp}, nil
+	}
+	dd := d.d
+	if onPoller {
+		if d.overAdmission() {
+			d.sheds.Add(1)
+			d.errors.Add(1)
+			d.cfg.Tracer.Finish(tr, true)
+			return nil, callResult{status: xrpc.StatusUnavailable, err: true,
+				resp: []byte("offload: admission control shed")}, nil
+		}
+	} else {
+		dd = d.scanPool.Get().(*deser.Deserializer)
+	}
+	var mT0 int64
+	if tr != nil {
+		mT0 = trace.Now()
+	}
+	notes, err := dd.Scan(e.plan, payload)
+	if !onPoller {
+		d.foldStats(dd)
+		d.scanPool.Put(dd)
+	}
+	if err != nil {
+		d.cfg.Tracer.Finish(tr, true)
+		return nil, callResult{}, err
+	}
+	tr.Span(trace.StageMeasure, trace.ProcDPU, 0, mT0, trace.Now())
+	return &callTask{procID: id, entry: e, data: payload, tr: tr, admit: admit,
+		need: notes.Need(), segs: notes.SegCount(), segBytes: notes.SegBytes(), notes: notes}, callResult{}, nil
+}
+
 // XRPCHandler terminates xRPC calls: it resolves the method, scans the
 // payload with its compiled decode plan (sizing it exactly and pre-decoding
 // the structure), and hands the request to the poller for the fill. It blocks
 // until the host's response arrives, preserving the synchronous xRPC contract
-// per connection. Serial and pooled servers answer through this one contract:
-// the returned release recycles the response buffer once the transport has
+// per connection. Every worker count answers through this one contract: the
+// returned release recycles the response buffer once the transport has
 // written it.
 //
 // payload is the transport's pooled request frame (xrpc.ReleasingHandler):
@@ -677,44 +744,17 @@ func (d *DPUServer) buildInto(dd *deser.Deserializer, task *callTask, dst []byte
 func (d *DPUServer) XRPCHandler() xrpc.ReleasingHandler { return d.handleCall }
 
 func (d *DPUServer) handleCall(method string, payload []byte) (uint16, []byte, func()) {
-	id, ok := d.procs.byName[method]
-	if !ok {
-		d.errors.Add(1)
-		return xrpc.StatusUnimplemented, nil, nil
-	}
-	e := d.procs.byID(id)
-	tr := d.cfg.Tracer.Begin(method)
-	var admit int64
-	if d.cfg.Window != nil {
-		admit = trace.Now()
-	}
-	// Response-cache probe: a hit is answered here on the connection
-	// goroutine — no scan, no poller handoff, no host round trip. The
-	// returned bytes alias an immutable cache entry, so no release is
-	// needed (or possible).
-	if resp, status, ok := d.cacheProbe(id, e, payload, tr, admit); ok {
-		return status, resp, nil
-	}
-	// Scan here on the connection goroutine (the poller owns d.d), so the
-	// poller — or a pipeline worker — only replays the notes. The scan sizes
-	// exactly, which the pipeline's interior commits require and which makes
-	// the serial path's tail-commit shrink a no-op.
-	var mT0 int64
-	if tr != nil {
-		mT0 = trace.Now()
-	}
-	sd := d.scanPool.Get().(*deser.Deserializer)
-	notes, err := sd.Scan(e.plan, payload)
-	d.foldStats(sd)
-	d.scanPool.Put(sd)
+	task, hit, err := d.newTask(method, payload, false)
 	if err != nil {
 		d.errors.Add(1)
-		d.cfg.Tracer.Finish(tr, true)
+		if errors.Is(err, errUnknownMethod) {
+			return xrpc.StatusUnimplemented, nil, nil
+		}
 		return xrpc.StatusInvalidArgument, nil, nil
 	}
-	tr.Span(trace.StageMeasure, trace.ProcDPU, 0, mT0, trace.Now())
-	task := &callTask{procID: id, entry: e, data: payload, tr: tr, admit: admit,
-		need: notes.Need(), segs: notes.SegCount(), segBytes: notes.SegBytes(), notes: notes}
+	if task == nil {
+		return hit.status, hit.resp, nil
+	}
 	if d.closed.Load() {
 		task.notes.Release()
 		task.notes = nil
@@ -741,69 +781,26 @@ func (d *DPUServer) handleCall(method string, payload []byte) (uint16, []byte, f
 
 // SubmitLocal enqueues one pre-resolved request from the poller goroutine
 // itself (no cross-goroutine handoff): the fast path used by the benchmark
-// harness, which plays the role of the DPU's xRPC front end. cb runs from a
-// later Progress call; its resp slice aliases a recycled buffer and must
-// not be retained.
+// harness, which plays the role of the DPU's xRPC front end. A cache hit or
+// an admission shed invokes cb inline (there is nothing to wait for);
+// otherwise cb runs from a later Progress call. Its resp slice aliases a
+// recycled buffer and must not be retained.
 func (d *DPUServer) SubmitLocal(fullMethod string, payload []byte, cb func(status uint16, errFlag bool, resp []byte)) error {
-	id, ok := d.procs.byName[fullMethod]
-	if !ok {
-		return fmt.Errorf("offload: unknown method %q", fullMethod)
-	}
-	e := d.procs.byID(id)
-	tr := d.cfg.Tracer.Begin(fullMethod)
-	var admit int64
-	if d.cfg.Window != nil {
-		admit = trace.Now()
-	}
-	// Response-cache probe first: a hit completes entirely on the DPU and
-	// therefore never counts against the admission gate — shedding cached
-	// reads while the host-bound pipeline is saturated would throw away
-	// exactly the capacity the cache adds.
-	if resp, status, ok := d.cacheProbe(id, e, payload, tr, admit); ok {
-		cb(status, false, resp)
-		return nil
-	}
-	// The admission gate applies before any further work is done on the
-	// request; a shed invokes cb inline (there is nothing to wait for).
-	if d.overAdmission() {
-		d.sheds.Add(1)
-		d.errors.Add(1)
-		d.cfg.Tracer.Finish(tr, true)
-		cb(xrpc.StatusUnavailable, true, []byte("offload: admission control shed"))
-		return nil
-	}
-	// SubmitLocal runs on the poller goroutine, so the poller-owned
-	// deserializer scans here directly. The planned scan sizes exactly —
-	// required by the pipeline (interior commits cannot shrink) and a no-op
-	// tail shrink on the serial path — and its notes ride the task so the
-	// fill never re-decodes the structure.
-	var mT0 int64
-	if tr != nil {
-		mT0 = trace.Now()
-	}
-	notes, err := d.d.Scan(e.plan, payload)
+	task, answered, err := d.newTask(fullMethod, payload, true)
 	if err != nil {
-		d.cfg.Tracer.Finish(tr, true)
 		return err
 	}
-	tr.Span(trace.StageMeasure, trace.ProcDPU, 0, mT0, trace.Now())
-	d.retry = append(d.retry, &callTask{
-		procID:   id,
-		entry:    e,
-		need:     notes.Need(),
-		segs:     notes.SegCount(),
-		segBytes: notes.SegBytes(),
-		notes:    notes,
-		data:     payload,
-		tr:       tr,
-		admit:    admit,
-		deliver: func(r callResult) {
-			cb(r.status, r.err, r.resp)
-			if r.release != nil {
-				r.release()
-			}
-		},
-	})
+	if task == nil {
+		cb(answered.status, answered.err, answered.resp)
+		return nil
+	}
+	task.deliver = func(r callResult) {
+		cb(r.status, r.err, r.resp)
+		if r.release != nil {
+			r.release()
+		}
+	}
+	d.retry = append(d.retry, task)
 	return nil
 }
 
@@ -856,7 +853,7 @@ func (d *DPUServer) reclaim(task *callTask) {
 }
 
 // respond forwards one protocol response to the task's xRPC caller: the
-// shared OnResponse body of both the serial and pipelined paths.
+// OnResponse continuation every reservation registers.
 func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 	if task.finished {
 		return
@@ -870,7 +867,7 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 		// the host until fresh OK responses repopulate.
 		d.cfg.Cache.InvalidateMethod(task.procID)
 	}
-	if d.pooled() && (resp.Object || len(resp.Payload) > 0) {
+	if d.workQ != nil && (resp.Object || len(resp.Payload) > 0) {
 		// Response pipeline: the serialization (or the copy out of the
 		// block) runs on a worker. The block's acknowledgment is deferred
 		// until the task completes, keeping resp.Payload valid off the
@@ -884,7 +881,9 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 		task.rroot = resp.Root
 		task.hold = d.client.HoldResponseBlock()
 		task.epoch = d.epoch
-		task.reserved = time.Now().UnixNano()
+		if d.cfg.RespPipeline != nil {
+			task.reserved = time.Now().UnixNano()
+		}
 		d.dispatchResp(task)
 		return
 	}
@@ -944,7 +943,7 @@ func (d *DPUServer) queueWork(task *callTask) {
 // spilling to respPending when the in-flight bound is reached (keeping
 // workQ occupancy under the channel capacity). Poller-owned.
 func (d *DPUServer) dispatchResp(task *callTask) {
-	if d.respInflight < d.cfg.MaxInflight {
+	if d.respInflight < d.maxInflight {
 		d.respInflight++
 		d.queueWork(task)
 	} else {
@@ -955,7 +954,7 @@ func (d *DPUServer) dispatchResp(task *callTask) {
 // admitResponses refills the serialization pipeline from the overflow
 // queue. Poller-owned.
 func (d *DPUServer) admitResponses() {
-	for len(d.respPending) > 0 && d.respInflight < d.cfg.MaxInflight {
+	for len(d.respPending) > 0 && d.respInflight < d.maxInflight {
 		task := d.respPending[0]
 		d.respPending = d.respPending[0:copy(d.respPending, d.respPending[1:])]
 		d.respInflight++
@@ -963,98 +962,17 @@ func (d *DPUServer) admitResponses() {
 	}
 }
 
-// enqueue registers one task with the protocol client on the serial path.
-// The fill runs inside Build, replaying the scan's parse notes and writing
-// the object graph directly into the outgoing block — the in-place
-// deserialization of Sec. V.
-func (d *DPUServer) enqueue(task *callTask) error {
-	// Tag the connection whose response will answer this task, so a cache
-	// insert after an intervening reconnect is recognized as stale.
-	task.epoch = d.epoch
-	return d.client.Enqueue(rpcrdma.CallSpec{
-		Method:  task.procID,
-		Size:    sgSlotSize(task.need, task.segs, task.segBytes),
-		SG:      task.segs > 0,
-		SGSegs:  task.segs,
-		SGBytes: task.segBytes,
-		Trace:   task.tr,
-		Build: func(dst []byte, regionOff uint64) (uint32, int, error) {
-			var bT0 int64
-			if task.tr != nil {
-				bT0 = trace.Now()
-			}
-			rootAbs, used, err := d.buildInto(d.d, task, dst, regionOff)
-			task.notes.Release()
-			task.notes = nil
-			if err != nil {
-				return 0, 0, err
-			}
-			task.tr.Span(trace.StageBuild, trace.ProcDPU, 0, bT0, trace.Now())
-			d.measured.Add(uint64(len(task.data)))
-			return uint32(rootAbs - regionOff), used, nil
-		},
-		OnResponse: func(resp rpcrdma.Response) { d.respond(task, resp) },
-	})
-}
-
-// Progress runs one iteration of the DPU poller: it admits submitted tasks
-// (respecting protocol backpressure) and advances the protocol event loop.
-// It returns the number of response blocks processed.
+// Progress runs one pass of the DPU poller: it collects worker completions,
+// reserves submitted tasks in submit order (filling small ones inline, and
+// every one when there are no workers), and advances the protocol event
+// loop — all protocol interaction stays on this goroutine. When a partial
+// block seals is rpcrdma's policy (CommitBatch; no block seals while a slot
+// in it is still building). It returns the number of response blocks
+// processed.
 func (d *DPUServer) Progress() (int, error) {
-	if d.pooled() {
-		return d.progressPooled()
-	}
-	// Re-admit tasks deferred by backpressure first, preserving order.
-	// While the connection is down, deferred tasks stay queued: they ride
-	// through the reconnect and enqueue on the replacement.
-	for !d.reconBroken && len(d.retry) > 0 {
-		if err := d.enqueue(d.retry[0]); err != nil {
-			if errors.Is(err, arena.ErrOutOfMemory) {
-				return d.progressClient()
-			}
-			d.failTask(d.retry[0], err)
-		} else {
-			d.requests.Add(1)
-		}
-		d.retry = d.retry[0:copy(d.retry, d.retry[1:])]
-	}
-	for {
-		select {
-		case task := <-d.submit:
-			if d.overAdmission() {
-				d.shedTask(task)
-				continue
-			}
-			if d.reconBroken {
-				d.retry = append(d.retry, task)
-				continue
-			}
-			if err := d.enqueue(task); err != nil {
-				if errors.Is(err, arena.ErrOutOfMemory) {
-					d.retry = append(d.retry, task)
-					return d.progressClient()
-				}
-				d.failTask(task, err)
-				continue
-			}
-			d.requests.Add(1)
-		default:
-			return d.progressClient()
-		}
-	}
-}
-
-// progressPooled is the pipelined Progress: collect worker completions,
-// reserve submitted tasks in submit order (filling small ones inline), flush
-// a drained pipeline, and advance the protocol loop — all protocol
-// interaction stays on this (poller) goroutine.
-func (d *DPUServer) progressPooled() (int, error) {
 	drained := d.collectCompletions()
 	d.admit()
 	d.admitResponses()
-	if err := d.flushDrained(); err != nil {
-		return 0, err
-	}
 	n, err := d.progressClient()
 	if err != nil {
 		return n, err
@@ -1076,26 +994,6 @@ func (d *DPUServer) progressPooled() (int, error) {
 		m.QueueDepth.Set(float64(d.respInflight + len(d.respPending)))
 	}
 	return n, err
-}
-
-// flushDrained flushes the partial block the event loop holds back
-// (holdPartial) while builds are in flight, once none are. It runs before
-// progressClient, which may sleep: a commit made inline this pass must be on
-// the wire by then, or it waits out the heartbeat. Poller-owned.
-func (d *DPUServer) flushDrained() error {
-	if d.inflight > 0 || d.reconBroken {
-		return nil
-	}
-	err := d.client.Flush()
-	if err == nil {
-		return nil
-	}
-	if d.reconnectEnabled() {
-		d.enterReconnect(err)
-		return nil
-	}
-	d.failAll(err)
-	return err
 }
 
 // collectCompletions drains the worker completion queue: built tasks are
@@ -1176,10 +1074,9 @@ func (d *DPUServer) completeTask(task *callTask) {
 // admit reserves block slots for submitted tasks in submit order — tasks
 // queued on d.retry first, then the submit channel — while the pipeline has
 // room. Out-of-memory leaves the task at the head of d.retry (the protocol
-// loop will free space), exactly as on the serial path; any other reserve
-// error fails the task.
+// loop will free space); any other reserve error fails the task.
 func (d *DPUServer) admit() {
-	for !d.reconBroken && d.inflight < d.cfg.MaxInflight {
+	for !d.reconBroken && d.inflight < d.maxInflight {
 		if len(d.retry) > 0 {
 			if !d.reserve(d.retry[0]) {
 				return
@@ -1213,11 +1110,12 @@ func (d *DPUServer) admit() {
 	}
 }
 
-// reserve reserves one task's block slot and runs its build stage: a small
-// inline request (at most deser.SmallFastPathMax wire bytes, no SG segments)
-// is filled and committed right here, anything larger goes to a worker. It
-// returns false, leaving the task untouched, when the send arena is out of
-// memory. Poller-owned.
+// reserve reserves one task's block slot and runs its build stage. With
+// workers, a request above deser.SmallFastPathMax wire bytes or with SG
+// segments goes to a worker; every other request — all of them when there
+// are no workers — is filled and committed right here. It returns false,
+// leaving the task untouched, when the send arena is out of memory.
+// Poller-owned.
 func (d *DPUServer) reserve(task *callTask) bool {
 	var rT0 int64
 	if task.tr != nil {
@@ -1241,8 +1139,10 @@ func (d *DPUServer) reserve(task *callTask) bool {
 	task.res = res
 	task.epoch = d.epoch
 	task.stage = stageBuild
-	task.reserved = time.Now().UnixNano()
-	if task.segs > 0 || len(task.data) > deser.SmallFastPathMax {
+	if d.cfg.Pipeline != nil {
+		task.reserved = time.Now().UnixNano()
+	}
+	if d.workQ != nil && (task.segs > 0 || len(task.data) > deser.SmallFastPathMax) {
 		d.queueWork(task)
 		return true
 	}
@@ -1291,12 +1191,10 @@ func (d *DPUServer) enterReconnect(err error) {
 	if d.reconBroken {
 		return
 	}
-	if d.pooled() {
-		for d.onWorkers > 0 {
-			task := <-d.compQ
-			d.reclaim(task)
-			d.completeTask(task)
-		}
+	for d.onWorkers > 0 {
+		task := <-d.compQ
+		d.reclaim(task)
+		d.completeTask(task)
 	}
 	d.reconBroken = true
 	d.reconErr = err
@@ -1336,9 +1234,8 @@ func (d *DPUServer) tryReconnect() error {
 	return nil
 }
 
-// adopt swaps the replacement connection in. State the replacement cannot
-// know rides over: pipelined owners re-arm hold-partial, and the flight
-// recorder's remaining dump budget carries so the per-server dump cap spans
+// adopt swaps the replacement connection in. The flight recorder's
+// remaining dump budget rides over, so the per-server dump cap spans
 // reconnects. The epoch advances so completions still holding the dead
 // connection's resources (reservations, response holds) are never applied
 // to the replacement. Queued requests reserve through the normal admission
@@ -1347,9 +1244,6 @@ func (d *DPUServer) tryReconnect() error {
 // aligned. Poller-owned.
 func (d *DPUServer) adopt(nc *rpcrdma.ClientConn) {
 	nc.SetFlightDumpBudget(d.client.FlightDumpBudget())
-	if d.pooled() {
-		nc.SetHoldPartial(true)
-	}
 	d.client = nc
 	d.clientRef.Store(nc)
 	d.epoch++

@@ -74,6 +74,42 @@ func TestCommitBatchPartialFlushesByTimer(t *testing.T) {
 	}
 }
 
+// A partial request block holding a reservation that is still building is
+// never sealed by the event loop, even after CommitFlushTimeout — the rule
+// ServerConn.flushPartial applies to response blocks. The first pass after
+// the commit applies the coalescing policy, here the expired timer.
+func TestCommitBatchHoldsPendingReservation(t *testing.T) {
+	ccfg, scfg := batchCfgs(8, 200*time.Microsecond)
+	r := newRig(t, ccfg, scfg, nil)
+	got := 0
+	res, err := r.client.Reserve(1, 16, func(Response) { got++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * ccfg.CommitFlushTimeout)
+	for time.Now().Before(deadline) {
+		if _, err := r.client.Progress(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := r.client.Counters; c.BlocksSent != 0 || c.FlushTimer != 0 {
+		t.Fatalf("block with a pending slot sealed: %+v", c)
+	}
+	if err := r.client.Commit(res, 0, 16); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.client.Progress(); err != nil {
+		t.Fatal(err)
+	}
+	if c := r.client.Counters; c.BlocksSent != 1 || c.FlushTimer != 1 {
+		t.Fatalf("committed block not sealed on the next pass: %+v", c)
+	}
+	r.pump(t)
+	if got != 1 {
+		t.Fatalf("delivered %d of 1", got)
+	}
+}
+
 // Flush forces a partial batch out immediately — callers must not have to
 // wait out a long CommitFlushTimeout when they know no more traffic is
 // coming. The server side keeps flush-every-pass so the client's explicit

@@ -234,12 +234,6 @@ type ClientConn struct {
 	inDispatch bool
 	curHold    *ResponseHold
 	heldAcks   []*ResponseHold
-	// holdPartial suppresses the event loop's automatic flush of the
-	// partial current block. A pipelined owner (the DPU worker pool) sets
-	// it so blocks fill exactly as they would under serial enqueueing while
-	// builds are still in flight, and calls Flush itself once the pipeline
-	// drains. Serial owners leave it off.
-	holdPartial bool
 
 	// Flight recorder (Config.FlightRecorder > 0): fr is the black-box
 	// event ring, dumpsLeft rate-limits automatic dumps per connection so a
@@ -673,9 +667,12 @@ func (c *ClientConn) seal(reason flushReason) {
 // the current partial block: seal — one doorbell for the whole run — once
 // it holds CommitBatch messages, or once its oldest message has waited out
 // CommitFlushTimeout. CommitBatch <= 1 seals every pass, the pre-batching
-// behavior, so low-load p99 is unchanged by default.
+// behavior, so low-load p99 is unchanged by default. A block with a slot
+// still building (reserved, not yet committed) is never sealed here — the
+// rule ServerConn.flushPartial applies to responses — so the pass after its
+// last commit decides, by the same policy whoever builds the slots.
 func (c *ClientConn) maybeSeal() {
-	if c.cur == nil || len(c.cur.conts) == 0 {
+	if c.cur == nil || len(c.cur.conts) == 0 || c.cur.pending > 0 {
 		return
 	}
 	if c.cfg.CommitBatch <= 1 {
@@ -693,12 +690,13 @@ func (c *ClientConn) maybeSeal() {
 
 // waitBudget bounds the idle blocking wait so a partially-filled commit
 // batch seals near its CommitFlushTimeout deadline instead of sleeping out
-// the full WaitTimeout. May return <= 0, which degrades the wait to a
-// non-blocking poll.
+// the full WaitTimeout. A block with a slot still building is ignored: it
+// cannot seal before its commit, which the owner makes on a later pass. May
+// return <= 0, which degrades the wait to a non-blocking poll.
 func (c *ClientConn) waitBudget() time.Duration {
 	w := c.cfg.WaitTimeout
-	if c.cfg.CommitBatch > 1 && !c.holdPartial &&
-		c.cur != nil && len(c.cur.conts) > 0 {
+	if c.cfg.CommitBatch > 1 && c.cur != nil &&
+		len(c.cur.conts) > 0 && c.cur.pending == 0 {
 		remain := time.Duration(c.cur.firstAt +
 			c.cfg.CommitFlushTimeout.Nanoseconds() - nowNS())
 		if remain < w {
@@ -1110,12 +1108,9 @@ func (c *ClientConn) Progress() (int, error) {
 		}
 	}
 	// Flush buffered work before polling so freshly enqueued requests hit
-	// the wire without waiting out the poll timeout. Pipelined owners defer
-	// the partial-block flush until their build stages drain (holdPartial).
+	// the wire without waiting out the poll timeout.
 	sentBefore := c.Counters.BlocksSent
-	if !c.holdPartial {
-		c.maybeSeal()
-	}
+	c.maybeSeal()
 	c.trySend()
 	if c.broken != nil {
 		return 0, c.broken
@@ -1144,9 +1139,7 @@ func (c *ClientConn) Progress() (int, error) {
 	c.dispatchLocalFailures()
 	// Flush again: continuations may have enqueued follow-up requests, and
 	// acknowledgments may have freed credits for queued blocks.
-	if !c.holdPartial {
-		c.maybeSeal()
-	}
+	c.maybeSeal()
 	c.trySend()
 	// Low-workload path: if response-block acknowledgments are pending but
 	// no request traffic will carry them, ship them in an empty block so
@@ -1339,12 +1332,6 @@ func (c *ClientConn) Abort(status uint16) {
 	c.curHold = nil
 }
 
-// SetHoldPartial toggles the event loop's automatic flush of the partial
-// current block. Pipelined owners (the DPU worker pool) turn it on so block
-// boundaries stay identical to serial enqueueing while builds are in
-// flight, and call Flush themselves when the pipeline drains. Owner-only.
-func (c *ClientConn) SetHoldPartial(on bool) { c.holdPartial = on }
-
 // Flush seals and attempts to transmit everything buffered.
 func (c *ClientConn) Flush() error {
 	if c.broken != nil {
@@ -1378,9 +1365,7 @@ func (c *ClientConn) Drain(timeout time.Duration) error {
 		}
 		// Draining means no more traffic is coming: force partial batches
 		// out now instead of waiting out CommitFlushTimeout.
-		if !c.holdPartial {
-			c.seal(flushExplicit)
-		}
+		c.seal(flushExplicit)
 		if _, err := c.Progress(); err != nil {
 			c.Abort(StatusUnavailable)
 			return err

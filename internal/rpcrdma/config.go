@@ -125,10 +125,9 @@ type Config struct {
 	// WaitTimeout is the idle heartbeat when BusyPoll is false: the longest
 	// a poller sleeps with nothing to wake it, which bounds how late the
 	// deadline reaper and the dead-peer probe run. It is not a latency
-	// wherever the producer rings Wake: completions, calls submitted on
-	// the serial DPU path and host worker completions all end the sleep
-	// at once. (The pooled DPU pipeline does not ring yet: its hand-offs
-	// still wait for this timer, see offload.DPUServer.wake.)
+	// wherever the producer rings Wake: completions, calls submitted to
+	// the DPU, and DPU and host worker completions all end the sleep at
+	// once (see offload.DPUServer.wake).
 	WaitTimeout time.Duration
 	// HostWorkers (server side) > 1 enables the duplex response pipeline,
 	// which is also background RPC execution (Sec. III-D): handlers AND

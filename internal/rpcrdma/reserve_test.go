@@ -46,10 +46,27 @@ func TestReserveCommitOutOfOrder(t *testing.T) {
 	if r.client.Counters.BlocksSent != 0 {
 		t.Fatalf("pending block transmitted: %+v", r.client.Counters)
 	}
+	// A reservation that does not fit seals the block full while its slots
+	// are still pending; the sealed block then stalls at the head of the
+	// send queue until they commit.
+	bigGot := 0
+	big, err := r.client.Reserve(7, 4000, func(Response) { bigGot++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.client.Progress(); err != nil {
+		t.Fatal(err)
+	}
+	if r.client.Counters.BlocksSent != 0 {
+		t.Fatalf("pending block transmitted: %+v", r.client.Counters)
+	}
 	if r.client.Counters.PipelineStalls == 0 {
 		t.Errorf("expected a pipeline stall, counters: %+v", r.client.Counters)
 	}
 	// Builds complete out of order; commits may happen in any order too.
+	if err := r.client.Commit(big, 0, 4000); err != nil {
+		t.Fatal(err)
+	}
 	for _, i := range []int{2, 0, 1} {
 		binary.LittleEndian.PutUint64(rs[i].Dst, uint64(i))
 		if err := r.client.Commit(rs[i], 0, 64); err != nil {
@@ -62,8 +79,11 @@ func TestReserveCommitOutOfOrder(t *testing.T) {
 			t.Errorf("slot %d delivered %d times", i, g)
 		}
 	}
-	if r.client.Counters.BlocksSent != 1 || r.client.Counters.RequestsSent != 3 {
-		t.Errorf("counters: %+v", r.client.Counters)
+	if bigGot != 1 {
+		t.Errorf("oversized slot delivered %d times", bigGot)
+	}
+	if c := r.client.Counters; c.BlocksSent-c.AckOnlyBlocks != 2 || c.RequestsSent != 4 {
+		t.Errorf("counters: %+v", c)
 	}
 }
 

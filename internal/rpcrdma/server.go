@@ -484,8 +484,8 @@ func (s *ServerConn) sealResp(reason flushReason) {
 }
 
 // flushPartial seals the partial current block unless reserved slots are
-// still building — the response-direction analogue of the client's
-// holdPartial batching — or while it could not be sent (liveness rule (b):
+// still building — the same pending rule as the client's maybeSeal — or
+// while it could not be sent (liveness rule (b):
 // responses coalesce into the open block instead of each stranding a
 // BlockSize of send arena in its own). With CommitBatch > 1 it applies the
 // coalescing policy instead of sealing every pass: the block waits for

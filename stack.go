@@ -52,11 +52,11 @@ type StackOptions struct {
 	// connections are distributed round-robin across them (Table I runs 8
 	// host threads). Default 1; capped at Connections.
 	HostPollers int
-	// DPUWorkers > 1 runs the multi-core DPU deserialization pipeline:
-	// each DPU poller reserves protocol slots and that many workers
-	// measure and build requests in parallel directly into them
-	// (reserve → parallel build → commit). 0 or 1 keeps the serial
-	// datapath.
+	// DPUWorkers > 1 gives each DPU poller that many workers, which build
+	// large and scatter-gather requests in parallel directly into the
+	// protocol slots the poller reserved (reserve → parallel build →
+	// commit) and serialize responses. 0 or 1 runs the same poller loop
+	// with no workers: the poller builds every request itself.
 	DPUWorkers int
 	// HostWorkers > 1 runs the host-side duplex response pipeline: the
 	// host poller admits requests and that many workers run handlers and

@@ -25,8 +25,8 @@ func heartbeatOptions(opts dpurpc.StackOptions) dpurpc.StackOptions {
 // with the heartbeat at ten seconds a single hand-off left to the timer blows
 // the two-second budget five times over.
 //
-// The pooled DPU pipeline adds two hand-offs — submit and worker
-// completion — and both ring the poller; its cases would each wait out a
+// The DPU poller's hand-offs — submit and, with workers, worker
+// completion — both ring the poller; its cases would each wait out a
 // ten-second heartbeat per call if either did not.
 //
 // Commit coalescing is the one mode that sleeps on a timer by design: a
@@ -46,6 +46,7 @@ func TestLivenessDoesNotDependOnHeartbeat(t *testing.T) {
 		{"dpu_workers_2", dpurpc.StackOptions{DPUWorkers: 2}, 2 * time.Second},
 		{"dpu_workers_2_host_2", dpurpc.StackOptions{DPUWorkers: 2, HostWorkers: 2}, 2 * time.Second},
 		{"commit_batch_8", dpurpc.StackOptions{CommitBatch: 8}, 5 * time.Second},
+		{"dpu_workers_2_commit_batch_8", dpurpc.StackOptions{DPUWorkers: 2, CommitBatch: 8}, 5 * time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
