@@ -13,12 +13,15 @@ build:
 # a credit-protocol deadlock shows up as a "stalled" failure. The third
 # repeats the DPU poller's heartbeat-independence cases on one CPU (every
 # DPU case, with or without workers, runs the same poller loop), where a
-# lost poller kick shows up as a stall.
+# lost poller kick shows up as a stall. The fourth repeats the xRPC response
+# writer's, handler-dispatch and deadline tests on one CPU, where a lost
+# writer wake-up shows up as a hang.
 test: fmt-check
 	go vet ./...
 	go test ./...
 	GOMAXPROCS=1 go test -count=20 -run 'Duplex|Background|PollerClose' ./internal/rpcrdma
 	GOMAXPROCS=1 go test -count=20 -run 'TestLivenessDoesNotDependOnHeartbeat/(serial|dpu_workers)' .
+	GOMAXPROCS=1 go test -count=20 -run 'Writer|Park|Deadline' ./internal/xrpc ./internal/offload
 	@echo "advisory: quick benchmark comparison against the checked-in snapshots"
 	@$(MAKE) --no-print-directory bench-check BENCHTIME=20000x \
 		|| echo "bench-check: regressions above are ADVISORY here; run 'make bench-check' for a full-length pass"
@@ -40,11 +43,12 @@ fmt-check:
 # whose packages are the root package, internal/rdma and internal/rpcrdma.
 # The third repeats the xRPC front end's buffer-ownership tests: pooled
 # request frames, response-buffer release on every path (poisoned on
-# release), and the reusable handler goroutines.
+# release), the reusable handler goroutines, the batched response writer and
+# its write deadline, and the DPU handler that does not park.
 race:
 	go test -race ./internal/offload/... ./internal/rpcrdma/... ./internal/xrpc/... ./internal/gentest/... ./internal/trace/... ./internal/rdma/... ./internal/fault/... ./internal/fabric/... ./internal/metrics/... ./internal/rpccache/... ./internal/workload/... ./internal/deser/...
 	go test -race -count=3 -run 'Kick|Wait|Liveness|IdleStack|Recycled|SteadyState' . ./internal/rdma ./internal/rpcrdma
-	go test -race -count=3 -run 'Frame|Release|Worker|Poison' ./internal/xrpc ./internal/offload .
+	go test -race -count=3 -run 'Frame|Release|Worker|Poison|Writer|Park' ./internal/xrpc ./internal/offload .
 
 # Aggregate coverage over every package, with a summary and an HTML-ready
 # profile at cover.out.

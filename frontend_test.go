@@ -182,3 +182,102 @@ func TestHandlerPanicAnswersInternal(t *testing.T) {
 		})
 	}
 }
+
+// The per-method series come from the xRPC server's reply observer, on both
+// kinds of stack: requests, errors, request and response bytes are counted
+// per method, the in-flight gauge is back at zero, and the front end's
+// replies and the flushes that carried them are exported.
+func TestReplyObserverMetrics(t *testing.T) {
+	for name, newStack := range map[string]func(*dpurpc.Schema, map[string]dpurpc.Impl, dpurpc.StackOptions) (*dpurpc.Stack, error){
+		"offloaded": dpurpc.NewOffloadedStack,
+		"baseline":  dpurpc.NewBaselineStack,
+	} {
+		t.Run(name, func(t *testing.T) {
+			schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.NewRegistry()
+			stack, err := newStack(schema, greeterImpls(t, schema), dpurpc.StackOptions{Registry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stack.Close()
+			smp := metrics.NewSampler(time.Hour, 4, nil) // sampled by hand
+			stack.RegisterGauges(smp)
+			addr, err := stack.ListenAndServe("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := dpurpc.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			const hello, unknown = "/demo.Greeter/Hello", "/demo.Greeter/Nope"
+			type want struct{ requests, errors, reqBytes, respBytes uint64 }
+			wants := map[string]*want{hello: {}, unknown: {}}
+			call := func(method string, payload []byte) {
+				t.Helper()
+				status, resp, err := cl.Raw().Call(method, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := wants[method]
+				w.requests++
+				w.reqBytes += uint64(len(payload))
+				w.respBytes += uint64(len(resp))
+				if status != xrpc.StatusOK {
+					w.errors++
+				}
+			}
+			for i := 0; i < 20; i++ {
+				req := schema.NewMessage("demo.HelloRequest")
+				req.SetString("name", "metrics")
+				req.SetUint32("times", uint32(i))
+				call(hello, req.Marshal(nil))
+			}
+			for i := 0; i < 3; i++ {
+				call(hello, []byte{0xff, 0xff}) // a truncated tag: INVALID_ARGUMENT
+				call(unknown, []byte("x"))
+			}
+			if wants[hello].errors != 3 || wants[unknown].errors != 3 {
+				t.Fatalf("client saw %d and %d failed calls, want 3 and 3", wants[hello].errors, wants[unknown].errors)
+			}
+			for method, w := range wants {
+				l := map[string]string{"method": method}
+				for _, c := range []struct {
+					series string
+					want   uint64
+				}{
+					{"rpc_requests_total", w.requests},
+					{"rpc_errors_total", w.errors},
+					{"rpc_request_bytes_total", w.reqBytes},
+					{"rpc_response_bytes_total", w.respBytes},
+				} {
+					if got := reg.Counter(c.series, "", l).Value(); got != c.want {
+						t.Errorf("%s{method=%q} = %d, want %d", c.series, method, got, c.want)
+					}
+				}
+			}
+			if v := reg.Gauge("rpc_inflight", "", nil).Value(); v != 0 {
+				t.Errorf("rpc_inflight = %v with every call answered", v)
+			}
+			smp.SampleOnce()
+			series := smp.Series()
+			last := func(key string) float64 {
+				s := series[key]
+				if len(s) == 0 {
+					t.Fatalf("gauge %s not registered", key)
+				}
+				return s[len(s)-1].V
+			}
+			if got := last("xrpc_requests_total"); got != 26 {
+				t.Errorf("xrpc_requests_total = %v, want 26", got)
+			}
+			if got := last("xrpc_response_flushes_total"); got < 1 || got > 26 {
+				t.Errorf("xrpc_response_flushes_total = %v for 26 depth-1 calls", got)
+			}
+		})
+	}
+}

@@ -251,7 +251,7 @@ func runChaosPoint(opts Options, rate float64) (ChaosRow, error) {
 			teardown()
 			return ChaosRow{}, err
 		}
-		srv := xrpc.NewReleasingServer(dpuSrv.XRPCHandler())
+		srv := xrpc.NewAsyncServer(dpuSrv.XRPCHandler())
 		go srv.Serve(ln)
 		defer srv.Close()
 		for c := 0; c < clientsPerConn; c++ {

@@ -221,26 +221,22 @@ func runConnScalePoint(opts Options, pt connScalePoint) (ConnScaleRow, error) {
 	start := time.Now()
 	var workWG sync.WaitGroup
 	for ci, dpuSrv := range d.DPUs {
-		h := dpuSrv.XRPCHandler()
+		h := dpuSrv.XRPCHandler().Copying()
 		for w := 0; w < pt.driversPerConn; w++ {
 			workWG.Add(1)
-			go func(h xrpc.ReleasingHandler, worker int) {
+			go func(h xrpc.ServerHandler, worker int) {
 				defer workWG.Done()
 				for i := 0; i < perDriver; i++ {
 					payload := payloads[(worker+i)%len(payloads)]
 					t0 := time.Now()
 					var status uint16
 					var resp []byte
-					var release func()
 					backoff := 200 * time.Microsecond
 					for attempt := 0; ; attempt++ {
-						status, resp, release = h(method, payload)
+						status, resp = h(method, payload)
 						if status == xrpc.StatusOK || attempt+1 >= pt.maxAttempts ||
 							!xrpc.Retryable(status, nil) {
 							break
-						}
-						if release != nil {
-							release()
 						}
 						retries.Add(1)
 						time.Sleep(backoff)
@@ -260,9 +256,6 @@ func runConnScalePoint(opts Options, pt connScalePoint) (ConnScaleRow, error) {
 						failed.Add(1)
 					default:
 						untyped.Add(1)
-					}
-					if release != nil {
-						release()
 					}
 				}
 			}(h, ci*pt.driversPerConn+w)

@@ -140,7 +140,7 @@ func chaosSoak(t *testing.T, plan fault.Plan) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := xrpc.NewReleasingServer(dpu.XRPCHandler())
+		srv := xrpc.NewAsyncServer(dpu.XRPCHandler())
 		go srv.Serve(ln)
 		defer srv.Close()
 		for c := 0; c < clientsPerConn; c++ {

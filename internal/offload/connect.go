@@ -162,7 +162,7 @@ type DeployConfig struct {
 	// counters are shared across connections; all are atomic).
 	DPUPipeline *metrics.PipelineMetrics
 	// DPURespPipeline, when non-nil, instruments the response direction of
-	// every DPU pipeline (serializes, queue depth, delivery latency).
+	// every DPU pipeline (serializes, queue depth, reply latency).
 	DPURespPipeline *metrics.ResponsePipelineMetrics
 	// Tracer, when non-nil, enables end-to-end span recording: every call
 	// admitted on a DPU server is stamped with a trace ID that rides the

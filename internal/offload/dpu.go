@@ -83,15 +83,19 @@ const inflightPerWorker = 4
 // callTask carries one scanned xRPC request from where it entered to the
 // connection's poller, and (with workers) between the poller and the
 // workers. Worker-written fields (notes, root, used, err) are synchronized
-// by the workQ/compQ channel handoffs.
+// by the workQ/compQ channel handoffs. Tasks are pooled per server (newTask,
+// recycle).
 type callTask struct {
-	procID  uint16
-	entry   *procEntry
-	need    int
-	notes   *deser.Notes // parse notes from the scan, consumed by the fill
-	data    []byte
-	deliver func(callResult)
-	tr      *trace.Active // span recorder handle (nil when untraced)
+	procID uint16
+	entry  *procEntry
+	need   int
+	notes  *deser.Notes // parse notes from the scan, consumed by the fill
+	data   []byte
+	to     replier       // where the result goes
+	tr     *trace.Active // span recorder handle (nil when untraced)
+	// onResp is the OnResponse continuation every reservation registers,
+	// bound to this task once, when the pool made it.
+	onResp func(rpcrdma.Response)
 
 	// Pipeline fields.
 	stage    uint8
@@ -136,6 +140,28 @@ type callResult struct {
 	// release recycles resp's backing buffer; the receiver calls it once
 	// resp is no longer referenced (nil when resp is not pooled).
 	release func()
+}
+
+// replier is where a task's result goes: the xRPC call it entered on
+// (xrpcReply) or SubmitLocal's callback (localReply). Both are pointer-shaped,
+// so storing one in a task allocates nothing.
+type replier interface{ reply(callResult) }
+
+// xrpcReply answers an xRPC call; the transport releases the response after
+// writing it.
+type xrpcReply struct{ call *xrpc.Call }
+
+func (x xrpcReply) reply(r callResult) { x.call.Reply(r.status, r.resp, r.release) }
+
+// localReply is SubmitLocal's callback; the response is released as soon as
+// it returns.
+type localReply func(status uint16, errFlag bool, resp []byte)
+
+func (cb localReply) reply(r callResult) {
+	cb(r.status, r.err, r.resp)
+	if r.release != nil {
+		r.release()
+	}
 }
 
 // respBufPool recycles the buffers of responses the poller serializes (or
@@ -198,16 +224,16 @@ type DPUConfig struct {
 	// and commit-latency samples.
 	Pipeline *metrics.PipelineMetrics
 	// RespPipeline, when non-nil, receives the response direction's queue
-	// depth, serialize counts, worker busy time, and dispatch-to-delivery
+	// depth, serialize counts, worker busy time, and dispatch-to-reply
 	// latency samples.
 	RespPipeline *metrics.ResponsePipelineMetrics
 	// Tracer, when non-nil and enabled, stamps every admitted call with a
 	// trace ID and records per-stage spans through the whole datapath
 	// (measure/reserve/build/commit, PCIe doorbells, the host's dispatch,
-	// handler and response stages, and response serialization/delivery).
+	// handler and response stages, and response serialization/reply).
 	Tracer *trace.Tracer
 	// Window, when non-nil, receives one end-to-end latency observation per
-	// completed request (admission to delivery), tagged with the request's
+	// completed request (admission to reply), tagged with the request's
 	// trace ID so the windowed histogram's tail exemplars resolve to full
 	// span anatomies. Nil disables windowed telemetry at one pointer test.
 	Window *metrics.RPCWindow
@@ -287,7 +313,9 @@ type DPUServer struct {
 	// with them). Per-server so every deserializer carries this server's
 	// options (SGPayloadMin in particular).
 	scanPool sync.Pool
-	closed   atomic.Bool
+	// tasks recycles callTasks, each with its continuation bound (newTask).
+	tasks  sync.Pool
+	closed atomic.Bool
 
 	// Run/Close coordination: Close signals an active Run loop through
 	// stopCh and waits for runDone so teardown never races the poller.
@@ -386,6 +414,11 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 	}
 	d.clientRef.Store(client)
 	d.scanPool.New = func() any { return deser.New(dopts) }
+	d.tasks.New = func() any {
+		t := &callTask{}
+		t.onResp = func(resp rpcrdma.Response) { d.respond(t, resp) }
+		return t
+	}
 	for _, name := range cfg.CacheMethods {
 		mid, ok := procs.byName[name]
 		if !ok {
@@ -450,7 +483,7 @@ func (d *DPUServer) cacheable(e *procEntry) bool {
 // the datapath. On a hit it records the full telemetry of a completed
 // request — the StageCacheHit span, the finished trace, the windowed
 // latency observation — and returns the stored response bytes; the caller
-// delivers them directly, skipping the scan, the admission gate, the block
+// replies with them directly, skipping the scan, the admission gate, the block
 // pipeline, and the host. Safe from any goroutine: the cache and every
 // recorder touched here are internally synchronized or lock-free.
 func (d *DPUServer) cacheProbe(id uint16, e *procEntry, payload []byte, tr *trace.Active, admit int64) ([]byte, uint16, bool) {
@@ -470,7 +503,9 @@ func (d *DPUServer) cacheProbe(id uint16, e *procEntry, payload []byte, tr *trac
 	d.cacheHits.Add(1)
 	d.cacheHitReqBytes.Add(uint64(len(payload)))
 	d.cacheHitRespBytes.Add(uint64(len(resp)))
-	tr.Span(trace.StageCacheHit, trace.ProcDPU, 0, t0, trace.Now())
+	if tr != nil {
+		tr.Span(trace.StageCacheHit, trace.ProcDPU, 0, t0, trace.Now())
+	}
 	d.cfg.Tracer.Finish(tr, false)
 	if d.cfg.Window != nil && admit != 0 {
 		d.cfg.Window.Observe(trace.Now()-admit, tr.ID(), false)
@@ -723,60 +758,70 @@ func (d *DPUServer) newTask(method string, payload []byte, onPoller bool) (*call
 		d.cfg.Tracer.Finish(tr, true)
 		return nil, callResult{}, err
 	}
-	tr.Span(trace.StageMeasure, trace.ProcDPU, 0, mT0, trace.Now())
-	return &callTask{procID: id, entry: e, data: payload, tr: tr, admit: admit,
-		need: notes.Need(), segs: notes.SegCount(), segBytes: notes.SegBytes(), notes: notes}, callResult{}, nil
+	if tr != nil {
+		tr.Span(trace.StageMeasure, trace.ProcDPU, 0, mT0, trace.Now())
+	}
+	t := d.tasks.Get().(*callTask)
+	t.procID, t.entry, t.data, t.tr, t.admit = id, e, payload, tr, admit
+	t.need, t.segs, t.segBytes, t.notes = notes.Need(), notes.SegCount(), notes.SegBytes(), notes
+	return t, callResult{}, nil
+}
+
+// recycle returns a task to the pool. Only the normal path recycles — a host
+// response through respond to finish — because only there can no registered
+// continuation fire on the task again: every failure path (failTask, failAll,
+// a reconnect's Abort) leaves the task to the GC (see finish).
+func (d *DPUServer) recycle(t *callTask) {
+	*t = callTask{onResp: t.onResp}
+	d.tasks.Put(t)
 }
 
 // XRPCHandler terminates xRPC calls: it resolves the method, scans the
 // payload with its compiled decode plan (sizing it exactly and pre-decoding
-// the structure), and hands the request to the poller for the fill. It blocks
-// until the host's response arrives, preserving the synchronous xRPC contract
-// per connection. Every worker count answers through this one contract: the
-// returned release recycles the response buffer once the transport has
-// written it.
+// the structure) on the connection's handler goroutine, hands the request to
+// the poller for the fill, and returns. The poller replies to the call when
+// the host's response arrives (finish); the reply's release recycles the
+// response buffer once the transport has written it.
 //
-// payload is the transport's pooled request frame (xrpc.ReleasingHandler):
-// the scan, the fill, the SG segment placement and the cache probe and insert
-// all read it in place, and none of them may still be reading it when this
-// returns — the transport recycles it after writing the response. finish
-// asserts that no pipeline worker still holds the request.
-func (d *DPUServer) XRPCHandler() xrpc.ReleasingHandler { return d.handleCall }
+// call.Payload is the transport's pooled request frame: the scan, the fill,
+// the SG segment placement and the cache probe and insert all read it in
+// place, and none of them may still be reading it once the call is replied
+// to — the transport recycles it after writing the response. finish asserts
+// that no pipeline worker still holds the request.
+func (d *DPUServer) XRPCHandler() xrpc.Handler { return d.handleCall }
 
-func (d *DPUServer) handleCall(method string, payload []byte) (uint16, []byte, func()) {
-	task, hit, err := d.newTask(method, payload, false)
+func (d *DPUServer) handleCall(call *xrpc.Call) {
+	task, hit, err := d.newTask(call.Method, call.Payload, false)
 	if err != nil {
 		d.errors.Add(1)
 		if errors.Is(err, errUnknownMethod) {
-			return xrpc.StatusUnimplemented, nil, nil
+			call.Reply(xrpc.StatusUnimplemented, nil, nil)
+		} else {
+			call.Reply(xrpc.StatusInvalidArgument, nil, nil)
 		}
-		return xrpc.StatusInvalidArgument, nil, nil
+		return
 	}
 	if task == nil {
-		return hit.status, hit.resp, nil
+		call.Reply(hit.status, hit.resp, nil)
+		return
 	}
 	if d.closed.Load() {
 		task.notes.Release()
-		task.notes = nil
 		d.cfg.Tracer.Finish(task.tr, true)
-		return xrpc.StatusUnavailable, nil, nil
+		d.recycle(task)
+		call.Reply(xrpc.StatusUnavailable, nil, nil)
+		return
 	}
-	done := make(chan callResult, 1)
-	task.deliver = func(r callResult) { done <- r }
+	task.to = xrpcReply{call}
 	d.submit <- task
 	d.wake()
 	// Close the shutdown race: if the poller exited between the closed
 	// check above and the send, its final drain may have run before our
 	// task landed in the channel. Once closed is visible, submitters
-	// drain the channel themselves so no caller blocks forever.
+	// drain the channel themselves so no call goes unanswered.
 	if d.closed.Load() {
 		d.drainSubmit(ErrShuttingDown)
 	}
-	res := <-done
-	if res.err {
-		d.errors.Add(1)
-	}
-	return res.status, res.resp, res.release
 }
 
 // SubmitLocal enqueues one pre-resolved request from the poller goroutine
@@ -794,23 +839,20 @@ func (d *DPUServer) SubmitLocal(fullMethod string, payload []byte, cb func(statu
 		cb(answered.status, answered.err, answered.resp)
 		return nil
 	}
-	task.deliver = func(r callResult) {
-		cb(r.status, r.err, r.resp)
-		if r.release != nil {
-			r.release()
-		}
-	}
+	task.to = localReply(cb)
 	d.retry = append(d.retry, task)
 	return nil
 }
 
-// finish delivers a result exactly once. Tasks inside the pipeline can be
-// signalled twice at shutdown (pool drain and client.Abort through their
-// registered continuation); only the first wins. Poller-owned.
+// finish replies with a result exactly once, and counts it if it is an
+// error. Tasks inside the pipeline can be signalled twice at shutdown (pool
+// drain and client.Abort through their registered continuation); only the
+// first wins — which is why a task finished on a failure path is never
+// recycled. Poller-owned.
 func (d *DPUServer) finish(task *callTask, r callResult) {
 	if task.onWorker {
-		// Finishing lets the xRPC caller return, and its transport then
-		// recycles the request frame task.data points into — while a worker
+		// Replying lets the transport write the response and then recycle
+		// the request frame task.data points into — while a worker
 		// may still be inside Scan or buildInto on it. Every path that gives
 		// up on requests quiesces (enterReconnect) or joins (stopPool) the
 		// workers and takes the tasks back first.
@@ -823,6 +865,9 @@ func (d *DPUServer) finish(task *callTask, r callResult) {
 		return
 	}
 	task.finished = true
+	if r.err {
+		d.errors.Add(1)
+	}
 	// Failure paths can finish a task that never reached its fill; recycle
 	// its parse notes. Nil-safe, and workers that already consumed the notes
 	// cleared the field before the compQ handoff.
@@ -840,9 +885,9 @@ func (d *DPUServer) finish(task *callTask, r callResult) {
 	}
 	// Committed OK responses of cache-opted methods populate the cache on
 	// the way out (Put copies both key and value, so recycling r.resp after
-	// deliver is safe).
+	// the reply is safe). Nothing may read task.data after the reply.
 	d.cacheInsert(task, r)
-	task.deliver(r)
+	task.to.reply(r)
 }
 
 // reclaim takes a task back from the worker pool after it came through
@@ -871,7 +916,7 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 		// Response pipeline: the serialization (or the copy out of the
 		// block) runs on a worker. The block's acknowledgment is deferred
 		// until the task completes, keeping resp.Payload valid off the
-		// poller; completions are delivered by a later Progress pass.
+		// poller; a later Progress pass replies with the completions.
 		task.stage = stageSerialize
 		task.rstatus = resp.Status
 		task.rerr = resp.Err
@@ -930,6 +975,9 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 		resp:    out,
 		release: release,
 	})
+	if resp.LocalErr == nil {
+		d.recycle(task)
+	}
 }
 
 // queueWork hands one task to the worker pool. Poller-owned.
@@ -997,7 +1045,7 @@ func (d *DPUServer) Progress() (int, error) {
 }
 
 // collectCompletions drains the worker completion queue: built tasks are
-// committed (or cancelled on failure), serialized responses delivered.
+// committed (or cancelled on failure), serialized responses replied to.
 // Never blocks.
 func (d *DPUServer) collectCompletions() (drained int) {
 	for {
@@ -1038,7 +1086,9 @@ func (d *DPUServer) completeTask(task *callTask) {
 			d.failTask(task, err)
 			return
 		}
-		task.tr.Span(trace.StageCommit, trace.ProcDPU, 0, cT0, trace.Now())
+		if task.tr != nil {
+			task.tr.Span(trace.StageCommit, trace.ProcDPU, 0, cT0, trace.Now())
+		}
 		d.requests.Add(1)
 		d.measured.Add(uint64(len(task.data)))
 		if m := d.cfg.Pipeline; m != nil {
@@ -1049,7 +1099,7 @@ func (d *DPUServer) completeTask(task *callTask) {
 		// The block payload is no longer referenced: let its ack go
 		// out (FIFO with any earlier held blocks). The payload bytes
 		// themselves stay valid even when the block's connection died
-		// mid-serialize, so the real result is still delivered below.
+		// mid-serialize, so the real result is still the reply below.
 		d.releaseHold(task)
 		if task.err != nil {
 			// The worker already recycled its scratch buffer.
@@ -1068,6 +1118,7 @@ func (d *DPUServer) completeTask(task *callTask) {
 			resp:    task.out,
 			release: task.outRelease,
 		})
+		d.recycle(task)
 	}
 }
 
@@ -1121,8 +1172,7 @@ func (d *DPUServer) reserve(task *callTask) bool {
 	if task.tr != nil {
 		rT0 = trace.Now()
 	}
-	res, err := d.client.Reserve(task.procID, sgSlotSize(task.need, task.segs, task.segBytes),
-		func(resp rpcrdma.Response) { d.respond(task, resp) })
+	res, err := d.client.Reserve(task.procID, sgSlotSize(task.need, task.segs, task.segBytes), task.onResp)
 	if err != nil {
 		if errors.Is(err, arena.ErrOutOfMemory) {
 			return false
@@ -1130,7 +1180,9 @@ func (d *DPUServer) reserve(task *callTask) bool {
 		d.failTask(task, err)
 		return true
 	}
-	task.tr.Span(trace.StageReserve, trace.ProcDPU, 0, rT0, trace.Now())
+	if task.tr != nil {
+		task.tr.Span(trace.StageReserve, trace.ProcDPU, 0, rT0, trace.Now())
+	}
 	d.client.AttachTrace(res, task.tr)
 	if task.segs > 0 {
 		res.SG, res.SGSegs, res.SGBytes = true, task.segs, task.segBytes
@@ -1151,7 +1203,9 @@ func (d *DPUServer) reserve(task *callTask) bool {
 		bT0 = trace.Now()
 	}
 	d.fill(d.d, task)
-	task.tr.Span(trace.StageBuild, trace.ProcDPU, 0, bT0, trace.Now())
+	if task.tr != nil {
+		task.tr.Span(trace.StageBuild, trace.ProcDPU, 0, bT0, trace.Now())
+	}
 	d.completeTask(task)
 	return true
 }
@@ -1323,7 +1377,6 @@ func failStatus(err error) uint16 {
 }
 
 func (d *DPUServer) failTask(task *callTask, err error) {
-	d.errors.Add(1)
 	d.finish(task, callResult{status: failStatus(err), err: true,
 		resp: []byte(fmt.Sprintf("offload: %v", err))})
 }

@@ -74,7 +74,7 @@ func TestDuplexSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := xrpc.NewReleasingServer(dpu.XRPCHandler())
+		srv := xrpc.NewAsyncServer(dpu.XRPCHandler())
 		go srv.Serve(ln)
 		defer srv.Close()
 		for c := 0; c < clientsPerConn; c++ {

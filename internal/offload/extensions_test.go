@@ -239,7 +239,7 @@ func TestResponseObjectsOverRealTCP(t *testing.T) {
 			}
 		}
 	}()
-	srv := xrpc.NewReleasingServer(d.DPUs[0].XRPCHandler())
+	srv := xrpc.NewAsyncServer(d.DPUs[0].XRPCHandler())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

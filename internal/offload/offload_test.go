@@ -249,7 +249,7 @@ func TestOffloadOverRealTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := xrpc.NewReleasingServer(d.DPUs[0].XRPCHandler())
+	srv := xrpc.NewAsyncServer(d.DPUs[0].XRPCHandler())
 	go srv.Serve(ln)
 	defer srv.Close()
 

@@ -42,7 +42,7 @@ func digest(p []byte) uint64 {
 
 // TestPipelineMatchesSerialBytes is the pipeline's correctness pin: the
 // same request batch driven through the serial datapath (workers=1) and
-// the multi-core pipeline (workers=4) must deliver, in the same order, the
+// the multi-core pipeline (workers=4) must return, in the same order, the
 // same deserialized objects — verified by canonical re-serialization on
 // the host.
 func TestPipelineMatchesSerialBytes(t *testing.T) {
@@ -241,7 +241,7 @@ func TestPipelineSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := xrpc.NewReleasingServer(dpu.XRPCHandler())
+		srv := xrpc.NewAsyncServer(dpu.XRPCHandler())
 		go srv.Serve(ln)
 		defer srv.Close()
 		for c := 0; c < clientsPerConn; c++ {
@@ -302,7 +302,7 @@ func TestPipelineSoak(t *testing.T) {
 	// surface as INVALID_ARGUMENT, unknown methods never enter it.
 	cl, err := xrpc.Dial(func() string {
 		ln, _ := net.Listen("tcp", "127.0.0.1:0")
-		srv := xrpc.NewReleasingServer(d.DPUs[0].XRPCHandler())
+		srv := xrpc.NewAsyncServer(d.DPUs[0].XRPCHandler())
 		go srv.Serve(ln)
 		t.Cleanup(srv.Close)
 		return ln.Addr().String()

@@ -124,7 +124,7 @@ func TestPoisonOnRelease(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := xrpc.NewReleasingServer(d.DPUs[0].XRPCHandler())
+			srv := xrpc.NewAsyncServer(d.DPUs[0].XRPCHandler())
 			go srv.Serve(ln)
 			cl, err := xrpc.Dial(ln.Addr().String())
 			if err != nil {

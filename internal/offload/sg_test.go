@@ -120,7 +120,7 @@ func TestSGPayloadEndToEnd(t *testing.T) {
 }
 
 // TestSGMatchesInlineBytes pins the SG path's correctness against the inline
-// path: the same request batch with SG enabled and disabled must deliver
+// path: the same request batch with SG enabled and disabled must return
 // byte-identical responses in the same order.
 func TestSGMatchesInlineBytes(t *testing.T) {
 	env := workload.NewEnv()

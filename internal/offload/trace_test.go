@@ -15,7 +15,7 @@ import (
 
 // TestTracedDuplexSoak is TestDuplexSoak with end-to-end tracing enabled:
 // many concurrent xRPC clients through the full duplex pipeline while every
-// RPC records spans from admission to delivery. Run under -race this pins
+// RPC records spans from admission to reply. Run under -race this pins
 // the tracer's synchronization against the datapath's — span recording
 // happens from DPU workers, the DPU poller, host duplex workers, and the
 // host poller simultaneously.
@@ -80,7 +80,7 @@ func TestTracedDuplexSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := xrpc.NewReleasingServer(dpu.XRPCHandler())
+		srv := xrpc.NewAsyncServer(dpu.XRPCHandler())
 		go srv.Serve(ln)
 		defer srv.Close()
 		for c := 0; c < clientsPerConn; c++ {

@@ -93,20 +93,21 @@ func TestWorkerReusedAtDepthOne(t *testing.T) {
 	}
 }
 
-// A worker lists itself before writing its response, but the reader prefers
-// one that is parked: while one worker's response write is stuck behind a
-// client that is not reading, a request that arrives meanwhile runs on the
-// parked worker below it instead of waiting behind the write.
-func TestWorkerNotMailedWhileWriting(t *testing.T) {
+// rawRequest frames one request with an empty payload, for tests that drive
+// a connection byte by byte.
+func rawRequest(id uint32, method string) []byte {
+	return append(appendFrameHeader(nil, 2+len(method), frameRequest, id, uint16(len(method))), method...)
+}
+
+// Handlers never write: while an 8 MiB response is stuck behind a client
+// that reads nothing, the handler goroutine that produced it is free again,
+// and the next request runs on it.
+func TestWriterStuckHoldsNoWorker(t *testing.T) {
 	ran := make(chan string, 4)
-	hold := make(chan struct{})
 	big := make([]byte, 8<<20) // more than the socket buffers hold
 	srv, addr := startServer(t, func(method string, payload []byte) (uint16, []byte) {
 		ran <- method
-		switch method {
-		case "/t.S/Hold":
-			<-hold
-		case "/t.S/Big":
+		if method == "/t.S/Big" {
 			return StatusOK, big
 		}
 		return StatusOK, nil
@@ -116,38 +117,137 @@ func TestWorkerNotMailedWhileWriting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	request := func(id uint32, method string) []byte {
-		return append(appendFrameHeader(nil, 2+len(method), frameRequest, id, uint16(len(method))), method...)
-	}
-	// Two requests held at once: two workers. Both answer and park.
-	conn.Write(append(append([]byte(Preface), request(1, "/t.S/Hold")...), request(2, "/t.S/Hold")...))
-	<-ran
-	<-ran
-	close(hold)
-	small := make([]byte, 2*(frameHeaderLen+2))
-	if _, err := io.ReadFull(conn, small); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond) // both have long finished their 11-byte writes
-	// One worker now blocks writing 8 MiB to a peer that reads nothing; it is
-	// listed on top of the parked one all the while.
-	conn.Write(request(3, "/t.S/Big"))
+	conn.Write(append([]byte(Preface), rawRequest(1, "/t.S/Big")...))
 	if m := <-ran; m != "/t.S/Big" {
-		t.Fatalf("third handler to run: %s", m)
+		t.Fatalf("first handler to run: %s", m)
 	}
-	time.Sleep(50 * time.Millisecond)
-	conn.Write(request(4, "/t.S/Small"))
+	time.Sleep(50 * time.Millisecond) // the writer is now blocked on the 8 MiB
+	conn.Write(rawRequest(2, "/t.S/Small"))
 	select {
 	case m := <-ran:
 		if m != "/t.S/Small" {
-			t.Fatalf("fourth handler to run: %s", m)
+			t.Fatalf("second handler to run: %s", m)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("the request waited behind another worker's socket write")
+		t.Fatal("the request waited behind the stuck response write")
 	}
-	if n := srv.Stats().WorkersSpawned; n != 2 {
-		t.Errorf("%d workers spawned, want 2", n)
+	if n := srv.Stats().WorkersSpawned; n != 1 {
+		t.Errorf("%d workers spawned, want 1", n)
 	}
+}
+
+// The writer batches: at depth 64 a flush carries more than one response.
+func TestWriterBatchesFlushes(t *testing.T) {
+	srv, addr := startServer(t, echo)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const depth, rounds = 64, 50
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for i := 0; i < depth; i++ {
+			wg.Add(1)
+			if err := c.Go("/t.S/Echo", []byte("p"), func(uint16, []byte, error) { wg.Done() }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+	}
+	st := srv.Stats()
+	if st.Requests != depth*rounds || st.ResponseFlushes >= st.Requests {
+		t.Fatalf("%d responses in %d flushes at depth %d", st.Requests, st.ResponseFlushes, depth)
+	}
+	t.Logf("%.1f responses per flush", float64(st.Requests)/float64(st.ResponseFlushes))
+}
+
+// A peer that stops reading loses its connection once a response write has
+// waited out the write deadline; every call it had in flight is released,
+// and another connection is served throughout.
+func TestWriterDeadlineClosesNonReader(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	big := make([]byte, 8<<20)
+	var released atomic.Int64
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewReleasingServer(func(method string, payload []byte) (uint16, []byte, func()) {
+		if method == "/t.S/Big" {
+			return StatusOK, big, func() { released.Add(1) }
+		}
+		return StatusOK, payload, nil
+	})
+	srv.writeTimeout = deadline
+	go srv.Serve(ln)
+	defer srv.Close()
+	addr := ln.Addr().String()
+
+	// The second connection keeps calling for the whole test.
+	good, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	stop := make(chan struct{})
+	served := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { served <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			status, resp, err := good.CallTimeout("/t.S/Echo", []byte("alive"), 2*time.Second)
+			if err != nil || status != StatusOK || string(resp) != "alive" {
+				t.Errorf("the reading connection: status %d, %q, err %v", status, resp, err)
+				return
+			}
+			n++
+			time.Sleep(time.Millisecond)
+		}
+	}()
+
+	bad, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	const bigCalls = 4
+	stream := []byte(Preface)
+	for i := uint32(1); i <= bigCalls; i++ {
+		stream = append(stream, rawRequest(i, "/t.S/Big")...)
+	}
+	start := time.Now()
+	bad.Write(stream)
+	waitFor(t, "the non-reading connection to be served", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns) == 2
+	})
+	waitFor(t, "the non-reading connection to be closed", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns) == 1
+	})
+	if elapsed := time.Since(start); elapsed < deadline/2 {
+		t.Errorf("closed after %v, before half the %v write deadline", elapsed, deadline)
+	}
+	if n := released.Load(); n != bigCalls {
+		t.Errorf("%d of %d stuck responses released", n, bigCalls)
+	}
+	close(stop)
+	if n := <-served; n == 0 {
+		t.Error("the reading connection was not served")
+	}
+	good.Close()
+	closeAndCheckFrames(t, srv)
 }
 
 // Dispatch pin (a), continued: pipelining 64 deep spawns at most 64 workers,

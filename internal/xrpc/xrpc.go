@@ -28,6 +28,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -84,29 +85,41 @@ var (
 	ErrClosed     = errors.New("xrpc: connection closed")
 )
 
-// ioBufSize is the bufio buffer on each side of a connection. A frame whose
-// payload is at least this large bypasses the write buffer (see frameWriter).
+// ioBufSize is the read buffer on each side of a connection and the write
+// buffer's capacity. A frame whose payload is at least this large is not
+// copied into the write buffer (see frameWriter).
 const ioBufSize = 64 << 10
 
 // frameHeaderLen is the fixed part of a frame: length, type, stream ID.
 const frameHeaderLen = 9
 
 // frameWriter frames messages onto one connection; its owner serializes
-// calls. Headers are appended in place into the bufio buffer, so nothing
-// header-sized escapes to the heap per frame.
+// calls. Frames queue until flush, which hands everything queued to the
+// socket as one net.Buffers writev: runs of buf, which holds headers and small
+// payloads copied in place, and, between them, each payload of at least
+// ioBufSize by reference behind its header blob — the HomeStore
+// data_rpc_generator::serialize idiom (SNIPPETS.md 1). A queued large payload
+// must therefore stay valid and unchanged until the next flush returns.
 type frameWriter struct {
 	conn net.Conn
-	bw   *bufio.Writer
+	buf  []byte      // framed bytes since the last flush; cap ioBufSize unless one frame needed more
+	cut  int         // buf[:cut] is already a segment in segs
+	segs net.Buffers // the segments of the next write, in order
+	vec  net.Buffers // what WriteTo consumes (kept here so taking its address allocates nothing)
+	err  error       // sticky: the first write error
 
-	// Vectored-write scratch: the header blob, and the two-element vector
-	// net.Buffers consumes (kept here so taking its address allocates nothing).
-	hdr    []byte
-	vecArr [2][]byte
-	vec    net.Buffers
+	// timeout > 0 keeps a write deadline between half of it and all of it
+	// ahead of every write, so a peer that stops reading fails the write
+	// instead of holding it forever. Re-arming is a clock reading per write
+	// and a timer update only once per half interval (one costs ~0.5 µs).
+	timeout time.Duration
+	rearm   time.Time // when the armed deadline is half a timeout away
+	// writes, when non-nil, counts the socket writes flush makes.
+	writes *atomic.Uint64
 }
 
 func newFrameWriter(conn net.Conn) frameWriter {
-	return frameWriter{conn: conn, bw: bufio.NewWriterSize(conn, ioBufSize)}
+	return frameWriter{conn: conn, buf: make([]byte, 0, ioBufSize)}
 }
 
 func appendFrameHeader(b []byte, bodyLen int, ftype uint8, streamID uint32, word uint16) []byte {
@@ -116,32 +129,58 @@ func appendFrameHeader(b []byte, bodyLen int, ftype uint8, streamID uint32, word
 	return binary.LittleEndian.AppendUint16(b, word)
 }
 
-// writeFrame writes one frame whose body is word ‖ method ‖ payload: a request
-// (word = len(method)) or a response (word = status, no method). Small frames
-// are buffered until the owner flushes. A payload of at least ioBufSize goes
-// out at once as a single vectored write of {header, payload} — the header
-// blob is prepended to the value instead of the value being copied through
-// the write buffer — after whatever was buffered before it.
+// writeFrame queues one frame whose body is word ‖ method ‖ payload: a request
+// (word = len(method)) or a response (word = status, no method). A frame that
+// does not fit beside what buf already holds flushes it first. ErrFrameSize
+// leaves the writer usable; any other error is the sticky write error.
 func (w *frameWriter) writeFrame(ftype uint8, streamID uint32, word uint16, method string, payload []byte) error {
 	body := 2 + len(method) + len(payload)
 	if body+5 > MaxFrameSize {
 		return ErrFrameSize
 	}
-	if len(payload) < ioBufSize {
-		w.bw.Write(appendFrameHeader(w.bw.AvailableBuffer(), body, ftype, streamID, word))
-		w.bw.WriteString(method)
-		_, err := w.bw.Write(payload) // bufio errors are sticky: the last one tells
-		return err
+	inline := len(payload) < ioBufSize
+	n := frameHeaderLen + 2 + len(method)
+	if inline {
+		n += len(payload)
 	}
-	if err := w.bw.Flush(); err != nil {
-		return err
+	if len(w.buf) > 0 && len(w.buf)+n > cap(w.buf) {
+		w.flush()
 	}
-	w.hdr = append(appendFrameHeader(w.hdr[:0], body, ftype, streamID, word), method...)
-	w.vecArr = [2][]byte{w.hdr, payload}
-	w.vec = w.vecArr[:]
-	_, err := w.vec.WriteTo(w.conn)
-	w.vecArr[1] = nil
-	return err
+	if w.err != nil {
+		return w.err
+	}
+	w.buf = append(appendFrameHeader(w.buf, body, ftype, streamID, word), method...)
+	if inline {
+		w.buf = append(w.buf, payload...)
+		return nil
+	}
+	w.segs = append(w.segs, w.buf[w.cut:], payload)
+	w.cut = len(w.buf)
+	return nil
+}
+
+// flush writes everything queued in one vectored write and drops the
+// references to queued payloads.
+func (w *frameWriter) flush() error {
+	if w.cut < len(w.buf) {
+		w.segs = append(w.segs, w.buf[w.cut:])
+	}
+	if len(w.segs) > 0 && w.err == nil {
+		if w.timeout > 0 {
+			if now := time.Now(); !now.Before(w.rearm) {
+				w.conn.SetWriteDeadline(now.Add(w.timeout))
+				w.rearm = now.Add(w.timeout / 2)
+			}
+		}
+		w.vec = w.segs
+		_, w.err = w.vec.WriteTo(w.conn)
+		if w.writes != nil {
+			w.writes.Add(1)
+		}
+	}
+	clear(w.segs)
+	w.segs, w.vec, w.buf, w.cut = w.segs[:0], nil, w.buf[:0], 0
+	return w.err
 }
 
 // readFrameHeader consumes one frame header and returns the frame's type,
@@ -219,10 +258,7 @@ func NewClient(conn net.Conn) (*Client, error) {
 		pending:    map[uint32]func(uint16, []byte, error){},
 		readerDone: make(chan struct{}),
 	}
-	if _, err := c.fw.bw.WriteString(Preface); err != nil {
-		conn.Close()
-		return nil, err
-	}
+	c.fw.buf = append(c.fw.buf, Preface...)
 	go c.readLoop()
 	return c, nil
 }
@@ -314,6 +350,10 @@ func (c *Client) goWithID(method string, payload []byte, idOut *uint32, cb func(
 	c.pending[id] = cb
 	c.mu.Unlock()
 	err := c.fw.writeFrame(frameRequest, id, uint16(len(method)), method, payload)
+	if err == nil && len(payload) >= ioBufSize {
+		// The caller may reuse payload once Go returns: write it now.
+		err = c.fw.flush()
+	}
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
@@ -333,7 +373,7 @@ func (c *Client) Flush() error {
 	if closed {
 		return ErrClosed
 	}
-	if err := c.fw.bw.Flush(); err != nil {
+	if err := c.fw.flush(); err != nil {
 		c.mu.Lock()
 		c.werr = err
 		c.mu.Unlock()

@@ -67,8 +67,8 @@ type StackOptions struct {
 	// concurrent invocation.
 	HostWorkers int
 	// Registry, when non-nil, receives per-method RPC series (requests,
-	// errors, request/response bytes, in-flight gauge) recorded at the
-	// xRPC admission layer. Expose it live with trace.NewDebugMux.
+	// errors, request/response bytes, in-flight gauge) recorded by the
+	// xRPC server's reply observer. Expose it live with trace.NewDebugMux.
 	Registry *metrics.Registry
 	// Window, when non-nil, collects per-request end-to-end latency into
 	// sliding-window histograms: /metrics and /anatomy report the trailing
@@ -121,7 +121,7 @@ func (o *StackOptions) fill() {
 // need only a different address — exactly the paper's "only configuration
 // change" property.
 type Stack struct {
-	handler xrpc.ReleasingHandler
+	handler xrpc.Handler
 	srv     *xrpc.Server
 
 	mu      sync.Mutex
@@ -215,13 +215,13 @@ func NewOffloadedStack(schema *Schema, impls map[string]Impl, opts StackOptions)
 	}
 	// The xRPC front end spreads calls across the DPU connections
 	// round-robin (the many-to-one-to-one multiplexing of Sec. III-C).
-	handlers := make([]xrpc.ReleasingHandler, len(d.DPUs))
+	handlers := make([]xrpc.Handler, len(d.DPUs))
 	for i, dpuSrv := range d.DPUs {
 		handlers[i] = dpuSrv.XRPCHandler()
 	}
 	var next atomic.Uint64
-	st.handler = func(method string, payload []byte) (uint16, []byte, func()) {
-		return handlers[(next.Add(1)-1)%uint64(len(handlers))](method, payload)
+	st.handler = func(call *xrpc.Call) {
+		handlers[(next.Add(1)-1)%uint64(len(handlers))](call)
 	}
 	st.instrument()
 	return st, nil
@@ -234,24 +234,26 @@ func NewBaselineStack(schema *Schema, impls map[string]Impl, opts StackOptions) 
 	if err != nil {
 		return nil, err
 	}
-	st := &Stack{handler: base.XRPCHandler().Releasing(), registry: opts.Registry, window: opts.Window,
+	st := &Stack{handler: base.XRPCHandler().Async(), registry: opts.Registry, window: opts.Window,
 		handlerPanics: func() uint64 { return base.Stats().HandlerPanics }}
 	st.instrument()
 	return st, nil
 }
 
-// instrument wraps the xRPC entry point with per-method metrics when a
-// registry is configured, and — on baseline stacks — with windowed latency
-// observation (offloaded stacks observe at the DPU poller instead, where the
-// trace ID is at hand); then it builds the xRPC server around the result.
+// instrument builds the xRPC server around the handler and, when a registry
+// is configured or — on baseline stacks — a window, installs the reply
+// observer that keeps the per-method series and the windowed latency
+// (offloaded stacks observe latency at the DPU poller instead, where the
+// trace ID is at hand).
 func (s *Stack) instrument() {
-	if s.registry != nil {
-		s.handler = newRPCMetrics(s.registry).wrapHandler(s.handler)
+	s.srv = xrpc.NewAsyncServer(s.handler)
+	var win *metrics.RPCWindow
+	if s.deployment == nil {
+		win = s.window
 	}
-	if s.window != nil && s.deployment == nil {
-		s.handler = wrapHandlerWindow(s.window, s.handler)
+	if s.registry != nil || win != nil {
+		s.srv.SetObserver(newRPCObserver(s.registry, win))
 	}
-	s.srv = xrpc.NewReleasingServer(s.handler)
 }
 
 // Metrics returns the registry configured in StackOptions (nil if none).
@@ -264,8 +266,9 @@ func (s *Stack) Tracer() *trace.Tracer { return s.tracer }
 func (s *Stack) Window() *metrics.RPCWindow { return s.window }
 
 // RegisterGauges registers this stack's live resource sources on a sampler:
-// the xRPC front end's bounds (request-frame bytes in flight, connections
-// stopped at the frame-byte cap, connections closed idle), the business
+// the xRPC front end's replies and the socket writes that carried them, its
+// bounds (request-frame bytes in flight, connections stopped at the
+// frame-byte cap, connections closed idle), the business
 // handlers that panicked and answered INTERNAL, and, on offloaded
 // stacks, per-connection protocol-endpoint state (arena occupancy, send-queue
 // and partial-block depth, outstanding requests, credits, and the liveness
@@ -280,6 +283,12 @@ func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 	smp.Register("xrpc_frame_bytes_in_flight",
 		"Capacity of the pooled request frames xRPC connections currently own.", nil,
 		func() float64 { return float64(s.srv.Stats().FrameBytesInFlight) })
+	smp.Register("xrpc_requests_total",
+		"Calls the xRPC front end has replied to.", nil,
+		func() float64 { return float64(s.srv.Stats().Requests) })
+	smp.Register("xrpc_response_flushes_total",
+		"Socket writes carrying xRPC responses: each connection's writer makes one per batch of ready replies.", nil,
+		func() float64 { return float64(s.srv.Stats().ResponseFlushes) })
 	smp.Register("rpc_conn_bytes_capped_total",
 		"Times an xRPC connection stopped reading at its in-flight frame-byte cap.", nil,
 		func() float64 { return float64(s.srv.Stats().BytesCapped) })
@@ -369,8 +378,9 @@ func (s *Stack) InvalidateMethod(service, method string) int {
 }
 
 // Handler exposes the raw xRPC handler (useful for in-process testing
-// without TCP). The response is the caller's to keep: a pooled response
-// buffer is copied out and released before returning.
+// without TCP), waiting for each call's reply; calls through it bypass the
+// front end and its metrics. The response is the caller's to keep: a pooled
+// response buffer is copied out and released before returning.
 func (s *Stack) Handler() func(method string, payload []byte) (status uint16, resp []byte) {
 	return s.handler.Copying()
 }

@@ -2,19 +2,23 @@ package dpurpc
 
 import (
 	"sync"
+	"time"
 
 	"dpurpc/internal/metrics"
-	"dpurpc/internal/trace"
 	"dpurpc/internal/xrpc"
 )
 
-// rpcMetrics maintains the per-method RPC series of a stack: request and
-// error counts, request/response byte volume (all labeled by full method
-// name), and an in-flight gauge. Counters are registered lazily on the
-// first call of each method and cached, so the steady-state cost per RPC
-// is one RLock'd map hit plus a handful of atomic adds.
-type rpcMetrics struct {
-	reg      *metrics.Registry
+// rpcObserver is a stack's xrpc.Observer. With a registry it maintains the
+// per-method RPC series: request and error counts, request/response byte
+// volume (all labeled by full method name), and an in-flight gauge. Counters
+// are registered lazily on the first call of each method and cached, so the
+// steady-state cost per RPC is two RLock'd map hits plus a handful of atomic
+// adds. With a window (baseline stacks) it also observes each call's latency,
+// from its handler's start to its reply being framed; baseline observations
+// carry no trace ID, so exemplars stay unresolved.
+type rpcObserver struct {
+	reg      *metrics.Registry // nil: no per-method series
+	win      *metrics.RPCWindow
 	inflight *metrics.Gauge
 
 	mu      sync.RWMutex
@@ -28,61 +32,59 @@ type methodMetrics struct {
 	respBytes *metrics.Counter
 }
 
-func newRPCMetrics(reg *metrics.Registry) *rpcMetrics {
-	return &rpcMetrics{
-		reg:      reg,
-		inflight: reg.Gauge("rpc_inflight", "RPCs currently being served", nil),
-		methods:  make(map[string]*methodMetrics),
+func newRPCObserver(reg *metrics.Registry, win *metrics.RPCWindow) *rpcObserver {
+	o := &rpcObserver{reg: reg, win: win, methods: make(map[string]*methodMetrics)}
+	if reg != nil {
+		o.inflight = reg.Gauge("rpc_inflight", "RPCs currently being served", nil)
 	}
+	return o
 }
 
-func (m *rpcMetrics) method(name string) *methodMetrics {
-	m.mu.RLock()
-	mm := m.methods[name]
-	m.mu.RUnlock()
+func (o *rpcObserver) method(name string) *methodMetrics {
+	o.mu.RLock()
+	mm := o.methods[name]
+	o.mu.RUnlock()
 	if mm != nil {
 		return mm
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mm = m.methods[name]; mm != nil {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if mm = o.methods[name]; mm != nil {
 		return mm
 	}
 	l := map[string]string{"method": name}
 	mm = &methodMetrics{
-		requests:  m.reg.Counter("rpc_requests_total", "RPCs served, by method", l),
-		errors:    m.reg.Counter("rpc_errors_total", "RPCs that returned a non-OK status, by method", l),
-		reqBytes:  m.reg.Counter("rpc_request_bytes_total", "Serialized request bytes received, by method", l),
-		respBytes: m.reg.Counter("rpc_response_bytes_total", "Serialized response bytes sent, by method", l),
+		requests:  o.reg.Counter("rpc_requests_total", "RPCs served, by method", l),
+		errors:    o.reg.Counter("rpc_errors_total", "RPCs that returned a non-OK status, by method", l),
+		reqBytes:  o.reg.Counter("rpc_request_bytes_total", "Serialized request bytes received, by method", l),
+		respBytes: o.reg.Counter("rpc_response_bytes_total", "Serialized response bytes sent, by method", l),
 	}
-	m.methods[name] = mm
+	o.methods[name] = mm
 	return mm
 }
 
-// wrapHandler instruments the xRPC handler.
-func (m *rpcMetrics) wrapHandler(h xrpc.ReleasingHandler) xrpc.ReleasingHandler {
-	return func(method string, payload []byte) (uint16, []byte, func()) {
-		mm := m.method(method)
-		mm.requests.Inc()
-		mm.reqBytes.Add(uint64(len(payload)))
-		m.inflight.Add(1)
-		status, resp, release := h(method, payload)
-		m.inflight.Add(-1)
+// Begin counts a call and its request bytes as its handler starts.
+func (o *rpcObserver) Begin(method string, reqBytes int) {
+	if o.reg == nil {
+		return
+	}
+	mm := o.method(method)
+	mm.requests.Inc()
+	mm.reqBytes.Add(uint64(reqBytes))
+	o.inflight.Add(1)
+}
+
+// Replied counts a call's outcome and response bytes as its reply is framed.
+func (o *rpcObserver) Replied(method string, _ int, status uint16, respBytes int, elapsed time.Duration) {
+	if o.reg != nil {
+		mm := o.method(method)
+		o.inflight.Add(-1)
 		if status != xrpc.StatusOK {
 			mm.errors.Inc()
 		}
-		mm.respBytes.Add(uint64(len(resp)))
-		return status, resp, release
+		mm.respBytes.Add(uint64(respBytes))
 	}
-}
-
-// wrapHandlerWindow adds windowed latency observation to the handler
-// (baseline stacks: no trace IDs, so exemplars stay unresolved).
-func wrapHandlerWindow(win *metrics.RPCWindow, h xrpc.ReleasingHandler) xrpc.ReleasingHandler {
-	return func(method string, payload []byte) (uint16, []byte, func()) {
-		start := trace.Now()
-		status, resp, release := h(method, payload)
-		win.Observe(trace.Now()-start, 0, status != xrpc.StatusOK)
-		return status, resp, release
+	if o.win != nil {
+		o.win.Observe(elapsed.Nanoseconds(), 0, status != xrpc.StatusOK)
 	}
 }
