@@ -4,9 +4,13 @@
 
 all: build test
 
+# The cross-builds keep the portable packed-varint loop and the _amd64 file
+# split compiling (both offline: the toolchain carries every GOARCH).
 build:
 	go build ./...
 	go vet ./...
+	GOARCH=arm64 go vet ./...
+	GOARCH=386 go build ./...
 
 # The second pass repeats the host duplex pool's liveness tests (slow and
 # sleeping handlers at 16 credits, out-of-order completion) on one CPU, where
@@ -142,10 +146,13 @@ chaos:
 
 # Short fuzz pass over the untrusted-input surfaces. FuzzPlannedDecode fuzzes
 # the decoder production runs (Scan + Fill) against the interpretive one and
-# protomsg. Its corpus and FuzzServeConn's are checked in
-# (internal/{deser,xrpc}/testdata/fuzz), so their seeds also run in `go test`.
+# protomsg; FuzzPackedVarints fuzzes the packed-varint kernel against the
+# portable loop and a wire.Uvarint loop. Their corpora and FuzzServeConn's
+# are checked in (internal/{deser,xrpc}/testdata/fuzz), so their seeds also
+# run in `go test`.
 fuzz:
 	go test -fuzz FuzzPlannedDecode -fuzztime 30s ./internal/deser
+	go test -fuzz FuzzPackedVarints -fuzztime 30s ./internal/deser
 	go test -fuzz FuzzDeserialize -fuzztime 30s ./internal/deser
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/protodsl
 	go test -fuzz FuzzDecode -fuzztime 30s ./internal/adt

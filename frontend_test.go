@@ -1,11 +1,15 @@
 package dpurpc_test
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
 	"dpurpc"
+	"dpurpc/internal/deser"
 	"dpurpc/internal/metrics"
+	"dpurpc/internal/wire"
 	"dpurpc/internal/xrpc"
 )
 
@@ -279,5 +283,98 @@ func TestReplyObserverMetrics(t *testing.T) {
 				t.Errorf("xrpc_response_flushes_total = %v for 26 depth-1 calls", got)
 			}
 		})
+	}
+}
+
+// Both stacks export which packed-varint decoder the process runs.
+func TestVarintKernelGauge(t *testing.T) {
+	for name, newStack := range map[string]func(*dpurpc.Schema, map[string]dpurpc.Impl, dpurpc.StackOptions) (*dpurpc.Stack, error){
+		"offloaded": dpurpc.NewOffloadedStack,
+		"baseline":  dpurpc.NewBaselineStack,
+	} {
+		t.Run(name, func(t *testing.T) {
+			schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stack, err := newStack(schema, greeterImpls(t, schema), dpurpc.StackOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stack.Close()
+			smp := metrics.NewSampler(time.Hour, 4, nil) // sampled by hand
+			stack.RegisterGauges(smp)
+			smp.SampleOnce()
+			key := `deser_varint_kernel_info{kernel="` + deser.Kernel() + `"}`
+			s := smp.Series()[key]
+			if len(s) == 0 || s[len(s)-1].V != 1 {
+				t.Fatalf("%s = %v, want 1 (have %v)", key, s, smp.SeriesKeys())
+			}
+			if k := deser.Kernel(); k != "bmi2" && k != "portable" {
+				t.Fatalf("deser.Kernel() = %q", k)
+			}
+		})
+	}
+}
+
+const intsProto = `
+syntax = "proto3";
+package ints;
+
+message IntArray { repeated uint32 values = 1; }
+message Empty {}
+
+service Bench {
+  rpc CallInts (IntArray) returns (Empty);
+}
+`
+
+// A 15 MiB frame of one-byte uint32 varints decodes to 60 MiB, past any
+// slot of the DPU's send buffer. The scan refuses it before decoding, so the
+// call allocates less than 1.5x its wire size, and the client gets the send
+// buffer's refusal: INTERNAL.
+func TestOversizedPackedCallBounded(t *testing.T) {
+	schema, err := dpurpc.ParseSchema("ints.proto", intsProto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	impls := map[string]dpurpc.Impl{"ints.Bench": {
+		"CallInts": func(dpurpc.View) (*dpurpc.Message, uint16) { return nil, 0 },
+	}}
+	stack, err := dpurpc.NewOffloadedStack(schema, impls, dpurpc.StackOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	addr, err := stack.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := dpurpc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const method = "/ints.Bench/CallInts"
+	record := func(n int) []byte {
+		return wire.AppendBytes(wire.AppendTag(nil, 1, wire.TypeBytes), bytes.Repeat([]byte{0x01}, n))
+	}
+	if status, _, err := cl.Raw().Call(method, record(4096)); err != nil || status != xrpc.StatusOK {
+		t.Fatalf("small call: status %d, err %v", status, err)
+	}
+	payload := record(15<<20 - 8)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status, resp, err := cl.Raw().Call(method, payload)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != xrpc.StatusInternal || !bytes.Contains(resp, []byte("larger than send buffer")) {
+		t.Fatalf("status %d (%q), want %d and the send buffer's refusal", status, resp, xrpc.StatusInternal)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) >= 1.5*float64(len(payload)) {
+		t.Fatalf("the call allocated %d bytes for a %d-byte payload (want < 1.5x)", alloc, len(payload))
 	}
 }

@@ -41,6 +41,7 @@ var (
 	ErrWireTypeMismatch   = errors.New("deser: wire type mismatch")
 	ErrMalformed          = errors.New("deser: malformed message")
 	ErrElementCountChange = errors.New("deser: element count changed between passes")
+	ErrTooLarge           = errors.New("deser: decoded message exceeds the caller's limit")
 )
 
 // DefaultMaxDepth matches protobuf's default recursion limit.

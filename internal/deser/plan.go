@@ -32,9 +32,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
-	"slices"
+	"math"
 	"sync"
+	"unsafe"
 
 	"dpurpc/internal/abi"
 	"dpurpc/internal/arena"
@@ -241,6 +241,8 @@ type Notes struct {
 	elems  []byte
 	counts []uint32
 	need   int
+	// maxNeed is ScanWithin's bound on the elems stream.
+	maxNeed int
 	// Scatter-gather accounting (Options.SGPayloadMin > 0): segBytes is the
 	// 8-aligned byte total of the payload-segment area the message needs in
 	// addition to need, segCount the number of payload-ref notes. Both stay
@@ -259,6 +261,7 @@ func (no *Notes) reset() {
 	no.elems = no.elems[:0]
 	no.counts = no.counts[:0]
 	no.need = 0
+	no.maxNeed = math.MaxInt
 	no.segBytes = 0
 	no.segCount = 0
 	no.bypass = false
@@ -284,11 +287,22 @@ func (no *Notes) Need() int { return no.need }
 // scans on one worker and fills on another).
 var notesPool = sync.Pool{New: func() any { return new(Notes) }}
 
+// maxPooledScratch bounds the bytes of an elems or ops buffer Release keeps
+// for reuse: a buffer one huge message grew goes back to the GC instead of
+// staying pinned in the pool.
+const maxPooledScratch = 1 << 20
+
 // Release returns no to the shared pool. Safe on nil; the caller must not
 // use no afterwards.
 func (no *Notes) Release() {
 	if no == nil {
 		return
+	}
+	if cap(no.elems) > maxPooledScratch {
+		no.elems = nil
+	}
+	if cap(no.ops)*int(unsafe.Sizeof(noteOp{})) > maxPooledScratch {
+		no.ops = nil
 	}
 	notesPool.Put(no)
 }
@@ -307,8 +321,19 @@ func payloadOf(data []byte, v uint64) []byte {
 // whose Need reports the exact arena size. The caller must Release the
 // notes (Fill does not). On error no notes are retained.
 func (d *Deserializer) Scan(p *Plan, data []byte) (*Notes, error) {
+	return d.ScanWithin(p, data, math.MaxInt)
+}
+
+// ScanWithin is Scan for a caller that can place no object needing more
+// than maxNeed arena bytes. It fails with ErrTooLarge before its pre-decoded
+// element stream would grow past maxNeed, so a small frame of one-byte
+// varints cannot make the scan allocate up to 8x the frame for a request
+// the caller must refuse anyway. Need can still exceed maxNeed by the bytes
+// that are not packed varint elements; the caller checks it.
+func (d *Deserializer) ScanWithin(p *Plan, data []byte, maxNeed int) (*Notes, error) {
 	no := notesPool.Get().(*Notes)
 	no.reset()
+	no.maxNeed = maxNeed
 	if p.simple && len(data) <= SmallFastPathMax {
 		need, err := d.scanSimple(p, data)
 		if err != nil {
@@ -584,6 +609,12 @@ func (d *Deserializer) scanRepScalar(a *action, rest []byte, absPos int, wt wire
 		// Every payload byte belongs to exactly one varint, so the stats
 		// charge is the payload length.
 		start := len(no.elems)
+		// Every element takes at least one byte, and appendPackedVarints
+		// reserves that worst case; past the caller's bound, count the
+		// elements before growing anything.
+		if start+len(payload)*int(a.elem) > no.maxNeed && start+varintCount(payload)*int(a.elem) > no.maxNeed {
+			return 0, fmt.Errorf("%w: packed field needs more than %d bytes", ErrTooLarge, no.maxNeed)
+		}
 		elems, ok := appendPackedVarints(no.elems, payload, a.elem, a.zig)
 		if !ok {
 			return 0, fmt.Errorf("%w: bad packed varint", ErrMalformed)
@@ -604,86 +635,6 @@ func (d *Deserializer) scanRepScalar(a *action, rest []byte, absPos int, wt wire
 	no.counts[ci]++
 	no.ops = append(no.ops, noteOp{act: a, op: nopRepElem, val: bits})
 	return n, nil
-}
-
-// Word-at-a-time varint masks: the continuation bit and the seven data bits
-// of every byte of a little-endian 8-byte load.
-const (
-	varintStops = 0x8080808080808080
-	varintData  = 0x7f7f7f7f7f7f7f7f
-)
-
-// appendPackedVarints decodes the packed varint run src and appends each
-// element to dst in its w-byte arena form (w = 1, 4 or 8): zigzag decoded
-// when zig, then stored by writeSlot, which narrows 32-bit kinds and
-// normalizes bools — the bits storedScalar gives. It reports false on a
-// truncated or overlong varint.
-//
-// The decode is word-at-a-time in two steps per 64-byte block. First, eight
-// 8-byte loads gather the block's stop bits (clear continuation bits) into
-// one bitmap; each set bit ends a varint, so walking the bitmap hands every
-// element its start without waiting for the previous element's decode. Then
-// each varint is cut from one unaligned 8-byte load, masked up to its first
-// stop bit, and its 7-bit groups are packed in three shift/mask steps. A
-// varint with no stop bit in its first 8 bytes (9 or 10 bytes long, or
-// malformed) and the tail after the last whole block go through
-// wire.Uvarint, which owns every malformed-input check. Cutting varints
-// word by word instead (advance past each word's last stop bit) chains every
-// load on the previous word's decode and leaves a data-dependent inner loop
-// every ~3 elements; on the ledger's payloads it ran 1.5x slower than this.
-func appendPackedVarints(dst, src []byte, w uint32, zig bool) ([]byte, bool) {
-	// Each element takes at least one wire byte: reserve the worst case so
-	// the stores below never reallocate.
-	o := len(dst)
-	dst = slices.Grow(dst, len(src)*int(w))
-	out := dst[:cap(dst)]
-	start := 0 // first byte of the next varint
-	// A block's last varint starts at most 63 bytes in; its 8-byte load
-	// must stay inside src.
-	for base := 0; len(src)-base >= 72; base += 64 {
-		var ends uint64
-		for k := 0; k < 8; k++ {
-			x := binary.LittleEndian.Uint64(src[base+8*k:])
-			// Gather bit 7 of each byte (inverted) into one byte.
-			ends |= (((^x >> 7) & 0x0101010101010101) * 0x0102040810204080 >> 56) << (8 * k)
-		}
-		for ends != 0 {
-			end := base + bits.TrailingZeros64(ends)
-			ends &= ends - 1
-			x := binary.LittleEndian.Uint64(src[start:])
-			var v uint64
-			if stops := ^x & varintStops; stops != 0 {
-				v = x & (stops ^ (stops - 1)) & varintData
-				v = v&0x007f007f007f007f | (v&0x7f007f007f007f00)>>1
-				v = v&0x00003fff00003fff | (v&0x3fff00003fff0000)>>2
-				v = v&0x000000000fffffff | (v&0x0fffffff00000000)>>4
-			} else {
-				var n int
-				if v, n = wire.Uvarint(src[start:]); n <= 0 {
-					return dst, false
-				}
-			}
-			if zig {
-				v = uint64(wire.DecodeZigZag(v))
-			}
-			writeSlot(out[o:o+int(w)], w, v)
-			o += int(w)
-			start = end + 1
-		}
-	}
-	for start < len(src) {
-		v, n := wire.Uvarint(src[start:])
-		if n <= 0 {
-			return dst, false
-		}
-		if zig {
-			v = uint64(wire.DecodeZigZag(v))
-		}
-		writeSlot(out[o:o+int(w)], w, v)
-		o += int(w)
-		start += n
-	}
-	return dst[:o], true
 }
 
 // sizeNotes replays the allocation sequence of one message body through the

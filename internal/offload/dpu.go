@@ -298,6 +298,10 @@ type DPUServer struct {
 	client *rpcrdma.ClientConn
 	cfg    DPUConfig
 	dopts  deser.Options // options for every deserializer this server creates
+	// maxNeed is the largest request object a block slot can hold
+	// (ClientConn.MaxPayload): scans refuse a request past it before
+	// decoding its packed varints.
+	maxNeed int
 
 	// clientRef republishes client for every other goroutine. client is
 	// poller-owned and swapped by adopt, so connection goroutines ringing
@@ -407,6 +411,7 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 		cfg:         cfg,
 		submit:      make(chan *callTask, 4096),
 		dopts:       dopts,
+		maxNeed:     client.MaxPayload(),
 		d:           deser.New(dopts),
 		stopCh:      make(chan struct{}),
 		runDone:     make(chan struct{}),
@@ -749,13 +754,17 @@ func (d *DPUServer) newTask(method string, payload []byte, onPoller bool) (*call
 	if tr != nil {
 		mT0 = trace.Now()
 	}
-	notes, err := dd.Scan(e.plan, payload)
+	notes, err := dd.ScanWithin(e.plan, payload, d.maxNeed)
 	if !onPoller {
 		d.foldStats(dd)
 		d.scanPool.Put(dd)
 	}
 	if err != nil {
 		d.cfg.Tracer.Finish(tr, true)
+		if errors.Is(err, deser.ErrTooLarge) {
+			// The request cannot fit any slot: the refusal Reserve gives.
+			err = fmt.Errorf("%w: %w", rpcrdma.ErrTooLargeForBuffer, err)
+		}
 		return nil, callResult{}, err
 	}
 	if tr != nil {
@@ -794,9 +803,12 @@ func (d *DPUServer) handleCall(call *xrpc.Call) {
 	task, hit, err := d.newTask(call.Method, call.Payload, false)
 	if err != nil {
 		d.errors.Add(1)
-		if errors.Is(err, errUnknownMethod) {
+		switch {
+		case errors.Is(err, errUnknownMethod):
 			call.Reply(xrpc.StatusUnimplemented, nil, nil)
-		} else {
+		case errors.Is(err, rpcrdma.ErrTooLargeForBuffer):
+			call.Reply(failStatus(err), []byte(fmt.Sprintf("offload: %v", err)), nil)
+		default:
 			call.Reply(xrpc.StatusInvalidArgument, nil, nil)
 		}
 		return

@@ -507,6 +507,13 @@ type Reservation struct {
 	done   bool
 }
 
+// MaxPayload returns the largest payload size Reserve can ever place: one
+// slot filling the whole send buffer behind the NullRef guard at offset 0
+// and the block preamble.
+func (c *ClientConn) MaxPayload() int {
+	return (len(c.sbuf) - BlockAlign - PreambleSize - HeaderSize) &^ 7
+}
+
 // Reserve claims the next slot of the current block for a request of the
 // given payload size, registering its continuation. The slot's header is
 // not written and the block cannot be transmitted until the reservation is
@@ -520,7 +527,7 @@ func (c *ClientConn) Reserve(method uint16, size int, onResponse func(Response))
 		return nil, c.broken
 	}
 	slot := slotSize(size)
-	if PreambleSize+slot > len(c.sbuf) {
+	if size > c.MaxPayload() {
 		return nil, fmt.Errorf("%w: need %d bytes", ErrTooLargeForBuffer, slot)
 	}
 	if c.cur != nil && c.cur.used+slot > len(c.cur.buf) {

@@ -210,6 +210,16 @@ func TestTooLargeForBuffer(t *testing.T) {
 	if !errors.Is(err, ErrTooLargeForBuffer) {
 		t.Errorf("err = %v", err)
 	}
+	// MaxPayload is Reserve's exact bound.
+	limit := r.client.MaxPayload()
+	if _, err := r.client.Reserve(1, limit+1, func(Response) {}); !errors.Is(err, ErrTooLargeForBuffer) {
+		t.Errorf("Reserve(MaxPayload+1): err = %v", err)
+	}
+	res, err := r.client.Reserve(1, limit, func(Response) {})
+	if err != nil {
+		t.Fatalf("Reserve(MaxPayload = %d): %v", limit, err)
+	}
+	r.client.Cancel(res)
 }
 
 func TestCreditLimitRespected(t *testing.T) {
