@@ -19,13 +19,16 @@ build:
 # DPU case, with or without workers, runs the same poller loop), where a
 # lost poller kick shows up as a stall. The fourth repeats the xRPC response
 # writer's, handler-dispatch and deadline tests on one CPU, where a lost
-# writer wake-up shows up as a hang.
+# writer wake-up shows up as a hang. The fifth repeats the offloaded stack's
+# background-handler test on one CPU, where the duplex worker can pick the
+# slow call up only after every fast one is answered.
 test: fmt-check
 	go vet ./...
 	go test ./...
 	GOMAXPROCS=1 go test -count=20 -run 'Duplex|Background|PollerClose' ./internal/rpcrdma
 	GOMAXPROCS=1 go test -count=20 -run 'TestLivenessDoesNotDependOnHeartbeat/(serial|dpu_workers)' .
 	GOMAXPROCS=1 go test -count=20 -run 'Writer|Park|Deadline' ./internal/xrpc ./internal/offload
+	GOMAXPROCS=1 go test -count=20 -run 'Background' ./internal/offload
 	@echo "advisory: quick benchmark comparison against the checked-in snapshots"
 	@$(MAKE) --no-print-directory bench-check BENCHTIME=20000x \
 		|| echo "bench-check: regressions above are ADVISORY here; run 'make bench-check' for a full-length pass"

@@ -9,6 +9,7 @@ import (
 	"dpurpc"
 	"dpurpc/internal/deser"
 	"dpurpc/internal/metrics"
+	"dpurpc/internal/rpcrdma"
 	"dpurpc/internal/wire"
 	"dpurpc/internal/xrpc"
 )
@@ -310,7 +311,7 @@ func TestVarintKernelGauge(t *testing.T) {
 			if len(s) == 0 || s[len(s)-1].V != 1 {
 				t.Fatalf("%s = %v, want 1 (have %v)", key, s, smp.SeriesKeys())
 			}
-			if k := deser.Kernel(); k != "bmi2" && k != "portable" {
+			if k := deser.Kernel(); k != "avx512" && k != "bmi2" && k != "portable" {
 				t.Fatalf("deser.Kernel() = %q", k)
 			}
 		})
@@ -376,5 +377,122 @@ func TestOversizedPackedCallBounded(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) >= 1.5*float64(len(payload)) {
 		t.Fatalf("the call allocated %d bytes for a %d-byte payload (want < 1.5x)", alloc, len(payload))
+	}
+}
+
+// The same frame of unpacked 2-byte elements (tag, one-byte value) would
+// take a 24-byte replay record each, 12x the frame, before the decoder knew
+// the object cannot be placed. The scan counts the run and refuses it first,
+// so the call allocates less than 1.5x its wire size, and the client gets
+// the send buffer's refusal: INTERNAL.
+func TestOversizedUnpackedCallBounded(t *testing.T) {
+	schema, err := dpurpc.ParseSchema("ints.proto", intsProto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	impls := map[string]dpurpc.Impl{"ints.Bench": {
+		"CallInts": func(dpurpc.View) (*dpurpc.Message, uint16) { return nil, 0 },
+	}}
+	stack, err := dpurpc.NewOffloadedStack(schema, impls, dpurpc.StackOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	addr, err := stack.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := dpurpc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const method = "/ints.Bench/CallInts"
+	elements := func(n int) []byte {
+		return bytes.Repeat(wire.AppendVarint(wire.AppendTag(nil, 1, wire.TypeVarint), 1), n)
+	}
+	if status, _, err := cl.Raw().Call(method, elements(4096)); err != nil || status != xrpc.StatusOK {
+		t.Fatalf("small call: status %d, err %v", status, err)
+	}
+	payload := elements(15 << 19)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status, resp, err := cl.Raw().Call(method, payload)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != xrpc.StatusInternal || !bytes.Contains(resp, []byte("larger than send buffer")) {
+		t.Fatalf("status %d (%q), want %d and the send buffer's refusal", status, resp, xrpc.StatusInternal)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) >= 1.5*float64(len(payload)) {
+		t.Fatalf("the call allocated %d bytes for a %d-byte payload (want < 1.5x)", alloc, len(payload))
+	}
+}
+
+const bigProto = `
+syntax = "proto3";
+package big;
+
+message Size { uint32 n = 1; }
+message Blob { bytes data = 1; }
+
+service Big {
+  rpc Get (Size) returns (Blob);
+}
+`
+
+// A host response of exactly the host send buffer's MaxPayload is served.
+// One 8 bytes larger can never be placed: the client gets INTERNAL with the
+// send buffer's refusal, not a stall or a broken connection, and the next
+// call is served.
+func TestOversizedResponseRefused(t *testing.T) {
+	schema, err := dpurpc.ParseSchema("big.proto", bigProto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Get returns a Blob whose encoding is n bytes: tag, 3-byte length, data
+	// (for n of 2^14+4 to 2^21+3).
+	impls := map[string]dpurpc.Impl{"big.Big": {
+		"Get": func(req dpurpc.View) (*dpurpc.Message, uint16) {
+			out := schema.NewMessage("big.Blob")
+			out.SetBytes("data", make([]byte, int(req.U32Name("n"))-4))
+			return out, 0
+		},
+	}}
+	const sbuf = 1 << 18
+	stack, err := dpurpc.NewOffloadedStack(schema, impls, dpurpc.StackOptions{ServerConfig: dpurpc.Config{SBufSize: sbuf}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	addr, err := stack.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := dpurpc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// ServerConn.MaxPayload of the host's send buffer.
+	limit := (sbuf - rpcrdma.BlockAlign - rpcrdma.PreambleSize - rpcrdma.HeaderSize) &^ 7
+	get := func(n int) (uint16, []byte) {
+		t.Helper()
+		status, resp, err := cl.Raw().Call("/big.Big/Get", wire.AppendVarint(wire.AppendTag(nil, 1, wire.TypeVarint), uint64(n)))
+		if err != nil {
+			t.Fatalf("response of %d bytes: %v", n, err)
+		}
+		return status, resp
+	}
+	if status, resp := get(limit); status != xrpc.StatusOK || len(resp) != limit {
+		t.Fatalf("response of MaxPayload = %d bytes: status %d, %d bytes", limit, status, len(resp))
+	}
+	if status, resp := get(limit + 8); status != xrpc.StatusInternal || !bytes.Contains(resp, []byte("larger than send buffer")) {
+		t.Fatalf("response of MaxPayload+8 bytes: status %d (%.80q), want %d and the send buffer's refusal", status, resp, xrpc.StatusInternal)
+	}
+	if status, resp := get(1 << 15); status != xrpc.StatusOK || len(resp) != 1<<15 {
+		t.Fatalf("call after the refusal: status %d, %d bytes", status, len(resp))
 	}
 }

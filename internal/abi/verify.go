@@ -79,7 +79,7 @@ func verifyObj(v View, depth, maxDepth int) error {
 			default:
 				for j := uint64(0); j < count; j++ {
 					rec := data[j*StringRecordSize : (j+1)*StringRecordSize]
-					if err := verifyStringRecord(v.Reg, ref+j*StringRecordSize, rec,
+					if err := verifyStringRecord(&v.Reg, ref+j*StringRecordSize, rec,
 						v.Lay.Msg.Name, fl.Desc.Name); err != nil {
 						return err
 					}
@@ -96,7 +96,7 @@ func verifyObj(v View, depth, maxDepth int) error {
 			}
 		default: // string/bytes
 			rec := obj[fl.Offset : fl.Offset+StringRecordSize]
-			if err := verifyStringRecord(v.Reg, v.Off+uint64(fl.Offset), rec,
+			if err := verifyStringRecord(&v.Reg, v.Off+uint64(fl.Offset), rec,
 				v.Lay.Msg.Name, fl.Desc.Name); err != nil {
 				return err
 			}

@@ -31,17 +31,19 @@ func (r *Region) Slice(off, n uint64) []byte {
 func (r *Region) Contains(off, n uint64) bool { return r.Slice(off, n) != nil }
 
 // View is a read-only accessor over an object in a region. Views are values
-// (cheap to copy) and never allocate; this is the host-side "already built
-// protobuf object" the business logic receives.
+// (cheap to copy) that hold their region by value, so making one never
+// allocates; this is the host-side "already built protobuf object" the
+// business logic receives.
 type View struct {
-	Reg *Region
+	Reg Region
 	Off uint64 // region-relative object offset
 	Lay *Layout
 }
 
 // MakeView returns a view of the object of layout lay at region offset off.
+// The view copies *reg.
 func MakeView(reg *Region, off uint64, lay *Layout) View {
-	return View{Reg: reg, Off: off, Lay: lay}
+	return View{Reg: *reg, Off: off, Lay: lay}
 }
 
 // Valid reports whether the view covers an in-bounds object whose classID

@@ -108,11 +108,12 @@ func HostX86() *Platform {
 		Cores: 8,
 
 		// The paper's byte-at-a-time host decoder (Fig. 7), not this
-		// repository's: traced ints_decode runs on a 2-vCPU Xeon with
-		// BMI2 read deser.scan_ns / deser.varint_bytes_per_req at
-		// 0.62-0.73 ns per byte with the packed-varint kernel and
-		// 2.3-2.4 with the portable Go block loop. The paper's ratio is
-		// kept; the gap is named in DESIGN.md §9, not rescaled away.
+		// repository's: traced ints_decode runs on a 2-vCPU Xeon read
+		// deser.scan_ns / deser.varint_bytes_per_req at 0.29-0.41 ns per
+		// byte with the AVX-512 VBMI2 packed-varint kernel, 0.56-0.76
+		// with the BMI2 kernel and 2.3-2.4 with the portable Go block
+		// loop. The paper's ratio is kept; the gap is named in DESIGN.md
+		// §9, not rescaled away.
 		VarintByteNS: 1.03,
 		FixedByteNS:  0.0215,
 		CopyByteNS:   0.0215,

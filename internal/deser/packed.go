@@ -28,19 +28,30 @@ import (
 // end+7. The caller guarantees cap(out) >= o + (len(src)-start)*w, which
 // covers the stores because every element takes at least one wire byte.
 //
-// blockKernel is the amd64 BMI2 implementation (packed_amd64.s), set at
-// init where it is fast; nil selects the portable loop, decodeBlocksGo.
+// blockKernel is the fastest assembly implementation this CPU runs
+// (asmKernels[0]), set at init; nil selects the portable loop,
+// decodeBlocksGo.
 var blockKernel func(out []byte, o int, src []byte, start int, w uint32, zig bool) (int, int)
+
+// blockDecoder is one assembly implementation of decodeBlocks.
+type blockDecoder struct {
+	name   string
+	decode func(out []byte, o int, src []byte, start int, w uint32, zig bool) (int, int)
+}
+
+// asmKernels lists the assembly implementations this CPU runs, fastest
+// first: on amd64, "avx512" (AVX-512 VBMI2) and "bmi2" (packed_amd64.go).
+var asmKernels []blockDecoder
 
 // blockSpan is the tail a block needs past its base: the block plus one
 // 8-byte load.
 const blockSpan = 72
 
-// Kernel names the packed-varint block decoder this process runs: "bmi2"
-// for the amd64 assembly kernel, "portable" for the Go loop.
+// Kernel names the packed-varint block decoder this process runs: "avx512"
+// or "bmi2" for the amd64 assembly kernels, "portable" for the Go loop.
 func Kernel() string {
-	if blockKernel != nil {
-		return "bmi2"
+	if len(asmKernels) > 0 {
+		return asmKernels[0].name
 	}
 	return "portable"
 }

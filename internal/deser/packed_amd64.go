@@ -10,13 +10,32 @@ import "encoding/binary"
 //go:noescape
 func decodeBlocksBMI2(out []byte, o int, src []byte, start int, w uint32, zig bool) (int, int)
 
+// decodeBlocksAVX512 is decodeBlocks in AVX-512 VBMI2 assembly. Per block,
+// VPMOVB2M gives the stop bits and VPCOMPRESSB packs every varint's end; per
+// group of eight varints, one VPERMI2B over [previous block ‖ block] puts
+// each varint in its own qword, and five vector steps pack the 7-bit groups
+// of all eight. A block holding a varint of more than 8 bytes runs the BMI2
+// element loop.
+//
+//go:noescape
+func decodeBlocksAVX512(out []byte, o int, src []byte, start int, w uint32, zig bool) (int, int)
+
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
+// xgetbv executes XGETBV: the extended control register index (0 = XCR0,
+// the state components the OS saves on a context switch).
+func xgetbv(index uint32) (eax, edx uint32)
+
 func init() {
-	if bmi2Fast() {
-		blockKernel = decodeBlocksBMI2
+	if !bmi2Fast() {
+		return
 	}
+	if avx512VBMI2() {
+		asmKernels = append(asmKernels, blockDecoder{"avx512", decodeBlocksAVX512})
+	}
+	asmKernels = append(asmKernels, blockDecoder{"bmi2", decodeBlocksBMI2})
+	blockKernel = asmKernels[0].decode
 }
 
 // bmi2Fast reports whether the CPU has BMI1 and BMI2 and runs PEXT in
@@ -44,4 +63,23 @@ func bmi2Fast() bool {
 		family += eax1 >> 20 & 0xff
 	}
 	return family >= 0x19
+}
+
+// avx512VBMI2 reports whether the CPU has AVX512F, AVX512BW, AVX512_VBMI,
+// AVX512_VBMI2 and POPCNT, and whether the OS saves the opmask and ZMM
+// registers on a context switch (XCR0 bits 1-2 and 5-7, read with XGETBV
+// once CPUID says OSXSAVE). The caller has checked leaf 7 exists.
+func avx512VBMI2() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	const osxsave, popcnt = 1 << 27, 1 << 23
+	if ecx1&osxsave == 0 || ecx1&popcnt == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(0); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx7, ecx7, _ := cpuid(7, 0)
+	const avx512f, avx512bw = 1 << 16, 1 << 30
+	const vbmi, vbmi2 = 1 << 1, 1 << 6
+	return ebx7&avx512f != 0 && ebx7&avx512bw != 0 && ecx7&vbmi != 0 && ecx7&vbmi2 != 0
 }

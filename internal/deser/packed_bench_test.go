@@ -1,6 +1,7 @@
 package deser
 
 import (
+	"slices"
 	"testing"
 
 	"dpurpc/internal/arena"
@@ -22,13 +23,6 @@ const benchPayloads = 64
 // ints_decode message size.
 const benchElems = 4096
 
-// usePortable runs the package on the portable block loop until tb ends.
-func usePortable(tb testing.TB) {
-	k := blockKernel
-	blockKernel = nil
-	tb.Cleanup(func() { blockKernel = k })
-}
-
 // packedPayloads builds n packed varint payloads of benchElems elements each,
 // element i drawn by gen.
 func packedPayloads(n int, gen func(rng *mt19937.Source) uint64) [][]byte {
@@ -44,10 +38,10 @@ func packedPayloads(n int, gen func(rng *mt19937.Source) uint64) [][]byte {
 	return out
 }
 
-// BenchmarkPackedVarints times appendPackedVarints on the kernel and on the
-// portable loop, per element, over four payload shapes: the ledger's uint32
-// distribution, negative int64s (every varint 10 bytes), zigzag sint32s and
-// bools.
+// BenchmarkPackedVarints times appendPackedVarints on every kernel this CPU
+// runs and on the portable loop, per element, over four payload shapes: the
+// ledger's uint32 distribution, negative int64s (every varint 10 bytes),
+// zigzag sint32s and bools.
 func BenchmarkPackedVarints(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -70,14 +64,17 @@ func BenchmarkPackedVarints(b *testing.B) {
 	}
 	for _, sh := range shapes {
 		payloads := packedPayloads(benchPayloads, sh.gen)
-		for _, impl := range []string{"bmi2", "portable"} {
-			b.Run(sh.name+"/"+impl, func(b *testing.B) {
-				if impl == "bmi2" && blockKernel == nil {
-					b.Skip("no BMI2 kernel on this CPU")
+		for _, name := range append(asmKernelNames, portable.name) {
+			b.Run(sh.name+"/"+name, func(b *testing.B) {
+				kern := portable
+				if name != portable.name {
+					i := slices.IndexFunc(asmKernels, func(k blockDecoder) bool { return k.name == name })
+					if i < 0 {
+						b.Skipf("no %s kernel on this CPU", name)
+					}
+					kern = asmKernels[i]
 				}
-				if impl == "portable" {
-					usePortable(b)
-				}
+				useKernel(b, kern)
 				longest := 0
 				for _, p := range payloads {
 					longest = max(longest, len(p))

@@ -27,8 +27,9 @@ func guardedPage(t *testing.T) []byte {
 
 // TestPackedVarintsGuardPages decodes payloads of every length 0-300 that
 // end exactly at an inaccessible page, into output whose capacity ends
-// exactly at another, on the kernel in use and on the portable loop, entered
-// at every start 0-63. Any read past src or store past cap(out) faults.
+// exactly at another, on every kernel this CPU supports and on the portable
+// loop, entered at every start 0-63. Any read past src or store past
+// cap(out) faults.
 func TestPackedVarintsGuardPages(t *testing.T) {
 	srcPage, outPage := guardedPage(t), guardedPage(t)
 	ps := len(srcPage)
@@ -40,18 +41,22 @@ func TestPackedVarintsGuardPages(t *testing.T) {
 	}
 	patterns := [][]byte{bytes.Repeat([]byte{0x01}, 300), bytes.Repeat([]byte{0xff}, 300), tenByte, mixed}
 	kinds := []packedKind{{"bool", 1, false}, {"sint32", 4, true}, {"int64", 8, false}}
+	kerns := supportedKernels(t)
+	kerns = append(kerns[:len(kerns):len(kerns)], portable)
 	for _, pat := range patterns {
 		for n := 0; n <= 300; n++ {
 			src := srcPage[ps-n:]
 			copy(src, pat)
 			for _, k := range kinds {
-				for _, impl := range []func(dst, src []byte, w uint32, zig bool) ([]byte, bool){appendPackedVarints, appendPortable} {
-					impl(outPage[ps-n*int(k.w):ps-n*int(k.w)], src, k.w, k.zig)
+				for _, kern := range kerns {
+					appendOn(kern, outPage[ps-n*int(k.w):ps-n*int(k.w)], src, k.w, k.zig)
 				}
 				for start := 0; start < 64 && start <= n; start++ {
 					out := outPage[ps-(n-start)*int(k.w):]
-					if blockKernel != nil {
-						blockKernel(out, 0, src, start, k.w, k.zig)
+					for _, kern := range kerns {
+						if kern.decode != nil {
+							kern.decode(out, 0, src, start, k.w, k.zig)
+						}
 					}
 					decodeBlocksGo(out, 0, src, start, k.w, k.zig)
 				}

@@ -241,8 +241,11 @@ type Notes struct {
 	elems  []byte
 	counts []uint32
 	need   int
-	// maxNeed is ScanWithin's bound on the elems stream.
+	// maxNeed is ScanWithin's bound on the elems and ops streams.
 	maxNeed int
+	// runEnd is the wire offset where the last unpacked run ScanWithin
+	// counted ends (scanRepScalar).
+	runEnd int
 	// Scatter-gather accounting (Options.SGPayloadMin > 0): segBytes is the
 	// 8-aligned byte total of the payload-segment area the message needs in
 	// addition to need, segCount the number of payload-ref notes. Both stay
@@ -262,6 +265,7 @@ func (no *Notes) reset() {
 	no.counts = no.counts[:0]
 	no.need = 0
 	no.maxNeed = math.MaxInt
+	no.runEnd = 0
 	no.segBytes = 0
 	no.segCount = 0
 	no.bypass = false
@@ -328,8 +332,10 @@ func (d *Deserializer) Scan(p *Plan, data []byte) (*Notes, error) {
 // than maxNeed arena bytes. It fails with ErrTooLarge before its pre-decoded
 // element stream would grow past maxNeed, so a small frame of one-byte
 // varints cannot make the scan allocate up to 8x the frame for a request
-// the caller must refuse anyway. Need can still exceed maxNeed by the bytes
-// that are not packed varint elements; the caller checks it.
+// the caller must refuse anyway; and before the replay records of a run of
+// unpacked repeated elements would, so a frame of 2-byte elements cannot
+// make it allocate 12x. Need can still exceed maxNeed by the bytes that are
+// not repeated scalar elements; the caller checks it.
 func (d *Deserializer) ScanWithin(p *Plan, data []byte, maxNeed int) (*Notes, error) {
 	no := notesPool.Get().(*Notes)
 	no.reset()
@@ -627,7 +633,18 @@ func (d *Deserializer) scanRepScalar(a *action, rest []byte, absPos int, wt wire
 		}
 		return n, nil
 	}
-	// Unpacked single element.
+	// Unpacked single element: one 24-byte replay record for as little as 2
+	// wire bytes (tag + value). Where the rest of the frame could take the
+	// records past the caller's bound, count the field's run of elements
+	// here first and refuse it before growing anything.
+	const opSize = int(unsafe.Sizeof(noteOp{}))
+	if absPos >= no.runEnd && (len(no.ops)+len(rest)/2+1)*opSize > no.maxNeed {
+		cnt, end := unpackedRun(rest, a.fld.Number, wt)
+		if (len(no.ops)+cnt)*opSize > no.maxNeed {
+			return 0, fmt.Errorf("%w: unpacked repeated field needs more than %d bytes", ErrTooLarge, no.maxNeed)
+		}
+		no.runEnd = absPos + end
+	}
 	bits, n, err := d.scalar(rest, a.kind, wt)
 	if err != nil {
 		return 0, err
@@ -635,6 +652,26 @@ func (d *Deserializer) scanRepScalar(a *action, rest []byte, absPos int, wt wire
 	no.counts[ci]++
 	no.ops = append(no.ops, noteOp{act: a, op: nopRepElem, val: bits})
 	return n, nil
+}
+
+// unpackedRun counts the elements of field num's run of unpacked elements
+// of wire type wt at the start of b, which holds the first one's value, and
+// returns the count and the run's length. It stops at the first other tag
+// or malformed byte, which the scan reports when it gets there.
+func unpackedRun(b []byte, num int32, wt wire.Type) (cnt, end int) {
+	for {
+		n, err := wire.SkipValue(b[end:], wt)
+		if err != nil {
+			return cnt, end
+		}
+		cnt++
+		end += n
+		tn, twt, tl, err := wire.Tag(b[end:])
+		if err != nil || tn != num || twt != wt {
+			return cnt, end
+		}
+		end += tl
+	}
 }
 
 // sizeNotes replays the allocation sequence of one message body through the

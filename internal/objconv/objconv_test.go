@@ -215,7 +215,7 @@ func TestArenaExhaustion(t *testing.T) {
 }
 
 func TestFromArenaInvalidView(t *testing.T) {
-	if _, err := FromArena(abi.View{Reg: &abi.Region{}, Lay: everyLay}); err == nil {
+	if _, err := FromArena(abi.View{Reg: abi.Region{}, Lay: everyLay}); err == nil {
 		t.Error("invalid view accepted")
 	}
 }

@@ -3,6 +3,7 @@ package offload
 import (
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,6 +142,8 @@ func TestBackgroundDeployment(t *testing.T) {
 	env := workload.NewEnv()
 	var slowStarted, slowDone atomic.Bool
 	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseSlow := func() { releaseOnce.Do(func() { close(release) }) }
 	impls := map[string]Impl{
 		"benchpb.Bench": {
 			"CallSmall": func(req abi.View) (*protomsg.Message, uint16) { return nil, 0 },
@@ -164,6 +167,9 @@ func TestBackgroundDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Poller.Close()
+	// Runs before Poller.Close, which waits for the slow handler: a failed
+	// assertion must not leave it blocked.
+	defer releaseSlow()
 	dpu := d.DPUs[0]
 	rng := mt19937.New(2)
 
@@ -197,10 +203,17 @@ func TestBackgroundDeployment(t *testing.T) {
 	if slowResponded {
 		t.Fatal("slow call responded before release")
 	}
+	// The fast calls can all finish before a duplex worker picks the slow
+	// call up (one CPU, or the race detector): step until it starts.
+	deadline = time.Now().Add(10 * time.Second)
+	for !slowStarted.Load() && time.Now().Before(deadline) {
+		dpu.Progress()
+		d.Poller.Progress()
+	}
 	if !slowStarted.Load() {
 		t.Fatal("slow handler never started (pool not running)")
 	}
-	close(release)
+	releaseSlow()
 	deadline = time.Now().Add(10 * time.Second)
 	for !slowResponded && time.Now().Before(deadline) {
 		dpu.Progress()

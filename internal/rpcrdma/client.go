@@ -136,6 +136,18 @@ type block struct {
 	ids      []uint16
 	sealedAt int64 // when the block entered the send queue (deadline reaping)
 	firstAt  int64 // when the first message was reserved (commit coalescing)
+	// res holds each slot's Reservation, reused by the block's later
+	// tenants: a reservation is spent once committed or cancelled, before
+	// its block can be recycled or its slot reserved again.
+	res []*Reservation
+}
+
+// reservation returns the Reservation storage of slot idx.
+func (b *block) reservation(idx int) *Reservation {
+	if idx == len(b.res) {
+		b.res = append(b.res, new(Reservation))
+	}
+	return b.res[idx]
 }
 
 // flushReason classifies why a block sealed; each maps to one Counters
@@ -387,7 +399,7 @@ func (c *ClientConn) takeBlock(off uint64, size int) *block {
 func (c *ClientConn) recycleBlock(b *block) {
 	clear(b.conts)
 	clear(b.trs)
-	*b = block{conts: b.conts[:0], times: b.times[:0], trs: b.trs[:0], ids: b.ids[:0]}
+	*b = block{conts: b.conts[:0], times: b.times[:0], trs: b.trs[:0], ids: b.ids[:0], res: b.res}
 	c.freeBlocks = append(c.freeBlocks, b)
 }
 
@@ -559,7 +571,8 @@ func (c *ClientConn) Reserve(method uint16, size int, onResponse func(Response))
 	}
 	c.outstanding++
 	c.fr.Record(FlightReserve, int64(size), int64(len(b.conts)-1))
-	return &Reservation{
+	r := b.reservation(len(b.conts) - 1)
+	*r = Reservation{
 		Dst:       b.buf[hdrPos+HeaderSize : hdrPos+HeaderSize+size],
 		RegionOff: b.off + uint64(hdrPos+HeaderSize),
 		b:         b,
@@ -567,7 +580,8 @@ func (c *ClientConn) Reserve(method uint16, size int, onResponse func(Response))
 		hdrPos:    hdrPos,
 		size:      size,
 		method:    method,
-	}, nil
+	}
+	return r, nil
 }
 
 // Commit finishes a reservation: it writes the message header and releases

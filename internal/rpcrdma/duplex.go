@@ -30,7 +30,8 @@ import (
 // request IDs, and both sides free them in slot order on acknowledgment.
 
 // duplexBuildFailed is the status a failed response build is tombstoned
-// with. Mirrors xrpc.StatusInternal (rpcrdma deliberately does not import
+// with, and the status of the refusal that answers a response no block can
+// hold. Mirrors xrpc.StatusInternal (rpcrdma deliberately does not import
 // xrpc).
 const duplexBuildFailed uint16 = 13
 
@@ -192,6 +193,10 @@ func (s *ServerConn) dxReserveReady() {
 	for ; n < len(s.dxReady); n++ {
 		t := s.dxReady[n]
 		r, err := s.ReserveResponse(t.id, t.spec.Size)
+		if errors.Is(err, ErrTooLargeForBuffer) {
+			t.spec = refusal(err)
+			r, err = s.ReserveResponse(t.id, t.spec.Size)
+		}
 		if err != nil {
 			if errors.Is(err, arena.ErrOutOfMemory) {
 				break // retry after acks reclaim blocks

@@ -19,9 +19,10 @@ func recycleRig(t *testing.T, tr *trace.Tracer) *testRig {
 
 // One message per block is what the event-driven poller produces at low
 // load, so per-block state must cost nothing: after warm-up a whole echo
-// round trip allocates exactly its two per-message handles (the client's
-// Reservation, the server's RespReservation) and no block, respBlock,
-// reqBlockState, ID list or dispatch list on either endpoint.
+// round trip allocates nothing — no block, respBlock, reqBlockState, ID
+// list or dispatch list on either endpoint, and no per-message handle (the
+// client's Reservation and the server's RespReservation live in their
+// block's per-slot storage).
 func TestSteadyStateBlocksDoNotAllocate(t *testing.T) {
 	r := recycleRig(t, trace.New(trace.Config{}))
 	cont := func(Response) {}
@@ -41,9 +42,8 @@ func TestSteadyStateBlocksDoNotAllocate(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		roundTrip()
 	}
-	const perMessage = 2 // *Reservation + *RespReservation
-	if a := testing.AllocsPerRun(500, roundTrip); a != perMessage {
-		t.Errorf("echo round trip: %v allocs, want %d (per-block state must allocate nothing)", a, perMessage)
+	if a := testing.AllocsPerRun(500, roundTrip); a != 0 {
+		t.Errorf("echo round trip: %v allocs, want 0 (per-block and per-slot state must allocate nothing)", a)
 	}
 	if n := r.client.Counters.BlocksSent; n < 700 {
 		t.Fatalf("fixture sent %d blocks for 700 round trips: not one message per block", n)

@@ -222,6 +222,66 @@ func TestTooLargeForBuffer(t *testing.T) {
 	r.client.Cancel(res)
 }
 
+// A response of exactly ServerConn.MaxPayload bytes is placed; one 8 bytes
+// larger is answered with the refusal (status 13, the send buffer's error
+// text) instead of breaking the connection, which then serves a small call.
+func TestResponseTooLargeForBuffer(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("host_workers_%d", workers), func(t *testing.T) {
+			ccfg, scfg := smallCfg()
+			scfg.HostWorkers = workers
+			// The request carries the response size to build.
+			h := func(req Request) ResponseSpec {
+				n := int(binary.LittleEndian.Uint64(req.Payload))
+				return ResponseSpec{Size: n, Build: func(dst []byte, _ uint64) (uint32, int, error) {
+					for i := range dst {
+						dst[i] = byte(i)
+					}
+					return 0, n, nil
+				}}
+			}
+			r := newRig(t, ccfg, scfg, h)
+			limit := r.server.MaxPayload()
+			call := func(n int) Response {
+				var got Response
+				var done bool
+				err := r.client.Enqueue(CallSpec{
+					Size: 8,
+					Build: func(dst []byte, _ uint64) (uint32, int, error) {
+						binary.LittleEndian.PutUint64(dst, uint64(n))
+						return 0, 8, nil
+					},
+					OnResponse: func(resp Response) {
+						got, done = resp, true
+						got.Payload = append([]byte(nil), resp.Payload...)
+					},
+				})
+				if err != nil {
+					t.Fatalf("enqueue (response of %d bytes): %v", n, err)
+				}
+				r.pump(t)
+				if !done {
+					t.Fatalf("no response for a response of %d bytes", n)
+				}
+				return got
+			}
+			if resp := call(limit); resp.Err || len(resp.Payload) != limit {
+				t.Fatalf("response of MaxPayload = %d bytes: err %v, %d bytes", limit, resp.Err, len(resp.Payload))
+			}
+			resp := call(limit + 8)
+			if !resp.Err || resp.Status != duplexBuildFailed || !bytes.Contains(resp.Payload, []byte("larger than send buffer")) {
+				t.Fatalf("response of MaxPayload+8 bytes: err %v, status %d, payload %q", resp.Err, resp.Status, resp.Payload)
+			}
+			if resp := call(64); resp.Err || len(resp.Payload) != 64 {
+				t.Fatalf("small call after the refusal: err %v, %d bytes", resp.Err, len(resp.Payload))
+			}
+			if err := r.server.Broken(); err != nil {
+				t.Fatalf("connection broken: %v", err)
+			}
+		})
+	}
+}
+
 func TestCreditLimitRespected(t *testing.T) {
 	ccfg, scfg := smallCfg()
 	ccfg.Credits = 2

@@ -111,6 +111,16 @@ type respBlock struct {
 	ids     []uint16 // request IDs answered, in slot order (for the ack protocol)
 	msgs    uint16
 	firstAt int64 // when the first slot was reserved (commit coalescing)
+	// res holds each slot's RespReservation, reused like block.res.
+	res []*RespReservation
+}
+
+// reservation returns the RespReservation storage of slot idx.
+func (b *respBlock) reservation(idx int) *RespReservation {
+	if idx == len(b.res) {
+		b.res = append(b.res, new(RespReservation))
+	}
+	return b.res[idx]
 }
 
 // ServerConn is the host-side endpoint of one connection.
@@ -255,7 +265,7 @@ func (s *ServerConn) newRespBlock(firstSlot int) (*respBlock, error) {
 	} else {
 		b = &respBlock{}
 	}
-	*b = respBlock{off: off, buf: s.sbuf[off : off+uint64(size)], used: PreambleSize, ids: b.ids[:0]}
+	*b = respBlock{off: off, buf: s.sbuf[off : off+uint64(size)], used: PreambleSize, ids: b.ids[:0], res: b.res}
 	return b, nil
 }
 
@@ -286,6 +296,27 @@ type RespReservation struct {
 	done   bool
 }
 
+// MaxPayload returns the largest payload size ReserveResponse can ever
+// place: one slot filling the whole send buffer behind the NullRef guard at
+// offset 0 and the block preamble.
+func (s *ServerConn) MaxPayload() int {
+	return (len(s.sbuf) - BlockAlign - PreambleSize - HeaderSize) &^ 7
+}
+
+// refusal is the response that replaces one no block can hold
+// (ErrTooLargeForBuffer): the build-failure status, carrying err's text.
+func refusal(err error) ResponseSpec {
+	msg := err.Error()
+	return ResponseSpec{
+		Status: duplexBuildFailed,
+		Err:    true,
+		Size:   len(msg),
+		Build: func(dst []byte, _ uint64) (uint32, int, error) {
+			return 0, copy(dst, msg), nil
+		},
+	}
+}
+
 // ReserveResponse claims a response slot for request id with a payload
 // capacity of size bytes. The slot joins the current block in call order
 // (any order keeps the ID replay contract, see duplex.go); the block
@@ -302,7 +333,7 @@ func (s *ServerConn) ReserveResponse(id uint16, size int) (*RespReservation, err
 		}
 	}
 	slot := slotSize(size)
-	if PreambleSize+slot > len(s.sbuf) {
+	if size > s.MaxPayload() {
 		return nil, fmt.Errorf("%w: response needs %d bytes", ErrTooLargeForBuffer, slot)
 	}
 	if s.cur != nil && s.cur.used+slot > len(s.cur.buf) {
@@ -325,7 +356,8 @@ func (s *ServerConn) ReserveResponse(id uint16, size int) (*RespReservation, err
 	}
 	hdrPos := b.used
 	b.used = hdrPos + HeaderSize + alignUp(size)
-	r := &RespReservation{
+	r := b.reservation(len(b.ids))
+	*r = RespReservation{
 		Dst:       b.buf[hdrPos+HeaderSize : hdrPos+HeaderSize+size],
 		RegionOff: b.off + uint64(hdrPos+HeaderSize),
 		b:         b,
@@ -445,6 +477,10 @@ func (s *ServerConn) CancelResponse(r *RespReservation) {
 // serial path, now a thin wrapper over the reserve/commit split.
 func (s *ServerConn) appendResponse(id uint16, spec ResponseSpec) error {
 	r, err := s.ReserveResponse(id, spec.Size)
+	if errors.Is(err, ErrTooLargeForBuffer) {
+		spec = refusal(err)
+		r, err = s.ReserveResponse(id, spec.Size)
+	}
 	if err != nil {
 		return err
 	}
