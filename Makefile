@@ -15,9 +15,9 @@ build:
 # The second pass repeats the host duplex pool's liveness tests (slow and
 # sleeping handlers at 16 credits, out-of-order completion) on one CPU, where
 # a credit-protocol deadlock shows up as a "stalled" failure. The third
-# repeats the DPU poller's heartbeat-independence cases on one CPU (every
-# DPU case, with or without workers, runs the same poller loop), where a
-# lost poller kick shows up as a stall. The fourth repeats the xRPC response
+# repeats the stack's heartbeat-independence test on one CPU (every case
+# runs the one DPU poller per connection), where a lost poller kick shows up
+# as a stall. The fourth repeats the xRPC response
 # writer's, handler-dispatch and deadline tests on one CPU, where a lost
 # writer wake-up shows up as a hang. The fifth repeats the offloaded stack's
 # background-handler test on one CPU, where the duplex worker can pick the
@@ -26,7 +26,7 @@ test: fmt-check
 	go vet ./...
 	go test ./...
 	GOMAXPROCS=1 go test -count=20 -run 'Duplex|Background|PollerClose' ./internal/rpcrdma
-	GOMAXPROCS=1 go test -count=20 -run 'TestLivenessDoesNotDependOnHeartbeat/(serial|dpu_workers)' .
+	GOMAXPROCS=1 go test -count=20 -run 'TestLivenessDoesNotDependOnHeartbeat' .
 	GOMAXPROCS=1 go test -count=20 -run 'Writer|Park|Deadline' ./internal/xrpc ./internal/offload
 	GOMAXPROCS=1 go test -count=20 -run 'Background' ./internal/offload
 	@echo "advisory: quick benchmark comparison against the checked-in snapshots"
@@ -38,13 +38,14 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt: the following files need formatting:"; echo "$$out"; exit 1; fi
 
-# Race-detector pass over the concurrent packages: the DPU deserialization
-# and response-serialization pipelines (worker pools + pollers), the host
-# duplex pool, the protocol layer they reserve/commit into, the xRPC
-# transport that feeds them, the generated-bindings byte-identity tests,
+# Race-detector pass over the concurrent packages: the DPU pollers and the
+# xRPC goroutines that scan for them, the host duplex pool, the protocol
+# layer they reserve/commit into, the xRPC transport that feeds them, the
+# generated-bindings byte-identity tests,
 # the decoder's pooled scan scratch, the datapath span recorder, and the
 # fault-injection layers (per-QP delay lines, injector, link staller), plus
-# the windowed-metrics shard rotation and the gauge sampler. The second pass
+# the windowed-metrics shard rotation and the gauge sampler, and the
+# experiment harness that drives whole deployments. The second pass
 # repeats the poller-wake tests three times: the CQ kick (lost-wake-up
 # stress), the block free lists, and the stack-level liveness and idle tests,
 # whose packages are the root package, internal/rdma and internal/rpcrdma.
@@ -53,7 +54,7 @@ fmt-check:
 # release), the reusable handler goroutines, the batched response writer and
 # its write deadline, and the DPU handler that does not park.
 race:
-	go test -race ./internal/offload/... ./internal/rpcrdma/... ./internal/xrpc/... ./internal/gentest/... ./internal/trace/... ./internal/rdma/... ./internal/fault/... ./internal/fabric/... ./internal/metrics/... ./internal/rpccache/... ./internal/workload/... ./internal/deser/...
+	go test -race ./internal/offload/... ./internal/rpcrdma/... ./internal/xrpc/... ./internal/gentest/... ./internal/trace/... ./internal/rdma/... ./internal/fault/... ./internal/fabric/... ./internal/metrics/... ./internal/rpccache/... ./internal/workload/... ./internal/deser/... ./internal/harness/...
 	go test -race -count=3 -run 'Kick|Wait|Liveness|IdleStack|Recycled|SteadyState' . ./internal/rdma ./internal/rpcrdma
 	go test -race -count=3 -run 'Frame|Release|Worker|Poison|Writer|Park' ./internal/xrpc ./internal/offload .
 

@@ -271,117 +271,9 @@ func BenchmarkDatapath_EndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkDPUWorkerScaling contrasts the serial DPU datapath (workers=1)
-// with the reserve → parallel build → commit pipeline on the large-message
-// workload (Chars x8000), where deserialization dominates and the pipeline's
-// extra cores pay off. Before timing, every worker count replays a fixed
-// batch and must deliver deserialized objects canonically identical to the
-// serial datapath (re-serialization digest per request, in order).
-func BenchmarkDPUWorkerScaling(b *testing.B) {
-	env := workload.NewEnv()
-	rng := mt19937.New(mt19937.DefaultSeed)
-	payloads := make([][]byte, 8)
-	for i := range payloads {
-		payloads[i] = env.GenChars(rng, workload.CharsCount).Marshal(nil)
-	}
-	method := xrpc.FullMethodName("benchpb.Bench", "CallChars")
-	empty := func(req abi.View) (*protomsg.Message, uint16) { return nil, 0 }
-	impls := map[string]offload.Impl{
-		"benchpb.Bench": {"CallSmall": empty, "CallInts": empty, "CallChars": empty, "Echo": empty, "EchoBlob": empty},
-	}
-
-	newDeployment := func(workers int) *offload.Deployment {
-		ccfg := rpcrdma.DefaultClientConfig()
-		scfg := rpcrdma.DefaultServerConfig()
-		ccfg.BusyPoll, scfg.BusyPoll = true, true
-		d, err := offload.NewDeploymentWith(env.Table, impls, offload.DeployConfig{
-			Connections: 1, ClientCfg: ccfg, ServerCfg: scfg, DPUWorkers: workers,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return d
-	}
-	drive := func(b *testing.B, d *offload.Deployment, n int) {
-		b.Helper()
-		submitted, completed, failed := 0, 0, 0
-		for completed < n {
-			for submitted < n && submitted-completed < rpcrdma.DefaultConcurrency {
-				err := d.DPUs[0].SubmitLocal(method, payloads[submitted%len(payloads)],
-					func(status uint16, errFlag bool, resp []byte) {
-						completed++
-						if status != 0 || errFlag {
-							failed++
-						}
-					})
-				if err != nil {
-					b.Fatal(err)
-				}
-				submitted++
-			}
-			if _, err := d.DPUs[0].Progress(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := d.Poller.Progress(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if failed > 0 {
-			b.Fatalf("%d failed calls", failed)
-		}
-	}
-	const verifyCalls = 160
-	digests := func(workers int) []uint64 {
-		d := newDeployment(workers)
-		defer d.Close()
-		var sums []uint64
-		d.Host.SetRequestObserver(func(req rpcrdma.Request) {
-			view := abi.MakeView(&abi.Region{Buf: req.Payload, Base: req.RegionOff},
-				req.RegionOff+uint64(req.Root), env.CharsLay)
-			wire, err := deser.Serialize(view, nil)
-			if err != nil {
-				b.Error(err)
-			}
-			h := fnv.New64a()
-			h.Write(wire)
-			sums = append(sums, h.Sum64())
-		})
-		drive(b, d, verifyCalls)
-		return sums
-	}
-	ref := digests(1)
-
-	// Pipeline width: the machine's parallelism, floored at 4 so the
-	// pipelined path is exercised (and its identity pinned) even on
-	// single-core runners where no wall-clock speedup is possible.
-	pipelined := runtime.GOMAXPROCS(0)
-	if pipelined < 4 {
-		pipelined = 4
-	}
-	for _, workers := range []int{1, pipelined} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			got := digests(workers)
-			if len(got) != len(ref) {
-				b.Fatalf("%d requests observed, want %d", len(got), len(ref))
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					b.Fatalf("request %d diverges from the serial datapath", i)
-				}
-			}
-			d := newDeployment(workers)
-			defer d.Close()
-			b.SetBytes(int64(len(payloads[0])))
-			b.ResetTimer()
-			drive(b, d, b.N)
-		})
-	}
-}
-
-// BenchmarkResponseSerializationScaling is the response-direction mirror of
-// BenchmarkDPUWorkerScaling: the Echo workload sends the x8000-chars payload
-// back through the duplex pipeline (host build workers + DPU serialization
-// workers) with response-serialization offload on. Before timing, every
+// BenchmarkResponseSerializationScaling sends the x8000-chars Echo payload
+// back through the duplex pipeline (host build workers, the DPU poller
+// serializing) with response-serialization offload on. Before timing, every
 // width replays a fixed batch and each response — indexed by submission
 // order, since completions are reordered — must be byte-identical (fnv64a
 // digest) to the serial width. Reported: wall-clock ns/op on this machine
@@ -412,7 +304,7 @@ func BenchmarkResponseSerializationScaling(b *testing.B) {
 		ccfg.BusyPoll, scfg.BusyPoll = true, true
 		d, err := offload.NewDeploymentWith(env.Table, impls, offload.DeployConfig{
 			Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-			DPUWorkers: workers, HostWorkers: workers,
+			HostWorkers:                  workers,
 			OffloadResponseSerialization: true,
 		})
 		if err != nil {

@@ -39,8 +39,6 @@ func main() {
 	requests := flag.Int("requests", 20000, "requests per scenario per mode")
 	wallIters := flag.Int("fig7-wall-iters", 200, "wall-clock iterations per Fig. 7 point (0 disables)")
 	connections := flag.Int("connections", 1, "host<->DPU connections (one DPU poller each)")
-	dpuWorkers := flag.Int("dpu-workers", dpu.Default().DPU.Cores,
-		"deserialization workers per DPU poller; >1 enables the reserve/build/commit pipeline (1 = serial datapath)")
 	hostWorkers := flag.Int("host-workers", dpu.Default().Host.Cores,
 		"host-side duplex workers per connection; >1 runs handlers + response builds in parallel (1 = serial response path); also the top of the respscale sweep")
 	commitBatch := flag.Int("commit-batch", 1,
@@ -65,7 +63,6 @@ func main() {
 	opts := harness.DefaultOptions()
 	opts.Requests = *requests
 	opts.Connections = *connections
-	opts.DPUWorkers = *dpuWorkers
 	opts.HostWorkers = *hostWorkers
 	opts.CommitBatch = *commitBatch
 	opts.CommitFlushTimeout = time.Duration(*commitFlushUS) * time.Microsecond
@@ -317,12 +314,12 @@ func printFig7CSV(opts harness.Options, wallIters int) error {
 
 // printFig8CSV emits all three Fig. 8 panels as one CSV.
 func printFig8CSV(rows []harness.Fig8Row) error {
-	fmt.Println("scenario,mode,rps,pcie_gbps,host_cores,dpu_cores,bottleneck,wire_bytes_per_req,pcie_bytes_per_req,min_credits,dpu_workers,wall_rps")
+	fmt.Println("scenario,mode,rps,pcie_gbps,host_cores,dpu_cores,bottleneck,wire_bytes_per_req,pcie_bytes_per_req,min_credits,wall_rps")
 	for _, r := range rows {
-		fmt.Printf("%s,%s,%.0f,%.2f,%.3f,%.3f,%s,%.1f,%.1f,%d,%d,%.0f\n",
+		fmt.Printf("%s,%s,%.0f,%.2f,%.3f,%.3f,%s,%.1f,%.1f,%d,%.0f\n",
 			r.Scenario, r.Mode, r.Result.RPS, r.Result.BandwidthGbps,
 			r.Result.HostCores, r.Result.DPUCores, r.Result.Bottleneck,
-			r.WireBytesPerReq, r.PCIeBytesPerReq, r.MinCredits, r.DPUWorkers, r.WallRPS)
+			r.WireBytesPerReq, r.PCIeBytesPerReq, r.MinCredits, r.WallRPS)
 	}
 	return nil
 }
@@ -367,10 +364,10 @@ func printPayloadScale(rows []harness.PayloadScaleRow) error {
 	fmt.Println("    object references them by offset — copied B/req collapses, goodput is")
 	fmt.Println("    the deserializer-limited payload rate under the DPU cost model)")
 	w := tw()
-	fmt.Fprintln(w, "payload\tworkers\tsg min\tRPS\tcopied B/req\tref B/req\tsg msgs/req\tdeser MB/s\twall req/s (this machine)")
+	fmt.Fprintln(w, "payload\tsg min\tRPS\tcopied B/req\tref B/req\tsg msgs/req\tdeser MB/s\twall req/s (this machine)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.3g\t%.0f\t%.0f\t%.2f\t%.0f\t%.3g\n",
-			fmtBytes(r.PayloadBytes), r.DPUWorkers, r.SGPayloadMin, r.Result.RPS,
+		fmt.Fprintf(w, "%s\t%d\t%.3g\t%.0f\t%.0f\t%.2f\t%.0f\t%.3g\n",
+			fmtBytes(r.PayloadBytes), r.SGPayloadMin, r.Result.RPS,
 			r.CopiedBytesPerReq, r.RefBytesPerReq, r.SGMsgsPerReq,
 			r.DeserGoodputMBps, r.WallRPS)
 	}
@@ -391,10 +388,10 @@ func fmtBytes(n int) string {
 }
 
 func printPayloadScaleCSV(rows []harness.PayloadScaleRow) error {
-	fmt.Println("payload_bytes,dpu_workers,sg_min,requests,rps,pcie_gbps,host_cores,dpu_cores,bottleneck,copied_bytes_per_req,ref_bytes_per_req,sg_msgs_per_req,deser_goodput_mbps,wall_rps")
+	fmt.Println("payload_bytes,sg_min,requests,rps,pcie_gbps,host_cores,dpu_cores,bottleneck,copied_bytes_per_req,ref_bytes_per_req,sg_msgs_per_req,deser_goodput_mbps,wall_rps")
 	for _, r := range rows {
-		fmt.Printf("%d,%d,%d,%d,%.0f,%.2f,%.3f,%.3f,%s,%.1f,%.1f,%.3f,%.1f,%.0f\n",
-			r.PayloadBytes, r.DPUWorkers, r.SGPayloadMin, r.Requests,
+		fmt.Printf("%d,%d,%d,%.0f,%.2f,%.3f,%.3f,%s,%.1f,%.1f,%.3f,%.1f,%.0f\n",
+			r.PayloadBytes, r.SGPayloadMin, r.Requests,
 			r.Result.RPS, r.Result.BandwidthGbps, r.Result.HostCores,
 			r.Result.DPUCores, r.Result.Bottleneck, r.CopiedBytesPerReq,
 			r.RefBytesPerReq, r.SGMsgsPerReq, r.DeserGoodputMBps, r.WallRPS)
@@ -421,16 +418,15 @@ func doublingSweep(max int) []int {
 }
 
 func printRespScale(rows []harness.RespScaleRow) error {
-	fmt.Println("== Response-direction scaling (duplex pipeline, Echo workload) ==")
-	fmt.Println("   (host build workers = DPU serialization workers = width; modeled")
-	fmt.Println("    core spread capped at conns x width on both sides)")
+	fmt.Println("== Response-direction scaling (host duplex pipeline, Echo workload) ==")
+	fmt.Println("   (host handler/build workers = width, one DPU poller per connection")
+	fmt.Println("    serializes; modeled host core spread capped at conns x width)")
 	w := tw()
-	fmt.Fprintln(w, "conns\tworkers\tRPS\tbottleneck\thost cores\tDPU cores\tresp B/req\tdeser util\tserial util\twall req/s (this machine)")
+	fmt.Fprintln(w, "conns\tworkers\tRPS\tbottleneck\thost cores\tDPU cores\tresp B/req\twall req/s (this machine)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%d\t%.3g\t%s\t%.2f\t%.2f\t%.0f\t%.0f%%\t%.0f%%\t%.3g\n",
+		fmt.Fprintf(w, "%d\t%d\t%.3g\t%s\t%.2f\t%.2f\t%.0f\t%.3g\n",
 			r.Connections, r.Workers, r.Result.RPS, r.Result.Bottleneck,
-			r.Result.HostCores, r.Result.DPUCores, r.RespBytesPerReq,
-			100*r.DPUUtilization, 100*r.RespUtilization, r.WallRPS)
+			r.Result.HostCores, r.Result.DPUCores, r.RespBytesPerReq, r.WallRPS)
 	}
 	w.Flush()
 	fmt.Println()
@@ -438,12 +434,12 @@ func printRespScale(rows []harness.RespScaleRow) error {
 }
 
 func printRespScaleCSV(rows []harness.RespScaleRow) error {
-	fmt.Println("connections,workers,rps,pcie_gbps,host_cores,dpu_cores,bottleneck,resp_bytes_per_req,dpu_utilization,resp_utilization,wall_rps")
+	fmt.Println("connections,workers,rps,pcie_gbps,host_cores,dpu_cores,bottleneck,resp_bytes_per_req,wall_rps")
 	for _, r := range rows {
-		fmt.Printf("%d,%d,%.0f,%.2f,%.3f,%.3f,%s,%.1f,%.3f,%.3f,%.0f\n",
+		fmt.Printf("%d,%d,%.0f,%.2f,%.3f,%.3f,%s,%.1f,%.0f\n",
 			r.Connections, r.Workers, r.Result.RPS, r.Result.BandwidthGbps,
 			r.Result.HostCores, r.Result.DPUCores, r.Result.Bottleneck,
-			r.RespBytesPerReq, r.DPUUtilization, r.RespUtilization, r.WallRPS)
+			r.RespBytesPerReq, r.WallRPS)
 	}
 	return nil
 }
@@ -532,7 +528,7 @@ func printAnatomy(rep *harness.AnatomyReport) error {
 	fmt.Println("    wait:X is the idle time directly before stage X, so the stage")
 	fmt.Println("    means sum to the e2e mean identically)")
 	for _, m := range rep.Modes {
-		fmt.Printf("-- %s datapath (workers=%d, traced %d/%d, wall %.3g req/s) --\n",
+		fmt.Printf("-- %s datapath (host workers=%d, traced %d/%d, wall %.3g req/s) --\n",
 			m.Mode, m.Workers, m.Traced, m.Requests, m.WallRPS)
 		w := tw()
 		fmt.Fprintln(w, "stage\tcount\tp50 us\tp90 us\tp99 us\tmean us\tshare")

@@ -84,7 +84,7 @@ func TestHandlerCopiesBeforeRelease(t *testing.T) {
 	for _, opts := range []dpurpc.StackOptions{
 		{},
 		{OffloadResponseSerialization: true},
-		{DPUWorkers: 2, OffloadResponseSerialization: true},
+		{HostWorkers: 2, OffloadResponseSerialization: true},
 	} {
 		schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
 		if err != nil {
@@ -428,6 +428,83 @@ func TestOversizedUnpackedCallBounded(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) >= 1.5*float64(len(payload)) {
 		t.Fatalf("the call allocated %d bytes for a %d-byte payload (want < 1.5x)", alloc, len(payload))
+	}
+}
+
+const singularProto = `
+syntax = "proto3";
+package single;
+
+message Empty {}
+message Req {
+  uint32 n = 1;
+  string s = 2;
+  repeated Empty items = 3;
+}
+
+service Bench {
+  rpc Call (Req) returns (Empty);
+}
+`
+
+// A 15 MiB frame of one field repeated as 2-byte records (tag, empty value)
+// would take a 24-byte replay record each before the decoder knew the
+// request cannot be placed: a singular scalar and a singular string keep
+// only the last value, and empty sub-messages take almost no arena. The
+// scan bounds its replay records by the largest request object, so each
+// call allocates less than 1.5x its wire size, and the client gets the send
+// buffer's refusal: INTERNAL.
+func TestOversizedSingularCallBounded(t *testing.T) {
+	schema, err := dpurpc.ParseSchema("single.proto", singularProto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	impls := map[string]dpurpc.Impl{"single.Bench": {
+		"Call": func(dpurpc.View) (*dpurpc.Message, uint16) { return nil, 0 },
+	}}
+	stack, err := dpurpc.NewOffloadedStack(schema, impls, dpurpc.StackOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	addr, err := stack.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := dpurpc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const method = "/single.Bench/Call"
+	for _, tc := range []struct {
+		name   string
+		record []byte
+	}{
+		{"scalar", wire.AppendVarint(wire.AppendTag(nil, 1, wire.TypeVarint), 1)},
+		{"string", wire.AppendBytes(wire.AppendTag(nil, 2, wire.TypeBytes), nil)},
+		{"message", wire.AppendBytes(wire.AppendTag(nil, 3, wire.TypeBytes), nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if status, _, err := cl.Raw().Call(method, bytes.Repeat(tc.record, 4096)); err != nil || status != xrpc.StatusOK {
+				t.Fatalf("small call: status %d, err %v", status, err)
+			}
+			payload := bytes.Repeat(tc.record, 15<<19)
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			status, resp, err := cl.Raw().Call(method, payload)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status != xrpc.StatusInternal || !bytes.Contains(resp, []byte("larger than send buffer")) {
+				t.Fatalf("status %d (%q), want %d and the send buffer's refusal", status, resp, xrpc.StatusInternal)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) >= 1.5*float64(len(payload)) {
+				t.Fatalf("the call allocated %d bytes for a %d-byte payload (want < 1.5x)", alloc, len(payload))
+			}
+		})
 	}
 }
 

@@ -83,11 +83,9 @@ type Platform struct {
 }
 
 // EffectiveCores caps the platform's core count at the configured worker
-// count: a deployment running w pipeline workers per connection can spread
-// that platform's work over at most w cores (w <= 0 or >= Cores means the
-// full platform, the paper's ideal even spread). Both directions use it —
-// DPU deserialization/serialization workers and host duplex response
-// workers.
+// count: a deployment running w host duplex response workers in total can
+// spread that platform's work over at most w cores (w <= 0 or >= Cores
+// means the full platform, the paper's ideal even spread).
 func (p *Platform) EffectiveCores(workers int) int {
 	if workers <= 0 || workers >= p.Cores {
 		return p.Cores

@@ -36,10 +36,10 @@ func (s *bumpSizer) alloc(n, align int) {
 // sequence — object, array pre-allocations, string spills, nested objects
 // — through the same alignment arithmetic, without writing anything.
 //
-// The multi-core DPU pipeline (reserve → parallel build → commit) depends
-// on exactness: a slot's stride is fixed when it is reserved, before the
-// build runs, so an overestimate would pad blocks differently from the
-// serial path and an underestimate would overflow the slot.
+// The DPU datapath (reserve → build → commit) depends on exactness: a slot's
+// stride is fixed when it is reserved, before the build runs, so an
+// overestimate would pad the block and an underestimate would overflow the
+// slot.
 //
 // Runtime-only failures (UTF-8 validation, arena exhaustion) are not
 // predicted here; structural errors (malformed wire data, wire-type

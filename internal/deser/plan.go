@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -231,6 +232,9 @@ type noteOp struct {
 	op  uint8
 }
 
+// opSize is the bytes one replay op takes in Notes.ops.
+const opSize = int(unsafe.Sizeof(noteOp{}))
+
 // Notes is the compact parse-notes record one Scan produces: the replay
 // stream (ops), packed-varint elements already in their arena byte form
 // (elems), and per-message repeated-element counts (counts) in pre-order
@@ -243,9 +247,9 @@ type Notes struct {
 	need   int
 	// maxNeed is ScanWithin's bound on the elems and ops streams.
 	maxNeed int
-	// runEnd is the wire offset where the last unpacked run ScanWithin
-	// counted ends (scanRepScalar).
-	runEnd int
+	// opsRoom is how many ops the stream can hold before makeRoom must
+	// check the bound again.
+	opsRoom int
 	// Scatter-gather accounting (Options.SGPayloadMin > 0): segBytes is the
 	// 8-aligned byte total of the payload-segment area the message needs in
 	// addition to need, segCount the number of payload-ref notes. Both stay
@@ -265,7 +269,7 @@ func (no *Notes) reset() {
 	no.counts = no.counts[:0]
 	no.need = 0
 	no.maxNeed = math.MaxInt
-	no.runEnd = 0
+	no.opsRoom = 0
 	no.segBytes = 0
 	no.segCount = 0
 	no.bypass = false
@@ -287,8 +291,8 @@ func (no *Notes) Bypass() bool { return no.bypass }
 // MeasureExact.
 func (no *Notes) Need() int { return no.need }
 
-// notesPool recycles Notes across calls and goroutines (the DPU pipeline
-// scans on one worker and fills on another).
+// notesPool recycles Notes across calls and goroutines (the DPU scans on an
+// xRPC connection goroutine and fills on its poller).
 var notesPool = sync.Pool{New: func() any { return new(Notes) }}
 
 // maxPooledScratch bounds the bytes of an elems or ops buffer Release keeps
@@ -305,7 +309,7 @@ func (no *Notes) Release() {
 	if cap(no.elems) > maxPooledScratch {
 		no.elems = nil
 	}
-	if cap(no.ops)*int(unsafe.Sizeof(noteOp{})) > maxPooledScratch {
+	if cap(no.ops)*opSize > maxPooledScratch {
 		no.ops = nil
 	}
 	notesPool.Put(no)
@@ -332,10 +336,10 @@ func (d *Deserializer) Scan(p *Plan, data []byte) (*Notes, error) {
 // than maxNeed arena bytes. It fails with ErrTooLarge before its pre-decoded
 // element stream would grow past maxNeed, so a small frame of one-byte
 // varints cannot make the scan allocate up to 8x the frame for a request
-// the caller must refuse anyway; and before the replay records of a run of
-// unpacked repeated elements would, so a frame of 2-byte elements cannot
-// make it allocate 12x. Need can still exceed maxNeed by the bytes that are
-// not repeated scalar elements; the caller checks it.
+// the caller must refuse anyway; and before its replay records would, so a
+// frame of 2-byte fields cannot make it allocate 12x (see makeRoom). Need
+// can still exceed maxNeed by the bytes that are not repeated scalar
+// elements; the caller checks it.
 func (d *Deserializer) ScanWithin(p *Plan, data []byte, maxNeed int) (*Notes, error) {
 	no := notesPool.Get().(*Notes)
 	no.reset()
@@ -478,6 +482,11 @@ func (d *Deserializer) scanBody(p *Plan, body []byte, bodyOff int, no *Notes, de
 			continue
 		}
 		d.Stats.Fields++
+		if len(no.ops) >= no.opsRoom {
+			if err := no.makeRoom(p, body[pos-n:]); err != nil {
+				return err
+			}
+		}
 		switch {
 		case a.repeated && a.scalar:
 			consumed, err := d.scanRepScalar(a, body[pos:], bodyOff+pos, wt, no, cbase, fr)
@@ -633,18 +642,7 @@ func (d *Deserializer) scanRepScalar(a *action, rest []byte, absPos int, wt wire
 		}
 		return n, nil
 	}
-	// Unpacked single element: one 24-byte replay record for as little as 2
-	// wire bytes (tag + value). Where the rest of the frame could take the
-	// records past the caller's bound, count the field's run of elements
-	// here first and refuse it before growing anything.
-	const opSize = int(unsafe.Sizeof(noteOp{}))
-	if absPos >= no.runEnd && (len(no.ops)+len(rest)/2+1)*opSize > no.maxNeed {
-		cnt, end := unpackedRun(rest, a.fld.Number, wt)
-		if (len(no.ops)+cnt)*opSize > no.maxNeed {
-			return 0, fmt.Errorf("%w: unpacked repeated field needs more than %d bytes", ErrTooLarge, no.maxNeed)
-		}
-		no.runEnd = absPos + end
-	}
+	// Unpacked single element.
 	bits, n, err := d.scalar(rest, a.kind, wt)
 	if err != nil {
 		return 0, err
@@ -654,24 +652,50 @@ func (d *Deserializer) scanRepScalar(a *action, rest []byte, absPos int, wt wire
 	return n, nil
 }
 
-// unpackedRun counts the elements of field num's run of unpacked elements
-// of wire type wt at the start of b, which holds the first one's value, and
-// returns the count and the run's length. It stops at the first other tag
-// or malformed byte, which the scan reports when it gets there.
-func unpackedRun(b []byte, num int32, wt wire.Type) (cnt, end int) {
-	for {
-		n, err := wire.SkipValue(b[end:], wt)
-		if err != nil {
-			return cnt, end
-		}
-		cnt++
-		end += n
-		tn, twt, tl, err := wire.Tag(b[end:])
-		if err != nil || tn != num || twt != wt {
-			return cnt, end
-		}
-		end += tl
+// makeRoom bounds the replay ops before the scan records the one of the
+// field that starts rest (the rest of a body of plan p, from the field's
+// tag). Every known field records a 24-byte op for as little as 2 wire
+// bytes, whether or not it grows the object, so a frame the caller must
+// refuse could otherwise grow the ops to 12x its size. While the rest of the
+// body cannot record more ops than the bound allows (one per wire byte at
+// most, counting the ends of nested bodies), nothing is counted. Past that
+// the body's remaining fields are counted first: past the bound the scan
+// refuses the request before growing anything; otherwise the stream grows
+// once to hold them.
+func (no *Notes) makeRoom(p *Plan, rest []byte) error {
+	limit := no.maxNeed / opSize
+	if len(no.ops)+len(rest)+1 <= limit {
+		no.opsRoom = len(no.ops) + len(rest) + 1
+		return nil
 	}
+	cnt := p.countFields(rest)
+	if len(no.ops)+cnt > limit {
+		return fmt.Errorf("%w: parse notes need more than %d bytes", ErrTooLarge, no.maxNeed)
+	}
+	no.opsRoom = len(no.ops) + cnt
+	no.ops = slices.Grow(no.ops, cnt)
+	return nil
+}
+
+// countFields counts the fields of p at the start of b, a run of whole
+// field records. It stops at the first malformed byte, which the scan
+// reports when it gets there.
+func (p *Plan) countFields(b []byte) (cnt int) {
+	for len(b) > 0 {
+		num, wt, n, err := wire.Tag(b)
+		if err != nil {
+			return cnt
+		}
+		skipped, err := wire.SkipValue(b[n:], wt)
+		if err != nil {
+			return cnt
+		}
+		if p.lookup(num) != nil {
+			cnt++
+		}
+		b = b[n+skipped:]
+	}
+	return cnt
 }
 
 // sizeNotes replays the allocation sequence of one message body through the

@@ -305,8 +305,8 @@ func TestPlannedZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestScanFillPooledZeroAlloc: the split Scan/Fill flow the DPU pipeline
-// uses (pooled notes handed between stages) must also be allocation-free at
+// TestScanFillPooledZeroAlloc: the split Scan/Fill flow the DPU datapath
+// uses (pooled notes handed from the scan to the fill) must also be allocation-free at
 // steady state, including the notes' packed-varint element stream at the
 // ledger's 4096-element shape.
 func TestScanFillPooledZeroAlloc(t *testing.T) {

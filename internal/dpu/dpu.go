@@ -39,10 +39,6 @@ type Usage struct {
 	HostNS    float64 // aggregate host core-time
 	DPUNS     float64 // aggregate DPU core-time
 	LinkBytes uint64  // PCIe bytes (payload + framing overhead)
-	// DPUWorkers, when > 0, bounds how many DPU cores the deployment can
-	// actually keep busy (total pipeline workers across connections). 0
-	// means the paper's ideal even spread over every DPU core.
-	DPUWorkers int
 	// HostWorkers, when > 0, bounds how many host cores the deployment can
 	// actually keep busy (total duplex response workers across
 	// connections). 0 means the ideal even spread over every host core.
@@ -68,7 +64,7 @@ type Result struct {
 // Analyze performs the bottleneck analysis.
 func (m *Machine) Analyze(u Usage) Result {
 	hostTime := u.HostNS / float64(m.Host.EffectiveCores(u.HostWorkers))
-	dpuTime := u.DPUNS / float64(m.DPU.EffectiveCores(u.DPUWorkers))
+	dpuTime := u.DPUNS / float64(m.DPU.Cores)
 	linkTime := float64(u.LinkBytes) * 8 / m.LinkBandwidthGbps // ns
 
 	simNS := hostTime

@@ -39,29 +39,29 @@ func TestAnalyzeDPUBound(t *testing.T) {
 
 func TestAnalyzeWorkerCap(t *testing.T) {
 	m := Default()
-	// DPU-bound run with only 4 pipeline workers: the same aggregate DPU
-	// core-time must stretch over 4 cores, not 16 — a 4x longer run.
-	base := Usage{Requests: 1e6, HostNS: 1e6, DPUNS: 200e6, LinkBytes: 1000}
+	// Host-bound run with only 2 duplex workers: the same aggregate host
+	// core-time must stretch over 2 cores, not 8 — a 4x longer run.
+	base := Usage{Requests: 1e6, HostNS: 200e6, DPUNS: 1e6, LinkBytes: 1000}
 	capped := base
-	capped.DPUWorkers = 4
+	capped.HostWorkers = 2
 	full := m.Analyze(base)
 	r := m.Analyze(capped)
-	if r.Bottleneck != "dpu-cpu" {
+	if r.Bottleneck != "host-cpu" {
 		t.Fatalf("bottleneck = %s", r.Bottleneck)
 	}
 	if math.Abs(r.SimSeconds-4*full.SimSeconds)/full.SimSeconds > 1e-9 {
 		t.Errorf("capped run %gs, want 4x the even-spread %gs", r.SimSeconds, full.SimSeconds)
 	}
-	if math.Abs(r.DPUCores-4) > 1e-9 {
-		t.Errorf("dpu cores = %g, want saturation at the 4 workers", r.DPUCores)
+	if math.Abs(r.HostCores-2) > 1e-9 {
+		t.Errorf("host cores = %g, want saturation at the 2 workers", r.HostCores)
 	}
 	// Worker counts at or beyond the platform collapse to the ideal spread,
-	// as does the legacy zero value.
-	for _, w := range []int{0, 16, 64} {
+	// as does the zero value.
+	for _, w := range []int{0, 8, 64} {
 		u := base
-		u.DPUWorkers = w
+		u.HostWorkers = w
 		if got := m.Analyze(u); got != full {
-			t.Errorf("DPUWorkers=%d result %+v != even spread %+v", w, got, full)
+			t.Errorf("HostWorkers=%d result %+v != even spread %+v", w, got, full)
 		}
 	}
 }

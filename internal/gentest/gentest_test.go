@@ -247,16 +247,16 @@ func TestResponseModesByteIdentical(t *testing.T) {
 		{"host-serialized serial", dpurpc.StackOptions{}},
 		{"object serial", dpurpc.StackOptions{OffloadResponseSerialization: true}},
 		{"object duplex", dpurpc.StackOptions{
-			OffloadResponseSerialization: true, HostWorkers: 4, DPUWorkers: 4}},
-		{"host-serialized duplex", dpurpc.StackOptions{HostWorkers: 4, DPUWorkers: 4}},
+			OffloadResponseSerialization: true, HostWorkers: 4}},
+		{"host-serialized duplex", dpurpc.StackOptions{HostWorkers: 4}},
 		{"host-serialized serial batched", dpurpc.StackOptions{CommitBatch: 8}},
 		{"object serial batched", dpurpc.StackOptions{
 			OffloadResponseSerialization: true, CommitBatch: 8}},
 		{"object duplex batched", dpurpc.StackOptions{
-			OffloadResponseSerialization: true, HostWorkers: 4, DPUWorkers: 4,
+			OffloadResponseSerialization: true, HostWorkers: 4,
 			CommitBatch: 8}},
 		{"host-serialized duplex batched", dpurpc.StackOptions{
-			HostWorkers: 4, DPUWorkers: 4, CommitBatch: 8}},
+			HostWorkers: 4, CommitBatch: 8}},
 		// Scatter-gather framing with a tiny threshold, so the mirror's
 		// string/bytes fields actually ride as descriptor-backed segments
 		// in both datapath directions — the descriptors must be invisible
@@ -265,7 +265,7 @@ func TestResponseModesByteIdentical(t *testing.T) {
 		{"sg object serial", dpurpc.StackOptions{
 			OffloadResponseSerialization: true, SGPayloadMin: 16}},
 		{"sg object duplex batched", dpurpc.StackOptions{
-			OffloadResponseSerialization: true, HostWorkers: 4, DPUWorkers: 4,
+			OffloadResponseSerialization: true, HostWorkers: 4,
 			CommitBatch: 8, SGPayloadMin: 16}},
 	}
 	var want []byte

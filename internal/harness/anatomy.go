@@ -15,7 +15,7 @@ import (
 // trace's window into its datapath stages plus named wait gaps (see
 // trace.Breakdown — the partition is exact, so the stage rows sum to the
 // end-to-end latency identically). It runs the same workload twice: once on
-// the serial datapath and once with the full duplex pipeline, so the
+// the serial response path and once with the host's duplex pipeline, so the
 // anatomy shows what the pipeline actually moves — which stage shrinks,
 // which wait appears.
 
@@ -39,7 +39,8 @@ type AnatomyStage struct {
 type AnatomyMode struct {
 	// Mode is "serial" or "pipelined".
 	Mode string
-	// Workers is the pipeline width (0 for the serial datapath).
+	// Workers is the host duplex pipeline width (0 for the serial response
+	// path).
 	Workers int
 	// Requests is the number of RPCs driven; Traced is how many produced a
 	// complete trace (they differ only if the tracer shed load).
@@ -84,36 +85,32 @@ type AnatomyMode struct {
 }
 
 // AnatomyReport is the full experiment output: the same workload's anatomy
-// on the serial and pipelined datapaths.
+// on the serial and pipelined host response paths.
 type AnatomyReport struct {
 	Modes []AnatomyMode
 }
 
 // RunAnatomy runs the latency-anatomy experiment. The pipelined mode uses
-// opts.DPUWorkers/opts.HostWorkers (defaulting both to 4 when unset); the
-// serial mode ignores them. Each mode gets its own tracer sized to hold
-// every request, so the anatomy covers the complete run, not a sample.
+// opts.HostWorkers (default 4 when unset); the serial mode ignores it. Each
+// mode gets its own tracer sized to hold every request, so the anatomy
+// covers the complete run, not a sample.
 func RunAnatomy(opts Options) (*AnatomyReport, error) {
-	workers := opts.DPUWorkers
-	if workers <= 1 {
-		workers = 4
-	}
 	hostWorkers := opts.HostWorkers
 	if hostWorkers <= 1 {
-		hostWorkers = workers
+		hostWorkers = 4
 	}
-	serial, err := runAnatomyMode(opts, "serial", 0, 0)
+	serial, err := runAnatomyMode(opts, "serial", 0)
 	if err != nil {
 		return nil, fmt.Errorf("anatomy serial: %w", err)
 	}
-	piped, err := runAnatomyMode(opts, "pipelined", workers, hostWorkers)
+	piped, err := runAnatomyMode(opts, "pipelined", hostWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("anatomy pipelined: %w", err)
 	}
 	return &AnatomyReport{Modes: []AnatomyMode{serial, piped}}, nil
 }
 
-func runAnatomyMode(opts Options, mode string, dpuWorkers, hostWorkers int) (AnatomyMode, error) {
+func runAnatomyMode(opts Options, mode string, hostWorkers int) (AnatomyMode, error) {
 	env := workload.NewEnv()
 	ccfg := opts.ClientCfg
 	scfg := opts.ServerCfg
@@ -135,7 +132,6 @@ func runAnatomyMode(opts Options, mode string, dpuWorkers, hostWorkers int) (Ana
 		Connections:                  conns,
 		ClientCfg:                    ccfg,
 		ServerCfg:                    scfg,
-		DPUWorkers:                   dpuWorkers,
 		HostWorkers:                  hostWorkers,
 		OffloadResponseSerialization: true,
 		CommitBatch:                  opts.CommitBatch,
@@ -186,7 +182,7 @@ func runAnatomyMode(opts Options, mode string, dpuWorkers, hostWorkers int) (Ana
 	rows := trace.Breakdown(traces)
 	m := AnatomyMode{
 		Mode:        mode,
-		Workers:     dpuWorkers,
+		Workers:     hostWorkers,
 		Requests:    opts.Requests,
 		Traced:      len(traces),
 		WallSeconds: wall.Seconds(),

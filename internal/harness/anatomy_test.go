@@ -15,7 +15,6 @@ func TestAnatomyConsistency(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Requests = 400
 	opts.Concurrency = 64
-	opts.DPUWorkers = 2
 	opts.HostWorkers = 2
 	rep, err := RunAnatomy(opts)
 	if err != nil {

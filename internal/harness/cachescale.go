@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dpurpc/internal/dpu"
-	"dpurpc/internal/metrics"
 	"dpurpc/internal/mt19937"
 	"dpurpc/internal/offload"
 	"dpurpc/internal/workload"
@@ -108,7 +107,6 @@ func runCacheLeg(s workload.Scenario, opts Options, skew float64, keys, cacheEnt
 		Connections:                  conns,
 		ClientCfg:                    ccfg,
 		ServerCfg:                    scfg,
-		DPUWorkers:                   opts.DPUWorkers,
 		HostWorkers:                  opts.HostWorkers,
 		OffloadResponseSerialization: opts.OffloadResponseSerialization,
 		CommitBatch:                  opts.CommitBatch,
@@ -120,10 +118,6 @@ func runCacheLeg(s workload.Scenario, opts Options, skew float64, keys, cacheEnt
 	if cacheEntries > 0 {
 		dcfg.CacheMethods = []string{method}
 		dcfg.CacheMaxEntries = cacheEntries
-	}
-	if opts.Registry != nil {
-		dcfg.DPUPipeline = metrics.NewPipelineMetrics(opts.Registry, nil)
-		dcfg.DPURespPipeline = metrics.NewResponsePipelineMetrics(opts.Registry, nil)
 	}
 	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), dcfg)
 	if err != nil {
@@ -152,9 +146,6 @@ func runCacheLeg(s workload.Scenario, opts Options, skew float64, keys, cacheEnt
 	wall := time.Since(start)
 
 	usage, fig := usageFromCounters(snapshotCounters(d).sub(before), method, opts)
-	if opts.DPUWorkers > 1 {
-		usage.DPUWorkers = conns * opts.DPUWorkers
-	}
 	if opts.HostWorkers > 1 {
 		usage.HostWorkers = conns * opts.HostWorkers
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 // ChaosRow is one point of the fault-rate sweep: the offloaded datapath
-// driven end to end (xRPC clients with retry over TCP, DPU pipeline,
+// driven end to end (xRPC clients with retry over TCP, DPU poller,
 // RPC-over-RDMA with fault injection, host duplex workers) at one injected
 // fault rate. Goodput counts only calls that returned OK with a verified
 // payload; everything else must have failed with a typed transient status.
@@ -140,7 +140,6 @@ func runChaosPoint(opts Options, rate float64) (ChaosRow, error) {
 		Connections:        conns,
 		ClientCfg:          ccfg,
 		ServerCfg:          scfg,
-		DPUWorkers:         opts.DPUWorkers,
 		HostWorkers:        opts.HostWorkers,
 		CommitBatch:        commitBatch,
 		CommitFlushTimeout: opts.CommitFlushTimeout,

@@ -48,10 +48,7 @@ type Options struct {
 	// BusyPoll selects the polling mode (Table I runs use busy polling on
 	// dedicated cores; the poll() comparison is the Sec. III-C ablation).
 	BusyPoll bool
-	// DPUWorkers is the number of deserialization workers per DPU poller
-	// (the reserve → parallel build → commit pipeline). 0 or 1 runs the
-	// serial datapath; values > 1 run the multi-core pipeline and cap the
-	// modeled DPU core spread at Connections*DPUWorkers busy cores.
+	// Deprecated: ignored. Each connection has one DPU poller.
 	DPUWorkers int
 	// HostWorkers is the number of host-side duplex workers per connection
 	// (handler + response-object build in parallel, commits in admission
@@ -80,8 +77,8 @@ type Options struct {
 	// provisions its own tracer per mode; set this to observe other
 	// experiments live through trace.NewDebugMux.
 	Tracer *trace.Tracer
-	// Registry, when non-nil, receives the DPU pipeline series of the
-	// offloaded runs (queue depth, stage counts, worker busy time).
+	// Registry, when non-nil, receives the flush-reason counters of the
+	// offloaded Fig. 8 runs (rpcrdma_flush_total).
 	Registry *metrics.Registry
 	// Window, when non-nil, receives one windowed-latency observation per
 	// completed request of the offloaded runs, so a live debug mux
@@ -134,9 +131,6 @@ type Fig8Row struct {
 	PCIeBytesPerReq float64
 	// ReqMsgsPerBlock is the achieved request batching (offload mode).
 	ReqMsgsPerBlock float64
-	// DPUWorkers echoes the pipeline width the row ran with (offload mode;
-	// 0 means the serial datapath).
-	DPUWorkers int
 	// HostWorkers echoes the host-side duplex width (offload mode; 0 means
 	// the serial response path).
 	HostWorkers int
@@ -301,7 +295,6 @@ func RunOffload(s workload.Scenario, opts Options) (Fig8Row, error) {
 		Connections:                  conns,
 		ClientCfg:                    ccfg,
 		ServerCfg:                    scfg,
-		DPUWorkers:                   opts.DPUWorkers,
 		HostWorkers:                  opts.HostWorkers,
 		OffloadResponseSerialization: opts.OffloadResponseSerialization,
 		CommitBatch:                  opts.CommitBatch,
@@ -309,10 +302,6 @@ func RunOffload(s workload.Scenario, opts Options) (Fig8Row, error) {
 		SGPayloadMin:                 opts.SGPayloadMin,
 		Tracer:                       opts.Tracer,
 		Window:                       opts.Window,
-	}
-	if opts.Registry != nil {
-		dcfg.DPUPipeline = metrics.NewPipelineMetrics(opts.Registry, nil)
-		dcfg.DPURespPipeline = metrics.NewResponsePipelineMetrics(opts.Registry, nil)
 	}
 	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), dcfg)
 	if err != nil {
@@ -368,15 +357,10 @@ func RunOffload(s workload.Scenario, opts Options) (Fig8Row, error) {
 				map[string]string{"reason": f.reason}).Add(f.n)
 		}
 	}
-	if opts.DPUWorkers > 1 {
-		// The pipeline bounds how many DPU cores the deployment can keep
-		// busy; the serial path (0/1) keeps the paper's ideal even spread.
-		usage.DPUWorkers = conns * opts.DPUWorkers
-		row.DPUWorkers = opts.DPUWorkers
-	}
 	if opts.HostWorkers > 1 {
-		// Same bound for the response direction: the duplex pool limits how
-		// many host cores run handlers and response builds concurrently.
+		// The duplex pool bounds how many host cores run handlers and
+		// response builds concurrently; the serial path keeps the paper's
+		// ideal even spread.
 		usage.HostWorkers = conns * opts.HostWorkers
 		row.HostWorkers = opts.HostWorkers
 	}

@@ -12,16 +12,13 @@ import (
 )
 
 // PayloadScaleRow is one point of the scatter-gather payload sweep: the Echo
-// workload at one payload size, with one datapath width, with SG framing on
-// or off. The interesting shape is the copied-bytes column collapsing to
+// workload at one payload size, with SG framing on or off. The interesting shape is the copied-bytes column collapsing to
 // (near) zero when SG is on while the reference-bytes column takes over —
 // and the deserializer-limited goodput multiplying accordingly, since a
 // referenced payload byte costs PayloadRefNS instead of CopyByteNS.
 type PayloadScaleRow struct {
 	// PayloadBytes is the Echo string payload size.
 	PayloadBytes int
-	// DPUWorkers echoes the pipeline width (0/1 = serial datapath).
-	DPUWorkers int
 	// SGPayloadMin is the SG threshold the row ran with (0 = inline path).
 	SGPayloadMin int
 	// Requests actually driven (scaled down at large payload sizes).
@@ -47,16 +44,11 @@ func DefaultPayloadSizes() []int {
 	return []int{1 << 10, 8 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 }
 
-// PayloadScale sweeps Echo payload sizes across {serial, pipelined} x
-// {SG off, SG on}. opts.DPUWorkers sets the pipelined width (default 4);
+// PayloadScale sweeps Echo payload sizes across {SG off, SG on}.
 // opts.SGPayloadMin sets the SG threshold of the "on" legs (default 1 KiB).
 func PayloadScale(opts Options, sizes []int) ([]PayloadScaleRow, error) {
 	if len(sizes) == 0 {
 		sizes = DefaultPayloadSizes()
-	}
-	pipelined := opts.DPUWorkers
-	if pipelined <= 1 {
-		pipelined = 4
 	}
 	sgMin := opts.SGPayloadMin
 	if sgMin <= 0 {
@@ -64,15 +56,12 @@ func PayloadScale(opts Options, sizes []int) ([]PayloadScaleRow, error) {
 	}
 	var rows []PayloadScaleRow
 	for _, size := range sizes {
-		for _, workers := range []int{1, pipelined} {
-			for _, min := range []int{0, sgMin} {
-				row, err := runPayload(opts, size, workers, min)
-				if err != nil {
-					return nil, fmt.Errorf("payloadscale size=%d workers=%d sg=%d: %w",
-						size, workers, min, err)
-				}
-				rows = append(rows, row)
+		for _, min := range []int{0, sgMin} {
+			row, err := runPayload(opts, size, min)
+			if err != nil {
+				return nil, fmt.Errorf("payloadscale size=%d sg=%d: %w", size, min, err)
 			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -82,7 +71,7 @@ func PayloadScale(opts Options, sizes []int) ([]PayloadScaleRow, error) {
 // deployment (EchoBlob method, GenBlob payloads of the given size — a bytes
 // field, so neither leg pays UTF-8 validation and the copy-vs-reference
 // difference is what the sweep isolates).
-func runPayload(opts Options, size, workers, sgMin int) (PayloadScaleRow, error) {
+func runPayload(opts Options, size, sgMin int) (PayloadScaleRow, error) {
 	env := workload.NewEnv()
 	ccfg := opts.ClientCfg
 	scfg := opts.ServerCfg
@@ -122,7 +111,6 @@ func runPayload(opts Options, size, workers, sgMin int) (PayloadScaleRow, error)
 		Connections:  conns,
 		ClientCfg:    ccfg,
 		ServerCfg:    scfg,
-		DPUWorkers:   workers,
 		SGPayloadMin: sgMin,
 		CommitBatch:  opts.CommitBatch,
 	})
@@ -188,14 +176,10 @@ func runPayload(opts Options, size, workers, sgMin int) (PayloadScaleRow, error)
 	o := opts
 	o.Requests = requests
 	usage, _ := offloadUsage(d, method, o)
-	if workers > 1 {
-		usage.DPUWorkers = conns * workers
-	}
 	n := float64(st.Responses)
 	deserNS := opts.Machine.DPU.DeserNS(st.Deser)
 	row := PayloadScaleRow{
 		PayloadBytes:      size,
-		DPUWorkers:        workers,
 		SGPayloadMin:      sgMin,
 		Requests:          requests,
 		Result:            opts.Machine.Analyze(usage),

@@ -14,51 +14,46 @@ func TestPayloadScaleSGWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// sizes x {serial, pipelined} x {inline, SG}.
-	if len(rows) != len(sizes)*4 {
-		t.Fatalf("got %d rows, want %d", len(rows), len(sizes)*4)
+	// sizes x {inline, SG}.
+	if len(rows) != len(sizes)*2 {
+		t.Fatalf("got %d rows, want %d", len(rows), len(sizes)*2)
 	}
 
-	find := func(size, workers, sgMin int) *PayloadScaleRow {
+	find := func(size, sgMin int) *PayloadScaleRow {
 		for i := range rows {
 			r := &rows[i]
-			if r.PayloadBytes == size && r.DPUWorkers == workers && r.SGPayloadMin == sgMin {
+			if r.PayloadBytes == size && r.SGPayloadMin == sgMin {
 				return r
 			}
 		}
-		t.Fatalf("row size=%d workers=%d sg=%d missing", size, workers, sgMin)
+		t.Fatalf("row size=%d sg=%d missing", size, sgMin)
 		return nil
 	}
 
-	for _, workers := range []int{1, 4} {
-		inline := find(1<<20, workers, 0)
-		sg := find(1<<20, workers, 1<<10)
+	inline := find(1<<20, 0)
+	sg := find(1<<20, 1<<10)
 
-		// Inline leg copies the whole payload; SG leg references it.
-		if inline.CopiedBytesPerReq < float64(1<<20) {
-			t.Errorf("workers=%d inline CopiedBytesPerReq = %.0f, want >= %d",
-				workers, inline.CopiedBytesPerReq, 1<<20)
-		}
-		if sg.CopiedBytesPerReq > 1024 {
-			t.Errorf("workers=%d SG CopiedBytesPerReq = %.0f, want ~0",
-				workers, sg.CopiedBytesPerReq)
-		}
-		if sg.RefBytesPerReq < float64(1<<20) {
-			t.Errorf("workers=%d SG RefBytesPerReq = %.0f, want >= %d",
-				workers, sg.RefBytesPerReq, 1<<20)
-		}
-		if sg.SGMsgsPerReq < 0.99 {
-			t.Errorf("workers=%d SGMsgsPerReq = %.2f, want ~1", workers, sg.SGMsgsPerReq)
-		}
-		if sg.DeserGoodputMBps < 2*inline.DeserGoodputMBps {
-			t.Errorf("workers=%d SG goodput %.0f MB/s < 2x inline %.0f MB/s",
-				workers, sg.DeserGoodputMBps, inline.DeserGoodputMBps)
-		}
+	// Inline leg copies the whole payload; SG leg references it.
+	if inline.CopiedBytesPerReq < float64(1<<20) {
+		t.Errorf("inline CopiedBytesPerReq = %.0f, want >= %d", inline.CopiedBytesPerReq, 1<<20)
+	}
+	if sg.CopiedBytesPerReq > 1024 {
+		t.Errorf("SG CopiedBytesPerReq = %.0f, want ~0", sg.CopiedBytesPerReq)
+	}
+	if sg.RefBytesPerReq < float64(1<<20) {
+		t.Errorf("SG RefBytesPerReq = %.0f, want >= %d", sg.RefBytesPerReq, 1<<20)
+	}
+	if sg.SGMsgsPerReq < 0.99 {
+		t.Errorf("SGMsgsPerReq = %.2f, want ~1", sg.SGMsgsPerReq)
+	}
+	if sg.DeserGoodputMBps < 2*inline.DeserGoodputMBps {
+		t.Errorf("SG goodput %.0f MB/s < 2x inline %.0f MB/s",
+			sg.DeserGoodputMBps, inline.DeserGoodputMBps)
 	}
 
 	// Below-threshold sanity: at 1 KiB with sgMin = 1 KiB the payload is
 	// exactly at the threshold and still rides as an SG segment.
-	small := find(1<<10, 1, 1<<10)
+	small := find(1<<10, 1<<10)
 	if small.RefBytesPerReq < float64(1<<10) {
 		t.Errorf("1KiB SG RefBytesPerReq = %.0f, want >= %d", small.RefBytesPerReq, 1<<10)
 	}

@@ -6,33 +6,27 @@ import (
 	"time"
 
 	"dpurpc/internal/dpu"
-	"dpurpc/internal/metrics"
 	"dpurpc/internal/offload"
 	"dpurpc/internal/workload"
 	"dpurpc/internal/xrpc"
 )
 
 // RespScaleRow is one row of the response-direction scaling experiment: the
-// duplex pipeline (host-side build workers + DPU-side serialization workers)
-// at a given width, driven by the Echo workload whose responses carry the
-// full request payload back.
+// host's duplex pipeline (handler and response-build workers) at a given
+// width, with the DPU poller serializing every response, driven by the Echo
+// workload whose responses carry the full request payload back.
 type RespScaleRow struct {
 	// Connections is the number of host<->DPU connections the row ran with
-	// (each with its own Workers-wide pipeline on both sides).
+	// (each with its own Workers-wide host pipeline and one DPU poller).
 	Connections int
-	// Workers is the pipeline width (HostWorkers = DPUWorkers = Workers).
+	// Workers is the host pipeline width (HostWorkers).
 	Workers int
-	// Result is the machine-model projection with the core spread capped at
-	// Connections*Workers on both sides (the serial row uses the same cap so
-	// the scaling is apples to apples).
+	// Result is the machine-model projection with the host core spread
+	// capped at Connections*Workers (the serial row uses the same cap so the
+	// scaling is apples to apples).
 	Result dpu.Result
 	// RespBytesPerReq is the serialized response payload per request.
 	RespBytesPerReq float64
-	// DPUUtilization / RespUtilization are the measured average busy
-	// fractions of the DPU deserialization workers and the DPU
-	// response-serialization workers over the run's wall time (0..1).
-	DPUUtilization  float64
-	RespUtilization float64
 	// WallSeconds/WallRPS report the measured wall-clock cost of driving the
 	// run on this machine (not the paper's modeled numbers).
 	WallSeconds float64
@@ -41,9 +35,9 @@ type RespScaleRow struct {
 
 // ResponseScaling runs the Echo workload — request payload echoed back in
 // the response, so both directions carry the same bytes — through the
-// response-serialization offload at each pipeline width. It reports modeled
-// throughput (host/DPU core time capped at the worker count) alongside the
-// wall-clock rate of the real datapath.
+// response-serialization offload at each host pipeline width. It reports
+// modeled throughput (host core time capped at the worker count) alongside
+// the wall-clock rate of the real datapath.
 func ResponseScaling(opts Options, workers []int) ([]RespScaleRow, error) {
 	conns := opts.Connections
 	if conns == 0 {
@@ -55,7 +49,7 @@ func ResponseScaling(opts Options, workers []int) ([]RespScaleRow, error) {
 // ResponseScalingGrid is ResponseScaling over a connection-count axis too:
 // every (connections, workers) pair gets its own deployment, so the sweep
 // separates scaling by adding pollers (more connections) from scaling by
-// widening each connection's pipeline (more workers).
+// widening each connection's host pipeline (more workers).
 func ResponseScalingGrid(opts Options, conns, workers []int) ([]RespScaleRow, error) {
 	rows := make([]RespScaleRow, 0, len(conns)*len(workers))
 	for _, c := range conns {
@@ -82,19 +76,12 @@ func runRespScale(opts Options, workers int) (RespScaleRow, error) {
 	if conns == 0 {
 		conns = 1
 	}
-	// Per-row pipeline metrics (standalone, not registry-backed: each width
-	// must see only its own busy time for an honest utilization figure).
-	pm := metrics.NewPipelineMetrics(nil, nil)
-	rpm := metrics.NewResponsePipelineMetrics(nil, nil)
 	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), offload.DeployConfig{
 		Connections:                  conns,
 		ClientCfg:                    ccfg,
 		ServerCfg:                    scfg,
-		DPUWorkers:                   workers,
 		HostWorkers:                  workers,
 		OffloadResponseSerialization: true,
-		DPUPipeline:                  pm,
-		DPURespPipeline:              rpm,
 	})
 	if err != nil {
 		return RespScaleRow{}, err
@@ -138,18 +125,15 @@ func runRespScale(opts Options, workers int) (RespScaleRow, error) {
 	}
 
 	usage, _ := offloadUsage(d, method, opts)
-	// Cap the modeled core spread at the pipeline width on BOTH rows —
+	// Cap the modeled host core spread at the pipeline width on every row —
 	// including workers=1 — so the scaling curve isolates the pipeline and
 	// not the serial path's idealized even spread.
-	usage.DPUWorkers = conns * workers
 	usage.HostWorkers = conns * workers
 	return RespScaleRow{
 		Connections:     conns,
 		Workers:         workers,
 		Result:          opts.Machine.Analyze(usage),
 		RespBytesPerReq: safeDiv(float64(respBytes), float64(opts.Requests)),
-		DPUUtilization:  pm.Utilization(float64(wall.Nanoseconds()), conns*workers),
-		RespUtilization: rpm.Utilization(float64(wall.Nanoseconds()), conns*workers),
 		WallSeconds:     wall.Seconds(),
 		WallRPS:         safeDiv(float64(opts.Requests), wall.Seconds()),
 	}, nil

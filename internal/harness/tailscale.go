@@ -75,13 +75,9 @@ func RunTailscale(opts Options) (*TailscaleReport, error) {
 	if conns == 0 {
 		conns = 1
 	}
-	dpuWorkers := opts.DPUWorkers
-	if dpuWorkers <= 1 {
-		dpuWorkers = 4
-	}
 	hostWorkers := opts.HostWorkers
 	if hostWorkers <= 1 {
-		hostWorkers = dpuWorkers
+		hostWorkers = 4
 	}
 	// Ring capacity covers the whole run (2x: capacity splits across shards)
 	// so every exemplar the window retains can resolve to its trace.
@@ -98,7 +94,6 @@ func RunTailscale(opts Options) (*TailscaleReport, error) {
 		Connections:                  conns,
 		ClientCfg:                    ccfg,
 		ServerCfg:                    scfg,
-		DPUWorkers:                   dpuWorkers,
 		HostWorkers:                  hostWorkers,
 		OffloadResponseSerialization: true,
 		CommitBatch:                  opts.CommitBatch,

@@ -13,7 +13,6 @@ func TestRunTailscaleLinksExemplarsToAnatomy(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Requests = 400
 	opts.Concurrency = 64
-	opts.DPUWorkers = 2
 	opts.HostWorkers = 2
 	rep, err := RunTailscale(opts)
 	if err != nil {

@@ -24,8 +24,8 @@ type chaosDrainReport struct {
 	stats       fault.Stats
 }
 
-// TestChaosSoak drives the full pipelined duplex stack (multi-worker DPU
-// pipeline + host duplex response pipeline, two connections) under
+// TestChaosSoak drives the full duplex stack (one DPU poller per connection
+// + host duplex response pipeline, two connections) under
 // randomized-but-seeded fault plans and pins the failure contract: every
 // call resolves exactly once, either OK with its own payload or with a
 // typed transient status (UNAVAILABLE / DEADLINE_EXCEEDED) — no hangs, no
@@ -69,7 +69,7 @@ func chaosSoak(t *testing.T, plan fault.Plan) {
 	const requestTimeout = 250 * time.Millisecond
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
-		DPUWorkers: 4, HostWorkers: 2,
+		HostWorkers:    2,
 		ClientFaults:   &plan,
 		ServerFaults:   &plan,
 		RequestTimeout: requestTimeout,

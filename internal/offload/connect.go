@@ -105,8 +105,8 @@ func (d *Deployment) PollerWakes() (cqe, kick, timer uint64) {
 	return cqe, kick, timer
 }
 
-// Close stops all worker pools: the host duplex pools and the DPU servers'
-// deserialization pipelines.
+// Close shuts down every DPU server (failing its queued and outstanding
+// requests) and every host poller with its duplex pool.
 func (d *Deployment) Close() {
 	for _, dpu := range d.DPUs {
 		dpu.Close()
@@ -152,18 +152,9 @@ type DeployConfig struct {
 	// thread (Sec. III-D's background RPCs), with slots reserved as
 	// handlers finish and committed as builds complete.
 	HostWorkers int
-	// DPUWorkers > 1 gives every DPU server a pool of this many workers:
-	// the poller reserves block slots, the workers deserialize large and
-	// scatter-gather requests in parallel directly into them, and the
-	// poller commits in admission order. <= 1 runs the same poller loop
-	// with no workers (see DPUConfig.Workers).
+	// Deprecated: ignored. Each DPU server is one poller per connection;
+	// parallelism comes from more connections.
 	DPUWorkers int
-	// DPUPipeline, when non-nil, instruments every DPU pipeline (the
-	// counters are shared across connections; all are atomic).
-	DPUPipeline *metrics.PipelineMetrics
-	// DPURespPipeline, when non-nil, instruments the response direction of
-	// every DPU pipeline (serializes, queue depth, reply latency).
-	DPURespPipeline *metrics.ResponsePipelineMetrics
 	// Tracer, when non-nil, enables end-to-end span recording: every call
 	// admitted on a DPU server is stamped with a trace ID that rides the
 	// request-ID replay to the host and back, and each datapath stage
@@ -338,9 +329,6 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 			return nc, err
 		}
 		dpu, err := NewDPUServerWith(dpuTable, client, DPUConfig{
-			Workers:             cfg.DPUWorkers,
-			Pipeline:            cfg.DPUPipeline,
-			RespPipeline:        cfg.DPURespPipeline,
 			Tracer:              cfg.Tracer,
 			Window:              cfg.Window,
 			SGPayloadMin:        cfg.SGPayloadMin,

@@ -3,7 +3,6 @@ package offload
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,7 +22,7 @@ import (
 var ErrShuttingDown = errors.New("offload: DPU server shutting down")
 
 // ErrAdmissionShed is the typed cause of requests rejected by the DPU-side
-// admission gate (DPUConfig.AdmitMaxInflight): the pipeline is at its
+// admission gate (DPUConfig.AdmitMaxInflight): the server is at its
 // high-water mark and the request is shed with UNAVAILABLE before it can
 // enter the reserve-arena bounded wait.
 var ErrAdmissionShed = errors.New("offload: admission control shed")
@@ -69,21 +68,9 @@ type DPUStats struct {
 	Deser             deser.Stats
 }
 
-// Pipeline stages a task moves through.
-const (
-	stageBuild     = iota // plan fill replaying the notes into the reserved slot
-	stageSerialize        // response serialization (or copy-out) on a worker
-)
-
-// inflightPerWorker sizes the pipeline: at most this many request tasks per
-// worker (per poller, with no workers) are reserved and not yet committed,
-// and at most as many responses are on the workers.
-const inflightPerWorker = 4
-
 // callTask carries one scanned xRPC request from where it entered to the
-// connection's poller, and (with workers) between the poller and the
-// workers. Worker-written fields (notes, root, used, err) are synchronized
-// by the workQ/compQ channel handoffs. Tasks are pooled per server (newTask,
+// connection's poller, which reserves, fills and commits it and replies when
+// the host's response arrives. Tasks are pooled per server (newTask,
 // recycle).
 type callTask struct {
 	procID uint16
@@ -97,40 +84,14 @@ type callTask struct {
 	// bound to this task once, when the pool made it.
 	onResp func(rpcrdma.Response)
 
-	// Pipeline fields.
-	stage    uint8
-	res      *rpcrdma.Reservation
-	root     uint32
-	used     int
-	segs     int // SG payload segments the scan found (0 = inline message)
-	segBytes int // 8-aligned bytes of the segment area
-	err      error
-	finished bool // poller-owned: result decided, ignore later signals
-	// onWorker is set from queueWork until the task comes back through compQ
-	// (reclaim): a worker may be reading data, so the task must not finish.
-	// Poller-owned.
-	onWorker bool
-	// reserved is the ns timestamp at reserve (or at response dispatch),
-	// stamped only for the commit-latency metrics (Pipeline, RespPipeline).
-	reserved int64
+	segs     int   // SG payload segments the scan found (0 = inline message)
+	segBytes int   // 8-aligned bytes of the segment area
+	finished bool  // poller-owned: result decided, ignore later signals
 	admit    int64 // ns timestamp at admission (windowed-latency metric)
-	// epoch tags the connection whose resources (reservation or response
-	// hold) this task carries; a reconnect bumps the server's epoch so
-	// completions for the dead connection are never applied to its
-	// replacement.
+	// epoch tags the connection the task reserved on; a reconnect bumps the
+	// server's epoch so a response that was in flight across it is never
+	// cached.
 	epoch uint64
-
-	// Response-pipeline fields (stageSerialize, with workers only). The
-	// rpayload view stays valid while hold defers the block's ack.
-	hold       *rpcrdma.ResponseHold
-	rstatus    uint16
-	rerr       bool
-	robject    bool
-	rpayload   []byte
-	rregion    uint64
-	rroot      uint32
-	out        []byte // worker-written serialized/copied response
-	outRelease func() // recycles out into the worker's scratch stock
 }
 
 type callResult struct {
@@ -165,10 +126,8 @@ func (cb localReply) reply(r callResult) {
 }
 
 // respBufPool recycles the buffers of responses the poller serializes (or
-// copies out) inline, which it does when there are no workers: the poller
-// takes one per response and the xRPC transport hands it back (putRespBuf)
-// after writing the frame. Workers use per-worker scratch stocks (wscratch)
-// instead, so their hot path never touches this contended global.
+// copies out): the poller takes one per response and the xRPC transport
+// hands it back (putRespBuf) after writing the frame.
 var respBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -181,52 +140,8 @@ func putRespBuf(bp *[]byte) {
 	respBufPool.Put(bp)
 }
 
-// wscratch is one worker's private stock of response scratch buffers. The
-// worker takes buffers with get; release() may run on whatever goroutine
-// retires the xRPC response, so returns go through a small buffered channel
-// (never blocking — an overfull stock just drops the buffer to the GC).
-type wscratch struct {
-	free chan []byte
-}
-
-func newWScratch() *wscratch { return &wscratch{free: make(chan []byte, 16)} }
-
-func (w *wscratch) get() []byte {
-	select {
-	case b := <-w.free:
-		return b[:0]
-	default:
-		return make([]byte, 0, 4096)
-	}
-}
-
-func (w *wscratch) put(b []byte) {
-	xrpc.PoisonReleased(b)
-	select {
-	case w.free <- b:
-	default:
-	}
-}
-
 // DPUConfig tunes one DPU server.
 type DPUConfig struct {
-	// Workers is the number of deserialization worker goroutines. Every
-	// count runs the same poller loop: a call is scanned where it enters
-	// (connection goroutine or poller), and the poller reserves block slots
-	// in submit order, commits them, and alone owns QP/CQ progress. <= 1
-	// starts no workers: the poller fills every request right after its
-	// reserve and serializes every response inline. > 1 starts that many:
-	// they fill large and scatter-gather requests in place and in parallel
-	// directly into their reserved slots (small inline ones the poller
-	// still fills itself) and serialize (or copy out) responses.
-	Workers int
-	// Pipeline, when non-nil, receives queue depth, worker utilization,
-	// and commit-latency samples.
-	Pipeline *metrics.PipelineMetrics
-	// RespPipeline, when non-nil, receives the response direction's queue
-	// depth, serialize counts, worker busy time, and dispatch-to-reply
-	// latency samples.
-	RespPipeline *metrics.ResponsePipelineMetrics
 	// Tracer, when non-nil and enabled, stamps every admitted call with a
 	// trace ID and records per-stage spans through the whole datapath
 	// (measure/reserve/build/commit, PCIe doorbells, the host's dispatch,
@@ -269,7 +184,7 @@ type DPUConfig struct {
 	// AdmitMaxInflight > 0 enables DPU-side admission control: new requests
 	// are shed with UNAVAILABLE (never entering the reserve-arena bounded
 	// wait) while the server already has this many requests admitted —
-	// queued, in the pipeline, or outstanding on the wire. Requests already
+	// queued for a block slot or outstanding on the wire. Requests already
 	// admitted are never shed. 0 admits everything.
 	AdmitMaxInflight int
 
@@ -289,9 +204,11 @@ type DPUConfig struct {
 // DPUServer is the DPU middleman for one RPC-over-RDMA connection: it
 // terminates xRPC calls, runs the request deserialization on the DPU, and
 // forwards built objects to the host (Sec. III-A). One poller goroutine
-// must own Progress (the per-connection client poller of Sec. III-C);
-// xRPC connection goroutines submit work through a channel, which is the
-// many-to-one-to-one multiplexing of the paper.
+// must own Progress (the per-connection client poller of Sec. III-C): a call
+// is scanned where it enters, and the poller reserves its block slot in
+// submit order, fills and commits it, serializes the response, and alone
+// owns QP/CQ progress. xRPC connection goroutines submit work through a
+// channel, which is the many-to-one-to-one multiplexing of the paper.
 type DPUServer struct {
 	table  *adt.Table
 	procs  *procTable
@@ -328,30 +245,9 @@ type DPUServer struct {
 	runDone  chan struct{}
 	running  atomic.Bool
 
-	// Worker pool (nil channels when Workers <= 1).
-	workQ chan *callTask
-	compQ chan *callTask
-	wg    sync.WaitGroup
-
-	// maxInflight bounds inflight and respInflight: inflightPerWorker x
-	// max(Workers, 1).
-	maxInflight int
-
-	// Poller-owned pipeline state: tasks reserved and not yet committed.
-	inflight int
-
-	// onWorkers counts tasks handed to queueWork and not yet returned
-	// through compQ, so enterReconnect can quiesce the worker stages before
-	// aborting the connection. Poller-owned.
-	onWorkers int
-
-	// Poller-owned response-pipeline state: serialize tasks in flight on
-	// the pool, and the overflow queue keeping workQ occupancy bounded.
-	respInflight int
-	respPending  []*callTask
-
 	// statsMu guards the merged deserializer stats so Stats() is safe from
-	// any goroutine while the poller and workers keep deserializing.
+	// any goroutine while the poller and the scanning connection goroutines
+	// keep deserializing.
 	statsMu    sync.Mutex
 	deserStats deser.Stats
 
@@ -391,13 +287,12 @@ type DPUServer struct {
 }
 
 // NewDPUServer builds the DPU side from the table received at handshake and
-// an established RPC-over-RDMA client connection, with no workers (the
-// poller does every fill on its own core).
+// an established RPC-over-RDMA client connection.
 func NewDPUServer(table *adt.Table, client *rpcrdma.ClientConn) (*DPUServer, error) {
 	return NewDPUServerWith(table, client, DPUConfig{})
 }
 
-// NewDPUServerWith is NewDPUServer with the pipeline knobs.
+// NewDPUServerWith is NewDPUServer with the DPUConfig knobs.
 func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfig) (*DPUServer, error) {
 	procs, err := buildProcTable(table, nil, false)
 	if err != nil {
@@ -405,17 +300,16 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 	}
 	dopts := deser.Options{ValidateUTF8: true, ScalarUTF8: true, SGPayloadMin: cfg.SGPayloadMin}
 	d := &DPUServer{
-		table:       table,
-		procs:       procs,
-		client:      client,
-		cfg:         cfg,
-		submit:      make(chan *callTask, 4096),
-		dopts:       dopts,
-		maxNeed:     client.MaxPayload(),
-		d:           deser.New(dopts),
-		stopCh:      make(chan struct{}),
-		runDone:     make(chan struct{}),
-		maxInflight: inflightPerWorker * max(cfg.Workers, 1),
+		table:   table,
+		procs:   procs,
+		client:  client,
+		cfg:     cfg,
+		submit:  make(chan *callTask, 4096),
+		dopts:   dopts,
+		maxNeed: client.MaxPayload(),
+		d:       deser.New(dopts),
+		stopCh:  make(chan struct{}),
+		runDone: make(chan struct{}),
 	}
 	d.clientRef.Store(client)
 	d.scanPool.New = func() any { return deser.New(dopts) }
@@ -440,18 +334,6 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 	if d.cfg.ReconnectMaxBackoff <= 0 {
 		d.cfg.ReconnectMaxBackoff = 50 * time.Millisecond
 	}
-	if cfg.Workers > 1 {
-		// Both directions share the pool: request tasks (bounded by
-		// maxInflight) and response tasks (bounded by respInflight <=
-		// maxInflight), so channel capacity covers their sum and no
-		// poller/worker send ever blocks.
-		d.workQ = make(chan *callTask, 2*d.maxInflight)
-		d.compQ = make(chan *callTask, 2*d.maxInflight)
-		for i := 0; i < cfg.Workers; i++ {
-			d.wg.Add(1)
-			go d.worker(i + 1)
-		}
-	}
 	return d, nil
 }
 
@@ -460,22 +342,12 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 // the connection off the poller is up to rpcrdma (Gauges, Broken, Wake).
 func (d *DPUServer) Client() *rpcrdma.ClientConn { return d.clientRef.Load() }
 
-// Workers returns the build worker count (1 = no workers: the poller fills
-// every request).
-func (d *DPUServer) Workers() int {
-	if d.workQ == nil {
-		return 1
-	}
-	return d.cfg.Workers
-}
-
 // wake ends the poller's blocking wait after a producer has queued work for
 // it somewhere other than the completion queue: a connection goroutine after
-// d.submit, a pipeline worker after d.compQ, and Close after stopCh. A kick
-// that races a redial may land on the dead connection; nothing is lost,
-// because adopt runs on the poller, which drains both queues on its next pass
-// before it can sleep on the replacement. Safe from any goroutine; never
-// blocks.
+// d.submit, and Close after stopCh. A kick that races a redial may land on
+// the dead connection; nothing is lost, because adopt runs on the poller,
+// which drains the submit queue on its next pass before it can sleep on the
+// replacement. Safe from any goroutine; never blocks.
 func (d *DPUServer) wake() { d.clientRef.Load().Wake() }
 
 // cacheable reports whether the entry is opted into the response cache and
@@ -537,8 +409,8 @@ func (d *DPUServer) cacheInsert(task *callTask, r callResult) {
 }
 
 // Stats returns a snapshot of the DPU-side counters. Safe to call from any
-// goroutine: per-worker (and poller) deserializer stats are folded into one
-// merged accumulator under a lock.
+// goroutine: the poller's and the scans' deserializer stats are folded into
+// one merged accumulator under a lock.
 func (d *DPUServer) Stats() DPUStats {
 	d.statsMu.Lock()
 	merged := d.deserStats
@@ -575,88 +447,6 @@ func (d *DPUServer) foldStats(dd *deser.Deserializer) {
 	d.deserStats.Add(dd.Stats)
 	d.statsMu.Unlock()
 	dd.Stats.Reset()
-}
-
-// worker is one pipeline core: it deserializes large requests in place into
-// reserved block slots and serializes (or copies out) responses, never
-// touching protocol state. Each finished task goes back through compQ and
-// rings the poller. wid (1..N) is its lane in trace output.
-func (d *DPUServer) worker(wid int) {
-	defer d.wg.Done()
-	dd := deser.New(d.dopts)
-	ws := newWScratch()
-	for task := range d.workQ {
-		d.workTask(dd, ws, task, wid)
-		d.compQ <- task
-		d.wake()
-	}
-}
-
-// fill runs a reserved task's build stage: it replays the parse notes into
-// the task's block slot and records the root and the bytes used (or the
-// error) for the commit.
-func (d *DPUServer) fill(dd *deser.Deserializer, task *callTask) {
-	rootAbs, used, err := d.buildInto(dd, task, task.res.Dst, task.res.RegionOff)
-	task.notes.Release()
-	task.notes = nil
-	if err != nil {
-		task.err = err
-		return
-	}
-	task.root = uint32(rootAbs - task.res.RegionOff)
-	task.used = used
-}
-
-// workTask runs one task's current stage on a worker goroutine.
-func (d *DPUServer) workTask(dd *deser.Deserializer, ws *wscratch, task *callTask, wid int) {
-	start := time.Now()
-	switch task.stage {
-	case stageBuild:
-		d.fill(dd, task)
-		d.foldStats(dd)
-		if m := d.cfg.Pipeline; m != nil {
-			m.Builds.Inc()
-		}
-	case stageSerialize:
-		if task.robject {
-			// Response-serialization offload: walk the shared-region
-			// object graph into wire bytes, in this worker's scratch.
-			view := abi.MakeView(
-				&abi.Region{Buf: task.rpayload, Base: task.rregion},
-				task.rregion+uint64(task.rroot), task.entry.out)
-			buf := ws.get()
-			out, err := deser.Serialize(view, buf)
-			if err != nil {
-				ws.put(buf) // recycle on the failure path too
-				task.err = err
-			} else {
-				task.out = out
-				task.outRelease = func() { ws.put(out) }
-			}
-		} else {
-			// Host-serialized protobuf: copy it out of the block.
-			out := append(ws.get(), task.rpayload...)
-			task.out = out
-			task.outRelease = func() { ws.put(out) }
-		}
-		if m := d.cfg.RespPipeline; m != nil {
-			m.Serializes.Inc()
-		}
-	}
-	if task.tr != nil {
-		stage := trace.StageBuild
-		if task.stage == stageSerialize {
-			stage = trace.StageRespSerialize
-		}
-		task.tr.Span(stage, trace.ProcDPU, wid, start.UnixNano(), time.Now().UnixNano())
-	}
-	if task.stage == stageSerialize {
-		if m := d.cfg.RespPipeline; m != nil {
-			m.BusyNS.Add(uint64(time.Since(start).Nanoseconds()))
-		}
-	} else if m := d.cfg.Pipeline; m != nil {
-		m.BusyNS.Add(uint64(time.Since(start).Nanoseconds()))
-	}
 }
 
 // alignUp8 rounds n up to the next multiple of 8 (SG segment alignment).
@@ -795,8 +585,7 @@ func (d *DPUServer) recycle(t *callTask) {
 // call.Payload is the transport's pooled request frame: the scan, the fill,
 // the SG segment placement and the cache probe and insert all read it in
 // place, and none of them may still be reading it once the call is replied
-// to — the transport recycles it after writing the response. finish asserts
-// that no pipeline worker still holds the request.
+// to — the transport recycles it after writing the response.
 func (d *DPUServer) XRPCHandler() xrpc.Handler { return d.handleCall }
 
 func (d *DPUServer) handleCall(call *xrpc.Call) {
@@ -857,19 +646,11 @@ func (d *DPUServer) SubmitLocal(fullMethod string, payload []byte, cb func(statu
 }
 
 // finish replies with a result exactly once, and counts it if it is an
-// error. Tasks inside the pipeline can be signalled twice at shutdown (pool
-// drain and client.Abort through their registered continuation); only the
-// first wins — which is why a task finished on a failure path is never
-// recycled. Poller-owned.
+// error. A task can be signalled twice at shutdown (a failure path and
+// client.Abort through its registered continuation); only the first wins —
+// which is why a task finished on a failure path is never recycled.
+// Poller-owned.
 func (d *DPUServer) finish(task *callTask, r callResult) {
-	if task.onWorker {
-		// Replying lets the transport write the response and then recycle
-		// the request frame task.data points into — while a worker
-		// may still be inside Scan or buildInto on it. Every path that gives
-		// up on requests quiesces (enterReconnect) or joins (stopPool) the
-		// workers and takes the tasks back first.
-		panic("offload: request finished while a pipeline worker still holds it")
-	}
 	if task.finished {
 		if r.release != nil {
 			r.release()
@@ -881,8 +662,7 @@ func (d *DPUServer) finish(task *callTask, r callResult) {
 		d.errors.Add(1)
 	}
 	// Failure paths can finish a task that never reached its fill; recycle
-	// its parse notes. Nil-safe, and workers that already consumed the notes
-	// cleared the field before the compQ handoff.
+	// its parse notes. Nil-safe: the fill already cleared the field.
 	task.notes.Release()
 	task.notes = nil
 	if task.tr != nil {
@@ -902,13 +682,6 @@ func (d *DPUServer) finish(task *callTask, r callResult) {
 	task.to.reply(r)
 }
 
-// reclaim takes a task back from the worker pool after it came through
-// compQ. Only now may it finish. Poller-owned.
-func (d *DPUServer) reclaim(task *callTask) {
-	d.onWorkers--
-	task.onWorker = false
-}
-
 // respond forwards one protocol response to the task's xRPC caller: the
 // OnResponse continuation every reservation registers.
 func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
@@ -923,26 +696,6 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 		// be stale. Drop the method's entries; subsequent requests bypass to
 		// the host until fresh OK responses repopulate.
 		d.cfg.Cache.InvalidateMethod(task.procID)
-	}
-	if d.workQ != nil && (resp.Object || len(resp.Payload) > 0) {
-		// Response pipeline: the serialization (or the copy out of the
-		// block) runs on a worker. The block's acknowledgment is deferred
-		// until the task completes, keeping resp.Payload valid off the
-		// poller; a later Progress pass replies with the completions.
-		task.stage = stageSerialize
-		task.rstatus = resp.Status
-		task.rerr = resp.Err
-		task.robject = resp.Object
-		task.rpayload = resp.Payload
-		task.rregion = resp.RegionOff
-		task.rroot = resp.Root
-		task.hold = d.client.HoldResponseBlock()
-		task.epoch = d.epoch
-		if d.cfg.RespPipeline != nil {
-			task.reserved = time.Now().UnixNano()
-		}
-		d.dispatchResp(task)
-		return
 	}
 	var out []byte
 	var release func()
@@ -992,154 +745,27 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 	}
 }
 
-// queueWork hands one task to the worker pool. Poller-owned.
-func (d *DPUServer) queueWork(task *callTask) {
-	d.onWorkers++
-	task.onWorker = true
-	d.workQ <- task
-}
-
-// dispatchResp enters one response into the serialization pipeline,
-// spilling to respPending when the in-flight bound is reached (keeping
-// workQ occupancy under the channel capacity). Poller-owned.
-func (d *DPUServer) dispatchResp(task *callTask) {
-	if d.respInflight < d.maxInflight {
-		d.respInflight++
-		d.queueWork(task)
-	} else {
-		d.respPending = append(d.respPending, task)
-	}
-}
-
-// admitResponses refills the serialization pipeline from the overflow
-// queue. Poller-owned.
-func (d *DPUServer) admitResponses() {
-	for len(d.respPending) > 0 && d.respInflight < d.maxInflight {
-		task := d.respPending[0]
-		d.respPending = d.respPending[0:copy(d.respPending, d.respPending[1:])]
-		d.respInflight++
-		d.queueWork(task)
-	}
-}
-
-// Progress runs one pass of the DPU poller: it collects worker completions,
-// reserves submitted tasks in submit order (filling small ones inline, and
-// every one when there are no workers), and advances the protocol event
-// loop — all protocol interaction stays on this goroutine. When a partial
-// block seals is rpcrdma's policy (CommitBatch; no block seals while a slot
-// in it is still building). It returns the number of response blocks
-// processed.
+// Progress runs one pass of the DPU poller: it reserves, fills and commits
+// submitted tasks in submit order and advances the protocol event loop — all
+// protocol interaction stays on this goroutine. When a partial block seals
+// is rpcrdma's policy (CommitBatch). It returns the number of response
+// blocks processed.
 func (d *DPUServer) Progress() (int, error) {
-	drained := d.collectCompletions()
 	d.admit()
-	d.admitResponses()
 	n, err := d.progressClient()
 	if err != nil {
 		return n, err
 	}
-	drained += d.collectCompletions()
-	d.admitResponses()
 	d.admit()
-	if drained == 0 && d.inflight+d.respInflight > 0 {
-		// Busy-poll cooperation: every outstanding task is on a worker
-		// goroutine and nothing completed this pass, so yield the poller's
-		// core — otherwise a spinning poller starves the very workers it
-		// is waiting on when GOMAXPROCS is small.
-		runtime.Gosched()
-	}
-	if m := d.cfg.Pipeline; m != nil {
-		m.QueueDepth.Set(float64(d.inflight))
-	}
-	if m := d.cfg.RespPipeline; m != nil {
-		m.QueueDepth.Set(float64(d.respInflight + len(d.respPending)))
-	}
-	return n, err
-}
-
-// collectCompletions drains the worker completion queue: built tasks are
-// committed (or cancelled on failure), serialized responses replied to.
-// Never blocks.
-func (d *DPUServer) collectCompletions() (drained int) {
-	for {
-		select {
-		case task := <-d.compQ:
-			d.reclaim(task)
-			drained++
-			d.completeTask(task)
-		default:
-			return
-		}
-	}
-}
-
-// completeTask applies one completed task to poller state.
-func (d *DPUServer) completeTask(task *callTask) {
-	switch task.stage {
-	case stageBuild:
-		d.inflight--
-		if task.epoch != d.epoch {
-			// Reserved on a connection replaced while the build was on a
-			// worker: the dead reservation is unusable and Abort already
-			// failed the task typed through its continuation. (The quiesce
-			// in enterReconnect makes this unreachable; guard anyway.)
-			d.failTask(task, rpcrdma.ErrConnBroken)
-			return
-		}
-		if task.err != nil {
-			d.client.Cancel(task.res)
-			d.failTask(task, task.err)
-			return
-		}
-		var cT0 int64
-		if task.tr != nil {
-			cT0 = trace.Now()
-		}
-		if err := d.client.Commit(task.res, task.root, task.used); err != nil {
-			d.failTask(task, err)
-			return
-		}
-		if task.tr != nil {
-			task.tr.Span(trace.StageCommit, trace.ProcDPU, 0, cT0, trace.Now())
-		}
-		d.requests.Add(1)
-		d.measured.Add(uint64(len(task.data)))
-		if m := d.cfg.Pipeline; m != nil {
-			m.CommitLatencyUS.Observe(float64(time.Now().UnixNano()-task.reserved) / 1e3)
-		}
-	case stageSerialize:
-		d.respInflight--
-		// The block payload is no longer referenced: let its ack go
-		// out (FIFO with any earlier held blocks). The payload bytes
-		// themselves stay valid even when the block's connection died
-		// mid-serialize, so the real result is still the reply below.
-		d.releaseHold(task)
-		if task.err != nil {
-			// The worker already recycled its scratch buffer.
-			d.failTask(task, task.err)
-			return
-		}
-		if task.robject {
-			d.serialized.Add(uint64(len(task.out)))
-		}
-		if m := d.cfg.RespPipeline; m != nil {
-			m.CommitLatencyUS.Observe(float64(time.Now().UnixNano()-task.reserved) / 1e3)
-		}
-		d.finish(task, callResult{
-			status:  task.rstatus,
-			err:     task.rerr,
-			resp:    task.out,
-			release: task.outRelease,
-		})
-		d.recycle(task)
-	}
+	return n, nil
 }
 
 // admit reserves block slots for submitted tasks in submit order — tasks
-// queued on d.retry first, then the submit channel — while the pipeline has
-// room. Out-of-memory leaves the task at the head of d.retry (the protocol
-// loop will free space); any other reserve error fails the task.
+// queued on d.retry first, then the submit channel. Out-of-memory leaves the
+// task at the head of d.retry (the protocol loop will free space); any other
+// reserve error fails the task.
 func (d *DPUServer) admit() {
-	for !d.reconBroken && d.inflight < d.maxInflight {
+	for !d.reconBroken {
 		if len(d.retry) > 0 {
 			if !d.reserve(d.retry[0]) {
 				return
@@ -1161,8 +787,8 @@ func (d *DPUServer) admit() {
 			return
 		}
 	}
-	// At pipeline capacity: shed everything beyond the admission high-water
-	// mark so callers back off instead of queueing toward a deadline.
+	// Reconnecting: shed everything beyond the admission high-water mark so
+	// callers back off instead of queueing toward a deadline.
 	for d.overAdmission() {
 		select {
 		case task := <-d.submit:
@@ -1173,12 +799,9 @@ func (d *DPUServer) admit() {
 	}
 }
 
-// reserve reserves one task's block slot and runs its build stage. With
-// workers, a request above deser.SmallFastPathMax wire bytes or with SG
-// segments goes to a worker; every other request — all of them when there
-// are no workers — is filled and committed right here. It returns false,
-// leaving the task untouched, when the send arena is out of memory.
-// Poller-owned.
+// reserve reserves one task's block slot, fills it by replaying the task's
+// parse notes, and commits it. It returns false, leaving the task untouched,
+// when the send arena is out of memory. Poller-owned.
 func (d *DPUServer) reserve(task *callTask) bool {
 	var rT0 int64
 	if task.tr != nil {
@@ -1199,26 +822,35 @@ func (d *DPUServer) reserve(task *callTask) bool {
 	if task.segs > 0 {
 		res.SG, res.SGSegs, res.SGBytes = true, task.segs, task.segBytes
 	}
-	d.inflight++
-	task.res = res
 	task.epoch = d.epoch
-	task.stage = stageBuild
-	if d.cfg.Pipeline != nil {
-		task.reserved = time.Now().UnixNano()
-	}
-	if d.workQ != nil && (task.segs > 0 || len(task.data) > deser.SmallFastPathMax) {
-		d.queueWork(task)
-		return true
-	}
 	var bT0 int64
 	if task.tr != nil {
 		bT0 = trace.Now()
 	}
-	d.fill(d.d, task)
+	rootAbs, used, err := d.buildInto(d.d, task, res.Dst, res.RegionOff)
+	task.notes.Release()
+	task.notes = nil
 	if task.tr != nil {
 		task.tr.Span(trace.StageBuild, trace.ProcDPU, 0, bT0, trace.Now())
 	}
-	d.completeTask(task)
+	if err != nil {
+		d.client.Cancel(res)
+		d.failTask(task, err)
+		return true
+	}
+	var cT0 int64
+	if task.tr != nil {
+		cT0 = trace.Now()
+	}
+	if err := d.client.Commit(res, uint32(rootAbs-res.RegionOff), used); err != nil {
+		d.failTask(task, err)
+		return true
+	}
+	if task.tr != nil {
+		task.tr.Span(trace.StageCommit, trace.ProcDPU, 0, cT0, trace.Now())
+	}
+	d.requests.Add(1)
+	d.measured.Add(uint64(len(task.data)))
 	return true
 }
 
@@ -1245,22 +877,13 @@ func (d *DPUServer) reconnectEnabled() bool {
 }
 
 // enterReconnect transitions to the reconnecting state after the protocol
-// client reported a break. The worker stages are quiesced first: dispatched
-// tasks return through compQ promptly (workers never touch protocol state)
-// and their completions apply normally — commits fail typed against the
-// already-broken connection — so the Abort below never races a worker over
-// task state. Abort then fails every request bound to the dead connection
-// exactly once through its registered continuation (UNAVAILABLE); queued
-// requests (d.retry and the submit channel) are untouched and reserve on the
-// replacement after adopt. Poller-owned.
+// client reported a break. Abort fails every request bound to the dead
+// connection exactly once through its registered continuation (UNAVAILABLE);
+// queued requests (d.retry and the submit channel) are untouched and reserve
+// on the replacement after adopt. Poller-owned.
 func (d *DPUServer) enterReconnect(err error) {
 	if d.reconBroken {
 		return
-	}
-	for d.onWorkers > 0 {
-		task := <-d.compQ
-		d.reclaim(task)
-		d.completeTask(task)
 	}
 	d.reconBroken = true
 	d.reconErr = err
@@ -1302,12 +925,11 @@ func (d *DPUServer) tryReconnect() error {
 
 // adopt swaps the replacement connection in. The flight recorder's
 // remaining dump budget rides over, so the per-server dump cap spans
-// reconnects. The epoch advances so completions still holding the dead
-// connection's resources (reservations, response holds) are never applied
-// to the replacement. Queued requests reserve through the normal admission
-// path — the fresh connection pairs a fresh ID pool with
-// its fresh server-side peer, so the deterministic request-ID replay stays
-// aligned. Poller-owned.
+// reconnects. The epoch advances so no response that was in flight across
+// the break enters the cache. Queued requests reserve through the normal
+// admission path — the fresh connection pairs a fresh ID pool with its fresh
+// server-side peer, so the deterministic request-ID replay stays aligned.
+// Poller-owned.
 func (d *DPUServer) adopt(nc *rpcrdma.ClientConn) {
 	nc.SetFlightDumpBudget(d.client.FlightDumpBudget())
 	d.client = nc
@@ -1332,15 +954,14 @@ func (d *DPUServer) Break() {
 
 // overAdmission reports whether the DPU-side admission gate
 // (DPUConfig.AdmitMaxInflight) is at its high-water mark, counting every
-// request already accepted: queued for (re-)admission, inside the pipeline,
-// spilled to the response overflow, or outstanding on the wire.
-// Poller-owned.
+// request already accepted: queued for (re-)admission or outstanding on the
+// wire. Poller-owned.
 func (d *DPUServer) overAdmission() bool {
 	hw := d.cfg.AdmitMaxInflight
 	if hw <= 0 {
 		return false
 	}
-	admitted := len(d.retry) + d.inflight + d.respInflight + len(d.respPending)
+	admitted := len(d.retry)
 	if !d.reconBroken {
 		admitted += d.client.Outstanding()
 	}
@@ -1353,17 +974,6 @@ func (d *DPUServer) overAdmission() bool {
 func (d *DPUServer) shedTask(task *callTask) {
 	d.sheds.Add(1)
 	d.failTask(task, ErrAdmissionShed)
-}
-
-// releaseHold lets the task's response-block acknowledgment go out — unless
-// the hold belongs to a connection that has since been replaced: the dead
-// connection's acks are moot and its hold is unknown to the replacement.
-// Poller-owned.
-func (d *DPUServer) releaseHold(task *callTask) {
-	if task.hold != nil && task.epoch == d.epoch {
-		d.client.ReleaseResponseBlock(task.hold)
-	}
-	task.hold = nil
 }
 
 // failStatus classifies a datapath error into the xRPC status the caller
@@ -1398,12 +1008,6 @@ func (d *DPUServer) failAll(err error) {
 		d.failTask(d.retry[0], err)
 		d.retry = d.retry[1:]
 	}
-	for len(d.respPending) > 0 {
-		task := d.respPending[0]
-		d.respPending = d.respPending[1:]
-		d.releaseHold(task)
-		d.failTask(task, err)
-	}
 	d.drainSubmit(err)
 }
 
@@ -1420,46 +1024,12 @@ func (d *DPUServer) drainSubmit(err error) {
 	}
 }
 
-// stopPool shuts the worker pool down and fails every task still inside
-// the pipeline. Poller-owned (or called once the poller has stopped).
-func (d *DPUServer) stopPool(err error) {
-	if d.workQ == nil {
-		return
-	}
-	close(d.workQ)
-	d.wg.Wait()
-	d.workQ = nil
-	for {
-		select {
-		case task := <-d.compQ:
-			d.reclaim(task)
-			switch task.stage {
-			case stageBuild:
-				d.inflight--
-			case stageSerialize:
-				d.respInflight--
-				d.releaseHold(task)
-				if task.outRelease != nil {
-					// Recycle the worker's scratch before failing the task.
-					task.outRelease()
-					task.outRelease = nil
-					task.out = nil
-				}
-			}
-			d.failTask(task, err)
-		default:
-			return
-		}
-	}
-}
-
-// shutdown tears the server down once: pool first, then every queued and
-// in-flight request, then the protocol continuations.
+// shutdown tears the server down once: every queued request first, then
+// the protocol continuations.
 func (d *DPUServer) shutdown(err error) {
 	if d.closed.Swap(true) {
 		return
 	}
-	d.stopPool(err)
 	d.failAll(err)
 	// Outstanding protocol requests will never see responses now that
 	// the poller is gone; fail their continuations.

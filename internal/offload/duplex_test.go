@@ -13,7 +13,7 @@ import (
 )
 
 // TestDuplexSoak drives many concurrent xRPC clients through the full
-// duplex pipeline — multi-worker DPU deserialization on the request path,
+// duplex pipeline — the DPU poller deserializing on the request path,
 // host-side build workers plus DPU-side response serialization on the
 // response path — and verifies every stream gets exactly its own payload
 // back. Run under -race this is the response pipeline's synchronization pin.
@@ -33,7 +33,7 @@ func TestDuplexSoak(t *testing.T) {
 	ccfg, scfg := smallTestCfg()
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
-		DPUWorkers: 4, HostWorkers: 4,
+		HostWorkers:                  4,
 		OffloadResponseSerialization: true,
 	})
 	if err != nil {

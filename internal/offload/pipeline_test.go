@@ -2,7 +2,6 @@ package offload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net"
 	"strings"
 	"sync"
@@ -12,147 +11,11 @@ import (
 
 	"dpurpc/internal/abi"
 	"dpurpc/internal/adt"
-	"dpurpc/internal/deser"
-	"dpurpc/internal/metrics"
-	"dpurpc/internal/mt19937"
 	"dpurpc/internal/protodesc"
 	"dpurpc/internal/protodsl"
 	"dpurpc/internal/protomsg"
-	"dpurpc/internal/rpcrdma"
-	"dpurpc/internal/workload"
 	"dpurpc/internal/xrpc"
 )
-
-// reqObs is one host-side request observation: the method plus a digest of
-// the request object's canonical re-serialization. Re-serializing through
-// the zero-copy view erases arena placement (object offsets are region-
-// absolute and depend on block recycling timing, which legitimately
-// differs between the serial and pipelined schedules) while pinning every
-// decoded field value byte-for-byte.
-type reqObs struct {
-	method uint16
-	sum    uint64
-}
-
-func digest(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
-}
-
-// TestPipelineMatchesSerialBytes is the pipeline's correctness pin: the
-// same request batch driven through the serial datapath (workers=1) and
-// the multi-core pipeline (workers=4) must return, in the same order, the
-// same deserialized objects — verified by canonical re-serialization on
-// the host.
-func TestPipelineMatchesSerialBytes(t *testing.T) {
-	env := workload.NewEnv()
-
-	// Deterministic batch, generated once and replayed into both runs.
-	// Total bytes stay far below the send buffer so neither run takes the
-	// out-of-memory backpressure path (which may legally reorder nothing
-	// but stalls differently).
-	type call struct {
-		method string
-		data   []byte
-	}
-	rng := mt19937.New(7)
-	var batch []call
-	for i := 0; i < 240; i++ {
-		switch i % 3 {
-		case 0:
-			batch = append(batch, call{"/benchpb.Bench/CallSmall", env.GenSmall(rng).Marshal(nil)})
-		case 1:
-			batch = append(batch, call{"/benchpb.Bench/CallInts", env.GenInts(rng, 24+i%40).Marshal(nil)})
-		case 2:
-			batch = append(batch, call{"/benchpb.Bench/CallChars", env.GenChars(rng, 64+i%300).Marshal(nil)})
-		}
-	}
-
-	run := func(workers int, pm *metrics.PipelineMetrics) []reqObs {
-		impl := &benchImpl{env: env}
-		ccfg, scfg := smallTestCfg()
-		d, err := NewDeploymentWith(env.Table, impl.impls(), DeployConfig{
-			Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-			DPUWorkers: workers, DPUPipeline: pm,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close()
-		lays := map[uint16]*abi.Layout{
-			workload.MethodSmall: env.SmallLay,
-			workload.MethodInts:  env.IntsLay,
-			workload.MethodChars: env.CharsLay,
-		}
-		var seen []reqObs
-		d.Host.SetRequestObserver(func(req rpcrdma.Request) {
-			view := abi.MakeView(
-				&abi.Region{Buf: req.Payload, Base: req.RegionOff},
-				req.RegionOff+uint64(req.Root), lays[req.Method])
-			wire, err := deser.Serialize(view, nil)
-			if err != nil {
-				t.Errorf("re-serialize request %d: %v", len(seen), err)
-			}
-			seen = append(seen, reqObs{req.Method, digest(wire)})
-		})
-		dpu := d.DPUs[0]
-		if got := dpu.Workers(); got != workers && !(workers <= 1 && got == 1) {
-			t.Fatalf("Workers() = %d, configured %d", got, workers)
-		}
-		done := 0
-		for _, c := range batch {
-			if err := dpu.SubmitLocal(c.method, c.data, func(status uint16, errFlag bool, resp []byte) {
-				if status != xrpc.StatusOK || errFlag {
-					t.Errorf("call failed: status %d", status)
-				}
-				done++
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		pumpDeployment(t, d, func() bool { return done == len(batch) })
-		st := dpu.Stats()
-		if st.Requests != uint64(len(batch)) || st.Deser.Messages == 0 {
-			t.Errorf("workers=%d stats: %+v", workers, st)
-		}
-		return seen
-	}
-
-	serial := run(1, nil)
-	pm := metrics.NewPipelineMetrics(nil, nil)
-	pipelined := run(4, pm)
-
-	if len(serial) != len(pipelined) || len(serial) != 240 {
-		t.Fatalf("request counts: serial %d, pipelined %d", len(serial), len(pipelined))
-	}
-	for i := range serial {
-		if serial[i] != pipelined[i] {
-			t.Fatalf("request %d diverges:\n serial    %+v\n pipelined %+v",
-				i, serial[i], pipelined[i])
-		}
-	}
-	// Small inline requests are filled on the poller; only the rest reach a
-	// worker.
-	large := 0
-	for _, c := range batch {
-		if len(c.data) > deser.SmallFastPathMax {
-			large++
-		}
-	}
-	if large == 0 || large == len(batch) {
-		t.Fatalf("batch has %d of %d requests above the small-fill cutoff: the split is not exercised", large, len(batch))
-	}
-	if got := pm.Builds.Value(); got != uint64(large) {
-		t.Errorf("worker builds = %d, want %d (requests above %d B)", got, large, deser.SmallFastPathMax)
-	}
-	if got := pm.QueueDepth.Value(); got != 0 {
-		t.Errorf("queue depth after drain = %v", got)
-	}
-	if pm.BusyNS.Value() == 0 {
-		t.Error("workers recorded no busy time")
-	}
-}
 
 const echoSchema = `syntax = "proto3";
 package echopb;
@@ -181,10 +44,10 @@ func echoData(id uint64) string {
 	return fmt.Sprintf("%d:%s", id, strings.Repeat("ab", int(id%97)))
 }
 
-// TestPipelineSoak drives many concurrent xRPC clients through multi-worker
-// DPU servers with host duplex workers (out-of-order responses) and
-// verifies every stream gets exactly its own payload back. Run under -race
-// this is the pipeline's synchronization pin.
+// TestPipelineSoak drives many concurrent xRPC clients through two DPU
+// servers with host duplex workers (out-of-order responses) and verifies
+// every stream gets exactly its own payload back. Run under -race this is
+// the datapath's synchronization pin.
 func TestPipelineSoak(t *testing.T) {
 	table, reg := echoEnv(t)
 	respDesc := reg.Message("echopb.Resp")
@@ -201,7 +64,7 @@ func TestPipelineSoak(t *testing.T) {
 	ccfg, scfg := smallTestCfg()
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
-		DPUWorkers: 4, HostWorkers: 2,
+		HostWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,8 +161,8 @@ func TestPipelineSoak(t *testing.T) {
 		t.Fatalf("%d calls returned the wrong payload", n)
 	}
 
-	// Error paths through the pipeline: measure failure on a worker must
-	// surface as INVALID_ARGUMENT, unknown methods never enter it.
+	// Error paths: a scan failure must surface as INVALID_ARGUMENT, and
+	// unknown methods never reach the poller.
 	cl, err := xrpc.Dial(func() string {
 		ln, _ := net.Listen("tcp", "127.0.0.1:0")
 		srv := xrpc.NewAsyncServer(d.DPUs[0].XRPCHandler())

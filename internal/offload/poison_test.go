@@ -56,10 +56,9 @@ func TestPoisonOnRelease(t *testing.T) {
 		check     func(t *testing.T, st DPUStats, typed uint64)
 	}{
 		{name: "serial"},
-		{name: "workers2", cfg: DeployConfig{DPUWorkers: 2}},
 		{name: "sg", cfg: DeployConfig{SGPayloadMin: 4096}},
 		{name: "respser", cfg: DeployConfig{OffloadResponseSerialization: true}},
-		{name: "sg_respser_workers2", cfg: DeployConfig{SGPayloadMin: 4096, OffloadResponseSerialization: true, DPUWorkers: 2}},
+		{name: "sg_respser_workers2", cfg: DeployConfig{SGPayloadMin: 4096, OffloadResponseSerialization: true}},
 		{name: "cache", cfg: DeployConfig{CacheMethods: []string{"/echopb.Echo/Call"}}, keys: 24,
 			check: func(t *testing.T, st DPUStats, _ uint64) {
 				if st.CacheHits == 0 {
@@ -72,7 +71,7 @@ func TestPoisonOnRelease(t *testing.T) {
 					t.Error("no request was reaped")
 				}
 			}},
-		{name: "reconnect", cfg: DeployConfig{DPUWorkers: 2, ClientFaults: &flaky, ServerFaults: &flaky,
+		{name: "reconnect", cfg: DeployConfig{ClientFaults: &flaky, ServerFaults: &flaky,
 			RequestTimeout: time.Second, ReconnectBudget: 10}, kill: true,
 			check: func(t *testing.T, st DPUStats, _ uint64) {
 				if st.Reconnects == 0 {

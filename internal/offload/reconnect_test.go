@@ -21,8 +21,8 @@ import (
 // concurrent load and requires every call to resolve exactly once — OK with
 // its own payload, or typed UNAVAILABLE absorbed by a retry — with the DPU
 // server adopting replacement connections instead of staying broken. Runs
-// both datapaths: the serial poller and the pooled pipeline (whose
-// reconnect must quiesce in-flight worker stages first).
+// both host response paths: the serial poller and the duplex pool (whose
+// in-flight handlers finish against a connection that has since died).
 func TestReconnectResumesTransparently(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -41,7 +41,7 @@ func TestReconnectResumesTransparently(t *testing.T) {
 			ccfg, scfg := smallTestCfg()
 			d, err := NewDeploymentWith(table, impls, DeployConfig{
 				Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-				DPUWorkers:      workers,
+				HostWorkers:     workers,
 				RequestTimeout:  2 * time.Second,
 				ReconnectBudget: 10,
 			})

@@ -16,54 +16,6 @@ import (
 	"dpurpc/internal/xrpc"
 )
 
-// A task a worker still holds — the worker may be inside Scan or buildInto on
-// task.data, which is the transport's pooled request frame — must not finish:
-// the reply is what lets the transport recycle the frame. Every path that gives
-// up on requests takes them back from the workers first (reclaim), so the
-// situation is built by hand, and finish refuses it loudly.
-func TestReleaseNotBeforeWorkerHandsBack(t *testing.T) {
-	env := workload.NewEnv()
-	ccfg, scfg := smallTestCfg()
-	d, err := NewDeploymentWith(env.Table, (&benchImpl{env: env}).impls(),
-		DeployConfig{Connections: 1, ClientCfg: ccfg, ServerCfg: scfg, DPUWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	dpu := d.DPUs[0]
-
-	var replied []callResult
-	task := &callTask{to: recordReplies{&replied}}
-	// As queueWork leaves it: counted, flagged, on its way to a worker.
-	dpu.onWorkers++
-	task.onWorker = true
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("finish accepted a task a worker still holds")
-			}
-		}()
-		dpu.failTask(task, ErrAdmissionShed)
-	}()
-	if len(replied) != 0 {
-		t.Fatal("result replied while a worker still held the task")
-	}
-
-	dpu.reclaim(task)
-	if dpu.onWorkers != 0 || task.onWorker {
-		t.Fatalf("hand-back left onWorkers=%d onWorker=%v", dpu.onWorkers, task.onWorker)
-	}
-	dpu.failTask(task, ErrAdmissionShed)
-	if len(replied) != 1 || replied[0].status != xrpc.StatusUnavailable || !replied[0].err {
-		t.Fatalf("after the hand-back: %+v", replied)
-	}
-}
-
-// recordReplies is a replier that keeps every result it is given.
-type recordReplies struct{ got *[]callResult }
-
-func (r recordReplies) reply(res callResult) { *r.got = append(*r.got, res) }
-
 // Dispatch pin (b): on a reused handler goroutine only the first request can
 // move the stack. The serial DPU path (handleCall → Scan → scanSimple → …) is
 // deeper than a fresh 2 KiB goroutine stack has room for above its guard, so

@@ -17,8 +17,8 @@ func sgTestCfg() (rpcrdma.Config, rpcrdma.Config) {
 }
 
 // TestSGPayloadEndToEnd drives Echo calls with payloads straddling the SG
-// threshold through every datapath combination (serial/pipelined DPU,
-// host-serialized/object responses) and verifies byte-identical echoes, the
+// threshold through both response modes (host-serialized and object
+// responses) and verifies byte-identical echoes, the
 // SG wire counters, and that large payloads were reference-placed rather
 // than copied through the object arena.
 func TestSGPayloadEndToEnd(t *testing.T) {
@@ -34,20 +34,16 @@ func TestSGPayloadEndToEnd(t *testing.T) {
 
 	for _, tc := range []struct {
 		name        string
-		workers     int
 		respObjects bool
 	}{
-		{"serial", 1, false},
-		{"pipelined", 4, false},
-		{"serial-respobjects", 1, true},
-		{"pipelined-respobjects", 4, true},
+		{"serial", false},
+		{"serial-respobjects", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			impl := &benchImpl{env: env}
 			ccfg, scfg := sgTestCfg()
 			d, err := NewDeploymentWith(env.Table, impl.impls(), DeployConfig{
 				Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-				DPUWorkers:                   tc.workers,
 				OffloadResponseSerialization: tc.respObjects,
 				SGPayloadMin:                 sgMin,
 			})

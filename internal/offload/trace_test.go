@@ -17,8 +17,8 @@ import (
 // many concurrent xRPC clients through the full duplex pipeline while every
 // RPC records spans from admission to reply. Run under -race this pins
 // the tracer's synchronization against the datapath's — span recording
-// happens from DPU workers, the DPU poller, host duplex workers, and the
-// host poller simultaneously.
+// happens from the xRPC connection goroutines, the DPU pollers, host duplex
+// workers, and the host poller simultaneously.
 func TestTracedDuplexSoak(t *testing.T) {
 	table, reg := echoEnv(t)
 	respDesc := reg.Message("echopb.Resp")
@@ -40,7 +40,7 @@ func TestTracedDuplexSoak(t *testing.T) {
 	ccfg, scfg := smallTestCfg()
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
-		DPUWorkers: 4, HostWorkers: 4,
+		HostWorkers:                  4,
 		OffloadResponseSerialization: true,
 		Tracer:                       tr,
 	})

@@ -239,13 +239,9 @@ type ClientConn struct {
 	// harnesses, and the reconnect monitor.
 	broken       error
 	brokenMirror atomic.Pointer[error]
-	// Response-block ack deferral (see HoldResponseBlock): inDispatch is
-	// true while continuations for one response block run; curHold is the
-	// hold lazily created for that block; heldAcks is the FIFO of blocks
-	// whose acknowledgment is deferred until their holds release.
+	// inDispatch is true while continuations for one response block run
+	// (reclaimBlock must not reenter the event loop then).
 	inDispatch bool
-	curHold    *ResponseHold
-	heldAcks   []*ResponseHold
 
 	// Flight recorder (Config.FlightRecorder > 0): fr is the black-box
 	// event ring, dumpsLeft rate-limits automatic dumps per connection so a
@@ -1033,68 +1029,8 @@ func (c *ClientConn) handleResponseBlock(imm uint32, byteLen uint32) error {
 	c.inDispatch = false
 	clear(ready) // drop the continuations and payload views
 	c.ready = ready[:0]
-	// Acknowledge the block — unless a continuation took a hold on it
-	// (payload escaping to a worker), or earlier blocks are still held:
-	// acknowledgments are positional (the server frees its oldest block per
-	// count), so deferral must stay FIFO.
-	hold := c.curHold
-	c.curHold = nil
-	if hold == nil && len(c.heldAcks) == 0 {
-		c.ackBlocks++
-		return nil
-	}
-	if hold == nil {
-		hold = &ResponseHold{}
-	}
-	c.heldAcks = append(c.heldAcks, hold)
-	c.releaseHeldAcks()
+	c.ackBlocks++
 	return nil
-}
-
-// ResponseHold defers the acknowledgment of one response block, keeping its
-// payload views valid past their continuation (e.g. while a worker
-// serializes them). Obtained via HoldResponseBlock, released via
-// ReleaseResponseBlock.
-type ResponseHold struct {
-	refs int
-}
-
-// HoldResponseBlock defers the acknowledgment of the response block
-// currently being dispatched. It is only meaningful from inside a response
-// continuation (it returns nil otherwise). Multiple continuations of the
-// same block share one hold; each call adds a reference and each
-// ReleaseResponseBlock drops one. Owner-only.
-func (c *ClientConn) HoldResponseBlock() *ResponseHold {
-	if !c.inDispatch {
-		return nil
-	}
-	if c.curHold == nil {
-		c.curHold = &ResponseHold{}
-	}
-	c.curHold.refs++
-	return c.curHold
-}
-
-// ReleaseResponseBlock drops one reference on a hold; once the oldest held
-// blocks reach zero references their acknowledgments are flushed (FIFO, to
-// match the server's positional free). A nil hold is a no-op. Owner-only.
-func (c *ClientConn) ReleaseResponseBlock(h *ResponseHold) {
-	if h == nil {
-		return
-	}
-	h.refs--
-	c.releaseHeldAcks()
-}
-
-func (c *ClientConn) releaseHeldAcks() {
-	n := 0
-	for n < len(c.heldAcks) && c.heldAcks[n].refs <= 0 {
-		n++
-	}
-	if n > 0 {
-		c.ackBlocks += uint16(n)
-		c.heldAcks = c.heldAcks[0:copy(c.heldAcks, c.heldAcks[n:])]
-	}
 }
 
 // Progress is the event-loop update function (Sec. III-D): it drains
@@ -1349,8 +1285,6 @@ func (c *ClientConn) Abort(status uint16) {
 		}
 	}
 	c.outstanding = 0
-	c.heldAcks = nil
-	c.curHold = nil
 }
 
 // Flush seals and attempts to transmit everything buffered.

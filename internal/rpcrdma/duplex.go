@@ -17,10 +17,10 @@ import (
 // every QP/CQ/allocator mutation (and long-running RPCs stay off it,
 // Sec. III-D). A request flows
 //
-//	poller: dxAdmit            → workQ (stage dxHandle)
-//	worker: run handler        → compQ
-//	poller: dxReserveReady     → ReserveResponse in completion order → workQ (stage dxBuild)
-//	worker: spec.Build(Dst)    → compQ
+//	poller: dxAdmit            → taskQ (stage dxHandle)
+//	worker: run handler        → doneQ
+//	poller: dxReserveReady     → ReserveResponse in completion order → taskQ (stage dxBuild)
+//	worker: spec.Build(Dst)    → doneQ
 //	poller: dxCollect          → CommitResponse (or error tombstone)
 //
 // Reservations follow handler completion order (dxReady), so a slow handler
@@ -43,7 +43,7 @@ const (
 )
 
 // respTask carries one request through the duplex pipeline. It lives in
-// exactly one place at a time (workQ, a worker, compQ, or dxReady), so its
+// exactly one place at a time (taskQ, a worker, doneQ, or dxReady), so its
 // fields need no locking.
 type respTask struct {
 	id    uint16
@@ -59,13 +59,13 @@ type respTask struct {
 
 // duplexPool runs handler and build stages on worker goroutines. Channel
 // capacities equal the connection's in-flight bound (dxMax), and the poller
-// admits at most that many tasks, so no send on workQ or compQ ever blocks.
-// After each compQ send the worker kicks wake — the poller's receive CQ — so
+// admits at most that many tasks, so no send on taskQ or doneQ ever blocks.
+// After each doneQ send the worker kicks wake — the poller's receive CQ — so
 // a poller asleep with duplex work in flight commits the completion at once.
 type duplexPool struct {
 	handler Handler
-	workQ   chan *respTask
-	compQ   chan *respTask
+	taskQ   chan *respTask
+	doneQ   chan *respTask
 	wake    *rdma.CQ
 	wg      sync.WaitGroup
 	closed  bool
@@ -75,8 +75,8 @@ func newDuplexPool(workers, maxInflight int, h Handler, wake *rdma.CQ) *duplexPo
 	p := &duplexPool{
 		handler: h,
 		wake:    wake,
-		workQ:   make(chan *respTask, maxInflight),
-		compQ:   make(chan *respTask, maxInflight),
+		taskQ:   make(chan *respTask, maxInflight),
+		doneQ:   make(chan *respTask, maxInflight),
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -89,7 +89,7 @@ func newDuplexPool(workers, maxInflight int, h Handler, wake *rdma.CQ) *duplexPo
 // output and in Request.Worker.
 func (p *duplexPool) worker(wid int) {
 	defer p.wg.Done()
-	for t := range p.workQ {
+	for t := range p.taskQ {
 		switch t.stage {
 		case dxHandle:
 			t.req.Worker = wid
@@ -104,7 +104,7 @@ func (p *duplexPool) worker(wid int) {
 				t.tr.Span(trace.StageRespBuild, trace.ProcHost, wid, t0, nowNS())
 			}
 		}
-		p.compQ <- t
+		p.doneQ <- t
 		p.wake.Kick()
 	}
 }
@@ -115,7 +115,7 @@ func (p *duplexPool) close() {
 		return
 	}
 	p.closed = true
-	close(p.workQ)
+	close(p.taskQ)
 	p.wg.Wait()
 }
 
@@ -129,7 +129,7 @@ func (s *ServerConn) dxAdmit(id uint16, req Request) {
 	}
 	if s.dxInflight < s.dxMax {
 		s.dxInflight++
-		s.duplex.workQ <- t
+		s.duplex.taskQ <- t
 	} else {
 		s.dxBacklog = append(s.dxBacklog, t)
 	}
@@ -142,7 +142,7 @@ func (s *ServerConn) dxDispatchBacklog() {
 		t := s.dxBacklog[0]
 		s.dxBacklog = s.dxBacklog[0:copy(s.dxBacklog, s.dxBacklog[1:])]
 		s.dxInflight++
-		s.duplex.workQ <- t
+		s.duplex.taskQ <- t
 	}
 }
 
@@ -154,7 +154,7 @@ func (s *ServerConn) dxCollect() int {
 	drained := 0
 	for {
 		select {
-		case t := <-s.duplex.compQ:
+		case t := <-s.duplex.doneQ:
 			drained++
 			switch t.stage {
 			case dxHandle:
@@ -215,7 +215,7 @@ func (s *ServerConn) dxReserveReady() {
 		}
 		t.res = r
 		t.stage = dxBuild
-		s.duplex.workQ <- t
+		s.duplex.taskQ <- t
 	}
 	s.dxReady = slices.Delete(s.dxReady, 0, n)
 }

@@ -53,19 +53,16 @@ type StackOptions struct {
 	// connections are distributed round-robin across them (Table I runs 8
 	// host threads). Default 1; capped at Connections.
 	HostPollers int
-	// DPUWorkers > 1 gives each DPU poller that many workers, which build
-	// large and scatter-gather requests in parallel directly into the
-	// protocol slots the poller reserved (reserve → parallel build →
-	// commit) and serialize responses. 0 or 1 runs the same poller loop
-	// with no workers: the poller builds every request itself.
+	// Deprecated: ignored. Each connection has one DPU poller, which
+	// fills every request and serializes every response; parallelism comes
+	// from Connections.
 	DPUWorkers int
 	// HostWorkers > 1 runs the host-side duplex response pipeline: the
 	// host poller admits requests and that many workers run handlers and
 	// build response objects in parallel into protocol slots reserved as
-	// handlers finish (the response-direction mirror of DPUWorkers, and
-	// Sec. III-D's background RPCs: a slow handler stalls no other call).
-	// 0 or 1 keeps the serial response path. Handlers must be safe for
-	// concurrent invocation.
+	// handlers finish (Sec. III-D's background RPCs: a slow handler stalls
+	// no other call). 0 or 1 keeps the serial response path. Handlers must
+	// be safe for concurrent invocation.
 	HostWorkers int
 	// Registry, when non-nil, receives per-method RPC series (requests,
 	// errors, request/response bytes, in-flight gauge) recorded by the
@@ -159,7 +156,6 @@ func NewOffloadedStack(schema *Schema, impls map[string]Impl, opts StackOptions)
 		CommitBatch:                  opts.CommitBatch,
 		CommitFlushTimeout:           opts.CommitFlushTimeout,
 		HostPollers:                  opts.HostPollers,
-		DPUWorkers:                   opts.DPUWorkers,
 		HostWorkers:                  opts.HostWorkers,
 		Tracer:                       opts.Tracer,
 		Window:                       opts.Window,
@@ -170,12 +166,6 @@ func NewOffloadedStack(schema *Schema, impls map[string]Impl, opts StackOptions)
 		CacheMaxBytes:                opts.CacheMaxBytes,
 		CacheMaxEntries:              opts.CacheMaxEntries,
 		CacheTTL:                     opts.CacheTTL,
-	}
-	if opts.Registry != nil && opts.DPUWorkers > 1 {
-		// Pipeline instrumentation rides the registry for free: queue depth,
-		// worker busy time, and commit latency, shared across connections.
-		dcfg.DPUPipeline = metrics.NewPipelineMetrics(opts.Registry, nil)
-		dcfg.DPURespPipeline = metrics.NewResponsePipelineMetrics(opts.Registry, nil)
 	}
 	d, err := offload.NewDeploymentWith(schema.Table, impls, dcfg)
 	if err != nil {
@@ -300,10 +290,11 @@ func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 		"Business handlers that panicked; each call answered INTERNAL.", nil,
 		func() float64 { return float64(s.handlerPanics()) })
 	// Both stacks decode with Scan, whose packed-varint decoder is chosen
-	// once per process by CPU; ints-heavy throughput differs by about 1.7x
-	// between the two.
+	// once per process by CPU: avx512, else bmi2, else portable. Each is
+	// several times faster than the next on packed ints, so ints-heavy
+	// throughput depends on which one runs.
 	smp.Register("deser_varint_kernel_info",
-		"Packed-varint block decoder this process runs (bmi2: amd64 assembly; portable: Go loop).",
+		"Packed-varint block decoder this process runs (avx512: AVX-512 VBMI2 assembly; bmi2: BMI2 assembly; portable: Go loop).",
 		map[string]string{"kernel": deser.Kernel()}, func() float64 { return 1 })
 	if s.deployment == nil {
 		return

@@ -25,9 +25,9 @@ func heartbeatOptions(opts dpurpc.StackOptions) dpurpc.StackOptions {
 // with the heartbeat at ten seconds a single hand-off left to the timer blows
 // the two-second budget five times over.
 //
-// The DPU poller's hand-offs — submit and, with workers, worker
-// completion — both ring the poller; its cases would each wait out a
-// ten-second heartbeat per call if either did not.
+// The DPU poller's hand-off from the xRPC goroutine (submit) rings the
+// poller; every case would wait out a ten-second heartbeat per call if it
+// did not.
 //
 // Commit coalescing is the one mode that sleeps on a timer by design: a
 // depth-1 call never fills its batch, so each direction waits out
@@ -41,12 +41,9 @@ func TestLivenessDoesNotDependOnHeartbeat(t *testing.T) {
 		opts   dpurpc.StackOptions
 		budget time.Duration
 	}{
-		{"serial", dpurpc.StackOptions{DPUWorkers: 0}, 2 * time.Second},
+		{"serial", dpurpc.StackOptions{}, 2 * time.Second},
 		{"host_workers_2", dpurpc.StackOptions{HostWorkers: 2}, 2 * time.Second},
-		{"dpu_workers_2", dpurpc.StackOptions{DPUWorkers: 2}, 2 * time.Second},
-		{"dpu_workers_2_host_2", dpurpc.StackOptions{DPUWorkers: 2, HostWorkers: 2}, 2 * time.Second},
 		{"commit_batch_8", dpurpc.StackOptions{CommitBatch: 8}, 5 * time.Second},
-		{"dpu_workers_2_commit_batch_8", dpurpc.StackOptions{DPUWorkers: 2, CommitBatch: 8}, 5 * time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
@@ -92,51 +89,6 @@ func TestLivenessDoesNotDependOnHeartbeat(t *testing.T) {
 	}
 }
 
-// At the default 1 ms heartbeat a pooled DPU pipeline that left a hand-off
-// to the timer still finishes every call, just three heartbeats late — the
-// only trace is rpcrdma_poller_wakeups_total{reason="timer"} climbing with
-// the request rate (about three per call). 1 000 depth-1 calls must leave
-// the DPU poller's timer wake-ups at 10 % of the calls or fewer. The slack is
-// not for lost kicks: on a machine busy with other tests the host side can
-// stay off-CPU for a whole heartbeat while the poller waits for its answer,
-// and the serial path then times out on up to ~3 % of calls too.
-func TestPooledDPUPollerNotTimerPaced(t *testing.T) {
-	schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stack, err := dpurpc.NewOffloadedStack(schema, greeterImpls(t, schema), dpurpc.StackOptions{DPUWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stack.Close()
-	req := schema.NewMessage("demo.HelloRequest")
-	req.SetString("name", "p")
-	payload := req.Marshal(nil)
-	call := stack.Handler()
-	// The DPU side alone: the host poller's timer wake-ups are not this
-	// pipeline's hand-offs.
-	dpuTimer := func() uint64 {
-		var n uint64
-		for _, dpu := range stack.Deployment().DPUs {
-			n += dpu.Client().Gauges().Wakes.Timer.Load()
-		}
-		return n
-	}
-	const calls = 1000
-	timer0 := dpuTimer()
-	for i := 0; i < calls; i++ {
-		if status, resp := call("/demo.Greeter/Hello", payload); status != 0 {
-			t.Fatalf("call %d: status %d (%s)", i, status, resp)
-		}
-	}
-	_, _, all := stack.Deployment().PollerWakes()
-	if timer := dpuTimer() - timer0; timer > calls/10 {
-		t.Errorf("%d DPU poller timer wake-ups over %d depth-1 calls (all pollers: %d), want <= %d",
-			timer, calls, all, calls/10)
-	}
-}
-
 // The kick must not turn the poll() path into a spin: a stack with no
 // traffic makes one pass per heartbeat per poller and nothing rings it.
 func TestIdleStackStaysIdle(t *testing.T) {
@@ -144,8 +96,10 @@ func TestIdleStackStaysIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []dpurpc.StackOptions{{}, {DPUWorkers: 2, HostWorkers: 2}} {
-		t.Run(fmt.Sprintf("dpu%d_host%d", opts.DPUWorkers, opts.HostWorkers), func(t *testing.T) {
+	// The DPU side runs no workers (one poller per connection); the host side
+	// runs with and without its duplex pool.
+	for _, opts := range []dpurpc.StackOptions{{}, {HostWorkers: 2}} {
+		t.Run(fmt.Sprintf("dpu0_host%d", opts.HostWorkers), func(t *testing.T) {
 			stack, err := dpurpc.NewOffloadedStack(schema, greeterImpls(t, schema), opts)
 			if err != nil {
 				t.Fatal(err)
