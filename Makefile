@@ -1,16 +1,19 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test fmt-check race cover bench bench-payload bench-cache bench-check bench-all bench-e2e bench-e2e-trace experiments chaos fuzz clean
+.PHONY: all build test fmt-check race cover bench-all bench-e2e bench-e2e-trace experiments chaos fuzz clean
 
 all: build test
 
 # The cross-builds keep the portable packed-varint loop and the _amd64 file
-# split compiling (both offline: the toolchain carries every GOARCH).
+# split compiling (both offline: the toolchain carries every GOARCH). The
+# end-to-end ledger in bench/ is its own module, so `go build ./...` never
+# compiles it; the last step catches a rename that would break it.
 build:
 	go build ./...
 	go vet ./...
 	GOARCH=arm64 go vet ./...
 	GOARCH=386 go build ./...
+	cd bench && go vet ./...
 
 # The second pass repeats the host duplex pool's liveness tests (slow and
 # sleeping handlers at 16 credits, out-of-order completion) on one CPU, where
@@ -29,9 +32,6 @@ test: fmt-check
 	GOMAXPROCS=1 go test -count=20 -run 'TestLivenessDoesNotDependOnHeartbeat' .
 	GOMAXPROCS=1 go test -count=20 -run 'Writer|Park|Deadline' ./internal/xrpc ./internal/offload
 	GOMAXPROCS=1 go test -count=20 -run 'Background' ./internal/offload
-	@echo "advisory: quick benchmark comparison against the checked-in snapshots"
-	@$(MAKE) --no-print-directory bench-check BENCHTIME=20000x \
-		|| echo "bench-check: regressions above are ADVISORY here; run 'make bench-check' for a full-length pass"
 
 # Fail on unformatted files (gofmt prints the offenders).
 fmt-check:
@@ -63,60 +63,6 @@ race:
 cover:
 	go test -coverprofile=cover.out -covermode=atomic ./...
 	go tool cover -func=cover.out | tail -1
-
-# Decode-path benchmark snapshot: the deser + wire benchmarks (planned vs
-# interpretive decode, varint/tag micro-benchmarks) parsed into
-# BENCH_deser.json, plus the commit-coalescing echo round trip parsed into
-# BENCH_batch.json (ns/op, B/op, allocs/op). Both files are checked in.
-# The Payload* scatter-gather benchmarks have their own snapshot (see
-# bench-payload below), so the deser selector names its families explicitly.
-# BENCH_telemetry.json snapshots the observability hot paths: the windowed
-# counter/histogram observe costs and the trace begin/span/finish cycle,
-# each with its disabled (nil-receiver) fast path. The disabled paths are
-# sub-nanosecond, so bench-check compares them at a loose 50% tolerance —
-# the hard gates are the AllocsPerRun==0 pins in the tests themselves.
-DESER_BENCH = ^Benchmark(Deserialize|Serialize|Sized|Planned|Varint|Uvarint|Tag)
-bench:
-	go test -bench '$(DESER_BENCH)' -benchmem -count 1 -run '^$$' ./internal/deser ./internal/wire \
-		| go run ./cmd/benchjson -out BENCH_deser.json
-	go test -bench 'EchoBatch|EchoRoundTrip' -benchmem -count 1 -run '^$$' ./internal/rpcrdma \
-		| go run ./cmd/benchjson -out BENCH_batch.json
-	go test -bench 'WindowedMetrics|TraceOverhead' -benchmem -count 1 -run '^$$' ./internal/metrics ./internal/trace \
-		| go run ./cmd/benchjson -out BENCH_telemetry.json
-	go test -bench 'ConnScale' -benchmem -count 1 -run '^$$' ./internal/harness \
-		| go run ./cmd/benchjson -out BENCH_connscale.json
-
-# Scatter-gather payload snapshot: copy-fill vs SG-fill vs segment placement
-# at 4KiB..1MiB payloads, parsed into BENCH_payload.json (checked in).
-bench-payload:
-	go test -bench 'Payload' -benchmem -count 1 -run '^$$' ./internal/deser \
-		| go run ./cmd/benchjson -out BENCH_payload.json
-
-# Response-cache snapshot: the zero-alloc hit probe and the zipf-driven
-# steady-state hit rate (a custom hit_rate metric), parsed into
-# BENCH_cache.json (checked in). bench-check gates the hit rate at its own
-# ±5% tolerance via -metric-tolerance, independent of the ns/op tolerance.
-bench-cache:
-	go test -bench 'BenchmarkCache' -benchmem -count 1 -run '^$$' ./internal/rpccache \
-		| go run ./cmd/benchjson -out BENCH_cache.json
-
-# Compare a fresh benchmark run against the checked-in snapshots; fails on
-# >10% ns/op regressions. BENCHTIME shortens the pass (e.g. make bench-check
-# BENCHTIME=20000x) at the price of noisier numbers.
-BENCHTIME ?= 1s
-bench-check:
-	go test -bench '$(DESER_BENCH)' -benchmem -count 1 -benchtime $(BENCHTIME) -run '^$$' ./internal/deser ./internal/wire \
-		| go run ./cmd/benchjson -compare BENCH_deser.json
-	go test -bench 'EchoBatch|EchoRoundTrip' -benchmem -count 1 -benchtime $(BENCHTIME) -run '^$$' ./internal/rpcrdma \
-		| go run ./cmd/benchjson -compare BENCH_batch.json
-	go test -bench 'Payload' -benchmem -count 1 -benchtime $(BENCHTIME) -run '^$$' ./internal/deser \
-		| go run ./cmd/benchjson -compare BENCH_payload.json
-	go test -bench 'WindowedMetrics|TraceOverhead' -benchmem -count 1 -benchtime $(BENCHTIME) -run '^$$' ./internal/metrics ./internal/trace \
-		| go run ./cmd/benchjson -compare BENCH_telemetry.json -tolerance 0.5
-	go test -bench 'ConnScale' -benchmem -count 1 -benchtime $(BENCHTIME) -run '^$$' ./internal/harness \
-		| go run ./cmd/benchjson -compare BENCH_connscale.json -tolerance 0.5
-	go test -bench 'BenchmarkCache' -benchmem -count 1 -benchtime $(BENCHTIME) -run '^$$' ./internal/rpccache \
-		| go run ./cmd/benchjson -compare BENCH_cache.json -tolerance 0.5 -metric-tolerance hit_rate=0.05
 
 # The end-to-end ledger (bench/README.md): four workloads through the real
 # xRPC front end, gated metrics as one JSON line per workload on stdout, then

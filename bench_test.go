@@ -1,11 +1,7 @@
-// Benchmarks regenerating the paper's tables and figures. Two families:
-//
-//   - BenchmarkFig7_* / BenchmarkDatapath_*: real executions of the library
-//     on this machine (ns/op are machine-local; the paper's absolute
-//     numbers come from the modeled testbed, see cmd/dpurpc-bench);
-//   - BenchmarkFig8*_*: run the evaluation harness once and report the
-//     modeled testbed metrics (rps, Gb/s, host cores) via b.ReportMetric,
-//     so `go test -bench Fig8` prints the figure's series.
+// Benchmarks that execute the library on this machine (ns/op are
+// machine-local; the paper's absolute numbers come from the modeled
+// testbed, see cmd/dpurpc-bench). The modeled Fig. 8 and ablation numbers
+// are pinned by the internal/harness tests, not reported here.
 //
 // BenchmarkDatapathAllocs is the Sec. VI-C5 reproduction: the offloaded
 // host-side datapath performs zero heap allocations per request.
@@ -15,7 +11,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"dpurpc/internal/abi"
@@ -87,98 +82,7 @@ func BenchmarkFig7_StandardUnmarshal(b *testing.B) {
 	}
 }
 
-// --- Fig. 8: datapath metrics (modeled testbed) ------------------------------
-
-var fig8Once sync.Once
-var fig8Rows []harness.Fig8Row
-var fig8Err error
-
-func fig8(b *testing.B) []harness.Fig8Row {
-	fig8Once.Do(func() {
-		opts := harness.DefaultOptions()
-		opts.Requests = 8000
-		fig8Rows, fig8Err = harness.RunFig8(opts)
-	})
-	if fig8Err != nil {
-		b.Fatal(fig8Err)
-	}
-	return fig8Rows
-}
-
-func reportFig8(b *testing.B, scenario workload.Scenario, mode harness.Mode) {
-	rows := fig8(b)
-	for _, r := range rows {
-		if r.Scenario == scenario && r.Mode == mode {
-			for i := 0; i < b.N; i++ {
-				// The harness already ran; the loop exists to satisfy the
-				// benchmark contract.
-			}
-			b.ReportMetric(r.Result.RPS, "rps")                 // Fig. 8a
-			b.ReportMetric(r.Result.BandwidthGbps, "pcie-Gb/s") // Fig. 8b
-			b.ReportMetric(r.Result.HostCores, "host-cores")    // Fig. 8c
-			b.ReportMetric(r.Result.DPUCores, "dpu-cores")
-			return
-		}
-	}
-	b.Fatalf("row %v/%v missing", scenario, mode)
-}
-
-func BenchmarkFig8_Small_CPU(b *testing.B) {
-	reportFig8(b, workload.ScenarioSmall, harness.ModeCPU)
-}
-func BenchmarkFig8_Small_DPU(b *testing.B) {
-	reportFig8(b, workload.ScenarioSmall, harness.ModeDPU)
-}
-func BenchmarkFig8_Ints_CPU(b *testing.B) {
-	reportFig8(b, workload.ScenarioInts, harness.ModeCPU)
-}
-func BenchmarkFig8_Ints_DPU(b *testing.B) {
-	reportFig8(b, workload.ScenarioInts, harness.ModeDPU)
-}
-func BenchmarkFig8_Chars_CPU(b *testing.B) {
-	reportFig8(b, workload.ScenarioChars, harness.ModeCPU)
-}
-func BenchmarkFig8_Chars_DPU(b *testing.B) {
-	reportFig8(b, workload.ScenarioChars, harness.ModeDPU)
-}
-
 // --- ablations ----------------------------------------------------------------
-
-// BenchmarkAblationBlockSize regenerates the Sec. VI-A sweep.
-func BenchmarkAblationBlockSize(b *testing.B) {
-	for _, size := range harness.DefaultBlockSizes() {
-		b.Run(itoa(size>>10)+"KiB", func(b *testing.B) {
-			opts := harness.DefaultOptions()
-			opts.Requests = 3000
-			rows, err := harness.BlockSizeSweep(opts, []int{size})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-			}
-			b.ReportMetric(rows[0].RPS, "rps")
-			b.ReportMetric(rows[0].MsgsPerBlock, "msgs/block")
-		})
-	}
-}
-
-// BenchmarkAblationPollMode regenerates the Sec. III-C comparison.
-func BenchmarkAblationPollMode(b *testing.B) {
-	opts := harness.DefaultOptions()
-	opts.Requests = 3000
-	rows, err := harness.PollModes(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range rows {
-		b.Run(strings.ReplaceAll(r.Mode, "()", ""), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-			}
-			b.ReportMetric(r.RPS, "rps")
-			b.ReportMetric(r.DPUCPUPercent, "dpu-cpu-%")
-		})
-	}
-}
 
 // BenchmarkAblationAllocator contrasts the offset-based dynamic allocator
 // (the paper's VMA choice) with a ring buffer under an out-of-order

@@ -5,8 +5,9 @@
 // Usage:
 //
 //	dpurpc-bench -experiment all
-//	dpurpc-bench -experiment fig7|fig8a|fig8b|fig8c|table1|blocksweep|busypoll|llc
+//	dpurpc-bench -experiment fig7|fig8a|fig8b|fig8c|table1|blocksweep|busypoll|allocator|latency
 //	dpurpc-bench -experiment fig8a -requests 50000
+//	dpurpc-bench -experiment all -format json                 # one {"experiment","rows"} document each
 //	dpurpc-bench -experiment respscale -host-workers 8 -connections 4
 //	dpurpc-bench -experiment batchscale -commit-batch 32
 //	dpurpc-bench -experiment payloadscale -payload-size 4194304 -sg-min 1024
@@ -34,8 +35,8 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all",
-		"one of: all, fig7, fig8a, fig8b, fig8c, table1, blocksweep, busypoll, allocator, latency, llc, respscale, batchscale, payloadscale, cachescale, anatomy, chaos, connscale, tailscale, deserspeed")
+	which := flag.String("experiment", "all",
+		"one of: all, fig7, fig8a, fig8b, fig8c, table1, blocksweep, busypoll, allocator, latency, respscale, batchscale, payloadscale, cachescale, anatomy, chaos, connscale, tailscale, deserspeed")
 	requests := flag.Int("requests", 20000, "requests per scenario per mode")
 	wallIters := flag.Int("fig7-wall-iters", 200, "wall-clock iterations per Fig. 7 point (0 disables)")
 	connections := flag.Int("connections", 1, "host<->DPU connections (one DPU poller each)")
@@ -49,7 +50,7 @@ func main() {
 		"top of the payloadscale payload sweep in bytes (0 = the 1KiB..4MiB default grid)")
 	sgMin := flag.Int("sg-min", 0,
 		"scatter-gather payload threshold in bytes; >0 enables SG framing for every experiment and sets the payloadscale on-legs (payloadscale defaults its on-legs to 1KiB)")
-	format := flag.String("format", "table", "output format: table | csv | json (csv and json cover fig7, fig8, respscale, and anatomy)")
+	format := flag.String("format", "table", `output format: table | json (json writes one {"experiment": name, "rows": ...} document per experiment; fig8a-c share one "fig8" document)`)
 	debugAddr := flag.String("debug-addr", "",
 		"serve live telemetry on this address while the experiments run (/metrics Prometheus text incl. windowed rates/quantiles, /trace Chrome trace JSON for Perfetto, /anatomy, /tail, /healthz); empty disables")
 	traceOut := flag.String("trace-out", "",
@@ -59,6 +60,10 @@ func main() {
 	pprofFlag := flag.Bool("pprof", false,
 		"mount net/http/pprof profiles under /debug/pprof/ on the -debug-addr mux")
 	flag.Parse()
+	if *format != "table" && *format != "json" {
+		fmt.Fprintf(os.Stderr, "format: %q is neither table nor json\n", *format)
+		os.Exit(2)
+	}
 
 	opts := harness.DefaultOptions()
 	opts.Requests = *requests
@@ -68,8 +73,6 @@ func main() {
 	opts.CommitFlushTimeout = time.Duration(*commitFlushUS) * time.Microsecond
 	opts.SGPayloadMin = *sgMin
 	opts.TailExemplars = *tailExemplars
-	csv := *format == "csv"
-	jsonOut := *format == "json"
 
 	var tracer *trace.Tracer
 	if *debugAddr != "" || *traceOut != "" {
@@ -80,7 +83,7 @@ func main() {
 	}
 	if *debugAddr != "" {
 		opts.Window = metrics.NewRPCWindow()
-		srv, err := trace.ListenDebug(*debugAddr, trace.NewDebugMuxOpts(trace.DebugOptions{
+		srv, err := trace.ListenDebug(*debugAddr, trace.NewDebugMux(trace.DebugOptions{
 			Registry: opts.Registry,
 			Tracer:   tracer,
 			Window:   opts.Window,
@@ -112,236 +115,155 @@ func main() {
 		}()
 	}
 
-	run := func(name string, f func() error) {
-		if *experiment != "all" && *experiment != name {
-			return
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	found := false
+	for _, e := range experiments(opts, *wallIters, *payloadSize) {
+		var panels []string
+		for _, p := range e.panels {
+			if *which == "all" || *which == p {
+				panels = append(panels, p)
+			}
 		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		if len(panels) == 0 {
+			continue
+		}
+		found = true
+		rows, table, err := e.run()
+		if err == nil && *format == "json" {
+			err = enc.Encode(document{Experiment: e.name, Rows: rows})
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
+		if *format == "table" {
+			for _, p := range panels {
+				table(p)
+			}
+		}
 	}
+	if !found {
+		fmt.Fprintf(os.Stderr, "experiment: unknown %q\n", *which)
+		os.Exit(2)
+	}
+}
 
-	run("table1", func() error { return printTable1(opts) })
-	run("fig7", func() error {
-		if jsonOut {
-			return printFig7JSON(opts, *wallIters)
-		}
-		if csv {
-			return printFig7CSV(opts, *wallIters)
-		}
-		return printFig7(opts, *wallIters)
-	})
+// document is one experiment's -format json output.
+type document struct {
+	Experiment string `json:"experiment"`
+	Rows       any    `json:"rows"`
+}
 
-	var fig8 []harness.Fig8Row
-	needFig8 := *experiment == "all" || strings.HasPrefix(*experiment, "fig8")
-	if needFig8 {
-		var err error
-		fig8, err = harness.RunFig8(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fig8: %v\n", err)
-			os.Exit(1)
-		}
+// An experiment runs once and prints its rows either as one JSON document
+// or as the text table of each panel -experiment selects. Only Fig. 8 has
+// more than one panel.
+type experiment struct {
+	name   string   // the JSON document's "experiment"
+	panels []string // the -experiment values that select it
+	run    func() (rows any, table func(panel string), err error)
+}
+
+// single is an experiment with one panel of the same name.
+func single[R any](name string, run func() (R, error), table func(R)) experiment {
+	return experiment{name, []string{name}, func() (any, func(string), error) {
+		rows, err := run()
+		return rows, func(string) { table(rows) }, err
+	}}
+}
+
+// connScaleRows is the connscale sweep plus its overload leg.
+type connScaleRows struct {
+	Sweep    []harness.ConnScaleRow
+	Overload harness.ConnScaleRow
+}
+
+// allocatorRows is the Sec. IV-A ablation: both allocators over one
+// out-of-order completion trace.
+type allocatorRows struct {
+	Trace         arena.TraceConfig
+	Dynamic, Ring arena.TraceResult
+}
+
+// experiments lists every experiment in the order -experiment all runs
+// them.
+func experiments(opts harness.Options, wallIters, payloadSize int) []experiment {
+	fig8Panels := map[string]func([]harness.Fig8Row){
+		"fig8a": printFig8a, "fig8b": printFig8b, "fig8c": printFig8c,
 	}
-	if jsonOut && needFig8 {
-		run("fig8a", func() error { return printFig8JSON(fig8) })
-		run("fig8b", func() error { return nil })
-		run("fig8c", func() error { return nil })
-	} else if csv && needFig8 {
-		run("fig8a", func() error { return printFig8CSV(fig8) })
-		run("fig8b", func() error { return nil })
-		run("fig8c", func() error { return nil })
-	} else {
-		run("fig8a", func() error { return printFig8a(fig8) })
-		run("fig8b", func() error { return printFig8b(fig8) })
-		run("fig8c", func() error { return printFig8c(opts, fig8) })
+	return []experiment{
+		single("table1", func() ([]harness.TableIRow, error) { return harness.TableI(opts), nil }, printTable1),
+		single("fig7", func() ([]harness.Fig7Row, error) {
+			return harness.Fig7(opts, harness.DefaultFig7Counts(), wallIters)
+		}, printFig7),
+		{"fig8", []string{"fig8a", "fig8b", "fig8c"}, func() (any, func(string), error) {
+			rows, err := harness.RunFig8(opts)
+			return rows, func(panel string) { fig8Panels[panel](rows) }, err
+		}},
+		single("respscale", func() ([]harness.RespScaleRow, error) {
+			return harness.ResponseScalingGrid(opts, doublingSweep(opts.Connections), doublingSweep(opts.HostWorkers))
+		}, printRespScale),
+		single("batchscale", func() ([]harness.BatchScaleRow, error) {
+			batches := harness.DefaultCommitBatches()
+			if opts.CommitBatch > 1 {
+				batches = doublingSweep(opts.CommitBatch)
+			}
+			return harness.BatchScale(opts, batches)
+		}, printBatchScale),
+		single("payloadscale", func() ([]harness.PayloadScaleRow, error) {
+			sizes := harness.DefaultPayloadSizes()
+			if payloadSize > 0 {
+				sizes = quadruplingSizes(payloadSize)
+			}
+			return harness.PayloadScale(opts, sizes)
+		}, printPayloadScale),
+		single("cachescale", func() ([]harness.CacheScaleRow, error) {
+			return harness.CacheScale(opts, harness.DefaultCacheSkews(), harness.DefaultCacheEntries())
+		}, printCacheScale),
+		single("anatomy", func() (*harness.AnatomyReport, error) { return harness.RunAnatomy(opts) }, printAnatomy),
+		single("chaos", func() ([]harness.ChaosRow, error) {
+			return harness.RunChaos(opts, harness.DefaultChaosRates())
+		}, printChaos),
+		single("connscale", func() (r connScaleRows, err error) {
+			if r.Sweep, err = harness.RunConnScale(opts, harness.DefaultConnScaleCounts()); err != nil {
+				return r, err
+			}
+			r.Overload, err = harness.RunOverload(opts)
+			return r, err
+		}, printConnScale),
+		single("tailscale", func() (*harness.TailscaleReport, error) { return harness.RunTailscale(opts) }, printTailscale),
+		single("deserspeed", func() ([]harness.DeserSpeedRow, error) {
+			return harness.DeserSpeed(opts, harness.DefaultDeserSpeedIters)
+		}, printDeserSpeed),
+		single("blocksweep", func() ([]harness.SweepRow, error) {
+			return harness.BlockSizeSweep(opts, harness.DefaultBlockSizes())
+		}, printBlockSweep),
+		single("busypoll", func() ([]harness.PollModeRow, error) { return harness.PollModes(opts) }, printPollModes),
+		single("allocator", func() (r allocatorRows, err error) {
+			r.Trace = arena.DefaultTraceConfig(20000)
+			r.Dynamic, r.Ring, err = arena.CompareOutOfOrder(r.Trace)
+			return r, err
+		}, printAllocatorAblation),
+		single("latency", func() ([]harness.LatencyReport, error) {
+			o := opts
+			if o.Requests > 8000 {
+				o.Requests = 8000
+			}
+			var rows []harness.LatencyReport
+			for _, s := range workload.Scenarios() {
+				r, err := harness.MeasureLatency(s, o)
+				if err != nil {
+					return nil, err
+				}
+				rows = append(rows, r)
+			}
+			return rows, nil
+		}, printLatency),
 	}
-	run("respscale", func() error {
-		workers := doublingSweep(*hostWorkers)
-		conns := doublingSweep(*connections)
-		rows, err := harness.ResponseScalingGrid(opts, conns, workers)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return printRespScaleJSON(rows)
-		}
-		if csv {
-			return printRespScaleCSV(rows)
-		}
-		return printRespScale(rows)
-	})
-	run("batchscale", func() error {
-		batches := harness.DefaultCommitBatches()
-		if *commitBatch > 1 {
-			batches = doublingSweep(*commitBatch)
-		}
-		rows, err := harness.BatchScale(opts, batches)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return printBatchScaleJSON(rows)
-		}
-		if csv {
-			return printBatchScaleCSV(rows)
-		}
-		return printBatchScale(rows)
-	})
-	run("payloadscale", func() error {
-		sizes := harness.DefaultPayloadSizes()
-		if *payloadSize > 0 {
-			sizes = quadruplingSizes(*payloadSize)
-		}
-		rows, err := harness.PayloadScale(opts, sizes)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return printPayloadScaleJSON(rows)
-		}
-		if csv {
-			return printPayloadScaleCSV(rows)
-		}
-		return printPayloadScale(rows)
-	})
-	run("cachescale", func() error {
-		rows, err := harness.CacheScale(opts, harness.DefaultCacheSkews(), harness.DefaultCacheEntries())
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return printCacheScaleJSON(rows)
-		}
-		if csv {
-			return printCacheScaleCSV(rows)
-		}
-		return printCacheScale(rows)
-	})
-	run("anatomy", func() error {
-		rep, err := harness.RunAnatomy(opts)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return printAnatomyJSON(rep)
-		}
-		if csv {
-			return printAnatomyCSV(rep)
-		}
-		return printAnatomy(rep)
-	})
-	run("chaos", func() error {
-		rows, err := harness.RunChaos(opts, harness.DefaultChaosRates())
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return printChaosJSON(rows)
-		}
-		if csv {
-			return printChaosCSV(rows)
-		}
-		return printChaos(rows)
-	})
-	run("connscale", func() error {
-		rows, err := harness.RunConnScale(opts, harness.DefaultConnScaleCounts())
-		if err != nil {
-			return err
-		}
-		overload, err := harness.RunOverload(opts)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return printConnScaleJSON(rows, overload)
-		}
-		if csv {
-			return printConnScaleCSV(rows, overload)
-		}
-		return printConnScale(rows, overload)
-	})
-	run("tailscale", func() error {
-		rep, err := harness.RunTailscale(opts)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return printTailscaleJSON(rep)
-		}
-		if csv {
-			return printTailscaleCSV(rep)
-		}
-		return printTailscale(rep)
-	})
-	run("deserspeed", func() error {
-		rows, err := harness.DeserSpeed(opts, harness.DefaultDeserSpeedIters)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return printDeserSpeedJSON(rows)
-		}
-		if csv {
-			return printDeserSpeedCSV(rows)
-		}
-		return printDeserSpeed(rows)
-	})
-	run("blocksweep", func() error { return printBlockSweep(opts) })
-	run("busypoll", func() error { return printPollModes(opts) })
-	run("allocator", func() error { return printAllocatorAblation() })
-	run("latency", func() error { return printLatency(opts) })
-	run("llc", func() error { return printLLC(fig8) })
 }
 
 func tw() *tabwriter.Writer {
 	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-}
-
-// printFig7CSV emits the Fig. 7 sweep as CSV for plotting pipelines.
-func printFig7CSV(opts harness.Options, wallIters int) error {
-	rows, err := harness.Fig7(opts, harness.DefaultFig7Counts(), wallIters)
-	if err != nil {
-		return err
-	}
-	fmt.Println("series,elements,wire_bytes,cpu_ns,dpu_ns,ratio,wall_ns")
-	for _, r := range rows {
-		fmt.Printf("%s,%d,%d,%.2f,%.2f,%.3f,%.1f\n",
-			r.Kind, r.Count, r.WireBytes, r.CPUNS, r.DPUNS, r.Ratio, r.WallNS)
-	}
-	return nil
-}
-
-// printFig8CSV emits all three Fig. 8 panels as one CSV.
-func printFig8CSV(rows []harness.Fig8Row) error {
-	fmt.Println("scenario,mode,rps,pcie_gbps,host_cores,dpu_cores,bottleneck,wire_bytes_per_req,pcie_bytes_per_req,min_credits,wall_rps")
-	for _, r := range rows {
-		fmt.Printf("%s,%s,%.0f,%.2f,%.3f,%.3f,%s,%.1f,%.1f,%d,%.0f\n",
-			r.Scenario, r.Mode, r.Result.RPS, r.Result.BandwidthGbps,
-			r.Result.HostCores, r.Result.DPUCores, r.Result.Bottleneck,
-			r.WireBytesPerReq, r.PCIeBytesPerReq, r.MinCredits, r.WallRPS)
-	}
-	return nil
-}
-
-// printFig8JSON emits the Fig. 8 rows as a JSON array for downstream
-// tooling (one object per bar, modeled Result plus wall-clock fields).
-func printFig8JSON(rows []harness.Fig8Row) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-// printFig7JSON emits the Fig. 7 sweep as a JSON array (one object per
-// point: modeled CPU/DPU times plus the wall-clock measurement).
-func printFig7JSON(opts harness.Options, wallIters int) error {
-	rows, err := harness.Fig7(opts, harness.DefaultFig7Counts(), wallIters)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 // quadruplingSizes builds the payload sweep 1 KiB, 4 KiB, 16 KiB, ...
@@ -357,7 +279,7 @@ func quadruplingSizes(max int) []int {
 	return append(out, max)
 }
 
-func printPayloadScale(rows []harness.PayloadScaleRow) error {
+func printPayloadScale(rows []harness.PayloadScaleRow) {
 	fmt.Println("== Scatter-gather payload sweep (EchoBlob workload, bytes payloads) ==")
 	fmt.Println("   (sg_min=0 copies every payload byte through the object arena; sg_min>0")
 	fmt.Println("    places payloads >= sg_min once into descriptor-framed segments and the")
@@ -373,7 +295,6 @@ func printPayloadScale(rows []harness.PayloadScaleRow) error {
 	}
 	w.Flush()
 	fmt.Println()
-	return nil
 }
 
 // fmtBytes renders a payload size compactly (1 KiB, 4 MiB, ...).
@@ -385,24 +306,6 @@ func fmtBytes(n int) string {
 		return fmt.Sprintf("%d KiB", n>>10)
 	}
 	return fmt.Sprintf("%d B", n)
-}
-
-func printPayloadScaleCSV(rows []harness.PayloadScaleRow) error {
-	fmt.Println("payload_bytes,sg_min,requests,rps,pcie_gbps,host_cores,dpu_cores,bottleneck,copied_bytes_per_req,ref_bytes_per_req,sg_msgs_per_req,deser_goodput_mbps,wall_rps")
-	for _, r := range rows {
-		fmt.Printf("%d,%d,%d,%.0f,%.2f,%.3f,%.3f,%s,%.1f,%.1f,%.3f,%.1f,%.0f\n",
-			r.PayloadBytes, r.SGPayloadMin, r.Requests,
-			r.Result.RPS, r.Result.BandwidthGbps, r.Result.HostCores,
-			r.Result.DPUCores, r.Result.Bottleneck, r.CopiedBytesPerReq,
-			r.RefBytesPerReq, r.SGMsgsPerReq, r.DeserGoodputMBps, r.WallRPS)
-	}
-	return nil
-}
-
-func printPayloadScaleJSON(rows []harness.PayloadScaleRow) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 // doublingSweep builds the sweep 1, 2, 4, ... capped at max.
@@ -417,7 +320,7 @@ func doublingSweep(max int) []int {
 	return append(out, max)
 }
 
-func printRespScale(rows []harness.RespScaleRow) error {
+func printRespScale(rows []harness.RespScaleRow) {
 	fmt.Println("== Response-direction scaling (host duplex pipeline, Echo workload) ==")
 	fmt.Println("   (host handler/build workers = width, one DPU poller per connection")
 	fmt.Println("    serializes; modeled host core spread capped at conns x width)")
@@ -430,21 +333,9 @@ func printRespScale(rows []harness.RespScaleRow) error {
 	}
 	w.Flush()
 	fmt.Println()
-	return nil
 }
 
-func printRespScaleCSV(rows []harness.RespScaleRow) error {
-	fmt.Println("connections,workers,rps,pcie_gbps,host_cores,dpu_cores,bottleneck,resp_bytes_per_req,wall_rps")
-	for _, r := range rows {
-		fmt.Printf("%d,%d,%.0f,%.2f,%.3f,%.3f,%s,%.1f,%.0f\n",
-			r.Connections, r.Workers, r.Result.RPS, r.Result.BandwidthGbps,
-			r.Result.HostCores, r.Result.DPUCores, r.Result.Bottleneck,
-			r.RespBytesPerReq, r.WallRPS)
-	}
-	return nil
-}
-
-func printBatchScale(rows []harness.BatchScaleRow) error {
+func printBatchScale(rows []harness.BatchScaleRow) {
 	fmt.Println("== Commit-coalescing sweep (goodput vs batch size x message size) ==")
 	fmt.Println("   (one doorbell per sealed block; up to CommitBatch messages share it")
 	fmt.Println("    unless the block fills first, so Small amortizes the doorbell while")
@@ -459,34 +350,9 @@ func printBatchScale(rows []harness.BatchScaleRow) error {
 	}
 	w.Flush()
 	fmt.Println()
-	return nil
 }
 
-func printBatchScaleCSV(rows []harness.BatchScaleRow) error {
-	fmt.Println("scenario,commit_batch,rps,pcie_gbps,host_cores,dpu_cores,bottleneck,msgs_per_block,doorbells_per_req,flush_full,flush_batch,flush_timer,flush_explicit,wall_rps")
-	for _, r := range rows {
-		fmt.Printf("%s,%d,%.0f,%.2f,%.3f,%.3f,%s,%.2f,%.3f,%d,%d,%d,%d,%.0f\n",
-			r.Scenario, r.CommitBatch, r.Result.RPS, r.Result.BandwidthGbps,
-			r.Result.HostCores, r.Result.DPUCores, r.Result.Bottleneck,
-			r.MsgsPerBlock, r.DoorbellsPerReq, r.FlushFull, r.FlushBatch,
-			r.FlushTimer, r.FlushExplicit, r.WallRPS)
-	}
-	return nil
-}
-
-func printBatchScaleJSON(rows []harness.BatchScaleRow) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-func printRespScaleJSON(rows []harness.RespScaleRow) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-func printCacheScale(rows []harness.CacheScaleRow) error {
+func printCacheScale(rows []harness.CacheScaleRow) {
 	fmt.Println("== Response-cache sweep (zipf skew x capacity, Ints workload) ==")
 	fmt.Println("   (steady-state window after warmup; entries=0 rows are the uncached")
 	fmt.Println("    reference per skew — hits skip deserialization AND the host, so")
@@ -500,29 +366,9 @@ func printCacheScale(rows []harness.CacheScaleRow) error {
 	}
 	w.Flush()
 	fmt.Println()
-	return nil
 }
 
-func printCacheScaleCSV(rows []harness.CacheScaleRow) error {
-	fmt.Println("scenario,skew,keys,cache_entries,hit_rate,cache_hits,cache_misses,resident_entries,resident_bytes,rps,pcie_gbps,host_cores,dpu_cores,bottleneck,host_ns_per_req,dpu_ns_per_req,host_reduction,wall_rps")
-	for _, r := range rows {
-		fmt.Printf("%s,%.2f,%d,%d,%.4f,%d,%d,%d,%d,%.0f,%.2f,%.3f,%.3f,%s,%.1f,%.1f,%.3f,%.0f\n",
-			r.Scenario, r.Skew, r.Keys, r.CacheEntries, r.HitRate,
-			r.CacheHits, r.CacheMisses, r.ResidentEntries, r.ResidentBytes,
-			r.Result.RPS, r.Result.BandwidthGbps, r.Result.HostCores,
-			r.Result.DPUCores, r.Result.Bottleneck,
-			r.HostNSPerReq, r.DPUNSPerReq, r.HostReduction, r.WallRPS)
-	}
-	return nil
-}
-
-func printCacheScaleJSON(rows []harness.CacheScaleRow) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-func printAnatomy(rep *harness.AnatomyReport) error {
+func printAnatomy(rep *harness.AnatomyReport) {
 	fmt.Println("== Latency anatomy (Echo workload, every request traced) ==")
 	fmt.Println("   (stage rows partition each request's end-to-end window exactly:")
 	fmt.Println("    wait:X is the idle time directly before stage X, so the stage")
@@ -547,52 +393,23 @@ func printAnatomy(rep *harness.AnatomyReport) error {
 		fmt.Printf("   payload bytes/req: copied %.0f, referenced %.0f (sg-min %d)\n\n",
 			m.CopiedBytesPerReq, m.RefBytesPerReq, m.SGPayloadMin)
 	}
-	return nil
 }
 
-func printAnatomyCSV(rep *harness.AnatomyReport) error {
-	fmt.Println("mode,workers,stage,count,p50_us,p90_us,p99_us,mean_us,share")
-	row := func(mode string, workers int, s harness.AnatomyStage) {
-		fmt.Printf("%s,%d,%s,%d,%.2f,%.2f,%.2f,%.3f,%.4f\n",
-			mode, workers, s.Stage, s.Count, s.P50US, s.P90US, s.P99US, s.MeanUS, s.Share)
-	}
-	for _, m := range rep.Modes {
-		for _, s := range m.Stages {
-			row(m.Mode, m.Workers, s)
-		}
-		e2e := m.E2E
-		e2e.Stage = "e2e"
-		row(m.Mode, m.Workers, e2e)
-	}
-	return nil
-}
-
-func printAnatomyJSON(rep *harness.AnatomyReport) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-func printTable1(opts harness.Options) error {
+func printTable1(rows []harness.TableIRow) {
 	fmt.Println("== Table I: environment and configuration parameters ==")
 	w := tw()
 	fmt.Fprintln(w, "Parameter\tClient (DPU)\tServer (host)")
-	for _, r := range harness.TableI(opts) {
+	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%s\t%s\n", r.Parameter, r.Client, r.Server)
 	}
 	w.Flush()
 	fmt.Println()
-	return nil
 }
 
-func printFig7(opts harness.Options, wallIters int) error {
+func printFig7(rows []harness.Fig7Row) {
 	fmt.Println("== Fig. 7: time to deserialize a single message vs element count ==")
 	fmt.Println("   (modeled single-core times; paper anchors: int tail 2.75 ns/elem,")
 	fmt.Println("    char tail 42.5 ns/KiB, DPU/CPU ratios 1.89x int / 2.51x char)")
-	rows, err := harness.Fig7(opts, harness.DefaultFig7Counts(), wallIters)
-	if err != nil {
-		return err
-	}
 	w := tw()
 	fmt.Fprintln(w, "series\telements\twire B\tCPU ns\tDPU ns\tDPU/CPU\twall ns (this machine)")
 	for _, r := range rows {
@@ -601,10 +418,9 @@ func printFig7(opts harness.Options, wallIters int) error {
 	}
 	w.Flush()
 	fmt.Println()
-	return nil
 }
 
-func printFig8a(rows []harness.Fig8Row) error {
+func printFig8a(rows []harness.Fig8Row) {
 	fmt.Println("== Fig. 8a: average requests per second ==")
 	fmt.Println("   (paper: offload matches the baseline; Small reaches ~9e7 RPS)")
 	w := tw()
@@ -615,10 +431,9 @@ func printFig8a(rows []harness.Fig8Row) error {
 	}
 	w.Flush()
 	fmt.Println()
-	return nil
 }
 
-func printFig8b(rows []harness.Fig8Row) error {
+func printFig8b(rows []harness.Fig8Row) {
 	fmt.Println("== Fig. 8b: average PCIe bandwidth ==")
 	fmt.Println("   (paper: offload costs more bytes — deserialized objects are bigger;")
 	fmt.Println("    x8000 Chars reaches ~180 Gb/s in both modes)")
@@ -630,10 +445,9 @@ func printFig8b(rows []harness.Fig8Row) error {
 	}
 	w.Flush()
 	fmt.Println()
-	return nil
 }
 
-func printFig8c(opts harness.Options, rows []harness.Fig8Row) error {
+func printFig8c(rows []harness.Fig8Row) {
 	fmt.Println("== Fig. 8c: host CPU usage ==")
 	fmt.Println("   (paper reductions: 1.8x Small, 8.0x Ints, 1.53x Chars; ~7 cores freed)")
 	w := tw()
@@ -659,10 +473,9 @@ func printFig8c(opts harness.Options, rows []harness.Fig8Row) error {
 		}
 	}
 	fmt.Println()
-	return nil
 }
 
-func printChaos(rows []harness.ChaosRow) error {
+func printChaos(rows []harness.ChaosRow) {
 	fmt.Println("== Chaos sweep (fault injection + failure recovery; beyond the paper) ==")
 	fmt.Println("   (Echo workload over the full offloaded stack; every call resolves")
 	fmt.Println("    OK after transparent/client retries or with a typed status; each")
@@ -688,70 +501,29 @@ func printChaos(rows []harness.ChaosRow) error {
 		break
 	}
 	fmt.Println()
-	return nil
 }
 
-func printChaosCSV(rows []harness.ChaosRow) error {
-	fmt.Println("fault_rate,plan,requests,succeeded,failed,retries,send_fault_retries,timed_out,late_dropped,conns_broken,flight_dumps,goodput_rps,p50_us,p99_us,wall_seconds")
-	for _, r := range rows {
-		fmt.Printf("%.4f,%q,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f,%.1f,%.1f,%.3f\n",
-			r.FaultRate, r.Plan, r.Requests, r.Succeeded, r.Failed, r.Retries,
-			r.SendFaultRetries, r.TimedOut, r.LateDropped, r.ConnsBroken,
-			r.FlightDumps, r.GoodputRPS, r.P50US, r.P99US, r.WallSeconds)
-	}
-	return nil
-}
-
-func printChaosJSON(rows []harness.ChaosRow) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-func printConnScale(rows []harness.ConnScaleRow, overload harness.ConnScaleRow) error {
+func printConnScale(c connScaleRows) {
 	fmt.Println("== Connection scale-out (reconnect + churn + admission control) ==")
 	fmt.Println("   (Echo workload multiplexed over shared poller shards; the churn")
 	fmt.Println("    legs kill live connections mid-load — every kill must be absorbed")
 	fmt.Println("    by a transparent reconnect, every call resolves exactly once)")
 	w := tw()
 	fmt.Fprintln(w, "conns\tshards\tchurn\trequests\tok\ttyped fail\tretries\tkills\treconnects\tdead conns\tgoodput req/s\tp50 us\tp99 us")
-	for _, r := range rows {
+	for _, r := range c.Sweep {
 		fmt.Fprintf(w, "%d\t%d\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.3g\t%.0f\t%.0f\n",
 			r.Conns, r.Shards, r.Churn, r.Requests, r.Succeeded, r.Failed,
 			r.Retries, r.Kills, r.Reconnects, r.DeadConns,
 			r.GoodputRPS, r.P50US, r.P99US)
 	}
 	w.Flush()
+	o := c.Overload
 	fmt.Printf("   overload (admit<=%d, no client retries): %d ok, %d shed typed UNAVAILABLE (DPU %d / host %d) in %.3fs\n",
-		overload.AdmitMaxInflight, overload.Succeeded, overload.Failed,
-		overload.DPUSheds, overload.HostSheds, overload.WallSeconds)
+		o.AdmitMaxInflight, o.Succeeded, o.Failed, o.DPUSheds, o.HostSheds, o.WallSeconds)
 	fmt.Println()
-	return nil
 }
 
-func printConnScaleCSV(rows []harness.ConnScaleRow, overload harness.ConnScaleRow) error {
-	fmt.Println("conns,shards,churn,requests,succeeded,failed,retries,kills,reconnects,redial_fails,dpu_sheds,host_sheds,admit_max_inflight,dead_conns,goodput_rps,p50_us,p99_us,wall_seconds")
-	all := append(append([]harness.ConnScaleRow(nil), rows...), overload)
-	for _, r := range all {
-		fmt.Printf("%d,%d,%v,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f,%.1f,%.1f,%.3f\n",
-			r.Conns, r.Shards, r.Churn, r.Requests, r.Succeeded, r.Failed,
-			r.Retries, r.Kills, r.Reconnects, r.RedialFails,
-			r.DPUSheds, r.HostSheds, r.AdmitMaxInflight, r.DeadConns,
-			r.GoodputRPS, r.P50US, r.P99US, r.WallSeconds)
-	}
-	return nil
-}
-
-func printConnScaleJSON(rows []harness.ConnScaleRow, overload harness.ConnScaleRow) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Sweep    []harness.ConnScaleRow
-		Overload harness.ConnScaleRow
-	}{rows, overload})
-}
-
-func printTailscale(rep *harness.TailscaleReport) error {
+func printTailscale(rep *harness.TailscaleReport) {
 	fmt.Println("== Tail-latency exemplars (windowed histogram -> span anatomy) ==")
 	fmt.Println("   (the trailing window's slowest requests, worst first; each links")
 	fmt.Println("    through its histogram exemplar's trace ID to the stage-by-stage")
@@ -779,33 +551,9 @@ func printTailscale(rep *harness.TailscaleReport) error {
 		w.Flush()
 	}
 	fmt.Println()
-	return nil
 }
 
-func printTailscaleCSV(rep *harness.TailscaleReport) error {
-	fmt.Println("exemplar,trace_id,latency_us,bucket_us,method,err,resolved,stage,stage_us")
-	for i, ex := range rep.Exemplars {
-		if len(ex.Stages) == 0 {
-			fmt.Printf("%d,%d,%d,%d,%s,%t,%t,,\n",
-				i, ex.TraceID, ex.LatencyUS, ex.BucketUS, ex.Method, ex.Err, ex.Resolved)
-			continue
-		}
-		for _, s := range ex.Stages {
-			fmt.Printf("%d,%d,%d,%d,%s,%t,%t,%s,%.2f\n",
-				i, ex.TraceID, ex.LatencyUS, ex.BucketUS, ex.Method, ex.Err,
-				ex.Resolved, s.Stage, s.MeanUS)
-		}
-	}
-	return nil
-}
-
-func printTailscaleJSON(rep *harness.TailscaleReport) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-func printDeserSpeed(rows []harness.DeserSpeedRow) error {
+func printDeserSpeed(rows []harness.DeserSpeedRow) {
 	fmt.Println("== Decode-plan speedup (interpretive measure+decode vs planned scan+fill) ==")
 	fmt.Println("   (wall times on this machine; modeled columns price the planned fill's")
 	fmt.Println("    note replay at copy cost instead of re-decoding)")
@@ -818,31 +566,10 @@ func printDeserSpeed(rows []harness.DeserSpeedRow) error {
 	}
 	w.Flush()
 	fmt.Println()
-	return nil
 }
 
-func printDeserSpeedCSV(rows []harness.DeserSpeedRow) error {
-	fmt.Println("workload,wire_bytes,interp_ns,planned_ns,speedup,host_interp_ns,host_planned_ns,dpu_interp_ns,dpu_planned_ns")
-	for _, r := range rows {
-		fmt.Printf("%s,%d,%.1f,%.1f,%.3f,%.1f,%.1f,%.1f,%.1f\n",
-			r.Workload, r.WireBytes, r.InterpNS, r.PlannedNS, r.Speedup,
-			r.HostInterpNS, r.HostPlannedNS, r.DPUInterpNS, r.DPUPlannedNS)
-	}
-	return nil
-}
-
-func printDeserSpeedJSON(rows []harness.DeserSpeedRow) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-func printBlockSweep(opts harness.Options) error {
+func printBlockSweep(rows []harness.SweepRow) {
 	fmt.Println("== Block-size sweep (Sec. VI-A: optimum around 8 KiB) ==")
-	rows, err := harness.BlockSizeSweep(opts, harness.DefaultBlockSizes())
-	if err != nil {
-		return err
-	}
 	w := tw()
 	fmt.Fprintln(w, "block size\tRPS\tmsgs/block")
 	best := 0
@@ -854,15 +581,10 @@ func printBlockSweep(opts harness.Options) error {
 	}
 	w.Flush()
 	fmt.Printf("   best: %d KiB\n\n", rows[best].BlockSize>>10)
-	return nil
 }
 
-func printPollModes(opts harness.Options) error {
+func printPollModes(rows []harness.PollModeRow) {
 	fmt.Println("== Poll-mode comparison (Sec. III-C: busy poll ~10% faster, 100% CPU) ==")
-	rows, err := harness.PollModes(opts)
-	if err != nil {
-		return err
-	}
 	w := tw()
 	fmt.Fprintln(w, "mode\tRPS\thost CPU%\tDPU CPU%")
 	for _, r := range rows {
@@ -872,18 +594,13 @@ func printPollModes(opts harness.Options) error {
 	if len(rows) == 2 && rows[1].RPS > 0 {
 		fmt.Printf("   busy-poll speedup: %.1f%%\n\n", 100*(rows[0].RPS/rows[1].RPS-1))
 	}
-	return nil
 }
 
 // printAllocatorAblation regenerates the Sec. IV-A design comparison.
-func printAllocatorAblation() error {
+func printAllocatorAblation(r allocatorRows) {
 	fmt.Println("== Allocator ablation (Sec. IV-A: dynamic allocation vs ring buffer) ==")
 	fmt.Println("   (out-of-order completion trace: 4 KiB blocks, 8 in flight, 64 KiB space)")
-	cfg := arena.DefaultTraceConfig(20000)
-	dyn, ring, err := arena.CompareOutOfOrder(cfg)
-	if err != nil {
-		return err
-	}
+	cfg, dyn, ring := r.Trace, r.Dynamic, r.Ring
 	w := tw()
 	fmt.Fprintln(w, "allocator\tcompleted\tstalls\tstall %")
 	fmt.Fprintf(w, "offset-based dynamic (VMA-style)\t%d/%d\t%d\t%.1f%%\n",
@@ -894,39 +611,18 @@ func printAllocatorAblation() error {
 	fmt.Println("   paper: out-of-order completion makes \"dynamic allocation a better")
 	fmt.Println("   solution than standard ring buffers\"")
 	fmt.Println()
-	return nil
 }
 
 // printLatency reports wall-clock datapath latency (beyond the paper; the
 // library-level instrumentation of Sec. VI applied to latency).
-func printLatency(opts harness.Options) error {
+func printLatency(rows []harness.LatencyReport) {
 	fmt.Println("== Datapath latency (wall-clock, this machine; beyond the paper) ==")
-	o := opts
-	if o.Requests > 8000 {
-		o.Requests = 8000
-	}
 	w := tw()
 	fmt.Fprintln(w, "scenario\trequests\tp50 us\tp90 us\tp99 us\tmean us\twall req/s")
-	for _, s := range workload.Scenarios() {
-		r, err := harness.MeasureLatency(s, o)
-		if err != nil {
-			return err
-		}
+	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%d\t%.0f\t%.0f\t%.0f\t%.1f\t%.3g\n",
 			r.Scenario, r.Requests, r.P50US, r.P90US, r.P99US, r.MeanUS, r.WallRPS)
 	}
 	w.Flush()
 	fmt.Println()
-	return nil
-}
-
-func printLLC(rows []harness.Fig8Row) error {
-	fmt.Println("== Sec. VI-C5: last-level cache / allocator behaviour ==")
-	fmt.Println("   The datapath performs its work exclusively in preallocated, pinned")
-	fmt.Println("   buffers managed by the offset-based arena allocator; the system")
-	fmt.Println("   allocator is never used per request. See TestDatapathZeroAlloc and")
-	fmt.Println("   BenchmarkDatapathAllocs (allocs/op = 0), the Go analogue of the")
-	fmt.Println("   paper's ~zero LLC-miss measurement.")
-	fmt.Println()
-	return nil
 }

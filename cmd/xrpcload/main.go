@@ -154,7 +154,7 @@ func runServer(mode, addr, debugAddr string, sgMin int, cacheMethods string, ppr
 		stack.RegisterGauges(smp)
 		smp.Start()
 		defer smp.Stop()
-		dbg, err := trace.ListenDebug(debugAddr, trace.NewDebugMuxOpts(trace.DebugOptions{
+		dbg, err := trace.ListenDebug(debugAddr, trace.NewDebugMux(trace.DebugOptions{
 			Registry:     opts.Registry,
 			Tracer:       tracer,
 			AnatomyExtra: anatomyExtra,

@@ -16,8 +16,8 @@ import (
 // arena (replayString, one memcpy into the spill area) versus
 // scatter-gather (FillSG writes a 16-byte offset reference; PlaceSegments
 // is the single memcpy into the segment area, isolated below so the fill's
-// O(1) cost is visible). Snapshot lives in BENCH_payload.json (make
-// bench-payload), compared by make bench-check.
+// O(1) cost is visible). Run with
+// go test -bench Payload -benchmem -run '^$' ./internal/deser.
 
 const payloadSchema = `
 syntax = "proto3";

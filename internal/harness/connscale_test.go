@@ -115,9 +115,9 @@ func TestChaosChurn(t *testing.T) {
 	}
 }
 
-// BenchmarkConnScale is the BENCH_connscale.json snapshot: one churn-free
-// and one churn leg at a moderate connection count, reporting goodput and
-// reconnect counts as benchmark metrics.
+// BenchmarkConnScale runs one churn-free and one churn leg at a moderate
+// connection count, reporting goodput and reconnect counts as benchmark
+// metrics: go test -bench ConnScale -benchmem -run '^$' ./internal/harness.
 func BenchmarkConnScale(b *testing.B) {
 	for _, churn := range []bool{false, true} {
 		name := "churn=off"

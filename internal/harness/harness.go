@@ -75,7 +75,7 @@ type Options struct {
 	// Tracer, when non-nil, records per-stage spans for every request of
 	// the offloaded runs (see internal/trace). The anatomy experiment
 	// provisions its own tracer per mode; set this to observe other
-	// experiments live through trace.NewDebugMux.
+	// experiments live through trace.NewDebugMux's DebugOptions.Tracer.
 	Tracer *trace.Tracer
 	// Registry, when non-nil, receives the flush-reason counters of the
 	// offloaded Fig. 8 runs (rpcrdma_flush_total).

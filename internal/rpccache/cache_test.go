@@ -287,8 +287,7 @@ func TestGetZeroAlloc(t *testing.T) {
 
 // BenchmarkCacheHit is the hot-path cost of serving one cached RPC: hash
 // over a small request, bucket probe, key compare, LRU touch. Zero
-// allocations (gated by TestGetZeroAlloc and the checked-in allocs/op in
-// BENCH_cache.json).
+// allocations (gated by TestGetZeroAlloc).
 func BenchmarkCacheHit(b *testing.B) {
 	c := New(Config{MaxBytes: 1 << 20, Methods: 2})
 	k := []byte("small-request-15B")
@@ -321,8 +320,7 @@ func BenchmarkCacheMiss(b *testing.B) {
 // BenchmarkCacheZipfHitRate drives the cache with the zipfian key
 // popularity of the cachescale experiment (s=1.1, 1024 keys, cache sized
 // for a quarter of them) and reports the steady-state hit rate as a custom
-// metric — gated in bench-check via benchjson's per-metric tolerance
-// (ratios cannot be compared with the global ns/op tolerance).
+// metric: go test -bench CacheZipfHitRate -run '^$' ./internal/rpccache.
 func BenchmarkCacheZipfHitRate(b *testing.B) {
 	const nkeys = 1024
 	keys := make([][]byte, nkeys)

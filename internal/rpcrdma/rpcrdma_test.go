@@ -730,8 +730,8 @@ func TestAlignUp(t *testing.T) {
 // coalescing: up to commit=N messages share one doorbell. The driver keeps
 // 256 calls in flight so batches fill immediately; the short flush timeout
 // only bounds the final partial batch of each measurement round. commit=1
-// is the flush-every-pass baseline of BenchmarkEchoRoundTrip64B.
-// Snapshotted into BENCH_batch.json by `make bench`.
+// is the flush-every-pass baseline of BenchmarkEchoRoundTrip64B. Run with
+// go test -bench EchoBatch -benchmem -run '^$' ./internal/rpcrdma.
 func BenchmarkEchoBatch(b *testing.B) {
 	for _, commit := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("commit=%d", commit), func(b *testing.B) {

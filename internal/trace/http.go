@@ -30,7 +30,7 @@ import (
 //	/healthz  liveness probe
 //	/debug/pprof/ net/http/pprof profiles (opt-in via DebugOptions.Pprof)
 
-// DebugOptions configures NewDebugMuxOpts. Every field is optional; the
+// DebugOptions configures NewDebugMux. Every field is optional; the
 // endpoints that depend on a missing field report 404.
 type DebugOptions struct {
 	// Registry backs /metrics.
@@ -57,22 +57,8 @@ type DebugOptions struct {
 	Pprof bool
 }
 
-// NewDebugMux builds the debug handler. reg and t may each be nil (the
-// corresponding endpoints report 404). refresh, when non-nil, runs before
-// each /metrics render so gauges sampled on demand can be brought up to
-// date.
-func NewDebugMux(reg *metrics.Registry, t *Tracer, refresh func()) *http.ServeMux {
-	return NewDebugMuxOpts(DebugOptions{Registry: reg, Tracer: t, Refresh: refresh})
-}
-
-// NewDebugMuxWith is NewDebugMux with an /anatomy footer hook (see
-// DebugOptions.AnatomyExtra).
-func NewDebugMuxWith(reg *metrics.Registry, t *Tracer, refresh func(), anatomyExtra func(w io.Writer)) *http.ServeMux {
-	return NewDebugMuxOpts(DebugOptions{Registry: reg, Tracer: t, Refresh: refresh, AnatomyExtra: anatomyExtra})
-}
-
-// NewDebugMuxOpts builds the debug handler from DebugOptions.
-func NewDebugMuxOpts(opts DebugOptions) *http.ServeMux {
+// NewDebugMux builds the debug handler from DebugOptions.
+func NewDebugMux(opts DebugOptions) *http.ServeMux {
 	reg, t := opts.Registry, opts.Tracer
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {

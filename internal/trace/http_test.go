@@ -20,7 +20,7 @@ import (
 
 func testMux(t *testing.T, opts DebugOptions) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewDebugMuxOpts(opts))
+	srv := httptest.NewServer(NewDebugMux(opts))
 	t.Cleanup(srv.Close)
 	return srv
 }

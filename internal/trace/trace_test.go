@@ -279,7 +279,7 @@ func TestDebugMux(t *testing.T) {
 	a.Span(StageMeasure, ProcDPU, 1, t0, t0+1000)
 	tr.Finish(a, false)
 
-	srv, err := ListenDebug("127.0.0.1:0", NewDebugMux(reg, tr, nil))
+	srv, err := ListenDebug("127.0.0.1:0", NewDebugMux(DebugOptions{Registry: reg, Tracer: tr}))
 	if err != nil {
 		t.Fatal(err)
 	}

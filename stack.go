@@ -66,7 +66,8 @@ type StackOptions struct {
 	HostWorkers int
 	// Registry, when non-nil, receives per-method RPC series (requests,
 	// errors, request/response bytes, in-flight gauge) recorded by the
-	// xRPC server's reply observer. Expose it live with trace.NewDebugMux.
+	// xRPC server's reply observer. Expose it live as
+	// trace.NewDebugMux's DebugOptions.Registry.
 	Registry *metrics.Registry
 	// Window, when non-nil, collects per-request end-to-end latency into
 	// sliding-window histograms: /metrics and /anatomy report the trailing
