@@ -64,6 +64,9 @@ type Deployment struct {
 	// them round-robin.
 	Pollers []*rpcrdma.ServerPoller
 	DPUs    []*DPUServer
+	// HostConns are the host endpoints the DPUs first connected to,
+	// parallel to DPUs (a redial replaces both ends of a connection).
+	HostConns []*rpcrdma.ServerConn
 	// Cache is the DPU-resident response cache shared by every connection's
 	// server (nil unless DeployConfig.CacheMethods is set). Shared state
 	// lives here — not on any connection — so it survives redials.
@@ -314,7 +317,7 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 			p.Seed += uint32(i)
 			scfgi.Faults = &p
 		}
-		client, _, err := rpcrdma.Connect(dpuDev, hostDev, ccfgi, scfgi, poller, host.Handler())
+		client, server, err := rpcrdma.Connect(dpuDev, hostDev, ccfgi, scfgi, poller, host.Handler())
 		if err != nil {
 			return nil, err
 		}
@@ -344,6 +347,7 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 			return nil, err
 		}
 		d.DPUs = append(d.DPUs, dpu)
+		d.HostConns = append(d.HostConns, server)
 	}
 	return d, nil
 }

@@ -3,7 +3,9 @@
 // objects through a shared address space, so the receiving side never runs
 // a deserializer.
 //
-// Protocol features implemented:
+// Both directions speak one block format, implemented once (engine.go): a
+// sender and a receiver, embedded in ClientConn (the DPU side) and
+// ServerConn (the host side), which add only what differs by direction.
 //
 //   - Nagle-style batching of messages into blocks written with a single
 //     RDMA write-with-immediate (Sec. IV); partial blocks are flushed by the
@@ -15,17 +17,15 @@
 //     mirrored receive buffer (Sec. IV-E).
 //   - Credit-based congestion control, one credit per in-flight block per
 //     direction (Sec. IV-C), kept live by two rules (Sec. VI-A, see
-//     ServerConn.canSend and flushPartial).
-//   - Implicit acknowledgments (Sec. IV-B), piggybacked in both directions:
-//     the client acks response blocks with a counter in the preamble of its
-//     next request block, and the server acks request blocks with a counter
-//     in the preamble of its next response block. The server's counter
-//     advances once every request of a block is answered (in receive
-//     order), which generalizes the paper's first-response rule so that
-//     background handlers (Sec. III-D) can keep reading a block after its
-//     first response leaves. Under a low workload, pending acks that no
-//     request traffic would carry are flushed in an empty block by the
-//     event loop (the deadlock-avoidance flush of Sec. IV).
+//     sender.canSend and sender.maybeSeal).
+//   - Implicit acknowledgments (Sec. IV-B), piggybacked in both directions
+//     as a counter in the next preamble. A block becomes acknowledgeable
+//     once every message in it is answered (in receive order), which
+//     generalizes the paper's first-response rule so that background
+//     handlers (Sec. III-D) can keep reading a block after its first
+//     response leaves. Under a low workload the client flushes
+//     acknowledgments no request would carry in an empty block (the
+//     deadlock-avoidance flush of Sec. IV).
 //   - Deterministic request IDs from a 2^16 pool, never transmitted with
 //     requests: both sides replay the same free-then-allocate sequence in
 //     RC order (Sec. IV-D).
@@ -37,19 +37,16 @@
 //   - Object-payload responses (header flag): the response-serialization
 //     offload of Sec. III-A, where the host ships a response object through
 //     the shared region and the DPU produces the wire bytes.
-//   - Duplex pipelining: the client side reserves request slots, builds
-//     payloads on worker goroutines, and commits in admission order
-//     (Reserve/Commit/Cancel); the server side mirrors it for responses
-//     (ReserveResponse/CommitResponse/CancelResponse, enabled by
-//     Config.HostWorkers > 1), so both directions scale across cores while
-//     QP/CQ state stays single-threaded.
+//   - Reserve/Commit/Cancel in both directions: slots are reserved in
+//     order, built anywhere, and committed in any order, so payload builds
+//     scale across cores while QP/CQ state stays single-threaded.
 //   - Event-driven pollers: without BusyPoll a poller with nothing to do
 //     sleeps on its receive CQ (the poll() path of Sec. III-C) and is woken
 //     by the next completion or by Wake, which producers ring after handing
 //     it work through any other queue; WaitTimeout is only the idle
-//     heartbeat. Per-block state (blocks, their parallel slices, request-
-//     block trackers) is recycled through owner-private free lists, so the
-//     smaller blocks that prompt wake-ups produce cost no allocations.
+//     heartbeat. Per-block state is recycled through owner-private free
+//     lists, so the smaller blocks that prompt wake-ups cost no
+//     allocations.
 package rpcrdma
 
 import (

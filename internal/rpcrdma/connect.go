@@ -92,8 +92,7 @@ func Connect(clientDev, serverDev *rdma.Device, ccfg, scfg Config, poller *Serve
 	// "boundary" without touching the wire format.
 	if ccfg.Tracer != nil || scfg.Tracer != nil {
 		tab := make([]atomic.Uint64, IDPoolSize)
-		cc.traceTab = tab
-		sc.traceTab = tab
+		cc.traceTab, cc.traced, sc.traceTab = tab, true, tab
 	}
 	if err := poller.attach(serverQP.Num, sc, needed); err != nil {
 		clientQP.Close()

@@ -19,13 +19,13 @@ import (
 //
 //	poller: dxAdmit            → taskQ (stage dxHandle)
 //	worker: run handler        → doneQ
-//	poller: dxReserveReady     → ReserveResponse in completion order → taskQ (stage dxBuild)
+//	poller: dxReserveReady     → reserveResponse in completion order → taskQ (stage dxBuild)
 //	worker: spec.Build(Dst)    → doneQ
-//	poller: dxCollect          → CommitResponse (or error tombstone)
+//	poller: dxCollect          → respond (or error tombstone)
 //
 // Reservations follow handler completion order (dxReady), so a slow handler
 // holds back no other response; commits follow build completion, safe because
-// a slot's position is fixed at reserve and trySendResponses stalls on blocks
+// a slot's position is fixed at reserve and trySend stalls on blocks
 // with pending slots. Neither order matters to the ID replay: headers carry
 // request IDs, and both sides free them in slot order on acknowledgment.
 
@@ -50,7 +50,7 @@ type respTask struct {
 	req   Request
 	stage respStage
 	spec  ResponseSpec
-	res   *RespReservation
+	res   *Reservation
 	root  uint32
 	used  int
 	err   error
@@ -119,24 +119,20 @@ func (p *duplexPool) close() {
 	p.wg.Wait()
 }
 
-// dxAdmit enters one request into the duplex pipeline, spilling to the
-// backlog when the in-flight bound is reached (backpressure keeps channel
-// occupancy under the channel capacity). Poller-only.
+// dxAdmit enters one request into the duplex pipeline through the backlog,
+// which holds it while the in-flight bound is reached (backpressure keeps
+// channel occupancy under the channel capacity). Poller-only.
 func (s *ServerConn) dxAdmit(id uint16, req Request) {
 	t := &respTask{id: id, req: req, stage: dxHandle}
 	if s.traceOf != nil {
 		t.tr = s.traceOf[id]
 	}
-	if s.dxInflight < s.dxMax {
-		s.dxInflight++
-		s.duplex.taskQ <- t
-	} else {
-		s.dxBacklog = append(s.dxBacklog, t)
-	}
+	s.dxBacklog = append(s.dxBacklog, t)
+	s.dxDispatchBacklog()
 }
 
-// dxDispatchBacklog moves backlogged requests into the pool as slots free
-// up.
+// dxDispatchBacklog moves backlogged requests into the pool, in order, as
+// slots free up.
 func (s *ServerConn) dxDispatchBacklog() {
 	for len(s.dxBacklog) > 0 && s.dxInflight < s.dxMax {
 		t := s.dxBacklog[0]
@@ -164,16 +160,11 @@ func (s *ServerConn) dxCollect() int {
 				s.dxInflight--
 				if t.err != nil {
 					s.Counters.DuplexTombstones++
-					// Tombstones carry an empty payload: drop the SG framing
-					// the spec requested before the failed build.
-					t.res.SG, t.res.SGSegs, t.res.SGBytes = false, 0, 0
-					if err := s.CommitResponse(t.res, duplexBuildFailed, true, false, 0, 0); err != nil {
-						s.fail(err)
-					}
+					s.bury(t.res)
 					continue
 				}
 				s.Counters.DuplexBuilt++
-				if err := s.CommitResponse(t.res, t.spec.Status, t.spec.Err, t.spec.Object, t.root, t.used); err != nil {
+				if err := s.respond(t.res, t.spec.Status, t.spec.Err, t.spec.Object, t.root, t.used); err != nil {
 					s.fail(err)
 				}
 			}
@@ -192,11 +183,7 @@ func (s *ServerConn) dxReserveReady() {
 	n := 0
 	for ; n < len(s.dxReady); n++ {
 		t := s.dxReady[n]
-		r, err := s.ReserveResponse(t.id, t.spec.Size)
-		if errors.Is(err, ErrTooLargeForBuffer) {
-			t.spec = refusal(err)
-			r, err = s.ReserveResponse(t.id, t.spec.Size)
-		}
+		r, err := s.reserveResponse(t.id, &t.spec)
 		if err != nil {
 			if errors.Is(err, arena.ErrOutOfMemory) {
 				break // retry after acks reclaim blocks
@@ -205,10 +192,9 @@ func (s *ServerConn) dxReserveReady() {
 			s.dxInflight--
 			continue
 		}
-		r.SG, r.SGSegs, r.SGBytes = t.spec.SG, t.spec.SGSegs, t.spec.SGBytes
 		if t.spec.Build == nil {
 			s.dxInflight--
-			if err := s.CommitResponse(r, t.spec.Status, t.spec.Err, t.spec.Object, 0, t.spec.Size); err != nil {
+			if err := s.respond(r, t.spec.Status, t.spec.Err, t.spec.Object, 0, t.spec.Size); err != nil {
 				s.fail(err)
 			}
 			continue

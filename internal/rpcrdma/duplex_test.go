@@ -273,9 +273,9 @@ func pumpUntil(t *testing.T, r *testRig, cond func() bool) {
 		}
 	}
 	if !cond() {
-		t.Fatalf("stalled: client credits=%d acks pending=%d unacked=%d; server credits=%d ackReady=%d sendQ=%d",
-			r.client.Credits(), r.client.ackBlocks, len(r.client.unacked),
-			r.server.Credits(), r.server.ackReady, len(r.server.sendQ))
+		t.Fatalf("stalled: client credits=%d acks pending=%d unacked=%d; server credits=%d acks pending=%d sendQ=%d",
+			r.client.Credits(), r.client.acks, len(r.client.unacked),
+			r.server.Credits(), r.server.acks, len(r.server.sendQ))
 	}
 }
 
@@ -563,8 +563,8 @@ func TestDuplexLivenessHeldHeadRequest(t *testing.T) {
 	if got == fast {
 		t.Fatal("every fast response arrived: the held request no longer blocks the acknowledgment prefix")
 	}
-	if c := r.server.Credits(); c != 1 || r.server.ackReady != 0 {
-		t.Errorf("server credits=%d ackReady=%d, want the last credit and nothing to acknowledge", c, r.server.ackReady)
+	if c := r.server.Credits(); c != 1 || r.server.acks != 0 {
+		t.Errorf("server credits=%d acks pending=%d, want the last credit and nothing to acknowledge", c, r.server.acks)
 	}
 	open(0)
 	pumpUntil(t, r, func() bool { return got == fast+1 })

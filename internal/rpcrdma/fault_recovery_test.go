@@ -39,7 +39,7 @@ func TestSendFaultRetryTransparent(t *testing.T) {
 }
 
 // The same transparency holds for injected faults on the server's response
-// path (trySendResponses retry-in-place).
+// path (the same retry-in-place in the host's sender).
 func TestServerSendFaultRetryTransparent(t *testing.T) {
 	ccfg, scfg := faultCfgs()
 	scfg.Faults = &fault.Plan{ErrorRate: 0.3, Seed: 11}

@@ -19,10 +19,9 @@ func recycleRig(t *testing.T, tr *trace.Tracer) *testRig {
 
 // One message per block is what the event-driven poller produces at low
 // load, so per-block state must cost nothing: after warm-up a whole echo
-// round trip allocates nothing — no block, respBlock, reqBlockState, ID
-// list or dispatch list on either endpoint, and no per-message handle (the
-// client's Reservation and the server's RespReservation live in their
-// block's per-slot storage).
+// round trip allocates nothing — no block, inBlock tracker, ID list or
+// dispatch list on either endpoint, and no per-message handle (each side's
+// Reservations live in their block's per-slot storage).
 func TestSteadyStateBlocksDoNotAllocate(t *testing.T) {
 	r := recycleRig(t, trace.New(trace.Config{}))
 	cont := func(Response) {}
@@ -126,21 +125,21 @@ func TestRecycledBlocksCarryNoPreviousState(t *testing.T) {
 
 	// Server side: the three-response block was freed by the acknowledgment
 	// that rode tenancy 2's request block and reused for its one response.
-	if len(r.server.unfree) != 1 {
-		t.Fatalf("server has %d unacknowledged response blocks, want 1", len(r.server.unfree))
+	if len(r.server.unacked) != 1 {
+		t.Fatalf("server has %d unacknowledged response blocks, want 1", len(r.server.unacked))
 	}
-	if rb := r.server.unfree[0]; rb.msgs != 1 || len(rb.ids) != 1 || rb.pending != 0 || cap(rb.ids) < 3 {
+	if rb := r.server.unacked[0]; rb.msgs != 1 || len(rb.ids) != 1 || rb.pending != 0 || cap(rb.ids) < 3 {
 		t.Errorf("reused response block: msgs=%d ids=%v pending=%d cap=%d; want one fresh ID on the recycled struct",
 			rb.msgs, rb.ids, rb.pending, cap(rb.ids))
 	}
-	if len(r.server.reqBlocks) != 0 || len(r.server.reqBlockOf) != 0 {
+	if len(r.server.open) != 0 || len(r.server.reqBlockOf) != 0 {
 		t.Errorf("server still tracks %d request blocks / %d IDs after every response left",
-			len(r.server.reqBlocks), len(r.server.reqBlockOf))
+			len(r.server.open), len(r.server.reqBlockOf))
 	}
-	if n := len(r.server.freeReqBlocks); n == 0 {
+	if n := len(r.server.freeOpen); n == 0 {
 		t.Error("answered request-block states were not recycled")
 	}
-	for _, rb := range r.server.freeReqBlocks {
+	for _, rb := range r.server.freeOpen {
 		if rb.remaining != 0 {
 			t.Errorf("parked request-block state has %d requests remaining", rb.remaining)
 		}

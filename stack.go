@@ -313,40 +313,47 @@ func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 				return float64([3]uint64{cqe, kick, timer}[i])
 			})
 	}
+	// Each connection's occupancy, from both of its ends: side="dpu" is the
+	// DPU's request sender, side="host" the host's response sender.
 	for i, dpu := range s.deployment.DPUs {
-		g := dpu.Client().Gauges()
-		l := map[string]string{"conn": strconv.Itoa(i)}
-		smp.Register("conn_arena_in_use_bytes",
-			"Send-arena bytes in use on the DPU client endpoint.", l,
-			func() float64 { return float64(g.ArenaInUse.Load()) })
-		smp.Register("conn_arena_size_bytes",
-			"Send-arena capacity of the DPU client endpoint.", l,
-			func() float64 { return float64(g.ArenaSize.Load()) })
-		smp.Register("conn_send_queue_depth",
-			"Sealed request blocks waiting for credits or IDs.", l,
-			func() float64 { return float64(g.SendQueued.Load()) })
-		smp.Register("conn_partial_block_msgs",
-			"Messages buffered in the unsealed partial block.", l,
-			func() float64 { return float64(g.PartialMsgs.Load()) })
-		smp.Register("conn_unacked_blocks",
-			"Request blocks sent but not yet acknowledged.", l,
-			func() float64 { return float64(g.Unacked.Load()) })
-		smp.Register("conn_outstanding_requests",
-			"Requests in flight on the connection.", l,
-			func() float64 { return float64(g.Outstanding.Load()) })
-		smp.Register("conn_credits",
-			"Send credits remaining on the connection.", l,
-			func() float64 { return float64(g.Credits.Load()) })
-		smp.Register("conn_credit_stalls_total",
-			"Sends deferred for lack of a credit on the DPU client endpoint.", l,
-			func() float64 { return float64(g.CreditStalls.Load()) })
-		smp.Register("conn_ack_only_blocks_total",
-			"Empty blocks the DPU client sent only to carry acknowledgments.", l,
-			func() float64 { return float64(g.AckOnlyBlocks.Load()) })
-		smp.Register("conn_acks_pending",
-			"Response blocks the DPU client processed but has not yet acknowledged.", l,
-			func() float64 { return float64(g.AcksPending.Load()) })
+		conn := strconv.Itoa(i)
+		registerConnGauges(smp, map[string]string{"conn": conn, "side": "dpu"}, dpu.Client().Gauges())
+		registerConnGauges(smp, map[string]string{"conn": conn, "side": "host"}, s.deployment.HostConns[i].Gauges())
 	}
+}
+
+// registerConnGauges registers one connection endpoint's conn_* series.
+func registerConnGauges(smp *metrics.Sampler, l map[string]string, g *rpcrdma.ConnGauges) {
+	smp.Register("conn_arena_in_use_bytes",
+		"Send-arena bytes in use on the endpoint.", l,
+		func() float64 { return float64(g.ArenaInUse.Load()) })
+	smp.Register("conn_arena_size_bytes",
+		"Send-arena capacity of the endpoint.", l,
+		func() float64 { return float64(g.ArenaSize.Load()) })
+	smp.Register("conn_send_queue_depth",
+		"Sealed blocks waiting for credits or request IDs.", l,
+		func() float64 { return float64(g.SendQueued.Load()) })
+	smp.Register("conn_partial_block_msgs",
+		"Messages buffered in the unsealed partial block.", l,
+		func() float64 { return float64(g.PartialMsgs.Load()) })
+	smp.Register("conn_unacked_blocks",
+		"Blocks sent but not yet acknowledged by the peer.", l,
+		func() float64 { return float64(g.Unacked.Load()) })
+	smp.Register("conn_outstanding_requests",
+		"Requests in flight on the endpoint: awaiting a response (dpu) or being answered (host).", l,
+		func() float64 { return float64(g.Outstanding.Load()) })
+	smp.Register("conn_credits",
+		"Send credits remaining on the endpoint.", l,
+		func() float64 { return float64(g.Credits.Load()) })
+	smp.Register("conn_credit_stalls_total",
+		"Sends deferred for lack of a credit on the endpoint.", l,
+		func() float64 { return float64(g.CreditStalls.Load()) })
+	smp.Register("conn_ack_only_blocks_total",
+		"Empty blocks the endpoint sent only to carry acknowledgments.", l,
+		func() float64 { return float64(g.AckOnlyBlocks.Load()) })
+	smp.Register("conn_acks_pending",
+		"Blocks the endpoint received and may acknowledge but has not yet.", l,
+		func() float64 { return float64(g.AcksPending.Load()) })
 }
 
 // Cache returns the deployment's shared response cache (nil unless

@@ -2,7 +2,10 @@ package dpurpc_test
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,7 +152,7 @@ func TestCreditGauges(t *testing.T) {
 	last := func(name string) float64 {
 		t.Helper()
 		smp.SampleOnce()
-		s := smp.Series()[name+`{conn="0"}`]
+		s := smp.Series()[name+`{conn="0",side="dpu"}`]
 		if len(s) == 0 {
 			t.Fatalf("gauge %s not registered (have %v)", name, smp.SeriesKeys())
 		}
@@ -184,5 +187,76 @@ func TestCreditGauges(t *testing.T) {
 	}
 	if v := last("conn_acks_pending"); v < 0 || v > float64(dpurpc.DefaultServerConfig().Credits) {
 		t.Errorf("conn_acks_pending = %v, want within [0, server credits]", v)
+	}
+}
+
+// The host's response sender exports the same conn_* series as the DPU's
+// request sender, under side="host". Scraped the way /metrics serves them
+// (sample, then render the registry text), the host's credits must fall
+// below their budget while responses are in flight.
+func TestHostConnGauges(t *testing.T) {
+	schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := dpurpc.StackOptions{HostWorkers: 2}
+	opts.ServerConfig.Credits = 8
+	stack, err := dpurpc.NewOffloadedStack(schema, greeterImpls(t, schema), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	reg := metrics.NewRegistry()
+	smp := metrics.NewSampler(time.Hour, 4, reg) // sampled by hand
+	stack.RegisterGauges(smp)
+	scrape := func(series string) float64 {
+		t.Helper()
+		smp.SampleOnce()
+		for _, line := range strings.Split(reg.Render(), "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics has no %s", series)
+		return 0
+	}
+	const credits = `conn_credits{conn="0",side="host"}`
+	if v := scrape(credits); v != 8 {
+		t.Fatalf("idle %s = %v, want the full budget of 8", credits, v)
+	}
+	req := schema.NewMessage("demo.HelloRequest")
+	req.SetString("name", "h")
+	payload := req.Marshal(nil)
+	call := stack.Handler()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if status, _ := call("/demo.Greeter/Hello", payload); status != 0 {
+					t.Errorf("status %d", status)
+					return
+				}
+			}
+		}()
+	}
+	defer func() { stop.Store(true); wg.Wait() }()
+	deadline := time.Now().Add(5 * time.Second)
+	for scrape(credits) >= 8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s stayed at 8 under load", credits)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	for _, name := range []string{"conn_send_queue_depth", "conn_unacked_blocks", "conn_acks_pending", "conn_outstanding_requests"} {
+		if v := scrape(name + `{conn="0",side="host"}`); v < 0 {
+			t.Errorf("%s{side=\"host\"} = %v", name, v)
+		}
 	}
 }
