@@ -24,7 +24,9 @@ build:
 # writer's, handler-dispatch and deadline tests on one CPU, where a lost
 # writer wake-up shows up as a hang. The fifth repeats the offloaded stack's
 # background-handler test on one CPU, where the duplex worker can pick the
-# slow call up only after every fast one is answered.
+# slow call up only after every fast one is answered. The sixth repeats the
+# allocation pins on one CPU, where the duplex worker and the poller share
+# sync.Pool's per-P caches.
 test: fmt-check
 	go vet ./...
 	go test ./...
@@ -32,6 +34,7 @@ test: fmt-check
 	GOMAXPROCS=1 go test -count=20 -run 'TestLivenessDoesNotDependOnHeartbeat' .
 	GOMAXPROCS=1 go test -count=20 -run 'Writer|Park|Deadline' ./internal/xrpc ./internal/offload
 	GOMAXPROCS=1 go test -count=20 -run 'Background' ./internal/offload
+	GOMAXPROCS=1 go test -count=5 -run DoesNotAllocate ./internal/offload ./internal/protomsg
 
 # Fail on unformatted files (gofmt prints the offenders).
 fmt-check:

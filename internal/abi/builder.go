@@ -28,11 +28,18 @@ type Builder struct {
 // at region offset base. If base is 0, an 8-byte guard is reserved so no
 // object can ever be placed at region offset 0 (NullRef).
 func NewBuilder(bump *arena.Bump, base uint64) *Builder {
-	b := &Builder{bump: bump, base: base}
+	b := &Builder{}
+	b.Reset(bump, base)
+	return b
+}
+
+// Reset rebinds the builder to bump at region offset base, as NewBuilder
+// does, so an owner can keep one Builder by value and reuse it.
+func (b *Builder) Reset(bump *arena.Bump, base uint64) {
+	b.bump, b.base = bump, base
 	if base == 0 && bump.Used() == 0 {
 		bump.Alloc(8, 8) // guard; ignore error: a <8-byte region is useless anyway
 	}
-	return b
 }
 
 // Region returns a region view over the builder's backing buffer, for

@@ -256,5 +256,9 @@ func (b *Bump) Cap() int { return len(b.buf) }
 // Reset discards all allocations, retaining the backing buffer.
 func (b *Bump) Reset() { b.off = 0 }
 
+// Rebind discards all allocations and moves the allocator onto buf, so an
+// owner can keep one Bump by value and reuse it.
+func (b *Bump) Rebind(buf []byte) { b.buf, b.off = buf, 0 }
+
 // Bytes returns the full backing buffer (used to transmit the built block).
 func (b *Bump) Bytes() []byte { return b.buf }

@@ -125,19 +125,38 @@ func (cb localReply) reply(r callResult) {
 	}
 }
 
-// respBufPool recycles the buffers of responses the poller serializes (or
-// copies out): the poller takes one per response and the xRPC transport
-// hands it back (putRespBuf) after writing the frame.
-var respBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
+// respBuf is a pooled buffer for a response the poller serializes (or copies
+// out): the poller takes one per response and the xRPC transport hands it
+// back, through release, after writing the frame.
+type respBuf struct {
+	b []byte
+	// release is rb.put, bound once when the pool made the buffer, so a
+	// reply carries it without allocating a closure.
+	release func()
 }
 
-func putRespBuf(bp *[]byte) {
-	xrpc.PoisonReleased(*bp)
-	respBufPool.Put(bp)
+// maxPooledRespBuf is the largest response buffer put back in respBufPool,
+// the same 1 MiB as the xRPC request-frame pool's largest class: a larger one
+// is left to the GC instead of pinning its capacity in the pool.
+const maxPooledRespBuf = 1 << 20
+
+var respBufPool sync.Pool
+
+func getRespBuf() *respBuf {
+	if rb, _ := respBufPool.Get().(*respBuf); rb != nil {
+		return rb
+	}
+	rb := &respBuf{b: make([]byte, 0, 4096)}
+	rb.release = rb.put
+	return rb
+}
+
+func (rb *respBuf) put() {
+	xrpc.PoisonReleased(rb.b)
+	if cap(rb.b) > maxPooledRespBuf {
+		return
+	}
+	respBufPool.Put(rb)
 }
 
 // DPUConfig tunes one DPU server.
@@ -284,6 +303,11 @@ type DPUServer struct {
 	reconNextAt   time.Time
 	reconBackoff  time.Duration
 	reconAttempts int
+
+	// segRefs and sgDescs are buildInto's scratch for a request's SG
+	// segments and their table. Poller-owned, like buildInto.
+	segRefs []deser.SegRef
+	sgDescs []rpcrdma.SGDesc
 }
 
 // NewDPUServer builds the DPU side from the table received at handshake and
@@ -487,12 +511,12 @@ func (d *DPUServer) buildInto(dd *deser.Deserializer, task *callTask, dst []byte
 	if err != nil {
 		return 0, 0, err
 	}
-	refs := dd.PlaceSegments(task.data, task.notes, dst[segOff:segOff+task.segBytes], nil)
-	descs := make([]rpcrdma.SGDesc, len(refs))
-	for i, r := range refs {
-		descs[i] = rpcrdma.SGDesc{Field: r.FieldNum, Off: uint32(segOff) + r.Off, Len: r.Len}
+	d.segRefs = dd.PlaceSegments(task.data, task.notes, dst[segOff:segOff+task.segBytes], d.segRefs[:0])
+	d.sgDescs = d.sgDescs[:0]
+	for _, r := range d.segRefs {
+		d.sgDescs = append(d.sgDescs, rpcrdma.SGDesc{Field: r.FieldNum, Off: uint32(segOff) + r.Off, Len: r.Len})
 	}
-	rpcrdma.PutSGTable(dst[:tbl], descs)
+	rpcrdma.PutSGTable(dst[:tbl], d.sgDescs)
 	return rootAbs, segOff + task.segBytes, nil
 }
 
@@ -711,25 +735,23 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 		view := abi.MakeView(
 			&abi.Region{Buf: resp.Payload, Base: resp.RegionOff},
 			resp.RegionOff+uint64(resp.Root), task.entry.out)
-		bp := respBufPool.Get().(*[]byte)
-		serialized, err := deser.Serialize(view, (*bp)[:0])
+		rb := getRespBuf()
+		serialized, err := deser.Serialize(view, rb.b[:0])
+		rb.b = serialized
 		if err != nil {
-			putRespBuf(bp)
+			rb.put()
 			d.failTask(task, err)
 			return
 		}
-		*bp = serialized
 		d.serialized.Add(uint64(len(serialized)))
-		out = serialized
-		release = func() { putRespBuf(bp) }
+		out, release = serialized, rb.release
 	} else if len(resp.Payload) > 0 {
 		// Host-serialized protobuf: copy it out of the block (its slot is
 		// recycled after this continuation) into a pooled buffer and
 		// forward verbatim.
-		bp := respBufPool.Get().(*[]byte)
-		*bp = append((*bp)[:0], resp.Payload...)
-		out = *bp
-		release = func() { putRespBuf(bp) }
+		rb := getRespBuf()
+		rb.b = append(rb.b[:0], resp.Payload...)
+		out, release = rb.b, rb.release
 	}
 	if traced {
 		task.tr.Span(trace.StageRespSerialize, trace.ProcDPU, 0, serT0, trace.Now())

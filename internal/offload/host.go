@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"dpurpc/internal/abi"
@@ -8,6 +9,7 @@ import (
 	"dpurpc/internal/arena"
 	"dpurpc/internal/objconv"
 	"dpurpc/internal/protodesc"
+	"dpurpc/internal/protomsg"
 	"dpurpc/internal/rpcrdma"
 	"dpurpc/internal/trace"
 )
@@ -49,6 +51,8 @@ type HostServer struct {
 	// tracer resolves propagated trace IDs (Request.Trace) and records a
 	// host.handler span around every traced dispatch.
 	tracer *trace.Tracer
+	// builders pools the response builders dispatch hands out (respBuilder).
+	builders sync.Pool
 	// started flips on the first dispatched request; the setters above
 	// refuse to run after that (they would race the handler goroutines).
 	started atomic.Bool
@@ -68,7 +72,9 @@ func NewHostServer(table *adt.Table, impls map[string]Impl) (*HostServer, error)
 	if err != nil {
 		return nil, err
 	}
-	return &HostServer{table: table, procs: procs}, nil
+	h := &HostServer{table: table, procs: procs}
+	h.builders.New = func() any { return newRespBuilder(&h.builders) }
+	return h, nil
 }
 
 // SetResponseObjects toggles the response-serialization offload. Must be
@@ -184,116 +190,167 @@ func (h *HostServer) dispatch(req rpcrdma.Request) rpcrdma.ResponseSpec {
 		return rpcrdma.ResponseSpec{Status: 0}
 	}
 	h.responseMsgs.Add(1)
-	if h.respObjects {
-		// Response-serialization offload: build the response *object*
-		// in the shared region; the DPU turns it into protobuf bytes.
-		size, err := objconv.MeasureMessage(e.out, resp)
-		if err != nil {
-			h.handlerErrors.Add(1)
-			return rpcrdma.ResponseSpec{Status: uint16(StatusInternal), Err: true}
-		}
+	rb := h.builders.Get().(*respBuilder)
+	rb.resp = resp
+	if !h.respObjects {
+		// Default mode, as in the paper: response serialization stays on
+		// the host; the bytes are written directly into the response block
+		// and the DPU forwards them to the xRPC client untouched.
+		size := resp.Size()
 		h.responseBytes.Add(uint64(size))
-		// SG framing is decided here, at spec time: the spec is copied by
-		// value into the response pipeline before Build runs, and Size must
-		// already cover the table and segment area.
-		var sgFields []*protodesc.Field
-		segBytes, objSize := 0, size
-		if h.sgPayloadMin > 0 {
-			// Strings at or under the SSO capacity are already inline in the
-			// record and never worth a segment, whatever the threshold says.
-			min := h.sgPayloadMin
-			if min <= abi.SSOCapacity {
-				min = abi.SSOCapacity + 1
-			}
-			for i := range e.out.Fields {
-				f := e.out.Fields[i].Desc
-				if f.Repeated || (f.Kind != protodesc.KindString && f.Kind != protodesc.KindBytes) {
-					continue
-				}
-				if !resp.Has(f.Name) {
-					continue
-				}
-				if n := len(resp.Bytes(f.Name)); n >= min {
-					sgFields = append(sgFields, f)
-					segBytes += alignUp8(n)
-					// MeasureMessage counted this payload as an arena spill;
-					// as a segment it leaves the object area.
-					objSize -= n
-				}
-			}
-		}
-		if len(sgFields) == 0 {
-			return rpcrdma.ResponseSpec{
-				Status: 0,
-				Object: true,
-				Size:   size,
-				Build: func(dst []byte, regionOff uint64) (uint32, int, error) {
-					b := abi.NewBuilder(arena.NewBump(dst), regionOff)
-					obj, err := objconv.ToArena(b, e.out, resp)
-					if err != nil {
-						return 0, 0, err
-					}
-					return uint32(obj.Off() - regionOff), b.Used(), nil
-				},
-			}
-		}
-		// SG slot layout: [SG table][object area][payload segments].
-		tbl := rpcrdma.SGTableSize(len(sgFields))
-		segOff := tbl + alignUp8(objSize)
-		total := segOff + segBytes
-		return rpcrdma.ResponseSpec{
-			Status:  0,
-			Object:  true,
-			Size:    total,
-			SG:      true,
-			SGSegs:  len(sgFields),
-			SGBytes: segBytes,
-			Build: func(dst []byte, regionOff uint64) (uint32, int, error) {
-				// Place each payload once into its 8-aligned segment
-				// (padding zeroed so reserved-slot garbage never rides the
-				// wire), then build the object referencing the segments.
-				descs := make([]rpcrdma.SGDesc, 0, len(sgFields))
-				refs := make(map[*protodesc.Field]uint64, len(sgFields))
-				cur := segOff
-				for _, f := range sgFields {
-					data := resp.Bytes(f.Name)
-					end := cur + len(data)
-					copy(dst[cur:end], data)
-					for pad := end; pad < cur+alignUp8(len(data)); pad++ {
-						dst[pad] = 0
-					}
-					refs[f] = regionOff + uint64(cur)
-					descs = append(descs, rpcrdma.SGDesc{
-						Field: uint32(f.Number), Off: uint32(cur), Len: uint32(len(data))})
-					cur += alignUp8(len(data))
-				}
-				b := abi.NewBuilder(arena.NewBump(dst[tbl:segOff]), regionOff+uint64(tbl))
-				obj, err := objconv.ToArenaPlaced(b, e.out, resp,
-					func(f *protodesc.Field, data []byte) (uint64, bool) {
-						ref, ok := refs[f]
-						return ref, ok
-					})
-				if err != nil {
-					return 0, 0, err
-				}
-				rpcrdma.PutSGTable(dst[:tbl], descs)
-				return uint32(obj.Off() - regionOff), total, nil
-			},
-		}
+		return rpcrdma.ResponseSpec{Status: 0, Size: size, Build: rb.build}
 	}
-	// Default mode, as in the paper: response serialization stays on
-	// the host; the bytes are written directly into the response block
-	// and the DPU forwards them to the xRPC client untouched.
-	size := resp.Size()
+	// Response-serialization offload: build the response *object* in the
+	// shared region; the DPU turns it into protobuf bytes.
+	size, err := objconv.MeasureMessage(e.out, resp)
+	if err != nil {
+		rb.release()
+		h.handlerErrors.Add(1)
+		return rpcrdma.ResponseSpec{Status: uint16(StatusInternal), Err: true}
+	}
 	h.responseBytes.Add(uint64(size))
-	return rpcrdma.ResponseSpec{
-		Status: 0,
-		Size:   size,
-		Build: func(dst []byte, regionOff uint64) (uint32, int, error) {
-			out := resp.Marshal(dst[:0])
-			return 0, len(out), nil
-		},
+	rb.lay = e.out
+	// SG framing is decided here, at spec time: the spec is copied by value
+	// into the response pipeline before Build runs, and Size must already
+	// cover the table and segment area.
+	segBytes, objSize := 0, size
+	if h.sgPayloadMin > 0 {
+		// Strings at or under the SSO capacity are already inline in the
+		// record and never worth a segment, whatever the threshold says.
+		min := h.sgPayloadMin
+		if min <= abi.SSOCapacity {
+			min = abi.SSOCapacity + 1
+		}
+		for i := range e.out.Fields {
+			f := e.out.Fields[i].Desc
+			if f.Repeated || (f.Kind != protodesc.KindString && f.Kind != protodesc.KindBytes) {
+				continue
+			}
+			if !resp.Has(f.Name) {
+				continue
+			}
+			if n := len(resp.Bytes(f.Name)); n >= min {
+				rb.sgFields = append(rb.sgFields, f)
+				segBytes += alignUp8(n)
+				// MeasureMessage counted this payload as an arena spill;
+				// as a segment it leaves the object area.
+				objSize -= n
+			}
+		}
 	}
+	if len(rb.sgFields) == 0 {
+		return rpcrdma.ResponseSpec{Status: 0, Object: true, Size: size, Build: rb.build}
+	}
+	// SG slot layout: [SG table][object area][payload segments].
+	rb.tbl = rpcrdma.SGTableSize(len(rb.sgFields))
+	rb.segOff = rb.tbl + alignUp8(objSize)
+	rb.total = rb.segOff + segBytes
+	return rpcrdma.ResponseSpec{
+		Status:  0,
+		Object:  true,
+		Size:    rb.total,
+		SG:      true,
+		SGSegs:  len(rb.sgFields),
+		SGBytes: segBytes,
+		Build:   rb.build,
+	}
+}
+
+// respBuilder writes one handler response into its reserved slot: marshalled
+// protobuf (lay == nil), an object graph, or an object graph referencing
+// scatter-gather segments (sgFields non-empty). Builders are pooled per host
+// server with their method values bound once, so a response spec costs no
+// allocation. dispatch fills one in; the spec's Build, which runs exactly
+// once (the serial path or a duplex worker), returns it to the pool. A spec
+// whose Build never runs (replaced by a refusal, or a broken connection)
+// leaves its builder to the GC.
+type respBuilder struct {
+	pool *sync.Pool
+	resp *protomsg.Message
+	lay  *abi.Layout
+	// SG framing: the payload fields placed as segments, their descriptors
+	// (filled by Build), and the slot layout [table][object area][segments].
+	sgFields           []*protodesc.Field
+	descs              []rpcrdma.SGDesc
+	tbl, segOff, total int
+	regionOff          uint64
+	bump               arena.Bump
+	b                  abi.Builder
+	// build and place are rb.Build and rb.placeSegment, bound when the
+	// pool made the builder.
+	build func(dst []byte, regionOff uint64) (uint32, int, error)
+	place objconv.StrPlacer
+}
+
+func newRespBuilder(pool *sync.Pool) *respBuilder {
+	rb := &respBuilder{pool: pool}
+	rb.build, rb.place = rb.Build, rb.placeSegment
+	return rb
+}
+
+// Build is the response spec's Build: it writes the response into dst (the
+// slot at region offset regionOff) and returns the builder to its pool.
+func (rb *respBuilder) Build(dst []byte, regionOff uint64) (uint32, int, error) {
+	root, used, err := rb.buildInto(dst, regionOff)
+	rb.release()
+	return root, used, err
+}
+
+func (rb *respBuilder) buildInto(dst []byte, regionOff uint64) (uint32, int, error) {
+	if rb.lay == nil {
+		out := rb.resp.Marshal(dst[:0])
+		return 0, len(out), nil
+	}
+	if len(rb.sgFields) == 0 {
+		rb.bump.Rebind(dst)
+		rb.b.Reset(&rb.bump, regionOff)
+		obj, err := objconv.ToArena(&rb.b, rb.lay, rb.resp)
+		if err != nil {
+			return 0, 0, err
+		}
+		return uint32(obj.Off() - regionOff), rb.b.Used(), nil
+	}
+	// Place each payload once into its 8-aligned segment (padding zeroed so
+	// reserved-slot garbage never rides the wire), then build the object
+	// referencing the segments.
+	cur := rb.segOff
+	for _, f := range rb.sgFields {
+		data := rb.resp.Bytes(f.Name)
+		end := cur + len(data)
+		copy(dst[cur:end], data)
+		clear(dst[end : cur+alignUp8(len(data))])
+		rb.descs = append(rb.descs, rpcrdma.SGDesc{
+			Field: uint32(f.Number), Off: uint32(cur), Len: uint32(len(data))})
+		cur += alignUp8(len(data))
+	}
+	rb.regionOff = regionOff
+	rb.bump.Rebind(dst[rb.tbl:rb.segOff])
+	rb.b.Reset(&rb.bump, regionOff+uint64(rb.tbl))
+	obj, err := objconv.ToArenaPlaced(&rb.b, rb.lay, rb.resp, rb.place)
+	if err != nil {
+		return 0, 0, err
+	}
+	rpcrdma.PutSGTable(dst[:rb.tbl], rb.descs)
+	return uint32(obj.Off() - regionOff), rb.total, nil
+}
+
+// placeSegment is the object build's StrPlacer: a field placed as a segment
+// is referenced at its segment's region offset.
+func (rb *respBuilder) placeSegment(f *protodesc.Field, _ []byte) (uint64, bool) {
+	for i, g := range rb.sgFields {
+		if g == f {
+			return rb.regionOff + uint64(rb.descs[i].Off), true
+		}
+	}
+	return 0, false
+}
+
+// release drops the builder's references and returns it to its pool.
+func (rb *respBuilder) release() {
+	rb.resp, rb.lay = nil, nil
+	rb.sgFields, rb.descs = rb.sgFields[:0], rb.descs[:0]
+	rb.bump.Rebind(nil)
+	rb.pool.Put(rb)
 }
 
 // Status codes shared with the xRPC layer.

@@ -208,3 +208,31 @@ func TestDPUHandlerDoesNotPark(t *testing.T) {
 		t.Fatalf("%d of %d calls failed once the host was released", bad.Load(), calls)
 	}
 }
+
+// A released response buffer goes back to respBufPool only up to the
+// request-frame pool's 1 MiB cap: one oversized response must not pin its
+// capacity in the pool for the life of the process.
+func TestRespBufPoolCapsCapacity(t *testing.T) {
+	for i := 0; i < 64; i++ {
+		big := getRespBuf()
+		big.b = make([]byte, 0, maxPooledRespBuf+1)
+		big.release()
+		if rb := getRespBuf(); rb == big || cap(rb.b) > maxPooledRespBuf {
+			t.Fatalf("getRespBuf returned a %d-byte buffer after an oversized release", cap(rb.b))
+		}
+	}
+	if raceEnabled {
+		return // -race drops pool puts at random; the rest needs them kept
+	}
+	// A buffer at the cap is still pooled (retried: a put and the next get
+	// can land on different Ps).
+	for i := 0; i < 64; i++ {
+		rb := getRespBuf()
+		rb.b = make([]byte, 0, maxPooledRespBuf)
+		rb.release()
+		if getRespBuf() == rb {
+			return
+		}
+	}
+	t.Error("a buffer at the cap never came back from the pool")
+}

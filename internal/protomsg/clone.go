@@ -10,11 +10,11 @@ import (
 func (m *Message) Clone() *Message {
 	out := New(m.desc)
 	for i, f := range m.desc.Fields {
-		if !m.set[i] {
+		if !m.values[i].set {
 			continue
 		}
 		src, dst := &m.values[i], &out.values[i]
-		out.set[i] = true
+		out.values[i].set = true
 		switch {
 		case f.Repeated && f.Kind == protodesc.KindMessage:
 			dst.msgs = make([]*Message, len(src.msgs))
@@ -49,7 +49,7 @@ func (m *Message) Merge(src *Message) error {
 		return fmt.Errorf("protomsg: merge of %s into %s", src.desc.Name, m.desc.Name)
 	}
 	for i, f := range m.desc.Fields {
-		if !src.set[i] {
+		if !src.values[i].set {
 			continue
 		}
 		sv, dv := &src.values[i], &m.values[i]
@@ -79,7 +79,7 @@ func (m *Message) Merge(src *Message) error {
 		default:
 			dv.num = sv.num
 		}
-		m.set[i] = true
+		m.values[i].set = true
 	}
 	return nil
 }

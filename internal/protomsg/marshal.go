@@ -235,7 +235,7 @@ func (m *Message) decodeField(d *wire.Decoder, f *protodesc.Field, wt wire.Type)
 			}
 			v.nums = append(v.nums, bits)
 		}
-		m.set[f.Index] = true
+		m.values[f.Index].set = true
 	case f.Repeated && (f.Kind == protodesc.KindString || f.Kind == protodesc.KindBytes):
 		if wt != wire.TypeBytes {
 			return wireTypeErr(m, f, wt)
@@ -248,7 +248,7 @@ func (m *Message) decodeField(d *wire.Decoder, f *protodesc.Field, wt wire.Type)
 			return wire.ErrInvalidUTF8
 		}
 		v.strs = append(v.strs, append([]byte(nil), s...)) // the copy
-		m.set[f.Index] = true
+		m.values[f.Index].set = true
 	case f.Repeated: // repeated message
 		if wt != wire.TypeBytes {
 			return wireTypeErr(m, f, wt)
@@ -262,7 +262,7 @@ func (m *Message) decodeField(d *wire.Decoder, f *protodesc.Field, wt wire.Type)
 			return err
 		}
 		v.msgs = append(v.msgs, child)
-		m.set[f.Index] = true
+		m.values[f.Index].set = true
 	case f.Kind == protodesc.KindMessage:
 		if wt != wire.TypeBytes {
 			return wireTypeErr(m, f, wt)
@@ -278,7 +278,7 @@ func (m *Message) decodeField(d *wire.Decoder, f *protodesc.Field, wt wire.Type)
 		if err := v.msg.Unmarshal(body); err != nil {
 			return err
 		}
-		m.set[f.Index] = true
+		m.values[f.Index].set = true
 	case f.Kind == protodesc.KindString, f.Kind == protodesc.KindBytes:
 		if wt != wire.TypeBytes {
 			return wireTypeErr(m, f, wt)
@@ -291,7 +291,7 @@ func (m *Message) decodeField(d *wire.Decoder, f *protodesc.Field, wt wire.Type)
 			return wire.ErrInvalidUTF8
 		}
 		v.str = append(v.str[:0], s...) // the copy
-		m.set[f.Index] = true
+		m.values[f.Index].set = true
 	default:
 		if wt != f.Kind.WireType() {
 			return wireTypeErr(m, f, wt)
@@ -301,7 +301,7 @@ func (m *Message) decodeField(d *wire.Decoder, f *protodesc.Field, wt wire.Type)
 			return err
 		}
 		v.num = bits
-		m.set[f.Index] = true
+		m.values[f.Index].set = true
 	}
 	return nil
 }

@@ -27,8 +27,10 @@ var (
 )
 
 // value holds the contents of one field slot. Exactly one group of members
-// is used depending on the field's kind and cardinality.
+// is used depending on the field's kind and cardinality; set is the field's
+// presence bit, kept in the slot so a message is two allocations, not three.
 type value struct {
+	set  bool
 	num  uint64
 	str  []byte
 	msg  *Message
@@ -41,7 +43,6 @@ type value struct {
 type Message struct {
 	desc   *protodesc.Message
 	values []value
-	set    []bool
 }
 
 // New returns an empty message of the given type.
@@ -49,7 +50,6 @@ func New(desc *protodesc.Message) *Message {
 	return &Message{
 		desc:   desc,
 		values: make([]value, len(desc.Fields)),
-		set:    make([]bool, len(desc.Fields)),
 	}
 }
 
@@ -61,7 +61,7 @@ func (m *Message) Descriptor() *protodesc.Message { return m.desc }
 // paper's "bitfield storing field presence" refers to.
 func (m *Message) Has(name string) bool {
 	f := m.desc.FieldByName(name)
-	return f != nil && m.set[f.Index]
+	return f != nil && m.values[f.Index].set
 }
 
 // Clear resets all fields to their zero state, retaining allocated capacity
@@ -69,7 +69,6 @@ func (m *Message) Has(name string) bool {
 func (m *Message) Clear() {
 	for i := range m.values {
 		m.values[i] = value{}
-		m.set[i] = false
 	}
 }
 
@@ -177,7 +176,7 @@ func (m *Message) SetString(name, v string) error {
 		return wire.ErrInvalidUTF8
 	}
 	m.values[f.Index].str = []byte(v)
-	m.set[f.Index] = true
+	m.values[f.Index].set = true
 	return nil
 }
 
@@ -191,7 +190,7 @@ func (m *Message) SetBytes(name string, b []byte) error {
 		return fmt.Errorf("%w: %s is repeated", ErrKindMismatch, name)
 	}
 	m.values[f.Index].str = append([]byte(nil), b...)
-	m.set[f.Index] = true
+	m.values[f.Index].set = true
 	return nil
 }
 
@@ -208,7 +207,7 @@ func (m *Message) SetMessage(name string, v *Message) error {
 		return fmt.Errorf("%w: %s wants %s, got %s", ErrKindMismatch, name, f.Message.Name, v.desc.Name)
 	}
 	m.values[f.Index].msg = v
-	m.set[f.Index] = v != nil
+	m.values[f.Index].set = v != nil
 	return nil
 }
 
@@ -217,7 +216,7 @@ func (m *Message) setScalar(f *protodesc.Field, bits uint64) error {
 		return fmt.Errorf("%w: %s is repeated", ErrKindMismatch, f.Name)
 	}
 	m.values[f.Index].num = bits
-	m.set[f.Index] = true
+	m.values[f.Index].set = true
 	return nil
 }
 
@@ -235,7 +234,7 @@ func (m *Message) AppendNum(name string, bits uint64) error {
 		return fmt.Errorf("%w: %s is not a repeated numeric field", ErrKindMismatch, name)
 	}
 	m.values[f.Index].nums = append(m.values[f.Index].nums, bits)
-	m.set[f.Index] = true
+	m.values[f.Index].set = true
 	return nil
 }
 
@@ -252,7 +251,7 @@ func (m *Message) AppendString(name, v string) error {
 		return wire.ErrInvalidUTF8
 	}
 	m.values[f.Index].strs = append(m.values[f.Index].strs, []byte(v))
-	m.set[f.Index] = true
+	m.values[f.Index].set = true
 	return nil
 }
 
@@ -266,7 +265,7 @@ func (m *Message) AppendBytes(name string, b []byte) error {
 		return fmt.Errorf("%w: %s is not repeated", ErrKindMismatch, name)
 	}
 	m.values[f.Index].strs = append(m.values[f.Index].strs, append([]byte(nil), b...))
-	m.set[f.Index] = true
+	m.values[f.Index].set = true
 	return nil
 }
 
@@ -283,7 +282,7 @@ func (m *Message) AppendMessage(name string, v *Message) error {
 		return fmt.Errorf("%w: %s wants %s", ErrKindMismatch, name, f.Message.Name)
 	}
 	m.values[f.Index].msgs = append(m.values[f.Index].msgs, v)
-	m.set[f.Index] = true
+	m.values[f.Index].set = true
 	return nil
 }
 
@@ -381,7 +380,7 @@ func (m *Message) MutableMsg(name string) *Message {
 	}
 	if m.values[f.Index].msg == nil {
 		m.values[f.Index].msg = New(f.Message)
-		m.set[f.Index] = true
+		m.values[f.Index].set = true
 	}
 	return m.values[f.Index].msg
 }

@@ -32,7 +32,7 @@ func indent(sb *strings.Builder, depth int) {
 
 func (m *Message) writeText(sb *strings.Builder, depth int) {
 	for i, f := range m.desc.Fields {
-		if !m.set[i] {
+		if !m.values[i].set {
 			continue
 		}
 		v := &m.values[i]

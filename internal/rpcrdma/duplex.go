@@ -43,8 +43,8 @@ const (
 )
 
 // respTask carries one request through the duplex pipeline. It lives in
-// exactly one place at a time (taskQ, a worker, doneQ, or dxReady), so its
-// fields need no locking.
+// exactly one place at a time (taskQ, a worker, doneQ, dxReady, or the
+// poller's free list dxFree), so its fields need no locking.
 type respTask struct {
 	id    uint16
 	req   Request
@@ -123,12 +123,28 @@ func (p *duplexPool) close() {
 // which holds it while the in-flight bound is reached (backpressure keeps
 // channel occupancy under the channel capacity). Poller-only.
 func (s *ServerConn) dxAdmit(id uint16, req Request) {
-	t := &respTask{id: id, req: req, stage: dxHandle}
+	var t *respTask
+	if n := len(s.dxFree); n > 0 {
+		t = s.dxFree[n-1]
+		s.dxFree = s.dxFree[:n-1]
+	} else {
+		t = new(respTask)
+	}
+	t.id, t.req, t.stage = id, req, dxHandle
 	if s.traceOf != nil {
 		t.tr = s.traceOf[id]
 	}
 	s.dxBacklog = append(s.dxBacklog, t)
 	s.dxDispatchBacklog()
+}
+
+// dxRetire ends a task's trip through the pipeline: the poller decrements
+// the in-flight count and keeps the task on its free list for the next
+// dxAdmit. Poller-only.
+func (s *ServerConn) dxRetire(t *respTask) {
+	s.dxInflight--
+	*t = respTask{}
+	s.dxFree = append(s.dxFree, t)
 }
 
 // dxDispatchBacklog moves backlogged requests into the pool, in order, as
@@ -157,16 +173,16 @@ func (s *ServerConn) dxCollect() int {
 				s.Counters.DuplexHandled++
 				s.dxReady = append(s.dxReady, t)
 			case dxBuild:
-				s.dxInflight--
 				if t.err != nil {
 					s.Counters.DuplexTombstones++
 					s.bury(t.res)
-					continue
+				} else {
+					s.Counters.DuplexBuilt++
+					if err := s.respond(t.res, t.spec.Status, t.spec.Err, t.spec.Object, t.root, t.used); err != nil {
+						s.fail(err)
+					}
 				}
-				s.Counters.DuplexBuilt++
-				if err := s.respond(t.res, t.spec.Status, t.spec.Err, t.spec.Object, t.root, t.used); err != nil {
-					s.fail(err)
-				}
+				s.dxRetire(t)
 			}
 		default:
 			return drained
@@ -189,14 +205,14 @@ func (s *ServerConn) dxReserveReady() {
 				break // retry after acks reclaim blocks
 			}
 			s.fail(err)
-			s.dxInflight--
+			s.dxRetire(t)
 			continue
 		}
 		if t.spec.Build == nil {
-			s.dxInflight--
 			if err := s.respond(r, t.spec.Status, t.spec.Err, t.spec.Object, 0, t.spec.Size); err != nil {
 				s.fail(err)
 			}
+			s.dxRetire(t)
 			continue
 		}
 		t.res = r

@@ -93,6 +93,8 @@ type ServerConn struct {
 	dxInflight int
 	dxBacklog  []*respTask
 	dxMax      int
+	// dxFree holds retired tasks for reuse (dxRetire, dxAdmit).
+	dxFree []*respTask
 
 	// traceOf caches the resolved trace handle of each in-flight traced
 	// request ID (nil when untraced).

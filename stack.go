@@ -3,6 +3,7 @@ package dpurpc
 import (
 	"errors"
 	"net"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -265,9 +266,11 @@ func (s *Stack) Window() *metrics.RPCWindow { return s.window }
 // stacks, per-connection protocol-endpoint state (arena occupancy, send-queue
 // and partial-block depth, outstanding requests, credits, and the liveness
 // signals: credit stalls, ack-only blocks, acknowledgments pending) refreshed
-// by each DPU poller pass, plus the deployment-wide poller wake-up mix
-// (rpcrdma_poller_wakeups_total by reason). The sampler polls them at its own
-// low rate; the datapath only ever writes a handful of atomics.
+// by each DPU poller pass, each DPU server's sheds, reconnects and redial
+// failures, plus the deployment-wide poller wake-up mix
+// (rpcrdma_poller_wakeups_total by reason), and on both stacks the process
+// heap (allocations, live bytes, GC cycles). The sampler polls them at its
+// own low rate; the datapath only ever writes a handful of atomics.
 func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 	if smp == nil {
 		return
@@ -297,6 +300,7 @@ func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 	smp.Register("deser_varint_kernel_info",
 		"Packed-varint block decoder this process runs (avx512: AVX-512 VBMI2 assembly; bmi2: BMI2 assembly; portable: Go loop).",
 		map[string]string{"kernel": deser.Kernel()}, func() float64 { return 1 })
+	registerHeapGauges(smp)
 	if s.deployment == nil {
 		return
 	}
@@ -319,6 +323,37 @@ func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 		conn := strconv.Itoa(i)
 		registerConnGauges(smp, map[string]string{"conn": conn, "side": "dpu"}, dpu.Client().Gauges())
 		registerConnGauges(smp, map[string]string{"conn": conn, "side": "host"}, s.deployment.HostConns[i].Gauges())
+		// The DPU server outlives its connection (a reconnect swaps only the
+		// connection), so these count across reconnects.
+		l := map[string]string{"conn": conn}
+		smp.Register("dpu_sheds_total",
+			"Requests the DPU admission gate answered UNAVAILABLE.", l,
+			func() float64 { return float64(dpu.Stats().Sheds) })
+		smp.Register("dpu_reconnects_total",
+			"Broken connections the DPU replaced by a redial.", l,
+			func() float64 { return float64(dpu.Stats().Reconnects) })
+		smp.Register("dpu_redial_failures_total",
+			"Redial attempts that failed (each doubles the backoff toward the reconnect budget).", l,
+			func() float64 { return float64(dpu.Stats().RedialFails) })
+	}
+}
+
+// registerHeapGauges registers the process heap series, read through
+// runtime/metrics, which needs no stop-the-world (runtime.ReadMemStats
+// does). The allocation counters rising by many objects per request mark a
+// datapath that has started allocating again.
+func registerHeapGauges(smp *metrics.Sampler) {
+	for _, g := range []struct{ name, help, src string }{
+		{"go_heap_allocs_objects_total", "Heap objects allocated since the process started.", "/gc/heap/allocs:objects"},
+		{"go_heap_allocs_bytes_total", "Heap bytes allocated since the process started.", "/gc/heap/allocs:bytes"},
+		{"go_heap_live_bytes", "Heap bytes the last GC cycle found live.", "/gc/heap/live:bytes"},
+		{"go_gc_cycles_total", "Completed GC cycles.", "/gc/cycles/total:gc-cycles"},
+	} {
+		smp.Register(g.name, g.help, nil, func() float64 {
+			s := []rtmetrics.Sample{{Name: g.src}}
+			rtmetrics.Read(s)
+			return float64(s[0].Value.Uint64()) // all four are uint64 since go 1.21
+		})
 	}
 }
 
