@@ -206,9 +206,9 @@ func BenchmarkResponseSerializationScaling(b *testing.B) {
 		ccfg := rpcrdma.DefaultClientConfig()
 		scfg := rpcrdma.DefaultServerConfig()
 		ccfg.BusyPoll, scfg.BusyPoll = true, true
+		scfg.HostWorkers = workers
 		d, err := offload.NewDeploymentWith(env.Table, impls, offload.DeployConfig{
 			Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-			HostWorkers:                  workers,
 			OffloadResponseSerialization: true,
 		})
 		if err != nil {

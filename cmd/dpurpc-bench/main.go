@@ -30,6 +30,7 @@ import (
 	"dpurpc/internal/dpu"
 	"dpurpc/internal/harness"
 	"dpurpc/internal/metrics"
+	"dpurpc/internal/rpcrdma"
 	"dpurpc/internal/trace"
 	"dpurpc/internal/workload"
 )
@@ -68,9 +69,11 @@ func main() {
 	opts := harness.DefaultOptions()
 	opts.Requests = *requests
 	opts.Connections = *connections
-	opts.HostWorkers = *hostWorkers
-	opts.CommitBatch = *commitBatch
-	opts.CommitFlushTimeout = time.Duration(*commitFlushUS) * time.Microsecond
+	opts.ServerCfg.HostWorkers = *hostWorkers
+	flush := time.Duration(*commitFlushUS) * time.Microsecond
+	for _, c := range []*rpcrdma.Config{&opts.ClientCfg, &opts.ServerCfg} {
+		c.CommitBatch, c.CommitFlushTimeout = *commitBatch, flush
+	}
 	opts.SGPayloadMin = *sgMin
 	opts.TailExemplars = *tailExemplars
 
@@ -201,12 +204,12 @@ func experiments(opts harness.Options, wallIters, payloadSize int) []experiment 
 			return rows, func(panel string) { fig8Panels[panel](rows) }, err
 		}},
 		single("respscale", func() ([]harness.RespScaleRow, error) {
-			return harness.ResponseScalingGrid(opts, doublingSweep(opts.Connections), doublingSweep(opts.HostWorkers))
+			return harness.ResponseScalingGrid(opts, doublingSweep(opts.Connections), doublingSweep(opts.ServerCfg.HostWorkers))
 		}, printRespScale),
 		single("batchscale", func() ([]harness.BatchScaleRow, error) {
 			batches := harness.DefaultCommitBatches()
-			if opts.CommitBatch > 1 {
-				batches = doublingSweep(opts.CommitBatch)
+			if opts.ClientCfg.CommitBatch > 1 {
+				batches = doublingSweep(opts.ClientCfg.CommitBatch)
 			}
 			return harness.BatchScale(opts, batches)
 		}, printBatchScale),

@@ -55,3 +55,44 @@ func TestJSONIsOneDocumentPerExperiment(t *testing.T) {
 		})
 	}
 }
+
+// TestFlagsReachBothSides: -host-workers sets the host side's duplex width
+// and -commit-batch both sides' coalescing; the Fig. 8 offload rows echo
+// what their deployment ran with, and a batch-sealed block shows the
+// target took effect.
+func TestFlagsReachBothSides(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-experiment", "fig8a", "-host-workers", "4",
+		"-commit-batch", "8", "-requests", "2000", "-format", "json")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("dpurpc-bench: %v", err)
+	}
+	var doc struct {
+		Experiment string
+		Rows       []struct {
+			Mode        string
+			HostWorkers int
+			CommitBatch int
+			FlushBatch  uint64
+		}
+	}
+	if err := json.Unmarshal(out, &doc); err != nil {
+		t.Fatalf("decode: %v\n%s", err, out)
+	}
+	offloaded := 0
+	for _, r := range doc.Rows {
+		if r.Mode != "dpu-offload" {
+			continue
+		}
+		offloaded++
+		if r.HostWorkers != 4 || r.CommitBatch != 8 || r.FlushBatch == 0 {
+			t.Errorf("offload row ran HostWorkers %d, CommitBatch %d, FlushBatch %d; want 4, 8, > 0",
+				r.HostWorkers, r.CommitBatch, r.FlushBatch)
+		}
+	}
+	if offloaded == 0 {
+		t.Fatalf("no dpu-offload rows in %s document", doc.Experiment)
+	}
+}

@@ -65,7 +65,8 @@ type Impl = offload.Impl
 type Config = rpcrdma.Config
 
 // FaultPlan describes a deterministic fault-injection schedule for the
-// simulated RDMA fabric (StackOptions.Faults). See internal/fault.
+// simulated RDMA fabric (StackOptions.ClientFaults / ServerFaults). See
+// internal/fault.
 type FaultPlan = fault.Plan
 
 // RetryPolicy governs Client.CallRetry: transparent retries of transient

@@ -36,7 +36,7 @@ func main() {
 		"DPU-side enqueue-to-response latency over the RDMA datapath.", nil,
 		[]float64{1, 5, 10, 50, 100, 500, 1000})
 	opts := dpurpc.StackOptions{}
-	opts.ClientConfig.LatencyObserver = func(ns float64) { rdmaLatency.Observe(ns / 1e3) }
+	opts.ClientCfg.LatencyObserver = func(ns float64) { rdmaLatency.Observe(ns / 1e3) }
 	stack, err := dpurpc.NewOffloadedStack(schema, map[string]dpurpc.Impl{
 		"benchpb.Bench": {"CallSmall": empty, "CallInts": empty, "CallChars": empty, "Echo": empty, "EchoBlob": empty},
 	}, opts)

@@ -21,8 +21,8 @@ func TestStackExtensionsEndToEnd(t *testing.T) {
 	variants := map[string]dpurpc.StackOptions{
 		"default":      {},
 		"resp-offload": {OffloadResponseSerialization: true},
-		"host-workers": {HostWorkers: 4},
-		"both":         {OffloadResponseSerialization: true, HostWorkers: 4},
+		"host-workers": {ServerCfg: dpurpc.Config{HostWorkers: 4}},
+		"both":         {OffloadResponseSerialization: true, ServerCfg: dpurpc.Config{HostWorkers: 4}},
 	}
 	want := map[string]string{}
 	for name, opts := range variants {
@@ -61,6 +61,33 @@ func TestStackExtensionsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStackServerCfgHostWorkers: the host duplex width is a per-side
+// protocol knob, and ServerCfg.HostWorkers on the stack options must reach
+// the host connection rather than be reset to the serial response path.
+func TestStackServerCfgHostWorkers(t *testing.T) {
+	schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err := dpurpc.NewOffloadedStack(schema, greeterImpls(t, schema),
+		dpurpc.StackOptions{ServerCfg: dpurpc.Config{HostWorkers: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := stack.Handler()
+	req := schema.NewMessage("demo.HelloRequest")
+	req.SetString("name", "duplex")
+	for i := 0; i < 8; i++ {
+		if status, _ := call("/demo.Greeter/Hello", req.Marshal(nil)); status != 0 {
+			t.Fatalf("call %d: status %d", i, status)
+		}
+	}
+	stack.Close() // waits out the host pollers, which own the counters
+	if n := stack.Deployment().HostConns[0].Counters.DuplexHandled; n == 0 {
+		t.Fatal("ServerCfg.HostWorkers = 4 ran no handler on the duplex pool")
+	}
+}
+
 // TestBackgroundStackSlowHandlerDoesNotBlock exercises the Sec. III-D
 // motivation through the public API: one slow RPC, many fast ones, with
 // handlers on the host duplex pool.
@@ -88,7 +115,7 @@ service S { rpc Do (Req) returns (Rep); }
 			},
 		},
 	}
-	stack, err := dpurpc.NewOffloadedStack(schema, impls, dpurpc.StackOptions{HostWorkers: 4})
+	stack, err := dpurpc.NewOffloadedStack(schema, impls, dpurpc.StackOptions{ServerCfg: dpurpc.Config{HostWorkers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

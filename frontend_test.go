@@ -84,7 +84,7 @@ func TestHandlerCopiesBeforeRelease(t *testing.T) {
 	for _, opts := range []dpurpc.StackOptions{
 		{},
 		{OffloadResponseSerialization: true},
-		{HostWorkers: 2, OffloadResponseSerialization: true},
+		{ServerCfg: dpurpc.Config{HostWorkers: 2}, OffloadResponseSerialization: true},
 	} {
 		schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
 		if err != nil {
@@ -129,7 +129,7 @@ func TestHandlerPanicAnswersInternal(t *testing.T) {
 		newStack func(*dpurpc.Schema, map[string]dpurpc.Impl, dpurpc.StackOptions) (*dpurpc.Stack, error)
 	}{
 		{"host_workers_0", offloaded(dpurpc.StackOptions{})},
-		{"host_workers_2", offloaded(dpurpc.StackOptions{HostWorkers: 2})},
+		{"host_workers_2", offloaded(dpurpc.StackOptions{ServerCfg: dpurpc.Config{HostWorkers: 2}})},
 		{"baseline", dpurpc.NewBaselineStack},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -539,7 +539,7 @@ func TestOversizedResponseRefused(t *testing.T) {
 		},
 	}}
 	const sbuf = 1 << 18
-	stack, err := dpurpc.NewOffloadedStack(schema, impls, dpurpc.StackOptions{ServerConfig: dpurpc.Config{SBufSize: sbuf}})
+	stack, err := dpurpc.NewOffloadedStack(schema, impls, dpurpc.StackOptions{ServerCfg: dpurpc.Config{SBufSize: sbuf}})
 	if err != nil {
 		t.Fatal(err)
 	}

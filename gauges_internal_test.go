@@ -140,9 +140,7 @@ func TestDPUCountersOnMetrics(t *testing.T) {
 
 	dpu.Break()
 	pump(func() bool { return scrape(reconnects) == 1 })
-	// A redial can fail while the host poller has yet to reap the broken
-	// connection; the budget of 3 was not spent.
-	if v := scrape(redialFails); v >= 3 {
-		t.Errorf("%s = %v, yet the connection came back", redialFails, v)
+	if v := scrape(redialFails); v != 0 {
+		t.Errorf("%s = %v after one clean break", redialFails, v)
 	}
 }

@@ -240,6 +240,11 @@ func TestResponseModesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqBytes := buildAll(t, s).M.Marshal(nil)
+	// The per-side protocol configs of the duplex (host workers) and
+	// batched (commit coalescing on both sides) modes.
+	duplex := dpurpc.Config{HostWorkers: 4}
+	batched := dpurpc.Config{CommitBatch: 8}
+	duplexBatched := dpurpc.Config{HostWorkers: 4, CommitBatch: 8}
 	modes := []struct {
 		name string
 		opts dpurpc.StackOptions
@@ -247,16 +252,16 @@ func TestResponseModesByteIdentical(t *testing.T) {
 		{"host-serialized serial", dpurpc.StackOptions{}},
 		{"object serial", dpurpc.StackOptions{OffloadResponseSerialization: true}},
 		{"object duplex", dpurpc.StackOptions{
-			OffloadResponseSerialization: true, HostWorkers: 4}},
-		{"host-serialized duplex", dpurpc.StackOptions{HostWorkers: 4}},
-		{"host-serialized serial batched", dpurpc.StackOptions{CommitBatch: 8}},
+			OffloadResponseSerialization: true, ServerCfg: duplex}},
+		{"host-serialized duplex", dpurpc.StackOptions{ServerCfg: duplex}},
+		{"host-serialized serial batched", dpurpc.StackOptions{
+			ClientCfg: batched, ServerCfg: batched}},
 		{"object serial batched", dpurpc.StackOptions{
-			OffloadResponseSerialization: true, CommitBatch: 8}},
+			OffloadResponseSerialization: true, ClientCfg: batched, ServerCfg: batched}},
 		{"object duplex batched", dpurpc.StackOptions{
-			OffloadResponseSerialization: true, HostWorkers: 4,
-			CommitBatch: 8}},
+			OffloadResponseSerialization: true, ClientCfg: batched, ServerCfg: duplexBatched}},
 		{"host-serialized duplex batched", dpurpc.StackOptions{
-			HostWorkers: 4, CommitBatch: 8}},
+			ClientCfg: batched, ServerCfg: duplexBatched}},
 		// Scatter-gather framing with a tiny threshold, so the mirror's
 		// string/bytes fields actually ride as descriptor-backed segments
 		// in both datapath directions — the descriptors must be invisible
@@ -265,8 +270,8 @@ func TestResponseModesByteIdentical(t *testing.T) {
 		{"sg object serial", dpurpc.StackOptions{
 			OffloadResponseSerialization: true, SGPayloadMin: 16}},
 		{"sg object duplex batched", dpurpc.StackOptions{
-			OffloadResponseSerialization: true, HostWorkers: 4,
-			CommitBatch: 8, SGPayloadMin: 16}},
+			OffloadResponseSerialization: true, ClientCfg: batched, ServerCfg: duplexBatched,
+			SGPayloadMin: 16}},
 	}
 	var want []byte
 	for _, mode := range modes {

@@ -91,11 +91,11 @@ type AnatomyReport struct {
 }
 
 // RunAnatomy runs the latency-anatomy experiment. The pipelined mode uses
-// opts.HostWorkers (default 4 when unset); the serial mode ignores it. Each
-// mode gets its own tracer sized to hold every request, so the anatomy
-// covers the complete run, not a sample.
+// opts.ServerCfg.HostWorkers (default 4 when unset); the serial mode
+// ignores it. Each mode gets its own tracer sized to hold every request, so
+// the anatomy covers the complete run, not a sample.
 func RunAnatomy(opts Options) (*AnatomyReport, error) {
-	hostWorkers := opts.HostWorkers
+	hostWorkers := opts.ServerCfg.HostWorkers
 	if hostWorkers <= 1 {
 		hostWorkers = 4
 	}
@@ -112,14 +112,8 @@ func RunAnatomy(opts Options) (*AnatomyReport, error) {
 
 func runAnatomyMode(opts Options, mode string, hostWorkers int) (AnatomyMode, error) {
 	env := workload.NewEnv()
-	ccfg := opts.ClientCfg
-	scfg := opts.ServerCfg
-	ccfg.BusyPoll = true // the harness drives the loops itself
-	scfg.BusyPoll = true
-	conns := opts.Connections
-	if conns == 0 {
-		conns = 1
-	}
+	dcfg := opts.deployConfig()
+	conns := dcfg.Connections
 	// 2x headroom over the request count: ring capacity is split across
 	// shards, so an exactly-sized ring could shed a trace on an uneven
 	// shard split, and the anatomy must cover the complete run.
@@ -128,17 +122,10 @@ func runAnatomyMode(opts Options, mode string, hostWorkers int) (AnatomyMode, er
 		MaxActive: opts.Requests + 1,
 	})
 	tr.Enable()
-	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), offload.DeployConfig{
-		Connections:                  conns,
-		ClientCfg:                    ccfg,
-		ServerCfg:                    scfg,
-		HostWorkers:                  hostWorkers,
-		OffloadResponseSerialization: true,
-		CommitBatch:                  opts.CommitBatch,
-		CommitFlushTimeout:           opts.CommitFlushTimeout,
-		SGPayloadMin:                 opts.SGPayloadMin,
-		Tracer:                       tr,
-	})
+	dcfg.ServerCfg.HostWorkers = hostWorkers
+	dcfg.OffloadResponseSerialization = true
+	dcfg.Tracer = tr
+	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), dcfg)
 	if err != nil {
 		return AnatomyMode{}, err
 	}
@@ -188,7 +175,7 @@ func runAnatomyMode(opts Options, mode string, hostWorkers int) (AnatomyMode, er
 		WallSeconds: wall.Seconds(),
 		WallRPS:     safeDiv(float64(opts.Requests), wall.Seconds()),
 		TraceStats:  stats,
-		CommitBatch: opts.CommitBatch,
+		CommitBatch: opts.ClientCfg.CommitBatch,
 	}
 	m.SGPayloadMin = opts.SGPayloadMin
 	var copied, reffed uint64

@@ -15,7 +15,7 @@ func TestAnatomyConsistency(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Requests = 400
 	opts.Concurrency = 64
-	opts.HostWorkers = 2
+	opts.ServerCfg.HostWorkers = 2
 	rep, err := RunAnatomy(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -46,9 +46,7 @@ func BatchScale(opts Options, batches []int) ([]BatchScaleRow, error) {
 	rows := make([]BatchScaleRow, 0, len(batches)*len(workload.Scenarios()))
 	for _, s := range workload.Scenarios() {
 		for _, b := range batches {
-			o := opts
-			o.CommitBatch = b
-			r, err := RunOffload(s, o)
+			r, err := RunOffload(s, opts.withCommitBatch(b))
 			if err != nil {
 				return nil, fmt.Errorf("batchscale %v batch=%d: %w", s, b, err)
 			}

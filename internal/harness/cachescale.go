@@ -94,27 +94,9 @@ func CacheScale(opts Options, skews []float64, entries []int) ([]CacheScaleRow, 
 // every counter, drive the measured window, and price the counter delta.
 func runCacheLeg(s workload.Scenario, opts Options, skew float64, keys, cacheEntries int) (CacheScaleRow, error) {
 	env := workload.NewEnv()
-	ccfg := opts.ClientCfg
-	scfg := opts.ServerCfg
-	ccfg.BusyPoll = true
-	scfg.BusyPoll = true
-	conns := opts.Connections
-	if conns == 0 {
-		conns = 1
-	}
 	method := methodName(env, s)
-	dcfg := offload.DeployConfig{
-		Connections:                  conns,
-		ClientCfg:                    ccfg,
-		ServerCfg:                    scfg,
-		HostWorkers:                  opts.HostWorkers,
-		OffloadResponseSerialization: opts.OffloadResponseSerialization,
-		CommitBatch:                  opts.CommitBatch,
-		CommitFlushTimeout:           opts.CommitFlushTimeout,
-		SGPayloadMin:                 opts.SGPayloadMin,
-		Tracer:                       opts.Tracer,
-		Window:                       opts.Window,
-	}
+	dcfg := opts.deployConfig()
+	conns := dcfg.Connections
 	if cacheEntries > 0 {
 		dcfg.CacheMethods = []string{method}
 		dcfg.CacheMaxEntries = cacheEntries
@@ -146,8 +128,8 @@ func runCacheLeg(s workload.Scenario, opts Options, skew float64, keys, cacheEnt
 	wall := time.Since(start)
 
 	usage, fig := usageFromCounters(snapshotCounters(d).sub(before), method, opts)
-	if opts.HostWorkers > 1 {
-		usage.HostWorkers = conns * opts.HostWorkers
+	if w := opts.ServerCfg.HostWorkers; w > 1 {
+		usage.HostWorkers = conns * w
 	}
 	row := CacheScaleRow{
 		Scenario:     s,

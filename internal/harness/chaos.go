@@ -123,27 +123,21 @@ func runChaosPoint(opts Options, rate float64) (ChaosRow, error) {
 		requests = 2000 // sync RPCs over loopback; keep the sweep bounded
 	}
 
-	ccfg := opts.ClientCfg
-	scfg := opts.ServerCfg
-	// Blocking CQ waits: the chaos point runs many goroutines and busy
-	// pollers starve the workers on small machines.
-	ccfg.BusyPoll, scfg.BusyPoll = false, false
-	ccfg.WaitTimeout, scfg.WaitTimeout = 100*time.Microsecond, 100*time.Microsecond
-	plan := chaosPlan(rate, opts.Seed)
-	commitBatch := opts.CommitBatch
-	if commitBatch == 0 {
+	if opts.ClientCfg.CommitBatch == 0 {
 		// Chaos soaks the coalescing path by default: faults must recover
 		// typed even when they land inside a multi-message doorbell batch.
-		commitBatch = 8
+		opts = opts.withCommitBatch(8)
 	}
 	dcfg := offload.DeployConfig{
-		Connections:        conns,
-		ClientCfg:          ccfg,
-		ServerCfg:          scfg,
-		HostWorkers:        opts.HostWorkers,
-		CommitBatch:        commitBatch,
-		CommitFlushTimeout: opts.CommitFlushTimeout,
+		Connections: conns,
+		ClientCfg:   opts.ClientCfg,
+		ServerCfg:   opts.ServerCfg,
 	}
+	// Blocking CQ waits: the chaos point runs many goroutines and busy
+	// pollers starve the workers on small machines.
+	dcfg.ClientCfg.BusyPoll, dcfg.ServerCfg.BusyPoll = false, false
+	dcfg.ClientCfg.WaitTimeout, dcfg.ServerCfg.WaitTimeout = 100*time.Microsecond, 100*time.Microsecond
+	plan := chaosPlan(rate, opts.Seed)
 	// Flight recorders fly on every chaos connection: when a fault cascades
 	// into a typed failure, the dump carries the protocol events leading up
 	// to it. The sink is shared across connections and goroutine-safe.
@@ -161,7 +155,7 @@ func runChaosPoint(opts Options, rate float64) (ChaosRow, error) {
 	if plan.Enabled() {
 		dcfg.ClientFaults = &plan
 		dcfg.ServerFaults = &plan
-		dcfg.RequestTimeout = 250 * time.Millisecond
+		dcfg.ClientCfg.RequestTimeout = 250 * time.Millisecond
 	}
 	d, err := offload.NewDeploymentWith(env.Table, impls, dcfg)
 	if err != nil {
@@ -305,7 +299,7 @@ func runChaosPoint(opts Options, rate float64) (ChaosRow, error) {
 		FaultRate:   rate,
 		Plan:        plan.String(),
 		Requests:    total,
-		CommitBatch: commitBatch,
+		CommitBatch: opts.ClientCfg.CommitBatch,
 		Succeeded:   succeeded.Load(),
 		Failed:      failed.Load(),
 		WallSeconds: wall.Seconds(),

@@ -8,7 +8,7 @@ import "testing"
 func TestRunChaosResolvesEverything(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Requests = 200
-	opts.HostWorkers = 2
+	opts.ServerCfg.HostWorkers = 2
 	rows, err := RunChaos(opts, []float64{0, 0.05})
 	if err != nil {
 		t.Fatal(err)

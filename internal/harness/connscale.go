@@ -145,6 +145,7 @@ func runConnScalePoint(opts Options, pt connScalePoint) (ConnScaleRow, error) {
 	env := workload.NewEnv()
 	impls := emptyImpls(env)
 	ccfg, scfg := connScaleConfig()
+	ccfg.RequestTimeout = 2 * time.Second
 	shards := 8
 	if shards > pt.conns {
 		shards = pt.conns
@@ -158,7 +159,6 @@ func runConnScalePoint(opts Options, pt connScalePoint) (ConnScaleRow, error) {
 		ClientCfg:           ccfg,
 		ServerCfg:           scfg,
 		HostPollers:         hostPollers,
-		RequestTimeout:      2 * time.Second,
 		ReconnectBudget:     10,
 		DPUAdmitMaxInflight: pt.admitMaxInflight,
 	}
@@ -166,7 +166,7 @@ func runConnScalePoint(opts Options, pt connScalePoint) (ConnScaleRow, error) {
 		plan := chaosPlan(pt.faultRate, opts.Seed)
 		dcfg.ClientFaults = &plan
 		dcfg.ServerFaults = &plan
-		dcfg.RequestTimeout = 500 * time.Millisecond
+		dcfg.ClientCfg.RequestTimeout = 500 * time.Millisecond
 	}
 	d, err := offload.NewDeploymentWith(env.Table, impls, dcfg)
 	if err != nil {

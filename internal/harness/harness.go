@@ -18,74 +18,38 @@ import (
 
 	"dpurpc/internal/abi"
 	"dpurpc/internal/dpu"
-	"dpurpc/internal/metrics"
 	"dpurpc/internal/mt19937"
 	"dpurpc/internal/offload"
 	"dpurpc/internal/protomsg"
 	"dpurpc/internal/rpcrdma"
-	"dpurpc/internal/trace"
 	"dpurpc/internal/workload"
 	"dpurpc/internal/xrpc"
 )
 
-// Options configure a benchmark run.
+// Options configure a benchmark run: the offloaded deployment under test
+// and the run's shape.
 type Options struct {
+	// DeployConfig is the deployment every offloaded run builds (see
+	// deployConfig). Its Connections spread requests round-robin (the paper
+	// runs one poller per connection and reports "an even workload
+	// distribution between the cores"); ServerCfg.HostWorkers > 1 also caps
+	// the modeled host core spread at Connections*HostWorkers busy cores;
+	// Registry receives the Fig. 8 runs' rpcrdma_flush_total counters;
+	// Window, when set, is the tailscale experiment's window too.
+	offload.DeployConfig
 	// Requests per scenario per mode.
 	Requests int
 	// Concurrency is the outstanding-request bound (Table I: 1024).
 	Concurrency int
-	// Connections is the number of host<->DPU connections; requests are
-	// distributed round-robin (the paper runs one poller per connection
-	// and reports "an even workload distribution between the cores").
-	Connections int
 	// DistinctMessages is how many pre-generated messages are cycled.
 	DistinctMessages int
 	// Machine is the modeled testbed.
 	Machine *dpu.Machine
-	// ClientCfg/ServerCfg tune the protocol endpoints (Table I defaults).
-	ClientCfg rpcrdma.Config
-	ServerCfg rpcrdma.Config
-	// BusyPoll selects the polling mode (Table I runs use busy polling on
+	// BusyPoll selects the modeled polling mode, i.e. whether the cost
+	// model charges a wake-up per block (Table I runs busy-poll on
 	// dedicated cores; the poll() comparison is the Sec. III-C ablation).
+	// The pollers themselves always busy-poll: the harness drives them.
 	BusyPoll bool
-	// Deprecated: ignored. Each connection has one DPU poller.
-	DPUWorkers int
-	// HostWorkers is the number of host-side duplex workers per connection
-	// (handler + response-object build in parallel, commits in admission
-	// order). 0 or 1 runs the serial response path; values > 1 cap the
-	// modeled host core spread at Connections*HostWorkers busy cores.
-	HostWorkers int
-	// OffloadResponseSerialization ships response objects to the DPU and
-	// serializes them there (the response direction of the offload).
-	OffloadResponseSerialization bool
-	// CommitBatch > 1 enables commit/doorbell coalescing on both sides of
-	// every connection (see offload.DeployConfig.CommitBatch). 0 keeps the
-	// flush-every-pass baseline.
-	CommitBatch int
-	// CommitFlushTimeout caps how long a partial batch may wait for more
-	// messages (0 = rpcrdma.DefaultCommitFlushTimeout when CommitBatch > 1).
-	CommitFlushTimeout time.Duration
-	// SGPayloadMin > 0 enables scatter-gather payload framing: singular
-	// string/bytes payloads of at least this many bytes ride in dedicated
-	// block segments referenced by offset instead of being copied through
-	// the object arena (see offload.DeployConfig.SGPayloadMin). 0 keeps
-	// the copy-everything baseline; the payloadscale experiment sweeps
-	// both legs.
-	SGPayloadMin int
-	// Tracer, when non-nil, records per-stage spans for every request of
-	// the offloaded runs (see internal/trace). The anatomy experiment
-	// provisions its own tracer per mode; set this to observe other
-	// experiments live through trace.NewDebugMux's DebugOptions.Tracer.
-	Tracer *trace.Tracer
-	// Registry, when non-nil, receives the flush-reason counters of the
-	// offloaded Fig. 8 runs (rpcrdma_flush_total).
-	Registry *metrics.Registry
-	// Window, when non-nil, receives one windowed-latency observation per
-	// completed request of the offloaded runs, so a live debug mux
-	// (/metrics, /tail) reports trailing-window rates and quantiles while
-	// an experiment runs. The tailscale experiment provisions its own
-	// window when this is nil.
-	Window *metrics.RPCWindow
 	// TailExemplars bounds how many windowed-histogram exemplars the
 	// tailscale experiment resolves to span anatomies (0 = 8).
 	TailExemplars int
@@ -96,16 +60,37 @@ type Options struct {
 // DefaultOptions returns the Table I configuration.
 func DefaultOptions() Options {
 	return Options{
+		DeployConfig: offload.DeployConfig{
+			Connections: 1,
+			ClientCfg:   rpcrdma.DefaultClientConfig(),
+			ServerCfg:   rpcrdma.DefaultServerConfig(),
+		},
 		Requests:         20000,
 		Concurrency:      rpcrdma.DefaultConcurrency,
-		Connections:      1,
 		DistinctMessages: 32,
 		Machine:          dpu.Default(),
-		ClientCfg:        rpcrdma.DefaultClientConfig(),
-		ServerCfg:        rpcrdma.DefaultServerConfig(),
 		BusyPoll:         true,
 		Seed:             mt19937.DefaultSeed,
 	}
+}
+
+// deployConfig is the deployment an offloaded run builds from o: at least
+// one connection, and both sides busy-polling, because the harness drives
+// the pollers itself on one goroutine.
+func (o Options) deployConfig() offload.DeployConfig {
+	cfg := o.DeployConfig
+	if cfg.Connections == 0 {
+		cfg.Connections = 1
+	}
+	cfg.ClientCfg.BusyPoll, cfg.ServerCfg.BusyPoll = true, true
+	return cfg
+}
+
+// withCommitBatch returns o coalescing batch messages per doorbell on both
+// sides of every connection.
+func (o Options) withCommitBatch(batch int) Options {
+	o.ClientCfg.CommitBatch, o.ServerCfg.CommitBatch = batch, batch
+	return o
 }
 
 // Mode distinguishes the two Fig. 8 scenarios.
@@ -283,26 +268,8 @@ func RunBaseline(s workload.Scenario, opts Options) (Fig8Row, error) {
 // deserialization into protocol blocks, RPC-over-RDMA to the host.
 func RunOffload(s workload.Scenario, opts Options) (Fig8Row, error) {
 	env := workload.NewEnv()
-	ccfg := opts.ClientCfg
-	scfg := opts.ServerCfg
-	ccfg.BusyPoll = true // the harness drives the loops itself
-	scfg.BusyPoll = true
-	conns := opts.Connections
-	if conns == 0 {
-		conns = 1
-	}
-	dcfg := offload.DeployConfig{
-		Connections:                  conns,
-		ClientCfg:                    ccfg,
-		ServerCfg:                    scfg,
-		HostWorkers:                  opts.HostWorkers,
-		OffloadResponseSerialization: opts.OffloadResponseSerialization,
-		CommitBatch:                  opts.CommitBatch,
-		CommitFlushTimeout:           opts.CommitFlushTimeout,
-		SGPayloadMin:                 opts.SGPayloadMin,
-		Tracer:                       opts.Tracer,
-		Window:                       opts.Window,
-	}
+	dcfg := opts.deployConfig()
+	conns := dcfg.Connections
 	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), dcfg)
 	if err != nil {
 		return Fig8Row{}, err
@@ -357,12 +324,12 @@ func RunOffload(s workload.Scenario, opts Options) (Fig8Row, error) {
 				map[string]string{"reason": f.reason}).Add(f.n)
 		}
 	}
-	if opts.HostWorkers > 1 {
+	if w := opts.ServerCfg.HostWorkers; w > 1 {
 		// The duplex pool bounds how many host cores run handlers and
 		// response builds concurrently; the serial path keeps the paper's
 		// ideal even spread.
-		usage.HostWorkers = conns * opts.HostWorkers
-		row.HostWorkers = opts.HostWorkers
+		usage.HostWorkers = conns * w
+		row.HostWorkers = w
 	}
 	row.Scenario = s
 	row.Mode = ModeDPU
@@ -550,7 +517,7 @@ func usageFromCounters(rc runCounters, method string, opts Options) (dpu.Usage, 
 		WireBytesPerReq: safeDiv(float64(st.MeasuredBytes), n),
 		PCIeBytesPerReq: safeDiv(float64(linkBytes), n),
 		ReqMsgsPerBlock: safeDiv(n, float64(cc.BlocksSent)),
-		CommitBatch:     opts.CommitBatch,
+		CommitBatch:     opts.ClientCfg.CommitBatch,
 		FlushFull:       cc.FlushFull + sc.FlushFull,
 		FlushBatch:      cc.FlushBatch + sc.FlushBatch,
 		FlushTimer:      cc.FlushTimer + sc.FlushTimer,

@@ -73,14 +73,12 @@ func PayloadScale(opts Options, sizes []int) ([]PayloadScaleRow, error) {
 // difference is what the sweep isolates).
 func runPayload(opts Options, size, sgMin int) (PayloadScaleRow, error) {
 	env := workload.NewEnv()
-	ccfg := opts.ClientCfg
-	scfg := opts.ServerCfg
-	ccfg.BusyPoll = true
-	scfg.BusyPoll = true
-	conns := opts.Connections
-	if conns == 0 {
-		conns = 1
-	}
+	dcfg := opts.deployConfig()
+	dcfg.SGPayloadMin = sgMin
+	// The serial host response path: each point isolates the
+	// request-payload copy.
+	dcfg.ServerCfg.HostWorkers = 0
+	conns := dcfg.Connections
 	// Bound the total bytes driven per point, and the in-flight bytes.
 	requests := opts.Requests
 	if maxReqs := (256 << 20) / size; requests > maxReqs {
@@ -100,20 +98,14 @@ func runPayload(opts Options, size, sgMin int) (PayloadScaleRow, error) {
 	// both directions carry the payload (Echo), so each side must hold
 	// every in-flight message plus generous headroom for blocks awaiting
 	// acknowledgement.
-	if minBuf := 4 * concurrency * size; ccfg.SBufSize < minBuf {
-		ccfg.SBufSize = minBuf
+	if minBuf := 4 * concurrency * size; dcfg.ClientCfg.SBufSize < minBuf {
+		dcfg.ClientCfg.SBufSize = minBuf
 	}
-	if minBuf := 4 * concurrency * size; scfg.SBufSize < minBuf {
-		scfg.SBufSize = minBuf
+	if minBuf := 4 * concurrency * size; dcfg.ServerCfg.SBufSize < minBuf {
+		dcfg.ServerCfg.SBufSize = minBuf
 	}
 
-	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), offload.DeployConfig{
-		Connections:  conns,
-		ClientCfg:    ccfg,
-		ServerCfg:    scfg,
-		SGPayloadMin: sgMin,
-		CommitBatch:  opts.CommitBatch,
-	})
+	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), dcfg)
 	if err != nil {
 		return PayloadScaleRow{}, err
 	}

@@ -68,21 +68,11 @@ func ResponseScalingGrid(opts Options, conns, workers []int) ([]RespScaleRow, er
 
 func runRespScale(opts Options, workers int) (RespScaleRow, error) {
 	env := workload.NewEnv()
-	ccfg := opts.ClientCfg
-	scfg := opts.ServerCfg
-	ccfg.BusyPoll = true // the harness drives the loops itself
-	scfg.BusyPoll = true
-	conns := opts.Connections
-	if conns == 0 {
-		conns = 1
-	}
-	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), offload.DeployConfig{
-		Connections:                  conns,
-		ClientCfg:                    ccfg,
-		ServerCfg:                    scfg,
-		HostWorkers:                  workers,
-		OffloadResponseSerialization: true,
-	})
+	dcfg := opts.deployConfig()
+	dcfg.ServerCfg.HostWorkers = workers
+	dcfg.OffloadResponseSerialization = true
+	conns := dcfg.Connections
+	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), dcfg)
 	if err != nil {
 		return RespScaleRow{}, err
 	}

@@ -67,15 +67,9 @@ type TailscaleReport struct {
 // with windowed telemetry enabled and reports the trailing window's tail.
 func RunTailscale(opts Options) (*TailscaleReport, error) {
 	env := workload.NewEnv()
-	ccfg := opts.ClientCfg
-	scfg := opts.ServerCfg
-	ccfg.BusyPoll = true // the harness drives the loops itself
-	scfg.BusyPoll = true
-	conns := opts.Connections
-	if conns == 0 {
-		conns = 1
-	}
-	hostWorkers := opts.HostWorkers
+	dcfg := opts.deployConfig()
+	conns := dcfg.Connections
+	hostWorkers := opts.ServerCfg.HostWorkers
 	if hostWorkers <= 1 {
 		hostWorkers = 4
 	}
@@ -90,18 +84,11 @@ func RunTailscale(opts Options) (*TailscaleReport, error) {
 	if win == nil {
 		win = metrics.NewRPCWindow()
 	}
-	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), offload.DeployConfig{
-		Connections:                  conns,
-		ClientCfg:                    ccfg,
-		ServerCfg:                    scfg,
-		HostWorkers:                  hostWorkers,
-		OffloadResponseSerialization: true,
-		CommitBatch:                  opts.CommitBatch,
-		CommitFlushTimeout:           opts.CommitFlushTimeout,
-		SGPayloadMin:                 opts.SGPayloadMin,
-		Tracer:                       tr,
-		Window:                       win,
-	})
+	dcfg.ServerCfg.HostWorkers = hostWorkers
+	dcfg.OffloadResponseSerialization = true
+	dcfg.Tracer = tr
+	dcfg.Window = win
+	d, err := offload.NewDeploymentWith(env.Table, emptyImpls(env), dcfg)
 	if err != nil {
 		return nil, err
 	}

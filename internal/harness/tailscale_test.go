@@ -13,7 +13,7 @@ func TestRunTailscaleLinksExemplarsToAnatomy(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Requests = 400
 	opts.Concurrency = 64
-	opts.HostWorkers = 2
+	opts.ServerCfg.HostWorkers = 2
 	rep, err := RunTailscale(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -56,11 +56,11 @@ func TestSteppedRoundTripDoesNotAllocate(t *testing.T) {
 				t.Skip("-race drops sync.Pool items at random")
 			}
 			ccfg, scfg := smallTestCfg()
+			scfg.HostWorkers = tc.hostWorkers
 			d, err := NewDeploymentWith(env.Table, impls, DeployConfig{
 				Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
 				OffloadResponseSerialization: tc.respObjects,
 				SGPayloadMin:                 tc.sgMin,
-				HostWorkers:                  tc.hostWorkers,
 			})
 			if err != nil {
 				t.Fatal(err)

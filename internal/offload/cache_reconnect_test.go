@@ -33,9 +33,9 @@ func TestCacheSurvivesReconnect(t *testing.T) {
 		},
 	}
 	ccfg, scfg := smallTestCfg()
+	ccfg.RequestTimeout = 2 * time.Second
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-		RequestTimeout:  2 * time.Second,
 		ReconnectBudget: 10,
 		CacheMethods:    []string{"/echopb.Echo/Call"},
 	})

@@ -67,12 +67,12 @@ func chaosSoak(t *testing.T, plan fault.Plan) {
 	ccfg.BusyPoll, scfg.BusyPoll = false, false
 	ccfg.WaitTimeout, scfg.WaitTimeout = 100*time.Microsecond, 100*time.Microsecond
 	const requestTimeout = 250 * time.Millisecond
+	ccfg.RequestTimeout = requestTimeout
+	scfg.HostWorkers = 2
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
-		HostWorkers:    2,
-		ClientFaults:   &plan,
-		ServerFaults:   &plan,
-		RequestTimeout: requestTimeout,
+		ClientFaults: &plan,
+		ServerFaults: &plan,
 	})
 	if err != nil {
 		t.Fatal(err)

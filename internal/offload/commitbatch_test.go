@@ -23,9 +23,10 @@ func TestDPUCommitBatchSealsFullBatches(t *testing.T) {
 	}
 	impl := &benchImpl{env: env}
 	ccfg, scfg := smallTestCfg()
+	ccfg.CommitBatch, ccfg.CommitFlushTimeout = batch, time.Minute
+	scfg.CommitBatch, scfg.CommitFlushTimeout = batch, time.Minute
 	d, err := NewDeploymentWith(env.Table, impl.impls(), DeployConfig{
 		Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-		CommitBatch: batch, CommitFlushTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

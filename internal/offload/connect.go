@@ -119,91 +119,105 @@ func (d *Deployment) Close() {
 	}
 }
 
-// DeployConfig extends the basic deployment knobs with the optional
-// protocol extensions.
+// DeployConfig is the one deployment configuration: the offloaded stack
+// (dpurpc.StackOptions is this type), the experiment harness (which embeds
+// it) and the DPU servers all read their knobs from it. Per-side protocol
+// knobs (block size, credits, commit batching, host workers, deadlines,
+// host admission) live in ClientCfg and ServerCfg alone; the fields here
+// are the ones that span both sides or belong to neither protocol endpoint.
 type DeployConfig struct {
-	// Connections between the DPU and the host (one DPU poller each).
+	// Connections is the number of host<->DPU RPC-over-RDMA connections
+	// (one DPU poller each, Sec. III-C). Default 1.
 	Connections int
-	ClientCfg   rpcrdma.Config
-	ServerCfg   rpcrdma.Config
+	// ClientCfg / ServerCfg tune the DPU (client) and host (server)
+	// protocol endpoints; zero values take the Table I defaults (8 KiB
+	// blocks, 256 credits, 3/16 MiB buffers). Commit batching is set on
+	// both; HostWorkers > 1 on ServerCfg runs the host duplex response
+	// pool (handlers must then be safe for concurrent invocation);
+	// RequestTimeout on ClientCfg bounds each request (enable it whenever
+	// faults are injected); AdmitMaxInflight / AdmitArenaFrac on ServerCfg
+	// arm the host admission gate.
+	ClientCfg rpcrdma.Config
+	ServerCfg rpcrdma.Config
 	// OffloadResponseSerialization moves response serialization to the DPU
-	// too: the host writes response objects into the shared region and the
-	// DPU produces the protobuf bytes (Sec. III-A's symmetric extension).
+	// too (Sec. III-A's symmetric extension): host handlers still return
+	// messages, but the host writes response objects into the shared region
+	// and the DPU produces the protobuf bytes.
 	OffloadResponseSerialization bool
 	// SGPayloadMin > 0 enables the zero-copy scatter-gather payload path on
 	// every connection: singular string/bytes payloads of at least this many
-	// wire bytes travel in dedicated 8-aligned segments referenced by offset
-	// from the built object (request direction always; response direction
-	// when OffloadResponseSerialization is on). 0 keeps all payloads inline.
+	// wire bytes travel in dedicated 8-aligned segments of the shared
+	// region, referenced by offset from the built object and described by
+	// an SG table at the front of the message, so the deserializer never
+	// copies them through the object arena (request direction always;
+	// response direction when OffloadResponseSerialization is on). 0 keeps
+	// every payload inline.
 	SGPayloadMin int
-	// CommitBatch > 1 enables commit/doorbell coalescing on both sides of
-	// every connection: blocks seal after accumulating this many messages
-	// (or CommitFlushTimeout), so one doorbell carries a run of messages.
-	// Overrides ClientCfg/ServerCfg when set; 0 leaves the per-side
-	// configs in charge (see rpcrdma.Config.CommitBatch).
-	CommitBatch int
-	// CommitFlushTimeout is the coalescing latency cap paired with
-	// CommitBatch (0 = rpcrdma.DefaultCommitFlushTimeout).
-	CommitFlushTimeout time.Duration
 	// HostPollers is the number of host-side poller threads; connections
 	// are distributed round-robin (Sec. III-C: a server poller may share
-	// several connections; Table I runs 8 host threads). Default 1.
+	// several connections; Table I runs 8 host threads). Default 1; capped
+	// at Connections.
 	HostPollers int
-	// HostWorkers > 1 enables the host-side duplex response pipeline on
-	// every connection: handlers AND response builds (objconv.ToArena /
-	// Marshal) run on a pool of this many workers instead of the poller
-	// thread (Sec. III-D's background RPCs), with slots reserved as
-	// handlers finish and committed as builds complete.
-	HostWorkers int
 	// Deprecated: ignored. Each DPU server is one poller per connection;
 	// parallelism comes from more connections.
 	DPUWorkers int
-	// Tracer, when non-nil, enables end-to-end span recording: every call
-	// admitted on a DPU server is stamped with a trace ID that rides the
-	// request-ID replay to the host and back, and each datapath stage
-	// records a span against it (see internal/trace).
+	// Tracer, when non-nil, stamps every call admitted on a DPU server with
+	// a trace ID that rides the request-ID replay to the host and back, and
+	// each datapath stage records a span against it (DPU measure/build/
+	// commit, PCIe doorbells, host dispatch/handler/response build, DPU
+	// response serialize and delivery; see internal/trace). The recording
+	// cost is bounded and the datapath never blocks on it.
 	Tracer *trace.Tracer
+	// Registry, when non-nil, receives the response cache's series and, on
+	// a dpurpc stack, the xRPC front end's per-method series (requests,
+	// errors, bytes, in-flight). Expose it live as trace.NewDebugMux's
+	// DebugOptions.Registry.
+	Registry *metrics.Registry
 	// Window, when non-nil, is shared by every DPU server: each completed
 	// request adds one end-to-end latency observation (tagged with its trace
-	// ID) so /metrics, /anatomy, and /tail report the trailing window.
+	// ID) so /metrics, /anatomy and /tail report the trailing window's
+	// req/s, quantiles and worst requests.
 	Window *metrics.RPCWindow
-	// ClientFaults/ServerFaults inject faults into the DPU->host and
-	// host->DPU RDMA paths respectively (see internal/fault). Each
-	// connection derives its own deterministic schedule (plan seed + index)
-	// so multi-connection chaos runs are reproducible but not in lockstep.
-	// Nil (the default) keeps the datapath byte-identical to a fault-free
+	// ClientFaults/ServerFaults inject deterministic faults (error CQEs,
+	// drops, delivery delays, CQ overflows) into the DPU->host and
+	// host->DPU RDMA paths respectively (see internal/fault); chaos testing
+	// only. Each connection derives its own schedule (plan seed + index) so
+	// multi-connection chaos runs are reproducible but not in lockstep. Nil
+	// (the default) keeps the datapath byte-identical to a fault-free
 	// build.
 	ClientFaults *fault.Plan
 	ServerFaults *fault.Plan
 	// LinkFaults attaches a stall hook to the simulated PCIe link (StallRate
 	// / Stall of the plan; other rates are ignored here).
 	LinkFaults *fault.Plan
-	// RequestTimeout bounds each offloaded request from enqueue to response
-	// on the client (DPU->host) side; expired requests fail typed instead
-	// of hanging. Zero disables deadlines — only enable under fault
-	// injection (see rpcrdma.Config.RequestTimeout).
-	RequestTimeout time.Duration
 	// ReconnectBudget > 0 arms transparent reconnect on every DPU server: a
 	// broken connection is redialed (fresh QP pair against the same host
-	// poller, same per-connection config) up to this many consecutive
-	// failures before the break becomes terminal. See
-	// DPUConfig.ReconnectBudget.
+	// poller, same per-connection config). Requests in flight on the wire
+	// at break time fail typed (UNAVAILABLE, exactly once); queued requests
+	// ride through and reserve on the replacement. After this many
+	// consecutive failed redials the break is terminal and pending requests
+	// fail typed, so a hard-down host still fails fast; a successful redial
+	// refills the budget.
 	ReconnectBudget int
-	// ReconnectBackoff / ReconnectMaxBackoff tune the redial backoff
-	// schedule (0 = DPUConfig defaults: 200µs doubling to 50ms).
+	// ReconnectBackoff is the delay before the first redial attempt,
+	// doubling per consecutive failure up to ReconnectMaxBackoff.
+	// Defaults: 200µs initial, 50ms cap.
 	ReconnectBackoff    time.Duration
 	ReconnectMaxBackoff time.Duration
-	// DPUAdmitMaxInflight > 0 enables the DPU-side admission gate on every
-	// DPU server (see DPUConfig.AdmitMaxInflight).
+	// DPUAdmitMaxInflight > 0 enables DPU-side admission control: new
+	// requests are shed with UNAVAILABLE (never entering the reserve-arena
+	// bounded wait) while a DPU server already has this many requests
+	// admitted, queued for a block slot or outstanding on the wire.
+	// Requests already admitted are never shed. 0 admits everything.
 	DPUAdmitMaxInflight int
-	// HostAdmitMaxInflight / HostAdmitArenaFrac enable the host-side
-	// admission gate on every server connection (see
-	// rpcrdma.Config.AdmitMaxInflight / AdmitArenaFrac).
-	HostAdmitMaxInflight int
-	HostAdmitArenaFrac   float64
-	// CacheMethods opts full method names into the DPU-resident response
-	// cache, shared by every connection's DPU server (see
-	// DPUConfig.CacheMethods). Empty disables caching entirely.
+	// CacheMethods opts full method names ("/pkg.Service/Method") into the
+	// DPU-resident response cache: repeated byte-identical requests are
+	// answered from stored response bytes on the DPU before the scan, the
+	// admission gate and the host dispatch. Only list methods whose
+	// response depends solely on the request bytes (idempotent,
+	// read-mostly); invalidate when the backing state changes. One cache is
+	// shared by every connection and survives reconnects. Unknown names
+	// fail construction; empty disables caching.
 	CacheMethods []string
 	// CacheMaxBytes / CacheMaxEntries / CacheTTL bound the shared cache
 	// (0 = rpccache defaults: 8 MiB, unbounded count, no expiry).
@@ -212,43 +226,18 @@ type DeployConfig struct {
 	CacheTTL        time.Duration
 }
 
-// NewDeployment performs the handshake and wires conns connections between
-// a DPU and the host. impls provides the host-side business logic.
-func NewDeployment(hostTable *adt.Table, impls map[string]Impl, conns int,
-	ccfg, scfg rpcrdma.Config) (*Deployment, error) {
-	return NewDeploymentWith(hostTable, impls, DeployConfig{
-		Connections: conns, ClientCfg: ccfg, ServerCfg: scfg,
-	})
-}
-
-// NewDeploymentWith is NewDeployment with the extension knobs.
+// NewDeploymentWith performs the ADT handshake and wires cfg.Connections
+// connections between a DPU and the host. impls provides the host-side
+// business logic.
 func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployConfig) (*Deployment, error) {
 	conns := cfg.Connections
 	if conns == 0 {
 		conns = 1
 	}
-	if cfg.CommitBatch != 0 {
-		cfg.ClientCfg.CommitBatch = cfg.CommitBatch
-		cfg.ServerCfg.CommitBatch = cfg.CommitBatch
-	}
-	if cfg.CommitFlushTimeout != 0 {
-		cfg.ClientCfg.CommitFlushTimeout = cfg.CommitFlushTimeout
-		cfg.ServerCfg.CommitFlushTimeout = cfg.CommitFlushTimeout
-	}
 	ccfg := cfg.ClientCfg.WithDefaults(true)
 	scfg := cfg.ServerCfg.WithDefaults(false)
-	scfg.HostWorkers = cfg.HostWorkers
-	if cfg.HostAdmitMaxInflight > 0 {
-		scfg.AdmitMaxInflight = cfg.HostAdmitMaxInflight
-	}
-	if cfg.HostAdmitArenaFrac > 0 {
-		scfg.AdmitArenaFrac = cfg.HostAdmitArenaFrac
-	}
 	ccfg.Tracer = cfg.Tracer
 	scfg.Tracer = cfg.Tracer
-	if cfg.RequestTimeout > 0 {
-		ccfg.RequestTimeout = cfg.RequestTimeout
-	}
 	link := fabric.NewLink()
 	if cfg.LinkFaults != nil {
 		if inj := fault.New(*cfg.LinkFaults); inj != nil {
@@ -278,11 +267,13 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 	if hostPollers > conns {
 		hostPollers = conns
 	}
-	// Size each shared server CQ for its share of connections.
+	// Size each shared server CQ for its share of connections plus one
+	// spare: a redial attaches the replacement connection before the host
+	// poller has reaped the broken one and returned its receive budget.
 	perPoller := (conns + hostPollers - 1) / hostPollers
 	pollerCfg := scfg
-	if pollerCfg.CQDepth < perPoller*(ccfg.Credits+16) {
-		pollerCfg.CQDepth = perPoller * (ccfg.Credits + 16)
+	if pollerCfg.CQDepth < (perPoller+1)*(ccfg.Credits+16) {
+		pollerCfg.CQDepth = (perPoller + 1) * (ccfg.Credits + 16)
 	}
 	d := &Deployment{Link: link, Host: host}
 	if len(cfg.CacheMethods) > 0 {
@@ -296,6 +287,9 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 			TTL:        cfg.CacheTTL,
 			Methods:    len(MethodNames(dpuTable)),
 		})
+		if cfg.Registry != nil {
+			d.Cache.EnableMetrics(cfg.Registry, MethodNames(hostTable))
+		}
 	}
 	for i := 0; i < hostPollers; i++ {
 		d.Pollers = append(d.Pollers, rpcrdma.NewServerPoller(pollerCfg))
@@ -324,25 +318,16 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 		// Redial replays this connection's setup against the same host
 		// poller: a fresh QP pair under the identical per-connection config
 		// (fault schedule included), attached through the poller's
-		// synchronized admission — the dead connection's receive budget is
-		// returned when the poller reaps it, so churn does not leak CQ
-		// capacity. Runs on the DPU poller goroutine.
+		// synchronized admission. The dead connection's receive budget
+		// returns only when the poller reaps it, so the replacement attaches
+		// into the spare connection's share of the CQ sized above; a second
+		// break before that reap costs one failed redial and a backoff.
+		// Runs on the DPU poller goroutine.
 		redial := func() (*rpcrdma.ClientConn, error) {
 			nc, _, err := rpcrdma.Connect(dpuDev, hostDev, ccfgi, scfgi, poller, host.Handler())
 			return nc, err
 		}
-		dpu, err := NewDPUServerWith(dpuTable, client, DPUConfig{
-			Tracer:              cfg.Tracer,
-			Window:              cfg.Window,
-			SGPayloadMin:        cfg.SGPayloadMin,
-			Redial:              redial,
-			ReconnectBudget:     cfg.ReconnectBudget,
-			ReconnectBackoff:    cfg.ReconnectBackoff,
-			ReconnectMaxBackoff: cfg.ReconnectMaxBackoff,
-			AdmitMaxInflight:    cfg.DPUAdmitMaxInflight,
-			CacheMethods:        cfg.CacheMethods,
-			Cache:               d.Cache,
-		})
+		dpu, err := newDPUServer(dpuTable, client, cfg, redial, d.Cache)
 		if err != nil {
 			return nil, err
 		}

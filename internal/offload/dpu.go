@@ -11,7 +11,6 @@ import (
 	"dpurpc/internal/adt"
 	"dpurpc/internal/arena"
 	"dpurpc/internal/deser"
-	"dpurpc/internal/metrics"
 	"dpurpc/internal/rpccache"
 	"dpurpc/internal/rpcrdma"
 	"dpurpc/internal/trace"
@@ -22,7 +21,7 @@ import (
 var ErrShuttingDown = errors.New("offload: DPU server shutting down")
 
 // ErrAdmissionShed is the typed cause of requests rejected by the DPU-side
-// admission gate (DPUConfig.AdmitMaxInflight): the server is at its
+// admission gate (DeployConfig.DPUAdmitMaxInflight): the server is at its
 // high-water mark and the request is shed with UNAVAILABLE before it can
 // enter the reserve-arena bounded wait.
 var ErrAdmissionShed = errors.New("offload: admission control shed")
@@ -45,16 +44,17 @@ type DPUStats struct {
 	// SerializedBytes counts response bytes the DPU itself serialized
 	// (response-serialization offload mode).
 	SerializedBytes uint64
-	// Reconnects counts broken connections successfully replaced via
-	// DPUConfig.Redial; RedialFails counts redial attempts that failed
-	// (each doubles the backoff toward the budget); Sheds counts requests
-	// rejected by the DPU-side admission gate (AdmitMaxInflight) with
+	// Reconnects counts broken connections successfully replaced by a
+	// redial; RedialFails counts redial attempts that failed (each doubles
+	// the backoff toward the budget); Sheds counts requests rejected by the
+	// DPU-side admission gate (DeployConfig.DPUAdmitMaxInflight) with
 	// UNAVAILABLE.
 	Reconnects  uint64
 	RedialFails uint64
 	Sheds       uint64
-	// Response-cache activity on this server (DPUConfig.Cache). Hits are
-	// served entirely on the DPU: no scan, no block, no host dispatch.
+	// Response-cache activity on this server (DeployConfig.CacheMethods).
+	// Hits are served entirely on the DPU: no scan, no block, no host
+	// dispatch.
 	// CacheProbeBytes counts request bytes hashed by every probe (hit or
 	// miss); CacheHitReqBytes/CacheHitRespBytes count the request and
 	// response bytes of hits alone; CacheInsertBytes counts key+value bytes
@@ -159,67 +159,6 @@ func (rb *respBuf) put() {
 	respBufPool.Put(rb)
 }
 
-// DPUConfig tunes one DPU server.
-type DPUConfig struct {
-	// Tracer, when non-nil and enabled, stamps every admitted call with a
-	// trace ID and records per-stage spans through the whole datapath
-	// (measure/reserve/build/commit, PCIe doorbells, the host's dispatch,
-	// handler and response stages, and response serialization/reply).
-	Tracer *trace.Tracer
-	// Window, when non-nil, receives one end-to-end latency observation per
-	// completed request (admission to reply), tagged with the request's
-	// trace ID so the windowed histogram's tail exemplars resolve to full
-	// span anatomies. Nil disables windowed telemetry at one pointer test.
-	Window *metrics.RPCWindow
-	// SGPayloadMin > 0 enables the scatter-gather payload path: singular
-	// string/bytes payloads of at least this many wire bytes are carried in
-	// dedicated 8-aligned segments after the object area, referenced by
-	// offset from the object's string records and described by an SG table
-	// at the front of the message — the deserializer never copies them into
-	// the object arena. 0 (the default) keeps every payload inline,
-	// byte-identical to pre-SG builds.
-	SGPayloadMin int
-
-	// Redial, when non-nil, establishes a replacement connection after the
-	// current one trips ErrConnBroken. It is called from the poller
-	// goroutine and must return a fresh ClientConn wired to a fresh
-	// server-side peer (see offload.NewDeploymentWith, which builds one per
-	// connection from connect.go). Requests in flight on the wire at break
-	// time fail typed (UNAVAILABLE, exactly once); queued requests ride
-	// through and reserve on the replacement.
-	Redial func() (*rpcrdma.ClientConn, error)
-	// ReconnectBudget bounds consecutive failed redial attempts before the
-	// break becomes terminal (the server shuts down and pending requests
-	// fail typed), so a hard-down host still fails fast. 0 disables
-	// reconnect even when Redial is set. A successful redial refills the
-	// budget.
-	ReconnectBudget int
-	// ReconnectBackoff is the delay before the first redial attempt,
-	// doubling per consecutive failure up to ReconnectMaxBackoff.
-	// Defaults: 200µs initial, 50ms cap.
-	ReconnectBackoff    time.Duration
-	ReconnectMaxBackoff time.Duration
-
-	// AdmitMaxInflight > 0 enables DPU-side admission control: new requests
-	// are shed with UNAVAILABLE (never entering the reserve-arena bounded
-	// wait) while the server already has this many requests admitted —
-	// queued for a block slot or outstanding on the wire. Requests already
-	// admitted are never shed. 0 admits everything.
-	AdmitMaxInflight int
-
-	// CacheMethods opts full method names ("/pkg.Service/Method") into the
-	// DPU-resident response cache: repeated byte-identical requests to these
-	// methods are answered from stored response bytes before the scan, the
-	// admission gate, and the host dispatch. Only methods whose responses
-	// depend solely on the request bytes (idempotent, read-mostly) belong
-	// here. Unknown names fail construction.
-	CacheMethods []string
-	// Cache is the response cache backing CacheMethods. Deployments share
-	// one cache across every connection's server (and across reconnects);
-	// nil with CacheMethods set builds a private cache with default bounds.
-	Cache *rpccache.Cache
-}
-
 // DPUServer is the DPU middleman for one RPC-over-RDMA connection: it
 // terminates xRPC calls, runs the request deserialization on the DPU, and
 // forwards built objects to the host (Sec. III-A). One poller goroutine
@@ -232,8 +171,19 @@ type DPUServer struct {
 	table  *adt.Table
 	procs  *procTable
 	client *rpcrdma.ClientConn
-	cfg    DPUConfig
-	dopts  deser.Options // options for every deserializer this server creates
+	// cfg is the deployment's configuration; the server reads Tracer,
+	// Window, SGPayloadMin, the Reconnect* knobs (backoffs defaulted),
+	// DPUAdmitMaxInflight and CacheMethods.
+	cfg DeployConfig
+	// redial establishes a replacement connection after the current one
+	// trips ErrConnBroken (nil: a break is terminal). Called from the
+	// poller goroutine; it must return a fresh ClientConn wired to a fresh
+	// server-side peer (NewDeploymentWith builds one per connection).
+	redial func() (*rpcrdma.ClientConn, error)
+	// cache backs cfg.CacheMethods. A deployment shares one across every
+	// connection's server and across reconnects; nil disables caching.
+	cache *rpccache.Cache
+	dopts deser.Options // options for every deserializer this server creates
 	// maxNeed is the largest request object a block slot can hold
 	// (ClientConn.MaxPayload): scans refuse a request past it before
 	// decoding its packed varints.
@@ -310,14 +260,12 @@ type DPUServer struct {
 	sgDescs []rpcrdma.SGDesc
 }
 
-// NewDPUServer builds the DPU side from the table received at handshake and
-// an established RPC-over-RDMA client connection.
-func NewDPUServer(table *adt.Table, client *rpcrdma.ClientConn) (*DPUServer, error) {
-	return NewDPUServerWith(table, client, DPUConfig{})
-}
-
-// NewDPUServerWith is NewDPUServer with the DPUConfig knobs.
-func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfig) (*DPUServer, error) {
+// newDPUServer builds the DPU side of one connection from the table
+// received at handshake and an established RPC-over-RDMA client connection.
+// redial and cache are the deployment's wiring for this connection (either
+// may be nil); the knobs come from cfg.
+func newDPUServer(table *adt.Table, client *rpcrdma.ClientConn, cfg DeployConfig,
+	redial func() (*rpcrdma.ClientConn, error), cache *rpccache.Cache) (*DPUServer, error) {
 	procs, err := buildProcTable(table, nil, false)
 	if err != nil {
 		return nil, err
@@ -328,6 +276,8 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 		procs:   procs,
 		client:  client,
 		cfg:     cfg,
+		redial:  redial,
+		cache:   cache,
 		submit:  make(chan *callTask, 4096),
 		dopts:   dopts,
 		maxNeed: client.MaxPayload(),
@@ -348,9 +298,6 @@ func NewDPUServerWith(table *adt.Table, client *rpcrdma.ClientConn, cfg DPUConfi
 			return nil, fmt.Errorf("offload: cache method %q not in table", name)
 		}
 		procs.entries[mid].cache = true
-	}
-	if len(cfg.CacheMethods) > 0 && d.cfg.Cache == nil {
-		d.cfg.Cache = rpccache.New(rpccache.Config{Methods: len(procs.entries)})
 	}
 	if d.cfg.ReconnectBackoff <= 0 {
 		d.cfg.ReconnectBackoff = 200 * time.Microsecond
@@ -377,7 +324,7 @@ func (d *DPUServer) wake() { d.clientRef.Load().Wake() }
 // cacheable reports whether the entry is opted into the response cache and
 // a cache is attached.
 func (d *DPUServer) cacheable(e *procEntry) bool {
-	return e.cache && d.cfg.Cache != nil
+	return e.cache && d.cache != nil
 }
 
 // cacheProbe consults the response cache for one request before it enters
@@ -395,7 +342,7 @@ func (d *DPUServer) cacheProbe(id uint16, e *procEntry, payload []byte, tr *trac
 	if tr != nil {
 		t0 = trace.Now()
 	}
-	resp, status, ok := d.cfg.Cache.Get(id, payload)
+	resp, status, ok := d.cache.Get(id, payload)
 	d.cacheProbeBytes.Add(uint64(len(payload)))
 	if !ok {
 		d.cacheMisses.Add(1)
@@ -427,7 +374,7 @@ func (d *DPUServer) cacheInsert(task *callTask, r callResult) {
 	if task.entry == nil || !d.cacheable(task.entry) || task.epoch != d.epoch {
 		return
 	}
-	if d.cfg.Cache.Put(task.procID, task.data, r.resp, r.status) {
+	if d.cache.Put(task.procID, task.data, r.resp, r.status) {
 		d.cacheInsertBytes.Add(uint64(len(task.data) + len(r.resp)))
 	}
 }
@@ -719,7 +666,7 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 		// holds for it may describe state the failure mutated or revealed to
 		// be stale. Drop the method's entries; subsequent requests bypass to
 		// the host until fresh OK responses repopulate.
-		d.cfg.Cache.InvalidateMethod(task.procID)
+		d.cache.InvalidateMethod(task.procID)
 	}
 	var out []byte
 	var release func()
@@ -895,7 +842,7 @@ func (d *DPUServer) progressClient() (int, error) {
 // reconnectEnabled reports whether a broken connection is replaced rather
 // than becoming terminal.
 func (d *DPUServer) reconnectEnabled() bool {
-	return d.cfg.Redial != nil && d.cfg.ReconnectBudget > 0
+	return d.redial != nil && d.cfg.ReconnectBudget > 0
 }
 
 // enterReconnect transitions to the reconnecting state after the protocol
@@ -924,7 +871,7 @@ func (d *DPUServer) tryReconnect() error {
 	if time.Now().Before(d.reconNextAt) {
 		return nil
 	}
-	nc, err := d.cfg.Redial()
+	nc, err := d.redial()
 	if err != nil {
 		d.redialFails.Add(1)
 		d.reconAttempts++
@@ -975,11 +922,11 @@ func (d *DPUServer) Break() {
 }
 
 // overAdmission reports whether the DPU-side admission gate
-// (DPUConfig.AdmitMaxInflight) is at its high-water mark, counting every
+// (DeployConfig.DPUAdmitMaxInflight) is at its high-water mark, counting every
 // request already accepted: queued for (re-)admission or outstanding on the
 // wire. Poller-owned.
 func (d *DPUServer) overAdmission() bool {
-	hw := d.cfg.AdmitMaxInflight
+	hw := d.cfg.DPUAdmitMaxInflight
 	if hw <= 0 {
 		return false
 	}

@@ -31,9 +31,9 @@ func TestDuplexSoak(t *testing.T) {
 		},
 	}
 	ccfg, scfg := smallTestCfg()
+	scfg.HostWorkers = 4
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
-		HostWorkers:                  4,
 		OffloadResponseSerialization: true,
 	})
 	if err != nil {

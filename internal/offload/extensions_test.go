@@ -159,9 +159,9 @@ func TestBackgroundDeployment(t *testing.T) {
 		},
 	}
 	ccfg, scfg := smallTestCfg()
+	scfg.HostWorkers = 4
 	d, err := NewDeploymentWith(env.Table, impls, DeployConfig{
 		Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-		HostWorkers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

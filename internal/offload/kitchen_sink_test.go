@@ -39,10 +39,10 @@ func TestKitchenSink(t *testing.T) {
 		},
 	}
 	ccfg, scfg := smallTestCfg()
+	scfg.HostWorkers = 3
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections:                  4,
 		HostPollers:                  2,
-		HostWorkers:                  3,
 		OffloadResponseSerialization: true,
 		ClientCfg:                    ccfg,
 		ServerCfg:                    scfg,

@@ -48,7 +48,7 @@ type procEntry struct {
 	plan     *deser.Plan
 	handler  ViewHandler
 	// cache marks the method as idempotent and opted into the DPU-resident
-	// response cache (DPUConfig.CacheMethods): repeated requests are served
+	// response cache (DeployConfig.CacheMethods): repeated requests are served
 	// from stored response bytes without scanning or crossing to the host.
 	cache bool
 }

@@ -129,7 +129,7 @@ func TestOffloadedDatapathEndToEnd(t *testing.T) {
 	env := workload.NewEnv()
 	impl := &benchImpl{env: env}
 	ccfg, scfg := smallTestCfg()
-	d, err := NewDeployment(env.Table, impl.impls(), 1, ccfg, scfg)
+	d, err := NewDeploymentWith(env.Table, impl.impls(), DeployConfig{Connections: 1, ClientCfg: ccfg, ServerCfg: scfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestOffloadOverRealTCP(t *testing.T) {
 	env := workload.NewEnv()
 	impl := &benchImpl{env: env}
 	ccfg, scfg := smallTestCfg()
-	d, err := NewDeployment(env.Table, impl.impls(), 1, ccfg, scfg)
+	d, err := NewDeploymentWith(env.Table, impl.impls(), DeployConfig{Connections: 1, ClientCfg: ccfg, ServerCfg: scfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestHostHandlerStatusPaths(t *testing.T) {
 		},
 	}
 	ccfg, scfg := smallTestCfg()
-	d, err := NewDeployment(env.Table, impls, 1, ccfg, scfg)
+	d, err := NewDeploymentWith(env.Table, impls, DeployConfig{Connections: 1, ClientCfg: ccfg, ServerCfg: scfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestMultiConnectionDeployment(t *testing.T) {
 	impl := &benchImpl{env: env}
 	ccfg, scfg := smallTestCfg()
 	const conns = 4
-	d, err := NewDeployment(env.Table, impl.impls(), conns, ccfg, scfg)
+	d, err := NewDeploymentWith(env.Table, impl.impls(), DeployConfig{Connections: conns, ClientCfg: ccfg, ServerCfg: scfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestDPUServerShutdownFailsPending(t *testing.T) {
 	env := workload.NewEnv()
 	impl := &benchImpl{env: env}
 	ccfg, scfg := smallTestCfg()
-	d, err := NewDeployment(env.Table, impl.impls(), 1, ccfg, scfg)
+	d, err := NewDeploymentWith(env.Table, impl.impls(), DeployConfig{Connections: 1, ClientCfg: ccfg, ServerCfg: scfg})
 	if err != nil {
 		t.Fatal(err)
 	}

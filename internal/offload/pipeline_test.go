@@ -62,9 +62,9 @@ func TestPipelineSoak(t *testing.T) {
 		},
 	}
 	ccfg, scfg := smallTestCfg()
+	scfg.HostWorkers = 2
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
-		HostWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -65,14 +65,14 @@ func TestPoisonOnRelease(t *testing.T) {
 					t.Error("no cache hit")
 				}
 			}},
-		{name: "timeout", cfg: DeployConfig{RequestTimeout: 40 * time.Millisecond}, slowEvery: 250,
+		{name: "timeout", cfg: DeployConfig{ClientCfg: rpcrdma.Config{RequestTimeout: 40 * time.Millisecond}}, slowEvery: 250,
 			check: func(t *testing.T, _ DPUStats, typed uint64) {
 				if typed == 0 {
 					t.Error("no request was reaped")
 				}
 			}},
 		{name: "reconnect", cfg: DeployConfig{ClientFaults: &flaky, ServerFaults: &flaky,
-			RequestTimeout: time.Second, ReconnectBudget: 10}, kill: true,
+			ClientCfg: rpcrdma.Config{RequestTimeout: time.Second}, ReconnectBudget: 10}, kill: true,
 			check: func(t *testing.T, st DPUStats, _ uint64) {
 				if st.Reconnects == 0 {
 					t.Error("no reconnect")
@@ -85,7 +85,7 @@ func TestPoisonOnRelease(t *testing.T) {
 			impls := map[string]Impl{"echopb.Echo": {"Call": func(req abi.View) (*protomsg.Message, uint16) {
 				id := req.U64Name("id")
 				if mode.slowEvery > 0 && id%mode.slowEvery == 0 {
-					time.Sleep(3 * mode.cfg.RequestTimeout)
+					time.Sleep(3 * mode.cfg.ClientCfg.RequestTimeout)
 				}
 				m := protomsg.New(respDesc)
 				m.SetUint64("id", id)
@@ -95,6 +95,7 @@ func TestPoisonOnRelease(t *testing.T) {
 			cfg := mode.cfg
 			cfg.Connections = 1
 			cfg.ClientCfg, cfg.ServerCfg = smallTestCfg()
+			cfg.ClientCfg.RequestTimeout = mode.cfg.ClientCfg.RequestTimeout
 			cfg.ClientCfg.BusyPoll, cfg.ServerCfg.BusyPoll = false, false
 			cfg.ClientCfg.WaitTimeout, cfg.ServerCfg.WaitTimeout = 100*time.Microsecond, 100*time.Microsecond
 			d, err := NewDeploymentWith(table, impls, cfg)

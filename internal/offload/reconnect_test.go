@@ -39,10 +39,10 @@ func TestReconnectResumesTransparently(t *testing.T) {
 				},
 			}
 			ccfg, scfg := smallTestCfg()
+			ccfg.RequestTimeout = 2 * time.Second
+			scfg.HostWorkers = workers
 			d, err := NewDeploymentWith(table, impls, DeployConfig{
 				Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-				HostWorkers:     workers,
-				RequestTimeout:  2 * time.Second,
 				ReconnectBudget: 10,
 			})
 			if err != nil {
@@ -185,9 +185,9 @@ func TestReconnectFlightDumpBudget(t *testing.T) {
 	ccfg, scfg := smallTestCfg()
 	ccfg.FlightRecorder = 64
 	ccfg.FlightSink = func(rpcrdma.FlightDump) { dumps.Add(1) }
+	ccfg.RequestTimeout = 2 * time.Second
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-		RequestTimeout:  2 * time.Second,
 		ReconnectBudget: 10,
 	})
 	if err != nil {
@@ -300,11 +300,10 @@ func TestReconnectBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	redialErr := errors.New("host is down")
-	dpu, err := NewDPUServerWith(dpuTable, client, DPUConfig{
-		Redial:           func() (*rpcrdma.ClientConn, error) { return nil, redialErr },
+	dpu, err := newDPUServer(dpuTable, client, DeployConfig{
 		ReconnectBudget:  3,
 		ReconnectBackoff: time.Microsecond,
-	})
+	}, func() (*rpcrdma.ClientConn, error) { return nil, redialErr }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestWorkerStackStaysPut(t *testing.T) {
 	env := workload.NewEnv()
 	ccfg, scfg := smallTestCfg()
 	ccfg.BusyPoll, scfg.BusyPoll = false, false
-	d, err := NewDeployment(env.Table, (&benchImpl{env: env}).impls(), 1, ccfg, scfg)
+	d, err := NewDeploymentWith(env.Table, (&benchImpl{env: env}).impls(), DeployConfig{Connections: 1, ClientCfg: ccfg, ServerCfg: scfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,9 @@ func TestTracedDuplexSoak(t *testing.T) {
 	tr := trace.New(trace.Config{RingSize: 2 * total, MaxActive: 2 * total})
 	tr.Enable()
 	ccfg, scfg := smallTestCfg()
+	scfg.HostWorkers = 4
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
-		HostWorkers:                  4,
 		OffloadResponseSerialization: true,
 		Tracer:                       tr,
 	})

@@ -18,103 +18,12 @@ import (
 	"dpurpc/internal/xrpc"
 )
 
-// StackOptions configure a deployment.
-type StackOptions struct {
-	// Connections is the number of host<->DPU RPC-over-RDMA connections
-	// (one DPU poller each, Sec. III-C). Default 1.
-	Connections int
-	// ClientConfig / ServerConfig tune the protocol endpoints; zero values
-	// take the Table I defaults (8 KiB blocks, 256 credits, 3/16 MiB
-	// buffers).
-	ClientConfig Config
-	ServerConfig Config
-	// OffloadResponseSerialization also moves response serialization to
-	// the DPU (the symmetric extension of Sec. III-A): host handlers still
-	// return *Message, but the stack ships response objects through the
-	// shared region and the DPU produces the wire bytes.
-	OffloadResponseSerialization bool
-	// SGPayloadMin > 0 enables the zero-copy scatter-gather payload path:
-	// singular string/bytes payloads of at least this many wire bytes are
-	// carried in dedicated 8-aligned payload segments of the shared region,
-	// referenced by offset from the built object and described by an SG
-	// table at the front of the message — the deserializer stops copying
-	// bulk bytes through the object arena. Applies to the request direction
-	// always and to responses when OffloadResponseSerialization is on.
-	// 0 (the default) keeps every payload inline. Offloaded stacks only.
-	SGPayloadMin int
-	// CommitBatch > 1 enables commit/doorbell coalescing on both
-	// directions of every connection: blocks seal after accumulating this
-	// many messages (or CommitFlushTimeout elapses), so one doorbell
-	// carries a whole run. 0 or 1 keeps flush-every-pass behavior.
-	CommitBatch int
-	// CommitFlushTimeout is the coalescing latency cap paired with
-	// CommitBatch (0 = the 50µs default), bounding p99 at low load.
-	CommitFlushTimeout time.Duration
-	// HostPollers is the number of host-side poller goroutines;
-	// connections are distributed round-robin across them (Table I runs 8
-	// host threads). Default 1; capped at Connections.
-	HostPollers int
-	// Deprecated: ignored. Each connection has one DPU poller, which
-	// fills every request and serializes every response; parallelism comes
-	// from Connections.
-	DPUWorkers int
-	// HostWorkers > 1 runs the host-side duplex response pipeline: the
-	// host poller admits requests and that many workers run handlers and
-	// build response objects in parallel into protocol slots reserved as
-	// handlers finish (Sec. III-D's background RPCs: a slow handler stalls
-	// no other call). 0 or 1 keeps the serial response path. Handlers must
-	// be safe for concurrent invocation.
-	HostWorkers int
-	// Registry, when non-nil, receives per-method RPC series (requests,
-	// errors, request/response bytes, in-flight gauge) recorded by the
-	// xRPC server's reply observer. Expose it live as
-	// trace.NewDebugMux's DebugOptions.Registry.
-	Registry *metrics.Registry
-	// Window, when non-nil, collects per-request end-to-end latency into
-	// sliding-window histograms: /metrics and /anatomy report the trailing
-	// window's req/s and p50/p90/p99, and /tail resolves the window's worst
-	// requests to full span anatomies (observations are tagged with trace
-	// IDs when a Tracer is also configured). Works for both offloaded and
-	// baseline stacks; baseline observations carry no trace ID.
-	Window *metrics.RPCWindow
-	// Tracer, when non-nil, stamps every admitted RPC with a trace ID and
-	// records per-stage spans along the whole datapath (DPU measure/build/
-	// commit, PCIe doorbells, host dispatch/handler/response build, DPU
-	// response serialize and delivery). Offloaded stacks only; the
-	// recording cost is bounded and the datapath never blocks on it.
-	Tracer *trace.Tracer
-	// Faults, when non-nil, injects deterministic faults (error CQEs,
-	// drops, delivery delays, CQ overflows) into both RDMA directions of
-	// every connection — chaos testing only. Each connection derives its
-	// own schedule from the plan seed. Nil keeps the datapath
-	// byte-identical to a fault-free build. Offloaded stacks only.
-	Faults *FaultPlan
-	// RequestTimeout bounds each offloaded request from enqueue on the DPU
-	// to its response; expired requests fail with DEADLINE_EXCEEDED
-	// instead of hanging. Zero disables deadlines — enable it whenever
-	// Faults is set. Offloaded stacks only.
-	RequestTimeout time.Duration
-	// CacheMethods opts full method names ("/pkg.Service/Method") into the
-	// DPU-resident response cache: repeated byte-identical requests are
-	// answered from stored response bytes on the DPU — no deserialization,
-	// no host round trip. Only list methods whose response depends solely
-	// on the request bytes (idempotent, read-mostly); invalidate with
-	// Stack.InvalidateMethod when the backing state changes. One cache is
-	// shared across all connections and survives reconnects. Offloaded
-	// stacks only.
-	CacheMethods []string
-	// CacheMaxBytes / CacheMaxEntries / CacheTTL bound the response cache
-	// (0 = defaults: 8 MiB, unbounded count, no expiry).
-	CacheMaxBytes   int
-	CacheMaxEntries int
-	CacheTTL        time.Duration
-}
-
-func (o *StackOptions) fill() {
-	if o.Connections == 0 {
-		o.Connections = 1
-	}
-}
+// StackOptions configure a deployment. They are the deployment's one
+// configuration, offload.DeployConfig, just as Config is rpcrdma.Config:
+// per-side protocol knobs (commit batching, host workers, deadlines) are
+// set on ClientCfg/ServerCfg, everything else once on the options.
+// Baseline stacks read only Registry and Window.
+type StackOptions = offload.DeployConfig
 
 // Stack is a running RPC deployment: either offloaded (DPU-terminated) or
 // baseline (host-terminated). Both serve the same xRPC protocol, so clients
@@ -148,33 +57,9 @@ type Stack struct {
 // middleman, RPC-over-RDMA connections, and the host compatibility layer
 // dispatching to impls.
 func NewOffloadedStack(schema *Schema, impls map[string]Impl, opts StackOptions) (*Stack, error) {
-	opts.fill()
-	dcfg := offload.DeployConfig{
-		Connections:                  opts.Connections,
-		ClientCfg:                    opts.ClientConfig,
-		ServerCfg:                    opts.ServerConfig,
-		OffloadResponseSerialization: opts.OffloadResponseSerialization,
-		SGPayloadMin:                 opts.SGPayloadMin,
-		CommitBatch:                  opts.CommitBatch,
-		CommitFlushTimeout:           opts.CommitFlushTimeout,
-		HostPollers:                  opts.HostPollers,
-		HostWorkers:                  opts.HostWorkers,
-		Tracer:                       opts.Tracer,
-		Window:                       opts.Window,
-		ClientFaults:                 opts.Faults,
-		ServerFaults:                 opts.Faults,
-		RequestTimeout:               opts.RequestTimeout,
-		CacheMethods:                 opts.CacheMethods,
-		CacheMaxBytes:                opts.CacheMaxBytes,
-		CacheMaxEntries:              opts.CacheMaxEntries,
-		CacheTTL:                     opts.CacheTTL,
-	}
-	d, err := offload.NewDeploymentWith(schema.Table, impls, dcfg)
+	d, err := offload.NewDeploymentWith(schema.Table, impls, opts)
 	if err != nil {
 		return nil, err
-	}
-	if d.Cache != nil && opts.Registry != nil {
-		d.Cache.EnableMetrics(opts.Registry, offload.MethodNames(schema.Table))
 	}
 	st := &Stack{deployment: d, schema: schema, registry: opts.Registry, tracer: opts.Tracer, window: opts.Window,
 		handlerPanics: func() uint64 { return d.Host.Stats().HandlerPanics }}

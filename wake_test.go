@@ -17,8 +17,8 @@ import (
 // ten seconds: any hand-off that still relies on the timer to be noticed
 // takes ten seconds instead of a millisecond, which no test below survives.
 func heartbeatOptions(opts dpurpc.StackOptions) dpurpc.StackOptions {
-	opts.ClientConfig.WaitTimeout = 10 * time.Second
-	opts.ServerConfig.WaitTimeout = 10 * time.Second
+	opts.ClientCfg.WaitTimeout = 10 * time.Second
+	opts.ServerCfg.WaitTimeout = 10 * time.Second
 	return opts
 }
 
@@ -45,8 +45,9 @@ func TestLivenessDoesNotDependOnHeartbeat(t *testing.T) {
 		budget time.Duration
 	}{
 		{"serial", dpurpc.StackOptions{}, 2 * time.Second},
-		{"host_workers_2", dpurpc.StackOptions{HostWorkers: 2}, 2 * time.Second},
-		{"commit_batch_8", dpurpc.StackOptions{CommitBatch: 8}, 5 * time.Second},
+		{"host_workers_2", dpurpc.StackOptions{ServerCfg: dpurpc.Config{HostWorkers: 2}}, 2 * time.Second},
+		{"commit_batch_8", dpurpc.StackOptions{
+			ClientCfg: dpurpc.Config{CommitBatch: 8}, ServerCfg: dpurpc.Config{CommitBatch: 8}}, 5 * time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
@@ -82,7 +83,7 @@ func TestLivenessDoesNotDependOnHeartbeat(t *testing.T) {
 			if elapsed > tc.budget {
 				t.Errorf("%d sequential calls took %v (> %v) with a 10s heartbeat: a hand-off is waiting for the timer", calls, elapsed, tc.budget)
 			}
-			if timer != 0 && tc.opts.CommitBatch <= 1 {
+			if timer != 0 && tc.opts.ClientCfg.CommitBatch <= 1 {
 				t.Errorf("%d timer wake-ups in %v with a 10s heartbeat", timer, elapsed)
 			}
 			if d := time.Since(closeStart); d > 2*time.Second {
@@ -101,8 +102,8 @@ func TestIdleStackStaysIdle(t *testing.T) {
 	}
 	// The DPU side runs no workers (one poller per connection); the host side
 	// runs with and without its duplex pool.
-	for _, opts := range []dpurpc.StackOptions{{}, {HostWorkers: 2}} {
-		t.Run(fmt.Sprintf("dpu0_host%d", opts.HostWorkers), func(t *testing.T) {
+	for _, opts := range []dpurpc.StackOptions{{}, {ServerCfg: dpurpc.Config{HostWorkers: 2}}} {
+		t.Run(fmt.Sprintf("dpu0_host%d", opts.ServerCfg.HostWorkers), func(t *testing.T) {
 			stack, err := dpurpc.NewOffloadedStack(schema, greeterImpls(t, schema), opts)
 			if err != nil {
 				t.Fatal(err)
@@ -139,9 +140,9 @@ func TestCreditGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := dpurpc.StackOptions{HostWorkers: 2}
-	opts.ClientConfig.Credits = 2
-	opts.ClientConfig.CQDepth = 2 * dpurpc.DefaultServerConfig().Credits
+	opts := dpurpc.StackOptions{ServerCfg: dpurpc.Config{HostWorkers: 2}}
+	opts.ClientCfg.Credits = 2
+	opts.ClientCfg.CQDepth = 2 * dpurpc.DefaultServerConfig().Credits
 	stack, err := dpurpc.NewOffloadedStack(schema, greeterImpls(t, schema), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +200,8 @@ func TestHostConnGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := dpurpc.StackOptions{HostWorkers: 2}
-	opts.ServerConfig.Credits = 8
+	opts := dpurpc.StackOptions{ServerCfg: dpurpc.Config{HostWorkers: 2}}
+	opts.ServerCfg.Credits = 8
 	stack, err := dpurpc.NewOffloadedStack(schema, greeterImpls(t, schema), opts)
 	if err != nil {
 		t.Fatal(err)
