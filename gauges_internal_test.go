@@ -144,3 +144,65 @@ func TestDPUCountersOnMetrics(t *testing.T) {
 		t.Errorf("%s = %v after one clean break", redialFails, v)
 	}
 }
+
+// conn_gather_bytes_total counts the SG payload bytes the DPU's request
+// sender posted straight from the request: the segment bytes of every SG
+// request on an SG deployment, and 0 on one without SG framing and on the
+// host's response sender.
+func TestGatherBytesOnMetrics(t *testing.T) {
+	env := workload.NewEnv()
+	blob := env.GenBlob(mt19937.New(2), 4096)
+	echo := func(abi.View) (*protomsg.Message, uint16) { return blob, 0 }
+	none := func(abi.View) (*protomsg.Message, uint16) { return nil, 0 }
+	impls := map[string]Impl{"benchpb.Bench": {
+		"CallSmall": none, "CallInts": none, "CallChars": none, "Echo": none, "EchoBlob": echo,
+	}}
+	req := env.GenBlob(mt19937.New(3), 4096)
+	payload := req.Marshal(nil)
+	const calls = 5
+	for _, sgMin := range []int{0, 1024} {
+		d, err := offload.NewDeploymentWith(env.Table, impls, offload.DeployConfig{
+			Connections: 1, SGPayloadMin: sgMin,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &Stack{deployment: d, handlerPanics: func() uint64 { return d.Host.Stats().HandlerPanics }}
+		st.instrument()
+		scrape := scraper(t, st)
+		dpu := d.DPUs[0]
+		done := 0
+		for i := 0; i < calls; i++ {
+			err := dpu.SubmitLocal("/benchpb.Bench/EchoBlob", payload, func(status uint16, _ bool, _ []byte) {
+				if status != xrpc.StatusOK {
+					t.Errorf("status %d", status)
+				}
+				done++
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); done < calls; {
+			if time.Now().After(deadline) {
+				t.Fatal("stepped deployment made no progress")
+			}
+			if _, err := dpu.Progress(); err != nil {
+				t.Fatal(err)
+			}
+			d.ProgressHost()
+		}
+		want := 0.0
+		if sgMin > 0 {
+			want = float64(calls * len(req.Bytes("data")))
+		}
+		if v := scrape(`conn_gather_bytes_total{conn="0",side="dpu"}`); v != want || want != float64(dpu.Client().Counters.SGBytesSent) {
+			t.Errorf("SGPayloadMin %d: dpu conn_gather_bytes_total = %v, want %v (SGBytesSent %d)",
+				sgMin, v, want, dpu.Client().Counters.SGBytesSent)
+		}
+		if v := scrape(`conn_gather_bytes_total{conn="0",side="host"}`); v != 0 {
+			t.Errorf("SGPayloadMin %d: host conn_gather_bytes_total = %v", sgMin, v)
+		}
+		d.Close()
+	}
+}

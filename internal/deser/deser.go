@@ -69,7 +69,7 @@ type Options struct {
 	// bytes is not copied into the object area during Fill — the scan
 	// emits a payload-ref note and FillSG writes the SSO offset form
 	// pointing at a dedicated payload segment of the registered region
-	// (placed once by PlaceSegments). 0 (the default) keeps every payload
+	// (laid out by Segments). 0 (the default) keeps every payload
 	// inline, byte-identical to the pre-SG deserializer.
 	SGPayloadMin int
 }

@@ -907,9 +907,8 @@ func (d *Deserializer) fillBody(p *Plan, data []byte, no *Notes, opi, cti, ei *i
 			setPresence(obj, lay, int(a.index))
 		case nopStringRef:
 			// Scatter-gather payload: write the offset form pointing at the
-			// segment PlaceSegments put (or will put) at the cursor — zero
-			// bytes copied here; the single placement memcpy is charged as
-			// RefBytes in PlaceSegments.
+			// segment Segments lays out at the cursor — zero bytes copied
+			// here; the segment is charged as RefBytes in Segments.
 			ln := int(op.val & 0xffffffff)
 			rec := obj[a.offset : a.offset+abi.StringRecordSize]
 			abi.PutStringRef(rec, d.segCur, ln)
@@ -1019,7 +1018,7 @@ func alignUp8(n int) int { return (n + 7) &^ 7 }
 // FillSG is Fill for a scatter-gather framed message: every payload-ref note
 // writes the SSO offset form pointing into the payload-segment area that
 // starts at region offset segBase, advancing an internal cursor in note
-// order — the same order PlaceSegments packs the segments — so the two walks
+// order — the same order Segments lays the segments out — so the two walks
 // agree without communicating. The caller lays the slot out as
 // [SG table][object area][segments] and passes base = the object area's
 // region offset, segBase = the segment area's.
@@ -1028,22 +1027,25 @@ func (d *Deserializer) FillSG(p *Plan, data []byte, no *Notes, bump *arena.Bump,
 	return d.Fill(p, data, no, bump, base)
 }
 
-// SegRef describes one placed payload segment: the protobuf field number it
-// backs, its offset within the segment area, and its exact byte length.
+// SegRef describes one payload segment: the protobuf field number it backs,
+// its offset within the segment area, its exact byte length, and its bytes
+// (a slice of the wire data).
 type SegRef struct {
 	FieldNum uint32
 	Off      uint32
 	Len      uint32
+	Src      []byte
 }
 
-// PlaceSegments copies every payload-ref payload of no into segDst, packed
-// back to back at 8-byte alignment in note order, and appends one SegRef per
-// segment to refs (pass nil to allocate). This is the single memcpy an SG
-// payload ever gets — it lands in the registered region and is referenced by
-// offset from then on — so the bytes are charged to Stats.RefBytes, not
-// CopyBytes. segDst must be at least no.SegBytes() long; alignment padding
-// is zeroed so reserved-slot garbage never rides the wire.
-func (d *Deserializer) PlaceSegments(data []byte, no *Notes, segDst []byte, refs []SegRef) []SegRef {
+// Segments lays out every payload-ref payload of no back to back at 8-byte
+// alignment in note order — the order FillSG references them — and appends
+// one SegRef per segment to refs (pass nil to allocate). It copies no
+// payload: it only zeroes each segment's alignment padding in segDst, the
+// segment area (at least no.SegBytes() long), so reserved-slot garbage never
+// rides the wire. The caller puts each Src at its Off: the DPU has the
+// fabric gather it from the request frame at post, PlaceSegments copies it.
+// The bytes are charged to Stats.RefBytes, not CopyBytes.
+func (d *Deserializer) Segments(data []byte, no *Notes, segDst []byte, refs []SegRef) []SegRef {
 	if no.segCount == 0 {
 		return refs
 	}
@@ -1055,17 +1057,26 @@ func (d *Deserializer) PlaceSegments(data []byte, no *Notes, segDst []byte, refs
 		}
 		payload := payloadOf(data, op.val)
 		end := cur + len(payload)
-		copy(segDst[cur:end], payload)
-		for pad := end; pad < cur+alignUp8(len(payload)); pad++ {
-			segDst[pad] = 0
-		}
+		clear(segDst[end : cur+alignUp8(len(payload))])
 		refs = append(refs, SegRef{
 			FieldNum: uint32(op.act.fld.Number),
 			Off:      uint32(cur),
 			Len:      uint32(len(payload)),
+			Src:      payload,
 		})
 		d.Stats.RefBytes += uint64(len(payload))
 		cur += alignUp8(len(payload))
+	}
+	return refs
+}
+
+// PlaceSegments is Segments followed by the copy of every segment into
+// segDst: the whole segment area built in memory the caller owns.
+func (d *Deserializer) PlaceSegments(data []byte, no *Notes, segDst []byte, refs []SegRef) []SegRef {
+	n := len(refs)
+	refs = d.Segments(data, no, segDst, refs)
+	for _, r := range refs[n:] {
+		copy(segDst[r.Off:], r.Src)
 	}
 	return refs
 }

@@ -438,10 +438,12 @@ func sgSlotSize(need, segs, segBytes int) int {
 // into [SG table][object area][payload segments]: the fill builds the object
 // with its base shifted past the table, large string/bytes payloads become
 // offset references into the segment area (never copied through the object
-// arena), the wire bytes are placed once into the 8-aligned segments, and
-// the table describing them is written at the front. Returns the root's
-// absolute region offset and the slot bytes used.
-func (d *DPUServer) buildInto(dd *deser.Deserializer, task *callTask, dst []byte, regionOff uint64) (uint64, int, error) {
+// arena), each segment is a hole the block's post gathers straight from the
+// request frame (only its alignment pad is written here), and the table
+// describing them is written at the front. Returns the root's absolute
+// region offset and the slot bytes used.
+func (d *DPUServer) buildInto(dd *deser.Deserializer, task *callTask, res *rpcrdma.Reservation) (uint64, int, error) {
+	dst, regionOff := res.Dst, res.RegionOff
 	if task.segs == 0 {
 		bump := arena.NewBump(dst)
 		rootAbs, err := dd.Fill(task.entry.plan, task.data, task.notes, bump, regionOff)
@@ -458,11 +460,13 @@ func (d *DPUServer) buildInto(dd *deser.Deserializer, task *callTask, dst []byte
 	if err != nil {
 		return 0, 0, err
 	}
-	d.segRefs = dd.PlaceSegments(task.data, task.notes, dst[segOff:segOff+task.segBytes], d.segRefs[:0])
+	d.segRefs = dd.Segments(task.data, task.notes, dst[segOff:segOff+task.segBytes], d.segRefs[:0])
 	d.sgDescs = d.sgDescs[:0]
 	for _, r := range d.segRefs {
+		d.client.Gather(res, segOff+int(r.Off), r.Src)
 		d.sgDescs = append(d.sgDescs, rpcrdma.SGDesc{Field: r.FieldNum, Off: uint32(segOff) + r.Off, Len: r.Len})
 	}
+	clear(d.segRefs) // the scratch keeps no frame
 	rpcrdma.PutSGTable(dst[:tbl], d.sgDescs)
 	return rootAbs, segOff + task.segBytes, nil
 }
@@ -553,10 +557,12 @@ func (d *DPUServer) recycle(t *callTask) {
 // the host's response arrives (finish); the reply's release recycles the
 // response buffer once the transport has written it.
 //
-// call.Payload is the transport's pooled request frame: the scan, the fill,
-// the SG segment placement and the cache probe and insert all read it in
-// place, and none of them may still be reading it once the call is replied
-// to — the transport recycles it after writing the response.
+// call.Payload is the transport's pooled request frame: the scan, the fill
+// and the cache probe and insert all read it in place, and the post of the
+// request's block gathers its SG segments straight from it. None of them may
+// still be reading it once the call is replied to — the transport recycles
+// it after writing the response — and none does: a task is answered after
+// its block has posted, or its block never posts (see Gather).
 func (d *DPUServer) XRPCHandler() xrpc.Handler { return d.handleCall }
 
 func (d *DPUServer) handleCall(call *xrpc.Call) {
@@ -796,7 +802,7 @@ func (d *DPUServer) reserve(task *callTask) bool {
 	if task.tr != nil {
 		bT0 = trace.Now()
 	}
-	rootAbs, used, err := d.buildInto(d.d, task, res.Dst, res.RegionOff)
+	rootAbs, used, err := d.buildInto(d.d, task, res)
 	task.notes.Release()
 	task.notes = nil
 	if task.tr != nil {

@@ -31,6 +31,14 @@ func poisonData(id uint64) string {
 	return sb.String()
 }
 
+// poisonRun is what one TestPoisonOnRelease mode leaves to its check: the DPU
+// server's stats, both connection ends' counters, and the typed failures.
+type poisonRun struct {
+	st        DPUStats
+	dpu, host rpcrdma.Counters
+	typed     uint64
+}
+
 // TestPoisonOnRelease turns on the release-poisoning hook — every request
 // frame and every response buffer is overwritten with 0xDB the moment it goes
 // back to its pool — and drives each datapath mode through a real xrpc.Server
@@ -50,31 +58,54 @@ func TestPoisonOnRelease(t *testing.T) {
 		// keys > 0 folds request IDs onto that many distinct requests.
 		keys uint64
 		// slowEvery > 0 makes the host handler of every such ID outlast
-		// RequestTimeout; kill breaks the connection while the load runs.
+		// RequestTimeout; kill breaks the connection while the load runs;
+		// lossy rejects so many DPU posts that queued blocks are reaped.
 		slowEvery uint64
 		kill      bool
-		check     func(t *testing.T, st DPUStats, typed uint64)
+		lossy     bool
+		check     func(t *testing.T, r poisonRun)
 	}{
 		{name: "serial"},
 		{name: "sg", cfg: DeployConfig{SGPayloadMin: 4096}},
 		{name: "respser", cfg: DeployConfig{OffloadResponseSerialization: true}},
-		{name: "sg_respser_workers2", cfg: DeployConfig{SGPayloadMin: 4096, OffloadResponseSerialization: true}},
+		{name: "sg_respser_workers2", cfg: DeployConfig{SGPayloadMin: 4096, OffloadResponseSerialization: true,
+			ServerCfg: rpcrdma.Config{HostWorkers: 2}},
+			check: func(t *testing.T, r poisonRun) {
+				if r.host.DuplexHandled == 0 {
+					t.Error("the host duplex pool handled nothing")
+				}
+			}},
 		{name: "cache", cfg: DeployConfig{CacheMethods: []string{"/echopb.Echo/Call"}}, keys: 24,
-			check: func(t *testing.T, st DPUStats, _ uint64) {
-				if st.CacheHits == 0 {
+			check: func(t *testing.T, r poisonRun) {
+				if r.st.CacheHits == 0 {
 					t.Error("no cache hit")
 				}
 			}},
 		{name: "timeout", cfg: DeployConfig{ClientCfg: rpcrdma.Config{RequestTimeout: 40 * time.Millisecond}}, slowEvery: 250,
-			check: func(t *testing.T, _ DPUStats, typed uint64) {
-				if typed == 0 {
+			check: func(t *testing.T, r poisonRun) {
+				if r.typed == 0 {
 					t.Error("no request was reaped")
+				}
+			}},
+		// The SG segments of a queued block are gathered from their frames
+		// only when it posts; a block reaped unsent must never post them,
+		// because its frames are released (and poisoned) once the reap is
+		// answered, and their pool hands them to later requests.
+		{name: "sg_reap", cfg: DeployConfig{SGPayloadMin: 4096, ClientFaults: &fault.Plan{ErrorRate: 0.7, Seed: 5},
+			ClientCfg: rpcrdma.Config{RequestTimeout: 2 * time.Millisecond}}, lossy: true,
+			check: func(t *testing.T, r poisonRun) {
+				if c := r.dpu; r.typed == 0 || c.RequestsTimedOut == 0 || c.SendFaultRetries == 0 {
+					t.Errorf("%d typed failures, %d reaped, %d rejected posts: nothing was reaped unsent",
+						r.typed, c.RequestsTimedOut, c.SendFaultRetries)
+				}
+				if r.dpu.GatherBytes == 0 {
+					t.Error("no SG segment was gathered")
 				}
 			}},
 		{name: "reconnect", cfg: DeployConfig{ClientFaults: &flaky, ServerFaults: &flaky,
 			ClientCfg: rpcrdma.Config{RequestTimeout: time.Second}, ReconnectBudget: 10}, kill: true,
-			check: func(t *testing.T, st DPUStats, _ uint64) {
-				if st.Reconnects == 0 {
+			check: func(t *testing.T, r poisonRun) {
+				if r.st.Reconnects == 0 {
 					t.Error("no reconnect")
 				}
 			}},
@@ -96,6 +127,7 @@ func TestPoisonOnRelease(t *testing.T) {
 			cfg.Connections = 1
 			cfg.ClientCfg, cfg.ServerCfg = smallTestCfg()
 			cfg.ClientCfg.RequestTimeout = mode.cfg.ClientCfg.RequestTimeout
+			cfg.ServerCfg.HostWorkers = mode.cfg.ServerCfg.HostWorkers
 			cfg.ClientCfg.BusyPoll, cfg.ServerCfg.BusyPoll = false, false
 			cfg.ClientCfg.WaitTimeout, cfg.ServerCfg.WaitTimeout = 100*time.Microsecond, 100*time.Microsecond
 			d, err := NewDeploymentWith(table, impls, cfg)
@@ -173,7 +205,7 @@ func TestPoisonOnRelease(t *testing.T) {
 							t.Errorf("call %d: response differs from the un-pooled bytes (%d vs %d bytes)", id, len(p), len(wantBytes))
 						}
 						ok.Add(1)
-					case (mode.slowEvery > 0 || mode.kill) &&
+					case (mode.slowEvery > 0 || mode.kill || mode.lossy) &&
 						(status == xrpc.StatusUnavailable || status == xrpc.StatusDeadlineExceeded):
 						typed.Add(1)
 					default:
@@ -207,8 +239,10 @@ func TestPoisonOnRelease(t *testing.T) {
 			}
 			stats := d.DPUs[0].Stats()
 			group.Stop()
+			run := poisonRun{st: stats, dpu: d.DPUs[0].Client().Counters, typed: typed.Load()}
 			close(stop)
 			<-hostDone
+			run.host = d.HostConns[0].Counters // both pollers have stopped
 			d.Close()
 
 			if ok.Load() == 0 || ok.Load()+typed.Load() != calls {
@@ -218,7 +252,7 @@ func TestPoisonOnRelease(t *testing.T) {
 				t.Errorf("%d handler goroutines for %d in flight", n, depth)
 			}
 			if mode.check != nil {
-				mode.check(t, stats, typed.Load())
+				mode.check(t, run)
 			}
 		})
 	}

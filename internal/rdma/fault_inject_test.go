@@ -194,3 +194,51 @@ func TestInjectOverflow(t *testing.T) {
 		t.Fatal("poisoned CQ still blocks waiters")
 	}
 }
+
+// Under delay injection a gather post is delivered after it returns, so the
+// QP delivers what the sources held at the post: a caller that reuses them
+// at once does not change the bytes that land.
+func TestInjectDelayGatherSnapshotsSources(t *testing.T) {
+	dpu, host, _ := pair(t, 4096, 64)
+	dpu.SetInjector(fault.New(fault.Plan{DelayRate: 1, Delay: 5 * time.Millisecond, Seed: 1}))
+	defer dpu.Close()
+	const n = 8
+	postRecvs(t, host, n)
+	head, seg := make([]byte, 16), make([]byte, 40)
+	for i := 0; i < n; i++ {
+		for j := range head {
+			head[j] = byte(i)
+		}
+		for j := range seg {
+			seg[j] = byte(0x80 + i)
+		}
+		if err := dpu.PostWriteImmGather(uint64(i), [][]byte{head, seg}, uint64(i*64), uint32(i)); err != nil {
+			t.Fatalf("post %d: %v", i, err)
+		}
+		for j := range seg {
+			seg[j] = 0xDB
+		}
+	}
+	got := 0
+	deadline := time.Now().Add(5 * time.Second)
+	for got < n && time.Now().Before(deadline) {
+		var out [8]CQE
+		k, _ := host.recvCQ.Wait(out[:], 50*time.Millisecond)
+		got += k
+	}
+	if got != n {
+		t.Fatalf("received %d of %d delayed completions", got, n)
+	}
+	for i := 0; i < n; i++ {
+		b := host.recvMR.buf[i*64 : i*64+56]
+		for j, v := range b {
+			want := byte(i)
+			if j >= 16 {
+				want = byte(0x80 + i)
+			}
+			if v != want {
+				t.Fatalf("post %d byte %d = %#x, want %#x", i, j, v, want)
+			}
+		}
+	}
+}

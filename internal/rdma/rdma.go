@@ -482,23 +482,39 @@ func (qp *QP) connectedPeer() (*QP, error) {
 	return p, nil
 }
 
-// PostWriteImm performs an RDMA write-with-immediate: src is copied into
-// the peer's receive MR at remoteOff, one peer receive WR is consumed, the
-// peer gets an OpRecvWriteImm completion carrying imm, and the sender gets
-// an OpWriteImm completion.
+// PostWriteImm performs an RDMA write-with-immediate from one contiguous
+// source: PostWriteImmGather with a one-entry gather list.
+func (qp *QP) PostWriteImm(wrID uint64, src []byte, remoteOff uint64, imm uint32) error {
+	return qp.PostWriteImmGather(wrID, [][]byte{src}, remoteOff, imm)
+}
+
+// PostWriteImmGather performs an RDMA write-with-immediate whose source is
+// the concatenation of sgl, in order (a work request's ibv_sge[] list): the
+// bytes are copied into the peer's receive MR at remoteOff, one peer receive
+// WR is consumed, the peer gets an OpRecvWriteImm completion carrying imm,
+// and the sender gets an OpWriteImm completion. The fabric records the
+// total length, the same as one contiguous source of that length.
+//
+// The QP reads the sources only inside this call: once it returns, the
+// caller may reuse or release them. A delivery deferred by delay injection
+// reads a snapshot taken here.
 //
 // With a fault injector attached the post may instead fail synchronously
 // (ErrOpFault, no completions, no bytes moved), be dropped (sender
 // completes, receiver never hears), be delayed (delivered intact and in
 // order, late), or poison the receiver's CQ (ErrCQOverflow).
-func (qp *QP) PostWriteImm(wrID uint64, src []byte, remoteOff uint64, imm uint32) error {
+func (qp *QP) PostWriteImmGather(wrID uint64, sgl [][]byte, remoteOff uint64, imm uint32) error {
 	peer, err := qp.connectedPeer()
 	if err != nil {
 		return err
 	}
-	if peer.recvMR == nil || remoteOff+uint64(len(src)) > uint64(len(peer.recvMR.buf)) {
+	total := 0
+	for _, src := range sgl {
+		total += len(src)
+	}
+	if peer.recvMR == nil || remoteOff+uint64(total) > uint64(len(peer.recvMR.buf)) {
 		return fmt.Errorf("%w: off=%d len=%d region=%d", ErrOutOfBounds,
-			remoteOff, len(src), peer.recvMR.Len())
+			remoteOff, total, peer.recvMR.Len())
 	}
 	if inj := qp.injector; inj != nil {
 		act, delay := inj.Decide()
@@ -512,41 +528,47 @@ func (qp *QP) PostWriteImm(wrID uint64, src []byte, remoteOff uint64, imm uint32
 			// Lost DMA: the sender believes the write landed; the receiver
 			// never consumes a WR, sees no bytes and no completion.
 			return qp.sendCQ.push(CQE{WRID: wrID, QPNum: qp.Num,
-				Opcode: OpWriteImm, Status: StatusOK, ByteLen: uint32(len(src))})
+				Opcode: OpWriteImm, Status: StatusOK, ByteLen: uint32(total)})
 		}
 		if qp.line != nil {
 			// Delay injection active: every delivery rides the FIFO line so
-			// delayed and undelayed operations cannot reorder. src is safe
-			// to read at delivery time — senders reuse buffers only after
-			// the receiver acknowledges, which requires delivery first.
-			qp.deliver(delay, func() { _ = qp.deliverWriteImm(peer, wrID, src, remoteOff, imm) })
+			// delayed and undelayed operations cannot reorder. The line runs
+			// after this call has returned, so it delivers a copy.
+			img := make([]byte, 0, total)
+			for _, src := range sgl {
+				img = append(img, src...)
+			}
+			qp.deliver(delay, func() { _ = qp.deliverWriteImm(peer, wrID, [][]byte{img}, total, remoteOff, imm) })
 			return nil
 		}
 	}
-	return qp.deliverWriteImm(peer, wrID, src, remoteOff, imm)
+	return qp.deliverWriteImm(peer, wrID, sgl, total, remoteOff, imm)
 }
 
-// deliverWriteImm is the delivery half of PostWriteImm: consume a peer
-// receive WR, place the bytes, account them on the fabric, then complete
-// both sides. Completing after the copy gives the receiver the required
-// memory-visibility ordering.
-func (qp *QP) deliverWriteImm(peer *QP, wrID uint64, src []byte, remoteOff uint64, imm uint32) error {
+// deliverWriteImm is the delivery half of PostWriteImmGather: consume a peer
+// receive WR, place the total bytes of sgl, account them on the fabric, then
+// complete both sides. Completing after the copy gives the receiver the
+// required memory-visibility ordering.
+func (qp *QP) deliverWriteImm(peer *QP, wrID uint64, sgl [][]byte, total int, remoteOff uint64, imm uint32) error {
 	wr, ok := peer.popRecv()
 	if !ok {
 		qp.rnrCount.Add(1)
 		_ = qp.sendCQ.push(CQE{WRID: wrID, QPNum: qp.Num, Opcode: OpWriteImm, Status: StatusRNR})
 		return ErrRNR
 	}
-	copy(peer.recvMR.buf[remoteOff:], src)
-	qp.pd.dev.link.Record(qp.pd.dev.out, len(src))
+	dst := peer.recvMR.buf[remoteOff:]
+	for _, src := range sgl {
+		dst = dst[copy(dst, src):]
+	}
+	qp.pd.dev.link.Record(qp.pd.dev.out, total)
 	if err := peer.recvCQ.push(CQE{
 		WRID: wr.WRID, QPNum: peer.Num, Opcode: OpRecvWriteImm,
-		Status: StatusOK, ImmData: imm, ByteLen: uint32(len(src)),
+		Status: StatusOK, ImmData: imm, ByteLen: uint32(total),
 	}); err != nil {
 		return err
 	}
 	return qp.sendCQ.push(CQE{WRID: wrID, QPNum: qp.Num, Opcode: OpWriteImm,
-		Status: StatusOK, ByteLen: uint32(len(src))})
+		Status: StatusOK, ByteLen: uint32(total)})
 }
 
 // PostSend performs a two-sided send: the payload is copied into the buffer

@@ -350,3 +350,68 @@ func BenchmarkWriteImm8K(b *testing.B) {
 		dpu.sendCQ.Poll(out)
 	}
 }
+
+// A gather post delivers exactly the bytes, completions and fabric
+// accounting of one contiguous post of the same image, and reads its sources
+// only inside the call.
+func TestGatherMatchesContiguousPost(t *testing.T) {
+	img := make([]byte, 3000)
+	for i := range img {
+		img[i] = byte(i*7 + 1)
+	}
+	// Uneven pieces, an empty one among them.
+	sgl := [][]byte{img[:5], img[5:5], img[5:1024], img[1024:1031], img[1031:]}
+	post := func(gather bool) (recv []byte, cqes [2]CQE, st fabric.DirStats) {
+		dpu, host, link := pair(t, 8192, 16)
+		postRecvs(t, host, 1)
+		src := make([][]byte, len(sgl))
+		for i, s := range sgl {
+			src[i] = append([]byte(nil), s...)
+		}
+		var err error
+		if gather {
+			err = dpu.PostWriteImmGather(9, src, 512, 0x51)
+		} else {
+			err = dpu.PostWriteImm(9, append([]byte(nil), img...), 512, 0x51)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range src {
+			for i := range s {
+				s[i] = 0xDB // the caller reuses its memory once the post returns
+			}
+		}
+		if host.recvCQ.Poll(cqes[0:1]) != 1 || dpu.sendCQ.Poll(cqes[1:2]) != 1 {
+			t.Fatal("missing completion")
+		}
+		return host.recvMR.Bytes(), cqes, link.Stats(fabric.DPUToHost)
+	}
+	wantBuf, wantCQEs, wantStats := post(false)
+	gotBuf, gotCQEs, gotStats := post(true)
+	if !bytes.Equal(gotBuf[512:512+len(img)], img) || !bytes.Equal(gotBuf, wantBuf) {
+		t.Error("gather post placed different bytes than the contiguous post")
+	}
+	for i := range gotCQEs {
+		gotCQEs[i].QPNum, wantCQEs[i].QPNum = 0, 0
+	}
+	if gotCQEs != wantCQEs {
+		t.Errorf("completions %+v, want %+v", gotCQEs, wantCQEs)
+	}
+	if gotStats != wantStats || gotStats.Bytes != uint64(len(img)) || gotStats.Transfers != 1 {
+		t.Errorf("fabric stats %+v, want %+v (%d bytes, one transfer)", gotStats, wantStats, len(img))
+	}
+}
+
+// A gather post past the region is refused with nothing moved.
+func TestGatherOutOfBounds(t *testing.T) {
+	dpu, host, link := pair(t, 1024, 16)
+	postRecvs(t, host, 1)
+	err := dpu.PostWriteImmGather(1, [][]byte{make([]byte, 600), make([]byte, 400)}, 100, 0)
+	if !errors.Is(err, ErrOutOfBounds) {
+		t.Fatalf("err = %v, want ErrOutOfBounds", err)
+	}
+	if link.Stats(fabric.DPUToHost).Transfers != 0 || host.RecvDepth() != 1 {
+		t.Error("a refused post moved bytes or consumed a receive")
+	}
+}

@@ -302,6 +302,10 @@ type Counters struct {
 	SGSegmentsSent     uint64 // descriptor-backed segments placed
 	SGBytesSent        uint64 // payload bytes carried in segments (never re-copied by the receiver)
 	SGMessagesReceived uint64 // inbound messages whose SG table validated
+	// GatherBytes counts payload bytes posted by reference from caller
+	// memory (Gather): they reached the fabric without a copy into the
+	// send buffer.
+	GatherBytes uint64
 
 	// Poller wake-ups: why each blocking wait on the receive CQ returned
 	// (all zero under BusyPoll, which never blocks). On the server side they

@@ -43,6 +43,17 @@ type block struct {
 	// tenants: a reservation is spent once committed or cancelled, before
 	// its block can be recycled or its slot reserved again.
 	res []*Reservation
+	// holes are the byte ranges of buf that post gathers from caller memory
+	// instead (Gather), in block order; sgl is post's gather-list scratch.
+	holes []hole
+	sgl   [][]byte
+}
+
+// hole stands caller memory in for buf[at:at+len(src)] when the block posts.
+type hole struct {
+	slot int // the reservation's slot index, so a cancel drops its holes
+	at   int
+	src  []byte
 }
 
 // reservation returns the Reservation storage of slot idx.
@@ -277,12 +288,16 @@ func (s *sender) takeBlock(off uint64, size int) *block {
 }
 
 // recycle parks a block whose send-buffer memory has just been freed. It is
-// reset, and its pointer slices cleared, so it pins no continuation or
-// trace handle and its next tenant observes nothing of the previous one.
+// reset, and its pointer slices cleared, so it pins no continuation, trace
+// handle or gathered caller memory, and its next tenant observes nothing of
+// the previous one.
 func (s *sender) recycle(b *block) {
 	clear(b.conts)
 	clear(b.trs)
-	*b = block{ids: b.ids[:0], conts: b.conts[:0], times: b.times[:0], trs: b.trs[:0], res: b.res}
+	clear(b.holes)
+	clear(b.sgl)
+	*b = block{ids: b.ids[:0], conts: b.conts[:0], times: b.times[:0], trs: b.trs[:0], res: b.res,
+		holes: b.holes[:0], sgl: b.sgl}
 	s.freeBlocks = append(s.freeBlocks, b)
 }
 
@@ -343,6 +358,21 @@ func (s *sender) reserve(size int) (*Reservation, error) {
 	return r, nil
 }
 
+// Gather has the block's post read r.Dst[off:off+len(src)] from src instead
+// of from the send buffer: the bytes reach the peer as one more entry of the
+// post's gather list, never copied into the slot. The slot's bytes there are
+// left as they are and never sent. src must stay valid and unchanged until
+// the block has posted (the QP reads it only inside the post), or until r is
+// cancelled or its block reaped or aborted, which drop the hole unread.
+// Holes are given in increasing block order — a reservation's in increasing
+// off, before the next reservation's — and do not overlap. Owner-only,
+// between Reserve and Commit.
+func (s *sender) Gather(r *Reservation, off int, src []byte) {
+	if len(src) > 0 {
+		r.b.holes = append(r.b.holes, hole{slot: r.idx, at: r.hdrPos + HeaderSize + off, src: src})
+	}
+}
+
 // Commit finishes a reservation: it writes the message header and releases
 // the slot's hold on block transmission. used is the payload bytes built
 // (<= the reserved size): a block's last slot shrinks to it, an interior
@@ -372,6 +402,9 @@ func (s *sender) commit(r *Reservation, root uint32, used int) error {
 	h := r.h
 	h.payloadLen, h.rootOff, h.sg = uint32(used), root, r.SG
 	payload := r.hdrPos + HeaderSize
+	if len(b.holes) > 0 {
+		s.clipHoles(r, payload+used)
+	}
 	if payload+alignUp(r.size) == b.used {
 		// Last slot of the block: shrink the block to the bytes used.
 		b.used = payload + alignUp(used)
@@ -411,6 +444,23 @@ func (s *sender) commit(r *Reservation, root uint32, used int) error {
 	return nil
 }
 
+// clipHoles keeps r's holes inside the end its commit declares used: the
+// bytes past it are cleared or not sent, as copied-in bytes would be.
+func (s *sender) clipHoles(r *Reservation, end int) {
+	b := r.b
+	kept := b.holes[:0]
+	for _, h := range b.holes {
+		if h.slot == r.idx && h.at+len(h.src) > end {
+			h.src = h.src[:max(end-h.at, 0)]
+		}
+		if len(h.src) > 0 {
+			kept = append(kept, h)
+		}
+	}
+	clear(b.holes[len(kept):])
+	b.holes = kept
+}
+
 // Cancel abandons a reservation. The last slot of the open block is rolled
 // back entirely; any other slot cannot move, so it is committed empty as a
 // tombstone carrying the direction's cancel status (CancelledMethod on
@@ -427,6 +477,9 @@ func (s *sender) Cancel(r *Reservation) {
 		return
 	}
 	s.fr.Record(FlightCancel, int64(r.size), 0)
+	if len(b.holes) > 0 {
+		s.clipHoles(r, r.hdrPos) // a cancelled slot sends none of its holes
+	}
 	if b == s.cur && r.idx == b.msgs-1 && r.hdrPos+HeaderSize+alignUp(r.size) == b.used {
 		r.done = true
 		b.pending--
@@ -554,7 +607,7 @@ func (s *sender) post(b *block) bool {
 	if s.traced {
 		t0 = nowNS()
 	}
-	if err := s.qp.PostWriteImm(uint64(b.seq), b.buf[:b.used], b.off, uint32(b.off/BlockAlign)); err != nil {
+	if err := s.qp.PostWriteImmGather(uint64(b.seq), b.gatherList(), b.off, uint32(b.off/BlockAlign)); err != nil {
 		if errors.Is(err, rdma.ErrOpFault) {
 			s.out.unbind(b)
 			s.acks += ack
@@ -581,6 +634,13 @@ func (s *sender) post(b *block) bool {
 		s.Counters.RequestsSent += uint64(b.msgs)
 	}
 	s.Counters.PayloadBytesSent += uint64(b.used)
+	for _, h := range b.holes {
+		s.Counters.GatherBytes += uint64(len(h.src))
+	}
+	// Posted: the QP has read the holes' sources, and nothing may again.
+	clear(b.holes)
+	clear(b.sgl)
+	b.holes = b.holes[:0]
 	if b.msgs == 0 {
 		s.Counters.AckOnlyBlocks++
 		s.fr.Record(FlightAckOnly, int64(ack), 0)
@@ -589,6 +649,19 @@ func (s *sender) post(b *block) bool {
 	}
 	s.unacked = append(s.unacked, b)
 	return true
+}
+
+// gatherList returns the block image as a gather list: buf[:used], with
+// every hole's range taken from its source instead. The list is block-owned
+// scratch, rebuilt at each post (a faulted post is retried verbatim).
+func (b *block) gatherList() [][]byte {
+	sgl, pos := b.sgl[:0], 0
+	for _, h := range b.holes {
+		sgl = append(sgl, b.buf[pos:h.at], h.src)
+		pos = h.at + len(h.src)
+	}
+	b.sgl = append(sgl, b.buf[pos:b.used])
+	return b.sgl
 }
 
 // ack frees the n oldest unacknowledged blocks: the peer has consumed them
@@ -641,6 +714,7 @@ type ConnGauges struct {
 	CreditStalls  atomic.Uint64 // mirrors Counters.CreditStalls
 	AckOnlyBlocks atomic.Uint64 // mirrors Counters.AckOnlyBlocks
 	AcksPending   atomic.Int64  // inbound blocks processed but not yet acknowledged
+	GatherBytes   atomic.Uint64 // mirrors Counters.GatherBytes
 	Wakes         WakeGauges    // client wake reasons (a server poller keeps its own)
 }
 
@@ -665,6 +739,7 @@ func (s *sender) refreshGauges(outstanding int) {
 	g.CreditStalls.Store(s.Counters.CreditStalls)
 	g.AckOnlyBlocks.Store(s.Counters.AckOnlyBlocks)
 	g.AcksPending.Store(int64(s.acks))
+	g.GatherBytes.Store(s.Counters.GatherBytes)
 }
 
 // inbound is what one side adds to its receiver, installed at construction

@@ -1,11 +1,9 @@
 package xrpc
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -343,7 +341,7 @@ type worker struct {
 type serverConn struct {
 	srv  *Server
 	conn net.Conn
-	br   *bufio.Reader
+	rd   frameReader
 
 	mu          sync.Mutex
 	capacity    sync.Cond // the reader (and wind-down) wait here for calls or bytes to drain
@@ -378,8 +376,9 @@ type serverConn struct {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	c := &serverConn{srv: s, conn: conn, br: bufio.NewReaderSize(conn, ioBufSize), fw: newFrameWriter(conn),
+	c := &serverConn{srv: s, conn: conn, fw: newFrameWriter(conn),
 		wake: make(chan struct{}, 1), methods: make(map[string]string)}
+	c.rd.init(conn)
 	c.fw.timeout, c.fw.writes = s.writeTimeout, &s.flushes
 	c.capacity.L = &c.mu
 	c.wg.Add(1)
@@ -412,12 +411,12 @@ func (c *serverConn) serve() error {
 	// store to a flag the reader owns, never a clock reading or a timer update.
 	c.conn.SetReadDeadline(time.Now().Add(c.srv.idleTimeout))
 	for {
-		preface, err := c.br.Peek(len(Preface))
+		preface, err := c.rd.br.Peek(len(Preface))
 		if err == nil {
 			if string(preface) != Preface {
 				return ErrBadPreface
 			}
-			c.br.Discard(len(Preface))
+			c.rd.br.Discard(len(Preface))
 			break
 		}
 		if !c.stillAlive(err) {
@@ -425,11 +424,11 @@ func (c *serverConn) serve() error {
 		}
 	}
 	for {
-		ftype, streamID, n, err := readFrameHeader(c.br)
+		ftype, streamID, n, err := readFrameHeader(c.rd.br)
 		if err != nil {
 			// Nothing was consumed; what has arrived of the header waits in
 			// the buffer, and if that has grown, something arrived.
-			if got := c.br.Buffered(); got != c.partial {
+			if got := c.rd.br.Buffered(); got != c.partial {
 				c.partial, c.active = got, true
 			}
 			if c.stillAlive(err) {
@@ -444,7 +443,7 @@ func (c *serverConn) serve() error {
 		f := c.acquire(n)
 		body := f.buf[:n]
 		for rest := body; ; {
-			got, err := io.ReadFull(c.br, rest)
+			got, err := c.rd.readBody(rest, n >= ioBufSize)
 			if err == nil {
 				break
 			}

@@ -274,6 +274,9 @@ func registerConnGauges(smp *metrics.Sampler, l map[string]string, g *rpcrdma.Co
 	smp.Register("conn_acks_pending",
 		"Blocks the endpoint received and may acknowledge but has not yet.", l,
 		func() float64 { return float64(g.AcksPending.Load()) })
+	smp.Register("conn_gather_bytes_total",
+		"Payload bytes the endpoint posted straight from caller memory, never copied into its send buffer.", l,
+		func() float64 { return float64(g.GatherBytes.Load()) })
 }
 
 // Cache returns the deployment's shared response cache (nil unless
