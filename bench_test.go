@@ -180,8 +180,7 @@ func BenchmarkDatapath_EndToEnd(b *testing.B) {
 // serializing) with response-serialization offload on. Before timing, every
 // width replays a fixed batch and each response — indexed by submission
 // order, since completions are reordered — must be byte-identical (fnv64a
-// digest) to the serial width. Reported: wall-clock ns/op on this machine
-// plus the modeled testbed RPS at that width.
+// digest) to the serial width. Reported: wall-clock ns/op on this machine.
 func BenchmarkResponseSerializationScaling(b *testing.B) {
 	env := workload.NewEnv()
 	rng := mt19937.New(mt19937.DefaultSeed)
@@ -280,14 +279,6 @@ func BenchmarkResponseSerializationScaling(b *testing.B) {
 			b.SetBytes(int64(len(payloads[0])))
 			b.ResetTimer()
 			drive(b, d, b.N, nil)
-			b.StopTimer()
-			opts := harness.DefaultOptions()
-			opts.Requests = 2000
-			rows, err := harness.ResponseScaling(opts, []int{workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(rows[0].Result.RPS, "modeled-rps")
 		})
 	}
 }

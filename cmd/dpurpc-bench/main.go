@@ -1,18 +1,17 @@
 // Command dpurpc-bench regenerates every table and figure of the paper's
 // evaluation (Sec. VI). Each experiment drives the real datapath and
-// reports the modeled testbed metrics next to the paper's published values.
+// reports the modeled testbed metrics next to the paper's published values;
+// connscale and payloadscale run the reconnect machinery and the
+// scatter-gather framing over the same deployment.
 //
 // Usage:
 //
 //	dpurpc-bench -experiment all
-//	dpurpc-bench -experiment fig7|fig8a|fig8b|fig8c|table1|blocksweep|busypoll|allocator|latency
+//	dpurpc-bench -experiment table1|fig7|fig8a|fig8b|fig8c|blocksweep|busypoll|allocator|connscale|payloadscale
 //	dpurpc-bench -experiment fig8a -requests 50000
 //	dpurpc-bench -experiment all -format json                 # one {"experiment","rows"} document each
-//	dpurpc-bench -experiment respscale -host-workers 8 -connections 4
-//	dpurpc-bench -experiment batchscale -commit-batch 32
+//	dpurpc-bench -experiment fig8c -host-workers 8 -commit-batch 32 -connections 4
 //	dpurpc-bench -experiment payloadscale -payload-size 4194304 -sg-min 1024
-//	dpurpc-bench -experiment anatomy -requests 4000 -sg-min 1024
-//	dpurpc-bench -experiment tailscale -requests 4000         # windowed p99 -> exemplar anatomies
 //	dpurpc-bench -experiment all -debug-addr localhost:9090   # live /metrics, /trace, /tail
 //	dpurpc-bench -experiment all -debug-addr localhost:9090 -pprof  # + /debug/pprof/
 package main
@@ -22,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -37,14 +35,14 @@ import (
 
 func main() {
 	which := flag.String("experiment", "all",
-		"one of: all, fig7, fig8a, fig8b, fig8c, table1, blocksweep, busypoll, allocator, latency, respscale, batchscale, payloadscale, cachescale, anatomy, chaos, connscale, tailscale, deserspeed")
+		"one of: all, table1, fig7, fig8a, fig8b, fig8c, payloadscale, connscale, blocksweep, busypoll, allocator")
 	requests := flag.Int("requests", 20000, "requests per scenario per mode")
 	wallIters := flag.Int("fig7-wall-iters", 200, "wall-clock iterations per Fig. 7 point (0 disables)")
 	connections := flag.Int("connections", 1, "host<->DPU connections (one DPU poller each)")
 	hostWorkers := flag.Int("host-workers", dpu.Default().Host.Cores,
-		"host-side duplex workers per connection; >1 runs handlers + response builds in parallel (1 = serial response path); also the top of the respscale sweep")
+		"host-side duplex workers per connection; >1 runs handlers + response builds in parallel (1 = serial response path)")
 	commitBatch := flag.Int("commit-batch", 1,
-		"commit/doorbell coalescing target on both sides of every connection (1 = flush every pass); >1 also sets the top of the batchscale sweep")
+		"commit/doorbell coalescing target on both sides of every connection (1 = flush every pass)")
 	commitFlushUS := flag.Int("commit-flush-us", 0,
 		"coalescing flush timeout in microseconds (0 = the 50us default when batching)")
 	payloadSize := flag.Int("payload-size", 0,
@@ -56,8 +54,6 @@ func main() {
 		"serve live telemetry on this address while the experiments run (/metrics Prometheus text incl. windowed rates/quantiles, /trace Chrome trace JSON for Perfetto, /anatomy, /tail, /healthz); empty disables")
 	traceOut := flag.String("trace-out", "",
 		"write the spans collected by -debug-addr's tracer as Chrome trace-event JSON to this file on exit")
-	tailExemplars := flag.Int("tail-exemplars", 0,
-		"how many windowed-histogram exemplars the tailscale experiment resolves to span anatomies (0 = 8)")
 	pprofFlag := flag.Bool("pprof", false,
 		"mount net/http/pprof profiles under /debug/pprof/ on the -debug-addr mux")
 	flag.Parse()
@@ -75,7 +71,6 @@ func main() {
 		c.CommitBatch, c.CommitFlushTimeout = *commitBatch, flush
 	}
 	opts.SGPayloadMin = *sgMin
-	opts.TailExemplars = *tailExemplars
 
 	var tracer *trace.Tracer
 	if *debugAddr != "" || *traceOut != "" {
@@ -203,16 +198,6 @@ func experiments(opts harness.Options, wallIters, payloadSize int) []experiment 
 			rows, err := harness.RunFig8(opts)
 			return rows, func(panel string) { fig8Panels[panel](rows) }, err
 		}},
-		single("respscale", func() ([]harness.RespScaleRow, error) {
-			return harness.ResponseScalingGrid(opts, doublingSweep(opts.Connections), doublingSweep(opts.ServerCfg.HostWorkers))
-		}, printRespScale),
-		single("batchscale", func() ([]harness.BatchScaleRow, error) {
-			batches := harness.DefaultCommitBatches()
-			if opts.ClientCfg.CommitBatch > 1 {
-				batches = doublingSweep(opts.ClientCfg.CommitBatch)
-			}
-			return harness.BatchScale(opts, batches)
-		}, printBatchScale),
 		single("payloadscale", func() ([]harness.PayloadScaleRow, error) {
 			sizes := harness.DefaultPayloadSizes()
 			if payloadSize > 0 {
@@ -220,13 +205,6 @@ func experiments(opts harness.Options, wallIters, payloadSize int) []experiment 
 			}
 			return harness.PayloadScale(opts, sizes)
 		}, printPayloadScale),
-		single("cachescale", func() ([]harness.CacheScaleRow, error) {
-			return harness.CacheScale(opts, harness.DefaultCacheSkews(), harness.DefaultCacheEntries())
-		}, printCacheScale),
-		single("anatomy", func() (*harness.AnatomyReport, error) { return harness.RunAnatomy(opts) }, printAnatomy),
-		single("chaos", func() ([]harness.ChaosRow, error) {
-			return harness.RunChaos(opts, harness.DefaultChaosRates())
-		}, printChaos),
 		single("connscale", func() (r connScaleRows, err error) {
 			if r.Sweep, err = harness.RunConnScale(opts, harness.DefaultConnScaleCounts()); err != nil {
 				return r, err
@@ -234,10 +212,6 @@ func experiments(opts harness.Options, wallIters, payloadSize int) []experiment 
 			r.Overload, err = harness.RunOverload(opts)
 			return r, err
 		}, printConnScale),
-		single("tailscale", func() (*harness.TailscaleReport, error) { return harness.RunTailscale(opts) }, printTailscale),
-		single("deserspeed", func() ([]harness.DeserSpeedRow, error) {
-			return harness.DeserSpeed(opts, harness.DefaultDeserSpeedIters)
-		}, printDeserSpeed),
 		single("blocksweep", func() ([]harness.SweepRow, error) {
 			return harness.BlockSizeSweep(opts, harness.DefaultBlockSizes())
 		}, printBlockSweep),
@@ -247,21 +221,6 @@ func experiments(opts harness.Options, wallIters, payloadSize int) []experiment 
 			r.Dynamic, r.Ring, err = arena.CompareOutOfOrder(r.Trace)
 			return r, err
 		}, printAllocatorAblation),
-		single("latency", func() ([]harness.LatencyReport, error) {
-			o := opts
-			if o.Requests > 8000 {
-				o.Requests = 8000
-			}
-			var rows []harness.LatencyReport
-			for _, s := range workload.Scenarios() {
-				r, err := harness.MeasureLatency(s, o)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, r)
-			}
-			return rows, nil
-		}, printLatency),
 	}
 }
 
@@ -309,93 +268,6 @@ func fmtBytes(n int) string {
 		return fmt.Sprintf("%d KiB", n>>10)
 	}
 	return fmt.Sprintf("%d B", n)
-}
-
-// doublingSweep builds the sweep 1, 2, 4, ... capped at max.
-func doublingSweep(max int) []int {
-	if max < 1 {
-		max = 1
-	}
-	var out []int
-	for w := 1; w < max; w *= 2 {
-		out = append(out, w)
-	}
-	return append(out, max)
-}
-
-func printRespScale(rows []harness.RespScaleRow) {
-	fmt.Println("== Response-direction scaling (host duplex pipeline, Echo workload) ==")
-	fmt.Println("   (host handler/build workers = width, one DPU poller per connection")
-	fmt.Println("    serializes; modeled host core spread capped at conns x width)")
-	w := tw()
-	fmt.Fprintln(w, "conns\tworkers\tRPS\tbottleneck\thost cores\tDPU cores\tresp B/req\twall req/s (this machine)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%d\t%.3g\t%s\t%.2f\t%.2f\t%.0f\t%.3g\n",
-			r.Connections, r.Workers, r.Result.RPS, r.Result.Bottleneck,
-			r.Result.HostCores, r.Result.DPUCores, r.RespBytesPerReq, r.WallRPS)
-	}
-	w.Flush()
-	fmt.Println()
-}
-
-func printBatchScale(rows []harness.BatchScaleRow) {
-	fmt.Println("== Commit-coalescing sweep (goodput vs batch size x message size) ==")
-	fmt.Println("   (one doorbell per sealed block; up to CommitBatch messages share it")
-	fmt.Println("    unless the block fills first, so Small amortizes the doorbell while")
-	fmt.Println("    Chars seals full regardless; flush columns say why blocks sealed)")
-	w := tw()
-	fmt.Fprintln(w, "scenario\tbatch\tRPS\tmsgs/block\tdoorbells/req\tfull\tbatch\ttimer\texplicit\twall req/s (this machine)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.3g\t%.1f\t%.2f\t%d\t%d\t%d\t%d\t%.3g\n",
-			r.Scenario, r.CommitBatch, r.Result.RPS, r.MsgsPerBlock,
-			r.DoorbellsPerReq, r.FlushFull, r.FlushBatch, r.FlushTimer,
-			r.FlushExplicit, r.WallRPS)
-	}
-	w.Flush()
-	fmt.Println()
-}
-
-func printCacheScale(rows []harness.CacheScaleRow) {
-	fmt.Println("== Response-cache sweep (zipf skew x capacity, Ints workload) ==")
-	fmt.Println("   (steady-state window after warmup; entries=0 rows are the uncached")
-	fmt.Println("    reference per skew — hits skip deserialization AND the host, so")
-	fmt.Println("    host ns/req collapses toward (1 - hit rate) of the reference)")
-	w := tw()
-	fmt.Fprintln(w, "skew\tentries\thit rate\tresident\tRPS\thost ns/req\tDPU ns/req\thost reduction\twall req/s (this machine)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%.1f\t%d\t%.3f\t%d\t%.3g\t%.0f\t%.0f\t%.2fx\t%.3g\n",
-			r.Skew, r.CacheEntries, r.HitRate, r.ResidentEntries,
-			r.Result.RPS, r.HostNSPerReq, r.DPUNSPerReq, r.HostReduction, r.WallRPS)
-	}
-	w.Flush()
-	fmt.Println()
-}
-
-func printAnatomy(rep *harness.AnatomyReport) {
-	fmt.Println("== Latency anatomy (Echo workload, every request traced) ==")
-	fmt.Println("   (stage rows partition each request's end-to-end window exactly:")
-	fmt.Println("    wait:X is the idle time directly before stage X, so the stage")
-	fmt.Println("    means sum to the e2e mean identically)")
-	for _, m := range rep.Modes {
-		fmt.Printf("-- %s datapath (host workers=%d, traced %d/%d, wall %.3g req/s) --\n",
-			m.Mode, m.Workers, m.Traced, m.Requests, m.WallRPS)
-		w := tw()
-		fmt.Fprintln(w, "stage\tcount\tp50 us\tp90 us\tp99 us\tmean us\tshare")
-		for _, s := range m.Stages {
-			fmt.Fprintf(w, "%s\t%d\t%.1f\t%.1f\t%.1f\t%.2f\t%.1f%%\n",
-				s.Stage, s.Count, s.P50US, s.P90US, s.P99US, s.MeanUS, 100*s.Share)
-		}
-		fmt.Fprintf(w, "e2e\t%d\t%.1f\t%.1f\t%.1f\t%.2f\t%.0f%%\n",
-			m.E2E.Count, m.E2E.P50US, m.E2E.P90US, m.E2E.P99US, m.E2E.MeanUS, 100*m.E2E.Share)
-		w.Flush()
-		fmt.Printf("   stage-sum mean %.2f us vs e2e mean %.2f us\n",
-			m.StageSumMeanUS, m.E2E.MeanUS)
-		fmt.Printf("   doorbells/req %.2f (sealed: full %d, batch %d, timer %d, explicit %d; commit-batch %d)\n",
-			m.DoorbellsPerReq, m.FlushFull, m.FlushBatch, m.FlushTimer,
-			m.FlushExplicit, m.CommitBatch)
-		fmt.Printf("   payload bytes/req: copied %.0f, referenced %.0f (sg-min %d)\n\n",
-			m.CopiedBytesPerReq, m.RefBytesPerReq, m.SGPayloadMin)
-	}
 }
 
 func printTable1(rows []harness.TableIRow) {
@@ -478,34 +350,6 @@ func printFig8c(rows []harness.Fig8Row) {
 	fmt.Println()
 }
 
-func printChaos(rows []harness.ChaosRow) {
-	fmt.Println("== Chaos sweep (fault injection + failure recovery; beyond the paper) ==")
-	fmt.Println("   (Echo workload over the full offloaded stack; every call resolves")
-	fmt.Println("    OK after transparent/client retries or with a typed status; each")
-	fmt.Println("    timeout or connection break dumps the flight recorder's black box)")
-	w := tw()
-	fmt.Fprintln(w, "fault rate\trequests\tok\ttyped fail\tretries\tin-place retries\ttimed out\tconns lost\tflight dumps\tgoodput req/s\tp50 us\tp99 us")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%.0f%%\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.3g\t%.0f\t%.0f\n",
-			100*r.FaultRate, r.Requests, r.Succeeded, r.Failed, r.Retries,
-			r.SendFaultRetries, r.TimedOut, r.ConnsBroken, r.FlightDumps,
-			r.GoodputRPS, r.P50US, r.P99US)
-	}
-	w.Flush()
-	for _, r := range rows {
-		if r.DumpSample == "" {
-			continue
-		}
-		fmt.Printf("   black-box sample at %.0f%% faults (first of %d dumps):\n",
-			100*r.FaultRate, r.FlightDumps)
-		for _, line := range strings.Split(strings.TrimRight(r.DumpSample, "\n"), "\n") {
-			fmt.Println("   " + line)
-		}
-		break
-	}
-	fmt.Println()
-}
-
 func printConnScale(c connScaleRows) {
 	fmt.Println("== Connection scale-out (reconnect + churn + admission control) ==")
 	fmt.Println("   (Echo workload multiplexed over shared poller shards; the churn")
@@ -523,51 +367,6 @@ func printConnScale(c connScaleRows) {
 	o := c.Overload
 	fmt.Printf("   overload (admit<=%d, no client retries): %d ok, %d shed typed UNAVAILABLE (DPU %d / host %d) in %.3fs\n",
 		o.AdmitMaxInflight, o.Succeeded, o.Failed, o.DPUSheds, o.HostSheds, o.WallSeconds)
-	fmt.Println()
-}
-
-func printTailscale(rep *harness.TailscaleReport) {
-	fmt.Println("== Tail-latency exemplars (windowed histogram -> span anatomy) ==")
-	fmt.Println("   (the trailing window's slowest requests, worst first; each links")
-	fmt.Println("    through its histogram exemplar's trace ID to the stage-by-stage")
-	fmt.Println("    breakdown of that exact request — where anatomy averages over")
-	fmt.Println("    every request, tailscale explains the p99 outliers individually)")
-	fmt.Printf("window %v: %d req, %.3g req/s, p50 %.0f us  p90 %.0f us  p99 %.0f us  (wall %.2fs, %d/%d exemplars resolved)\n",
-		rep.Window, rep.WindowCount, rep.RPS, rep.P50US, rep.P90US, rep.P99US,
-		rep.WallSeconds, rep.ResolvedExemplars, len(rep.Exemplars))
-	for i, ex := range rep.Exemplars {
-		bucket := "+Inf"
-		if ex.BucketUS > 0 {
-			bucket = fmt.Sprintf("%d us", ex.BucketUS)
-		}
-		fmt.Printf("-- #%d trace=%d latency=%d us (bucket <= %s) method=%s err=%v --\n",
-			i+1, ex.TraceID, ex.LatencyUS, bucket, ex.Method, ex.Err)
-		if !ex.Resolved {
-			fmt.Println("   (trace no longer retained in the rings)")
-			continue
-		}
-		w := tw()
-		fmt.Fprintln(w, "  stage\tus")
-		for _, s := range ex.Stages {
-			fmt.Fprintf(w, "  %s\t%.1f\n", s.Stage, s.MeanUS)
-		}
-		w.Flush()
-	}
-	fmt.Println()
-}
-
-func printDeserSpeed(rows []harness.DeserSpeedRow) {
-	fmt.Println("== Decode-plan speedup (interpretive measure+decode vs planned scan+fill) ==")
-	fmt.Println("   (wall times on this machine; modeled columns price the planned fill's")
-	fmt.Println("    note replay at copy cost instead of re-decoding)")
-	w := tw()
-	fmt.Fprintln(w, "workload\twire B\tinterp ns\tplanned ns\tspeedup\thost model ns (i->p)\tDPU model ns (i->p)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%.0f\t%.2fx\t%.0f -> %.0f\t%.0f -> %.0f\n",
-			r.Workload, r.WireBytes, r.InterpNS, r.PlannedNS, r.Speedup,
-			r.HostInterpNS, r.HostPlannedNS, r.DPUInterpNS, r.DPUPlannedNS)
-	}
-	w.Flush()
 	fmt.Println()
 }
 
@@ -613,19 +412,5 @@ func printAllocatorAblation(r allocatorRows) {
 	w.Flush()
 	fmt.Println("   paper: out-of-order completion makes \"dynamic allocation a better")
 	fmt.Println("   solution than standard ring buffers\"")
-	fmt.Println()
-}
-
-// printLatency reports wall-clock datapath latency (beyond the paper; the
-// library-level instrumentation of Sec. VI applied to latency).
-func printLatency(rows []harness.LatencyReport) {
-	fmt.Println("== Datapath latency (wall-clock, this machine; beyond the paper) ==")
-	w := tw()
-	fmt.Fprintln(w, "scenario\trequests\tp50 us\tp90 us\tp99 us\tmean us\twall req/s")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%.0f\t%.0f\t%.1f\t%.3g\n",
-			r.Scenario, r.Requests, r.P50US, r.P90US, r.P99US, r.MeanUS, r.WallRPS)
-	}
-	w.Flush()
 	fmt.Println()
 }

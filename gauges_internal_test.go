@@ -8,10 +8,12 @@ import (
 	"time"
 
 	"dpurpc/internal/abi"
+	"dpurpc/internal/fault"
 	"dpurpc/internal/metrics"
 	"dpurpc/internal/mt19937"
 	"dpurpc/internal/offload"
 	"dpurpc/internal/protomsg"
+	"dpurpc/internal/rpcrdma"
 	"dpurpc/internal/workload"
 	"dpurpc/internal/xrpc"
 )
@@ -204,5 +206,87 @@ func TestGatherBytesOnMetrics(t *testing.T) {
 			t.Errorf("SGPayloadMin %d: host conn_gather_bytes_total = %v", sgMin, v)
 		}
 		d.Close()
+	}
+}
+
+// Each endpoint's failure counters are on /metrics as conn_*_total series
+// equal to its Counters fields. The DPU's posts fail at random and every
+// request block lands 20 ms late, past a 5 ms RequestTimeout: the DPU
+// retries the rejected posts, reaps every request, sent or not, and drops
+// the late responses, and the host, admitting one request at a time, sheds the rest
+// of each block. No arena runs out, so the recoveries series stays 0.
+func TestFailureCountersOnMetrics(t *testing.T) {
+	env := workload.NewEnv()
+	none := func(abi.View) (*protomsg.Message, uint16) { return nil, 0 }
+	impls := map[string]Impl{"benchpb.Bench": {
+		"CallSmall": none, "CallInts": none, "CallChars": none, "Echo": none, "EchoBlob": none,
+	}}
+	plan := fault.Plan{ErrorRate: 0.5, DelayRate: 1, Delay: 20 * time.Millisecond, Seed: 1}
+	// Two credits: blocks also wait for one past RequestTimeout and are
+	// reaped unsent.
+	ccfg := rpcrdma.Config{Credits: 2, CQDepth: 16, RequestTimeout: 5 * time.Millisecond}
+	scfg := rpcrdma.Config{Credits: 2, CQDepth: 16, AdmitMaxInflight: 1}
+	d, err := offload.NewDeploymentWith(env.Table, impls, offload.DeployConfig{
+		Connections: 1, ClientCfg: ccfg, ServerCfg: scfg, ClientFaults: &plan,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	st := &Stack{deployment: d, handlerPanics: func() uint64 { return d.Host.Stats().HandlerPanics }}
+	st.instrument()
+	scrape := scraper(t, st)
+
+	dpu := d.DPUs[0]
+	payload := env.GenSmall(mt19937.New(1)).Marshal(nil)
+	const calls = 32
+	done := 0
+	for round := 0; round < calls/8; round++ {
+		for i := 0; i < 8; i++ {
+			err := dpu.SubmitLocal("/benchpb.Bench/CallSmall", payload, func(uint16, bool, []byte) { done++ })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := dpu.Progress(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := func() {
+		if _, err := dpu.Progress(); err != nil {
+			t.Fatal(err)
+		}
+		d.ProgressHost()
+	}
+	for deadline := time.Now().Add(5 * time.Second); done < calls; step() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d calls resolved", done, calls)
+		}
+	}
+	// The reaped requests' responses are still on their way back.
+	for late := time.Now().Add(3 * plan.Delay); time.Now().Before(late); {
+		step()
+	}
+	dc, hc := dpu.Client().Counters, d.HostConns[0].Counters
+	for _, c := range []struct {
+		series  string
+		want    uint64
+		nonzero bool
+	}{
+		{`conn_send_fault_retries_total{conn="0",side="dpu"}`, dc.SendFaultRetries, true},
+		{`conn_requests_timed_out_total{conn="0",side="dpu"}`, dc.RequestsTimedOut, true},
+		{`conn_late_responses_dropped_total{conn="0",side="dpu"}`, dc.LateResponsesDropped, true},
+		{`conn_send_full_recoveries_total{conn="0",side="dpu"}`, dc.SendFullRecoveries, false},
+		{`conn_admission_sheds_total{conn="0",side="host"}`, hc.AdmissionSheds, true},
+		{`conn_send_fault_retries_total{conn="0",side="host"}`, hc.SendFaultRetries, false},
+		{`conn_admission_sheds_total{conn="0",side="dpu"}`, dc.AdmissionSheds, false},
+	} {
+		v := scrape(c.series)
+		if v != float64(c.want) {
+			t.Errorf("%s = %v, Counters say %d", c.series, v, c.want)
+		}
+		if c.nonzero && c.want == 0 {
+			t.Errorf("%s: the faulty run never counted one", c.series)
+		}
 	}
 }

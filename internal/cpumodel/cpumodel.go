@@ -59,8 +59,7 @@ type Platform struct {
 	// DoorbellNS is the fixed cost of ringing one doorbell: the MMIO
 	// write and commit barrier of posting an RDMA write-with-immediate.
 	// It is charged per block, not per message, so commit coalescing
-	// (many messages per doorbell) amortizes exactly this term — the
-	// fixed cost the batchscale experiment sweeps.
+	// (many messages per doorbell) amortizes exactly this term.
 	DoorbellNS float64
 	NetByteNS  float64 // per TCP byte moved through the terminating side's socket stack
 	// WakeupNS is the extra per-block cost of the blocking poll() path

@@ -116,21 +116,6 @@ func (s *Stats) Add(other Stats) {
 	s.RefBytes += other.RefBytes
 }
 
-// Sub removes other from s — the inverse of Add, for measuring the counter
-// movement of one window as the difference of two cumulative snapshots.
-func (s *Stats) Sub(other Stats) {
-	s.VarintBytes -= other.VarintBytes
-	s.FixedBytes -= other.FixedBytes
-	s.CopyBytes -= other.CopyBytes
-	s.UTF8Bytes -= other.UTF8Bytes
-	s.Messages -= other.Messages
-	s.Fields -= other.Fields
-	s.ArenaBytes -= other.ArenaBytes
-	s.ScannedBytes -= other.ScannedBytes
-	s.ReplayedBytes -= other.ReplayedBytes
-	s.RefBytes -= other.RefBytes
-}
-
 // frame is per-nesting-level scratch (counts and cursors per field),
 // recycled across messages so steady-state deserialization performs zero
 // heap allocations.

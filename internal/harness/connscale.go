@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dpurpc/internal/fault"
 	"dpurpc/internal/metrics"
 	"dpurpc/internal/mt19937"
 	"dpurpc/internal/offload"
@@ -139,6 +140,20 @@ type connScalePoint struct {
 	// kills and injected faults race the same reconnect machinery — the
 	// chaos-churn soak of `make chaos`.
 	faultRate float64
+}
+
+// chaosPlan derives the injected fault mix from a fault rate: error CQEs
+// at the full rate, delivery delays at half, drops at a twentieth (drops
+// are connection-fatal through the seq-gap detector, so they dominate the
+// damage long before they dominate the count).
+func chaosPlan(rate float64, seed uint32) fault.Plan {
+	return fault.Plan{
+		ErrorRate: rate,
+		DelayRate: rate / 2,
+		Delay:     200 * time.Microsecond,
+		DropRate:  rate / 20,
+		Seed:      seed,
+	}
 }
 
 func runConnScalePoint(opts Options, pt connScalePoint) (ConnScaleRow, error) {

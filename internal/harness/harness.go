@@ -34,8 +34,7 @@ type Options struct {
 	// runs one poller per connection and reports "an even workload
 	// distribution between the cores"); ServerCfg.HostWorkers > 1 also caps
 	// the modeled host core spread at Connections*HostWorkers busy cores;
-	// Registry receives the Fig. 8 runs' rpcrdma_flush_total counters;
-	// Window, when set, is the tailscale experiment's window too.
+	// Registry receives the Fig. 8 runs' rpcrdma_flush_total counters.
 	offload.DeployConfig
 	// Requests per scenario per mode.
 	Requests int
@@ -50,9 +49,6 @@ type Options struct {
 	// dedicated cores; the poll() comparison is the Sec. III-C ablation).
 	// The pollers themselves always busy-poll: the harness drives them.
 	BusyPoll bool
-	// TailExemplars bounds how many windowed-histogram exemplars the
-	// tailscale experiment resolves to span anatomies (0 = 8).
-	TailExemplars int
 	// Seed for the Mersenne Twister.
 	Seed uint32
 }
@@ -84,13 +80,6 @@ func (o Options) deployConfig() offload.DeployConfig {
 	}
 	cfg.ClientCfg.BusyPoll, cfg.ServerCfg.BusyPoll = true, true
 	return cfg
-}
-
-// withCommitBatch returns o coalescing batch messages per doorbell on both
-// sides of every connection.
-func (o Options) withCommitBatch(batch int) Options {
-	o.ClientCfg.CommitBatch, o.ServerCfg.CommitBatch = batch, batch
-	return o
 }
 
 // Mode distinguishes the two Fig. 8 scenarios.
@@ -128,19 +117,12 @@ type Fig8Row struct {
 	// CommitBatch echoes the coalescing target the row ran with (offload
 	// mode; 0 means flush-every-pass). The Flush* counters break down why
 	// message-carrying blocks sealed, summed over both directions of every
-	// connection — the batchscale experiment's view of where the fixed
-	// doorbell cost went.
+	// connection: where the fixed doorbell cost went.
 	CommitBatch   int
 	FlushFull     uint64
 	FlushBatch    uint64
 	FlushTimer    uint64
 	FlushExplicit uint64
-	// Response-cache activity (offload mode with CacheMethods; zero
-	// otherwise). CacheHitRate is hits over probes within the measured
-	// window — the cachescale experiment's primary axis.
-	CacheHits    uint64
-	CacheMisses  uint64
-	CacheHitRate float64
 }
 
 // emptyImpls returns benchmark service implementations with empty business
@@ -340,9 +322,7 @@ func RunOffload(s workload.Scenario, opts Options) (Fig8Row, error) {
 }
 
 // runCounters is one instant's aggregate of every counter the usage model
-// reads. Pricing a whole run reads one snapshot; pricing a steady-state
-// window (cachescale: warm the cache first, then measure) subtracts a
-// snapshot taken at the window's start from one taken at its end.
+// reads.
 type runCounters struct {
 	st         offload.DPUStats
 	cc, sc     rpcrdma.Counters
@@ -401,49 +381,13 @@ func snapshotCounters(d *offload.Deployment) runCounters {
 	return rc
 }
 
-// sub returns the counter movement from before to rc (the receiver is the
-// later snapshot). minCredits is a low-water mark, not a count: the later
-// snapshot's value carries over as-is.
-func (rc runCounters) sub(before runCounters) runCounters {
-	out := rc
-	out.st.Requests -= before.st.Requests
-	out.st.Responses -= before.st.Responses
-	out.st.MeasuredBytes -= before.st.MeasuredBytes
-	out.st.RespBytes -= before.st.RespBytes
-	out.st.SerializedBytes -= before.st.SerializedBytes
-	out.st.CacheHits -= before.st.CacheHits
-	out.st.CacheMisses -= before.st.CacheMisses
-	out.st.CacheProbeBytes -= before.st.CacheProbeBytes
-	out.st.CacheHitReqBytes -= before.st.CacheHitReqBytes
-	out.st.CacheHitRespBytes -= before.st.CacheHitRespBytes
-	out.st.CacheInsertBytes -= before.st.CacheInsertBytes
-	out.st.Deser.Sub(before.st.Deser)
-	subCounters := func(a *rpcrdma.Counters, b rpcrdma.Counters) {
-		a.BlocksSent -= b.BlocksSent
-		a.BlocksReceived -= b.BlocksReceived
-		a.PayloadBytesSent -= b.PayloadBytesSent
-		a.FlushFull -= b.FlushFull
-		a.FlushBatch -= b.FlushBatch
-		a.FlushTimer -= b.FlushTimer
-		a.FlushExplicit -= b.FlushExplicit
-	}
-	subCounters(&out.cc, before.cc)
-	subCounters(&out.sc, before.sc)
-	out.hs.Requests -= before.hs.Requests
-	out.hs.ResponseBytes -= before.hs.ResponseBytes
-	out.hs.ResponseMsgs -= before.hs.ResponseMsgs
-	out.linkBytes -= before.linkBytes
-	return out
-}
-
 // offloadUsage converts the run's counters into modeled core time,
 // aggregated over all connections.
 func offloadUsage(d *offload.Deployment, method string, opts Options) (dpu.Usage, Fig8Row) {
 	return usageFromCounters(snapshotCounters(d), method, opts)
 }
 
-// usageFromCounters prices one window of counter movement with the machine
-// model.
+// usageFromCounters prices a run's counters with the machine model.
 func usageFromCounters(rc runCounters, method string, opts Options) (dpu.Usage, Fig8Row) {
 	st, cc, sc, hs := rc.st, rc.cc, rc.sc, rc.hs
 	minCredits := rc.minCredits
@@ -522,9 +466,6 @@ func usageFromCounters(rc runCounters, method string, opts Options) (dpu.Usage, 
 		FlushBatch:      cc.FlushBatch + sc.FlushBatch,
 		FlushTimer:      cc.FlushTimer + sc.FlushTimer,
 		FlushExplicit:   cc.FlushExplicit + sc.FlushExplicit,
-		CacheHits:       st.CacheHits,
-		CacheMisses:     st.CacheMisses,
-		CacheHitRate:    safeDiv(float64(st.CacheHits), float64(st.CacheHits+st.CacheMisses)),
 	}
 	return dpu.Usage{
 		// A cache hit is a completed request every bit as much as a
@@ -542,11 +483,4 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package offload
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,9 @@ type chaosDrainReport struct {
 	outstanding int
 	counters    rpcrdma.Counters
 	stats       fault.Stats
+	// dumped is whether the connection's flight recorder has dumped, read
+	// before the DPU server's Close aborts it.
+	dumped bool
 }
 
 // TestChaosSoak drives the full duplex stack (one DPU poller per connection
@@ -29,26 +33,36 @@ type chaosDrainReport struct {
 // randomized-but-seeded fault plans and pins the failure contract: every
 // call resolves exactly once, either OK with its own payload or with a
 // typed transient status (UNAVAILABLE / DEADLINE_EXCEEDED) — no hangs, no
-// silent drops, no leaked protocol entries. Run under -race this is the
-// failure machinery's synchronization pin.
+// silent drops, no leaked protocol entries — and a connection that reaps a
+// request or breaks has dumped its flight recorder. Run under -race this is
+// the failure machinery's synchronization pin.
 func TestChaosSoak(t *testing.T) {
-	plans := []fault.Plan{
-		{ErrorRate: 0.03, Seed: 11},
-		{ErrorRate: 0.01, DelayRate: 0.05, Delay: 200 * time.Microsecond, Seed: 22},
-		{ErrorRate: 0.05, DelayRate: 0.02, Delay: 500 * time.Microsecond,
-			DropRate: 0.002, Seed: 33},
+	for _, c := range []struct {
+		plan fault.Plan
+		// batch > 0 coalesces that many messages per doorbell on both
+		// sides, so faults land inside multi-message batches.
+		batch int
+	}{
+		{plan: fault.Plan{ErrorRate: 0.03, Seed: 11}},
+		{plan: fault.Plan{ErrorRate: 0.01, DelayRate: 0.05, Delay: 200 * time.Microsecond, Seed: 22}},
+		{plan: fault.Plan{ErrorRate: 0.05, DelayRate: 0.02, Delay: 500 * time.Microsecond,
+			DropRate: 0.002, Seed: 33}},
 		// Aggressive drops: blocks vanish, requests hit the deadline
 		// reaper, the next block trips the seq-gap detector and the
 		// connection dies — the workload must still resolve every call.
-		{ErrorRate: 0.02, DropRate: 0.05, Seed: 44},
-	}
-	for _, plan := range plans {
-		plan := plan
-		t.Run(plan.String(), func(t *testing.T) { chaosSoak(t, plan) })
+		{plan: fault.Plan{ErrorRate: 0.02, DropRate: 0.05, Seed: 44}},
+		{plan: fault.Plan{ErrorRate: 0.05, DelayRate: 0.025, Delay: 200 * time.Microsecond,
+			DropRate: 0.0025, Seed: 55}, batch: 8},
+	} {
+		name := c.plan.String()
+		if c.batch > 0 {
+			name += fmt.Sprintf(" batch=%d", c.batch)
+		}
+		t.Run(name, func(t *testing.T) { chaosSoak(t, c.plan, c.batch) })
 	}
 }
 
-func chaosSoak(t *testing.T, plan fault.Plan) {
+func chaosSoak(t *testing.T, plan fault.Plan, batch int) {
 	table, reg := echoEnv(t)
 	respDesc := reg.Message("echopb.Resp")
 	impls := map[string]Impl{
@@ -69,6 +83,8 @@ func chaosSoak(t *testing.T, plan fault.Plan) {
 	const requestTimeout = 250 * time.Millisecond
 	ccfg.RequestTimeout = requestTimeout
 	scfg.HostWorkers = 2
+	ccfg.CommitBatch, scfg.CommitBatch = batch, batch
+	ccfg.FlightRecorder = 256
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
 		ClientFaults: &plan,
@@ -114,14 +130,17 @@ func chaosSoak(t *testing.T, plan fault.Plan) {
 					}
 					rep.counters = dpu.Client().Counters
 					rep.stats = dpu.Client().FaultInjector().Stats()
+					rep.dumped = dpu.Client().LastFlightDump() != nil
 					dpu.Close()
 					reports <- rep
 					return
 				default:
 					if _, err := dpu.Progress(); err != nil {
+						rep := chaosDrainReport{broken: dpu.Client().Broken(),
+							dumped: dpu.Client().LastFlightDump() != nil}
 						dpu.Close() // fails everything pending, typed
 						<-stop
-						reports <- chaosDrainReport{broken: dpu.Client().Broken()}
+						reports <- rep
 						return
 					}
 				}
@@ -199,12 +218,17 @@ func chaosSoak(t *testing.T, plan fault.Plan) {
 	close(stop)
 
 	var retried uint64
+	broken := 0
 	for range d.DPUs {
 		rep := <-reports
 		if rep.broken != nil {
 			if !errors.Is(rep.broken, rpcrdma.ErrConnBroken) {
 				t.Errorf("connection failed untyped: %v", rep.broken)
 			}
+			if !rep.dumped {
+				t.Errorf("connection broke without a flight dump: %v", rep.broken)
+			}
+			broken++
 			continue
 		}
 		if rep.drainErr != nil {
@@ -214,6 +238,9 @@ func chaosSoak(t *testing.T, plan fault.Plan) {
 			t.Errorf("leaked %d outstanding protocol entries", rep.outstanding)
 		}
 		retried += rep.counters.SendFaultRetries
+		if rep.counters.RequestsTimedOut > 0 && !rep.dumped {
+			t.Errorf("%d requests reaped at their deadline but no flight dump", rep.counters.RequestsTimedOut)
+		}
 		t.Logf("conn: injected %+v, send-fault retries %d, timed out %d, late dropped %d",
 			rep.stats, rep.counters.SendFaultRetries,
 			rep.counters.RequestsTimedOut, rep.counters.LateResponsesDropped)
@@ -228,6 +255,6 @@ func chaosSoak(t *testing.T, plan fault.Plan) {
 	if ok.Load() == 0 {
 		t.Error("no call succeeded under chaos")
 	}
-	t.Logf("plan %s: %d ok, %d typed failures, %d transparent send retries",
-		plan.String(), ok.Load(), typed.Load(), retried)
+	t.Logf("plan %s: %d ok, %d typed failures, %d transparent send retries, %d conns broken",
+		plan.String(), ok.Load(), typed.Load(), retried, broken)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,7 +73,7 @@ func TestPoisonOnRelease(t *testing.T) {
 			ServerCfg: rpcrdma.Config{HostWorkers: 2}},
 			check: func(t *testing.T, r poisonRun) {
 				if r.host.DuplexHandled == 0 {
-					t.Error("the host duplex pool handled nothing")
+					t.Error("the host duplex pool handled nothing: the row's HostWorkers did not run")
 				}
 			}},
 		{name: "cache", cfg: DeployConfig{CacheMethods: []string{"/echopb.Echo/Call"}}, keys: 24,
@@ -83,8 +84,8 @@ func TestPoisonOnRelease(t *testing.T) {
 			}},
 		{name: "timeout", cfg: DeployConfig{ClientCfg: rpcrdma.Config{RequestTimeout: 40 * time.Millisecond}}, slowEvery: 250,
 			check: func(t *testing.T, r poisonRun) {
-				if r.typed == 0 {
-					t.Error("no request was reaped")
+				if r.typed == 0 || r.dpu.RequestsTimedOut == 0 {
+					t.Errorf("%d typed failures, %d reaped: the row's RequestTimeout did not run", r.typed, r.dpu.RequestsTimedOut)
 				}
 			}},
 		// The SG segments of a queued block are gathered from their frames
@@ -126,8 +127,8 @@ func TestPoisonOnRelease(t *testing.T) {
 			cfg := mode.cfg
 			cfg.Connections = 1
 			cfg.ClientCfg, cfg.ServerCfg = smallTestCfg()
-			cfg.ClientCfg.RequestTimeout = mode.cfg.ClientCfg.RequestTimeout
-			cfg.ServerCfg.HostWorkers = mode.cfg.ServerCfg.HostWorkers
+			overlay(&cfg.ClientCfg, mode.cfg.ClientCfg)
+			overlay(&cfg.ServerCfg, mode.cfg.ServerCfg)
 			cfg.ClientCfg.BusyPoll, cfg.ServerCfg.BusyPoll = false, false
 			cfg.ClientCfg.WaitTimeout, cfg.ServerCfg.WaitTimeout = 100*time.Microsecond, 100*time.Microsecond
 			d, err := NewDeploymentWith(table, impls, cfg)
@@ -255,5 +256,16 @@ func TestPoisonOnRelease(t *testing.T) {
 				mode.check(t, run)
 			}
 		})
+	}
+}
+
+// overlay sets every field of dst that src sets, so a row's per-side knobs
+// land on the test defaults whichever knob it is.
+func overlay(dst *rpcrdma.Config, src rpcrdma.Config) {
+	d, v := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); !f.IsZero() {
+			d.Field(i).Set(f)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package offload
 
 import (
+	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"dpurpc/internal/abi"
+	"dpurpc/internal/metrics"
 	"dpurpc/internal/protomsg"
 	"dpurpc/internal/trace"
 	"dpurpc/internal/xrpc"
@@ -18,7 +21,9 @@ import (
 // RPC records spans from admission to reply. Run under -race this pins
 // the tracer's synchronization against the datapath's — span recording
 // happens from the xRPC connection goroutines, the DPU pollers, host duplex
-// workers, and the host poller simultaneously.
+// workers, and the host poller simultaneously. The traces partition each
+// request's latency exactly into stages, and the window's latency exemplars
+// resolve through their trace IDs to those traces.
 func TestTracedDuplexSoak(t *testing.T) {
 	table, reg := echoEnv(t)
 	respDesc := reg.Message("echopb.Resp")
@@ -37,12 +42,14 @@ func TestTracedDuplexSoak(t *testing.T) {
 	const total = 2 * clientsPerConn * callsPerClient
 	tr := trace.New(trace.Config{RingSize: 2 * total, MaxActive: 2 * total})
 	tr.Enable()
+	win := metrics.NewRPCWindow()
 	ccfg, scfg := smallTestCfg()
 	scfg.HostWorkers = 4
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
 		OffloadResponseSerialization: true,
 		Tracer:                       tr,
+		Window:                       win,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +170,36 @@ func TestTracedDuplexSoak(t *testing.T) {
 			t.Fatalf("trace %d: spans only on one side (dpu=%v host=%v): %+v",
 				x.ID, dpuSide, hostSide, x.Spans)
 		}
-		for _, want := range []string{trace.StageMeasure, trace.StageHostDispatch,
+		for _, want := range []string{trace.StageMeasure, trace.StageDoorbell, trace.StageHostDispatch,
 			trace.StageHostHandler, trace.StageRespSerialize, trace.StageDeliver} {
 			if !stages[want] {
 				t.Fatalf("trace %d missing stage %s (has %v)", x.ID, want, stages)
 			}
 		}
+	}
+	checkPartition := func(what string, rows []trace.StageStat) {
+		t.Helper()
+		var stages, e2e float64
+		for _, r := range rows {
+			if r.Stage == "e2e" {
+				e2e = r.TotalUS
+			} else {
+				stages += r.TotalUS
+			}
+		}
+		if e2e <= 0 || math.Abs(stages-e2e) > 1e-9*e2e {
+			t.Errorf("%s: stages sum to %.3fus, e2e %.3fus", what, stages, e2e)
+		}
+	}
+	checkPartition("all traces", trace.Breakdown(traces))
+	tail := trace.TailEntries(tr, win.LatencyUS.Snapshot(), 8)
+	if len(tail) == 0 {
+		t.Fatal("the window kept no latency exemplar")
+	}
+	for _, e := range tail {
+		if !e.Resolved || e.ID == 0 {
+			t.Fatalf("exemplar %d (%d us) does not resolve to a trace", e.ID, e.ValueUS)
+		}
+		checkPartition(fmt.Sprintf("exemplar %d", e.ID), e.Stages)
 	}
 }

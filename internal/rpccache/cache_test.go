@@ -317,9 +317,8 @@ func BenchmarkCacheMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheZipfHitRate drives the cache with the zipfian key
-// popularity of the cachescale experiment (s=1.1, 1024 keys, cache sized
-// for a quarter of them) and reports the steady-state hit rate as a custom
+// BenchmarkCacheZipfHitRate drives the cache with zipfian key popularity
+// (s=1.1, 1024 keys, cache sized for a quarter of them) and reports the steady-state hit rate as a custom
 // metric: go test -bench CacheZipfHitRate -run '^$' ./internal/rpccache.
 func BenchmarkCacheZipfHitRate(b *testing.B) {
 	const nkeys = 1024

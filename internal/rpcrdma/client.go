@@ -213,6 +213,7 @@ func (c *ClientConn) reclaim(slot int) (*block, error) {
 			c.trySend()
 			if b, err := c.newBlock(slot); err == nil {
 				c.Counters.SendFullRecoveries++
+				c.gauges.SendFullRecoveries.Add(1)
 				return b, nil
 			}
 		}
@@ -420,6 +421,7 @@ func (c *ClientConn) message(_ int, h header, payload []byte, regionOff uint64) 
 			delete(c.timedOut, h.reqID)
 			c.freeIDs = append(c.freeIDs, h.reqID)
 			c.Counters.LateResponsesDropped++
+			c.gauges.LateResponsesDropped.Add(1)
 			c.fr.Record(FlightLateResp, int64(h.reqID), 0)
 			return nil
 		}
@@ -569,6 +571,7 @@ func (c *ClientConn) reapDeadlines() {
 		c.outstanding--
 		c.timedOut[d.id] = struct{}{}
 		c.Counters.RequestsTimedOut++
+		c.gauges.RequestsTimedOut.Add(1)
 		c.fr.Record(FlightTimeout, int64(d.id), 0)
 		reaped++
 		c.pendingFails = append(c.pendingFails, reply{cont, Response{
@@ -595,6 +598,7 @@ func (c *ClientConn) reapDeadlines() {
 			}
 			c.outstanding--
 			c.Counters.RequestsTimedOut++
+			c.gauges.RequestsTimedOut.Add(1)
 			reaped++
 		}
 		c.recycle(b)

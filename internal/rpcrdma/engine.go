@@ -612,6 +612,7 @@ func (s *sender) post(b *block) bool {
 			s.out.unbind(b)
 			s.acks += ack
 			s.Counters.SendFaultRetries++
+			s.gauges.SendFaultRetries.Add(1)
 			s.fr.Record(FlightSendRetry, int64(b.seq), 0)
 			return false
 		}
@@ -716,6 +717,13 @@ type ConnGauges struct {
 	AcksPending   atomic.Int64  // inbound blocks processed but not yet acknowledged
 	GatherBytes   atomic.Uint64 // mirrors Counters.GatherBytes
 	Wakes         WakeGauges    // client wake reasons (a server poller keeps its own)
+	// The failure counters are bumped where their Counters field is, not
+	// refreshed per pass: a fault-free pass stores nothing.
+	SendFaultRetries     atomic.Uint64 // mirrors Counters.SendFaultRetries
+	RequestsTimedOut     atomic.Uint64 // mirrors Counters.RequestsTimedOut
+	LateResponsesDropped atomic.Uint64 // mirrors Counters.LateResponsesDropped
+	SendFullRecoveries   atomic.Uint64 // mirrors Counters.SendFullRecoveries
+	AdmissionSheds       atomic.Uint64 // mirrors Counters.AdmissionSheds
 }
 
 // Gauges returns the endpoint's atomic occupancy mirrors. Safe to read from

@@ -292,6 +292,7 @@ func (s *ServerConn) message(i int, h header, payload []byte, regionOff uint64) 
 		// degrades into immediate UNAVAILABLE sheds instead of bounded-wait
 		// timeouts downstream.
 		s.Counters.AdmissionSheds++
+		s.gauges.AdmissionSheds.Add(1)
 		return s.appendResponse(id, ResponseSpec{Status: StatusUnavailable, Err: true})
 	}
 	req := Request{

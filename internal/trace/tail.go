@@ -55,7 +55,7 @@ func TailEntries(t *Tracer, snap metrics.WindowSnapshot, max int) []TailEntry {
 }
 
 // WriteTail renders the windowed summary plus the resolved exemplars as
-// plain text (the /tail endpoint and the tailscale experiment share it).
+// plain text (the /tail endpoint).
 func WriteTail(w io.Writer, t *Tracer, win *metrics.RPCWindow, max int) {
 	if win == nil {
 		fmt.Fprintln(w, "no windowed telemetry configured")

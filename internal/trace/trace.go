@@ -32,7 +32,7 @@ import (
 	"time"
 )
 
-// Stage names. Exported as constants so exporters, the anatomy experiment,
+// Stage names. Exported as constants so exporters, the debug endpoints
 // and tests agree on spelling. Stages are designed to be non-overlapping
 // within one trace: the time not covered by any span is queueing/transfer
 // wait and is attributed to named gaps by Breakdown.

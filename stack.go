@@ -277,6 +277,18 @@ func registerConnGauges(smp *metrics.Sampler, l map[string]string, g *rpcrdma.Co
 	smp.Register("conn_gather_bytes_total",
 		"Payload bytes the endpoint posted straight from caller memory, never copied into its send buffer.", l,
 		func() float64 { return float64(g.GatherBytes.Load()) })
+	for _, c := range []struct {
+		name, help string
+		v          *atomic.Uint64
+	}{
+		{"conn_send_fault_retries_total", "Posts the wire rejected that the endpoint rolled back and sent again.", &g.SendFaultRetries},
+		{"conn_requests_timed_out_total", "Requests the endpoint reaped at RequestTimeout.", &g.RequestsTimedOut},
+		{"conn_late_responses_dropped_total", "Responses the endpoint discarded because their request had timed out.", &g.LateResponsesDropped},
+		{"conn_send_full_recoveries_total", "Send-arena exhaustions the endpoint recovered by waiting for acknowledgments.", &g.SendFullRecoveries},
+		{"conn_admission_sheds_total", "Requests the endpoint's admission control answered UNAVAILABLE.", &g.AdmissionSheds},
+	} {
+		smp.Register(c.name, c.help, l, func() float64 { return float64(c.v.Load()) })
+	}
 }
 
 // Cache returns the deployment's shared response cache (nil unless
