@@ -26,7 +26,8 @@ build:
 # background-handler test on one CPU, where the duplex worker can pick the
 # slow call up only after every fast one is answered. The sixth repeats the
 # allocation pins on one CPU, where the duplex worker and the poller share
-# sync.Pool's per-P caches.
+# sync.Pool's per-P caches. The seventh runs the wire-byte pins twice, so the
+# second pass always runs on connection buffers the first one recycled.
 test: fmt-check
 	go vet ./...
 	go test ./...
@@ -35,6 +36,7 @@ test: fmt-check
 	GOMAXPROCS=1 go test -count=20 -run 'Writer|Park|Deadline' ./internal/xrpc ./internal/offload
 	GOMAXPROCS=1 go test -count=20 -run 'Background' ./internal/offload
 	GOMAXPROCS=1 go test -count=5 -run DoesNotAllocate ./internal/offload ./internal/protomsg
+	GOMAXPROCS=1 go test -count=2 -run 'GoldenBlocks|ResponseModesByteIdentical' ./internal/rpcrdma ./internal/gentest
 
 # Fail on unformatted files (gofmt prints the offenders).
 fmt-check:

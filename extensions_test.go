@@ -83,7 +83,7 @@ func TestStackServerCfgHostWorkers(t *testing.T) {
 		}
 	}
 	stack.Close() // waits out the host pollers, which own the counters
-	if n := stack.Deployment().HostConns[0].Counters.DuplexHandled; n == 0 {
+	if n := stack.Deployment().HostConn(0).Counters.DuplexHandled; n == 0 {
 		t.Fatal("ServerCfg.HostWorkers = 4 ran no handler on the duplex pool")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dpurpc"
+	"dpurpc/internal/arena"
 	"dpurpc/internal/deser"
 	"dpurpc/internal/metrics"
 	"dpurpc/internal/rpcrdma"
@@ -79,8 +80,8 @@ func TestFrontEndFrameGauges(t *testing.T) {
 // out before releasing it: with released buffers poisoned, earlier responses
 // must survive later calls.
 func TestHandlerCopiesBeforeRelease(t *testing.T) {
-	xrpc.SetPoisonOnRelease(true)
-	defer xrpc.SetPoisonOnRelease(false)
+	arena.SetPoisonOnRelease(true)
+	defer arena.SetPoisonOnRelease(false)
 	for _, opts := range []dpurpc.StackOptions{
 		{},
 		{OffloadResponseSerialization: true},

@@ -76,6 +76,42 @@ func TestHeapGaugesOnMetrics(t *testing.T) {
 	runtime.KeepAlive(keep)
 }
 
+// The connection buffers' registration cache is on /metrics: a second
+// deployment in the process takes the first one's four buffers from the
+// cache instead of allocating them, and the resident set size that holds
+// them is exported too.
+func TestBufferCacheOnMetrics(t *testing.T) {
+	env := workload.NewEnv()
+	none := func(abi.View) (*protomsg.Message, uint16) { return nil, 0 }
+	impls := map[string]Impl{"benchpb.Bench": {
+		"CallSmall": none, "CallInts": none, "CallChars": none, "Echo": none, "EchoBlob": none,
+	}}
+	const hits, misses = "rpcrdma_buffer_cache_hits_total", "rpcrdma_buffer_cache_misses_total"
+	first, err := NewOffloadedStack(&Schema{Table: env.Table}, impls, StackOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape := scraper(t, first)
+	hits0, misses0 := scrape(hits), scrape(misses)
+	if misses0 < 4 {
+		t.Errorf("%s = %v after a first deployment allocated its four buffers", misses, misses0)
+	}
+	first.Close()
+	second, err := NewOffloadedStack(&Schema{Table: env.Table}, impls, StackOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	scrape = scraper(t, second)
+	if h, m := scrape(hits), scrape(misses); h != hits0+4 || m != misses0 {
+		t.Errorf("second deployment: %s %v -> %v, %s %v -> %v; want all four buffers recycled",
+			hits, hits0, h, misses, misses0, m)
+	}
+	if rss := scrape("process_resident_memory_bytes"); rss <= 0 {
+		t.Errorf("process_resident_memory_bytes = %v", rss)
+	}
+}
+
 // Each DPU server's sheds, reconnects and redial failures are on /metrics,
 // labelled by connection. The deployment is stepped by hand: with one call
 // queued on the poller, an AdmitMaxInflight of 1 sheds the next one, and a
@@ -267,7 +303,7 @@ func TestFailureCountersOnMetrics(t *testing.T) {
 	for late := time.Now().Add(3 * plan.Delay); time.Now().Before(late); {
 		step()
 	}
-	dc, hc := dpu.Client().Counters, d.HostConns[0].Counters
+	dc, hc := dpu.Client().Counters, d.HostConn(0).Counters
 	for _, c := range []struct {
 		series  string
 		want    uint64
@@ -288,5 +324,109 @@ func TestFailureCountersOnMetrics(t *testing.T) {
 		if c.nonzero && c.want == 0 {
 			t.Errorf("%s: the faulty run never counted one", c.series)
 		}
+	}
+}
+
+// The conn_* series follow a reconnect: each sample reads the connection's
+// current pair, not the endpoints the sampler saw at registration. The old
+// pair is left with a response block its DPU never acknowledged, then
+// broken and replaced; five 4 KiB SG calls run on the replacement. The
+// dpu-side gather bytes must be the live client's 20480, not the dead
+// client's 0, and every host-side series must read the replacement server
+// end.
+func TestConnGaugesFollowReconnect(t *testing.T) {
+	env := workload.NewEnv()
+	echo := func(req abi.View) (*protomsg.Message, uint16) { return env.GenBlob(mt19937.New(4), 4096), 0 }
+	none := func(abi.View) (*protomsg.Message, uint16) { return nil, 0 }
+	impls := map[string]Impl{"benchpb.Bench": {
+		"CallSmall": none, "CallInts": none, "CallChars": none, "Echo": none, "EchoBlob": echo,
+	}}
+	d, err := offload.NewDeploymentWith(env.Table, impls, offload.DeployConfig{
+		Connections: 1, SGPayloadMin: 1024, ReconnectBudget: 3, ReconnectBackoff: time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	st := &Stack{deployment: d, handlerPanics: func() uint64 { return d.Host.Stats().HandlerPanics }}
+	st.instrument()
+	scrape := scraper(t, st)
+	dpu := d.DPUs[0]
+	step := func() {
+		if _, err := dpu.Progress(); err != nil {
+			t.Fatal(err)
+		}
+		d.ProgressHost()
+	}
+	pump := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !done(); step() {
+			if time.Now().After(deadline) {
+				t.Fatalf("stepped deployment never reached: %s", what)
+			}
+		}
+	}
+
+	// One small call the host answers but the DPU never reads: the old host
+	// end keeps its response block unacknowledged.
+	small := env.GenSmall(mt19937.New(1)).Marshal(nil)
+	if err := dpu.SubmitLocal("/benchpb.Bench/CallSmall", small, func(uint16, bool, []byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dpu.Progress(); err != nil {
+		t.Fatal(err)
+	}
+	oldHost := d.HostConn(0)
+	pump("host answered", func() bool { return oldHost.Counters.ResponsesSent == 1 })
+	oldClient := dpu.Client()
+	dpu.Break()
+	pump("reconnect", func() bool { return dpu.Stats().Reconnects == 1 })
+
+	req := env.GenBlob(mt19937.New(3), 4096).Marshal(nil)
+	const calls = 5
+	done := 0
+	for i := 0; i < calls; i++ {
+		err := dpu.SubmitLocal("/benchpb.Bench/EchoBlob", req, func(status uint16, _ bool, _ []byte) {
+			if status != xrpc.StatusOK {
+				t.Errorf("status %d", status)
+			}
+			done++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pump("five SG calls", func() bool { return done == calls })
+	// Past the reap, nothing updates the old host end's gauges.
+	pump("old host end reaped", func() bool { return len(d.Poller.DeadCounters()) == 1 })
+
+	live := dpu.Client()
+	if live == oldClient || d.HostConn(0) == oldHost {
+		t.Fatal("the reconnect did not replace both ends")
+	}
+	if g := live.Counters.GatherBytes; g != calls*4096 {
+		t.Fatalf("live client gathered %d bytes, want %d", g, calls*4096)
+	}
+	if v := scrape(`conn_gather_bytes_total{conn="0",side="dpu"}`); v != float64(live.Counters.GatherBytes) {
+		t.Errorf(`conn_gather_bytes_total{side="dpu"} = %v, live client's GatherBytes %d`, v, live.Counters.GatherBytes)
+	}
+	host, old := d.HostConn(0).Gauges(), oldHost.Gauges()
+	differs := false
+	for _, s := range []struct {
+		series   string
+		new, old int64
+	}{
+		{"conn_arena_in_use_bytes", int64(host.ArenaInUse.Load()), int64(old.ArenaInUse.Load())},
+		{"conn_unacked_blocks", host.Unacked.Load(), old.Unacked.Load()},
+		{"conn_credits", host.Credits.Load(), old.Credits.Load()},
+		{"conn_acks_pending", host.AcksPending.Load(), old.AcksPending.Load()},
+	} {
+		if v := scrape(s.series + `{conn="0",side="host"}`); v != float64(s.new) {
+			t.Errorf(`%s{side="host"} = %v, replacement server end reads %d (old one %d)`, s.series, v, s.new, s.old)
+		}
+		differs = differs || s.new != s.old
+	}
+	if !differs {
+		t.Fatal("fixture: the old and the replacement host end read alike, so the host series cannot tell them apart")
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"dpurpc"
+	"dpurpc/internal/arena"
+	"dpurpc/internal/rpcrdma"
 )
 
 // mirror implements the generated MirrorServer interface: it copies every
@@ -273,6 +275,17 @@ func TestResponseModesByteIdentical(t *testing.T) {
 			OffloadResponseSerialization: true, ClientCfg: batched, ServerCfg: duplexBatched,
 			SGPayloadMin: 16}},
 	}
+	// Every mode runs on recycled connection buffers filled with 0xDB: the
+	// priming stack's close returns its buffers to the cache poisoned, and
+	// each mode's close hands them on, poisoned again, to the next mode.
+	arena.SetPoisonOnRelease(true)
+	defer arena.SetPoisonOnRelease(false)
+	prime, err := dpurpc.NewOffloadedStack(s, RegisterMirror(&mirror{s: s, t: t}), dpurpc.StackOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prime.Close()
+	hits0, misses0 := rpcrdma.BufferCacheStats()
 	var want []byte
 	for _, mode := range modes {
 		got := func() []byte {
@@ -307,6 +320,10 @@ func TestResponseModesByteIdentical(t *testing.T) {
 			t.Errorf("%s diverges from %s:\n want %x\n got  %x",
 				mode.name, modes[0].name, want, got)
 		}
+	}
+	if hits, misses := rpcrdma.BufferCacheStats(); hits-hits0 != uint64(4*len(modes)) || misses != misses0 {
+		t.Errorf("modes took %d recycled connection buffers and allocated %d, want %d and 0",
+			hits-hits0, misses-misses0, 4*len(modes))
 	}
 }
 

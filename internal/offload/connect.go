@@ -2,6 +2,7 @@ package offload
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"dpurpc/internal/adt"
@@ -64,14 +65,20 @@ type Deployment struct {
 	// them round-robin.
 	Pollers []*rpcrdma.ServerPoller
 	DPUs    []*DPUServer
-	// HostConns are the host endpoints the DPUs first connected to,
-	// parallel to DPUs (a redial replaces both ends of a connection).
-	HostConns []*rpcrdma.ServerConn
+	// hostConns[i] is connection i's current host endpoint, parallel to
+	// DPUs: a redial replaces both ends of a connection (see HostConn).
+	hostConns []atomic.Pointer[rpcrdma.ServerConn]
 	// Cache is the DPU-resident response cache shared by every connection's
 	// server (nil unless DeployConfig.CacheMethods is set). Shared state
 	// lives here — not on any connection — so it survives redials.
 	Cache *rpccache.Cache
 }
+
+// HostConn returns connection i's current host endpoint: the server end of
+// the pair its DPU server's Client belongs to, replaced with it by each
+// redial. Safe from any goroutine; off the host poller only its Gauges and
+// Broken may be read while the deployment runs.
+func (d *Deployment) HostConn(i int) *rpcrdma.ServerConn { return d.hostConns[i].Load() }
 
 // ProgressHost advances every host poller once and returns the total number
 // of request blocks processed.
@@ -109,7 +116,10 @@ func (d *Deployment) PollerWakes() (cqe, kick, timer uint64) {
 }
 
 // Close shuts down every DPU server (failing its queued and outstanding
-// requests) and every host poller with its duplex pool.
+// requests) and every host poller with its duplex pool; each connection's
+// buffers then return to rpcrdma's cache for the next deployment. The
+// goroutines driving the host pollers must have stopped (DPU servers
+// running Run are stopped here).
 func (d *Deployment) Close() {
 	for _, dpu := range d.DPUs {
 		dpu.Close()
@@ -275,7 +285,7 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 	if pollerCfg.CQDepth < (perPoller+1)*(ccfg.Credits+16) {
 		pollerCfg.CQDepth = (perPoller + 1) * (ccfg.Credits + 16)
 	}
-	d := &Deployment{Link: link, Host: host}
+	d := &Deployment{Link: link, Host: host, hostConns: make([]atomic.Pointer[rpcrdma.ServerConn], conns)}
 	if len(cfg.CacheMethods) > 0 {
 		// One cache for the whole deployment: every connection's server
 		// probes and populates it, so a hot key warmed through any
@@ -315,6 +325,7 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 		if err != nil {
 			return nil, err
 		}
+		d.hostConns[i].Store(server)
 		// Redial replays this connection's setup against the same host
 		// poller: a fresh QP pair under the identical per-connection config
 		// (fault schedule included), attached through the poller's
@@ -323,16 +334,20 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 		// into the spare connection's share of the CQ sized above; a second
 		// break before that reap costs one failed redial and a backoff.
 		// Runs on the DPU poller goroutine.
+		hostConn := &d.hostConns[i]
 		redial := func() (*rpcrdma.ClientConn, error) {
-			nc, _, err := rpcrdma.Connect(dpuDev, hostDev, ccfgi, scfgi, poller, host.Handler())
-			return nc, err
+			nc, ns, err := rpcrdma.Connect(dpuDev, hostDev, ccfgi, scfgi, poller, host.Handler())
+			if err != nil {
+				return nil, err
+			}
+			hostConn.Store(ns)
+			return nc, nil
 		}
 		dpu, err := newDPUServer(dpuTable, client, cfg, redial, d.Cache)
 		if err != nil {
 			return nil, err
 		}
 		d.DPUs = append(d.DPUs, dpu)
-		d.HostConns = append(d.HostConns, server)
 	}
 	return d, nil
 }

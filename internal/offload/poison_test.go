@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dpurpc/internal/abi"
+	"dpurpc/internal/arena"
 	"dpurpc/internal/fault"
 	"dpurpc/internal/protomsg"
 	"dpurpc/internal/rpcrdma"
@@ -50,8 +51,8 @@ type poisonRun struct {
 // with no frame unaccounted. Under -race this is also the synchronization pin
 // of the frame hand-offs.
 func TestPoisonOnRelease(t *testing.T) {
-	xrpc.SetPoisonOnRelease(true)
-	defer xrpc.SetPoisonOnRelease(false)
+	arena.SetPoisonOnRelease(true)
+	defer arena.SetPoisonOnRelease(false)
 	flaky := fault.Plan{ErrorRate: 0.02, DelayRate: 0.02, Delay: 200 * time.Microsecond, Seed: 7}
 	for _, mode := range []struct {
 		name string
@@ -243,7 +244,7 @@ func TestPoisonOnRelease(t *testing.T) {
 			run := poisonRun{st: stats, dpu: d.DPUs[0].Client().Counters, typed: typed.Load()}
 			close(stop)
 			<-hostDone
-			run.host = d.HostConns[0].Counters // both pollers have stopped
+			run.host = d.HostConn(0).Counters // both pollers have stopped
 			d.Close()
 
 			if ok.Load() == 0 || ok.Load()+typed.Load() != calls {

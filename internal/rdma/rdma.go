@@ -311,6 +311,9 @@ type QP struct {
 	line     chan delayedOp
 	lineDone chan struct{}
 	lineOnce sync.Once
+	// lineExit closes when the delay line's goroutine returns, after its
+	// last delivery has landed (see Quiesce).
+	lineExit chan struct{}
 }
 
 type delayedOp struct {
@@ -365,6 +368,7 @@ func (qp *QP) SetInjector(inj *fault.Injector) {
 	if inj != nil && inj.Plan().DelayRate > 0 && qp.line == nil {
 		qp.line = make(chan delayedOp, 1024)
 		qp.lineDone = make(chan struct{})
+		qp.lineExit = make(chan struct{})
 		go qp.runDelayLine()
 	}
 }
@@ -376,6 +380,7 @@ func (qp *QP) Injector() *fault.Injector { return qp.injector }
 // before the delayed ones. When the QP closes, queued deliveries are
 // flushed without further delay and the goroutine exits.
 func (qp *QP) runDelayLine() {
+	defer close(qp.lineExit)
 	for {
 		select {
 		case op := <-qp.line:
@@ -430,6 +435,18 @@ func (qp *QP) Close() {
 	}
 	if qp.recvCQ != nil && !qp.sharedRecvCQ {
 		qp.recvCQ.Shutdown()
+	}
+}
+
+// Quiesce closes the QP and returns once no operation it posted can still
+// write into the peer's registered memory. Close alone does not promise
+// that: a delay line flushes the deliveries it holds after Close returns.
+// Memory the peer's MR covers may be reused only after both QPs of a
+// connection have quiesced (and both owners have stopped posting).
+func (qp *QP) Quiesce() {
+	qp.Close()
+	if qp.lineExit != nil {
+		<-qp.lineExit
 	}
 }
 

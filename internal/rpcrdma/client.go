@@ -98,11 +98,12 @@ type CallSpec struct {
 	// Size is the payload space to reserve (exact or an upper bound; the
 	// deserialization layer computes it exactly with its planned scan).
 	Size int
-	// Build writes the payload into dst (len(dst) == Size, zeroed), whose
-	// first byte sits at region offset regionOff in the request
-	// direction's shared address space. It returns the root-object offset
-	// relative to dst[0] and the bytes actually used (<= Size). A nil
-	// Build sends Size zero bytes with root 0.
+	// Build writes the payload into dst (len(dst) == Size), whose first
+	// byte sits at region offset regionOff in the request direction's
+	// shared address space. It returns the root-object offset relative to
+	// dst[0] and the bytes actually used (<= Size). dst holds stale bytes
+	// (Reservation.Dst): Build must write every byte it declares used. A
+	// nil Build sends Size zero bytes with root 0.
 	Build func(dst []byte, regionOff uint64) (root uint32, used int, err error)
 	// OnResponse is the continuation invoked from the event loop
 	// (Sec. III-D) when the response arrives.
@@ -240,6 +241,8 @@ func (c *ClientConn) Enqueue(spec CallSpec) error {
 			c.Cancel(r)
 			return err
 		}
+	} else {
+		clear(r.Dst)
 	}
 	return c.Commit(r, root, used)
 }
@@ -723,6 +726,14 @@ func (c *ClientConn) Wake() { c.recvCQ.Kick() }
 
 // Close tears down the connection.
 func (c *ClientConn) Close() { c.qp.Close() }
+
+// Retire tells the connection that its owner is done with this end: no
+// goroutine will make a further call on it, except to read Counters,
+// Gauges and Broken. Once the server end has retired too (its poller reaps
+// or closes it), the last of the two closes both QPs, waits out their delay
+// lines and returns the connection's buffers to the cache; without Retire
+// they are left to the GC. Idempotent.
+func (c *ClientConn) Retire() { c.retire() }
 
 // nowNS returns a monotonic timestamp in nanoseconds (the eRPC-style
 // low-overhead timing source of Sec. VII, provided by Go's runtime clock).

@@ -51,10 +51,17 @@ func Connect(clientDev, serverDev *rdma.Device, ccfg, scfg Config, poller *Serve
 	clientPD := clientDev.AllocPD()
 	serverPD := serverDev.AllocPD()
 
-	clientSBuf := make([]byte, ccfg.SBufSize)
-	serverSBuf := make([]byte, scfg.SBufSize)
-	clientRBuf := clientPD.RegisterMR(make([]byte, scfg.SBufSize)) // mirrors server SBuf
-	serverRBuf := serverPD.RegisterMR(make([]byte, ccfg.SBufSize)) // mirrors client SBuf
+	// The buffers come from the registration cache (bufcache.go), dirty
+	// when recycled; the pair returns them once both ends have retired.
+	pair := &connPair{}
+	pair.ends.Store(2)
+	pair.bufs = [4][]byte{
+		takeBuf(ccfg.SBufSize), takeBuf(scfg.SBufSize),
+		takeBuf(scfg.SBufSize), takeBuf(ccfg.SBufSize),
+	}
+	clientSBuf, serverSBuf := pair.bufs[0], pair.bufs[1]
+	clientRBuf := clientPD.RegisterMR(pair.bufs[2]) // mirrors server SBuf
+	serverRBuf := serverPD.RegisterMR(pair.bufs[3]) // mirrors client SBuf
 
 	clientSendCQ := rdma.NewCQ(ccfg.CQDepth)
 	clientRecvCQ := rdma.NewCQ(ccfg.CQDepth)
@@ -66,15 +73,19 @@ func Connect(clientDev, serverDev *rdma.Device, ccfg, scfg Config, poller *Serve
 	// or failure isolation) must not shut it down.
 	serverQP.MarkSharedRecvCQ()
 	rdma.Connect(clientQP, serverQP)
+	pair.qps = [2]*rdma.QP{clientQP, serverQP}
 
 	cc, err := newClientConn(ccfg, clientQP, clientSendCQ, clientRecvCQ, clientSBuf, clientRBuf, scfg.Credits+recvSlack)
 	if err != nil {
+		pair.release()
 		return nil, nil, err
 	}
 	sc, err := newServerConn(scfg, serverQP, serverSendCQ, poller.recvCQ, serverSBuf, serverRBuf, h, needed)
 	if err != nil {
+		pair.release()
 		return nil, nil, err
 	}
+	cc.pair, sc.pair = pair, pair
 	// Fault injection (per side, outbound ops only). With both plans nil the
 	// QPs carry no injector and the datapath is byte-identical to before.
 	if ccfg.Faults != nil {
@@ -95,8 +106,8 @@ func Connect(clientDev, serverDev *rdma.Device, ccfg, scfg Config, poller *Serve
 		cc.traceTab, cc.traced, sc.traceTab = tab, true, tab
 	}
 	if err := poller.attach(serverQP.Num, sc, needed); err != nil {
-		clientQP.Close()
-		serverQP.Close()
+		sc.duplex.close()
+		pair.release()
 		return nil, nil, err
 	}
 	return cc, sc, nil

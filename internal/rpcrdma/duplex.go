@@ -209,6 +209,7 @@ func (s *ServerConn) dxReserveReady() {
 			continue
 		}
 		if t.spec.Build == nil {
+			clear(r.Dst) // Size zero bytes, as on the serial path
 			if err := s.respond(r, t.spec.Status, t.spec.Err, t.spec.Object, 0, t.spec.Size); err != nil {
 				s.fail(err)
 			}

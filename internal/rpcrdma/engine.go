@@ -167,6 +167,9 @@ type sender struct {
 	sendQ      []*block
 	unacked    []*block // FIFO of sent, not-yet-acknowledged blocks
 	freeBlocks []*block
+	// clean is the prefix of sbuf cleared of an earlier connection's bytes
+	// (takeBlock).
+	clean int
 
 	// injector is this side's outbound fault injector (nil when disabled).
 	injector *fault.Injector
@@ -182,6 +185,11 @@ type sender struct {
 	lastDump  atomic.Pointer[FlightDump]
 
 	gauges ConnGauges
+
+	// pair is the connection's buffers, shared with the other end; retired
+	// marks this end's hold on them given up (retire).
+	pair    *connPair
+	retired atomic.Bool
 
 	// Counters instrument the endpoint.
 	Counters Counters
@@ -202,6 +210,16 @@ func (s *sender) init(cfg Config, qp *rdma.QP, sendCQ *rdma.CQ, sbuf []byte, out
 	_, err := s.alloc.Alloc(BlockAlign, BlockAlign)
 	s.refreshGauges(0)
 	return err
+}
+
+// retire gives up this end's hold on the connection's buffers: its owner
+// will touch the endpoint's buffers no more, nor will anything the owner
+// started. The second end to retire returns them to the cache (connPair).
+// Idempotent.
+func (s *sender) retire() {
+	if s.pair != nil && s.retired.CompareAndSwap(false, true) {
+		s.pair.endDone()
+	}
 }
 
 // Credits returns the current send-credit count.
@@ -275,7 +293,18 @@ func (s *sender) newBlock(firstSlot int) (*block, error) {
 
 // takeBlock returns an empty block over size bytes of send buffer at off,
 // reusing a recycled struct (and its slices' capacity) when one is free.
+//
+// A send buffer recycled from an earlier connection holds that connection's
+// bytes (bufcache.go). The first block to reach past clean clears the
+// stretch up to its end, so below clean the buffer holds zeros and bytes
+// this connection wrote, as a fresh one would: a byte a block transmits
+// without writing it (a slot's alignment pad, an arena.Bump alignment gap)
+// never depends on which connection had the memory before.
 func (s *sender) takeBlock(off uint64, size int) *block {
+	if end := int(off) + size; end > s.clean {
+		clear(s.sbuf[s.clean:end])
+		s.clean = end
+	}
 	var b *block
 	if n := len(s.freeBlocks); n > 0 {
 		b = s.freeBlocks[n-1]

@@ -48,7 +48,16 @@ type tapDir struct {
 	lines []string
 }
 
+// newWireTap taps r's receive buffers. Connection buffers are recycled dirty
+// (bufcache.go), so the tap fills all four of r's buffers with 0xDB first,
+// the image of a recycled buffer under release poisoning: a byte the
+// protocol transmits without writing it changes the record.
 func newWireTap(t *testing.T, r *testRig) *wireTap {
+	for _, b := range [][]byte{r.client.sbuf, r.server.sbuf, r.client.rbuf.Bytes(), r.server.rbuf.Bytes()} {
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
 	g := &wireTap{t: t, r: r}
 	g.dirs[0] = tapDir{name: "c2s", buf: r.server.rbuf.Bytes()}
 	g.dirs[1] = tapDir{name: "s2c", buf: r.client.rbuf.Bytes()}

@@ -48,6 +48,13 @@ func newRig(t *testing.T, ccfg, scfg Config, h Handler) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Retire both ends when the test is done with the rig, so the next
+	// rig of the same sizes runs on these buffers, dirty.
+	t.Cleanup(func() {
+		client.Close()
+		client.Retire()
+		poller.Close()
+	})
 	return &testRig{link: link, poller: poller, client: client, server: server}
 }
 

@@ -3,7 +3,8 @@ package xrpc
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
+
+	"dpurpc/internal/arena"
 )
 
 // Request frames are read into pooled buffers, one power-of-two size class
@@ -51,29 +52,8 @@ func getFrame(n int) *frame {
 
 // release returns the frame to its pool. Nothing may read f.buf afterwards.
 func (f *frame) release() {
-	PoisonReleased(f.buf)
+	arena.PoisonReleased(f.buf)
 	if f.class >= 0 {
 		framePools[f.class].Put(f)
-	}
-}
-
-// poisonOnRelease is a test hook: while set, every buffer handed back to a
-// pool on the request path is overwritten first, so a reader that outlives
-// its buffer's owner sees 0xDB instead of plausible stale bytes.
-var poisonOnRelease atomic.Bool
-
-// SetPoisonOnRelease switches the release-poisoning test hook. Tests only.
-func SetPoisonOnRelease(on bool) { poisonOnRelease.Store(on) }
-
-// PoisonReleased is called on a buffer on its way back to a pool — by this
-// package for request frames, by the offload layer for response buffers — and
-// overwrites its whole capacity while the test hook is on.
-func PoisonReleased(b []byte) {
-	if !poisonOnRelease.Load() {
-		return
-	}
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = 0xDB
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dpurpc/internal/arena"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -59,8 +61,8 @@ func TestFrameClasses(t *testing.T) {
 }
 
 func TestFramePoisonOnRelease(t *testing.T) {
-	SetPoisonOnRelease(true)
-	defer SetPoisonOnRelease(false)
+	arena.SetPoisonOnRelease(true)
+	defer arena.SetPoisonOnRelease(false)
 	for _, n := range []int{100, 70000, 1<<20 + 5} {
 		f := getFrame(n)
 		buf := f.buf
@@ -532,8 +534,8 @@ func TestFrameReleasedOnEveryExit(t *testing.T) {
 func TestFrameVectoredWriteBoundaries(t *testing.T) {
 	// The echo handler's response is the request frame itself: poisoning
 	// shows a frame recycled before its response was written.
-	SetPoisonOnRelease(true)
-	defer SetPoisonOnRelease(false)
+	arena.SetPoisonOnRelease(true)
+	defer arena.SetPoisonOnRelease(false)
 	_, addr := startServer(t, echo)
 	c, err := Dial(addr)
 	if err != nil {
@@ -587,8 +589,8 @@ func TestOversizedResponseIsInternal(t *testing.T) {
 // response has been written — the client has the bytes before the buffer is
 // recycled — and also when the write fails.
 func TestReleaseCalledOncePerRequest(t *testing.T) {
-	SetPoisonOnRelease(true)
-	defer SetPoisonOnRelease(false)
+	arena.SetPoisonOnRelease(true)
+	defer arena.SetPoisonOnRelease(false)
 	var released atomic.Int64
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -597,7 +599,7 @@ func TestReleaseCalledOncePerRequest(t *testing.T) {
 	srv := NewReleasingServer(func(method string, payload []byte) (uint16, []byte, func()) {
 		resp := append([]byte("re:"), payload...)
 		return StatusOK, resp, func() {
-			PoisonReleased(resp)
+			arena.PoisonReleased(resp)
 			released.Add(1)
 		}
 	})

@@ -3,8 +3,10 @@ package dpurpc
 import (
 	"errors"
 	"net"
+	"os"
 	rtmetrics "runtime/metrics"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,9 +155,11 @@ func (s *Stack) Window() *metrics.RPCWindow { return s.window }
 // signals: credit stalls, ack-only blocks, acknowledgments pending) refreshed
 // by each DPU poller pass, each DPU server's sheds, reconnects and redial
 // failures, plus the deployment-wide poller wake-up mix
-// (rpcrdma_poller_wakeups_total by reason), and on both stacks the process
-// heap (allocations, live bytes, GC cycles). The sampler polls them at its
-// own low rate; the datapath only ever writes a handful of atomics.
+// (rpcrdma_poller_wakeups_total by reason) and the connection buffers'
+// registration cache (hits and misses), and on both stacks the process
+// heap (allocations, live bytes, GC cycles) and resident set size. The
+// sampler polls them at its own low rate; the datapath only ever writes a
+// handful of atomics.
 func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 	if smp == nil {
 		return
@@ -202,12 +206,25 @@ func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 				return float64([3]uint64{cqe, kick, timer}[i])
 			})
 	}
+	// The registration cache of the connection buffers: a deployment set up
+	// after another one closed takes their buffers instead of allocating.
+	smp.Register("rpcrdma_buffer_cache_hits_total",
+		"Connection buffers Connect took from the process's registration cache.", nil,
+		func() float64 { h, _ := rpcrdma.BufferCacheStats(); return float64(h) })
+	smp.Register("rpcrdma_buffer_cache_misses_total",
+		"Connection buffers Connect had to allocate (and the runtime to zero).", nil,
+		func() float64 { _, m := rpcrdma.BufferCacheStats(); return float64(m) })
 	// Each connection's occupancy, from both of its ends: side="dpu" is the
-	// DPU's request sender, side="host" the host's response sender.
-	for i, dpu := range s.deployment.DPUs {
+	// DPU's request sender, side="host" the host's response sender. Both are
+	// resolved at each sample, so the series follow a reconnect to the
+	// replacement pair.
+	d := s.deployment
+	for i, dpu := range d.DPUs {
 		conn := strconv.Itoa(i)
-		registerConnGauges(smp, map[string]string{"conn": conn, "side": "dpu"}, dpu.Client().Gauges())
-		registerConnGauges(smp, map[string]string{"conn": conn, "side": "host"}, s.deployment.HostConns[i].Gauges())
+		registerConnGauges(smp, map[string]string{"conn": conn, "side": "dpu"},
+			func() *rpcrdma.ConnGauges { return dpu.Client().Gauges() })
+		registerConnGauges(smp, map[string]string{"conn": conn, "side": "host"},
+			func() *rpcrdma.ConnGauges { return d.HostConn(i).Gauges() })
 		// The DPU server outlives its connection (a reconnect swaps only the
 		// connection), so these count across reconnects.
 		l := map[string]string{"conn": conn}
@@ -226,8 +243,13 @@ func (s *Stack) RegisterGauges(smp *metrics.Sampler) {
 // registerHeapGauges registers the process heap series, read through
 // runtime/metrics, which needs no stop-the-world (runtime.ReadMemStats
 // does). The allocation counters rising by many objects per request mark a
-// datapath that has started allocating again.
+// datapath that has started allocating again. The resident set size also
+// counts what the heap series do not see as garbage: the idle connection
+// buffers the registration cache holds.
 func registerHeapGauges(smp *metrics.Sampler) {
+	smp.Register("process_resident_memory_bytes",
+		"Resident set size of the process, from /proc/self/statm (0 where it cannot be read).", nil,
+		residentBytes)
 	for _, g := range []struct{ name, help, src string }{
 		{"go_heap_allocs_objects_total", "Heap objects allocated since the process started.", "/gc/heap/allocs:objects"},
 		{"go_heap_allocs_bytes_total", "Heap bytes allocated since the process started.", "/gc/heap/allocs:bytes"},
@@ -242,52 +264,65 @@ func registerHeapGauges(smp *metrics.Sampler) {
 	}
 }
 
-// registerConnGauges registers one connection endpoint's conn_* series.
-func registerConnGauges(smp *metrics.Sampler, l map[string]string, g *rpcrdma.ConnGauges) {
-	smp.Register("conn_arena_in_use_bytes",
-		"Send-arena bytes in use on the endpoint.", l,
-		func() float64 { return float64(g.ArenaInUse.Load()) })
-	smp.Register("conn_arena_size_bytes",
-		"Send-arena capacity of the endpoint.", l,
-		func() float64 { return float64(g.ArenaSize.Load()) })
-	smp.Register("conn_send_queue_depth",
-		"Sealed blocks waiting for credits or request IDs.", l,
-		func() float64 { return float64(g.SendQueued.Load()) })
-	smp.Register("conn_partial_block_msgs",
-		"Messages buffered in the unsealed partial block.", l,
-		func() float64 { return float64(g.PartialMsgs.Load()) })
-	smp.Register("conn_unacked_blocks",
-		"Blocks sent but not yet acknowledged by the peer.", l,
-		func() float64 { return float64(g.Unacked.Load()) })
-	smp.Register("conn_outstanding_requests",
-		"Requests in flight on the endpoint: awaiting a response (dpu) or being answered (host).", l,
-		func() float64 { return float64(g.Outstanding.Load()) })
-	smp.Register("conn_credits",
-		"Send credits remaining on the endpoint.", l,
-		func() float64 { return float64(g.Credits.Load()) })
-	smp.Register("conn_credit_stalls_total",
-		"Sends deferred for lack of a credit on the endpoint.", l,
-		func() float64 { return float64(g.CreditStalls.Load()) })
-	smp.Register("conn_ack_only_blocks_total",
-		"Empty blocks the endpoint sent only to carry acknowledgments.", l,
-		func() float64 { return float64(g.AckOnlyBlocks.Load()) })
-	smp.Register("conn_acks_pending",
-		"Blocks the endpoint received and may acknowledge but has not yet.", l,
-		func() float64 { return float64(g.AcksPending.Load()) })
-	smp.Register("conn_gather_bytes_total",
-		"Payload bytes the endpoint posted straight from caller memory, never copied into its send buffer.", l,
-		func() float64 { return float64(g.GatherBytes.Load()) })
+// residentBytes reads the process's resident set size: the second field of
+// /proc/self/statm, in pages.
+func residentBytes() float64 {
+	b, err := os.ReadFile("/proc/self/statm")
+	if err != nil {
+		return 0
+	}
+	f := strings.Fields(string(b))
+	if len(f) < 2 {
+		return 0
+	}
+	pages, err := strconv.ParseUint(f[1], 10, 64)
+	if err != nil {
+		return 0
+	}
+	return float64(pages) * float64(os.Getpagesize())
+}
+
+// registerConnGauges registers one connection endpoint's conn_* series,
+// each read from the endpoint g returns at sample time.
+func registerConnGauges(smp *metrics.Sampler, l map[string]string, g func() *rpcrdma.ConnGauges) {
 	for _, c := range []struct {
 		name, help string
-		v          *atomic.Uint64
+		v          func(*rpcrdma.ConnGauges) float64
 	}{
-		{"conn_send_fault_retries_total", "Posts the wire rejected that the endpoint rolled back and sent again.", &g.SendFaultRetries},
-		{"conn_requests_timed_out_total", "Requests the endpoint reaped at RequestTimeout.", &g.RequestsTimedOut},
-		{"conn_late_responses_dropped_total", "Responses the endpoint discarded because their request had timed out.", &g.LateResponsesDropped},
-		{"conn_send_full_recoveries_total", "Send-arena exhaustions the endpoint recovered by waiting for acknowledgments.", &g.SendFullRecoveries},
-		{"conn_admission_sheds_total", "Requests the endpoint's admission control answered UNAVAILABLE.", &g.AdmissionSheds},
+		{"conn_arena_in_use_bytes", "Send-arena bytes in use on the endpoint.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.ArenaInUse.Load()) }},
+		{"conn_arena_size_bytes", "Send-arena capacity of the endpoint.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.ArenaSize.Load()) }},
+		{"conn_send_queue_depth", "Sealed blocks waiting for credits or request IDs.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.SendQueued.Load()) }},
+		{"conn_partial_block_msgs", "Messages buffered in the unsealed partial block.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.PartialMsgs.Load()) }},
+		{"conn_unacked_blocks", "Blocks sent but not yet acknowledged by the peer.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.Unacked.Load()) }},
+		{"conn_outstanding_requests", "Requests in flight on the endpoint: awaiting a response (dpu) or being answered (host).",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.Outstanding.Load()) }},
+		{"conn_credits", "Send credits remaining on the endpoint.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.Credits.Load()) }},
+		{"conn_credit_stalls_total", "Sends deferred for lack of a credit on the endpoint.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.CreditStalls.Load()) }},
+		{"conn_ack_only_blocks_total", "Empty blocks the endpoint sent only to carry acknowledgments.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.AckOnlyBlocks.Load()) }},
+		{"conn_acks_pending", "Blocks the endpoint received and may acknowledge but has not yet.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.AcksPending.Load()) }},
+		{"conn_gather_bytes_total", "Payload bytes the endpoint posted straight from caller memory, never copied into its send buffer.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.GatherBytes.Load()) }},
+		{"conn_send_fault_retries_total", "Posts the wire rejected that the endpoint rolled back and sent again.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.SendFaultRetries.Load()) }},
+		{"conn_requests_timed_out_total", "Requests the endpoint reaped at RequestTimeout.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.RequestsTimedOut.Load()) }},
+		{"conn_late_responses_dropped_total", "Responses the endpoint discarded because their request had timed out.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.LateResponsesDropped.Load()) }},
+		{"conn_send_full_recoveries_total", "Send-arena exhaustions the endpoint recovered by waiting for acknowledgments.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.SendFullRecoveries.Load()) }},
+		{"conn_admission_sheds_total", "Requests the endpoint's admission control answered UNAVAILABLE.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.AdmissionSheds.Load()) }},
 	} {
-		smp.Register(c.name, c.help, l, func() float64 { return float64(c.v.Load()) })
+		smp.Register(c.name, c.help, l, func() float64 { return c.v(g()) })
 	}
 }
 
