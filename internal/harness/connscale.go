@@ -347,6 +347,9 @@ func runConnScalePoint(opts Options, pt connScalePoint) (ConnScaleRow, error) {
 		close(churnStop)
 		group.Stop()
 		close(stop)
+		// The host pollers must stop before Close hands their connections'
+		// buffers back for reuse.
+		hostWG.Wait()
 		d.Close()
 		return ConnScaleRow{}, errors.New("connscale point hung")
 	}
