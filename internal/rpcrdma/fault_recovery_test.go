@@ -284,8 +284,15 @@ func TestClientDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	stop, pollerDone := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(pollerDone)
 		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			if _, err := r.poller.Progress(); err != nil {
 				return
 			}
@@ -294,7 +301,10 @@ func TestClientDrain(t *testing.T) {
 			}
 		}
 	}()
-	if err := r.client.Drain(5 * time.Second); err != nil {
+	err := r.client.Drain(5 * time.Second)
+	close(stop)
+	<-pollerDone // ServerPoller.Close is owner-side: not under a running Progress
+	if err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	if done != 8 || r.client.Outstanding() != 0 {
