@@ -27,7 +27,7 @@ build:
 # slow call up only after every fast one is answered. The sixth repeats the
 # allocation pins on one CPU, where the duplex worker and the poller share
 # sync.Pool's per-P caches. The seventh runs the wire-byte pins twice, so the
-# second pass always runs on connection buffers the first one recycled.
+# second pass runs on connection buffers the first one recycled.
 test: fmt-check
 	go vet ./...
 	go test ./...

@@ -117,15 +117,19 @@ func (d *Deployment) PollerWakes() (cqe, kick, timer uint64) {
 
 // Close shuts down every DPU server (failing its queued and outstanding
 // requests) and every host poller with its duplex pool; each connection's
-// buffers then return to rpcrdma's cache for the next deployment. The
-// goroutines driving the host pollers must have stopped (DPU servers
-// running Run are stopped here).
+// current buffers then return to rpcrdma's cache for the next deployment
+// (rpcrdma.Recycle). The goroutines driving the host pollers must have
+// stopped (DPU servers running Run are stopped here). The buffers of a pair
+// that a redial replaced are left to the GC.
 func (d *Deployment) Close() {
 	for _, dpu := range d.DPUs {
 		dpu.Close()
 	}
 	for _, p := range d.Pollers {
 		p.Close()
+	}
+	for i, dpu := range d.DPUs {
+		rpcrdma.Recycle(dpu.Client(), d.HostConn(i))
 	}
 }
 

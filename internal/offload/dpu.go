@@ -898,23 +898,17 @@ func (d *DPUServer) tryReconnect() error {
 	return nil
 }
 
-// adopt swaps the replacement connection in and retires the old one. The
-// flight recorder's remaining dump budget rides over, so the per-server dump
-// cap spans reconnects. The epoch advances so no response that was in
-// flight across the break enters the cache. Queued requests reserve through
-// the normal admission path — the fresh connection pairs a fresh ID pool
-// with its fresh server-side peer, so the deterministic request-ID replay
-// stays aligned.
+// adopt swaps the replacement connection in. The flight recorder's
+// remaining dump budget rides over, so the per-server dump cap spans
+// reconnects. The epoch advances so no response that was in flight across
+// the break enters the cache. Queued requests reserve through the normal
+// admission path — the fresh connection pairs a fresh ID pool with its fresh
+// server-side peer, so the deterministic request-ID replay stays aligned.
 // Poller-owned.
 func (d *DPUServer) adopt(nc *rpcrdma.ClientConn) {
-	old := d.client
-	nc.SetFlightDumpBudget(old.FlightDumpBudget())
+	nc.SetFlightDumpBudget(d.client.FlightDumpBudget())
 	d.client = nc
 	d.clientRef.Store(nc)
-	// Abort has failed everything bound to the old connection and no task
-	// holds a reservation across passes, so this server is done with it.
-	// Its buffers return once the host poller reaps the other end.
-	old.Retire()
 	d.epoch++
 	d.reconBroken = false
 	d.reconErr = nil
@@ -1019,19 +1013,16 @@ func (d *DPUServer) shutdown(err error) {
 
 // Close shuts the server down. If a Run loop is active it is signalled and
 // awaited (teardown stays on the poller goroutine); otherwise — e.g. the
-// benchmark harness drives Progress directly — teardown runs inline, and
-// the caller must be the goroutine that drove Progress. Either way the
-// server then retires its connection (rpcrdma.ClientConn.Retire), so
-// nothing may drive it afterwards. Idempotent.
+// benchmark harness drives Progress directly — teardown runs inline.
+// Idempotent.
 func (d *DPUServer) Close() {
 	d.stopOnce.Do(func() { close(d.stopCh) })
 	d.wake() // a Run loop asleep in its poller wait must see stopCh now
 	if d.running.Load() {
 		<-d.runDone
-	} else {
-		d.shutdown(ErrShuttingDown)
+		return
 	}
-	d.client.Retire()
+	d.shutdown(ErrShuttingDown)
 }
 
 // Run drives Progress until stop (or Close) signals — the dedicated

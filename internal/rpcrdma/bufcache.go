@@ -1,7 +1,6 @@
 package rpcrdma
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -14,44 +13,43 @@ import (
 // the receive buffer mirroring each, behind every Connect. A verbs stack
 // keeps a registration cache because registering memory is the expensive
 // step; here the expense is allocating and zeroing it. Returned buffers are
-// kept process-wide on one LIFO free list per exact byte size, and the GC
-// trims them the way it trims a sync.Pool: a buffer that stays idle through
-// one whole GC cycle is dropped at the next, so an idle buffer survives a
-// single GC and there is no bound to configure. (A sync.Pool per size
-// misses: a put lands in the putting P's private slot, out of reach of a
-// get on another P, and a fifth of the buffers of a repeated set-up loop on
-// two Ps were allocated afresh.)
+// kept process-wide in one sync.Pool per exact byte size, as xrpc's frame
+// pools keep request frames: the GC trims idle ones (an idle buffer
+// survives one GC in the pool's victim cache), and there is no bound to
+// configure.
 //
 // A buffer taken from the cache is NOT zeroed — that is the saving — so
 // every byte a connection reads or transmits must be one it wrote first or
 // one its sender cleared (sender.takeBlock).
 var bufCache struct {
-	mu   sync.Mutex
-	idle map[int][]idleBuf
-	gen  uint64 // GC cycles trimIdle has seen
+	mu    sync.Mutex
+	pools map[int]*sync.Pool
 }
 
 var bufHits, bufMisses atomic.Uint64
 
-// idleBuf is one returned buffer and the GC cycle it was returned in.
-type idleBuf struct {
-	b   []byte
-	gen uint64
+// bufPool returns the pool of n-byte buffers.
+func bufPool(n int) *sync.Pool {
+	bufCache.mu.Lock()
+	defer bufCache.mu.Unlock()
+	p := bufCache.pools[n]
+	if p == nil {
+		if bufCache.pools == nil {
+			bufCache.pools = make(map[int]*sync.Pool)
+		}
+		p = new(sync.Pool)
+		bufCache.pools[n] = p
+	}
+	return p
 }
 
-// takeBuf returns an n-byte connection buffer: the last one returned,
-// holding whatever its connection left in it, or else a fresh one.
+// takeBuf returns an n-byte connection buffer: a returned one, holding
+// whatever its connection left in it, or else a fresh one.
 func takeBuf(n int) []byte {
-	bufCache.mu.Lock()
-	if l := bufCache.idle[n]; len(l) > 0 {
-		b := l[len(l)-1].b
-		l[len(l)-1] = idleBuf{}
-		bufCache.idle[n] = l[:len(l)-1]
-		bufCache.mu.Unlock()
+	if b, _ := bufPool(n).Get().(*[]byte); b != nil {
 		bufHits.Add(1)
-		return b
+		return *b
 	}
-	bufCache.mu.Unlock()
 	bufMisses.Add(1)
 	return make([]byte, n)
 }
@@ -60,43 +58,7 @@ func takeBuf(n int) []byte {
 // under the release-poisoning test hook). Nothing may touch b afterwards.
 func returnBuf(b []byte) {
 	arena.PoisonReleased(b)
-	bufCache.mu.Lock()
-	bufCache.idle[len(b)] = append(bufCache.idle[len(b)], idleBuf{b: b, gen: bufCache.gen})
-	bufCache.mu.Unlock()
-}
-
-// trimIdle runs once per GC cycle and drops the buffers that have been idle
-// through a whole cycle before this one.
-func trimIdle() {
-	bufCache.mu.Lock()
-	defer bufCache.mu.Unlock()
-	bufCache.gen++
-	for n, l := range bufCache.idle {
-		kept := l[:0]
-		for _, e := range l {
-			if bufCache.gen-e.gen < 2 {
-				kept = append(kept, e)
-			}
-		}
-		clear(l[len(kept):])
-		bufCache.idle[n] = kept
-	}
-}
-
-func init() {
-	bufCache.idle = make(map[int][]idleBuf)
-	armTrim()
-}
-
-// armTrim has trimIdle run after the next GC cycle: the cycle finds the
-// sentinel unreachable and queues its finalizer, which trims and arms the
-// next one. The sentinel is 16 bytes so the tiny allocator does not share
-// its block with other objects, which could hold its finalizer back.
-func armTrim() {
-	runtime.SetFinalizer(new([16]byte), func(*[16]byte) {
-		trimIdle()
-		armTrim()
-	})
+	bufPool(len(b)).Put(&b)
 }
 
 // BufferCacheStats returns how many Connect buffers the process has taken
@@ -106,30 +68,38 @@ func BufferCacheStats() (hits, misses uint64) {
 	return bufHits.Load(), bufMisses.Load()
 }
 
-// connPair is one Connect's buffers and what can still write into them:
-// its two ends and the QPs they post on. Each end retires once (see
-// ClientConn.Retire and ServerPoller); the second to retire quiesces both
-// QPs — a delay line may still be flushing writes into the peer's receive
-// buffer — and returns the four buffers to the cache.
+// connPair is one Connect's buffers and the QPs that can write into them.
 type connPair struct {
-	ends atomic.Int32
-	qps  [2]*rdma.QP
-	bufs [4][]byte
+	released atomic.Bool
+	qps      [2]*rdma.QP
+	bufs     [4][]byte
 }
 
-// endDone retires one of the pair's ends.
-func (p *connPair) endDone() {
-	if p.ends.Add(-1) == 0 {
-		p.release()
-	}
-}
-
-// release quiesces both QPs and returns the buffers.
+// release quiesces both QPs — a delay line may still be flushing writes
+// into the peer's receive buffer after QP.Close — and returns the buffers.
+// Idempotent.
 func (p *connPair) release() {
+	if !p.released.CompareAndSwap(false, true) {
+		return
+	}
 	for _, qp := range p.qps {
 		qp.Quiesce()
 	}
 	for _, b := range p.bufs {
 		returnBuf(b)
+	}
+}
+
+// Recycle returns the buffers of the connection whose two ends are c and s
+// to the cache, for a later Connect of the same sizes to take dirty. The
+// caller must be done with both ends: c's owner, s's poller goroutine and
+// s's duplex workers (ServerPoller.Close joins them) have stopped, and
+// nothing will read a view into either buffer again. Recycle closes both
+// QPs and waits out their delay lines. Ends of different connections, or a
+// pair already recycled, are left alone; buffers never recycled are left to
+// the GC. Safe from any goroutine.
+func Recycle(c *ClientConn, s *ServerConn) {
+	if c.pair != nil && c.pair == s.pair {
+		c.pair.release()
 	}
 }

@@ -727,14 +727,6 @@ func (c *ClientConn) Wake() { c.recvCQ.Kick() }
 // Close tears down the connection.
 func (c *ClientConn) Close() { c.qp.Close() }
 
-// Retire tells the connection that its owner is done with this end: no
-// goroutine will make a further call on it, except to read Counters,
-// Gauges and Broken. Once the server end has retired too (its poller reaps
-// or closes it), the last of the two closes both QPs, waits out their delay
-// lines and returns the connection's buffers to the cache; without Retire
-// they are left to the GC. Idempotent.
-func (c *ClientConn) Retire() { c.retire() }
-
 // nowNS returns a monotonic timestamp in nanoseconds (the eRPC-style
 // low-overhead timing source of Sec. VII, provided by Go's runtime clock).
 func nowNS() int64 { return time.Now().UnixNano() }

@@ -52,13 +52,11 @@ func Connect(clientDev, serverDev *rdma.Device, ccfg, scfg Config, poller *Serve
 	serverPD := serverDev.AllocPD()
 
 	// The buffers come from the registration cache (bufcache.go), dirty
-	// when recycled; the pair returns them once both ends have retired.
-	pair := &connPair{}
-	pair.ends.Store(2)
-	pair.bufs = [4][]byte{
+	// when recycled; Recycle returns them.
+	pair := &connPair{bufs: [4][]byte{
 		takeBuf(ccfg.SBufSize), takeBuf(scfg.SBufSize),
 		takeBuf(scfg.SBufSize), takeBuf(ccfg.SBufSize),
-	}
+	}}
 	clientSBuf, serverSBuf := pair.bufs[0], pair.bufs[1]
 	clientRBuf := clientPD.RegisterMR(pair.bufs[2]) // mirrors server SBuf
 	serverRBuf := serverPD.RegisterMR(pair.bufs[3]) // mirrors client SBuf
@@ -77,12 +75,10 @@ func Connect(clientDev, serverDev *rdma.Device, ccfg, scfg Config, poller *Serve
 
 	cc, err := newClientConn(ccfg, clientQP, clientSendCQ, clientRecvCQ, clientSBuf, clientRBuf, scfg.Credits+recvSlack)
 	if err != nil {
-		pair.release()
 		return nil, nil, err
 	}
 	sc, err := newServerConn(scfg, serverQP, serverSendCQ, poller.recvCQ, serverSBuf, serverRBuf, h, needed)
 	if err != nil {
-		pair.release()
 		return nil, nil, err
 	}
 	cc.pair, sc.pair = pair, pair
@@ -106,8 +102,8 @@ func Connect(clientDev, serverDev *rdma.Device, ccfg, scfg Config, poller *Serve
 		cc.traceTab, cc.traced, sc.traceTab = tab, true, tab
 	}
 	if err := poller.attach(serverQP.Num, sc, needed); err != nil {
-		sc.duplex.close()
-		pair.release()
+		clientQP.Close()
+		serverQP.Close()
 		return nil, nil, err
 	}
 	return cc, sc, nil

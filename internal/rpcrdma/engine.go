@@ -186,10 +186,9 @@ type sender struct {
 
 	gauges ConnGauges
 
-	// pair is the connection's buffers, shared with the other end; retired
-	// marks this end's hold on them given up (retire).
-	pair    *connPair
-	retired atomic.Bool
+	// pair is the connection's buffers, shared with the other end
+	// (Recycle).
+	pair *connPair
 
 	// Counters instrument the endpoint.
 	Counters Counters
@@ -210,16 +209,6 @@ func (s *sender) init(cfg Config, qp *rdma.QP, sendCQ *rdma.CQ, sbuf []byte, out
 	_, err := s.alloc.Alloc(BlockAlign, BlockAlign)
 	s.refreshGauges(0)
 	return err
-}
-
-// retire gives up this end's hold on the connection's buffers: its owner
-// will touch the endpoint's buffers no more, nor will anything the owner
-// started. The second end to retire returns them to the cache (connPair).
-// Idempotent.
-func (s *sender) retire() {
-	if s.pair != nil && s.retired.CompareAndSwap(false, true) {
-		s.pair.endDone()
-	}
 }
 
 // Credits returns the current send-credit count.

@@ -48,12 +48,11 @@ func newRig(t *testing.T, ccfg, scfg Config, h Handler) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Retire both ends when the test is done with the rig, so the next
-	// rig of the same sizes runs on these buffers, dirty.
+	// Recycle the rig's buffers when the test is done with it, so the next
+	// rig of the same sizes runs on them, dirty.
 	t.Cleanup(func() {
-		client.Close()
-		client.Retire()
 		poller.Close()
+		Recycle(client, server)
 	})
 	return &testRig{link: link, poller: poller, client: client, server: server}
 }

@@ -418,9 +418,8 @@ func (sp *ServerPoller) admitPending() {
 
 // reap detaches a broken connection: its receive-WR budget returns to the
 // shared CQ (making room for a redialed replacement), its counters fold
-// into the dead aggregate, its worker pool stops, its end retires (the
-// connection's buffers return once the client end has retired too), and
-// later completions for its QP are ignored. Owner-only.
+// into the dead aggregate, its worker pool stops, and later completions
+// for its QP are ignored. Owner-only.
 func (sp *ServerPoller) reap(qpNum uint32, conn *ServerConn) {
 	delete(sp.conns, qpNum)
 	sp.reaped[qpNum] = struct{}{}
@@ -429,7 +428,6 @@ func (sp *ServerPoller) reap(qpNum uint32, conn *ServerConn) {
 	sp.postedWRs -= conn.recvPosts
 	sp.mu.Unlock()
 	conn.duplex.close()
-	conn.retire()
 }
 
 // NewServerPoller returns a poller whose shared CQ can absorb depth
@@ -605,16 +603,13 @@ func (sp *ServerPoller) Drain(timeout time.Duration) error {
 	}
 }
 
-// Close stops the duplex worker pools (if any), retires every attached
-// connection's server end (its buffers return to the cache once its client
-// end has retired too) and shuts down the shared receive CQ. Owner-only:
-// the poller goroutine must have stopped, since the connections' buffers
-// may be reused as soon as Close returns.
+// Close stops the duplex worker pools (if any) and shuts down the shared
+// receive CQ so a poller goroutine blocked in Wait wakes immediately
+// instead of finishing its timeout.
 func (sp *ServerPoller) Close() {
 	sp.recvCQ.Shutdown()
 	sp.admitPending()
 	for _, conn := range sp.conns {
 		conn.duplex.close()
-		conn.retire()
 	}
 }

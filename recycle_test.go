@@ -52,7 +52,7 @@ func TestRecycledBuffersUnderChurn(t *testing.T) {
 		return fmt.Sprintf("%d:%s", id, strings.Repeat("xy", int(id%211)))
 	}
 
-	const cycles, callers, calls = 8, 4, 40
+	const cycles, callers, calls = 12, 4, 40
 	hits0, _ := rpcrdma.BufferCacheStats()
 	var ok, typed, reconnects uint64
 	for cycle := 0; cycle < cycles; cycle++ {
@@ -123,13 +123,16 @@ func TestRecycledBuffersUnderChurn(t *testing.T) {
 				}
 			}(c)
 		}
-		// Break a connection every few milliseconds while the callers run:
-		// each redial retires the old client end at adopt, and the host
-		// poller retires the old server end when it reaps it.
+		// Break a connection every few milliseconds while the callers run;
+		// each redial leaves the old pair to the GC. Every other pair of
+		// cycles closes the deployment under load after a few breaks, while
+		// the delay lines still hold deliveries; the others wait for the
+		// callers. Close recycles the pairs current at the end.
+		closeUnderLoad := cycle/2%2 == 1
 		callersDone := make(chan struct{})
 		go func() { wg.Wait(); close(callersDone) }()
 		deadline := time.After(30 * time.Second)
-		for k := 0; ; k++ {
+		for k := 0; !closeUnderLoad || k < 5; k++ {
 			select {
 			case <-callersDone:
 			case <-time.After(2 * time.Millisecond):
@@ -140,13 +143,18 @@ func TestRecycledBuffersUnderChurn(t *testing.T) {
 			}
 			break
 		}
-		group.Stop()
 		close(stopHost)
 		<-hostDone
+		group.Stop()
 		for _, dpu := range d.DPUs {
 			reconnects += dpu.Stats().Reconnects
 		}
 		d.Close()
+		select {
+		case <-callersDone:
+		case <-deadline:
+			t.Fatalf("cycle %d: calls never resolved after the close", cycle)
+		}
 
 		if n := wrong.Load(); n > 0 {
 			t.Fatalf("cycle %d: %d calls answered wrong or untyped", cycle, n)
