@@ -19,10 +19,10 @@ build:
 # sleeping handlers at 16 credits, out-of-order completion) on one CPU, where
 # a credit-protocol deadlock shows up as a "stalled" failure. The third
 # repeats the stack's heartbeat-independence test on one CPU (every case
-# runs the one DPU poller per connection), where a lost poller kick shows up
-# as a stall. The fourth repeats the xRPC response
-# writer's, handler-dispatch and deadline tests on one CPU, where a lost
-# writer wake-up shows up as a hang. The fifth repeats the offloaded stack's
+# runs the one DPU poller per connection, and no case may wake on the
+# timer), where a lost poller kick shows up as a stall. The fourth repeats
+# the xRPC response writer's, handler-dispatch and deadline tests on one
+# CPU, where a lost writer wake-up shows up as a hang. The fifth repeats the offloaded stack's
 # background-handler test on one CPU, where the duplex worker can pick the
 # slow call up only after every fast one is answered. The sixth repeats the
 # allocation pins on one CPU, where the duplex worker and the poller share
@@ -51,9 +51,10 @@ fmt-check:
 # fault-injection layers (per-QP delay lines, injector, link staller), plus
 # the windowed-metrics shard rotation and the gauge sampler, and the
 # harness's Fig. 8 and connscale runs, which drive whole deployments. The
-# second pass repeats the poller-wake tests three times: the CQ kick (lost-wake-up
-# stress), the block free lists, and the stack-level liveness and idle tests,
-# whose packages are the root package, internal/rdma and internal/rpcrdma.
+# second pass repeats the poller-wake tests three times: the CQ kick and
+# wait (lost-wake-up stress, and a wait that Close must end), the block free
+# lists, and the stack-level liveness and idle tests, whose packages are the
+# root package, internal/rdma and internal/rpcrdma.
 # The third repeats the xRPC front end's buffer-ownership tests: pooled
 # request frames, response-buffer release on every path (poisoned on
 # release), the reusable handler goroutines, the batched response writer and

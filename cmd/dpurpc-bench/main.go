@@ -10,7 +10,7 @@
 //	dpurpc-bench -experiment table1|fig7|fig8a|fig8b|fig8c|blocksweep|busypoll|allocator|connscale|payloadscale
 //	dpurpc-bench -experiment fig8a -requests 50000
 //	dpurpc-bench -experiment all -format json                 # one {"experiment","rows"} document each
-//	dpurpc-bench -experiment fig8c -host-workers 8 -commit-batch 32 -connections 4
+//	dpurpc-bench -experiment fig8c -host-workers 8 -connections 4
 //	dpurpc-bench -experiment payloadscale -payload-size 4194304 -sg-min 1024
 //	dpurpc-bench -experiment all -debug-addr localhost:9090   # live /metrics, /trace, /tail
 //	dpurpc-bench -experiment all -debug-addr localhost:9090 -pprof  # + /debug/pprof/
@@ -22,13 +22,11 @@ import (
 	"fmt"
 	"os"
 	"text/tabwriter"
-	"time"
 
 	"dpurpc/internal/arena"
 	"dpurpc/internal/dpu"
 	"dpurpc/internal/harness"
 	"dpurpc/internal/metrics"
-	"dpurpc/internal/rpcrdma"
 	"dpurpc/internal/trace"
 	"dpurpc/internal/workload"
 )
@@ -41,10 +39,6 @@ func main() {
 	connections := flag.Int("connections", 1, "host<->DPU connections (one DPU poller each)")
 	hostWorkers := flag.Int("host-workers", dpu.Default().Host.Cores,
 		"host-side duplex workers per connection; >1 runs handlers + response builds in parallel (1 = serial response path)")
-	commitBatch := flag.Int("commit-batch", 1,
-		"commit/doorbell coalescing target on both sides of every connection (1 = flush every pass)")
-	commitFlushUS := flag.Int("commit-flush-us", 0,
-		"coalescing flush timeout in microseconds (0 = the 50us default when batching)")
 	payloadSize := flag.Int("payload-size", 0,
 		"top of the payloadscale payload sweep in bytes (0 = the 1KiB..4MiB default grid)")
 	sgMin := flag.Int("sg-min", 0,
@@ -66,10 +60,6 @@ func main() {
 	opts.Requests = *requests
 	opts.Connections = *connections
 	opts.ServerCfg.HostWorkers = *hostWorkers
-	flush := time.Duration(*commitFlushUS) * time.Microsecond
-	for _, c := range []*rpcrdma.Config{&opts.ClientCfg, &opts.ServerCfg} {
-		c.CommitBatch, c.CommitFlushTimeout = *commitBatch, flush
-	}
 	opts.SGPayloadMin = *sgMin
 
 	var tracer *trace.Tracer

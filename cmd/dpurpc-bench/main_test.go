@@ -56,13 +56,11 @@ func TestJSONIsOneDocumentPerExperiment(t *testing.T) {
 	}
 }
 
-// TestFlagsReachBothSides: -host-workers sets the host side's duplex width
-// and -commit-batch both sides' coalescing; the Fig. 8 offload rows echo
-// what their deployment ran with, and a batch-sealed block shows the
-// target took effect.
+// TestFlagsReachBothSides: -host-workers sets the host side's duplex width,
+// and the Fig. 8 offload rows echo what their deployment ran with.
 func TestFlagsReachBothSides(t *testing.T) {
 	cmd := exec.Command(os.Args[0], "-experiment", "fig8a", "-host-workers", "4",
-		"-commit-batch", "8", "-requests", "2000", "-format", "json")
+		"-requests", "2000", "-format", "json")
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
@@ -74,8 +72,6 @@ func TestFlagsReachBothSides(t *testing.T) {
 		Rows       []struct {
 			Mode        string
 			HostWorkers int
-			CommitBatch int
-			FlushBatch  uint64
 		}
 	}
 	if err := json.Unmarshal(out, &doc); err != nil {
@@ -87,9 +83,8 @@ func TestFlagsReachBothSides(t *testing.T) {
 			continue
 		}
 		offloaded++
-		if r.HostWorkers != 4 || r.CommitBatch != 8 || r.FlushBatch == 0 {
-			t.Errorf("offload row ran HostWorkers %d, CommitBatch %d, FlushBatch %d; want 4, 8, > 0",
-				r.HostWorkers, r.CommitBatch, r.FlushBatch)
+		if r.HostWorkers != 4 {
+			t.Errorf("offload row ran HostWorkers %d, want 4", r.HostWorkers)
 		}
 	}
 	if offloaded == 0 {

@@ -234,19 +234,15 @@ func TestGeneratedBindingsOffloaded(t *testing.T) {
 // byte-identical whether the host serializes responses itself or ships
 // response objects for the DPU to serialize, whether the response path
 // runs serially or through the duplex pipeline (host build workers + DPU
-// serialization workers), and whether commit/doorbell coalescing is on —
-// batching may change when blocks seal, never the bytes they carry.
+// serialization workers), and whether payloads ride scatter-gather segments.
 func TestResponseModesByteIdentical(t *testing.T) {
 	s, err := LoadSchema()
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqBytes := buildAll(t, s).M.Marshal(nil)
-	// The per-side protocol configs of the duplex (host workers) and
-	// batched (commit coalescing on both sides) modes.
+	// The host side's protocol config of the duplex (host workers) modes.
 	duplex := dpurpc.Config{HostWorkers: 4}
-	batched := dpurpc.Config{CommitBatch: 8}
-	duplexBatched := dpurpc.Config{HostWorkers: 4, CommitBatch: 8}
 	modes := []struct {
 		name string
 		opts dpurpc.StackOptions
@@ -256,14 +252,6 @@ func TestResponseModesByteIdentical(t *testing.T) {
 		{"object duplex", dpurpc.StackOptions{
 			OffloadResponseSerialization: true, ServerCfg: duplex}},
 		{"host-serialized duplex", dpurpc.StackOptions{ServerCfg: duplex}},
-		{"host-serialized serial batched", dpurpc.StackOptions{
-			ClientCfg: batched, ServerCfg: batched}},
-		{"object serial batched", dpurpc.StackOptions{
-			OffloadResponseSerialization: true, ClientCfg: batched, ServerCfg: batched}},
-		{"object duplex batched", dpurpc.StackOptions{
-			OffloadResponseSerialization: true, ClientCfg: batched, ServerCfg: duplexBatched}},
-		{"host-serialized duplex batched", dpurpc.StackOptions{
-			ClientCfg: batched, ServerCfg: duplexBatched}},
 		// Scatter-gather framing with a tiny threshold, so the mirror's
 		// string/bytes fields actually ride as descriptor-backed segments
 		// in both datapath directions — the descriptors must be invisible
@@ -271,9 +259,8 @@ func TestResponseModesByteIdentical(t *testing.T) {
 		{"sg serial", dpurpc.StackOptions{SGPayloadMin: 16}},
 		{"sg object serial", dpurpc.StackOptions{
 			OffloadResponseSerialization: true, SGPayloadMin: 16}},
-		{"sg object duplex batched", dpurpc.StackOptions{
-			OffloadResponseSerialization: true, ClientCfg: batched, ServerCfg: duplexBatched,
-			SGPayloadMin: 16}},
+		{"sg object duplex", dpurpc.StackOptions{
+			OffloadResponseSerialization: true, ServerCfg: duplex, SGPayloadMin: 16}},
 	}
 	// The modes run on recycled connection buffers filled with 0xDB: the
 	// priming stack's close returns its buffers to the cache poisoned, and

@@ -114,14 +114,10 @@ type Fig8Row struct {
 	// be observed directly.
 	WallSeconds float64
 	WallRPS     float64
-	// CommitBatch echoes the coalescing target the row ran with (offload
-	// mode; 0 means flush-every-pass). The Flush* counters break down why
-	// message-carrying blocks sealed, summed over both directions of every
-	// connection: where the fixed doorbell cost went.
-	CommitBatch   int
+	// The Flush* counters break down why message-carrying blocks sealed
+	// (offload mode), summed over both directions of every connection:
+	// where the fixed doorbell cost went.
 	FlushFull     uint64
-	FlushBatch    uint64
-	FlushTimer    uint64
 	FlushExplicit uint64
 }
 
@@ -299,8 +295,7 @@ func RunOffload(s workload.Scenario, opts Options) (Fig8Row, error) {
 		for _, f := range []struct {
 			reason string
 			n      uint64
-		}{{"full", row.FlushFull}, {"batch", row.FlushBatch},
-			{"timer", row.FlushTimer}, {"explicit", row.FlushExplicit}} {
+		}{{"full", row.FlushFull}, {"explicit", row.FlushExplicit}} {
 			opts.Registry.Counter("rpcrdma_flush_total",
 				"message-carrying blocks sealed (one doorbell each), by flush reason",
 				map[string]string{"reason": f.reason}).Add(f.n)
@@ -354,8 +349,6 @@ func snapshotCounters(d *offload.Deployment) runCounters {
 		rc.cc.BlocksReceived += c.BlocksReceived
 		rc.cc.PayloadBytesSent += c.PayloadBytesSent
 		rc.cc.FlushFull += c.FlushFull
-		rc.cc.FlushBatch += c.FlushBatch
-		rc.cc.FlushTimer += c.FlushTimer
 		rc.cc.FlushExplicit += c.FlushExplicit
 		if c.MinCreditsSeen < rc.minCredits {
 			rc.minCredits = c.MinCreditsSeen
@@ -368,8 +361,6 @@ func snapshotCounters(d *offload.Deployment) runCounters {
 			rc.sc.BlocksReceived += c.BlocksReceived
 			rc.sc.PayloadBytesSent += c.PayloadBytesSent
 			rc.sc.FlushFull += c.FlushFull
-			rc.sc.FlushBatch += c.FlushBatch
-			rc.sc.FlushTimer += c.FlushTimer
 			rc.sc.FlushExplicit += c.FlushExplicit
 			if c.MinCreditsSeen < rc.minCredits {
 				rc.minCredits = c.MinCreditsSeen
@@ -461,10 +452,7 @@ func usageFromCounters(rc runCounters, method string, opts Options) (dpu.Usage, 
 		WireBytesPerReq: safeDiv(float64(st.MeasuredBytes), n),
 		PCIeBytesPerReq: safeDiv(float64(linkBytes), n),
 		ReqMsgsPerBlock: safeDiv(n, float64(cc.BlocksSent)),
-		CommitBatch:     opts.ClientCfg.CommitBatch,
 		FlushFull:       cc.FlushFull + sc.FlushFull,
-		FlushBatch:      cc.FlushBatch + sc.FlushBatch,
-		FlushTimer:      cc.FlushTimer + sc.FlushTimer,
 		FlushExplicit:   cc.FlushExplicit + sc.FlushExplicit,
 	}
 	return dpu.Usage{

@@ -2,7 +2,6 @@ package offload
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -37,32 +36,21 @@ type chaosDrainReport struct {
 // request or breaks has dumped its flight recorder. Run under -race this is
 // the failure machinery's synchronization pin.
 func TestChaosSoak(t *testing.T) {
-	for _, c := range []struct {
-		plan fault.Plan
-		// batch > 0 coalesces that many messages per doorbell on both
-		// sides, so faults land inside multi-message batches.
-		batch int
-	}{
-		{plan: fault.Plan{ErrorRate: 0.03, Seed: 11}},
-		{plan: fault.Plan{ErrorRate: 0.01, DelayRate: 0.05, Delay: 200 * time.Microsecond, Seed: 22}},
-		{plan: fault.Plan{ErrorRate: 0.05, DelayRate: 0.02, Delay: 500 * time.Microsecond,
-			DropRate: 0.002, Seed: 33}},
+	for _, plan := range []fault.Plan{
+		{ErrorRate: 0.03, Seed: 11},
+		{ErrorRate: 0.01, DelayRate: 0.05, Delay: 200 * time.Microsecond, Seed: 22},
+		{ErrorRate: 0.05, DelayRate: 0.02, Delay: 500 * time.Microsecond, DropRate: 0.002, Seed: 33},
 		// Aggressive drops: blocks vanish, requests hit the deadline
 		// reaper, the next block trips the seq-gap detector and the
 		// connection dies — the workload must still resolve every call.
-		{plan: fault.Plan{ErrorRate: 0.02, DropRate: 0.05, Seed: 44}},
-		{plan: fault.Plan{ErrorRate: 0.05, DelayRate: 0.025, Delay: 200 * time.Microsecond,
-			DropRate: 0.0025, Seed: 55}, batch: 8},
+		{ErrorRate: 0.02, DropRate: 0.05, Seed: 44},
+		{ErrorRate: 0.05, DelayRate: 0.025, Delay: 200 * time.Microsecond, DropRate: 0.0025, Seed: 55},
 	} {
-		name := c.plan.String()
-		if c.batch > 0 {
-			name += fmt.Sprintf(" batch=%d", c.batch)
-		}
-		t.Run(name, func(t *testing.T) { chaosSoak(t, c.plan, c.batch) })
+		t.Run(plan.String(), func(t *testing.T) { chaosSoak(t, plan) })
 	}
 }
 
-func chaosSoak(t *testing.T, plan fault.Plan, batch int) {
+func chaosSoak(t *testing.T, plan fault.Plan) {
 	table, reg := echoEnv(t)
 	respDesc := reg.Message("echopb.Resp")
 	impls := map[string]Impl{
@@ -83,7 +71,6 @@ func chaosSoak(t *testing.T, plan fault.Plan, batch int) {
 	const requestTimeout = 250 * time.Millisecond
 	ccfg.RequestTimeout = requestTimeout
 	scfg.HostWorkers = 2
-	ccfg.CommitBatch, scfg.CommitBatch = batch, batch
 	ccfg.FlightRecorder = 256
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,

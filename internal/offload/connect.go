@@ -136,8 +136,8 @@ func (d *Deployment) Close() {
 // DeployConfig is the one deployment configuration: the offloaded stack
 // (dpurpc.StackOptions is this type), the experiment harness (which embeds
 // it) and the DPU servers all read their knobs from it. Per-side protocol
-// knobs (block size, credits, commit batching, host workers, deadlines,
-// host admission) live in ClientCfg and ServerCfg alone; the fields here
+// knobs (block size, credits, host workers, deadlines, host admission) live
+// in ClientCfg and ServerCfg alone; the fields here
 // are the ones that span both sides or belong to neither protocol endpoint.
 type DeployConfig struct {
 	// Connections is the number of host<->DPU RPC-over-RDMA connections
@@ -145,12 +145,11 @@ type DeployConfig struct {
 	Connections int
 	// ClientCfg / ServerCfg tune the DPU (client) and host (server)
 	// protocol endpoints; zero values take the Table I defaults (8 KiB
-	// blocks, 256 credits, 3/16 MiB buffers). Commit batching is set on
-	// both; HostWorkers > 1 on ServerCfg runs the host duplex response
-	// pool (handlers must then be safe for concurrent invocation);
-	// RequestTimeout on ClientCfg bounds each request (enable it whenever
-	// faults are injected); AdmitMaxInflight / AdmitArenaFrac on ServerCfg
-	// arm the host admission gate.
+	// blocks, 256 credits, 3/16 MiB buffers). HostWorkers > 1 on
+	// ServerCfg runs the host duplex response pool (handlers must then be
+	// safe for concurrent invocation); RequestTimeout on ClientCfg bounds
+	// each request (enable it whenever faults are injected);
+	// AdmitMaxInflight on ServerCfg arms the host admission gate.
 	ClientCfg rpcrdma.Config
 	ServerCfg rpcrdma.Config
 	// OffloadResponseSerialization moves response serialization to the DPU

@@ -722,9 +722,9 @@ func (d *DPUServer) respond(task *callTask, resp rpcrdma.Response) {
 
 // Progress runs one pass of the DPU poller: it reserves, fills and commits
 // submitted tasks in submit order and advances the protocol event loop — all
-// protocol interaction stays on this goroutine. When a partial block seals
-// is rpcrdma's policy (CommitBatch). It returns the number of response
-// blocks processed.
+// protocol interaction stays on this goroutine. The open partial block seals
+// at rpcrdma's per-pass seal. It returns the number of response blocks
+// processed.
 func (d *DPUServer) Progress() (int, error) {
 	d.admit()
 	n, err := d.progressClient()

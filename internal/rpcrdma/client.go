@@ -499,12 +499,12 @@ func (c *ClientConn) Progress() (int, error) {
 	n := c.recvCQ.Poll(c.cqes)
 	if n == 0 && !c.cfg.BusyPoll && c.Counters.BlocksSent == sentBefore {
 		// Idle: sleep on the completion channel (the poll() path of
-		// Sec. III-C), but never past a pending commit-batch deadline. A
-		// producer that hands this connection's owner work through another
-		// queue rings Wake, which ends the sleep at once; the caller then
-		// finds that work on its next pass.
+		// Sec. III-C) for at most WaitTimeout. A producer that hands this
+		// connection's owner work through another queue rings Wake, which
+		// ends the sleep at once; the caller then finds that work on its
+		// next pass.
 		var why rdma.Wake
-		n, why = c.recvCQ.Wait(c.cqes, c.waitBudget(c.cfg.WaitTimeout))
+		n, why = c.recvCQ.Wait(c.cqes, c.cfg.WaitTimeout)
 		countWake(&c.Counters, &c.gauges.Wakes, why)
 	}
 	events, err := c.processRecvCQEs(c.cqes[:n])
@@ -706,9 +706,6 @@ func (c *ClientConn) Drain(timeout time.Duration) error {
 		if time.Now().After(deadline) {
 			return ErrDrainTimeout
 		}
-		// Draining means no more traffic is coming: force partial batches
-		// out now instead of waiting out CommitFlushTimeout.
-		c.seal(flushExplicit)
 		if _, err := c.Progress(); err != nil {
 			c.Abort(StatusUnavailable)
 			return err

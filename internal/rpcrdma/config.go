@@ -77,11 +77,6 @@ const (
 	// DefaultConcurrency is the per-connection outstanding-request target
 	// used by the benchmarks.
 	DefaultConcurrency = 1024
-	// DefaultCommitFlushTimeout is the latency cap applied to commit
-	// coalescing when Config.CommitBatch > 1 and no explicit timeout is
-	// given: a partially filled batch never waits longer than this for
-	// more messages before its block seals anyway.
-	DefaultCommitFlushTimeout = 50 * time.Microsecond
 )
 
 // Config tunes one side of a connection.
@@ -98,20 +93,6 @@ type Config struct {
 	// at least Credits of the *peer* plus slack so inbound blocks never
 	// go receiver-not-ready; Connect enforces this.
 	CQDepth int
-	// CommitBatch coalesces commits into one doorbell: the event loop
-	// holds the current partial block open until it has accumulated this
-	// many messages (or CommitFlushTimeout expires), so one RDMA
-	// write-with-immediate — one doorbell, one commit barrier — carries a
-	// whole run of messages. 0 or 1 keeps the pre-batching behavior of
-	// flushing the partial block on every event-loop pass. Batching only
-	// changes when blocks seal, never the message order inside them, so
-	// the deterministic request-ID replay of Sec. IV-D is unaffected.
-	CommitBatch int
-	// CommitFlushTimeout caps how long a message may wait for its commit
-	// batch to fill, bounding the p99 cost of coalescing at low load.
-	// Zero with CommitBatch > 1 selects DefaultCommitFlushTimeout.
-	// Ignored when CommitBatch <= 1.
-	CommitFlushTimeout time.Duration
 	// BusyPoll spins on the CQ instead of sleeping on the completion
 	// channel (Sec. III-C: ~10% faster at 100% CPU). Without it the poller
 	// sleeps whenever a pass finds nothing to do and is woken by the next
@@ -142,10 +123,6 @@ type Config struct {
 	// into retryable sheds instead of bounded-wait timeouts. 0 (the
 	// default) admits everything.
 	AdmitMaxInflight int
-	// AdmitArenaFrac (server side) > 0 enables admission control on the
-	// memory axis: new requests shed with StatusUnavailable while more than
-	// this fraction of the response send-arena is in use. 0 disables.
-	AdmitArenaFrac float64
 	// LatencyObserver, when non-nil, receives the enqueue-to-response
 	// latency of every request in nanoseconds (client side). The paper
 	// instruments the library itself with a Prometheus client (Sec. VI);
@@ -249,9 +226,6 @@ func (c *Config) fillDefaults(client bool) {
 	if c.SendFullWait == 0 {
 		c.SendFullWait = 2 * c.WaitTimeout
 	}
-	if c.CommitBatch > 1 && c.CommitFlushTimeout == 0 {
-		c.CommitFlushTimeout = DefaultCommitFlushTimeout
-	}
 }
 
 // Counters instrument one connection endpoint. They are read by the
@@ -276,16 +250,18 @@ type Counters struct {
 	DuplexBuilt       uint64 // response builds completed on the duplex pool
 	DuplexTombstones  uint64 // failed builds committed as error responses
 
-	// Commit-coalescing flush reasons. Every message-carrying block seals
-	// for exactly one of these (ack-only blocks count in none), so their
-	// sum tracks BlocksSent net of AckOnlyBlocks and retried posts.
+	// Seal reasons. Every message-carrying block seals for exactly one of
+	// these (ack-only blocks count in none), so their sum tracks BlocksSent
+	// net of AckOnlyBlocks and retried posts. The event loop's per-pass
+	// seal is the only seal policy, so FlushBatch and FlushTimer are always
+	// zero; they stay for readers that sum all four.
 	FlushFull     uint64 // block hit BlockSize (or an oversized message)
-	FlushBatch    uint64 // batch reached CommitBatch messages
-	FlushTimer    uint64 // CommitFlushTimeout expired on a partial batch
-	FlushExplicit uint64 // Flush/Drain/teardown, or every-pass flush at CommitBatch <= 1
+	FlushBatch    uint64 // always zero
+	FlushTimer    uint64 // always zero
+	FlushExplicit uint64 // the per-pass seal, Flush/Drain or teardown
 
 	// AdmissionSheds counts requests rejected by server-side admission
-	// control (AdmitMaxInflight / AdmitArenaFrac) with StatusUnavailable
+	// control (AdmitMaxInflight) with StatusUnavailable
 	// before reaching a handler.
 	AdmissionSheds uint64
 
@@ -314,7 +290,7 @@ type Counters struct {
 	// near or above one means requests are waiting out WaitTimeout.
 	WakeCQE   uint64 // a completion arrived
 	WakeKick  uint64 // a producer rang Wake (submitted call, host worker completion, Close)
-	WakeTimer uint64 // WaitTimeout (or a commit-batch deadline) elapsed
+	WakeTimer uint64 // WaitTimeout elapsed
 }
 
 // WakeGauges are atomic mirrors of a poller's Counters.Wake* fields, bumped

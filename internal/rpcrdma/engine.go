@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"dpurpc/internal/arena"
 	"dpurpc/internal/fault"
@@ -32,7 +31,6 @@ type block struct {
 	ids      []uint16 // request IDs of the slots, in slot order (bound at reserve or at send)
 	seq      uint32   // assigned at send
 	sealedAt int64    // when the block entered the send queue (deadline reaping)
-	firstAt  int64    // when the first slot was reserved (commit coalescing)
 	// Request blocks only, parallel to the slots: continuations, enqueue
 	// timestamps (latency instrumentation) and trace handles (nil when
 	// untraced).
@@ -94,25 +92,18 @@ type Reservation struct {
 }
 
 // flushReason classifies why a block sealed; each maps to one Counters
-// field so the batching experiments can see where doorbells came from.
+// field so a run can see where doorbells came from.
 type flushReason uint8
 
 const (
-	flushExplicit flushReason = iota // Flush/Drain, or every-pass flush at CommitBatch <= 1
+	flushExplicit flushReason = iota // the per-pass seal, Flush/Drain or teardown
 	flushFull                        // block hit BlockSize (or an oversized message)
-	flushBatch                       // batch reached CommitBatch messages
-	flushTimer                       // CommitFlushTimeout expired on a partial batch
 )
 
 func (ct *Counters) countFlush(reason flushReason) {
-	switch reason {
-	case flushFull:
+	if reason == flushFull {
 		ct.FlushFull++
-	case flushBatch:
-		ct.FlushBatch++
-	case flushTimer:
-		ct.FlushTimer++
-	default:
+	} else {
 		ct.FlushExplicit++
 	}
 }
@@ -353,10 +344,6 @@ func (s *sender) reserve(size int) (*Reservation, error) {
 		s.cur = b
 	}
 	b := s.cur
-	if s.cfg.CommitBatch > 1 && b.msgs == 0 {
-		// First message of a batch: start its CommitFlushTimeout clock.
-		b.firstAt = nowNS()
-	}
 	hdrPos := b.used
 	b.used = hdrPos + HeaderSize + alignUp(size)
 	b.pending++
@@ -539,39 +526,18 @@ func (s *sender) seal(reason flushReason) {
 	s.cur = nil
 }
 
-// maybeSeal applies the seal policy to the open partial block once per
-// event-loop pass; a block with a slot still building waits for the pass
-// after its last commit. CommitBatch <= 1 seals every pass; otherwise the
-// block waits for CommitBatch messages or its CommitFlushTimeout (one
-// doorbell for the run). With holdStalled a block that could not be sent
-// stays open (liveness rule (b)): messages coalesce into it instead of each
-// stranding a BlockSize of send arena.
+// maybeSeal is the one seal policy: the event loop seals the open partial
+// block once per pass (Nagle-style batching, Sec. IV); a block with a slot
+// still building waits for the pass after its last commit. With
+// holdStalled a block that could not be sent stays open (liveness rule
+// (b)): messages coalesce into it instead of each stranding a BlockSize of
+// send arena.
 func (s *sender) maybeSeal() {
 	b := s.cur
 	if b == nil || b.msgs == 0 || b.pending > 0 || (s.holdStalled && !s.canSend()) {
 		return
 	}
-	switch {
-	case s.cfg.CommitBatch <= 1:
-		s.seal(flushExplicit)
-	case b.msgs >= s.cfg.CommitBatch:
-		s.seal(flushBatch)
-	case nowNS()-b.firstAt >= s.cfg.CommitFlushTimeout.Nanoseconds():
-		s.seal(flushTimer)
-	}
-}
-
-// waitBudget bounds an idle wait of at most w so a partial commit batch
-// seals near its CommitFlushTimeout (a block still building cannot seal
-// before its commit). <= 0 degrades the wait to a non-blocking poll.
-func (s *sender) waitBudget(w time.Duration) time.Duration {
-	b := s.cur
-	if s.cfg.CommitBatch > 1 && b != nil && b.msgs > 0 && b.pending == 0 {
-		if remain := time.Duration(b.firstAt + s.cfg.CommitFlushTimeout.Nanoseconds() - nowNS()); remain < w {
-			w = remain
-		}
-	}
-	return w
+	s.seal(flushExplicit)
 }
 
 // canSend applies liveness rule (a) (Sec. VI-A): a block that acknowledges

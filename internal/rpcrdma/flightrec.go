@@ -68,8 +68,6 @@ func (k FlightKind) String() string {
 var flightSealReasons = [...]string{
 	flushExplicit: "explicit",
 	flushFull:     "full",
-	flushBatch:    "batch",
-	flushTimer:    "timer",
 }
 
 // FlightEvent is one recorded protocol event. A and B carry kind-specific

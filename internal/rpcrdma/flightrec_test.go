@@ -60,7 +60,7 @@ func TestFlightEventStrings(t *testing.T) {
 		want string
 	}{
 		{FlightEvent{Kind: FlightReserve, A: 128, B: 3}, "reserve size=128 slot=3"},
-		{FlightEvent{Kind: FlightSeal, A: int64(flushTimer), B: 4}, "seal reason=timer msgs=4"},
+		{FlightEvent{Kind: FlightSeal, A: int64(flushFull), B: 4}, "seal reason=full msgs=4"},
 		{FlightEvent{Kind: FlightSend, A: 9, B: 512}, "send seq=9 n=512"},
 		{FlightEvent{Kind: FlightSeqGap, A: 7, B: 5}, "SEQ-GAP got=7 want=5"},
 		{FlightEvent{Kind: FlightTimeout, A: 42}, "TIMEOUT id=42"},

@@ -244,33 +244,6 @@ func TestGoldenBlocks(t *testing.T) {
 		g.check("serial")
 	})
 
-	t.Run("commit_batch", func(t *testing.T) {
-		ccfg, scfg := smallCfg()
-		for _, c := range []*Config{&ccfg, &scfg} {
-			c.CommitBatch, c.CommitFlushTimeout = 4, time.Hour
-		}
-		r := newRig(t, ccfg, scfg, goldenEcho)
-		g := newWireTap(t, r)
-		i := 0
-		for _, n := range []int{4, 4} {
-			for k := 0; k < n; k++ {
-				g.enqueue(patterned(i, 24+i, nop))
-				i++
-			}
-			g.clientPass()
-			g.serverPass()
-		}
-		for k := 0; k < 2; k++ {
-			g.enqueue(patterned(i, 24+i, nop))
-			i++
-		}
-		g.flush()
-		g.serverPass()
-		g.do(func() error { return r.poller.Drain(5 * time.Second) })
-		g.pump()
-		g.check("commit_batch")
-	})
-
 	t.Run("oversized", func(t *testing.T) {
 		ccfg, scfg := smallCfg()
 		g := newWireTap(t, newRig(t, ccfg, scfg, goldenEcho))

@@ -76,7 +76,7 @@ func TestRecycledBlocksCarryNoPreviousState(t *testing.T) {
 		t.Fatalf("acknowledged block not on the free list (%d parked)", len(r.client.freeBlocks))
 	}
 	if first.off != 0 || first.buf != nil || first.used != 0 || first.pending != 0 ||
-		first.seq != 0 || first.sealedAt != 0 || first.firstAt != 0 ||
+		first.seq != 0 || first.sealedAt != 0 ||
 		len(first.conts) != 0 || len(first.times) != 0 || len(first.trs) != 0 || len(first.ids) != 0 {
 		t.Errorf("parked block keeps state: %+v", *first)
 	}

@@ -732,53 +732,6 @@ func TestAlignUp(t *testing.T) {
 	}
 }
 
-// BenchmarkEchoBatch is the 64-byte echo round trip under commit
-// coalescing: up to commit=N messages share one doorbell. The driver keeps
-// 256 calls in flight so batches fill immediately; the short flush timeout
-// only bounds the final partial batch of each measurement round. commit=1
-// is the flush-every-pass baseline of BenchmarkEchoRoundTrip64B. Run with
-// go test -bench EchoBatch -benchmem -run '^$' ./internal/rpcrdma.
-func BenchmarkEchoBatch(b *testing.B) {
-	for _, commit := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("commit=%d", commit), func(b *testing.B) {
-			cfg := Config{BlockSize: 8192, Credits: 64, SBufSize: 1 << 22,
-				CQDepth: 256, BusyPoll: true, CommitBatch: commit,
-				CommitFlushTimeout: 100 * time.Microsecond}
-			link := fabric.NewLink()
-			poller := NewServerPoller(cfg)
-			client, _, err := Connect(
-				rdma.NewDevice("dpu", link, fabric.DPUToHost),
-				rdma.NewDevice("host", link, fabric.HostToDPU),
-				cfg, cfg, poller,
-				func(req Request) ResponseSpec { return ResponseSpec{Size: 0} })
-			if err != nil {
-				b.Fatal(err)
-			}
-			const batch = 256
-			b.ReportAllocs()
-			b.ResetTimer()
-			done := 0
-			for done < b.N {
-				n := batch
-				if n > b.N-done {
-					n = b.N - done
-				}
-				for i := 0; i < n; i++ {
-					client.Enqueue(CallSpec{
-						Size:       64,
-						OnResponse: func(Response) {},
-					})
-				}
-				for client.Outstanding() > 0 {
-					client.Progress()
-					poller.Progress()
-				}
-				done += n
-			}
-		})
-	}
-}
-
 func BenchmarkEchoRoundTrip64B(b *testing.B) {
 	ccfg := Config{BlockSize: 8192, Credits: 64, SBufSize: 1 << 22, CQDepth: 256, BusyPoll: true}
 	scfg := Config{BlockSize: 8192, Credits: 64, SBufSize: 1 << 22, CQDepth: 256, BusyPoll: true}

@@ -330,18 +330,11 @@ func (s *ServerConn) message(i int, h header, payload []byte, regionOff uint64) 
 func (s *ServerConn) delivered() {}
 
 // shouldShed reports whether admission control rejects a new request: the
-// in-flight request count or response-arena occupancy crossed its
-// configured high-water mark (Config.AdmitMaxInflight / AdmitArenaFrac).
-// Both knobs zero (the default) never sheds.
+// in-flight request count crossed Config.AdmitMaxInflight. Zero (the
+// default) never sheds.
 func (s *ServerConn) shouldShed() bool {
-	if hw := s.cfg.AdmitMaxInflight; hw > 0 && len(s.reqBlockOf) > hw {
-		return true
-	}
-	if f := s.cfg.AdmitArenaFrac; f > 0 &&
-		float64(s.alloc.InUse()) > f*float64(s.alloc.Size()) {
-		return true
-	}
-	return false
+	hw := s.cfg.AdmitMaxInflight
+	return hw > 0 && len(s.reqBlockOf) > hw
 }
 
 // ServerPoller drives one or more server connections over a shared receive
@@ -474,7 +467,7 @@ func (sp *ServerPoller) Progress() (int, error) {
 		// Idle: sleep until a request block lands, a worker pool kicks the
 		// CQ after queueing a completion, or the heartbeat elapses.
 		var why rdma.Wake
-		n, why = sp.recvCQ.Wait(sp.cqes, sp.waitBudget())
+		n, why = sp.recvCQ.Wait(sp.cqes, sp.cfg.WaitTimeout)
 		countWake(&sp.Counters, &sp.wakes, why)
 	}
 	var firstErr error
@@ -545,18 +538,6 @@ func (sp *ServerPoller) ResponsePending() int {
 	return n
 }
 
-// waitBudget bounds the idle blocking wait by the tightest commit-batch
-// deadline across connections, so partially-filled response batches seal
-// near their CommitFlushTimeout instead of sleeping out the full
-// WaitTimeout. May return <= 0, degrading the wait to a non-blocking poll.
-func (sp *ServerPoller) waitBudget() time.Duration {
-	w := sp.cfg.WaitTimeout
-	for _, conn := range sp.conns {
-		w = conn.waitBudget(w)
-	}
-	return w
-}
-
 // Wake makes the poller's blocking wait in Progress return at once (or its
 // next one, if it is busy); see ClientConn.Wake. Safe from any goroutine.
 func (sp *ServerPoller) Wake() { sp.recvCQ.Kick() }
@@ -590,8 +571,8 @@ func (sp *ServerPoller) Drain(timeout time.Duration) error {
 		if time.Now().After(deadline) {
 			return ErrDrainTimeout
 		}
-		// Draining: force partial batches out instead of waiting out their
-		// CommitFlushTimeout (pending slots still hold their block).
+		// Draining: seal open blocks that liveness rule (b) holds while
+		// credits are short (pending slots still hold their block).
 		for _, conn := range sp.conns {
 			if conn.broken == nil && (conn.cur == nil || conn.cur.pending == 0) {
 				conn.seal(flushExplicit)

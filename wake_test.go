@@ -30,24 +30,15 @@ func heartbeatOptions(opts dpurpc.StackOptions) dpurpc.StackOptions {
 //
 // The DPU poller's hand-off from the xRPC goroutine (submit) rings the
 // poller; every case would wait out a ten-second heartbeat per call if it
-// did not.
-//
-// Commit coalescing is the one mode that sleeps on a timer by design: a
-// depth-1 call never fills its batch, so each direction waits out
-// CommitFlushTimeout (50 µs, which an idle Go runtime rounds up to about a
-// millisecond). That is ~1.6 s of deadline sleeps per 1 000 calls, so the
-// case gets five seconds — still half of one missed heartbeat — and its
-// deadline wake-ups are not counted as heartbeat wake-ups.
+// did not. No case may wake on the timer at all.
 func TestLivenessDoesNotDependOnHeartbeat(t *testing.T) {
+	const budget = 2 * time.Second
 	for _, tc := range []struct {
-		name   string
-		opts   dpurpc.StackOptions
-		budget time.Duration
+		name string
+		opts dpurpc.StackOptions
 	}{
-		{"serial", dpurpc.StackOptions{}, 2 * time.Second},
-		{"host_workers_2", dpurpc.StackOptions{ServerCfg: dpurpc.Config{HostWorkers: 2}}, 2 * time.Second},
-		{"commit_batch_8", dpurpc.StackOptions{
-			ClientCfg: dpurpc.Config{CommitBatch: 8}, ServerCfg: dpurpc.Config{CommitBatch: 8}}, 5 * time.Second},
+		{"serial", dpurpc.StackOptions{}},
+		{"host_workers_2", dpurpc.StackOptions{ServerCfg: dpurpc.Config{HostWorkers: 2}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
@@ -80,10 +71,10 @@ func TestLivenessDoesNotDependOnHeartbeat(t *testing.T) {
 			_, _, timer := stack.Deployment().PollerWakes()
 			closeStart := time.Now()
 			stack.Close()
-			if elapsed > tc.budget {
-				t.Errorf("%d sequential calls took %v (> %v) with a 10s heartbeat: a hand-off is waiting for the timer", calls, elapsed, tc.budget)
+			if elapsed > budget {
+				t.Errorf("%d sequential calls took %v (> %v) with a 10s heartbeat: a hand-off is waiting for the timer", calls, elapsed, budget)
 			}
-			if timer != 0 && tc.opts.ClientCfg.CommitBatch <= 1 {
+			if timer != 0 {
 				t.Errorf("%d timer wake-ups in %v with a 10s heartbeat", timer, elapsed)
 			}
 			if d := time.Since(closeStart); d > 2*time.Second {
