@@ -48,7 +48,7 @@ fmt-check:
 # layer they reserve/commit into, the xRPC transport that feeds them, the
 # generated-bindings byte-identity tests,
 # the decoder's pooled scan scratch, the datapath span recorder, and the
-# fault-injection layers (per-QP delay lines, injector, link staller), plus
+# fault-injection layers (per-QP delay lines, injector), plus
 # the windowed-metrics shard rotation and the gauge sampler, and the
 # harness's Fig. 8 and connscale runs, which drive whole deployments. The
 # second pass repeats the poller-wake tests three times: the CQ kick and

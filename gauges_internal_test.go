@@ -126,7 +126,6 @@ func TestDPUCountersOnMetrics(t *testing.T) {
 		Connections:         1,
 		DPUAdmitMaxInflight: 1,
 		ReconnectBudget:     3,
-		ReconnectBackoff:    time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +341,7 @@ func TestConnGaugesFollowReconnect(t *testing.T) {
 		"CallSmall": none, "CallInts": none, "CallChars": none, "Echo": none, "EchoBlob": echo,
 	}}
 	d, err := offload.NewDeploymentWith(env.Table, impls, offload.DeployConfig{
-		Connections: 1, SGPayloadMin: 1024, ReconnectBudget: 3, ReconnectBackoff: time.Microsecond,
+		Connections: 1, SGPayloadMin: 1024, ReconnectBudget: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

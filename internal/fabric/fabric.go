@@ -13,7 +13,6 @@ package fabric
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Direction labels one side of the link.
@@ -67,13 +66,6 @@ type Link struct {
 
 	mu       sync.Mutex
 	snapshot [2]DirStats // for windowed rates
-
-	// staller, when set, is consulted on every Record; a non-zero return
-	// blocks the transfer for that long, modeling PCIe link stalls for
-	// fault-injection runs. Nil (the default) costs one atomic load.
-	staller    atomic.Pointer[func() time.Duration]
-	stallCount atomic.Uint64
-	stallNS    atomic.Uint64
 }
 
 // NewLink returns a link with the default bandwidth/overhead model.
@@ -81,32 +73,8 @@ func NewLink() *Link {
 	return &Link{BandwidthGbps: DefaultBandwidthGbps, MsgOverheadBytes: DefaultMsgOverheadBytes}
 }
 
-// SetStaller installs (or, with nil, removes) a link-stall hook: a function
-// consulted on every transfer whose non-zero return stalls that transfer.
-// Fault injectors plug in here; see fault.Injector.Staller.
-func (l *Link) SetStaller(f func() time.Duration) {
-	if f == nil {
-		l.staller.Store(nil)
-		return
-	}
-	l.staller.Store(&f)
-}
-
-// StallStats returns how many transfers stalled and their cumulative stall
-// time.
-func (l *Link) StallStats() (count uint64, total time.Duration) {
-	return l.stallCount.Load(), time.Duration(l.stallNS.Load())
-}
-
 // Record accounts one RDMA operation of n payload bytes in direction dir.
 func (l *Link) Record(dir Direction, n int) {
-	if f := l.staller.Load(); f != nil {
-		if d := (*f)(); d > 0 {
-			l.stallCount.Add(1)
-			l.stallNS.Add(uint64(d))
-			time.Sleep(d)
-		}
-	}
 	s := &l.stats[dir]
 	s.bytes.Add(uint64(n))
 	s.overhead.Add(uint64(l.MsgOverheadBytes))

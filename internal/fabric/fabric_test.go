@@ -3,7 +3,6 @@ package fabric
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestRecordAndStats(t *testing.T) {
@@ -86,29 +85,5 @@ func TestReset(t *testing.T) {
 	d2h, h2d := l.WindowDelta()
 	if d2h.Bytes != 0 || h2d.Bytes != 0 {
 		t.Error("window not reset")
-	}
-}
-
-// A stall hook must block Record for the returned duration and be removable.
-func TestLinkStaller(t *testing.T) {
-	l := NewLink()
-	const stall = 2 * time.Millisecond
-	l.SetStaller(func() time.Duration { return stall })
-	start := time.Now()
-	l.Record(HostToDPU, 64)
-	if elapsed := time.Since(start); elapsed < stall {
-		t.Fatalf("Record returned in %v, want >= %v stall", elapsed, stall)
-	}
-	if count, total := l.StallStats(); count != 1 || total != stall {
-		t.Fatalf("StallStats = %d, %v; want 1, %v", count, total, stall)
-	}
-	if got := l.Stats(HostToDPU).Bytes; got != 64 {
-		t.Fatalf("stalled transfer lost its bytes: %d", got)
-	}
-	l.SetStaller(nil)
-	start = time.Now()
-	l.Record(HostToDPU, 64)
-	if elapsed := time.Since(start); elapsed > stall {
-		t.Fatalf("Record still stalling (%v) after hook removed", elapsed)
 	}
 }

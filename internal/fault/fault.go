@@ -1,14 +1,14 @@
 // Package fault provides deterministic, seedable fault injection for the
 // simulated RDMA substrate. The real system the paper measures runs on
 // BlueField-3 hardware where completions carry error status, DMAs are lost
-// on device resets, and PCIe links stall under pressure; this package lets
+// on device resets, and completion queues overflow; this package lets
 // the simulation reproduce those conditions on demand so the recovery
 // surface of the datapath (internal/rpcrdma, internal/offload) can be
 // tested instead of merely written.
 //
-// A Plan describes fault probabilities for one direction of one queue pair
-// (or for a fabric link); an Injector evaluates the plan with a Mersenne
-// Twister stream so a given seed always produces the same fault schedule.
+// A Plan describes fault probabilities for one direction of one queue pair;
+// an Injector evaluates the plan with a Mersenne Twister stream so a given
+// seed always produces the same fault schedule.
 // The zero Plan injects nothing, and a nil *Injector is a valid no-op:
 // every method is nil-safe, so the hot path in internal/rdma pays a single
 // pointer test when injection is disabled.
@@ -85,11 +85,6 @@ type Plan struct {
 	// (Action Overflow). Overflow is sticky and connection-fatal; keep
 	// this rate far below the others.
 	OverflowRate float64
-	// StallRate is the probability one fabric transfer stalls for Stall.
-	// Evaluated by Staller, not Decide; used by internal/fabric.
-	StallRate float64
-	// Stall is how long a stalled fabric transfer blocks.
-	Stall time.Duration
 	// Seed seeds the Mersenne Twister stream. Zero selects
 	// mt19937.DefaultSeed so distinct zero-seed plans still inject, but
 	// chaos runs should pick explicit seeds for reproducibility.
@@ -116,7 +111,6 @@ func (p Plan) String() string {
 	part("drop", p.DropRate, 0)
 	part("delay", p.DelayRate, p.Delay)
 	part("overflow", p.OverflowRate, 0)
-	part("stall", p.StallRate, p.Stall)
 	if b.Len() == 0 {
 		b.WriteString("none")
 	}
@@ -127,7 +121,7 @@ func (p Plan) String() string {
 // Enabled reports whether the plan can ever inject a fault.
 func (p Plan) Enabled() bool {
 	return p.ErrorRate > 0 || p.DropRate > 0 || p.DelayRate > 0 ||
-		p.OverflowRate > 0 || p.StallRate > 0
+		p.OverflowRate > 0
 }
 
 // Stats counts injection decisions. Counters are cumulative and
@@ -138,7 +132,6 @@ type Stats struct {
 	Drops     uint64
 	Delays    uint64
 	Overflows uint64
-	Stalls    uint64
 }
 
 // Injector evaluates a Plan deterministically. All methods are safe for
@@ -154,7 +147,6 @@ type Injector struct {
 	drops     atomic.Uint64
 	delays    atomic.Uint64
 	overflows atomic.Uint64
-	stalls    atomic.Uint64
 }
 
 // New returns an injector for plan, or nil when the plan injects nothing —
@@ -206,22 +198,6 @@ func (i *Injector) Decide() (Action, time.Duration) {
 	return None, 0
 }
 
-// Staller draws one link-stall decision and returns how long the transfer
-// should block (zero for no stall). Suitable as a fabric.Link stall hook.
-func (i *Injector) Staller() time.Duration {
-	if i == nil || i.plan.StallRate <= 0 {
-		return 0
-	}
-	i.mu.Lock()
-	u := i.rng.Float64()
-	i.mu.Unlock()
-	if u < i.plan.StallRate {
-		i.stalls.Add(1)
-		return i.plan.Stall
-	}
-	return 0
-}
-
 // Stats returns a snapshot of the injection counters (zero Stats when nil).
 func (i *Injector) Stats() Stats {
 	if i == nil {
@@ -233,6 +209,5 @@ func (i *Injector) Stats() Stats {
 		Drops:     i.drops.Load(),
 		Delays:    i.delays.Load(),
 		Overflows: i.overflows.Load(),
-		Stalls:    i.stalls.Load(),
 	}
 }

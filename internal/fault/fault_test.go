@@ -21,9 +21,6 @@ func TestNilInjectorIsNoop(t *testing.T) {
 			t.Fatalf("nil injector decided %v/%v", a, d)
 		}
 	}
-	if d := inj.Staller(); d != 0 {
-		t.Fatalf("nil injector stalled %v", d)
-	}
 	if s := inj.Stats(); s != (Stats{}) {
 		t.Fatalf("nil injector stats %+v", s)
 	}
@@ -76,25 +73,6 @@ func TestRates(t *testing.T) {
 	check("delays", s.Delays, plan.DelayRate)
 	if s.Overflows != 0 {
 		t.Errorf("overflows = %d with zero OverflowRate", s.Overflows)
-	}
-}
-
-func TestStaller(t *testing.T) {
-	inj := New(Plan{StallRate: 0.5, Stall: 3 * time.Microsecond, Seed: 9})
-	var hits int
-	for i := 0; i < 1000; i++ {
-		if d := inj.Staller(); d != 0 {
-			if d != 3*time.Microsecond {
-				t.Fatalf("stall duration %v", d)
-			}
-			hits++
-		}
-	}
-	if hits < 400 || hits > 600 {
-		t.Fatalf("stall hits = %d, want ~500", hits)
-	}
-	if got := inj.Stats().Stalls; got != uint64(hits) {
-		t.Fatalf("stats.Stalls = %d, want %d", got, hits)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // maxKnobs bounds the named fields of the three config structs together.
 // It only ratchets down: a new knob must replace an old one.
-const maxKnobs = 43
+const maxKnobs = 36
 
 // TestKnobsDeclaredOnce: a deployment knob is declared in exactly one
 // config struct, so no layer copies a value between two declarations (and

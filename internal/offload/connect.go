@@ -200,9 +200,6 @@ type DeployConfig struct {
 	// build.
 	ClientFaults *fault.Plan
 	ServerFaults *fault.Plan
-	// LinkFaults attaches a stall hook to the simulated PCIe link (StallRate
-	// / Stall of the plan; other rates are ignored here).
-	LinkFaults *fault.Plan
 	// ReconnectBudget > 0 arms transparent reconnect on every DPU server: a
 	// broken connection is redialed (fresh QP pair against the same host
 	// poller, same per-connection config). Requests in flight on the wire
@@ -210,13 +207,9 @@ type DeployConfig struct {
 	// ride through and reserve on the replacement. After this many
 	// consecutive failed redials the break is terminal and pending requests
 	// fail typed, so a hard-down host still fails fast; a successful redial
-	// refills the budget.
+	// refills the budget. Redials back off from 200µs, doubling per
+	// consecutive failure up to 50ms.
 	ReconnectBudget int
-	// ReconnectBackoff is the delay before the first redial attempt,
-	// doubling per consecutive failure up to ReconnectMaxBackoff.
-	// Defaults: 200µs initial, 50ms cap.
-	ReconnectBackoff    time.Duration
-	ReconnectMaxBackoff time.Duration
 	// DPUAdmitMaxInflight > 0 enables DPU-side admission control: new
 	// requests are shed with UNAVAILABLE (never entering the reserve-arena
 	// bounded wait) while a DPU server already has this many requests
@@ -229,19 +222,15 @@ type DeployConfig struct {
 	// admission gate and the host dispatch. Only list methods whose
 	// response depends solely on the request bytes (idempotent,
 	// read-mostly); invalidate when the backing state changes. One cache is
-	// shared by every connection and survives reconnects. Unknown names
-	// fail construction; empty disables caching.
+	// shared by every connection and survives reconnects, bounded by
+	// rpccache's defaults (8 MiB, no count limit, no expiry). Unknown
+	// names fail construction; empty disables caching.
 	CacheMethods []string
-	// CacheMaxBytes / CacheMaxEntries / CacheTTL bound the shared cache
-	// (0 = rpccache defaults: 8 MiB, unbounded count, no expiry).
-	CacheMaxBytes   int
-	CacheMaxEntries int
-	CacheTTL        time.Duration
 }
 
 // NewDeploymentWith performs the ADT handshake and wires cfg.Connections
 // connections between a DPU and the host. impls provides the host-side
-// business logic.
+// business logic. On error nothing it started keeps running.
 func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployConfig) (*Deployment, error) {
 	conns := cfg.Connections
 	if conns == 0 {
@@ -252,11 +241,6 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 	ccfg.Tracer = cfg.Tracer
 	scfg.Tracer = cfg.Tracer
 	link := fabric.NewLink()
-	if cfg.LinkFaults != nil {
-		if inj := fault.New(*cfg.LinkFaults); inj != nil {
-			link.SetStaller(inj.Staller)
-		}
-	}
 	dpuDev := rdma.NewDevice("dpu", link, fabric.DPUToHost)
 	hostDev := rdma.NewDevice("host", link, fabric.HostToDPU)
 
@@ -264,14 +248,13 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 	if err != nil {
 		return nil, err
 	}
-	host, err := NewHostServer(hostTable, impls)
+	dpuProcs, err := dpuProcTable(dpuTable, cfg.CacheMethods)
 	if err != nil {
 		return nil, err
 	}
-	host.SetResponseObjects(cfg.OffloadResponseSerialization)
-	host.SetSGPayloadMin(cfg.SGPayloadMin)
-	if cfg.Tracer != nil {
-		host.SetTracer(cfg.Tracer)
+	host, err := NewHostServer(hostTable, impls, cfg)
+	if err != nil {
+		return nil, err
 	}
 	hostPollers := cfg.HostPollers
 	if hostPollers <= 0 {
@@ -294,12 +277,7 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 		// probes and populates it, so a hot key warmed through any
 		// connection serves hits on all of them — and a redial (which swaps
 		// a connection, not the deployment) keeps the warm set.
-		d.Cache = rpccache.New(rpccache.Config{
-			MaxBytes:   cfg.CacheMaxBytes,
-			MaxEntries: cfg.CacheMaxEntries,
-			TTL:        cfg.CacheTTL,
-			Methods:    len(MethodNames(dpuTable)),
-		})
+		d.Cache = rpccache.New(rpccache.Config{Methods: len(dpuProcs.entries)})
 		if cfg.Registry != nil {
 			d.Cache.EnableMetrics(cfg.Registry, MethodNames(hostTable))
 		}
@@ -326,6 +304,9 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 		}
 		client, server, err := rpcrdma.Connect(dpuDev, hostDev, ccfgi, scfgi, poller, host.Handler())
 		if err != nil {
+			// Close the DPU servers and pollers built so far; the pollers
+			// join their connections' duplex workers.
+			d.Close()
 			return nil, err
 		}
 		d.hostConns[i].Store(server)
@@ -346,11 +327,7 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 			hostConn.Store(ns)
 			return nc, nil
 		}
-		dpu, err := newDPUServer(dpuTable, client, cfg, redial, d.Cache)
-		if err != nil {
-			return nil, err
-		}
-		d.DPUs = append(d.DPUs, dpu)
+		d.DPUs = append(d.DPUs, newDPUServer(dpuProcs, client, cfg, redial, d.Cache))
 	}
 	return d, nil
 }

@@ -31,6 +31,13 @@ var ErrAdmissionShed = errors.New("offload: admission control shed")
 // fails typed.
 var ErrReconnectExhausted = errors.New("offload: reconnect budget exhausted")
 
+// A redial waits reconnectBackoff after a break, doubling per consecutive
+// failed attempt up to reconnectMaxBackoff.
+const (
+	reconnectBackoff    = 200 * time.Microsecond
+	reconnectMaxBackoff = 50 * time.Millisecond
+)
+
 // errUnknownMethod is newTask's cause for a method the table lacks.
 var errUnknownMethod = errors.New("offload: unknown method")
 
@@ -168,20 +175,19 @@ func (rb *respBuf) put() {
 // owns QP/CQ progress. xRPC connection goroutines submit work through a
 // channel, which is the many-to-one-to-one multiplexing of the paper.
 type DPUServer struct {
-	table  *adt.Table
 	procs  *procTable
 	client *rpcrdma.ClientConn
 	// cfg is the deployment's configuration; the server reads Tracer,
-	// Window, SGPayloadMin, the Reconnect* knobs (backoffs defaulted),
-	// DPUAdmitMaxInflight and CacheMethods.
+	// Window, SGPayloadMin, ReconnectBudget and DPUAdmitMaxInflight.
 	cfg DeployConfig
 	// redial establishes a replacement connection after the current one
 	// trips ErrConnBroken (nil: a break is terminal). Called from the
 	// poller goroutine; it must return a fresh ClientConn wired to a fresh
 	// server-side peer (NewDeploymentWith builds one per connection).
 	redial func() (*rpcrdma.ClientConn, error)
-	// cache backs cfg.CacheMethods. A deployment shares one across every
-	// connection's server and across reconnects; nil disables caching.
+	// cache backs the methods procs marks cacheable (cfg.CacheMethods). A
+	// deployment shares one across every connection's server and across
+	// reconnects; nil disables caching.
 	cache *rpccache.Cache
 	dopts deser.Options // options for every deserializer this server creates
 	// maxNeed is the largest request object a block slot can hold
@@ -260,19 +266,32 @@ type DPUServer struct {
 	sgDescs []rpcrdma.SGDesc
 }
 
-// newDPUServer builds the DPU side of one connection from the table
-// received at handshake and an established RPC-over-RDMA client connection.
-// redial and cache are the deployment's wiring for this connection (either
-// may be nil); the knobs come from cfg.
-func newDPUServer(table *adt.Table, client *rpcrdma.ClientConn, cfg DeployConfig,
-	redial func() (*rpcrdma.ClientConn, error), cache *rpccache.Cache) (*DPUServer, error) {
+// dpuProcTable builds the DPU's dispatch table from the table received at
+// handshake, marking cacheMethods cacheable. It fails on a name the table
+// lacks. The result is read-only, so every connection's server shares it.
+func dpuProcTable(table *adt.Table, cacheMethods []string) (*procTable, error) {
 	procs, err := buildProcTable(table, nil, false)
 	if err != nil {
 		return nil, err
 	}
+	for _, name := range cacheMethods {
+		mid, ok := procs.byName[name]
+		if !ok {
+			return nil, fmt.Errorf("offload: cache method %q not in table", name)
+		}
+		procs.entries[mid].cache = true
+	}
+	return procs, nil
+}
+
+// newDPUServer builds the DPU side of one connection from the dispatch
+// table (dpuProcTable) and an established RPC-over-RDMA client connection.
+// redial and cache are the deployment's wiring for this connection (either
+// may be nil); the knobs come from cfg.
+func newDPUServer(procs *procTable, client *rpcrdma.ClientConn, cfg DeployConfig,
+	redial func() (*rpcrdma.ClientConn, error), cache *rpccache.Cache) *DPUServer {
 	dopts := deser.Options{ValidateUTF8: true, ScalarUTF8: true, SGPayloadMin: cfg.SGPayloadMin}
 	d := &DPUServer{
-		table:   table,
 		procs:   procs,
 		client:  client,
 		cfg:     cfg,
@@ -292,20 +311,7 @@ func newDPUServer(table *adt.Table, client *rpcrdma.ClientConn, cfg DeployConfig
 		t.onResp = func(resp rpcrdma.Response) { d.respond(t, resp) }
 		return t
 	}
-	for _, name := range cfg.CacheMethods {
-		mid, ok := procs.byName[name]
-		if !ok {
-			return nil, fmt.Errorf("offload: cache method %q not in table", name)
-		}
-		procs.entries[mid].cache = true
-	}
-	if d.cfg.ReconnectBackoff <= 0 {
-		d.cfg.ReconnectBackoff = 200 * time.Microsecond
-	}
-	if d.cfg.ReconnectMaxBackoff <= 0 {
-		d.cfg.ReconnectMaxBackoff = 50 * time.Millisecond
-	}
-	return d, nil
+	return d
 }
 
 // Client returns the underlying RPC-over-RDMA connection (the current one:
@@ -863,7 +869,7 @@ func (d *DPUServer) enterReconnect(err error) {
 	d.reconBroken = true
 	d.reconErr = err
 	d.reconAttempts = 0
-	d.reconBackoff = d.cfg.ReconnectBackoff
+	d.reconBackoff = reconnectBackoff
 	d.reconNextAt = time.Now().Add(d.reconBackoff)
 	d.client.Abort(failStatus(err))
 }
@@ -888,8 +894,8 @@ func (d *DPUServer) tryReconnect() error {
 			return ferr
 		}
 		d.reconBackoff *= 2
-		if d.reconBackoff > d.cfg.ReconnectMaxBackoff {
-			d.reconBackoff = d.cfg.ReconnectMaxBackoff
+		if d.reconBackoff > reconnectMaxBackoff {
+			d.reconBackoff = reconnectMaxBackoff
 		}
 		d.reconNextAt = time.Now().Add(d.reconBackoff)
 		return nil
@@ -913,7 +919,7 @@ func (d *DPUServer) adopt(nc *rpcrdma.ClientConn) {
 	d.reconBroken = false
 	d.reconErr = nil
 	d.reconAttempts = 0
-	d.reconBackoff = d.cfg.ReconnectBackoff
+	d.reconBackoff = reconnectBackoff
 	d.reconnects.Add(1)
 }
 

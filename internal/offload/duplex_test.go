@@ -153,58 +153,3 @@ func TestDuplexSoak(t *testing.T) {
 		t.Error("DPU serialized no response bytes (offload not taken)")
 	}
 }
-
-// TestHostSettersFailAfterStart pins the loud-failure contract: rebinding
-// the response-object sink or the request observer once requests are in
-// flight would race the worker pool, so both setters panic instead of
-// silently racing.
-func TestHostSettersFailAfterStart(t *testing.T) {
-	table, reg := echoEnv(t)
-	respDesc := reg.Message("echopb.Resp")
-	impls := map[string]Impl{
-		"echopb.Echo": {
-			"Call": func(req abi.View) (*protomsg.Message, uint16) {
-				m := protomsg.New(respDesc)
-				m.SetUint64("id", req.U64Name("id"))
-				return m, 0
-			},
-		},
-	}
-	ccfg, scfg := smallTestCfg()
-	d, err := NewDeploymentWith(table, impls, DeployConfig{
-		Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	// Drive one request through so the host server is marked started.
-	reqDesc := reg.Message("echopb.Req")
-	m := protomsg.New(reqDesc)
-	m.SetUint64("id", 7)
-	done := false
-	if err := d.DPUs[0].SubmitLocal("/echopb.Echo/Call", m.Marshal(nil),
-		func(status uint16, errFlag bool, resp []byte) { done = true }); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !done && time.Now().Before(deadline) {
-		d.DPUs[0].Progress()
-		d.Poller.Progress()
-	}
-	if !done {
-		t.Fatal("warm-up call stalled")
-	}
-
-	expectPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic after serving started", name)
-			}
-		}()
-		f()
-	}
-	expectPanic("SetResponseObjects", func() { d.Host.SetResponseObjects(true) })
-	expectPanic("SetRequestObserver", func() { d.Host.SetRequestObserver(nil) })
-}

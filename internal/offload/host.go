@@ -30,7 +30,6 @@ type HostStats struct {
 // request views. Existing service implementations keep their shape; only
 // the transport underneath changed.
 type HostServer struct {
-	table *adt.Table
 	procs *procTable
 	// respObjects enables the response-serialization offload (Sec. III-A:
 	// "this can be implemented similarly in our design"): the host writes
@@ -43,19 +42,11 @@ type HostServer struct {
 	// and the object references them by offset, instead of spilling a second
 	// copy through the object arena. Only effective with respObjects.
 	sgPayloadMin int
-	// reqObserver, when set, sees every dispatched request before its
-	// handler runs. Test hook (byte-identity pins). Called from whichever
-	// goroutine runs the handler — synchronize externally when pollers or
-	// duplex workers are concurrent.
-	reqObserver func(rpcrdma.Request)
 	// tracer resolves propagated trace IDs (Request.Trace) and records a
 	// host.handler span around every traced dispatch.
 	tracer *trace.Tracer
 	// builders pools the response builders dispatch hands out (respBuilder).
 	builders sync.Pool
-	// started flips on the first dispatched request; the setters above
-	// refuse to run after that (they would race the handler goroutines).
-	started atomic.Bool
 
 	requests       atomic.Uint64
 	responseBytes  atomic.Uint64
@@ -67,59 +58,20 @@ type HostServer struct {
 
 // NewHostServer builds the host side from the application's ADT table and
 // service implementations (every service in the table must be implemented).
-func NewHostServer(table *adt.Table, impls map[string]Impl) (*HostServer, error) {
+// From cfg it reads OffloadResponseSerialization, SGPayloadMin and Tracer.
+func NewHostServer(table *adt.Table, impls map[string]Impl, cfg DeployConfig) (*HostServer, error) {
 	procs, err := buildProcTable(table, impls, true)
 	if err != nil {
 		return nil, err
 	}
-	h := &HostServer{table: table, procs: procs}
+	h := &HostServer{
+		procs:        procs,
+		respObjects:  cfg.OffloadResponseSerialization,
+		sgPayloadMin: cfg.SGPayloadMin,
+		tracer:       cfg.Tracer,
+	}
 	h.builders.New = func() any { return newRespBuilder(&h.builders) }
 	return h, nil
-}
-
-// SetResponseObjects toggles the response-serialization offload. Must be
-// called before serving: once the first request has dispatched, flipping
-// the mode would race the handler goroutines, so this panics instead of
-// silently corrupting state.
-func (h *HostServer) SetResponseObjects(on bool) {
-	if h.started.Load() {
-		panic("offload: HostServer.SetResponseObjects called after serving started")
-	}
-	h.respObjects = on
-}
-
-// SetSGPayloadMin sets the scatter-gather payload threshold for object
-// responses (0 disables SG framing). Must be called before serving: once the
-// first request has dispatched, changing the threshold would race the
-// handler goroutines, so this panics instead of silently corrupting state.
-func (h *HostServer) SetSGPayloadMin(min int) {
-	if h.started.Load() {
-		panic("offload: HostServer.SetSGPayloadMin called after serving started")
-	}
-	h.sgPayloadMin = min
-}
-
-// SetRequestObserver installs a hook that sees every dispatched request
-// (its payload aliases the receive block — copy or digest, don't retain).
-// Must be called before serving: once the first request has dispatched,
-// swapping the hook would race the handler goroutines, so this panics
-// instead of silently racing.
-func (h *HostServer) SetRequestObserver(fn func(rpcrdma.Request)) {
-	if h.started.Load() {
-		panic("offload: HostServer.SetRequestObserver called after serving started")
-	}
-	h.reqObserver = fn
-}
-
-// SetTracer installs the span recorder used to time handler execution of
-// traced requests. Must be called before serving: once the first request
-// has dispatched, swapping it would race the handler goroutines, so this
-// panics instead of silently racing.
-func (h *HostServer) SetTracer(t *trace.Tracer) {
-	if h.started.Load() {
-		panic("offload: HostServer.SetTracer called after serving started")
-	}
-	h.tracer = t
 }
 
 // Stats returns a snapshot of the host-side counters.
@@ -141,9 +93,6 @@ func (h *HostServer) Stats() HostStats {
 // goroutine lane that ran it (Request.Worker).
 func (h *HostServer) Handler() rpcrdma.Handler {
 	return func(req rpcrdma.Request) rpcrdma.ResponseSpec {
-		if !h.started.Load() {
-			h.started.Store(true)
-		}
 		if h.tracer == nil || req.Trace == 0 {
 			return h.dispatch(req)
 		}
@@ -160,9 +109,6 @@ func (h *HostServer) Handler() rpcrdma.Handler {
 
 // dispatch resolves and runs the handler for one request.
 func (h *HostServer) dispatch(req rpcrdma.Request) rpcrdma.ResponseSpec {
-	if h.reqObserver != nil {
-		h.reqObserver(req)
-	}
 	e := h.procs.byID(req.Method)
 	if e == nil || e.handler == nil {
 		h.unknownMethods.Add(1)

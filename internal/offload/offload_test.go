@@ -3,6 +3,7 @@ package offload
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -398,16 +399,42 @@ func TestHostHandlerStatusPaths(t *testing.T) {
 
 func TestMissingImplementationRejected(t *testing.T) {
 	env := workload.NewEnv()
-	if _, err := NewHostServer(env.Table, map[string]Impl{}); err == nil {
+	if _, err := NewHostServer(env.Table, map[string]Impl{}, DeployConfig{}); err == nil {
 		t.Error("empty impls accepted")
 	}
 	if _, err := NewHostServer(env.Table, map[string]Impl{
 		"benchpb.Bench": {"CallSmall": func(req abi.View) (*protomsg.Message, uint16) { return nil, 0 }},
-	}); err == nil {
+	}, DeployConfig{}); err == nil {
 		t.Error("partial impls accepted")
 	}
 	if _, err := NewBaselineServer(env.Table, map[string]Impl{}); err == nil {
 		t.Error("baseline empty impls accepted")
+	}
+}
+
+// A deployment that fails to build leaves no goroutine behind. An unknown
+// cache method must fail before any connection is wired: found after
+// connection 0, it left that connection's duplex workers running.
+func TestFailedDeploymentLeaksNoGoroutines(t *testing.T) {
+	table, _ := echoEnv(t)
+	impls := map[string]Impl{"echopb.Echo": {
+		"Call": func(abi.View) (*protomsg.Message, uint16) { return nil, 0 },
+	}}
+	ccfg, scfg := smallTestCfg()
+	scfg.HostWorkers = 4
+	before := runtime.NumGoroutine()
+	_, err := NewDeploymentWith(table, impls, DeployConfig{
+		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
+		CacheMethods: []string{"/nope.X/Y"},
+	})
+	if err == nil {
+		t.Fatal("unknown cache method accepted")
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed build, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -286,7 +286,12 @@ func TestReconnectBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host, err := NewHostServer(table, impls)
+	cfg := DeployConfig{ReconnectBudget: 3}
+	host, err := NewHostServer(table, impls, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs, err := dpuProcTable(dpuTable, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +305,8 @@ func TestReconnectBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	redialErr := errors.New("host is down")
-	dpu, err := newDPUServer(dpuTable, client, DeployConfig{
-		ReconnectBudget:  3,
-		ReconnectBackoff: time.Microsecond,
-	}, func() (*rpcrdma.ClientConn, error) { return nil, redialErr }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dpu := newDPUServer(procs, client, cfg,
+		func() (*rpcrdma.ClientConn, error) { return nil, redialErr }, nil)
 	defer dpu.Close()
 
 	// One call in flight when the break lands, one submitted while broken:

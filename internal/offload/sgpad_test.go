@@ -39,12 +39,15 @@ func TestSGPadsCarryNoStaleBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host, err := NewHostServer(table, impls)
+	cfg := DeployConfig{OffloadResponseSerialization: true, SGPayloadMin: 64}
+	host, err := NewHostServer(table, impls, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	host.SetResponseObjects(true)
-	host.SetSGPayloadMin(64)
+	procs, err := dpuProcTable(dpuTable, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	segments := map[string]int{}
 	checkPads := func(dir string, payload []byte) {
@@ -82,10 +85,7 @@ func TestSGPadsCarryNoStaleBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpu, err := newDPUServer(dpuTable, client, DeployConfig{SGPayloadMin: 64}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dpu := newDPUServer(procs, client, cfg, nil, nil)
 	defer dpu.Close()
 
 	reqDesc := reg.Message("echopb.Req")

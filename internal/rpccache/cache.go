@@ -6,7 +6,8 @@
 // the deserializer. The stored value is the final client-facing response
 // (status + serialized payload bytes), captured after the host committed it
 // and the DPU produced the wire form, so a hit is byte-identical to the
-// uncached path by construction regardless of SG framing or commit batching.
+// uncached path by construction regardless of SG framing or how requests
+// share blocks.
 //
 // Memory is bounded (MaxBytes / MaxEntries) with segmented-LRU eviction:
 // new entries enter a probationary segment and are promoted to the

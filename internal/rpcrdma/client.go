@@ -31,7 +31,7 @@ var (
 	ErrTooLargeForBuffer = errors.New("rpcrdma: message larger than send buffer")
 	ErrConnBroken        = errors.New("rpcrdma: connection broken")
 	// ErrSendBufferFull is returned by Reserve when the send arena stayed
-	// exhausted through the bounded completion-drain wait (SendFullWait).
+	// exhausted through the bounded completion-drain wait (two WaitTimeouts).
 	// It is always wrapped together with arena.ErrOutOfMemory so pipelined
 	// owners' backpressure checks (errors.Is against either) keep working.
 	ErrSendBufferFull = errors.New("rpcrdma: send buffer full")
@@ -190,14 +190,14 @@ func (c *ClientConn) Outstanding() int { return c.outstanding }
 
 // reclaim recovers from send-arena exhaustion, which under load only means
 // acknowledgments are in flight: it drains response completions for up to
-// SendFullWait, retrying the allocation as they land. The wait is skipped
-// inside a response dispatch or a nested reclaim, where draining would
-// reenter the event loop.
+// two WaitTimeouts, retrying the allocation as they land. The wait is
+// skipped inside a response dispatch or a nested reclaim, where draining
+// would reenter the event loop.
 func (c *ClientConn) reclaim(slot int) (*block, error) {
-	if wait := c.cfg.SendFullWait; wait > 0 && !c.inDispatch && !c.reclaiming {
+	if !c.inDispatch && !c.reclaiming {
 		c.reclaiming = true
 		defer func() { c.reclaiming = false }()
-		deadline := time.Now().Add(wait)
+		deadline := time.Now().Add(2 * c.cfg.WaitTimeout)
 		for {
 			remain := time.Until(deadline)
 			if remain <= 0 || c.broken != nil {

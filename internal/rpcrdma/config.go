@@ -137,12 +137,6 @@ type Config struct {
 	// connections that can actually lose traffic, i.e. under fault
 	// injection).
 	RequestTimeout time.Duration
-	// SendFullWait (client side) bounds the completion-drain wait Reserve
-	// performs when the send arena is exhausted: instead of hard-failing,
-	// the connection drains acknowledgments for up to this long, retrying
-	// the allocation as blocks free. Zero selects 2*WaitTimeout; negative
-	// disables the wait (Reserve fails immediately with ErrSendBufferFull).
-	SendFullWait time.Duration
 	// Faults, when non-nil and enabled, injects faults into this side's
 	// outbound RDMA operations (see internal/fault). Both sides default to
 	// nil; with no injector the datapath is byte-identical to an
@@ -222,9 +216,6 @@ func (c *Config) fillDefaults(client bool) {
 	}
 	if c.WaitTimeout == 0 {
 		c.WaitTimeout = time.Millisecond
-	}
-	if c.SendFullWait == 0 {
-		c.SendFullWait = 2 * c.WaitTimeout
 	}
 }
 

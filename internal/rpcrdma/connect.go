@@ -102,6 +102,7 @@ func Connect(clientDev, serverDev *rdma.Device, ccfg, scfg Config, poller *Serve
 		cc.traceTab, cc.traced, sc.traceTab = tab, true, tab
 	}
 	if err := poller.attach(serverQP.Num, sc, needed); err != nil {
+		sc.duplex.close()
 		clientQP.Close()
 		serverQP.Close()
 		return nil, nil, err

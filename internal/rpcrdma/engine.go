@@ -410,17 +410,17 @@ func (s *sender) commit(r *Reservation, root uint32, used int) error {
 	if len(b.holes) > 0 {
 		s.clipHoles(r, payload+used)
 	}
-	if payload+alignUp(r.size) == b.used {
+	end := payload + alignUp(r.size)
+	if end == b.used {
 		// Last slot of the block: shrink the block to the bytes used.
-		b.used = payload + alignUp(used)
+		end = payload + alignUp(used)
+		b.used = end
 	} else if used < r.size {
-		// Interior slot: later reservations fixed its stride. Clear the
-		// unused bytes so the wire bytes stay deterministic, and keep the
+		// Interior slot: later reservations fixed its stride. Keep the
 		// receiver's walk aligned by declaring either the reserved size or
 		// the exact length plus pad.
 		if !s.padShort {
 			h.payloadLen = uint32(r.size)
-			clear(b.buf[payload+used : payload+r.size])
 		} else {
 			h.pad = uint32(alignUp(r.size) - alignUp(used))
 			if h.pad/8 > 0xFFFF {
@@ -430,9 +430,11 @@ func (s *sender) commit(r *Reservation, root uint32, used int) error {
 				s.fail(err)
 				return err
 			}
-			clear(b.buf[payload+used : payload+alignUp(r.size)])
 		}
 	}
+	// The slot transmits up to end. Clear what the build did not write, so
+	// the wire bytes never depend on what an earlier block left there.
+	clear(b.buf[payload+used : end])
 	putHeader(b.buf[r.hdrPos:], h)
 	if r.SG {
 		s.Counters.SGMessagesSent++

@@ -197,13 +197,12 @@ func TestSeqGapDetected(t *testing.T) {
 	}
 }
 
-// Saturating the send arena without draining must fail fast — and typed —
-// when the drain wait is disabled: ErrSendBufferFull, still matching
+// Saturating the send arena while nothing answers must fail typed once the
+// bounded drain wait runs out: ErrSendBufferFull, still matching
 // arena.ErrOutOfMemory for the pipelined owners' backpressure checks.
 func TestReserveSendBufferFullTyped(t *testing.T) {
 	ccfg, scfg := faultCfgs()
 	ccfg.SBufSize = 8 * 1024
-	ccfg.SendFullWait = -1
 	r := newRig(t, ccfg, scfg, nil)
 	var err error
 	for i := 0; i < 64; i++ {
@@ -219,14 +218,13 @@ func TestReserveSendBufferFullTyped(t *testing.T) {
 	}
 }
 
-// With the bounded drain wait enabled (the default), the same saturation
-// recovers: Reserve drains acknowledgments in place and the workload
-// completes without a caller-visible failure.
+// While the host answers, the same saturation recovers: Reserve drains
+// acknowledgments in place (for up to 2 × WaitTimeout, here 2 s) and the
+// workload completes without a caller-visible failure.
 func TestReserveRecoversFromArenaExhaustion(t *testing.T) {
 	ccfg, scfg := faultCfgs()
 	ccfg.SBufSize = 8 * 1024 // 7 usable 1 KiB blocks: saturates immediately
-	ccfg.WaitTimeout = time.Millisecond
-	ccfg.SendFullWait = 2 * time.Second
+	ccfg.WaitTimeout = time.Second
 	r := newRig(t, ccfg, scfg, nil)
 	// Answer requests concurrently so acknowledgments are in flight while
 	// Reserve waits — the scenario the bounded drain is for.

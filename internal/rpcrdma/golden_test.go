@@ -51,12 +51,18 @@ type tapDir struct {
 // newWireTap taps r's receive buffers. Connection buffers are recycled dirty
 // (bufcache.go), so the tap fills all four of r's buffers with 0xDB first,
 // the image of a recycled buffer under release poisoning: a byte the
-// protocol transmits without writing it changes the record.
-func newWireTap(t *testing.T, r *testRig) *wireTap {
+// protocol transmits without writing it changes the record. A sender clears
+// what an earlier connection left before its first use of it; with history
+// the tap marks both send buffers as already used, so the 0xDB bytes stand
+// for this connection's own earlier blocks, which no sender clears.
+func newWireTap(t *testing.T, r *testRig, history bool) *wireTap {
 	for _, b := range [][]byte{r.client.sbuf, r.server.sbuf, r.client.rbuf.Bytes(), r.server.rbuf.Bytes()} {
 		for i := range b {
 			b[i] = 0xDB
 		}
+	}
+	if history {
+		r.client.clean, r.server.clean = len(r.client.sbuf), len(r.server.sbuf)
 	}
 	g := &wireTap{t: t, r: r}
 	g.dirs[0] = tapDir{name: "c2s", buf: r.server.rbuf.Bytes()}
@@ -154,9 +160,8 @@ func (g *wireTap) serverUntil(what string, cond func() bool) {
 	}
 }
 
-// check compares the records with testdata/golden/<name>.txt.
-func (g *wireTap) check(name string) {
-	g.t.Helper()
+// records returns the block records of both directions, one per line.
+func (g *wireTap) records() string {
 	var sb strings.Builder
 	for _, d := range g.dirs {
 		for _, l := range d.lines {
@@ -164,7 +169,13 @@ func (g *wireTap) check(name string) {
 			sb.WriteByte('\n')
 		}
 	}
-	got := sb.String()
+	return sb.String()
+}
+
+// check compares the records with testdata/golden/<name>.txt.
+func (g *wireTap) check(name string) {
+	g.t.Helper()
+	got := g.records()
 	path := filepath.Join("testdata", "golden", name+".txt")
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -230,32 +241,38 @@ func fill(dst []byte, seed int) {
 	}
 }
 
-func TestGoldenBlocks(t *testing.T) {
-	nop := func(Response) {}
+func nop(Response) {}
 
-	t.Run("serial", func(t *testing.T) {
+// goldenSchedules are the wire-byte pins: each drives one connection through
+// a fixed schedule on a wire tap (newWireTap's history) and returns the tap
+// holding the records to compare with testdata/golden/<file>.txt.
+var goldenSchedules = []struct {
+	name, file string
+	run        func(t *testing.T, history bool) *wireTap
+}{
+	{"serial", "serial", func(t *testing.T, history bool) *wireTap {
 		ccfg, scfg := smallCfg()
-		g := newWireTap(t, newRig(t, ccfg, scfg, goldenEcho))
+		g := newWireTap(t, newRig(t, ccfg, scfg, goldenEcho), history)
 		for i := 0; i < 24; i++ {
 			g.enqueue(patterned(i, 1+(i*5)%97, nop))
 			g.flush()
 			g.pump()
 		}
-		g.check("serial")
-	})
+		return g
+	}},
 
-	t.Run("oversized", func(t *testing.T) {
+	{"oversized", "oversized", func(t *testing.T, history bool) *wireTap {
 		ccfg, scfg := smallCfg()
-		g := newWireTap(t, newRig(t, ccfg, scfg, goldenEcho))
+		g := newWireTap(t, newRig(t, ccfg, scfg, goldenEcho), history)
 		for i, size := range []int{100, 6000, 100, 9000} {
 			g.enqueue(patterned(i, size, nop))
 		}
 		g.flush()
 		g.pump()
-		g.check("oversized")
-	})
+		return g
+	}},
 
-	t.Run("sg", func(t *testing.T) {
+	{"sg", "sg", func(t *testing.T, history bool) *wireTap {
 		ccfg, scfg := smallCfg()
 		h := func(req Request) ResponseSpec {
 			if !req.SG {
@@ -274,19 +291,19 @@ func TestGoldenBlocks(t *testing.T) {
 				},
 			}
 		}
-		g := newWireTap(t, newRig(t, ccfg, scfg, h))
+		g := newWireTap(t, newRig(t, ccfg, scfg, h), history)
 		g.enqueue(patterned(0, 40, nop))
 		g.enqueue(sgCallSpec(2, 96, 16, nop))
 		g.enqueue(sgCallSpec(1, 300, 8, nop))
 		g.flush()
 		g.pump()
-		g.check("sg")
-	})
+		return g
+	}},
 
-	t.Run("cancel", func(t *testing.T) {
+	{"cancel", "cancel", func(t *testing.T, history bool) *wireTap {
 		ccfg, scfg := smallCfg()
 		r := newRig(t, ccfg, scfg, goldenEcho)
-		g := newWireTap(t, r)
+		g := newWireTap(t, r, history)
 		var rs []*Reservation
 		for i := 0; i < 3; i++ {
 			res, err := r.client.Reserve(uint16(i+1), 64, nop)
@@ -311,13 +328,13 @@ func TestGoldenBlocks(t *testing.T) {
 		g.enqueue(patterned(5, 16, nop))
 		g.flush()
 		g.pump()
-		g.check("cancel")
-	})
+		return g
+	}},
 
-	t.Run("short_interior_client", func(t *testing.T) {
+	{"short_interior_client", "short_interior_client", func(t *testing.T, history bool) *wireTap {
 		ccfg, scfg := smallCfg()
 		r := newRig(t, ccfg, scfg, goldenEcho)
-		g := newWireTap(t, r)
+		g := newWireTap(t, r, history)
 		var rs []*Reservation
 		for i, size := range []int{128, 64, 96} {
 			res, err := r.client.Reserve(uint16(i), size, nop)
@@ -334,10 +351,10 @@ func TestGoldenBlocks(t *testing.T) {
 		}
 		g.flush()
 		g.pump()
-		g.check("short_interior_client")
-	})
+		return g
+	}},
 
-	t.Run("short_interior_server", func(t *testing.T) {
+	{"short_interior_server", "short_interior_server", func(t *testing.T, history bool) *wireTap {
 		// The host's duplex pool, stepped by hand: three handlers finish in
 		// order, so their slots are reserved 0, 1, 2; then build 0 uses
 		// fewer bytes than reserved (interior short slot), build 1 fails
@@ -364,11 +381,12 @@ func TestGoldenBlocks(t *testing.T) {
 			}
 		}
 		r := newRig(t, ccfg, scfg, h)
-		g := newWireTap(t, r)
+		g := newWireTap(t, r, history)
 		for k := 0; k < 3; k++ {
 			k := k
 			g.enqueue(CallSpec{Method: 1, Size: 8, OnResponse: nop,
 				Build: func(dst []byte, _ uint64) (uint32, int, error) {
+					clear(dst)
 					dst[0] = byte(k)
 					return 0, 8, nil
 				}})
@@ -386,13 +404,13 @@ func TestGoldenBlocks(t *testing.T) {
 		close(bgate[2])
 		g.serverUntil("response block sent", func() bool { return sc.BlocksSent == 1 })
 		g.pump()
-		g.check("short_interior_server")
-	})
+		return g
+	}},
 
-	t.Run("ack_only", func(t *testing.T) {
+	{"ack_only", "ack_only", func(t *testing.T, history bool) *wireTap {
 		ccfg, scfg := smallCfg()
 		r := newRig(t, ccfg, scfg, goldenEcho)
-		g := newWireTap(t, r)
+		g := newWireTap(t, r, history)
 		g.enqueue(patterned(0, 32, nop))
 		g.flush()
 		g.serverPass() // answers request 0
@@ -403,14 +421,14 @@ func TestGoldenBlocks(t *testing.T) {
 			t.Fatalf("ack-only blocks = %d, want 1", r.client.Counters.AckOnlyBlocks)
 		}
 		g.pump()
-		g.check("ack_only")
-	})
+		return g
+	}},
 
-	t.Run("credit_stall", func(t *testing.T) {
+	{"credit_stall", "credit_stall", func(t *testing.T, history bool) *wireTap {
 		ccfg, scfg := smallCfg()
 		ccfg.Credits, scfg.Credits = 2, 2
 		r := newRig(t, ccfg, scfg, goldenEcho)
-		g := newWireTap(t, r)
+		g := newWireTap(t, r, history)
 		for i := 0; i < 6; i++ {
 			g.enqueue(patterned(i, 48, nop))
 			g.flush()
@@ -425,15 +443,15 @@ func TestGoldenBlocks(t *testing.T) {
 			g.serverPass()
 		}
 		g.pump()
-		g.check("credit_stall")
-	})
+		return g
+	}},
 
-	t.Run("send_fault", func(t *testing.T) {
+	{"send_fault", "send_fault", func(t *testing.T, history bool) *wireTap {
 		ccfg, scfg := smallCfg()
 		ccfg.Faults = &fault.Plan{ErrorRate: 0.3, Seed: 13}
 		scfg.Faults = &fault.Plan{ErrorRate: 0.3, Seed: 7}
 		r := newRig(t, ccfg, scfg, goldenEcho)
-		g := newWireTap(t, r)
+		g := newWireTap(t, r, history)
 		for i := 0; i < 40; i++ {
 			g.enqueue(patterned(i, 8+i%50, nop))
 			if i%4 == 3 {
@@ -445,40 +463,57 @@ func TestGoldenBlocks(t *testing.T) {
 			t.Fatalf("retries: client %d, server %d; want both > 0",
 				r.client.Counters.SendFaultRetries, r.server.Counters.SendFaultRetries)
 		}
-		g.check("send_fault")
-	})
+		return g
+	}},
 
 	// The serial Enqueue wrapper and the Reserve/Commit pipeline must put
 	// the same bytes on the wire.
-	for _, viaReserve := range []bool{false, true} {
-		name := "mixed_enqueue"
+	{"mixed_enqueue", "mixed", func(t *testing.T, history bool) *wireTap { return mixedSchedule(t, history, false) }},
+	{"mixed_reserve", "mixed", func(t *testing.T, history bool) *wireTap { return mixedSchedule(t, history, true) }},
+}
+
+func mixedSchedule(t *testing.T, history, viaReserve bool) *wireTap {
+	ccfg, scfg := smallCfg()
+	r := newRig(t, ccfg, scfg, goldenEcho)
+	g := newWireTap(t, r, history)
+	for i := 0; i < 200; i++ {
+		spec := patterned(i, 16+(i*13)%240, nop)
 		if viaReserve {
-			name = "mixed_reserve"
+			g.do(func() error {
+				res, err := r.client.Reserve(spec.Method, spec.Size, spec.OnResponse)
+				if err != nil {
+					return err
+				}
+				root, used, _ := spec.Build(res.Dst, res.RegionOff)
+				return r.client.Commit(res, root, used)
+			})
+		} else {
+			g.enqueue(spec)
 		}
-		t.Run(name, func(t *testing.T) {
-			ccfg, scfg := smallCfg()
-			r := newRig(t, ccfg, scfg, goldenEcho)
-			g := newWireTap(t, r)
-			for i := 0; i < 200; i++ {
-				spec := patterned(i, 16+(i*13)%240, nop)
-				if viaReserve {
-					g.do(func() error {
-						res, err := r.client.Reserve(spec.Method, spec.Size, spec.OnResponse)
-						if err != nil {
-							return err
-						}
-						root, used, _ := spec.Build(res.Dst, res.RegionOff)
-						return r.client.Commit(res, root, used)
-					})
-				} else {
-					g.enqueue(spec)
-				}
-				if i%50 == 49 {
-					g.pump()
-				}
-			}
+		if i%50 == 49 {
 			g.pump()
-			g.check("mixed")
+		}
+	}
+	g.pump()
+	return g
+}
+
+func TestGoldenBlocks(t *testing.T) {
+	for _, s := range goldenSchedules {
+		t.Run(s.name, func(t *testing.T) { s.run(t, false).check(s.file) })
+	}
+}
+
+// A block's wire bytes must not depend on what the connection wrote at the
+// same offsets before: every schedule records the same blocks when its send
+// buffers hold earlier blocks' bytes (0xDB) as when they start cleared.
+func TestGoldenBlocksIgnoreBufferHistory(t *testing.T) {
+	for _, s := range goldenSchedules {
+		t.Run(s.name, func(t *testing.T) {
+			fresh, used := s.run(t, false).records(), s.run(t, true).records()
+			if fresh != used {
+				t.Fatalf("records differ on used send buffers\nfresh:\n%sused:\n%s", fresh, used)
+			}
 		})
 	}
 }

@@ -107,6 +107,7 @@ func sgCallSpec(segs, segLen, objArea int, onResp func(Response)) CallSpec {
 		Size: size,
 		SG:   true, SGSegs: segs, SGBytes: segs * segLen,
 		Build: func(dst []byte, regionOff uint64) (uint32, int, error) {
+			clear(dst) // the object area and the segment pads
 			descs := make([]SGDesc, segs)
 			for s := 0; s < segs; s++ {
 				off := tbl + objArea + s*alignUp(segLen)

@@ -68,7 +68,6 @@ func TestRecycledBuffersUnderChurn(t *testing.T) {
 			SGPayloadMin:                 []int{0, 64}[cycle%2],
 			OffloadResponseSerialization: cycle%2 == 1,
 			ReconnectBudget:              10,
-			ReconnectBackoff:             50 * time.Microsecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 
 // StackOptions configure a deployment. They are the deployment's one
 // configuration, offload.DeployConfig, just as Config is rpcrdma.Config:
-// per-side protocol knobs (commit batching, host workers, deadlines) are
+// per-side protocol knobs (block size, credits, host workers, deadlines) are
 // set on ClientCfg/ServerCfg, everything else once on the options.
 // Baseline stacks read only Registry and Window.
 type StackOptions = offload.DeployConfig
