@@ -248,7 +248,7 @@ func boolBits(v bool) uint64 {
 				fmt.Fprintf(&body, "// %sAt returns element i of %s (zero-copy).\nfunc (x %sView) %sAt(i int) []byte { return x.V.StrAtName(%q, i) }\n\n",
 					fn, f.Name, tn, fn, f.Name)
 			case f.Repeated && f.Kind == protodesc.KindBytes:
-				fmt.Fprintf(&body, "// Add%s appends to the repeated %s field.\nfunc (x %s) Add%s(v []byte) error { return x.M.AppendBytes(%q, v) }\n\n",
+				fmt.Fprintf(&body, "// Add%s appends v to the repeated %s field by reference: v must stay\n// unchanged while the message is read (dpurpc.Message.SetBytes).\nfunc (x %s) Add%s(v []byte) error { return x.M.AppendBytes(%q, v) }\n\n",
 					fn, f.Name, tn, fn, f.Name)
 				fmt.Fprintf(&body, "// %sLen returns the element count of %s.\nfunc (x %sView) %sLen() int { return x.V.LenName(%q) }\n\n",
 					fn, f.Name, tn, fn, f.Name)
@@ -270,7 +270,7 @@ func boolBits(v bool) uint64 {
 				fmt.Fprintf(&body, "// %s returns the %s field (zero-copy bytes).\nfunc (x %sView) %s() []byte { return x.V.StrName(%q) }\n\n",
 					fn, f.Name, tn, fn, f.Name)
 			case f.Kind == protodesc.KindBytes:
-				fmt.Fprintf(&body, "// Set%s sets the %s field.\nfunc (x %s) Set%s(v []byte) error { return x.M.SetBytes(%q, v) }\n\n",
+				fmt.Fprintf(&body, "// Set%s sets the %s field to v by reference: v must stay unchanged\n// while the message is read (dpurpc.Message.SetBytes).\nfunc (x %s) Set%s(v []byte) error { return x.M.SetBytes(%q, v) }\n\n",
 					fn, f.Name, tn, fn, f.Name)
 				fmt.Fprintf(&body, "// %s returns the %s field.\nfunc (x %s) %s() []byte { return x.M.Bytes(%q) }\n\n",
 					fn, f.Name, tn, fn, f.Name)

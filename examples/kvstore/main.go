@@ -91,6 +91,9 @@ func (st *store) impls(s *dpurpc.Schema) map[string]dpurpc.Impl {
 				out.SetString("key", key)
 				out.SetBool("found", ok)
 				if ok {
+					// By reference: Put stores a fresh copy and never
+					// writes a stored value again, so val stays unchanged
+					// until the response has posted.
 					out.SetBytes("value", val)
 				}
 				return out, 0

@@ -183,7 +183,8 @@ func (x All) S() string { return x.M.GetString("s") }
 // S returns the s field (zero-copy bytes).
 func (x AllView) S() []byte { return x.V.StrName("s") }
 
-// SetRaw sets the raw field.
+// SetRaw sets the raw field to v by reference: v must stay unchanged
+// while the message is read (dpurpc.Message.SetBytes).
 func (x All) SetRaw(v []byte) error { return x.M.SetBytes("raw", v) }
 
 // Raw returns the raw field.
@@ -294,7 +295,8 @@ func (x AllView) NamesLen() int { return x.V.LenName("names") }
 // NamesAt returns element i of names (zero-copy).
 func (x AllView) NamesAt(i int) []byte { return x.V.StrAtName("names", i) }
 
-// AddBlobs appends to the repeated blobs field.
+// AddBlobs appends v to the repeated blobs field by reference: v must stay
+// unchanged while the message is read (dpurpc.Message.SetBytes).
 func (x All) AddBlobs(v []byte) error { return x.M.AppendBytes("blobs", v) }
 
 // BlobsLen returns the element count of blobs.

@@ -138,6 +138,8 @@ func emptyImpls(env *workload.Env) map[string]offload.Impl {
 			},
 			"EchoBlob": func(req abi.View) (*protomsg.Message, uint16) {
 				out := protomsg.New(env.Blob)
+				// By reference into the request: the host sends it before it
+				// gives the request block back.
 				out.SetBytes("data", req.StrName("data"))
 				return out, 0
 			},

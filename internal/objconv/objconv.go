@@ -11,6 +11,7 @@
 package objconv
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -183,7 +184,8 @@ func scalarBits(m *protomsg.Message, f *protodesc.Field) uint64 {
 }
 
 // FromArena lifts a zero-copy view into a fresh dynamic message (deep
-// copy). Presence follows the view's hasbits.
+// copy: the message owns every byte and outlives the region). Presence
+// follows the view's hasbits.
 func FromArena(v abi.View) (*protomsg.Message, error) {
 	if !v.Valid() {
 		return nil, fmt.Errorf("objconv: invalid view")
@@ -211,7 +213,9 @@ func FromArena(v abi.View) (*protomsg.Message, error) {
 			}
 		case f.Repeated && f.Kind == protodesc.KindBytes:
 			for j, n := 0, v.Len(i); j < n; j++ {
-				if err = m.AppendBytes(f.Name, v.StrAt(i, j)); err != nil {
+				// The setters keep their argument; the view's bytes are
+				// not the message's to keep.
+				if err = m.AppendBytes(f.Name, bytes.Clone(v.StrAt(i, j))); err != nil {
 					return nil, err
 				}
 			}
@@ -244,7 +248,7 @@ func FromArena(v abi.View) (*protomsg.Message, error) {
 		case f.Kind == protodesc.KindString:
 			err = m.SetString(f.Name, string(v.Str(i)))
 		case f.Kind == protodesc.KindBytes:
-			err = m.SetBytes(f.Name, v.Str(i))
+			err = m.SetBytes(f.Name, bytes.Clone(v.Str(i)))
 		case f.Kind == protodesc.KindBool:
 			err = m.SetBool(f.Name, v.Bool(i))
 		case f.Kind == protodesc.KindFloat:

@@ -133,6 +133,33 @@ func TestToArenaFromArenaRoundTrip(t *testing.T) {
 	}
 }
 
+// FromArena deep-copies: the bytes setters keep their argument, so it
+// copies every bytes field out of the region itself. Overwriting the region
+// afterwards must leave the lifted message as it was.
+func TestFromArenaOwnsItsBytes(t *testing.T) {
+	m := bigMessage(t)
+	need, err := MeasureMessage(everyLay, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, need)
+	obj, err := ToArena(abi.NewBuilder(arena.NewBump(buf), 0), everyLay, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := FromArena(obj.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xDB
+	}
+	if !protomsg.Equal(m, got) {
+		t.Errorf("FromArena's message changed with its region: raw % x..., blobs % x",
+			got.Bytes("raw")[:4], got.Strs("blobs"))
+	}
+}
+
 func TestToArenaMatchesDeserializer(t *testing.T) {
 	// Building from a message must produce a view whose re-serialization
 	// equals the message's own canonical encoding — i.e. ToArena and the

@@ -75,7 +75,7 @@ func (m *Message) Merge(src *Message) error {
 				return err
 			}
 		case f.Kind == protodesc.KindString, f.Kind == protodesc.KindBytes:
-			dv.str = append(dv.str[:0], sv.str...)
+			dv.str = append([]byte(nil), sv.str...) // dv.str may alias a caller's buffer (SetBytes)
 		default:
 			dv.num = sv.num
 		}

@@ -133,3 +133,44 @@ func TestMergeMatchesWireMerge(t *testing.T) {
 		t.Errorf("wire merge and Merge diverge:\n wire: %s\n merge: %s", viaWire, viaMerge)
 	}
 }
+
+// The bytes setters keep the caller's slice (a handler echoes a request view
+// without copying it), and every producer of an owned message copies:
+// Clone, Merge and Unmarshal never share or write through such a slice.
+func TestBytesSettersAliasAndOwnersCopy(t *testing.T) {
+	raw, blob := []byte{1, 2, 3}, []byte{4, 5}
+	m := New(scalarsDesc)
+	if err := m.SetBytes("raw", raw); err != nil {
+		t.Fatal(err)
+	}
+	lists := New(listsDesc)
+	if err := lists.AppendBytes("blobs", blob); err != nil {
+		t.Fatal(err)
+	}
+	if &m.Bytes("raw")[0] != &raw[0] || &lists.Strs("blobs")[0][0] != &blob[0] {
+		t.Fatal("a bytes setter copied its argument")
+	}
+
+	c, lc := m.Clone(), lists.Clone()
+	merged := New(scalarsDesc)
+	merged.SetBytes("raw", raw)
+	if err := merged.Merge(fullScalars(t)); err != nil {
+		t.Fatal(err)
+	}
+	wire := fullScalars(t).Marshal(nil)
+	decoded := New(scalarsDesc)
+	decoded.SetBytes("raw", raw)
+	if err := decoded.Unmarshal(wire); err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != "\x01\x02\x03" {
+		t.Fatalf("Merge or Unmarshal wrote through an aliased field: % x", raw)
+	}
+	raw[0], blob[0] = 0xEE, 0xEE
+	if c.Bytes("raw")[0] != 1 || lc.Strs("blobs")[0][0] != 4 {
+		t.Error("Clone shares an aliased field's bytes")
+	}
+	if merged.Bytes("raw")[0] == 0xEE || decoded.Bytes("raw")[0] == 0xEE {
+		t.Error("Merge or Unmarshal kept the caller's storage")
+	}
+}

@@ -290,7 +290,10 @@ func (m *Message) decodeField(d *wire.Decoder, f *protodesc.Field, wt wire.Type)
 		if f.Kind == protodesc.KindString && !utf8x.Valid(s) {
 			return wire.ErrInvalidUTF8
 		}
-		v.str = append(v.str[:0], s...) // the copy
+		// The copy. Never into v.str's old storage: a merge into a message
+		// whose field was set by reference (SetBytes) must not write through
+		// to the caller's buffer.
+		v.str = append([]byte(nil), s...)
 		m.values[f.Index].set = true
 	default:
 		if wt != f.Kind.WireType() {

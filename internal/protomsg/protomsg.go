@@ -180,7 +180,14 @@ func (m *Message) SetString(name, v string) error {
 	return nil
 }
 
-// SetBytes sets a bytes field; b is copied.
+// SetBytes sets a bytes field to b by reference, as a generated Go protobuf
+// struct's field assignment does: the message keeps b itself, not a copy, so
+// b must stay unchanged for as long as the message is read. A handler that
+// returns the message gives up the message and every buffer it references,
+// and those bytes stay unchanged until the response has posted; it may
+// therefore echo a request view's bytes (abi.View.StrName) without copying.
+// Unmarshal, Clone and objconv.FromArena produce messages that own their
+// bytes.
 func (m *Message) SetBytes(name string, b []byte) error {
 	f, err := m.field(name, protodesc.KindBytes)
 	if err != nil {
@@ -189,7 +196,7 @@ func (m *Message) SetBytes(name string, b []byte) error {
 	if f.Repeated {
 		return fmt.Errorf("%w: %s is repeated", ErrKindMismatch, name)
 	}
-	m.values[f.Index].str = append([]byte(nil), b...)
+	m.values[f.Index].str = b
 	m.values[f.Index].set = true
 	return nil
 }
@@ -255,7 +262,8 @@ func (m *Message) AppendString(name, v string) error {
 	return nil
 }
 
-// AppendBytes appends to a repeated bytes field; b is copied.
+// AppendBytes appends b to a repeated bytes field by reference, under
+// SetBytes's ownership rule.
 func (m *Message) AppendBytes(name string, b []byte) error {
 	f, err := m.field(name, protodesc.KindBytes)
 	if err != nil {
@@ -264,7 +272,7 @@ func (m *Message) AppendBytes(name string, b []byte) error {
 	if !f.Repeated {
 		return fmt.Errorf("%w: %s is not repeated", ErrKindMismatch, name)
 	}
-	m.values[f.Index].strs = append(m.values[f.Index].strs, append([]byte(nil), b...))
+	m.values[f.Index].strs = append(m.values[f.Index].strs, b)
 	m.values[f.Index].set = true
 	return nil
 }

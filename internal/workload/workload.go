@@ -292,7 +292,8 @@ func (e *Env) GenChars(rng *mt19937.Source, n int) *protomsg.Message {
 }
 
 // GenBlob returns a Blob of n random bytes — the full byte range, since a
-// bytes field carries arbitrary binary data with no validation pass.
+// bytes field carries arbitrary binary data with no validation pass. The
+// message holds its buffer by reference (SetBytes); nothing else does.
 func (e *Env) GenBlob(rng *mt19937.Source, n int) *protomsg.Message {
 	buf := make([]byte, n)
 	for i := range buf {
