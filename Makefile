@@ -16,7 +16,8 @@ build:
 	cd bench && go vet ./...
 
 # The second pass repeats the host duplex pool's liveness tests (slow and
-# sleeping handlers at 16 credits, out-of-order completion) on one CPU, where
+# sleeping handlers at 16 credits, out-of-order completion) and the gathered
+# responses' acknowledgment-order and two-credit tests on one CPU, where
 # a credit-protocol deadlock shows up as a "stalled" failure. The third
 # repeats the stack's heartbeat-independence test on one CPU (every case
 # runs the one DPU poller per connection, and no case may wake on the
@@ -27,16 +28,20 @@ build:
 # slow call up only after every fast one is answered. The sixth repeats the
 # allocation pins on one CPU, where the duplex worker and the poller share
 # sync.Pool's per-P caches. The seventh runs the wire-byte pins twice, so the
-# second pass runs on connection buffers the first one recycled.
+# second pass runs on connection buffers the first one recycled. The eighth
+# repeats the poison rows whose handlers echo by reference (SetBytes) on one
+# CPU, where a response gathered after its request block was acknowledged
+# reads the DPU's next request.
 test: fmt-check
 	go vet ./...
 	go test ./...
-	GOMAXPROCS=1 go test -count=20 -run 'Duplex|Background|PollerClose' ./internal/rpcrdma
+	GOMAXPROCS=1 go test -count=20 -run 'Duplex|Background|PollerClose|Holed' ./internal/rpcrdma
 	GOMAXPROCS=1 go test -count=20 -run 'TestLivenessDoesNotDependOnHeartbeat' .
 	GOMAXPROCS=1 go test -count=20 -run 'Writer|Park|Deadline' ./internal/xrpc ./internal/offload
 	GOMAXPROCS=1 go test -count=20 -run 'Background' ./internal/offload
 	GOMAXPROCS=1 go test -count=5 -run DoesNotAllocate ./internal/offload ./internal/protomsg
 	GOMAXPROCS=1 go test -count=2 -run 'GoldenBlocks|ResponseModesByteIdentical' ./internal/rpcrdma ./internal/gentest
+	GOMAXPROCS=1 go test -count=3 -run 'TestPoisonOnRelease/alias' ./internal/offload
 
 # Fail on unformatted files (gofmt prints the offenders).
 fmt-check:

@@ -182,14 +182,20 @@ func TestDPUCountersOnMetrics(t *testing.T) {
 	}
 }
 
-// conn_gather_bytes_total counts the SG payload bytes the DPU's request
-// sender posted straight from the request: the segment bytes of every SG
-// request on an SG deployment, and 0 on one without SG framing and on the
-// host's response sender.
+// conn_gather_bytes_total counts the SG payload bytes each sender posted
+// straight from caller memory: on the DPU the segment bytes of every SG
+// request, and on the host those of every SG object response, which the
+// echo sets by reference into the request block. Both read 0 without SG
+// framing, and the host's reads 0 when it marshals its responses.
 func TestGatherBytesOnMetrics(t *testing.T) {
 	env := workload.NewEnv()
-	blob := env.GenBlob(mt19937.New(2), 4096)
-	echo := func(abi.View) (*protomsg.Message, uint16) { return blob, 0 }
+	echo := func(req abi.View) (*protomsg.Message, uint16) {
+		out := protomsg.New(env.Blob)
+		if err := out.SetBytes("data", req.StrName("data")); err != nil {
+			t.Error(err)
+		}
+		return out, 0
+	}
 	none := func(abi.View) (*protomsg.Message, uint16) { return nil, 0 }
 	impls := map[string]Impl{"benchpb.Bench": {
 		"CallSmall": none, "CallInts": none, "CallChars": none, "Echo": none, "EchoBlob": echo,
@@ -197,9 +203,13 @@ func TestGatherBytesOnMetrics(t *testing.T) {
 	req := env.GenBlob(mt19937.New(3), 4096)
 	payload := req.Marshal(nil)
 	const calls = 5
-	for _, sgMin := range []int{0, 1024} {
+	for _, mode := range []struct {
+		sgMin       int
+		respObjects bool
+	}{{0, false}, {1024, false}, {1024, true}} {
+		sgMin := mode.sgMin
 		d, err := offload.NewDeploymentWith(env.Table, impls, offload.DeployConfig{
-			Connections: 1, SGPayloadMin: sgMin,
+			Connections: 1, SGPayloadMin: sgMin, OffloadResponseSerialization: mode.respObjects,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -234,11 +244,15 @@ func TestGatherBytesOnMetrics(t *testing.T) {
 			want = float64(calls * len(req.Bytes("data")))
 		}
 		if v := scrape(`conn_gather_bytes_total{conn="0",side="dpu"}`); v != want || want != float64(dpu.Client().Counters.SGBytesSent) {
-			t.Errorf("SGPayloadMin %d: dpu conn_gather_bytes_total = %v, want %v (SGBytesSent %d)",
-				sgMin, v, want, dpu.Client().Counters.SGBytesSent)
+			t.Errorf("%+v: dpu conn_gather_bytes_total = %v, want %v (SGBytesSent %d)",
+				mode, v, want, dpu.Client().Counters.SGBytesSent)
 		}
-		if v := scrape(`conn_gather_bytes_total{conn="0",side="host"}`); v != 0 {
-			t.Errorf("SGPayloadMin %d: host conn_gather_bytes_total = %v", sgMin, v)
+		if !mode.respObjects {
+			want = 0
+		}
+		if v := scrape(`conn_gather_bytes_total{conn="0",side="host"}`); v != want || want != float64(d.HostConn(0).Counters.SGBytesSent) {
+			t.Errorf("%+v: host conn_gather_bytes_total = %v, want %v (SGBytesSent %d)",
+				mode, v, want, d.HostConn(0).Counters.SGBytesSent)
 		}
 		d.Close()
 	}

@@ -19,16 +19,22 @@ import (
 // response through a pooled builder, a DPU response buffer carries its
 // release bound once, and the duplex pool recycles its tasks. The handlers
 // return a prebuilt message, so the handler's own allocations stay out of
-// the count.
+// the count; the setbytes rows echo the request into one reused message
+// with SetBytes, which keeps the request's bytes by reference, and on the
+// SG row the host's post gathers them from the request block.
 func TestSteppedRoundTripDoesNotAllocate(t *testing.T) {
 	env := workload.NewEnv()
 	none := func(abi.View) (*protomsg.Message, uint16) { return nil, 0 }
 	blob := env.GenBlob(mt19937.New(2), 2048)
 	blobResp := blob.Marshal(nil)
 	echo := func(abi.View) (*protomsg.Message, uint16) { return blob, 0 }
-	impls := map[string]Impl{"benchpb.Bench": {
-		"CallSmall": none, "CallInts": none, "CallChars": none, "Echo": none, "EchoBlob": echo,
-	}}
+	reused := protomsg.New(env.Blob)
+	echoSetBytes := func(req abi.View) (*protomsg.Message, uint16) {
+		if err := reused.SetBytes("data", req.StrName("data")); err != nil {
+			t.Error(err)
+		}
+		return reused, 0
+	}
 	small := env.GenSmall(mt19937.New(1)).Marshal(nil)
 	blobReq := env.GenBlob(mt19937.New(3), 2048).Marshal(nil)
 	const sgMin = 1024
@@ -40,13 +46,16 @@ func TestSteppedRoundTripDoesNotAllocate(t *testing.T) {
 		respObjects bool
 		sgMin       int
 		hostWorkers int
+		setBytes    bool
 	}{
-		{"small", "/benchpb.Bench/CallSmall", small, false, 0, 0},
-		{"host-marshalled", echoBlob, blobReq, false, 0, 0},
-		{"resp-objects", echoBlob, blobReq, true, 0, 0},
-		{"sg-request", echoBlob, blobReq, false, sgMin, 0},
-		{"sg-resp-objects", echoBlob, blobReq, true, sgMin, 0},
-		{"sg-resp-objects-duplex", echoBlob, blobReq, true, sgMin, 2},
+		{"small", "/benchpb.Bench/CallSmall", small, false, 0, 0, false},
+		{"host-marshalled", echoBlob, blobReq, false, 0, 0, false},
+		{"resp-objects", echoBlob, blobReq, true, 0, 0, false},
+		{"sg-request", echoBlob, blobReq, false, sgMin, 0, false},
+		{"sg-resp-objects", echoBlob, blobReq, true, sgMin, 0, false},
+		{"sg-resp-objects-duplex", echoBlob, blobReq, true, sgMin, 2, false},
+		{"host-marshalled-setbytes", echoBlob, blobReq, false, 0, 0, true},
+		{"sg-resp-objects-setbytes", echoBlob, blobReq, true, sgMin, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if raceEnabled && tc.name != "small" {
@@ -54,6 +63,14 @@ func TestSteppedRoundTripDoesNotAllocate(t *testing.T) {
 				// the DPU's sync.Pools, from which -race drops a quarter of
 				// the puts on purpose.
 				t.Skip("-race drops sync.Pool items at random")
+			}
+			impls := map[string]Impl{"benchpb.Bench": {
+				"CallSmall": none, "CallInts": none, "CallChars": none, "Echo": none, "EchoBlob": echo,
+			}}
+			want := blobResp
+			if tc.setBytes {
+				impls["benchpb.Bench"]["EchoBlob"] = echoSetBytes
+				want = blobReq // an echo of the request
 			}
 			ccfg, scfg := smallTestCfg()
 			scfg.HostWorkers = tc.hostWorkers
@@ -71,8 +88,8 @@ func TestSteppedRoundTripDoesNotAllocate(t *testing.T) {
 			onDone := func(status uint16, errFlag bool, resp []byte) {
 				if status != xrpc.StatusOK || errFlag {
 					t.Errorf("status %d (%s)", status, resp)
-				} else if tc.method == echoBlob && !bytes.Equal(resp, blobResp) {
-					t.Errorf("response diverged (%d bytes, want %d)", len(resp), len(blobResp))
+				} else if tc.method == echoBlob && !bytes.Equal(resp, want) {
+					t.Errorf("response diverged (%d bytes, want %d)", len(resp), len(want))
 				}
 				done++
 			}

@@ -38,9 +38,10 @@ type HostServer struct {
 	respObjects bool
 	// sgPayloadMin > 0 enables scatter-gather framing on object responses:
 	// top-level singular string/bytes payloads of at least this many bytes
-	// are placed once into dedicated 8-aligned segments of the response slot
-	// and the object references them by offset, instead of spilling a second
-	// copy through the object arena. Only effective with respObjects.
+	// travel in dedicated 8-aligned segments of the response slot, which the
+	// block's post gathers straight from the handler's message, and the
+	// object references them by offset, instead of spilling a copy through
+	// the object arena. Only effective with respObjects.
 	sgPayloadMin int
 	// tracer resolves propagated trace IDs (Request.Trace) and records a
 	// host.handler span around every traced dispatch.
@@ -187,10 +188,20 @@ func (h *HostServer) dispatch(req rpcrdma.Request) rpcrdma.ResponseSpec {
 	if len(rb.sgFields) == 0 {
 		return rpcrdma.ResponseSpec{Status: 0, Object: true, Size: size, Build: rb.build}
 	}
-	// SG slot layout: [SG table][object area][payload segments].
+	// SG slot layout: [SG table][object area][payload segments]. Each
+	// segment is the handler's bytes by reference, gathered by the block's
+	// post; its table entry is slot-relative, so both are fixed here.
 	rb.tbl = rpcrdma.SGTableSize(len(rb.sgFields))
 	rb.segOff = rb.tbl + alignUp8(objSize)
-	rb.total = rb.segOff + segBytes
+	cur := rb.segOff
+	for _, f := range rb.sgFields {
+		data := resp.Bytes(f.Name)
+		rb.segs = append(rb.segs, rpcrdma.Segment{Off: cur, Src: data})
+		rb.descs = append(rb.descs, rpcrdma.SGDesc{
+			Field: uint32(f.Number), Off: uint32(cur), Len: uint32(len(data))})
+		cur += alignUp8(len(data))
+	}
+	rb.total = cur
 	return rpcrdma.ResponseSpec{
 		Status:  0,
 		Object:  true,
@@ -199,13 +210,15 @@ func (h *HostServer) dispatch(req rpcrdma.Request) rpcrdma.ResponseSpec {
 		SGSegs:  len(rb.sgFields),
 		SGBytes: segBytes,
 		Build:   rb.build,
+		Gather:  rb.segs,
 	}
 }
 
 // respBuilder writes one handler response into its reserved slot: marshalled
 // protobuf (lay == nil), an object graph, or an object graph referencing
-// scatter-gather segments (sgFields non-empty). Builders are pooled per host
-// server with their method values bound once, so a response spec costs no
+// scatter-gather segments (sgFields non-empty), which the block's post
+// gathers from the handler's message. Builders are pooled per host server
+// with their method values bound once, so a response spec costs no
 // allocation. dispatch fills one in; the spec's Build, which runs exactly
 // once (the serial path or a duplex worker), returns it to the pool. A spec
 // whose Build never runs (replaced by a refusal, or a broken connection)
@@ -214,9 +227,11 @@ type respBuilder struct {
 	pool *sync.Pool
 	resp *protomsg.Message
 	lay  *abi.Layout
-	// SG framing: the payload fields placed as segments, their descriptors
-	// (filled by Build), and the slot layout [table][object area][segments].
+	// SG framing: the payload fields sent as segments, the segments the
+	// spec hands the poller to gather (read at reserve, before Build), their
+	// descriptors, and the slot layout [table][object area][segments].
 	sgFields           []*protodesc.Field
+	segs               []rpcrdma.Segment
 	descs              []rpcrdma.SGDesc
 	tbl, segOff, total int
 	regionOff          uint64
@@ -256,18 +271,13 @@ func (rb *respBuilder) buildInto(dst []byte, regionOff uint64) (uint32, int, err
 		}
 		return uint32(obj.Off() - regionOff), rb.b.Used(), nil
 	}
-	// Place each payload once into its 8-aligned segment (padding zeroed so
-	// reserved-slot garbage never rides the wire), then build the object
-	// referencing the segments.
-	cur := rb.segOff
-	for _, f := range rb.sgFields {
-		data := rb.resp.Bytes(f.Name)
-		end := cur + len(data)
-		copy(dst[cur:end], data)
-		clear(dst[end : cur+alignUp8(len(data))])
-		rb.descs = append(rb.descs, rpcrdma.SGDesc{
-			Field: uint32(f.Number), Off: uint32(cur), Len: uint32(len(data))})
-		cur += alignUp8(len(data))
+	// The payloads are holes the block's post gathers (the spec's Gather):
+	// only each segment's alignment pad is written, zeroed so reserved-slot
+	// garbage never rides the wire. Then build the object referencing the
+	// segments.
+	for _, g := range rb.segs {
+		end := g.Off + len(g.Src)
+		clear(dst[end : g.Off+alignUp8(len(g.Src))])
 	}
 	rb.regionOff = regionOff
 	rb.bump.Rebind(dst[rb.tbl:rb.segOff])
@@ -294,7 +304,8 @@ func (rb *respBuilder) placeSegment(f *protodesc.Field, _ []byte) (uint64, bool)
 // release drops the builder's references and returns it to its pool.
 func (rb *respBuilder) release() {
 	rb.resp, rb.lay = nil, nil
-	rb.sgFields, rb.descs = rb.sgFields[:0], rb.descs[:0]
+	clear(rb.segs) // the block's holes keep the payloads until their post
+	rb.sgFields, rb.segs, rb.descs = rb.sgFields[:0], rb.segs[:0], rb.descs[:0]
 	rb.bump.Rebind(nil)
 	rb.pool.Put(rb)
 }

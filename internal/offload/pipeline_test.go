@@ -25,7 +25,13 @@ service Echo { rpc Call (Req) returns (Resp); }`
 
 func echoEnv(t *testing.T) (*adt.Table, *protodesc.Registry) {
 	t.Helper()
-	f, err := protodsl.Parse("echo.proto", echoSchema)
+	return schemaEnv(t, echoSchema)
+}
+
+// schemaEnv parses a proto3 source and builds its ADT table.
+func schemaEnv(t *testing.T, src string) (*adt.Table, *protodesc.Registry) {
+	t.Helper()
+	f, err := protodsl.Parse("echo.proto", src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,29 @@ func poisonData(id uint64) string {
 	return sb.String()
 }
 
+// aliasSchema is echoSchema with a bytes response field, so a handler can
+// echo the request's data by reference (SetBytes). string and bytes share a
+// wire encoding, so its responses are byte-identical to echoSchema's.
+const aliasSchema = `syntax = "proto3";
+package echopb;
+message Req  { uint64 id = 1; string data = 2; }
+message Resp { uint64 id = 1; bytes data = 2; }
+service Echo { rpc Call (Req) returns (Resp); }`
+
+// aliasCheck is the check of an aliased-echo row: with workers the host
+// duplex pool ran the handlers, and with SG the host gathered its response
+// segments, so the handler's bytes went out by reference.
+func aliasCheck(workers, sg bool) func(*testing.T, poisonRun) {
+	return func(t *testing.T, r poisonRun) {
+		if workers && r.host.DuplexHandled == 0 {
+			t.Error("the host duplex pool handled nothing: the row's HostWorkers did not run")
+		}
+		if got := r.host.GatherBytes > 0; got != sg {
+			t.Errorf("host GatherBytes = %d with SG %v", r.host.GatherBytes, sg)
+		}
+	}
+}
+
 // poisonRun is what one TestPoisonOnRelease mode leaves to its check: the DPU
 // server's stats, both connection ends' counters, and the typed failures.
 type poisonRun struct {
@@ -65,7 +88,11 @@ func TestPoisonOnRelease(t *testing.T) {
 		slowEvery uint64
 		kill      bool
 		lossy     bool
-		check     func(t *testing.T, r poisonRun)
+		// alias makes the handler echo the request's data by reference
+		// (aliasSchema, SetBytes): the response points into the host's
+		// request block until it has been built or, with SG, posted.
+		alias bool
+		check func(t *testing.T, r poisonRun)
 	}{
 		{name: "serial"},
 		{name: "sg", cfg: DeployConfig{SGPayloadMin: 4096}},
@@ -111,10 +138,36 @@ func TestPoisonOnRelease(t *testing.T) {
 					t.Error("no reconnect")
 				}
 			}},
+		{name: "alias_marshal", alias: true, check: aliasCheck(false, false)},
+		{name: "alias_marshal_workers4", alias: true, cfg: DeployConfig{ServerCfg: rpcrdma.Config{HostWorkers: 4}},
+			check: aliasCheck(true, false)},
+		{name: "alias_respser", alias: true, cfg: DeployConfig{OffloadResponseSerialization: true},
+			check: aliasCheck(false, false)},
+		{name: "alias_respser_workers4", alias: true, cfg: DeployConfig{OffloadResponseSerialization: true,
+			ServerCfg: rpcrdma.Config{HostWorkers: 4}}, check: aliasCheck(true, false)},
+		{name: "alias_sg_respser", alias: true, cfg: DeployConfig{SGPayloadMin: 4096, OffloadResponseSerialization: true},
+			check: aliasCheck(false, true)},
+		{name: "alias_sg_respser_workers4", alias: true, cfg: DeployConfig{SGPayloadMin: 4096, OffloadResponseSerialization: true,
+			ServerCfg: rpcrdma.Config{HostWorkers: 4}}, check: aliasCheck(true, true)},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			table, reg := echoEnv(t)
+			schema := echoSchema
+			if mode.alias {
+				schema = aliasSchema
+			}
+			table, reg := schemaEnv(t, schema)
 			reqDesc, respDesc := reg.Message("echopb.Req"), reg.Message("echopb.Resp")
+			setData := func(m *protomsg.Message, data []byte) {
+				var err error
+				if mode.alias {
+					err = m.SetBytes("data", data)
+				} else {
+					err = m.SetString("data", string(data))
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
 			impls := map[string]Impl{"echopb.Echo": {"Call": func(req abi.View) (*protomsg.Message, uint16) {
 				id := req.U64Name("id")
 				if mode.slowEvery > 0 && id%mode.slowEvery == 0 {
@@ -122,7 +175,7 @@ func TestPoisonOnRelease(t *testing.T) {
 				}
 				m := protomsg.New(respDesc)
 				m.SetUint64("id", id)
-				m.SetString("data", string(req.StrName("data")))
+				setData(m, req.StrName("data"))
 				return m, 0
 			}}}
 			cfg := mode.cfg
@@ -194,7 +247,7 @@ func TestPoisonOnRelease(t *testing.T) {
 				req.SetString("data", poisonData(id))
 				want := protomsg.New(respDesc)
 				want.SetUint64("id", id)
-				want.SetString("data", poisonData(id))
+				setData(want, []byte(poisonData(id)))
 				wantBytes := want.Marshal(nil)
 				<-tokens
 				wg.Add(1)

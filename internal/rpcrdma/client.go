@@ -131,7 +131,9 @@ type ClientConn struct {
 	receiver
 	recvCQ *rdma.CQ
 
-	pool        *idPool
+	pool *idPool
+	// conts, started and idGen are indexed by request ID and cover every
+	// ID bound so far (growIDTables).
 	conts       []func(Response)
 	started     []int64  // per-ID enqueue timestamps (latency instrumentation)
 	freeIDs     []uint16 // IDs to return to the pool at the next send
@@ -165,7 +167,6 @@ func newClientConn(cfg Config, qp *rdma.QP, sendCQ, recvCQ *rdma.CQ, sbuf []byte
 	c := &ClientConn{
 		recvCQ: recvCQ,
 		pool:   newIDPool(),
-		conts:  make([]func(Response), IDPoolSize),
 		cqes:   make([]rdma.CQE, 256),
 	}
 	c.tombstone = header{method: CancelledMethod}
@@ -176,13 +177,35 @@ func newClientConn(cfg Config, qp *rdma.QP, sendCQ, recvCQ *rdma.CQ, sbuf []byte
 		return nil, err
 	}
 	if cfg.LatencyObserver != nil {
-		c.started = make([]int64, IDPoolSize)
+		c.started = []int64{}
 	}
 	if cfg.RequestTimeout > 0 {
-		c.idGen = make([]uint32, IDPoolSize)
+		c.idGen = []uint32{}
 		c.timedOut = make(map[uint16]struct{})
 	}
 	return c, nil
+}
+
+// growIDTables extends the per-ID tables to cover id, doubling them. The
+// pool hands out every never-used ID, in order, before any freed one
+// (idPool.virgin), so the tables grow as that range drains instead of being
+// allocated, and zeroed, for all IDPoolSize IDs at set-up.
+func (c *ClientConn) growIDTables(id uint16) {
+	if int(id) < len(c.conts) {
+		return
+	}
+	n := max(2*len(c.conts), 256)
+	for n <= int(id) {
+		n *= 2
+	}
+	n = min(n, IDPoolSize)
+	c.conts = append(c.conts, make([]func(Response), n-len(c.conts))...)
+	if c.started != nil {
+		c.started = append(c.started, make([]int64, n-len(c.started))...)
+	}
+	if c.idGen != nil {
+		c.idGen = append(c.idGen, make([]uint32, n-len(c.idGen))...)
+	}
 }
 
 // Outstanding returns the number of requests awaiting responses.
@@ -334,6 +357,7 @@ func (c *ClientConn) bind(b *block) bool {
 			return false
 		}
 		b.ids = append(b.ids, id)
+		c.growIDTables(id)
 		c.conts[id] = b.conts[i]
 		if c.started != nil {
 			c.started[id] = b.times[i]
@@ -355,6 +379,9 @@ func (c *ClientConn) unbind(b *block) {
 	}
 	c.pool.Unalloc(len(b.ids))
 }
+
+// settle has nothing to do: no request slot holds back an acknowledgment.
+func (c *ClientConn) settle(*block) {}
 
 // sent records the doorbell span of traced requests and arms deadlines.
 func (c *ClientConn) sent(b *block, t0, t1 int64) {
@@ -415,7 +442,10 @@ func (c *ClientConn) admit(*inBlock, int) error { return nil }
 // message matches one response to its request's continuation, queueing it
 // for dispatch once the whole block is walked.
 func (c *ClientConn) message(_ int, h header, payload []byte, regionOff uint64) error {
-	cont := c.conts[h.reqID]
+	var cont func(Response)
+	if int(h.reqID) < len(c.conts) {
+		cont = c.conts[h.reqID]
+	}
 	if cont == nil {
 		if _, late := c.timedOut[h.reqID]; late {
 			// The request was reaped at its deadline and its caller

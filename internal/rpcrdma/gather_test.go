@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dpurpc/internal/arena"
 	"dpurpc/internal/fabric"
 	"dpurpc/internal/fault"
 )
@@ -168,6 +169,166 @@ func TestGatherReapedBlockDropsHoles(t *testing.T) {
 			if s != nil {
 				t.Fatal("recycled block's gather list still names memory")
 			}
+		}
+	}
+}
+
+// holedEcho answers method 1 by gathering the request's payload straight
+// from the receive buffer (a ResponseSpec.Gather echo, whose Build writes
+// nothing) and every other method with echoHandler's copy.
+func holedEcho(req Request) ResponseSpec {
+	if req.Method != 1 {
+		return echoHandler(req)
+	}
+	return ResponseSpec{
+		Status: req.Method,
+		Size:   len(req.Payload),
+		Gather: []Segment{{Off: 0, Src: req.Payload}},
+		Build: func(dst []byte, _ uint64) (uint32, int, error) {
+			return req.Root, len(dst), nil
+		},
+	}
+}
+
+// A response that gathers from its request block must not let an earlier
+// response block tell the client that request block is free: the client
+// would reuse its memory while the later block's post still has to read
+// it. Here block A (a copied echo of request block X2) waits for a credit,
+// sealed full, and block B behind it gathers its echo from request block
+// X3. When the client's ack-only block returns the credits, A may carry
+// only X2's acknowledgment; X3's rides B, stamped at B's own post.
+// Answering a holed slot at commit (as every other slot is) puts X3's
+// acknowledgment on A.
+func TestHoledResponseAckRidesItsOwnBlock(t *testing.T) {
+	ccfg, scfg := smallCfg()
+	scfg.Credits = 2
+	r := newRig(t, ccfg, scfg, holedEcho)
+	var got [][]byte
+	send := func(method uint16, size int) {
+		t.Helper()
+		i := len(got)
+		got = append(got, nil)
+		err := r.client.Enqueue(CallSpec{Method: method, Size: size,
+			Build: func(dst []byte, _ uint64) (uint32, int, error) {
+				fill(dst, i)
+				return 0, size, nil
+			},
+			OnResponse: func(resp Response) { got[i] = append([]byte{}, resp.Payload...) },
+		})
+		if err == nil {
+			err = r.client.Flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	serverPass := func() {
+		t.Helper()
+		if _, err := r.poller.Progress(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two copied echoes spend the server's two credits; the client reads
+	// neither response yet, so neither is acknowledged.
+	send(0, 64)
+	serverPass()
+	send(0, 64)
+	serverPass()
+	if r.server.credits != 0 {
+		t.Fatalf("server holds %d credits, want 0", r.server.credits)
+	}
+	// X2's 3000-byte copied echo opens A; X3's 2000-byte gathered echo does
+	// not fit beside it, which seals A and opens B.
+	send(0, 3000)
+	send(1, 2000)
+	serverPass()
+	if len(r.server.sendQ) != 1 || r.server.cur == nil || r.server.cur.msgs != 1 {
+		t.Fatalf("want one sealed block queued and the gathered echo open: %d queued, open %v",
+			len(r.server.sendQ), r.server.cur)
+	}
+	a, b := r.server.sendQ[0], r.server.cur
+	// The client reads both responses and, with requests outstanding,
+	// returns their acknowledgments in an ack-only block; the server then
+	// sends A and B.
+	if _, err := r.client.Progress(); err != nil {
+		t.Fatal(err)
+	}
+	serverPass()
+	// X2 is A's acknowledgment. X3, and the ack-only block received after
+	// it, are B's: X3 could not be acknowledged before B posted.
+	if r.server.Counters.BlocksSent < 3 {
+		t.Fatalf("server sent %d blocks: A stayed queued", r.server.Counters.BlocksSent)
+	}
+	if pa, _ := parsePreamble(a.buf); pa.ackBlocks != 1 {
+		t.Errorf("A acknowledges %d request blocks, want 1 (X2's)", pa.ackBlocks)
+	}
+	if r.server.Counters.BlocksSent != 4 {
+		t.Fatalf("server sent %d blocks: B stayed open", r.server.Counters.BlocksSent)
+	}
+	if pb, _ := parsePreamble(b.buf); pb.ackBlocks != 2 {
+		t.Errorf("B acknowledges %d request blocks, want 2 (X3 and the ack-only block)", pb.ackBlocks)
+	}
+	r.pump(t)
+	for i, size := range []int{64, 64, 3000, 2000} {
+		want := make([]byte, size)
+		fill(want, i)
+		if !bytes.Equal(got[i], want) {
+			t.Errorf("response %d differs from its request", i)
+		}
+	}
+	if r.server.Counters.GatherBytes != 2000 {
+		t.Errorf("server GatherBytes = %d, want 2000", r.server.Counters.GatherBytes)
+	}
+}
+
+// Gathered responses keep liveness at two credits with out-of-order
+// completion on the duplex pool: every request block is acknowledged by a
+// block that has posted, and no holed block waits forever on an
+// acknowledgment only it could carry.
+func TestHoledResponsesAtTwoCredits(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		ccfg, scfg := smallCfg()
+		ccfg.Credits, scfg.Credits = 2, 2
+		scfg.HostWorkers = workers
+		r := newRig(t, ccfg, scfg, holedEcho)
+		ok := 0
+		for i := 0; i < 200; i++ {
+			size := 8 + 8*(i%64)
+			i := i
+			spec := CallSpec{Method: uint16(i % 2), Size: size,
+				Build: func(dst []byte, _ uint64) (uint32, int, error) {
+					fill(dst, i)
+					return 0, size, nil
+				},
+				OnResponse: func(resp Response) {
+					want := make([]byte, size)
+					fill(want, i)
+					if !bytes.Equal(resp.Payload, want) {
+						t.Errorf("workers %d: response %d differs from its request", workers, i)
+					}
+					ok++
+				},
+			}
+			err := r.client.Enqueue(spec)
+			if errors.Is(err, arena.ErrOutOfMemory) {
+				r.pump(t) // acknowledgments free the send arena
+				err = r.client.Enqueue(spec)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%5 == 4 {
+				if err := r.client.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := r.client.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r.pump(t)
+		if ok != 200 || r.server.Counters.GatherBytes == 0 {
+			t.Errorf("workers %d: %d of 200 answered, %d bytes gathered", workers, ok, r.server.Counters.GatherBytes)
 		}
 	}
 }

@@ -60,6 +60,22 @@ type ResponseSpec struct {
 	SG      bool
 	SGSegs  int
 	SGBytes int
+	// Gather names payload ranges the block's post takes from caller memory
+	// instead of from the slot (sender.Gather): Build leaves those bytes of
+	// Dst unwritten. The poller registers them when it reserves the slot,
+	// before Build runs, so a build on a duplex worker never touches the
+	// block. Offsets increase and ranges do not overlap. Src must stay
+	// unchanged until the response has posted, and it may alias the
+	// request's payload: a slot that still holds holes at commit answers
+	// its request only once its own block is the next to post (settle).
+	Gather []Segment
+}
+
+// Segment is one gathered range of a response payload: Src stands in for
+// Dst[Off:Off+len(Src)].
+type Segment struct {
+	Off int
+	Src []byte
 }
 
 // Handler processes one request in the poller thread (foreground execution,
@@ -162,6 +178,9 @@ func (s *ServerConn) reserveResponse(id uint16, spec *ResponseSpec) (*Reservatio
 	r.h.reqID = id
 	r.b.ids = append(r.b.ids, id)
 	r.SG, r.SGSegs, r.SGBytes = spec.SG, spec.SGSegs, spec.SGBytes
+	for _, g := range spec.Gather {
+		s.Gather(r, g.Off, g.Src)
+	}
 	if act != nil {
 		act.Span(trace.StageRespReserve, trace.ProcHost, 0, t0, nowNS())
 	}
@@ -214,12 +233,20 @@ func (s *ServerConn) appendResponse(id uint16, spec ResponseSpec) error {
 }
 
 // committed marks the slot's request answered, which may make its request
-// block acknowledgeable.
+// block acknowledgeable. A slot that sends holes may gather from that
+// request block (an echo), so its answer waits on its own block (settle):
+// answered now, the acknowledgment could ride an earlier block that is
+// still waiting for a credit, and the client would reuse the request
+// block's memory before this block's post has read it.
 func (s *ServerConn) committed(r *Reservation, t0 int64) {
 	id := r.h.reqID
 	if ib := s.reqBlockOf[id]; ib != nil {
 		delete(s.reqBlockOf, id)
-		s.answer(ib)
+		if r.holed {
+			r.b.late = append(r.b.late, ib)
+		} else {
+			s.answer(ib)
+		}
 	}
 	if s.traceOf != nil {
 		if act := s.traceOf[id]; act != nil {
@@ -229,6 +256,17 @@ func (s *ServerConn) committed(r *Reservation, t0 int64) {
 }
 
 func (s *ServerConn) cancelled(*Reservation, bool) {}
+
+// settle answers the requests of b's holed slots: b is the next block to
+// post, so the acknowledgments this may add ride b itself, stamped at its
+// post after its holes are read, and rule (a) already counts them.
+func (s *ServerConn) settle(b *block) {
+	for _, ib := range b.late {
+		s.answer(ib)
+	}
+	clear(b.late)
+	b.late = b.late[:0]
+}
 
 func (s *ServerConn) bind(*block) bool { return true }
 
