@@ -17,7 +17,9 @@ build:
 
 # The second pass repeats the host duplex pool's liveness tests (slow and
 # sleeping handlers at 16 credits, out-of-order completion) and the gathered
-# responses' acknowledgment-order and two-credit tests on one CPU, where
+# responses' tests (copied behind a stalled block, more response blocks
+# than credits, a slow echo behind a stalled queue, two credits) on one
+# CPU, where
 # a credit-protocol deadlock shows up as a "stalled" failure. The third
 # repeats the stack's heartbeat-independence test on one CPU (every case
 # runs the one DPU poller per connection, and no case may wake on the

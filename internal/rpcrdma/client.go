@@ -380,9 +380,6 @@ func (c *ClientConn) unbind(b *block) {
 	c.pool.Unalloc(len(b.ids))
 }
 
-// settle has nothing to do: no request slot holds back an acknowledgment.
-func (c *ClientConn) settle(*block) {}
-
 // sent records the doorbell span of traced requests and arms deadlines.
 func (c *ClientConn) sent(b *block, t0, t1 int64) {
 	if b.trs != nil {

@@ -45,9 +45,6 @@ type block struct {
 	// instead (Gather), in block order; sgl is post's gather-list scratch.
 	holes []hole
 	sgl   [][]byte
-	// late holds, on a response block, the request blocks whose answer
-	// waits for this block to be the next to post (ServerConn.settle).
-	late []*inBlock
 }
 
 // hole stands caller memory in for buf[at:at+len(src)] when the block posts.
@@ -92,8 +89,6 @@ type Reservation struct {
 	size   int
 	h      header // method or status, request ID and flags; lengths are set at commit
 	done   bool
-	// holed is set by commit when the slot still sends holes.
-	holed bool
 }
 
 // flushReason classifies why a block sealed; each maps to one Counters
@@ -119,7 +114,6 @@ type outbound interface {
 	bind(b *block) bool                  // ready a sealed block for the wire, or say it must wait
 	unbind(b *block)                     // undo bind after the wire rejected the post
 	sent(b *block, t0, t1 int64)         // after a post; t0, t1 bracket the doorbell when traced
-	settle(b *block)                     // b is the next block to post: no block can carry acks before it
 	acked(b *block)                      // the peer consumed b; it is freed next
 	cancelled(r *Reservation, tail bool) // after a tail rollback, or before an interior tombstone
 	committed(r *Reservation, t0 int64)  // after the header write; t0 when the commit began (traced)
@@ -311,9 +305,8 @@ func (s *sender) recycle(b *block) {
 	clear(b.trs)
 	clear(b.holes)
 	clear(b.sgl)
-	clear(b.late)
 	*b = block{ids: b.ids[:0], conts: b.conts[:0], times: b.times[:0], trs: b.trs[:0], res: b.res,
-		holes: b.holes[:0], sgl: b.sgl, late: b.late[:0]}
+		holes: b.holes[:0], sgl: b.sgl}
 	s.freeBlocks = append(s.freeBlocks, b)
 }
 
@@ -415,7 +408,7 @@ func (s *sender) commit(r *Reservation, root uint32, used int) error {
 	h.payloadLen, h.rootOff, h.sg = uint32(used), root, r.SG
 	payload := r.hdrPos + HeaderSize
 	if len(b.holes) > 0 {
-		r.holed = s.clipHoles(r, payload+used)
+		s.clipHoles(r, payload+used)
 	}
 	end := payload + alignUp(r.size)
 	if end == b.used {
@@ -459,23 +452,46 @@ func (s *sender) commit(r *Reservation, root uint32, used int) error {
 }
 
 // clipHoles keeps r's holes inside the end its commit declares used: the
-// bytes past it are cleared or not sent, as copied-in bytes would be. It
-// reports whether r keeps any hole.
-func (s *sender) clipHoles(r *Reservation, end int) bool {
+// bytes past it are cleared or not sent, as copied-in bytes would be.
+func (s *sender) clipHoles(r *Reservation, end int) {
 	b := r.b
-	kept, holed := b.holes[:0], false
+	kept := b.holes[:0]
 	for _, h := range b.holes {
 		if h.slot == r.idx && h.at+len(h.src) > end {
 			h.src = h.src[:max(end-h.at, 0)]
 		}
 		if len(h.src) > 0 {
 			kept = append(kept, h)
-			holed = holed || h.slot == r.idx
 		}
 	}
 	clear(b.holes[len(kept):])
 	b.holes = kept
-	return holed
+}
+
+// fillHoles copies r's holes into its slot and drops them: the block then
+// sends those bytes from the send buffer, as if the build had written them.
+func (s *sender) fillHoles(r *Reservation) {
+	b := r.b
+	kept := b.holes[:0]
+	for _, h := range b.holes {
+		if h.slot == r.idx {
+			copy(b.buf[h.at:], h.src)
+		} else {
+			kept = append(kept, h)
+		}
+	}
+	clear(b.holes[len(kept):])
+	b.holes = kept
+}
+
+// nextToPost reports whether b is the block the next post sends: the send
+// queue's head, or the open block when nothing is queued. Blocks post in
+// queue order, so once true this stays true until b posts.
+func (s *sender) nextToPost(b *block) bool {
+	if len(s.sendQ) > 0 {
+		return s.sendQ[0] == b
+	}
+	return s.cur == b
 }
 
 // Cancel abandons a reservation. The last slot of the open block is rolled
@@ -546,16 +562,8 @@ func (s *sender) seal(reason flushReason) {
 // send arena.
 func (s *sender) maybeSeal() {
 	b := s.cur
-	if b == nil || b.msgs == 0 || b.pending > 0 {
+	if b == nil || b.msgs == 0 || b.pending > 0 || (s.holdStalled && !s.canSend()) {
 		return
-	}
-	if s.holdStalled {
-		if len(s.sendQ) == 0 {
-			s.settle(b)
-		}
-		if !s.canSend() {
-			return
-		}
 	}
 	s.seal(flushExplicit)
 }
@@ -563,37 +571,32 @@ func (s *sender) maybeSeal() {
 // canSend applies liveness rule (a) (Sec. VI-A): a block that acknowledges
 // nothing may not take the last credit. One that acknowledges something
 // returns a credit to the peer, which then owes an acknowledgment of its
-// own, so both sides can never sit at zero credits with acks owed. The
-// block it is asked about has been settled, so the acknowledgments it
-// carries for its own slots count.
+// own, so both sides can never sit at zero credits with acks owed.
 func (s *sender) canSend() bool {
 	return s.credits > 1 || (s.credits == 1 && s.acks > 0)
-}
-
-// settle tells the side that b is the next block to post (the send queue's
-// head, or the open block when nothing is queued): only now may a response
-// that gathers from a request block answer it (ServerConn.settle), because
-// no block that posts before b is left to carry that acknowledgment.
-func (s *sender) settle(b *block) {
-	if len(b.late) > 0 {
-		s.out.settle(b)
-	}
 }
 
 // trySend transmits queued blocks in order while credits allow. A head
 // block with a slot still building stalls the queue: transmission order
 // must match reservation order (the deterministic ID replay of Sec. IV-D).
-func (s *sender) trySend() {
-	for len(s.sendQ) > 0 {
-		s.settle(s.sendQ[0])
+func (s *sender) trySend() { s.sendAhead(nil) }
+
+// sendAhead is trySend stopping before block stop, if queued; only a stall
+// of the whole queue (stop == nil) is counted.
+func (s *sender) sendAhead(stop *block) {
+	for len(s.sendQ) > 0 && s.sendQ[0] != stop {
 		if !s.canSend() {
-			s.Counters.CreditStalls++
-			s.fr.Record(FlightCreditStall, int64(len(s.sendQ)), 0)
+			if stop == nil {
+				s.Counters.CreditStalls++
+				s.fr.Record(FlightCreditStall, int64(len(s.sendQ)), 0)
+			}
 			return
 		}
 		b := s.sendQ[0]
 		if b.pending > 0 {
-			s.Counters.PipelineStalls++
+			if stop == nil {
+				s.Counters.PipelineStalls++
+			}
 			return
 		}
 		if !s.post(b) {

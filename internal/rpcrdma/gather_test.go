@@ -3,6 +3,7 @@ package rpcrdma
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -190,16 +191,39 @@ func holedEcho(req Request) ResponseSpec {
 	}
 }
 
+// holedGet answers method 2, an 8-byte key, with value by gathering it from
+// handler memory (a Get of a large stored value); other methods as
+// holedEcho. slow, when not nil, holds method 1's handler until it closes.
+func holedGet(value []byte, slow chan struct{}) Handler {
+	return func(req Request) ResponseSpec {
+		switch req.Method {
+		case 1:
+			if slow != nil {
+				<-slow
+			}
+		case 2:
+			return ResponseSpec{
+				Status: req.Method,
+				Size:   len(value),
+				Gather: []Segment{{Off: 0, Src: value}},
+				Build: func(dst []byte, _ uint64) (uint32, int, error) {
+					return 0, len(dst), nil
+				},
+			}
+		}
+		return holedEcho(req)
+	}
+}
+
 // A response that gathers from its request block must not let an earlier
-// response block tell the client that request block is free: the client
-// would reuse its memory while the later block's post still has to read
-// it. Here block A (a copied echo of request block X2) waits for a credit,
-// sealed full, and block B behind it gathers its echo from request block
-// X3. When the client's ack-only block returns the credits, A may carry
-// only X2's acknowledgment; X3's rides B, stamped at B's own post.
-// Answering a holed slot at commit (as every other slot is) puts X3's
-// acknowledgment on A.
-func TestHoledResponseAckRidesItsOwnBlock(t *testing.T) {
+// response block tell the client that request block is free while its own
+// block still has to read it. Here block A (a copied echo of request block
+// X2) waits for a credit, sealed full, and block B behind it holds X3's
+// gathered echo: B's commit copies the echo in, so the acknowledgment that
+// A carries for X3 frees memory nothing reads any more. Before the stall,
+// a gathered echo whose block was the next to post kept its hole and
+// carried its own request block's acknowledgment.
+func TestHoledResponseBehindStalledBlockIsCopied(t *testing.T) {
 	ccfg, scfg := smallCfg()
 	scfg.Credits = 2
 	r := newRig(t, ccfg, scfg, holedEcho)
@@ -228,14 +252,18 @@ func TestHoledResponseAckRidesItsOwnBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Two copied echoes spend the server's two credits; the client reads
-	// neither response yet, so neither is acknowledged.
+	// A copied echo, then a gathered one, spend the server's two credits;
+	// the client reads neither response yet, so neither is acknowledged.
 	send(0, 64)
 	serverPass()
-	send(0, 64)
+	send(1, 64)
 	serverPass()
-	if r.server.credits != 0 {
-		t.Fatalf("server holds %d credits, want 0", r.server.credits)
+	if r.server.credits != 0 || r.server.Counters.GatherBytes != 64 {
+		t.Fatalf("server holds %d credits, gathered %d bytes; want 0 and the 64-byte echo",
+			r.server.credits, r.server.Counters.GatherBytes)
+	}
+	if pa, _ := parsePreamble(r.server.unacked[1].buf); pa.ackBlocks != 1 {
+		t.Errorf("the gathered echo's block acknowledges %d request blocks, want its own", pa.ackBlocks)
 	}
 	// X2's 3000-byte copied echo opens A; X3's 2000-byte gathered echo does
 	// not fit beside it, which seals A and opens B.
@@ -247,26 +275,21 @@ func TestHoledResponseAckRidesItsOwnBlock(t *testing.T) {
 			len(r.server.sendQ), r.server.cur)
 	}
 	a, b := r.server.sendQ[0], r.server.cur
+	if len(b.holes) != 0 {
+		t.Fatal("the echo behind the stalled block kept its hole, so the block ahead acknowledges memory it still reads")
+	}
 	// The client reads both responses and, with requests outstanding,
 	// returns their acknowledgments in an ack-only block; the server then
-	// sends A and B.
+	// sends A, which acknowledges X2, X3 and that block.
 	if _, err := r.client.Progress(); err != nil {
 		t.Fatal(err)
 	}
 	serverPass()
-	// X2 is A's acknowledgment. X3, and the ack-only block received after
-	// it, are B's: X3 could not be acknowledged before B posted.
-	if r.server.Counters.BlocksSent < 3 {
-		t.Fatalf("server sent %d blocks: A stayed queued", r.server.Counters.BlocksSent)
+	if r.server.Counters.BlocksSent != 3 {
+		t.Fatalf("server sent %d blocks, want A after the first two", r.server.Counters.BlocksSent)
 	}
-	if pa, _ := parsePreamble(a.buf); pa.ackBlocks != 1 {
-		t.Errorf("A acknowledges %d request blocks, want 1 (X2's)", pa.ackBlocks)
-	}
-	if r.server.Counters.BlocksSent != 4 {
-		t.Fatalf("server sent %d blocks: B stayed open", r.server.Counters.BlocksSent)
-	}
-	if pb, _ := parsePreamble(b.buf); pb.ackBlocks != 2 {
-		t.Errorf("B acknowledges %d request blocks, want 2 (X3 and the ack-only block)", pb.ackBlocks)
+	if pa, _ := parsePreamble(a.buf); pa.ackBlocks != 3 {
+		t.Errorf("A acknowledges %d request blocks, want 3", pa.ackBlocks)
 	}
 	r.pump(t)
 	for i, size := range []int{64, 64, 3000, 2000} {
@@ -276,8 +299,146 @@ func TestHoledResponseAckRidesItsOwnBlock(t *testing.T) {
 			t.Errorf("response %d differs from its request", i)
 		}
 	}
-	if r.server.Counters.GatherBytes != 2000 {
-		t.Errorf("server GatherBytes = %d, want 2000", r.server.Counters.GatherBytes)
+	if r.server.Counters.GatherBytes != 64 {
+		t.Errorf("server GatherBytes = %d, want 64: only the first echo is gathered", r.server.Counters.GatherBytes)
+	}
+}
+
+// One request block whose gathered responses need more response blocks
+// than the server has credits (small Gets of large values, serial path)
+// completes: every slot answers at commit, so a response block soon
+// acknowledges the request block and returns the client the credit its
+// acknowledgments need. The first block posts when the second slot
+// commits, so the second is then the next to post and gathers too; the
+// third finds the second held back by rule (a) (one credit, nothing to
+// acknowledge yet) and copies the value in, as do the rest.
+func TestHoledResponsesSpanMoreBlocksThanCredits(t *testing.T) {
+	ccfg, scfg := smallCfg()
+	ccfg.Credits, scfg.Credits = 2, 2
+	value := make([]byte, 3000)
+	fill(value, 99)
+	r := newRig(t, ccfg, scfg, holedGet(value, nil))
+	const gets = 5
+	ok := 0
+	for i := 0; i < gets; i++ {
+		err := r.client.Enqueue(CallSpec{Method: 2, Size: 8,
+			Build: func(dst []byte, _ uint64) (uint32, int, error) { return 0, 8, nil },
+			OnResponse: func(resp Response) {
+				if !bytes.Equal(resp.Payload, value) {
+					t.Error("a Get's response differs from the value")
+				}
+				ok++
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r.pump(t)
+	if ok != gets {
+		t.Errorf("%d of %d answered", ok, gets)
+	}
+	if r.server.Counters.GatherBytes != 2*uint64(len(value)) {
+		t.Errorf("server GatherBytes = %d, want %d", r.server.Counters.GatherBytes, 2*len(value))
+	}
+}
+
+// A slow gathered echo of the oldest request block, finishing on a duplex
+// worker after fast responses have filled a credit-stalled send queue,
+// still completes. The queue's head acknowledges nothing (that request
+// block waits on the slow echo) and the client, having spent its last
+// credit on a request block, cannot return acknowledgments. The echo's slot
+// lands in a block behind the head, so it copies the echo in and answers at
+// commit: the head then acknowledges both request blocks and may take the
+// last credit.
+func TestSlowHoledResponseBehindStalledQueue(t *testing.T) {
+	ccfg, scfg := smallCfg()
+	ccfg.Credits, scfg.Credits = 2, 2
+	scfg.HostWorkers = 2
+	value := make([]byte, 3000)
+	fill(value, 99)
+	slow := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(slow) }) }
+	r := newRig(t, ccfg, scfg, holedGet(value, slow))
+	t.Cleanup(release) // before the rig's cleanup closes the duplex pool
+	until := func(what string, cond func() bool, pass func() (int, error)) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !cond(); {
+			if time.Now().After(deadline) {
+				t.Fatalf("never reached: %s", what)
+			}
+			if _, err := pass(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ok := 0
+	echo := make([]byte, 64)
+	fill(echo, 7)
+	enqueue := func(method uint16) {
+		t.Helper()
+		size, want := 8, value
+		if method == 1 {
+			size, want = len(echo), echo
+		}
+		err := r.client.Enqueue(CallSpec{Method: method, Size: size,
+			Build: func(dst []byte, _ uint64) (uint32, int, error) {
+				copy(dst, echo)
+				return 0, size, nil
+			},
+			OnResponse: func(resp Response) {
+				if !bytes.Equal(resp.Payload, want) {
+					t.Errorf("method %d: response differs", method)
+				}
+				ok++
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// X1: the slow echo and one Get. The Get's block posts; the echo holds
+	// X1 unacknowledged.
+	enqueue(1)
+	enqueue(2)
+	if err := r.client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	until("the first Get's block posted", func() bool { return r.server.Counters.BlocksSent == 1 },
+		r.poller.Progress)
+	// X2: three Gets, sent with the acknowledgment of that block on the
+	// client's last credit.
+	for i := 0; i < 3; i++ {
+		enqueue(2)
+	}
+	until("X2 posted", func() bool { return r.client.Counters.BlocksSent == 2 }, r.client.Progress)
+	// The server sends one Get's block and stalls: one credit left, and
+	// nothing to acknowledge while X1 waits on the echo. The other two Gets
+	// wait in blocks behind it, the last one sealed or still open.
+	until("the send queue stalled", func() bool {
+		waiting := 0
+		if b := r.server.cur; b != nil && b.pending == 0 {
+			waiting += b.msgs
+		}
+		for _, b := range r.server.sendQ {
+			if b.pending == 0 {
+				waiting += b.msgs
+			}
+		}
+		return r.server.Counters.BlocksSent == 2 && waiting == 2
+	}, r.poller.Progress)
+	if r.client.Credits() != 0 || r.server.credits != 1 || r.server.acks != 0 {
+		t.Fatalf("client %d credits, server %d credits and %d acks: want 0, 1 and 0",
+			r.client.Credits(), r.server.credits, r.server.acks)
+	}
+	release()
+	r.pump(t)
+	if ok != 5 {
+		t.Errorf("%d of 5 answered", ok)
 	}
 }
 

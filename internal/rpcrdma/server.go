@@ -66,8 +66,8 @@ type ResponseSpec struct {
 	// before Build runs, so a build on a duplex worker never touches the
 	// block. Offsets increase and ranges do not overlap. Src must stay
 	// unchanged until the response has posted, and it may alias the
-	// request's payload: a slot that still holds holes at commit answers
-	// its request only once its own block is the next to post (settle).
+	// request's payload: the slot's commit copies the ranges in unless its
+	// block is the next to post (committed).
 	Gather []Segment
 }
 
@@ -233,40 +233,33 @@ func (s *ServerConn) appendResponse(id uint16, spec ResponseSpec) error {
 }
 
 // committed marks the slot's request answered, which may make its request
-// block acknowledgeable. A slot that sends holes may gather from that
-// request block (an echo), so its answer waits on its own block (settle):
-// answered now, the acknowledgment could ride an earlier block that is
-// still waiting for a credit, and the client would reuse the request
-// block's memory before this block's post has read it.
+// block acknowledgeable. The acknowledgment rides the next block to post.
+// A slot whose holes may name that request block (an echo) keeps them only
+// if its own block is that one, so the client hears the request block is
+// free only from the post that has read it. A slot behind sealed blocks
+// first sends them (sendAhead); if a credit or an unfinished head holds
+// them back, it copies its holes in now. Either way it answers at commit,
+// before its own block posts, so liveness rule (a) holds as for every
+// other slot.
 func (s *ServerConn) committed(r *Reservation, t0 int64) {
 	id := r.h.reqID
-	if ib := s.reqBlockOf[id]; ib != nil {
-		delete(s.reqBlockOf, id)
-		if r.holed {
-			r.b.late = append(r.b.late, ib)
-		} else {
-			s.answer(ib)
-		}
-	}
 	if s.traceOf != nil {
 		if act := s.traceOf[id]; act != nil {
 			act.Span(trace.StageRespCommit, trace.ProcHost, 0, t0, nowNS())
 		}
 	}
+	if len(r.b.holes) > 0 && !s.nextToPost(r.b) {
+		if s.sendAhead(r.b); !s.nextToPost(r.b) {
+			s.fillHoles(r)
+		}
+	}
+	if ib := s.reqBlockOf[id]; ib != nil {
+		delete(s.reqBlockOf, id)
+		s.answer(ib)
+	}
 }
 
 func (s *ServerConn) cancelled(*Reservation, bool) {}
-
-// settle answers the requests of b's holed slots: b is the next block to
-// post, so the acknowledgments this may add ride b itself, stamped at its
-// post after its holes are read, and rule (a) already counts them.
-func (s *ServerConn) settle(b *block) {
-	for _, ib := range b.late {
-		s.answer(ib)
-	}
-	clear(b.late)
-	b.late = b.late[:0]
-}
 
 func (s *ServerConn) bind(*block) bool { return true }
 
