@@ -18,8 +18,9 @@ build:
 # The second pass repeats the host duplex pool's liveness tests (slow and
 # sleeping handlers at 16 credits, out-of-order completion) and the gathered
 # responses' tests (copied behind a stalled block, more response blocks
-# than credits, a slow echo behind a stalled queue, two credits) on one
-# CPU, where
+# than credits, a slow echo behind a stalled queue, two credits) and the
+# host arena exhaustion test (a burst whose responses outgrow the send arena,
+# answered on the poller) on one CPU, where
 # a credit-protocol deadlock shows up as a "stalled" failure. The third
 # repeats the stack's heartbeat-independence test on one CPU (every case
 # runs the one DPU poller per connection, and no case may wake on the
@@ -37,7 +38,7 @@ build:
 test: fmt-check
 	go vet ./...
 	go test ./...
-	GOMAXPROCS=1 go test -count=20 -run 'Duplex|Background|PollerClose|Holed' ./internal/rpcrdma
+	GOMAXPROCS=1 go test -count=20 -run 'Duplex|Background|PollerClose|Holed|HostArena' ./internal/rpcrdma
 	GOMAXPROCS=1 go test -count=20 -run 'TestLivenessDoesNotDependOnHeartbeat' .
 	GOMAXPROCS=1 go test -count=20 -run 'Writer|Park|Deadline' ./internal/xrpc ./internal/offload
 	GOMAXPROCS=1 go test -count=20 -run 'Background' ./internal/offload

@@ -271,7 +271,7 @@ func BenchmarkResponseSerializationScaling(b *testing.B) {
 			got := digests(workers)
 			for i := range ref {
 				if got[i] != ref[i] {
-					b.Fatalf("response %d diverges from the serial response path", i)
+					b.Fatalf("response %d diverges from the poller-only response path", i)
 				}
 			}
 			d := newDeployment(workers)

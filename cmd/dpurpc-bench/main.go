@@ -38,7 +38,7 @@ func main() {
 	wallIters := flag.Int("fig7-wall-iters", 200, "wall-clock iterations per Fig. 7 point (0 disables)")
 	connections := flag.Int("connections", 1, "host<->DPU connections (one DPU poller each)")
 	hostWorkers := flag.Int("host-workers", dpu.Default().Host.Cores,
-		"host-side duplex workers per connection; >1 runs handlers + response builds in parallel (1 = serial response path)")
+		"host-side duplex workers per connection; >1 runs handlers + response builds in parallel (0 or 1 = on the poller)")
 	payloadSize := flag.Int("payload-size", 0,
 		"top of the payloadscale payload sweep in bytes (0 = the 1KiB..4MiB default grid)")
 	sgMin := flag.Int("sg-min", 0,

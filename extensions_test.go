@@ -63,7 +63,7 @@ func TestStackExtensionsEndToEnd(t *testing.T) {
 
 // TestStackServerCfgHostWorkers: the host duplex width is a per-side
 // protocol knob, and ServerCfg.HostWorkers on the stack options must reach
-// the host connection rather than be reset to the serial response path.
+// the host connection rather than be reset to the poller-only pipeline.
 func TestStackServerCfgHostWorkers(t *testing.T) {
 	schema, err := dpurpc.ParseSchema("greeter.proto", greeterProto)
 	if err != nil {

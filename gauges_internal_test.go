@@ -1,6 +1,7 @@
 package dpurpc
 
 import (
+	"errors"
 	"runtime"
 	"strconv"
 	"strings"
@@ -8,11 +9,13 @@ import (
 	"time"
 
 	"dpurpc/internal/abi"
+	"dpurpc/internal/fabric"
 	"dpurpc/internal/fault"
 	"dpurpc/internal/metrics"
 	"dpurpc/internal/mt19937"
 	"dpurpc/internal/offload"
 	"dpurpc/internal/protomsg"
+	"dpurpc/internal/rdma"
 	"dpurpc/internal/rpcrdma"
 	"dpurpc/internal/workload"
 	"dpurpc/internal/xrpc"
@@ -21,9 +24,14 @@ import (
 // scraper samples a stack's gauges and reads one series from the registry
 // text, the way /metrics serves it.
 func scraper(t *testing.T, st *Stack) func(series string) float64 {
+	return registryScraper(t, st.RegisterGauges)
+}
+
+// registryScraper is scraper for the series register adds.
+func registryScraper(t *testing.T, register func(*metrics.Sampler)) func(series string) float64 {
 	reg := metrics.NewRegistry()
 	smp := metrics.NewSampler(time.Hour, 4, reg) // sampled by hand
-	st.RegisterGauges(smp)
+	register(smp)
 	return func(series string) float64 {
 		t.Helper()
 		smp.SampleOnce()
@@ -337,6 +345,81 @@ func TestFailureCountersOnMetrics(t *testing.T) {
 		if c.nonzero && c.want == 0 {
 			t.Errorf("%s: the faulty run never counted one", c.series)
 		}
+	}
+}
+
+// The host's response pipeline failures are on /metrics, each series equal
+// to its Counters field: a burst whose 3000-byte responses outgrow the
+// host's 256 KiB send arena waits for acknowledgments
+// (conn_send_full_recoveries_total), and every seventh response build fails
+// and is answered with the error status (conn_response_build_failures_total).
+func TestHostResponseFailuresOnMetrics(t *testing.T) {
+	cfg := rpcrdma.Config{BlockSize: 4096, Credits: 8, SBufSize: 1 << 18, CQDepth: 64, BusyPoll: true}
+	link := fabric.NewLink()
+	poller := rpcrdma.NewServerPoller(cfg)
+	defer poller.Close()
+	cc, sc, err := rpcrdma.Connect(rdma.NewDevice("dpu", link, fabric.DPUToHost),
+		rdma.NewDevice("host", link, fabric.HostToDPU), cfg, cfg, poller,
+		func(req rpcrdma.Request) rpcrdma.ResponseSpec {
+			fail := req.Payload[0]%7 == 5
+			return rpcrdma.ResponseSpec{Size: 3000, Build: func([]byte, uint64) (uint32, int, error) {
+				if fail {
+					return 0, 0, errors.New("deliberate build failure")
+				}
+				return 0, 3000, nil
+			}}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 100
+	done, failed := 0, 0
+	for i := 0; i < calls; i++ {
+		err := cc.Enqueue(rpcrdma.CallSpec{
+			Size: 16,
+			Build: func(dst []byte, _ uint64) (uint32, int, error) {
+				dst[0] = byte(i)
+				return 0, 16, nil
+			},
+			OnResponse: func(resp rpcrdma.Response) {
+				done++
+				if resp.Err {
+					failed++
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); done < calls; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d calls answered", done, calls)
+		}
+		if _, err := cc.Progress(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := poller.Progress(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrape := registryScraper(t, func(smp *metrics.Sampler) {
+		registerConnGauges(smp, map[string]string{"conn": "0", "side": "host"}, sc.Gauges)
+	})
+	hc := sc.Counters
+	for _, c := range []struct {
+		series string
+		want   uint64
+	}{
+		{`conn_send_full_recoveries_total{conn="0",side="host"}`, hc.SendFullRecoveries},
+		{`conn_response_build_failures_total{conn="0",side="host"}`, hc.DuplexTombstones},
+	} {
+		if v := scrape(c.series); v != float64(c.want) || c.want == 0 {
+			t.Errorf("%s = %v, Counters say %d (want > 0)", c.series, v, c.want)
+		}
+	}
+	if failed != calls/7 || hc.DuplexTombstones != calls/7 {
+		t.Errorf("%d error responses, %d tombstones, want %d", failed, hc.DuplexTombstones, calls/7)
 	}
 }
 

@@ -106,7 +106,7 @@ type Fig8Row struct {
 	// ReqMsgsPerBlock is the achieved request batching (offload mode).
 	ReqMsgsPerBlock float64
 	// HostWorkers echoes the host-side duplex width (offload mode; 0 means
-	// the serial response path).
+	// the poller runs every response stage).
 	HostWorkers int
 	// WallSeconds/WallRPS report the measured wall-clock cost of driving
 	// the run on this machine. They are not the paper's modeled numbers
@@ -305,7 +305,7 @@ func RunOffload(s workload.Scenario, opts Options) (Fig8Row, error) {
 	}
 	if w := opts.ServerCfg.HostWorkers; w > 1 {
 		// The duplex pool bounds how many host cores run handlers and
-		// response builds concurrently; the serial path keeps the paper's
+		// response builds concurrently; the poller alone keeps the paper's
 		// ideal even spread.
 		usage.HostWorkers = conns * w
 		row.HostWorkers = w

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
@@ -39,5 +40,21 @@ func TestKnobsDeclaredOnce(t *testing.T) {
 	}
 	if knobs > maxKnobs {
 		t.Errorf("%d named config fields, want at most %d: remove a knob before adding one", knobs, maxKnobs)
+	}
+}
+
+// maxDesignBytes bounds DESIGN.md. It only ratchets down: a change that
+// grows DESIGN.md must shrink it somewhere else (history belongs in
+// CHANGES.md), and one that shrinks it may lower the bound.
+const maxDesignBytes = 108193
+
+// TestDesignDocDoesNotGrow holds DESIGN.md within maxDesignBytes.
+func TestDesignDocDoesNotGrow(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc) > maxDesignBytes {
+		t.Errorf("DESIGN.md is %d bytes, want at most %d: shrink it elsewhere before adding to it", len(doc), maxDesignBytes)
 	}
 }

@@ -220,7 +220,7 @@ func (h *HostServer) dispatch(req rpcrdma.Request) rpcrdma.ResponseSpec {
 // gathers from the handler's message. Builders are pooled per host server
 // with their method values bound once, so a response spec costs no
 // allocation. dispatch fills one in; the spec's Build, which runs exactly
-// once (the serial path or a duplex worker), returns it to the pool. A spec
+// once (on the poller or a duplex worker), returns it to the pool. A spec
 // whose Build never runs (replaced by a refusal, or a broken connection)
 // leaves its builder to the GC.
 type respBuilder struct {

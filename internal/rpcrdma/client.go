@@ -167,7 +167,9 @@ func newClientConn(cfg Config, qp *rdma.QP, sendCQ, recvCQ *rdma.CQ, sbuf []byte
 	c := &ClientConn{
 		recvCQ: recvCQ,
 		pool:   newIDPool(),
-		cqes:   make([]rdma.CQE, 256),
+		// The receive CQ never holds more than the posted receives, and
+		// drainSendCQ polls until a poll comes back short.
+		cqes: make([]rdma.CQE, recvPosts),
 	}
 	c.tombstone = header{method: CancelledMethod}
 	if err := c.sender.init(cfg, qp, sendCQ, sbuf, c); err != nil {

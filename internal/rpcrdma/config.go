@@ -29,11 +29,12 @@
 //   - Deterministic request IDs from a 2^16 pool, never transmitted with
 //     requests: both sides replay the same free-then-allocate sequence in
 //     RC order (Sec. IV-D).
-//   - Foreground execution: handlers run in the server poller thread
-//     (Sec. III-D); client pollers own one connection each, server pollers
-//     may share several over one completion queue (Sec. III-C). Background
-//     execution — the extension Sec. III-D designs for — is the duplex
-//     pool (Config.HostWorkers > 1); responses complete out of order.
+//   - One host response pipeline (handler, reserve, build, commit): by
+//     default the server poller is its only worker, foreground execution
+//     (Sec. III-D); with Config.HostWorkers > 1 its stages run on a worker
+//     pool, the background execution Sec. III-D designs for, and responses
+//     complete out of order. Client pollers own one connection each, server
+//     pollers may share several over one completion queue (Sec. III-C).
 //   - Object-payload responses (header flag): the response-serialization
 //     offload of Sec. III-A, where the host ships a response object through
 //     the shared region and the DPU produces the wire bytes.
@@ -107,13 +108,14 @@ type Config struct {
 	// the DPU, and DPU and host worker completions all end the sleep at
 	// once (see offload.DPUServer.wake).
 	WaitTimeout time.Duration
-	// HostWorkers (server side) > 1 enables the duplex response pipeline,
-	// which is also background RPC execution (Sec. III-D): handlers AND
-	// response builds run on a pool of that many worker goroutines, slots
-	// are reserved as handlers finish, and blocks transmit once every slot
-	// in them commits. Handlers may read their payload views for their
-	// whole run. A failed build is committed as an error tombstone
-	// (status 13, error flag set) instead of breaking the connection.
+	// HostWorkers (server side) is how many worker goroutines run the host
+	// response pipeline's handler and build stages. At 0 or 1 the poller
+	// runs them itself (foreground execution); above 1 they run on the
+	// pool, which is background RPC execution (Sec. III-D): slots are
+	// reserved as handlers finish, and blocks transmit once every slot in
+	// them commits. Handlers may read their payload views for their whole
+	// run. A failed build is committed as an error tombstone (status 13,
+	// error flag set) instead of breaking the connection.
 	HostWorkers int
 	// AdmitMaxInflight (server side) > 0 enables admission control on the
 	// in-flight axis: once more than this many requests are in flight

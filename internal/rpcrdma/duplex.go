@@ -11,17 +11,22 @@ import (
 	"dpurpc/internal/trace"
 )
 
-// The duplex pipeline parallelizes the response direction the same way the
-// client's Reserve/Commit split parallelized requests: worker goroutines
-// run the handler and build response payloads, while the poller thread owns
-// every QP/CQ/allocator mutation (and long-running RPCs stay off it,
-// Sec. III-D). A request flows
+// Every host request takes one pipeline, the response direction's
+// counterpart of the client's Reserve/Commit split. A request flows
 //
-//	poller: dxAdmit            → taskQ (stage dxHandle)
-//	worker: run handler        → doneQ
-//	poller: dxReserveReady     → reserveResponse in completion order → taskQ (stage dxBuild)
-//	worker: spec.Build(Dst)    → doneQ
-//	poller: dxCollect          → respond (or error tombstone)
+//	poller: message    → dxRun (stage dxHandle)
+//	run:    handler    → dxDone
+//	poller: dxReserve  → reserveResponse in completion order → dxRun (stage dxBuild)
+//	run:    spec.Build → dxDone
+//	poller: dxDone     → Commit (or error tombstone)
+//
+// With Config.HostWorkers > 1, dxRun hands each stage to a pool of worker
+// goroutines, which return it through doneQ (Sec. III-D background
+// execution: a long-running RPC holds back no other response), while the
+// poller thread owns every QP/CQ/allocator mutation. Otherwise the pool has
+// no workers and the poller runs every stage inline: foreground execution,
+// where the handler runs and its slot is reserved during the block walk,
+// and a request nothing waits ahead of never queues.
 //
 // Reservations follow handler completion order (dxReady), so a slow handler
 // holds back no other response; commits follow build completion, safe because
@@ -42,8 +47,8 @@ const (
 	dxBuild                   // build the payload into the reserved slot
 )
 
-// respTask carries one request through the duplex pipeline. It lives in
-// exactly one place at a time (taskQ, a worker, doneQ, dxReady, or the
+// respTask carries one request through the pipeline. It lives in exactly
+// one place at a time (the backlog, taskQ, a worker, doneQ, dxReady, or the
 // poller's free list dxFree), so its fields need no locking.
 type respTask struct {
 	id    uint16
@@ -57,61 +62,64 @@ type respTask struct {
 	tr    *trace.Active // trace handle (nil when untraced)
 }
 
-// duplexPool runs handler and build stages on worker goroutines. Channel
+// duplexPool runs handler and build stages. With workers, channel
 // capacities equal the connection's in-flight bound (dxMax), and the poller
 // admits at most that many tasks, so no send on taskQ or doneQ ever blocks.
 // After each doneQ send the worker kicks wake — the poller's receive CQ — so
-// a poller asleep with duplex work in flight commits the completion at once.
+// a poller asleep with work in flight commits the completion at once.
 type duplexPool struct {
 	handler Handler
-	taskQ   chan *respTask
+	taskQ   chan *respTask // nil when the poller runs every stage itself
 	doneQ   chan *respTask
 	wake    *rdma.CQ
 	wg      sync.WaitGroup
 	closed  bool
 }
 
+// newDuplexPool starts workers goroutines, or none when workers ≤ 1.
 func newDuplexPool(workers, maxInflight int, h Handler, wake *rdma.CQ) *duplexPool {
-	p := &duplexPool{
-		handler: h,
-		wake:    wake,
-		taskQ:   make(chan *respTask, maxInflight),
-		doneQ:   make(chan *respTask, maxInflight),
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker(i + 1)
+	p := &duplexPool{handler: h, wake: wake}
+	if workers > 1 {
+		p.taskQ = make(chan *respTask, maxInflight)
+		p.doneQ = make(chan *respTask, maxInflight)
+		p.wg.Add(workers)
+		for i := 0; i < workers; i++ {
+			go p.worker(i + 1)
+		}
 	}
 	return p
 }
 
-// worker runs handler and build stages; wid (1..N) is its lane in trace
-// output and in Request.Worker.
+// run runs t's stage; wid is its lane in trace output and in
+// Request.Worker (0 = the poller, 1..N = worker i).
+func (p *duplexPool) run(t *respTask, wid int) {
+	if t.stage == dxHandle {
+		t.req.Worker = wid
+		t.spec = p.handler(t.req)
+		return
+	}
+	var t0 int64
+	if t.tr != nil {
+		t0 = nowNS()
+	}
+	t.root, t.used, t.err = t.spec.Build(t.res.Dst, t.res.RegionOff)
+	if t.tr != nil {
+		t.tr.Span(trace.StageRespBuild, trace.ProcHost, wid, t0, nowNS())
+	}
+}
+
 func (p *duplexPool) worker(wid int) {
 	defer p.wg.Done()
 	for t := range p.taskQ {
-		switch t.stage {
-		case dxHandle:
-			t.req.Worker = wid
-			t.spec = p.handler(t.req)
-		case dxBuild:
-			var t0 int64
-			if t.tr != nil {
-				t0 = nowNS()
-			}
-			t.root, t.used, t.err = t.spec.Build(t.res.Dst, t.res.RegionOff)
-			if t.tr != nil {
-				t.tr.Span(trace.StageRespBuild, trace.ProcHost, wid, t0, nowNS())
-			}
-		}
+		p.run(t, wid)
 		p.doneQ <- t
 		p.wake.Kick()
 	}
 }
 
-// close stops the workers; a nil pool (no duplex pipeline) is a no-op.
+// close stops the workers, if any.
 func (p *duplexPool) close() {
-	if p == nil || p.closed {
+	if p.taskQ == nil || p.closed {
 		return
 	}
 	p.closed = true
@@ -119,121 +127,123 @@ func (p *duplexPool) close() {
 	p.wg.Wait()
 }
 
-// dxAdmit enters one request into the duplex pipeline through the backlog,
-// which holds it while the in-flight bound is reached (backpressure keeps
-// channel occupancy under the channel capacity). Poller-only.
-func (s *ServerConn) dxAdmit(id uint16, req Request) {
-	var t *respTask
-	if n := len(s.dxFree); n > 0 {
-		t = s.dxFree[n-1]
-		s.dxFree = s.dxFree[:n-1]
+// dxRun runs t's stage on a worker, or on the poller when the pool has none.
+func (s *ServerConn) dxRun(t *respTask) {
+	if p := s.duplex; p.taskQ != nil {
+		p.taskQ <- t
 	} else {
-		t = new(respTask)
+		p.run(t, 0)
+		s.dxDone(t)
 	}
-	t.id, t.req, t.stage = id, req, dxHandle
-	if s.traceOf != nil {
-		t.tr = s.traceOf[id]
+}
+
+// dxDone takes a finished stage. A handled task reserves its slot, behind
+// any that wait for the arena. A build commits, or is tombstoned if it
+// failed: the slot is already on the wire path, so the request must still
+// be answered. Poller-only.
+func (s *ServerConn) dxDone(t *respTask) {
+	if t.stage == dxHandle {
+		if len(s.dxReady) > 0 || !s.dxReserve(t) {
+			s.dxReady = append(s.dxReady, t)
+		}
+		return
 	}
-	s.dxBacklog = append(s.dxBacklog, t)
-	s.dxDispatchBacklog()
+	if r := t.res; t.err != nil {
+		s.Counters.DuplexTombstones++
+		s.gauges.ResponseBuildFailures.Add(1)
+		s.bury(r)
+	} else {
+		r.h.method, r.h.errFlag, r.h.object = t.spec.Status, t.spec.Err, t.spec.Object
+		if err := s.Commit(r, t.root, t.used); err != nil {
+			s.fail(err)
+		}
+	}
+	s.dxRetire(t)
+}
+
+// dxReserve reserves t's response slot and runs its build; a specless
+// response (Build == nil) commits at once. It reports false, leaving t
+// unreserved, when the send arena is full: acknowledgments will free
+// blocks, and a later pass retries. Poller-only.
+func (s *ServerConn) dxReserve(t *respTask) bool {
+	r, err := s.reserveResponse(t)
+	if err != nil {
+		if s.dxFull = errors.Is(err, arena.ErrOutOfMemory); s.dxFull {
+			return false
+		}
+		s.fail(err)
+		s.dxRetire(t)
+		return true
+	}
+	if s.dxFull {
+		s.dxFull = false
+		s.Counters.SendFullRecoveries++
+		s.gauges.SendFullRecoveries.Add(1)
+	}
+	t.res, t.stage = r, dxBuild
+	if t.spec.Build != nil {
+		s.dxRun(t)
+		return true
+	}
+	clear(r.Dst) // Size zero bytes
+	t.used = t.spec.Size
+	s.dxDone(t)
+	return true
 }
 
 // dxRetire ends a task's trip through the pipeline: the poller decrements
-// the in-flight count and keeps the task on its free list for the next
-// dxAdmit. Poller-only.
+// the in-flight count and keeps the task on its free list. Poller-only.
 func (s *ServerConn) dxRetire(t *respTask) {
 	s.dxInflight--
 	*t = respTask{}
 	s.dxFree = append(s.dxFree, t)
 }
 
-// dxDispatchBacklog moves backlogged requests into the pool, in order, as
-// slots free up.
-func (s *ServerConn) dxDispatchBacklog() {
-	for len(s.dxBacklog) > 0 && s.dxInflight < s.dxMax {
-		t := s.dxBacklog[0]
-		s.dxBacklog = s.dxBacklog[0:copy(s.dxBacklog, s.dxBacklog[1:])]
-		s.dxInflight++
-		s.duplex.taskQ <- t
-	}
-}
+// dxPending is the number of requests admitted but not yet answered.
+func (s *ServerConn) dxPending() int { return s.dxInflight + len(s.dxBacklog) }
 
-// dxCollect drains completed stages: handler results queue for
-// reservation; finished builds commit (or tombstone on build error — the
-// slot is already on the wire path, so the request must still be answered).
-// Returns the number of completions drained. Poller-only.
+// dxCollect drains the stages the workers finished and returns how many.
+// Only they count in DuplexHandled and DuplexBuilt. Poller-only.
 func (s *ServerConn) dxCollect() int {
 	drained := 0
-	for {
+	for s.dxInflight > len(s.dxReady) { // a stage is on the pool
 		select {
 		case t := <-s.duplex.doneQ:
 			drained++
-			switch t.stage {
-			case dxHandle:
+			if t.stage == dxHandle {
 				s.Counters.DuplexHandled++
-				s.dxReady = append(s.dxReady, t)
-			case dxBuild:
-				if t.err != nil {
-					s.Counters.DuplexTombstones++
-					s.bury(t.res)
-				} else {
-					s.Counters.DuplexBuilt++
-					if err := s.respond(t.res, t.spec.Status, t.spec.Err, t.spec.Object, t.root, t.used); err != nil {
-						s.fail(err)
-					}
-				}
-				s.dxRetire(t)
+			} else if t.err == nil {
+				s.Counters.DuplexBuilt++
 			}
+			s.dxDone(t)
 		default:
 			return drained
 		}
 	}
+	return drained
 }
 
-// dxReserveReady reserves response slots for finished handlers in the order
-// they finished, then hands each build back to the pool. A specless
-// response (Build == nil) commits immediately. On send-buffer exhaustion
-// the rest wait; client acks will free blocks and a later pass retries.
-// Poller-only.
-func (s *ServerConn) dxReserveReady() {
-	n := 0
-	for ; n < len(s.dxReady); n++ {
-		t := s.dxReady[n]
-		r, err := s.reserveResponse(t.id, &t.spec)
-		if err != nil {
-			if errors.Is(err, arena.ErrOutOfMemory) {
-				break // retry after acks reclaim blocks
-			}
-			s.fail(err)
-			s.dxRetire(t)
-			continue
-		}
-		if t.spec.Build == nil {
-			clear(r.Dst) // Size zero bytes, as on the serial path
-			if err := s.respond(r, t.spec.Status, t.spec.Err, t.spec.Object, 0, t.spec.Size); err != nil {
-				s.fail(err)
-			}
-			s.dxRetire(t)
-			continue
-		}
-		t.res = r
-		t.stage = dxBuild
-		s.duplex.taskQ <- t
-	}
-	s.dxReady = slices.Delete(s.dxReady, 0, n)
-}
-
-// dxProgress is the per-Progress duplex update: collect completions,
-// reserve, refill from the backlog, and collect again so a build
-// finishing mid-pass commits without waiting a full cycle. Poller-only.
+// dxProgress is the pipeline's per-pass update while requests are pending:
+// collect completions, reserve for the handled tasks that wait, refill from
+// the backlog, and collect again so a build finishing mid-pass commits
+// without waiting a full cycle. Poller-only.
 func (s *ServerConn) dxProgress() {
 	drained := s.dxCollect()
-	s.dxReserveReady()
-	s.dxDispatchBacklog()
+	n := 0
+	for n < len(s.dxReady) && s.dxReserve(s.dxReady[n]) {
+		n++
+	}
+	s.dxReady = slices.Delete(s.dxReady, 0, n)
+	for len(s.dxBacklog) > 0 && s.dxInflight < s.dxMax {
+		t := s.dxBacklog[0]
+		s.dxBacklog = s.dxBacklog[0:copy(s.dxBacklog, s.dxBacklog[1:])]
+		s.dxInflight++
+		s.dxRun(t)
+	}
 	drained += s.dxCollect()
-	s.dxReserveReady()
 	if drained == 0 && s.dxInflight > 0 {
-		// Workers are mid-stage; yield so they can run (single-CPU CI).
+		// Stages are mid-run on workers, or waiting for the arena; yield
+		// so the workers or the peer can run (single-CPU CI).
 		runtime.Gosched()
 	}
 }

@@ -48,12 +48,61 @@ func TestDuplexLargePayloads(t *testing.T) {
 	}
 }
 
+func TestHostArenaExhaustionRecovers(t *testing.T) {
+	// A burst whose responses outgrow the host's send arena (100 × 3000 B
+	// against 256 KiB) waits on the poller for acknowledgments instead of
+	// breaking the connection: every request is answered, and the
+	// reservation that found the arena full counts a recovery. There is no
+	// duplex-worker row: there responses trickle out in smaller posts, and
+	// in a few percent of runs the DPU spends every credit on
+	// acknowledgment-only blocks queued behind the unanswered request block
+	// and the pair stalls, the response-arena hole still open.
+	ccfg, scfg := duplexCfg(0)
+	r := newRig(t, ccfg, scfg, func(req Request) ResponseSpec {
+		v := binary.LittleEndian.Uint64(req.Payload)
+		return ResponseSpec{Size: 3000, Build: func(dst []byte, _ uint64) (uint32, int, error) {
+			binary.LittleEndian.PutUint64(dst, v)
+			return 0, 3000, nil
+		}}
+	})
+	const n = 100
+	got := 0
+	for i := 0; i < n; i++ {
+		i := i
+		err := r.client.Enqueue(CallSpec{
+			Size: 16,
+			Build: func(dst []byte, _ uint64) (uint32, int, error) {
+				binary.LittleEndian.PutUint64(dst, uint64(i))
+				return 0, 16, nil
+			},
+			OnResponse: func(resp Response) {
+				got++
+				if resp.Err || len(resp.Payload) != 3000 || binary.LittleEndian.Uint64(resp.Payload) != uint64(i) {
+					t.Errorf("request %d: err=%v len=%d", i, resp.Err, len(resp.Payload))
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.pump(t)
+	if got != n {
+		t.Fatalf("answered %d of %d", got, n)
+	}
+	c, g := r.server.Counters, r.server.Gauges()
+	if c.SendFullRecoveries == 0 || g.SendFullRecoveries.Load() != c.SendFullRecoveries {
+		t.Errorf("recoveries %d, gauge %d", c.SendFullRecoveries, g.SendFullRecoveries.Load())
+	}
+}
+
 func TestDuplexSingleWorkerMatchesSerial(t *testing.T) {
-	// HostWorkers == 1 keeps the serial response path (no pool is built).
+	// HostWorkers == 1 runs every stage on the poller: no worker goroutine
+	// starts, so no stage counts as the pool's.
 	ccfg, scfg := duplexCfg(1)
 	r := newRig(t, ccfg, scfg, nil)
 	r.call(t, 100, 64)
-	if c := r.server.Counters; c.DuplexHandled != 0 || c.DuplexBuilt != 0 {
+	if c := r.server.Counters; c.DuplexHandled != 0 || c.DuplexBuilt != 0 || r.server.duplex.taskQ != nil {
 		t.Errorf("HostWorkers=1 must not run the duplex pool: %+v", c)
 	}
 }
@@ -94,8 +143,15 @@ func TestDuplexStatusOnlyResponses(t *testing.T) {
 func TestDuplexBuildFailureTombstone(t *testing.T) {
 	// A failing response build must not kill the connection or leak the
 	// reserved slot: the slot is committed as an error tombstone
-	// (Internal status) and every other request still completes.
-	ccfg, scfg := duplexCfg(4)
+	// (Internal status) and every other request still completes, whether
+	// the poller or a worker ran the build.
+	for _, workers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { testBuildFailureTombstone(t, workers) })
+	}
+}
+
+func testBuildFailureTombstone(t *testing.T, workers int) {
+	ccfg, scfg := duplexCfg(workers)
 	r := newRig(t, ccfg, scfg, func(req Request) ResponseSpec {
 		payload := append([]byte(nil), req.Payload...)
 		return ResponseSpec{
@@ -227,10 +283,10 @@ func TestDuplexSettersOrder(t *testing.T) {
 }
 
 func TestReserveCommitSerialEquivalence(t *testing.T) {
-	// The serial appendResponse wrapper (reserve → build → commit) must
-	// produce the same wire contract as before: this pins the response for
-	// a given request sequence across the serial and duplex paths.
-	for _, workers := range []int{1, 4} {
+	// Reserve → build → commit on the poller (workers 0 and 1) and on the
+	// pool must keep the same wire contract: this pins the response for a
+	// given request sequence across the pipeline's two ways to run a stage.
+	for _, workers := range []int{0, 1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ccfg, scfg := duplexCfg(workers)

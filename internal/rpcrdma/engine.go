@@ -744,6 +744,8 @@ type ConnGauges struct {
 	LateResponsesDropped atomic.Uint64 // mirrors Counters.LateResponsesDropped
 	SendFullRecoveries   atomic.Uint64 // mirrors Counters.SendFullRecoveries
 	AdmissionSheds       atomic.Uint64 // mirrors Counters.AdmissionSheds
+	// ResponseBuildFailures mirrors Counters.DuplexTombstones.
+	ResponseBuildFailures atomic.Uint64
 }
 
 // Gauges returns the endpoint's atomic occupancy mirrors. Safe to read from

@@ -78,20 +78,18 @@ type Segment struct {
 	Src []byte
 }
 
-// Handler processes one request in the poller thread (foreground execution,
-// Sec. III-D).
+// Handler processes one request, in the poller thread (foreground execution,
+// Sec. III-D) or on a duplex worker (Config.HostWorkers).
 type Handler func(Request) ResponseSpec
 
 // ServerConn is the host-side endpoint of one connection. The embedded
 // sender carries response blocks, the embedded receiver walks request
 // blocks; what is the server's own is request-ID binding on receipt and
-// freeing on acknowledgment, admission shedding, handler dispatch and the
-// duplex pool.
+// freeing on acknowledgment, admission shedding and the response pipeline.
 type ServerConn struct {
 	sender
 	receiver
-	pool    *idPool
-	handler Handler
+	pool *idPool
 	// idScratch holds the IDs the request walk binds for the block being
 	// walked; handlers cannot reenter the walk, so it is reused per block.
 	idScratch []uint16
@@ -100,16 +98,18 @@ type ServerConn struct {
 	// request in it has been answered.
 	reqBlockOf map[uint16]*inBlock
 
-	// duplex is the response-direction pipeline (nil unless
-	// Config.HostWorkers > 1): handlers and response builds run on the
-	// pool, the poller reserves slots as handlers finish (dxReady) and
-	// commits them as builds complete. See duplex.go.
+	// duplex runs the response pipeline's stages: on Config.HostWorkers
+	// worker goroutines when that is > 1, else on the poller. The poller
+	// reserves slots as handlers finish (dxReady) and commits them as builds
+	// complete. See duplex.go.
 	duplex     *duplexPool
 	dxReady    []*respTask
 	dxInflight int
 	dxBacklog  []*respTask
 	dxMax      int
-	// dxFree holds retired tasks for reuse (dxRetire, dxAdmit).
+	// dxFull is set while dxReady's head waits for the send arena.
+	dxFull bool
+	// dxFree holds retired tasks for reuse (dxRetire, message).
 	dxFree []*respTask
 
 	// traceOf caches the resolved trace handle of each in-flight traced
@@ -127,7 +127,6 @@ type ServerConn struct {
 func newServerConn(cfg Config, qp *rdma.QP, sendCQ, wakeCQ *rdma.CQ, sbuf []byte, rbuf *rdma.MR, h Handler, recvPosts int) (*ServerConn, error) {
 	s := &ServerConn{
 		pool:       newIDPool(),
-		handler:    h,
 		reqBlockOf: make(map[uint16]*inBlock),
 		recvPosts:  recvPosts,
 	}
@@ -143,54 +142,39 @@ func newServerConn(cfg Config, qp *rdma.QP, sendCQ, wakeCQ *rdma.CQ, sbuf []byte
 		s.traced = true
 		s.traceOf = make(map[uint16]*trace.Active)
 	}
-	if cfg.HostWorkers > 1 {
-		s.dxMax = 4 * cfg.HostWorkers
-		s.duplex = newDuplexPool(cfg.HostWorkers, s.dxMax, h, wakeCQ)
-	}
+	s.dxMax = 4 * max(cfg.HostWorkers, 1)
+	s.duplex = newDuplexPool(cfg.HostWorkers, s.dxMax, h, wakeCQ)
 	return s, nil
 }
 
-// traceStart returns request id's trace handle and a start time, or nil.
-func (s *ServerConn) traceStart(id uint16) (*trace.Active, int64) {
-	if s.traceOf != nil {
-		if act := s.traceOf[id]; act != nil {
-			return act, nowNS()
-		}
-	}
-	return nil, 0
-}
-
-// reserveResponse claims a response slot for request id sized for spec,
-// and stamps the spec's SG framing on it. A response no block can hold is
-// replaced by its refusal. The slot joins the current block in call order
-// (any order keeps the ID replay contract, see duplex.go); the block
+// reserveResponse claims the response slot of t's request sized for its
+// spec, and stamps the spec's SG framing on it. A response no block can
+// hold is replaced by its refusal. The slot joins the current block in call
+// order (any order keeps the ID replay contract, see duplex.go); the block
 // transmits only after every reserved slot commits. Poller-only.
-func (s *ServerConn) reserveResponse(id uint16, spec *ResponseSpec) (*Reservation, error) {
-	act, t0 := s.traceStart(id)
-	r, err := s.reserve(spec.Size)
-	if errors.Is(err, ErrTooLargeForBuffer) {
-		*spec = refusal(err)
-		r, err = s.reserve(spec.Size)
+func (s *ServerConn) reserveResponse(t *respTask) (*Reservation, error) {
+	var t0 int64
+	if t.tr != nil {
+		t0 = nowNS()
+	}
+	r, err := s.reserve(t.spec.Size)
+	if err != nil && errors.Is(err, ErrTooLargeForBuffer) {
+		t.spec = refusal(err)
+		r, err = s.reserve(t.spec.Size)
 	}
 	if err != nil {
 		return nil, err
 	}
-	r.h.reqID = id
-	r.b.ids = append(r.b.ids, id)
-	r.SG, r.SGSegs, r.SGBytes = spec.SG, spec.SGSegs, spec.SGBytes
-	for _, g := range spec.Gather {
+	r.h.reqID = t.id
+	r.b.ids = append(r.b.ids, t.id)
+	r.SG, r.SGSegs, r.SGBytes = t.spec.SG, t.spec.SGSegs, t.spec.SGBytes
+	for _, g := range t.spec.Gather {
 		s.Gather(r, g.Off, g.Src)
 	}
-	if act != nil {
-		act.Span(trace.StageRespReserve, trace.ProcHost, 0, t0, nowNS())
+	if t.tr != nil {
+		t.tr.Span(trace.StageRespReserve, trace.ProcHost, 0, t0, nowNS())
 	}
 	return r, nil
-}
-
-// respond commits a response slot with its status and flags. Poller-only.
-func (s *ServerConn) respond(r *Reservation, status uint16, errFlag, object bool, root uint32, used int) error {
-	r.h.method, r.h.errFlag, r.h.object = status, errFlag, object
-	return s.Commit(r, root, used)
 }
 
 // refusal is the response that replaces one no block can hold
@@ -205,31 +189,6 @@ func refusal(err error) ResponseSpec {
 			return 0, copy(dst, msg), nil
 		},
 	}
-}
-
-// appendResponse adds one response message to the outgoing batch — the
-// serial path: reserve, build in place, commit.
-func (s *ServerConn) appendResponse(id uint16, spec ResponseSpec) error {
-	r, err := s.reserveResponse(id, &spec)
-	if err != nil {
-		return err
-	}
-	var root uint32
-	used := spec.Size
-	if spec.Build != nil {
-		act, t0 := s.traceStart(id)
-		root, used, err = spec.Build(r.Dst, r.RegionOff)
-		if err != nil {
-			s.Cancel(r)
-			return err
-		}
-		if act != nil {
-			act.Span(trace.StageRespBuild, trace.ProcHost, 0, t0, nowNS())
-		}
-	} else {
-		clear(r.Dst) // Size zero bytes, as on the duplex path
-	}
-	return s.respond(r, spec.Status, spec.Err, spec.Object, root, used)
 }
 
 // committed marks the slot's request answered, which may make its request
@@ -308,16 +267,23 @@ func (s *ServerConn) admit(ib *inBlock, msgs int) error {
 	return nil
 }
 
-// message runs one request: shed by admission control, or handed to the
-// handler — foreground in the poller thread, or on the duplex pool. The
-// whole block is processed before its responses flush, which is what makes
-// first-response acknowledgment safe (Sec. IV-B).
+// message runs one request through the response pipeline: answered by
+// admission control's shed, or handed to the handler — on the poller, or on
+// a duplex worker. The whole block is processed before its responses flush,
+// which is what makes first-response acknowledgment safe (Sec. IV-B).
 func (s *ServerConn) message(i int, h header, payload []byte, regionOff uint64) error {
 	var reqT0 int64
 	if s.traceOf != nil {
 		reqT0 = nowNS()
 	}
-	id := s.idScratch[i]
+	var t *respTask
+	if n := len(s.dxFree); n > 0 {
+		t = s.dxFree[n-1]
+		s.dxFree = s.dxFree[:n-1]
+	} else {
+		t = new(respTask)
+	}
+	t.id = s.idScratch[i]
 	s.Counters.RequestsReceived++
 	if s.shouldShed() {
 		// Admission control: reject before the request reaches any handler
@@ -326,11 +292,14 @@ func (s *ServerConn) message(i int, h header, payload []byte, regionOff uint64) 
 		// timeouts downstream.
 		s.Counters.AdmissionSheds++
 		s.gauges.AdmissionSheds.Add(1)
-		return s.appendResponse(id, ResponseSpec{Status: StatusUnavailable, Err: true})
+		t.spec = ResponseSpec{Status: StatusUnavailable, Err: true}
+		s.dxInflight++
+		s.dxDone(t)
+		return s.broken
 	}
-	req := Request{
+	t.req = Request{
 		Method:    h.method,
-		ID:        id,
+		ID:        t.id,
 		Payload:   payload,
 		RegionOff: regionOff,
 		Root:      h.rootOff,
@@ -339,23 +308,25 @@ func (s *ServerConn) message(i int, h header, payload []byte, regionOff uint64) 
 	// Resolve the propagated trace ID: the client published it in the
 	// shared table under the request ID this side just replayed.
 	if s.traceOf != nil && s.traceTab != nil {
-		if tid := s.traceTab[id].Load(); tid != 0 {
+		if tid := s.traceTab[t.id].Load(); tid != 0 {
 			if act := s.cfg.Tracer.Lookup(tid); act != nil {
-				req.Trace = tid
-				s.traceOf[id] = act
+				t.req.Trace, t.tr = tid, act
+				s.traceOf[t.id] = act
 				act.Span(trace.StageHostDispatch, trace.ProcHost, 0, reqT0, nowNS())
 			}
 		}
 	}
-	if s.duplex != nil {
-		// Duplex pipeline (Sec. III-D background execution): handler AND
-		// response build run on the worker pool. The payload view outlives
-		// sibling responses: the block is acknowledged only once every
-		// request in it is answered.
-		s.dxAdmit(id, req)
-		return nil
+	// The payload view outlives sibling responses: the block is
+	// acknowledged only once every request in it is answered. The backlog
+	// holds requests while others wait there or the in-flight bound is
+	// reached, which keeps channel occupancy under the channel capacity.
+	if len(s.dxBacklog) > 0 || s.dxInflight >= s.dxMax {
+		s.dxBacklog = append(s.dxBacklog, t)
+	} else {
+		s.dxInflight++
+		s.dxRun(t)
 	}
-	return s.appendResponse(id, s.handler(req))
+	return s.broken
 }
 
 func (s *ServerConn) delivered() {}
@@ -542,7 +513,7 @@ func (sp *ServerPoller) Progress() (int, error) {
 			conn.fail(fmt.Errorf("peer QP closed"))
 		}
 		conn.drainSendCQ(sp.cqes)
-		if conn.duplex != nil {
+		if conn.dxPending() > 0 {
 			conn.dxProgress()
 		}
 		conn.maybeSeal()
@@ -558,13 +529,13 @@ func (sp *ServerPoller) Progress() (int, error) {
 	return events, firstErr
 }
 
-// ResponsePending returns the number of requests inside the duplex
-// response pipeline (queued, building, or awaiting commit) across all
+// ResponsePending returns the number of requests inside the response
+// pipeline (backlogged, running, or awaiting a slot or commit) across all
 // connections.
 func (sp *ServerPoller) ResponsePending() int {
 	n := 0
 	for _, conn := range sp.conns {
-		n += conn.dxInflight + len(conn.dxBacklog)
+		n += conn.dxPending()
 	}
 	return n
 }
@@ -590,8 +561,7 @@ func (sp *ServerPoller) Drain(timeout time.Duration) error {
 			if conn.broken != nil {
 				continue
 			}
-			if len(conn.sendQ) > 0 || (conn.cur != nil && conn.cur.msgs > 0) ||
-				conn.dxInflight > 0 || len(conn.dxBacklog) > 0 {
+			if len(conn.sendQ) > 0 || (conn.cur != nil && conn.cur.msgs > 0) || conn.dxPending() > 0 {
 				idle = false
 				break
 			}

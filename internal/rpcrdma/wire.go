@@ -88,7 +88,7 @@ func parsePreamble(b []byte) (preamble, error) {
 //	+10 reqID      u16  request ID (responses only)
 //	+12 flags      u16  bit0 response, bit1 error
 //	+14 pad        u16  extra slot bytes after the aligned payload, in
-//	                    8-byte units (0 on the serial paths). Lets an
+//	                    8-byte units (0 on the poller-only path). Lets an
 //	                    interior slot whose build used fewer bytes than it
 //	                    reserved keep its fixed stride while declaring the
 //	                    exact payload length.

@@ -321,6 +321,8 @@ func registerConnGauges(smp *metrics.Sampler, l map[string]string, g func() *rpc
 			func(g *rpcrdma.ConnGauges) float64 { return float64(g.SendFullRecoveries.Load()) }},
 		{"conn_admission_sheds_total", "Requests the endpoint's admission control answered UNAVAILABLE.",
 			func(g *rpcrdma.ConnGauges) float64 { return float64(g.AdmissionSheds.Load()) }},
+		{"conn_response_build_failures_total", "Response builds that failed and were answered with an error status.",
+			func(g *rpcrdma.ConnGauges) float64 { return float64(g.ResponseBuildFailures.Load()) }},
 	} {
 		smp.Register(c.name, c.help, l, func() float64 { return c.v(g()) })
 	}
