@@ -109,16 +109,16 @@ chaos:
 		./internal/offload ./internal/rpcrdma ./internal/harness
 
 # Short fuzz pass over the untrusted-input surfaces. FuzzPlannedDecode fuzzes
-# the decoder production runs (Scan + Fill) against the interpretive one and
-# protomsg; FuzzPackedVarints fuzzes the packed-varint kernel against the
-# portable loop and a wire.Uvarint loop. FuzzBlockWalk feeds arbitrary bytes
+# the one decoder (Scan + Fill, and FillSG + Segments) against the
+# interpretive oracle its tests keep and against protomsg; FuzzPackedVarints
+# fuzzes the packed-varint kernel against the portable loop and a
+# wire.Uvarint loop. FuzzBlockWalk feeds arbitrary bytes
 # to rpcrdma's one inbound block walker in both directions. Their corpora and
 # FuzzServeConn's are checked in (internal/{deser,xrpc,rpcrdma}/testdata/fuzz),
 # so their seeds also run in `go test`.
 fuzz:
 	go test -fuzz FuzzPlannedDecode -fuzztime 30s ./internal/deser
 	go test -fuzz FuzzPackedVarints -fuzztime 30s ./internal/deser
-	go test -fuzz FuzzDeserialize -fuzztime 30s ./internal/deser
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/protodsl
 	go test -fuzz FuzzDecode -fuzztime 30s ./internal/adt
 	go test -fuzz FuzzServeConn -fuzztime 30s ./internal/xrpc

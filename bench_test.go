@@ -27,21 +27,30 @@ import (
 
 // --- Fig. 7: single-message deserialization ---------------------------------
 
+// benchDeser times the datapath's decode of one message: Scan, Fill and
+// Release.
 func benchDeser(b *testing.B, data []byte, lay *abi.Layout) {
-	need, err := deser.MeasureExact(lay, data)
+	d := deser.New(deser.Options{ValidateUTF8: true})
+	plan := deser.PlanFor(lay)
+	notes, err := d.Scan(plan, data)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bump := arena.NewBump(make([]byte, need+deser.GuardBytes))
-	d := deser.New(deser.Options{ValidateUTF8: true})
+	bump := arena.NewBump(make([]byte, notes.Need()+deser.GuardBytes))
+	notes.Release()
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bump.Reset()
-		if _, err := d.Deserialize(lay, data, bump, 0); err != nil {
+		notes, err := d.Scan(plan, data)
+		if err != nil {
 			b.Fatal(err)
 		}
+		bump.Reset()
+		if _, err := d.Fill(plan, data, notes, bump, 0); err != nil {
+			b.Fatal(err)
+		}
+		notes.Release()
 	}
 }
 
@@ -122,10 +131,15 @@ func BenchmarkDatapathAllocs(b *testing.B) {
 	lay := env.SmallLay
 
 	// Deserialize once into a block, as the DPU would.
-	need, _ := deser.MeasureExact(lay, data)
-	bump := arena.NewBump(make([]byte, need))
 	d := deser.New(deser.Options{ValidateUTF8: true})
-	root, err := d.Deserialize(lay, data, bump, 4096)
+	plan := deser.PlanFor(lay)
+	notes, err := d.Scan(plan, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bump := arena.NewBump(make([]byte, notes.Need()))
+	root, err := d.Fill(plan, data, notes, bump, 4096)
+	notes.Release()
 	if err != nil {
 		b.Fatal(err)
 	}

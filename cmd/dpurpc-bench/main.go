@@ -182,7 +182,7 @@ func experiments(opts harness.Options, wallIters, payloadSize int) []experiment 
 	return []experiment{
 		single("table1", func() ([]harness.TableIRow, error) { return harness.TableI(opts), nil }, printTable1),
 		single("fig7", func() ([]harness.Fig7Row, error) {
-			return harness.Fig7(opts, harness.DefaultFig7Counts(), wallIters)
+			return harness.Fig7(opts, workload.Fig7Counts(), wallIters)
 		}, printFig7),
 		{"fig8", []string{"fig8a", "fig8b", "fig8c"}, func() (any, func(string), error) {
 			rows, err := harness.RunFig8(opts)

@@ -9,10 +9,6 @@ import (
 // the oldest live allocation.
 var ErrOutOfOrderFree = errors.New("arena: ring buffer requires FIFO frees")
 
-// ErrLargeSegmentExhausted is returned by a spill-backed Ring when an
-// oversized allocation cannot fit the large-segment spill region.
-var ErrLargeSegmentExhausted = errors.New("arena: large-segment spill region exhausted")
-
 // Ring is a fixed-size ring-buffer allocator: allocations advance a head
 // pointer and must be released strictly in allocation order.
 //
@@ -31,14 +27,6 @@ type Ring struct {
 
 	fifo []ringSpan
 
-	// Large-segment spill region (NewRingWithSpill): oversized payloads —
-	// bigger than the ring itself, the scatter-gather jumbo case — land in
-	// a first-fit region at offsets [size, size+spillSize) and may be
-	// freed in any order, sidestepping the FIFO rule that would otherwise
-	// trap the whole ring behind one giant block.
-	spillSize uint64
-	spill     []spillSpan // live spans, sorted by offset
-
 	allocs, frees, failures uint64
 }
 
@@ -47,21 +35,9 @@ type ringSpan struct {
 	data uint64 // physical offset returned to the caller
 }
 
-type spillSpan struct {
-	off, end uint64 // physical offsets within [size, size+spillSize)
-}
-
 // NewRing returns a ring allocator over a virtual space of size bytes.
 func NewRing(size uint64) *Ring {
 	return &Ring{size: size}
-}
-
-// NewRingWithSpill returns a ring allocator backed by a large-segment spill
-// region: allocations bigger than the ring route to a first-fit region of
-// spillSize bytes starting at offset size, and Free recognizes offsets in
-// either region.
-func NewRingWithSpill(size, spillSize uint64) *Ring {
-	return &Ring{size: size, spillSize: spillSize}
 }
 
 // Size returns the capacity.
@@ -88,9 +64,6 @@ func (r *Ring) Alloc(size, align uint64) (uint64, error) {
 		return 0, ErrInvalidAlign
 	}
 	if size > r.size {
-		if r.spillSize > 0 {
-			return r.allocSpill(size, align)
-		}
 		r.failures++
 		return 0, fmt.Errorf("%w: %d bytes in a %d-byte ring", ErrOutOfMemory, size, r.size)
 	}
@@ -114,67 +87,10 @@ func (r *Ring) Alloc(size, align uint64) (uint64, error) {
 	return aligned, nil
 }
 
-// allocSpill places an oversized allocation first-fit in the spill region.
-func (r *Ring) allocSpill(size, align uint64) (uint64, error) {
-	cur := (r.size + align - 1) &^ (align - 1)
-	for _, s := range r.spill {
-		if s.off >= cur+size {
-			break // fits in the gap before this span
-		}
-		if s.end > cur {
-			cur = (s.end + align - 1) &^ (align - 1)
-		}
-	}
-	if cur+size > r.size+r.spillSize {
-		r.failures++
-		return 0, fmt.Errorf("%w (%w): %d bytes, %d live spans in %d spill bytes",
-			ErrLargeSegmentExhausted, ErrOutOfMemory, size, len(r.spill), r.spillSize)
-	}
-	// Insert sorted by offset.
-	i := 0
-	for i < len(r.spill) && r.spill[i].off < cur {
-		i++
-	}
-	r.spill = append(r.spill, spillSpan{})
-	copy(r.spill[i+1:], r.spill[i:])
-	r.spill[i] = spillSpan{off: cur, end: cur + size}
-	r.allocs++
-	return cur, nil
-}
-
-// SpillLive returns the number of live spill-region allocations.
-func (r *Ring) SpillLive() int { return len(r.spill) }
-
-// SpillSize returns the capacity of the large-segment spill region (0 when
-// the ring was built without one).
-func (r *Ring) SpillSize() uint64 { return r.spillSize }
-
-// SpillInUse returns the live bytes in the large-segment spill region — the
-// occupancy the resource gauges sample alongside the main arena, since jumbo
-// scatter-gather segments exhaust it independently of ring fill.
-func (r *Ring) SpillInUse() uint64 {
-	var used uint64
-	for _, s := range r.spill {
-		used += s.end - s.off
-	}
-	return used
-}
-
 // Free releases the OLDEST allocation; offset must be the value Alloc
 // returned for it. Releasing anything else fails — the ring's defining
-// limitation under out-of-order completion. Spill-region offsets
-// (>= Size()) are exempt: oversized segments free in any order.
+// limitation under out-of-order completion.
 func (r *Ring) Free(offset uint64) error {
-	if offset >= r.size && r.spillSize > 0 {
-		for i, s := range r.spill {
-			if s.off == offset {
-				r.spill = append(r.spill[:i], r.spill[i+1:]...)
-				r.frees++
-				return nil
-			}
-		}
-		return fmt.Errorf("%w: spill offset %d", ErrInvalidFree, offset)
-	}
 	if len(r.fifo) == 0 {
 		return fmt.Errorf("%w: offset %d", ErrInvalidFree, offset)
 	}

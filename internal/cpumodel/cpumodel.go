@@ -185,10 +185,9 @@ func (p *Platform) BlockCostNS(blockBytes int) float64 {
 }
 
 // DeserNS converts deserialization operation counts into nanoseconds of
-// core time on this platform. Interpretive decodes report zero
-// ReplayedBytes; planned decodes charge the fill pass's note replay at
-// copy-like cost (the wire bytes were already decoded once during the scan
-// and appear in the VarintBytes/FixedBytes/UTF8Bytes terms).
+// core time on this platform. The fill pass's note replay (ReplayedBytes)
+// is charged at copy-like cost: the wire bytes were already decoded once
+// during the scan and appear in the VarintBytes/FixedBytes/UTF8Bytes terms.
 func (p *Platform) DeserNS(s deser.Stats) float64 {
 	return p.VarintByteNS*float64(s.VarintBytes) +
 		p.FixedByteNS*float64(s.FixedBytes) +
@@ -200,15 +199,6 @@ func (p *Platform) DeserNS(s deser.Stats) float64 {
 		p.MessageNS*float64(s.Messages)
 }
 
-// RespCacheProbeCost returns the core time of one response-cache probe over
-// a request of the given size: the fixed lookup plus the hash-and-compare
-// pass over the raw request bytes. Hits and misses cost the same probe —
-// a hit then skips the entire deserialization and RPC stack, which is
-// where the saving comes from.
-func (p *Platform) RespCacheProbeCost(reqBytes int) float64 {
-	return p.RespCacheProbeNS + p.RespCacheHashByteNS*float64(reqBytes)
-}
-
 // SerializeNS models the cost of serializing an object with the given
 // emitted byte count, field count, and message count.
 func (p *Platform) SerializeNS(bytes, fields, messages int) float64 {
@@ -216,29 +206,3 @@ func (p *Platform) SerializeNS(bytes, fields, messages int) float64 {
 		p.SerFieldNS*float64(fields) +
 		p.SerMessageNS*float64(messages)
 }
-
-// Ledger accumulates simulated core time for one platform. Callers charge
-// nanoseconds as work is performed; TotalNS and Cores feed the bottleneck
-// analysis in internal/dpu.
-type Ledger struct {
-	Platform *Platform
-	totalNS  float64
-}
-
-// NewLedger returns a ledger for p.
-func NewLedger(p *Platform) *Ledger { return &Ledger{Platform: p} }
-
-// Charge adds ns nanoseconds of core time.
-func (l *Ledger) Charge(ns float64) { l.totalNS += ns }
-
-// ChargeDeser charges the platform cost of the given deserialization stats.
-func (l *Ledger) ChargeDeser(s deser.Stats) { l.totalNS += l.Platform.DeserNS(s) }
-
-// TotalNS returns the accumulated core time.
-func (l *Ledger) TotalNS() float64 { return l.totalNS }
-
-// Reset zeroes the ledger.
-func (l *Ledger) Reset() { l.totalNS = 0 }
-
-// CoreSeconds returns total core time in seconds.
-func (l *Ledger) CoreSeconds() float64 { return l.totalNS / 1e9 }

@@ -184,6 +184,7 @@ func setRandom(rng *mt19937.Source, m *protomsg.Message, f *protodesc.Field, dep
 func TestAllPathsAgree(t *testing.T) {
 	rng := mt19937.New(20260706)
 	d := deser.New(deser.Options{ValidateUTF8: true})
+	plan := deser.PlanFor(nodeLay)
 	for trial := 0; trial < 300; trial++ {
 		m := genMessage(rng, nodeDesc, 2)
 
@@ -197,15 +198,16 @@ func TestAllPathsAgree(t *testing.T) {
 			t.Fatalf("trial %d: wire round trip diverged", trial)
 		}
 
-		// Path 2: arena deserializer + re-serialization.
-		need, err := deser.MeasureExact(nodeLay, wireBytes)
+		// Path 2: arena deserializer (Scan + Fill) + re-serialization.
+		notes, err := d.Scan(plan, wireBytes)
 		if err != nil {
-			t.Fatalf("trial %d: measure: %v", trial, err)
+			t.Fatalf("trial %d: scan: %v", trial, err)
 		}
-		bump := arena.NewBump(make([]byte, need+deser.GuardBytes))
-		off, err := d.Deserialize(nodeLay, wireBytes, bump, 0)
+		bump := arena.NewBump(make([]byte, notes.Need()+deser.GuardBytes))
+		off, err := d.Fill(plan, wireBytes, notes, bump, 0)
+		notes.Release()
 		if err != nil {
-			t.Fatalf("trial %d: deserialize: %v", trial, err)
+			t.Fatalf("trial %d: fill: %v", trial, err)
 		}
 		view := abi.MakeView(&abi.Region{Buf: bump.Bytes()}, off, nodeLay)
 		if err := abi.Verify(view); err != nil {

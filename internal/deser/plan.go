@@ -1,9 +1,9 @@
-// Decode-plan compilation: the schema walk the interpretive deserializer
+// Decode-plan compilation: the schema walk an interpretive deserializer
 // performs per message — map lookups through protodesc, per-tag kind
-// dispatch, and three separate passes over the wire bytes (measure, count,
-// fill) — is hoisted to stack-build time. Each abi.Layout compiles once into
+// dispatch, and separate passes over the wire bytes to size, count and
+// fill — is hoisted to stack-build time. Each abi.Layout compiles once into
 // a Plan, a flat field-number-indexed table of pre-resolved actions, and the
-// hot path becomes:
+// decoder becomes:
 //
 //	Scan  — one structure-discovery pass over the wire bytes producing the
 //	        exact arena size, per-message repeated-element counts, and a
@@ -19,13 +19,14 @@
 // xRPC handler goroutines, in parallel across requests, while Fill runs on
 // the connection's single poller.
 //
-// Fill reproduces the interpretive deserializer's allocation sequence
-// byte-for-byte: object, array pre-allocations in field-index order, then
-// string spills and nested objects in wire order. Scan reports the same
-// structural errors Deserialize would (wire-type mismatches, duplicate
-// singular messages, truncation, depth), though for inputs with several
-// independent defects the *first* error found can differ, because the
-// interpretive path notices count-pass errors before fill-pass ones.
+// Fill's allocation sequence is fixed: object, array pre-allocations in
+// field-index order, then string spills and nested objects in wire order.
+// The tests check it byte for byte against an interpretive decoder
+// (oracle_test.go), and check that Scan reports the same structural errors
+// (wire-type mismatches, duplicate singular messages, truncation, depth);
+// for inputs with several independent defects the *first* error found can
+// differ, because the interpretive decoder notices count-pass errors before
+// fill-pass ones.
 package deser
 
 import (
@@ -287,8 +288,7 @@ func (no *Notes) SegCount() int { return no.segCount }
 func (no *Notes) Bypass() bool { return no.bypass }
 
 // Need returns the exact arena bytes Fill will consume, excluding the
-// GuardBytes NullRef guard prepended at base 0 — the same convention as
-// MeasureExact.
+// GuardBytes NullRef guard prepended at base 0.
 func (no *Notes) Need() int { return no.need }
 
 // notesPool recycles Notes across calls and goroutines (the DPU scans on an
@@ -577,9 +577,10 @@ func (d *Deserializer) scanBody(p *Plan, body []byte, bodyOff int, no *Notes, de
 			pos += n
 		}
 	}
-	// The interpretive fill rejects a repeated scalar field whose records
-	// were all empty packed runs (final count 0 with the field present);
-	// the single pass detects that at end of body.
+	// A repeated scalar field whose records were all empty packed runs
+	// (final count 0 with the field present) is rejected, as the
+	// interpretive decoder's fill rejects it; the single pass detects that
+	// at end of body.
 	for _, rs := range p.rep {
 		a := rs.act
 		if a.scalar && fr.cursors[a.repIdx] > 0 && no.counts[cbase+int(a.repIdx)] == 0 {
@@ -698,6 +699,26 @@ func (p *Plan) countFields(b []byte) (cnt int) {
 	return cnt
 }
 
+// elemSize returns the arena element width of a repeated field.
+func elemSize(fl *abi.FieldLayout) int {
+	switch {
+	case fl.ElemSize != 0:
+		return int(fl.ElemSize)
+	case fl.Kind == protodesc.KindMessage:
+		return abi.RefSize
+	default:
+		return abi.StringRecordSize
+	}
+}
+
+// bumpSizer mirrors arena.Bump's offset arithmetic without a backing
+// buffer. Alignment is relative to offset 0, exactly as in Bump.Alloc.
+type bumpSizer struct{ off int }
+
+func (s *bumpSizer) alloc(n, align int) {
+	s.off = ((s.off + align - 1) &^ (align - 1)) + n
+}
+
 // sizeNotes replays the allocation sequence of one message body through the
 // bump-sizer: object, arrays, then wire-order spills and children — the only
 // note records that allocate. It is the exact-sizing pass of the compiled
@@ -731,14 +752,13 @@ func sizeNotes(p *Plan, no *Notes, opi, cti *int, s *bumpSizer) {
 
 // Fill replays parse notes into a fresh object graph allocated from bump,
 // re-decoding and re-validating nothing. data must be the wire bytes no was
-// scanned from. The allocation sequence is byte-identical to Deserialize's,
-// including the base-0 NullRef guard.
+// scanned from. At base 0 it first allocates the GuardBytes NullRef guard.
 func (d *Deserializer) Fill(p *Plan, data []byte, no *Notes, bump *arena.Bump, base uint64) (uint64, error) {
 	if no.bypass {
 		// Scan-bypass shape: no notes to replay, run the fused decode. The
 		// scan already validated and charged decode stats, so this pass
 		// charges only replay-side work.
-		return d.fillSimple(p, data, bump, base, false)
+		return d.fillSimple(p, data, bump, base)
 	}
 	if base == 0 && bump.Used() == 0 {
 		// Reserve offset 0 so NullRef stays unambiguous.
@@ -758,12 +778,10 @@ func (d *Deserializer) Fill(p *Plan, data []byte, no *Notes, bump *arena.Bump, b
 
 // fillSimple is the fused small-message fast path: one tag→action loop that
 // decodes a simple-layout message straight into a fresh object, with no
-// parse notes in between. The allocation sequence (object, then wire-order
-// string spills) and every validation decision are byte-identical to the
-// interpretive path. With charge set (the one-call DeserializePlanned path)
-// it validates and charges decode stats; without it (Fill after a
-// validating scanSimple) it only replays, charging replay-side stats.
-func (d *Deserializer) fillSimple(p *Plan, data []byte, bump *arena.Bump, base uint64, charge bool) (uint64, error) {
+// parse notes in between, allocating the object and then its wire-order
+// string spills. It runs only after scanSimple validated the message, so it
+// re-validates nothing and charges only replay-side stats.
+func (d *Deserializer) fillSimple(p *Plan, data []byte, bump *arena.Bump, base uint64) (uint64, error) {
 	if base == 0 && bump.Used() == 0 {
 		// Reserve offset 0 so NullRef stays unambiguous.
 		if _, _, err := bump.Alloc(GuardBytes, 8); err != nil {
@@ -796,9 +814,6 @@ func (d *Deserializer) fillSimple(p *Plan, data []byte, bump *arena.Bump, base u
 				return 0, fmt.Errorf("%w: bad tag", ErrMalformed)
 			}
 		}
-		if charge {
-			d.Stats.VarintBytes += uint64(n)
-		}
 		pos += n
 		a := p.lookup(num)
 		if a == nil {
@@ -809,9 +824,6 @@ func (d *Deserializer) fillSimple(p *Plan, data []byte, bump *arena.Bump, base u
 			pos += skipped
 			continue
 		}
-		if charge {
-			d.Stats.Fields++
-		}
 		if a.str {
 			if wt != wire.TypeBytes {
 				return 0, wireErr(lay, a.fld, wt)
@@ -819,12 +831,6 @@ func (d *Deserializer) fillSimple(p *Plan, data []byte, bump *arena.Bump, base u
 			payload, n := wire.Bytes(data[pos:])
 			if n == 0 {
 				return 0, fmt.Errorf("%w: truncated string", ErrMalformed)
-			}
-			if charge {
-				d.Stats.VarintBytes += uint64(n - len(payload))
-				if a.kind == protodesc.KindString && !d.validateUTF8(payload) {
-					return 0, wire.ErrInvalidUTF8
-				}
 			}
 			rec := obj[a.offset : a.offset+abi.StringRecordSize]
 			if err := d.replayString(rec, objOff+uint64(a.offset), payload, bump, base); err != nil {
@@ -834,26 +840,16 @@ func (d *Deserializer) fillSimple(p *Plan, data []byte, bump *arena.Bump, base u
 			pos += n
 			continue
 		}
-		var bits uint64
-		if charge {
-			bits, n, err = d.scalar(data[pos:], a.kind, wt)
-		} else {
-			bits, n, err = decodeScalar(data[pos:], a.kind, wt)
-		}
+		bits, n, err := decodeScalar(data[pos:], a.kind, wt)
 		if err != nil {
 			return 0, wrapScalarErr(lay, a.fld, err)
 		}
 		writeSlot(obj[a.offset:a.offset+a.size], a.size, bits)
-		if !charge {
-			d.Stats.ReplayedBytes += uint64(a.size)
-		}
+		d.Stats.ReplayedBytes += uint64(a.size)
 		setPresence(obj, lay, int(a.index))
 		pos += n
 	}
 	d.Stats.ArenaBytes += uint64(bump.Used() - before)
-	if charge {
-		d.Stats.ScannedBytes += uint64(len(data))
-	}
 	return objOff, nil
 }
 
@@ -1079,22 +1075,4 @@ func (d *Deserializer) PlaceSegments(data []byte, no *Notes, segDst []byte, refs
 		copy(segDst[r.Off:], r.Src)
 	}
 	return refs
-}
-
-// DeserializePlanned is Deserialize through the compiled plan: one Scan
-// (structure discovery) plus one Fill (replay), using a deserializer-owned
-// notes scratch so the steady state allocates nothing.
-func (d *Deserializer) DeserializePlanned(p *Plan, data []byte, bump *arena.Bump, base uint64) (uint64, error) {
-	if p.simple && len(data) <= SmallFastPathMax {
-		return d.fillSimple(p, data, bump, base, true)
-	}
-	if d.notes == nil {
-		d.notes = new(Notes)
-	}
-	no := d.notes
-	no.reset()
-	if err := d.scanInto(p, data, no); err != nil {
-		return 0, err
-	}
-	return d.Fill(p, data, no, bump, base)
 }

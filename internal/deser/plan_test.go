@@ -3,6 +3,7 @@ package deser
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,13 +15,16 @@ import (
 	"dpurpc/internal/workload"
 )
 
-// planShapes returns one representative message per benchmark layout,
-// exercising every action kind the compiler emits.
-func planShapes() []struct {
+// shape is one message of a layout that the decoder tests run.
+type shape struct {
 	name string
 	lay  *abi.Layout
 	data []byte
-} {
+}
+
+// planShapes returns one representative message per benchmark layout,
+// exercising every action kind the compiler emits.
+func planShapes() []shape {
 	rng := mt19937.New(mt19937.DefaultSeed)
 
 	small := protomsg.New(smallDesc)
@@ -76,11 +80,7 @@ func planShapes() []struct {
 	}
 
 	env := workload.NewEnv()
-	return []struct {
-		name string
-		lay  *abi.Layout
-		data []byte
-	}{
+	return []shape{
 		{"Small", smallLay, small.Marshal(nil)},
 		{"IntArray", intArrLay, ints.Marshal(nil)},
 		{"CharArray", charLay, chars.Marshal(nil)},
@@ -91,26 +91,36 @@ func planShapes() []struct {
 	}
 }
 
-// TestPlannedByteIdentity is the tentpole pin: for every shape and at both a
-// zero and a nonzero region base, the planned Scan+Fill must produce an
-// arena byte-identical to the interpretive Deserialize, the same root
-// offset, and an exact Need.
+// fig7Shapes returns the Fig. 7 message families at the paper's sweep: one
+// GenInts and one GenChars message per workload.Fig7Counts entry, generated
+// from the default seed as the fig7 experiment generates them.
+func fig7Shapes() []shape {
+	env := workload.NewEnv()
+	var out []shape
+	for _, n := range workload.Fig7Counts() {
+		ints := env.GenInts(mt19937.New(mt19937.DefaultSeed), n).Marshal(nil)
+		chars := env.GenChars(mt19937.New(mt19937.DefaultSeed), n).Marshal(nil)
+		out = append(out,
+			shape{fmt.Sprintf("Fig7Ints%d", n), env.IntsLay, ints},
+			shape{fmt.Sprintf("Fig7Chars%d", n), env.CharsLay, chars})
+	}
+	return out
+}
+
+// TestPlannedByteIdentity is the decoder's pin: for every shape, the Fig. 7
+// families included, and at both a zero and a nonzero region base, Scan +
+// Fill must produce an arena byte-identical to the interpretive oracle's,
+// the same root offset, and an exact Need.
 func TestPlannedByteIdentity(t *testing.T) {
-	for _, c := range planShapes() {
+	for _, c := range append(planShapes(), fig7Shapes()...) {
 		for _, base := range []uint64{0, 4096} {
-			need, err := MeasureExact(c.lay, c.data)
+			ioff, iarena, err := oracleDecode(New(Options{ValidateUTF8: true}), c.lay, c.data, base)
 			if err != nil {
-				t.Fatalf("%s: MeasureExact: %v", c.name, err)
+				t.Fatalf("%s: oracle: %v", c.name, err)
 			}
 			guard := 0
 			if base == 0 {
 				guard = GuardBytes
-			}
-			di := New(Options{ValidateUTF8: true})
-			bi := arena.NewBump(make([]byte, need+guard))
-			ioff, err := di.Deserialize(c.lay, c.data, bi, base)
-			if err != nil {
-				t.Fatalf("%s: Deserialize: %v", c.name, err)
 			}
 
 			p := PlanFor(c.lay)
@@ -119,8 +129,8 @@ func TestPlannedByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Scan: %v", c.name, err)
 			}
-			if no.Need() != need {
-				t.Fatalf("%s: Need %d != MeasureExact %d", c.name, no.Need(), need)
+			if no.Need()+guard != len(iarena) {
+				t.Fatalf("%s base %d: Need %d + guard %d != oracle's %d bytes", c.name, base, no.Need(), guard, len(iarena))
 			}
 			bp := arena.NewBump(make([]byte, no.Need()+guard))
 			poff, err := dp.Fill(p, c.data, no, bp, base)
@@ -129,62 +139,44 @@ func TestPlannedByteIdentity(t *testing.T) {
 				t.Fatalf("%s: Fill: %v", c.name, err)
 			}
 			if poff != ioff {
-				t.Fatalf("%s base %d: root offset %d != interpretive %d", c.name, base, poff, ioff)
+				t.Fatalf("%s base %d: root offset %d != oracle %d", c.name, base, poff, ioff)
 			}
-			if !bytes.Equal(bp.Bytes(), bi.Bytes()) {
-				t.Fatalf("%s base %d: planned arena diverges from interpretive", c.name, base)
-			}
-			if bp.Used() != bi.Used() {
-				t.Fatalf("%s base %d: used %d != interpretive %d", c.name, base, bp.Used(), bi.Used())
-			}
-
-			// DeserializePlanned (the fused entry point) must agree too.
-			df := New(Options{ValidateUTF8: true})
-			bf := arena.NewBump(make([]byte, need+guard))
-			foff, err := df.DeserializePlanned(p, c.data, bf, base)
-			if err != nil {
-				t.Fatalf("%s: DeserializePlanned: %v", c.name, err)
-			}
-			if foff != ioff || !bytes.Equal(bf.Bytes(), bi.Bytes()) {
-				t.Fatalf("%s base %d: DeserializePlanned diverges", c.name, base)
+			if bp.Used() != len(iarena) || !bytes.Equal(bp.Bytes(), iarena) {
+				t.Fatalf("%s base %d: arena diverges from the oracle's", c.name, base)
 			}
 		}
 	}
 }
 
-// TestPlannedStatsParity: the single pass must charge exactly the cycle-model
-// inputs the interpretive path charged, plus the two new fields that tell
-// the model decoded work from replayed work apart.
+// TestPlannedStatsParity: Scan + Fill must charge exactly the cost-model
+// inputs the interpretive oracle charges once the two counters that tell
+// decoded work from replayed work apart are zeroed — the Fig. 7 model
+// prices the paper's one-pass decoder that way — and ScannedBytes must
+// cover the wire bytes once.
 func TestPlannedStatsParity(t *testing.T) {
-	for _, c := range planShapes() {
+	for _, c := range append(planShapes(), fig7Shapes()...) {
+		di := New(Options{ValidateUTF8: true})
+		if _, _, err := oracleDecode(di, c.lay, c.data, 0); err != nil {
+			t.Fatal(err)
+		}
 		need, err := measureBase0(c.lay, c.data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		di := New(Options{ValidateUTF8: true})
-		bi := arena.NewBump(make([]byte, need))
-		if _, err := di.Deserialize(c.lay, c.data, bi, 0); err != nil {
-			t.Fatal(err)
-		}
 		dp := New(Options{ValidateUTF8: true})
-		bp := arena.NewBump(make([]byte, need))
-		if _, err := dp.DeserializePlanned(PlanFor(c.lay), c.data, bp, 0); err != nil {
+		if _, err := decode(dp, c.lay, c.data, arena.NewBump(make([]byte, need)), 0); err != nil {
 			t.Fatal(err)
 		}
 		is, ps := di.Stats, dp.Stats
-		if ps.VarintBytes != is.VarintBytes || ps.FixedBytes != is.FixedBytes ||
-			ps.UTF8Bytes != is.UTF8Bytes || ps.Fields != is.Fields ||
-			ps.Messages != is.Messages || ps.ArenaBytes != is.ArenaBytes {
-			t.Errorf("%s: planned stats %+v diverge from interpretive %+v", c.name, ps, is)
-		}
-		if ps.CopyBytes > is.CopyBytes {
-			t.Errorf("%s: planned CopyBytes %d > interpretive %d", c.name, ps.CopyBytes, is.CopyBytes)
-		}
 		if ps.ScannedBytes != uint64(len(c.data)) {
 			t.Errorf("%s: ScannedBytes = %d, want %d", c.name, ps.ScannedBytes, len(c.data))
 		}
 		if is.ScannedBytes != 0 || is.ReplayedBytes != 0 {
-			t.Errorf("%s: interpretive path charged scan/replay bytes: %+v", c.name, is)
+			t.Errorf("%s: oracle charged scan/replay bytes: %+v", c.name, is)
+		}
+		ps.ScannedBytes, ps.ReplayedBytes = 0, 0
+		if ps != is {
+			t.Errorf("%s: stats %+v diverge from the oracle's %+v", c.name, ps, is)
 		}
 	}
 }
@@ -279,44 +271,15 @@ func TestPlanForCache(t *testing.T) {
 	}
 }
 
-// TestPlannedZeroAllocSteadyState: satellite 4 — the full planned hot path
-// (cached plan lookup, scan into owned scratch, fill) must be zero-alloc
-// once capacities are warm.
-func TestPlannedZeroAllocSteadyState(t *testing.T) {
-	for _, c := range planShapes() {
-		need, err := measureBase0(c.lay, c.data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bump := arena.NewBump(make([]byte, need))
-		d := New(Options{ValidateUTF8: true})
-		if _, err := d.DeserializePlanned(PlanFor(c.lay), c.data, bump, 0); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			bump.Reset()
-			if _, err := d.DeserializePlanned(PlanFor(c.lay), c.data, bump, 0); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: planned steady state allocates %.1f objects/op; paper requires 0", c.name, allocs)
-		}
-	}
-}
-
-// TestScanFillPooledZeroAlloc: the split Scan/Fill flow the DPU datapath
-// uses (pooled notes handed from the scan to the fill) must also be allocation-free at
-// steady state, including the notes' packed-varint element stream at the
-// ledger's 4096-element shape.
+// TestScanFillPooledZeroAlloc: the Scan/Fill flow the datapath runs (pooled
+// notes handed from the scan to the fill, and back with Release) must be
+// allocation-free at steady state for every shape, including the notes'
+// packed-varint element stream at the ledger's 4096-element shape.
 func TestScanFillPooledZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; the pin holds only in normal builds")
 	}
 	for _, c := range planShapes() {
-		if c.name != "Everything" && c.name != "Ints4096" {
-			continue
-		}
 		need, err := measureBase0(c.lay, c.data)
 		if err != nil {
 			t.Fatal(err)
@@ -342,10 +305,12 @@ func TestScanFillPooledZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzPlannedDecode is the satellite-3 differential fuzzer: for arbitrary
-// bytes the planned path must accept exactly the inputs the interpretive
-// path accepts, and on acceptance produce a byte-identical arena; accepted
-// objects must agree with the protomsg reference implementation.
+// FuzzPlannedDecode is the decoder's differential fuzzer: for arbitrary
+// bytes Scan + Fill must accept exactly the inputs the interpretive oracle
+// accepts, and on acceptance produce a byte-identical arena; accepted
+// objects must agree with the protomsg reference implementation. Run with
+// `go test -fuzz FuzzPlannedDecode ./internal/deser`; without -fuzz the
+// seeds and the checked-in corpus run as a regression test.
 func FuzzPlannedDecode(f *testing.F) {
 	m := protomsg.New(everyDesc)
 	m.SetString("s", "seed")
@@ -354,6 +319,7 @@ func FuzzPlannedDecode(f *testing.F) {
 	child.SetUint32("id", 1)
 	m.SetMessage("child", child)
 	m.AppendNum("nums", 5)
+	noNames := m.Marshal(nil)
 	m.AppendString("names", strings.Repeat("n", 40))
 	f.Add(m.Marshal(nil))
 
@@ -371,6 +337,7 @@ func FuzzPlannedDecode(f *testing.F) {
 	f.Add([]byte{0x08, 0x96, 0x01})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0x0a, 0x00})
+	f.Add(noNames)
 
 	// The checked-in corpus (testdata/fuzz/FuzzPlannedDecode) adds packed
 	// varints straddling 8-byte words and 64-byte blocks, 9- and 10-byte
@@ -389,31 +356,25 @@ func FuzzPlannedDecode(f *testing.F) {
 }
 
 // decodeBuffers is the scratch one differential check decodes into.
-type decodeBuffers struct{ interp, planned, fused, sg []byte }
+type decodeBuffers struct{ planned, sg []byte }
 
 func newDecodeBuffers() *decodeBuffers {
-	return &decodeBuffers{make([]byte, 1<<20), make([]byte, 1<<20), make([]byte, 1<<20), make([]byte, 2<<20)}
+	return &decodeBuffers{make([]byte, 2*maxOracleArena), make([]byte, 2*maxOracleArena)}
 }
 
-// check is FuzzPlannedDecode's oracle for one input and layout: the planned
-// split (Scan + Fill), fused (DeserializePlanned) and scatter-gather paths
-// must accept exactly what the interpretive decoder accepts and, on
-// acceptance, build its arena byte for byte; the object must agree with
-// protomsg whenever protomsg accepts the input. Failures are reported under
-// name. It returns the interpretive and planned errors (both nil, unchecked,
-// past the scratch size).
+// check is FuzzPlannedDecode's oracle for one input and layout: Scan + Fill
+// must accept exactly what the interpretive oracle accepts and, on
+// acceptance, size its arena exactly and build it byte for byte; the object
+// must agree with protomsg whenever protomsg accepts the input; and the
+// scatter-gather decode (FillSG + Segments at SGPayloadMin 16) must make the
+// same decision and re-serialize to the same bytes. Failures are reported
+// under name. It returns the oracle's and Scan + Fill's errors (both nil,
+// unchecked, past the oracle's scratch).
 func (b *decodeBuffers) check(t *testing.T, name string, lay *abi.Layout, p *Plan, data []byte) (ierr, perr error) {
 	t.Helper()
-	var ioff uint64
-	var bi *arena.Bump
-	need, ierr := MeasureExact(lay, data)
-	if ierr == nil {
-		if need+GuardBytes > len(b.interp) {
-			return nil, nil // bounded-demand asserted elsewhere
-		}
-		di := New(Options{ValidateUTF8: true})
-		bi = arena.NewBump(b.interp[:need+GuardBytes])
-		ioff, ierr = di.Deserialize(lay, data, bi, 0)
+	ioff, iarena, ierr := oracleDecode(New(Options{ValidateUTF8: true}), lay, data, 0)
+	if errors.Is(ierr, arena.ErrOutOfMemory) {
+		return nil, nil // bounded demand: TestScanDemandBounded
 	}
 
 	dp := New(Options{ValidateUTF8: true})
@@ -421,8 +382,12 @@ func (b *decodeBuffers) check(t *testing.T, name string, lay *abi.Layout, p *Pla
 	var poff uint64
 	var bp *arena.Bump
 	if perr == nil {
-		if no.Need() != need && ierr == nil {
-			t.Fatalf("%s: Need %d != MeasureExact %d", name, no.Need(), need)
+		if ierr == nil && no.Need()+GuardBytes != len(iarena) {
+			t.Fatalf("%s: Need %d + guard != oracle's %d bytes", name, no.Need(), len(iarena))
+		}
+		if no.Need()+GuardBytes > len(b.planned) {
+			no.Release()
+			t.Fatalf("%s: Need %d for %d wire bytes, which the oracle rejects (%v)", name, no.Need(), len(data), ierr)
 		}
 		bp = arena.NewBump(b.planned[:no.Need()+GuardBytes])
 		poff, perr = dp.Fill(p, data, no, bp, 0)
@@ -430,31 +395,13 @@ func (b *decodeBuffers) check(t *testing.T, name string, lay *abi.Layout, p *Pla
 	}
 
 	if (ierr == nil) != (perr == nil) {
-		t.Fatalf("%s: accept/reject divergence: interpretive %v, planned %v", name, ierr, perr)
-	}
-
-	// The fused DeserializePlanned entry must make the same accept/reject
-	// decision — for simple layouts under SmallFastPathMax this drives the
-	// scan-bypass fast path's own validation.
-	dd := New(Options{ValidateUTF8: true})
-	var bd *arena.Bump
-	if ierr == nil {
-		bd = arena.NewBump(b.fused[:need+GuardBytes])
-	} else {
-		bd = arena.NewBump(b.fused)
-	}
-	doff, derr := dd.DeserializePlanned(p, data, bd, 0)
-	if (ierr == nil) != (derr == nil) {
-		t.Fatalf("%s: fused accept/reject divergence: interpretive %v, fused %v", name, ierr, derr)
+		t.Fatalf("%s: accept/reject divergence: oracle %v, Scan + Fill %v", name, ierr, perr)
 	}
 	if ierr != nil {
 		return ierr, perr
 	}
-	if poff != ioff || !bytes.Equal(bp.Bytes(), bi.Bytes()) {
-		t.Fatalf("%s: planned arena diverges from interpretive", name)
-	}
-	if doff != ioff || !bytes.Equal(bd.Bytes(), bi.Bytes()) {
-		t.Fatalf("%s: fused arena diverges from interpretive", name)
+	if poff != ioff || !bytes.Equal(bp.Bytes(), iarena) {
+		t.Fatalf("%s: arena diverges from the oracle's", name)
 	}
 
 	// protomsg reference: if the one-copy reference decoder accepts the
@@ -519,9 +466,9 @@ func (b *decodeBuffers) check(t *testing.T, name string, lay *abi.Layout, p *Pla
 
 // TestScanBypassShape: simple layouts under SmallFastPathMax must take the
 // scan-bypass fast path — Notes with no replay stream, Fill running the
-// fused loop — on the split entry points, and the fused DeserializePlanned
-// must agree, staying byte-identical to the interpretive decoder including
-// wire-order string spills past SSO capacity and unknown-field skips.
+// fused loop — and stay byte-identical to the interpretive oracle,
+// including wire-order string spills past SSO capacity and unknown-field
+// skips.
 func TestScanBypassShape(t *testing.T) {
 	spilly := protomsg.New(charDesc)
 	spilly.SetString("data", strings.Repeat("spill-me!", 8))
@@ -547,19 +494,9 @@ func TestScanBypassShape(t *testing.T) {
 			t.Fatalf("%s: Plan.Simple() = %v", c.name, got)
 		}
 		for _, base := range []uint64{0, 4096} {
-			need, err := MeasureExact(c.lay, c.data)
+			ioff, iarena, err := oracleDecode(New(Options{ValidateUTF8: true}), c.lay, c.data, base)
 			if err != nil {
-				t.Fatalf("%s: MeasureExact: %v", c.name, err)
-			}
-			guard := 0
-			if base == 0 {
-				guard = GuardBytes
-			}
-			di := New(Options{ValidateUTF8: true})
-			bi := arena.NewBump(make([]byte, need+guard))
-			ioff, err := di.Deserialize(c.lay, c.data, bi, base)
-			if err != nil {
-				t.Fatalf("%s: Deserialize: %v", c.name, err)
+				t.Fatalf("%s: oracle: %v", c.name, err)
 			}
 
 			p := PlanFor(c.lay)
@@ -571,35 +508,21 @@ func TestScanBypassShape(t *testing.T) {
 			if no.Bypass() != c.bypass {
 				t.Fatalf("%s: Bypass() = %v, want %v", c.name, no.Bypass(), c.bypass)
 			}
-			if no.Need() != need {
-				t.Fatalf("%s: Need %d != MeasureExact %d", c.name, no.Need(), need)
-			}
-			bp := arena.NewBump(make([]byte, need+guard))
+			bp := arena.NewBump(make([]byte, len(iarena)))
 			poff, err := dp.Fill(p, c.data, no, bp, base)
 			no.Release()
 			if err != nil {
 				t.Fatalf("%s: Fill: %v", c.name, err)
 			}
-			if poff != ioff || !bytes.Equal(bp.Bytes(), bi.Bytes()) {
-				t.Fatalf("%s base %d: bypass fill diverges from interpretive", c.name, base)
-			}
-
-			df := New(Options{ValidateUTF8: true})
-			bf := arena.NewBump(make([]byte, need+guard))
-			foff, err := df.DeserializePlanned(p, c.data, bf, base)
-			if err != nil {
-				t.Fatalf("%s: DeserializePlanned: %v", c.name, err)
-			}
-			if foff != ioff || !bytes.Equal(bf.Bytes(), bi.Bytes()) {
-				t.Fatalf("%s base %d: fused decode diverges from interpretive", c.name, base)
+			if poff != ioff || bp.Used() != len(iarena) || !bytes.Equal(bp.Bytes(), iarena) {
+				t.Fatalf("%s base %d: bypass fill diverges from the oracle", c.name, base)
 			}
 		}
 	}
 }
 
-// TestScanBypassErrorParity: the fast path's validation (both the split
-// scanSimple and the fused charge-mode loop) must report the interpretive
-// sentinels on defective small inputs.
+// TestScanBypassErrorParity: the fast path's validation (scanSimple) must
+// report the interpretive sentinels on defective small inputs.
 func TestScanBypassErrorParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -615,66 +538,32 @@ func TestScanBypassErrorParity(t *testing.T) {
 		{"truncated scalar", smallLay, wire.AppendTag(nil, 1, wire.TypeVarint), ErrMalformed},
 	}
 	for _, c := range cases {
-		p := PlanFor(c.lay)
 		d := New(Options{ValidateUTF8: true})
-		if no, err := d.Scan(p, c.data); err == nil {
+		if no, err := d.Scan(PlanFor(c.lay), c.data); err == nil {
 			no.Release()
 			t.Errorf("%s: bypass scan accepted", c.name)
 		} else if !errors.Is(err, c.want) {
 			t.Errorf("%s: bypass scan err = %v, want %v", c.name, err, c.want)
 		}
-		df := New(Options{ValidateUTF8: true})
-		bump := arena.NewBump(make([]byte, 1<<12))
-		if _, err := df.DeserializePlanned(p, c.data, bump, 0); err == nil {
-			t.Errorf("%s: fused decode accepted", c.name)
-		} else if !errors.Is(err, c.want) {
-			t.Errorf("%s: fused err = %v, want %v", c.name, err, c.want)
-		}
 	}
 }
 
-// benchInterpSized measures the interpretive datapath unit of work — exact
-// sizing followed by decode, the measure→count→fill triple walk both offload
-// paths ran before plans. benchPlanned below is its compiled replacement
-// (DeserializePlanned sizes and decodes in one scan), so SizedX vs PlannedX
-// pairs are the like-for-like decode-throughput comparison.
-func benchInterpSized(b *testing.B, lay *abi.Layout, data []byte) {
-	b.Helper()
-	need, err := MeasureExact(lay, data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bump := arena.NewBump(make([]byte, need+GuardBytes))
-	d := New(Options{ValidateUTF8: true})
-	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MeasureExact(lay, data); err != nil {
-			b.Fatal(err)
-		}
-		bump.Reset()
-		if _, err := d.Deserialize(lay, data, bump, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// benchPlanned times the datapath's unit of decode work: Scan, Fill and
+// Release, on a warm notes pool.
 func benchPlanned(b *testing.B, lay *abi.Layout, data []byte) {
 	b.Helper()
-	need, err := MeasureExact(lay, data)
+	need, err := measureBase0(lay, data)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bump := arena.NewBump(make([]byte, need+GuardBytes))
+	bump := arena.NewBump(make([]byte, need))
 	d := New(Options{ValidateUTF8: true})
-	p := PlanFor(lay)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bump.Reset()
-		if _, err := d.DeserializePlanned(p, data, bump, 0); err != nil {
+		if _, err := decode(d, lay, data, bump, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -705,17 +594,8 @@ func smallData() []byte {
 	return m.Marshal(nil)
 }
 
-func BenchmarkSizedInts512(b *testing.B)   { benchInterpSized(b, intArrLay, ints512Data()) }
-func BenchmarkSizedChars8000(b *testing.B) { benchInterpSized(b, charLay, chars8000Data()) }
-func BenchmarkSizedSmall(b *testing.B)     { benchInterpSized(b, smallLay, smallData()) }
-func BenchmarkSizedNames200(b *testing.B)  { benchInterpSized(b, everyLay, namesData()) }
-
-func BenchmarkPlannedInts512(b *testing.B)   { benchPlanned(b, intArrLay, ints512Data()) }
-func BenchmarkPlannedChars8000(b *testing.B) { benchPlanned(b, charLay, chars8000Data()) }
-func BenchmarkPlannedSmall(b *testing.B)     { benchPlanned(b, smallLay, smallData()) }
-
 // namesData is the string-heavy workload: many short repeated strings, the
-// shape where interpretive per-field dispatch dominates.
+// shape where per-field dispatch dominates.
 func namesData() []byte {
 	m := protomsg.New(everyDesc)
 	for i := 0; i < 200; i++ {
@@ -724,22 +604,7 @@ func namesData() []byte {
 	return m.Marshal(nil)
 }
 
-func BenchmarkDeserializeNames200(b *testing.B) {
-	data := namesData()
-	need, _ := measureBase0(everyLay, data)
-	bump := arena.NewBump(make([]byte, need))
-	d := New(Options{ValidateUTF8: true})
-	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bump.Reset()
-		if _, err := d.Deserialize(everyLay, data, bump, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlannedNames200(b *testing.B) {
-	benchPlanned(b, everyLay, namesData())
-}
+func BenchmarkPlannedInts512(b *testing.B)   { benchPlanned(b, intArrLay, ints512Data()) }
+func BenchmarkPlannedChars8000(b *testing.B) { benchPlanned(b, charLay, chars8000Data()) }
+func BenchmarkPlannedSmall(b *testing.B)     { benchPlanned(b, smallLay, smallData()) }
+func BenchmarkPlannedNames200(b *testing.B)  { benchPlanned(b, everyLay, namesData()) }

@@ -1,6 +1,8 @@
 package deser
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"dpurpc/internal/abi"
@@ -10,10 +12,12 @@ import (
 )
 
 // TestMutationRobustness flips, truncates, and splices bytes of valid wire
-// messages and feeds the result to MeasureExact and Deserialize. The DPU
-// terminates untrusted client connections, so arbitrary bytes must never
-// panic, never overrun the arena, and either fail cleanly or produce an
-// object that can be read and re-serialized without fault.
+// messages and feeds the result to the decoder the DPU runs: ScanWithin +
+// Fill, and ScanWithin + FillSG + Segments with scatter-gather payloads at
+// SGPayloadMin 16. The DPU terminates untrusted client connections, so
+// arbitrary bytes must never panic, never overrun the arena, and either fail
+// cleanly or produce an object that can be read and re-serialized without
+// fault.
 func TestMutationRobustness(t *testing.T) {
 	rng := mt19937.New(20240706)
 
@@ -45,6 +49,13 @@ func TestMutationRobustness(t *testing.T) {
 		ints.AppendNum("values", uint64(i)<<uint(i%20))
 	}
 	corpus = append(corpus, ints.Marshal(nil))
+
+	// Singular payloads of at least SGPayloadMin, for the SG decode below.
+	payloads := protomsg.New(everyDesc)
+	payloads.SetString("s", strings.Repeat("segment ", 5))
+	payloads.SetBytes("raw", bytes.Repeat([]byte{0xa5}, 100))
+	payloads.SetUint32("u32", 77)
+	corpus = append(corpus, payloads.Marshal(nil))
 
 	layouts := []*abi.Layout{smallLay, everyLay, intArrLay}
 
@@ -79,47 +90,81 @@ func TestMutationRobustness(t *testing.T) {
 		return out
 	}
 
-	buf := make([]byte, 1<<20)
-	for trial := 0; trial < 5000; trial++ {
-		src := corpus[rng.Uint32n(uint32(len(corpus)))]
-		lay := layouts[rng.Uint32n(uint32(len(layouts)))]
-		data := mutate(src)
-
-		need, err := measureBase0(lay, data)
-		if err != nil {
-			continue // rejected at sizing: correct behaviour for garbage
-		}
-		if need > len(buf) {
-			// Implausibly large demand from garbage must still be bounded
-			// by the input (objects + arrays derive from wire content).
-			t.Fatalf("trial %d: MeasureExact demanded %d bytes for %d input bytes",
-				trial, need, len(data))
-		}
-		bump := arena.NewBump(buf[:need])
-		d := New(Options{ValidateUTF8: true})
-		off, err := d.Deserialize(lay, data, bump, 0)
-		if err != nil {
-			continue // rejected during decode: also fine
-		}
-		// Accepted: the object must be fully traversable, structurally
-		// verifiable, and serializable.
-		v := abi.MakeView(&abi.Region{Buf: bump.Bytes()}, off, lay)
+	// Accepted objects must be fully traversable, structurally verifiable,
+	// and serializable.
+	accepted := func(trial int, region *abi.Region, off uint64, lay *abi.Layout) []byte {
+		v := abi.MakeView(region, off, lay)
 		if !v.Valid() {
 			t.Fatalf("trial %d: accepted object fails validation", trial)
 		}
 		if err := abi.Verify(v); err != nil {
 			t.Fatalf("trial %d: accepted object fails Verify: %v", trial, err)
 		}
-		if _, err := Serialize(v, nil); err != nil {
+		out, err := Serialize(v, nil)
+		if err != nil {
 			t.Fatalf("trial %d: accepted object cannot re-serialize: %v", trial, err)
+		}
+		return out
+	}
+
+	const maxNeed = 1 << 20
+	buf := make([]byte, maxNeed)
+	sgBuf := make([]byte, 2*maxNeed)
+	d := New(Options{ValidateUTF8: true})
+	ds := New(Options{ValidateUTF8: true, SGPayloadMin: 16})
+	for trial := 0; trial < 5000; trial++ {
+		src := corpus[rng.Uint32n(uint32(len(corpus)))]
+		lay := layouts[rng.Uint32n(uint32(len(layouts)))]
+		p := PlanFor(lay)
+		data := mutate(src)
+
+		no, err := d.ScanWithin(p, data, maxNeed)
+		if err != nil {
+			continue // rejected by the scan: correct behaviour for garbage
+		}
+		if no.Need()+GuardBytes > len(buf) {
+			// Implausibly large demand from garbage must still be bounded
+			// by the input (objects + arrays derive from wire content).
+			t.Fatalf("trial %d: Scan demanded %d bytes for %d input bytes",
+				trial, no.Need(), len(data))
+		}
+		bump := arena.NewBump(buf[:no.Need()+GuardBytes])
+		off, err := d.Fill(p, data, no, bump, 0)
+		no.Release()
+		if err != nil {
+			t.Fatalf("trial %d: Fill fails on scanned input: %v", trial, err)
+		}
+		inline := accepted(trial, &abi.Region{Buf: bump.Bytes()}, off, lay)
+
+		// The same bytes through the scatter-gather decode, laid out as
+		// the DPU lays a slot out: a table, the object area, then the
+		// segment area.
+		ns, err := ds.ScanWithin(p, data, maxNeed)
+		if err != nil {
+			t.Fatalf("trial %d: SG scan rejects input the inline scan accepts: %v", trial, err)
+		}
+		const sgBase = 64
+		segBase := sgBase + alignUp8(ns.Need())
+		sbump := arena.NewBump(sgBuf[sgBase:segBase])
+		soff, err := ds.FillSG(p, data, ns, sbump, sgBase, uint64(segBase))
+		if err != nil {
+			t.Fatalf("trial %d: FillSG fails on scanned input: %v", trial, err)
+		}
+		segs := sgBuf[segBase : segBase+ns.SegBytes()]
+		for _, r := range ds.Segments(data, ns, segs, nil) {
+			copy(segs[r.Off:], r.Src)
+		}
+		ns.Release()
+		if sg := accepted(trial, &abi.Region{Buf: sgBuf}, soff, lay); !bytes.Equal(sg, inline) {
+			t.Fatalf("trial %d: SG object re-serializes differently from the inline one", trial)
 		}
 	}
 }
 
-// TestMeasureExactDemandBounded: the sizer's demand must be linear in the input
-// (objects and arrays all derive from wire bytes), so a small message can
-// never request an enormous arena.
-func TestMeasureExactDemandBounded(t *testing.T) {
+// TestScanDemandBounded: Scan's Need must be linear in the input (objects
+// and arrays all derive from wire bytes), so a small message can never
+// request an enormous arena.
+func TestScanDemandBounded(t *testing.T) {
 	rng := mt19937.New(7)
 	for trial := 0; trial < 2000; trial++ {
 		n := 1 + rng.Uint32n(200)

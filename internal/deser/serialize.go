@@ -9,7 +9,7 @@ import (
 )
 
 // Serialize appends the canonical proto3 encoding of the arena object v to
-// buf. It is the inverse of Deserialize and produces byte-identical output
+// buf. It is the inverse of Fill and produces byte-identical output
 // to protomsg.Marshal for the same logical content (fields in number order,
 // zero values omitted).
 //
@@ -21,14 +21,6 @@ func Serialize(v abi.View, buf []byte) ([]byte, error) {
 		return buf, fmt.Errorf("deser: serialize of invalid view")
 	}
 	return serializeBody(v, buf, 0, DefaultMaxDepth)
-}
-
-// SerializedSize returns the encoded size of v without encoding it.
-func SerializedSize(v abi.View) (int, error) {
-	if !v.Valid() {
-		return 0, fmt.Errorf("deser: size of invalid view")
-	}
-	return bodySize(v, 0, DefaultMaxDepth)
 }
 
 // fieldWireBits converts a slot bit pattern into its varint wire value.

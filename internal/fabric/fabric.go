@@ -10,10 +10,7 @@
 // Chars workload.
 package fabric
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Direction labels one side of the link.
 type Direction int
@@ -63,9 +60,6 @@ type Link struct {
 		overhead  atomic.Uint64
 		transfers atomic.Uint64
 	}
-
-	mu       sync.Mutex
-	snapshot [2]DirStats // for windowed rates
 }
 
 // NewLink returns a link with the default bandwidth/overhead model.
@@ -100,47 +94,4 @@ func (l *Link) TotalBytes() uint64 {
 // link at the configured bandwidth.
 func (l *Link) TransferNS(n uint64) float64 {
 	return float64(n) * 8 / l.BandwidthGbps
-}
-
-// BusyNS returns the total link-busy time implied by all recorded traffic —
-// the PCIe term of the bottleneck analysis.
-func (l *Link) BusyNS() float64 {
-	return l.TransferNS(l.TotalBytes())
-}
-
-// MarkWindow snapshots the counters; WindowDelta returns traffic since the
-// last MarkWindow. The metrics monitor uses this for instant rates.
-func (l *Link) MarkWindow() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.snapshot[DPUToHost] = l.Stats(DPUToHost)
-	l.snapshot[HostToDPU] = l.Stats(HostToDPU)
-}
-
-// WindowDelta returns per-direction traffic accumulated since MarkWindow.
-func (l *Link) WindowDelta() (dpuToHost, hostToDPU DirStats) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cur0, cur1 := l.Stats(DPUToHost), l.Stats(HostToDPU)
-	return DirStats{
-			Bytes:     cur0.Bytes - l.snapshot[DPUToHost].Bytes,
-			Overhead:  cur0.Overhead - l.snapshot[DPUToHost].Overhead,
-			Transfers: cur0.Transfers - l.snapshot[DPUToHost].Transfers,
-		}, DirStats{
-			Bytes:     cur1.Bytes - l.snapshot[HostToDPU].Bytes,
-			Overhead:  cur1.Overhead - l.snapshot[HostToDPU].Overhead,
-			Transfers: cur1.Transfers - l.snapshot[HostToDPU].Transfers,
-		}
-}
-
-// Reset zeroes all counters.
-func (l *Link) Reset() {
-	for i := range l.stats {
-		l.stats[i].bytes.Store(0)
-		l.stats[i].overhead.Store(0)
-		l.stats[i].transfers.Store(0)
-	}
-	l.mu.Lock()
-	l.snapshot = [2]DirStats{}
-	l.mu.Unlock()
 }

@@ -33,20 +33,21 @@ func TestTransferTime(t *testing.T) {
 		t.Errorf("TransferNS = %v", got)
 	}
 	l.Record(DPUToHost, 2500-DefaultMsgOverheadBytes)
-	if got := l.BusyNS(); got != 100 {
-		t.Errorf("BusyNS = %v", got)
+	if got := l.TransferNS(l.TotalBytes()); got != 100 {
+		t.Errorf("busy time = %v", got)
 	}
 }
 
+// A window's traffic is the difference of two Stats reads.
 func TestWindow(t *testing.T) {
 	l := NewLink()
 	l.Record(DPUToHost, 10)
-	l.MarkWindow()
+	d0, h0 := l.Stats(DPUToHost), l.Stats(HostToDPU)
 	l.Record(DPUToHost, 5)
 	l.Record(HostToDPU, 7)
-	d2h, h2d := l.WindowDelta()
-	if d2h.Bytes != 5 || d2h.Transfers != 1 || h2d.Bytes != 7 {
-		t.Errorf("delta = %+v %+v", d2h, h2d)
+	d1, h1 := l.Stats(DPUToHost), l.Stats(HostToDPU)
+	if d1.Bytes-d0.Bytes != 5 || d1.Transfers-d0.Transfers != 1 || h1.Bytes-h0.Bytes != 7 {
+		t.Errorf("delta = %+v %+v -> %+v %+v", d0, h0, d1, h1)
 	}
 }
 
@@ -71,19 +72,5 @@ func TestConcurrentRecord(t *testing.T) {
 	wg.Wait()
 	if l.Stats(DPUToHost).Bytes != 8000 {
 		t.Error("lost updates")
-	}
-}
-
-func TestReset(t *testing.T) {
-	l := NewLink()
-	l.Record(HostToDPU, 9)
-	l.MarkWindow()
-	l.Reset()
-	if l.TotalBytes() != 0 {
-		t.Error("counters not reset")
-	}
-	d2h, h2d := l.WindowDelta()
-	if d2h.Bytes != 0 || h2d.Bytes != 0 {
-		t.Error("window not reset")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"dpurpc/internal/abi"
 	"dpurpc/internal/arena"
 	"dpurpc/internal/deser"
 	"dpurpc/internal/mt19937"
@@ -38,15 +37,13 @@ type Fig7Row struct {
 	WireBytes int
 }
 
-// DefaultFig7Counts is the element-count sweep of Fig. 7.
-func DefaultFig7Counts() []int {
-	return []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-}
-
-// Fig7 reproduces Fig. 7: for each element count it generates the message,
-// runs the planned arena deserializer the datapath runs (Scan + Fill) to
-// collect operation counts, models the single-core per-platform times, and
-// (when wallIters > 0) also measures its wall-clock time on this machine.
+// Fig7 reproduces Fig. 7: for each element count (workload.Fig7Counts is
+// the paper's sweep) it generates the message, decodes it with the
+// datapath's decoder (Scan + Fill) to collect operation counts,
+// models the single-core per-platform times, and (when wallIters > 0) also
+// measures its wall-clock time on this machine. The model charges the
+// paper's one-pass deserializer, so the scan/replay split counters
+// (ScannedBytes, ReplayedBytes) are zeroed before it is applied.
 func Fig7(opts Options, counts []int, wallIters int) ([]Fig7Row, error) {
 	env := workload.NewEnv()
 	var rows []Fig7Row
@@ -61,20 +58,27 @@ func Fig7(opts Options, counts []int, wallIters int) ([]Fig7Row, error) {
 				lay = env.CharsLay
 				data = env.GenChars(rng, n).Marshal(nil)
 			}
-			need, err := deser.MeasureExact(lay, data)
-			if err != nil {
-				return nil, err
-			}
-			bump := arena.NewBump(make([]byte, need+deser.GuardBytes))
 			plan := deser.PlanFor(lay)
 			d := deser.New(deser.Options{ValidateUTF8: true})
-			if _, err := d.DeserializePlanned(plan, data, bump, 0); err != nil {
+			var bump arena.Bump
+			decode := func() error {
+				no, err := d.Scan(plan, data)
+				if err != nil {
+					return fmt.Errorf("fig7 %s/%d: %w", kind, n, err)
+				}
+				defer no.Release()
+				if bump.Cap() < no.Need()+deser.GuardBytes {
+					bump.Rebind(make([]byte, no.Need()+deser.GuardBytes))
+				}
+				bump.Reset()
+				_, err = d.Fill(plan, data, no, &bump, 0)
+				return err
+			}
+			if err := decode(); err != nil {
 				return nil, err
 			}
-			stats, err := decodeStats(d.Stats, lay, data, need)
-			if err != nil {
-				return nil, fmt.Errorf("fig7 %s/%d: %w", kind, n, err)
-			}
+			stats := d.Stats
+			stats.ScannedBytes, stats.ReplayedBytes = 0, 0
 
 			row := Fig7Row{
 				Kind:      kind,
@@ -87,8 +91,7 @@ func Fig7(opts Options, counts []int, wallIters int) ([]Fig7Row, error) {
 			if wallIters > 0 {
 				start := time.Now()
 				for i := 0; i < wallIters; i++ {
-					bump.Reset()
-					if _, err := d.DeserializePlanned(plan, data, bump, 0); err != nil {
+					if err := decode(); err != nil {
 						return nil, err
 					}
 				}
@@ -98,21 +101,4 @@ func Fig7(opts Options, counts []int, wallIters int) ([]Fig7Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// decodeStats returns the paper's cost-model inputs from a planned decode's
-// stats — the replay-side counters (ScannedBytes, ReplayedBytes) that only
-// the planned path charges are dropped — after checking they equal what the
-// interpretive deserializer charges for the same message (need bytes, as
-// MeasureExact reports).
-func decodeStats(planned deser.Stats, lay *abi.Layout, data []byte, need int) (deser.Stats, error) {
-	planned.ScannedBytes, planned.ReplayedBytes = 0, 0
-	d := deser.New(deser.Options{ValidateUTF8: true})
-	if _, err := d.Deserialize(lay, data, arena.NewBump(make([]byte, need+deser.GuardBytes)), 0); err != nil {
-		return deser.Stats{}, err
-	}
-	if planned != d.Stats {
-		return deser.Stats{}, fmt.Errorf("planned stats %+v != interpretive %+v", planned, d.Stats)
-	}
-	return planned, nil
 }

@@ -185,13 +185,15 @@ func TestToArenaMatchesDeserializer(t *testing.T) {
 func TestFromArenaOnDeserializedObject(t *testing.T) {
 	m := bigMessage(t)
 	data := m.Marshal(nil)
-	needW, err := deser.MeasureExact(everyLay, data)
+	d := deser.New(deser.Options{ValidateUTF8: true})
+	plan := deser.PlanFor(everyLay)
+	notes, err := d.Scan(plan, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bump := arena.NewBump(make([]byte, needW+deser.GuardBytes))
-	d := deser.New(deser.Options{ValidateUTF8: true})
-	off, err := d.Deserialize(everyLay, data, bump, 0)
+	defer notes.Release()
+	bump := arena.NewBump(make([]byte, notes.Need()+deser.GuardBytes))
+	off, err := d.Fill(plan, data, notes, bump, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -325,6 +325,11 @@ func TestBaselineServerEquivalence(t *testing.T) {
 	if status, _ := h("/benchpb.Bench/CallInts", []byte{0xff}); status != xrpc.StatusInvalidArgument {
 		t.Error("malformed accepted")
 	}
+	// A handler's error status answers the call: the empty Small decodes,
+	// and CallSmall refuses id 0.
+	if status, _ := h("/benchpb.Bench/CallSmall", nil); status != StatusInvalidArgument || base.Stats().Requests != 31 {
+		t.Errorf("handler error: status %d after %d decoded requests", status, base.Stats().Requests)
+	}
 }
 
 func TestHostHandlerStatusPaths(t *testing.T) {

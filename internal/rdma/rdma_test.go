@@ -307,25 +307,17 @@ func TestFabricWindowAndBusy(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		host.PostRecv(RecvWR{})
 	}
-	link.MarkWindow()
+	d0, h0 := link.Stats(fabric.DPUToHost), link.Stats(fabric.HostToDPU)
 	for i := 0; i < 10; i++ {
 		dpu.PostWriteImm(0, make([]byte, 100), 0, 0)
 	}
-	d2h, h2d := link.WindowDelta()
-	if d2h.Bytes != 1000 || d2h.Transfers != 10 || h2d.Transfers != 0 {
-		t.Errorf("window delta: %+v %+v", d2h, h2d)
-	}
-	if link.BusyNS() <= 0 {
-		t.Error("BusyNS not positive")
+	d1, h1 := link.Stats(fabric.DPUToHost), link.Stats(fabric.HostToDPU)
+	if d1.Bytes-d0.Bytes != 1000 || d1.Transfers-d0.Transfers != 10 || h1.Transfers != h0.Transfers {
+		t.Errorf("window delta: %+v %+v -> %+v %+v", d0, h0, d1, h1)
 	}
 	// 200 Gb/s: 1000B+overhead -> (1000+260)*8/200 = 50.4ns
-	want := link.TransferNS(d2h.TotalBytes())
-	if got := link.BusyNS(); got != want {
-		t.Errorf("BusyNS = %v want %v", got, want)
-	}
-	link.Reset()
-	if link.TotalBytes() != 0 {
-		t.Error("Reset failed")
+	if got := link.TransferNS(d1.TotalBytes() - d0.TotalBytes()); got != 50.4 {
+		t.Errorf("window busy time = %v ns, want 50.4", got)
 	}
 }
 

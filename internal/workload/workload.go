@@ -170,6 +170,12 @@ const SmallWireSize = 15
 // deserialized object size is 40 bytes").
 const SmallObjectSize = 40
 
+// Fig7Counts is the element-count sweep of Fig. 7, for GenInts and
+// GenChars.
+func Fig7Counts() []int {
+	return []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+}
+
 // GenInts returns an IntArray of n elements under the Fig. 7 distribution:
 // uniformly random bit widths ("stored between 1 and 5 bytes ... integers
 // are more likely to be smaller"), averaging ~2.81 varint bytes/element.

@@ -15,6 +15,26 @@ func env(t testing.TB) *Env {
 	return NewEnv()
 }
 
+// arenaDecode decodes data as the datapath does (Scan + Fill) into an arena
+// of exactly the size the scan reports, and returns the arena and the root
+// object's offset.
+func arenaDecode(t *testing.T, lay *abi.Layout, data []byte) (*arena.Bump, uint64) {
+	t.Helper()
+	d := deser.New(deser.Options{ValidateUTF8: true})
+	plan := deser.PlanFor(lay)
+	notes, err := d.Scan(plan, data)
+	if err != nil {
+		t.Fatalf("%s: scan: %v", lay.Msg.Name, err)
+	}
+	defer notes.Release()
+	bump := arena.NewBump(make([]byte, notes.Need()+deser.GuardBytes))
+	off, err := d.Fill(plan, data, notes, bump, 0)
+	if err != nil {
+		t.Fatalf("%s: fill: %v", lay.Msg.Name, err)
+	}
+	return bump, off
+}
+
 func TestSmallWireSizeIs15Bytes(t *testing.T) {
 	// Sec. VI-C3: "the serialized small message takes 15 bytes on the wire".
 	e := env(t)
@@ -58,15 +78,7 @@ func TestIntsCompressionFactorNear2(t *testing.T) {
 	rng := mt19937.New(mt19937.DefaultSeed)
 	m := e.GenIntsCalibrated(rng)
 	data := m.Marshal(nil)
-	need, err := deser.MeasureExact(e.IntsLay, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bump := arena.NewBump(make([]byte, need+deser.GuardBytes))
-	d := deser.New(deser.Options{})
-	if _, err := d.Deserialize(e.IntsLay, data, bump, 0); err != nil {
-		t.Fatal(err)
-	}
+	bump, _ := arenaDecode(t, e.IntsLay, data)
 	factor := float64(bump.Used()) / float64(len(data))
 	if factor < 1.75 || factor > 2.4 {
 		t.Errorf("ints expansion factor = %.2f, paper says 2.06", factor)
@@ -96,12 +108,7 @@ func TestCharsWireSizeIs8003Bytes(t *testing.T) {
 	if len(data) != CharsWireSize {
 		t.Fatalf("chars wire size = %d, want %d", len(data), CharsWireSize)
 	}
-	need, _ := deser.MeasureExact(e.CharsLay, data)
-	bump := arena.NewBump(make([]byte, need+deser.GuardBytes))
-	d := deser.New(deser.Options{ValidateUTF8: true})
-	if _, err := d.Deserialize(e.CharsLay, data, bump, 0); err != nil {
-		t.Fatal(err)
-	}
+	bump, _ := arenaDecode(t, e.CharsLay, data)
 	factor := float64(bump.Used()) / float64(len(data))
 	if factor < 0.99 || factor > 1.1 {
 		t.Errorf("chars expansion factor = %.3f, paper says ~1.01", factor)
@@ -197,16 +204,7 @@ func TestRoundTripThroughArenaDeserializer(t *testing.T) {
 		m := e.Gen(s, rng)
 		data := m.Marshal(nil)
 		lay := e.Layout(s)
-		need, err := deser.MeasureExact(lay, data)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		bump := arena.NewBump(make([]byte, need+deser.GuardBytes))
-		d := deser.New(deser.Options{ValidateUTF8: true})
-		off, err := d.Deserialize(lay, data, bump, 0)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
+		bump, off := arenaDecode(t, lay, data)
 		v := abi.MakeView(&abi.Region{Buf: bump.Bytes()}, off, lay)
 		out, err := deser.Serialize(v, nil)
 		if err != nil {

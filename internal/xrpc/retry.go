@@ -1,9 +1,6 @@
 package xrpc
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // RetryPolicy governs CallRetry: transparent client-side retries of
 // transient failures (timeouts, DEADLINE_EXCEEDED, UNAVAILABLE) with
@@ -24,25 +21,7 @@ type RetryPolicy struct {
 	// starts full; a retry needs (and spends) one token, a successful call
 	// refunds 0.1 up to the cap.
 	RetryBudget float64
-	// HedgeAfter > 0 arms tail-latency hedging in CallRetry: if an attempt
-	// has not resolved after this delay, a duplicate of the request is
-	// issued on the same connection and whichever response arrives first
-	// wins (the loser is deregistered; its late response is discarded).
-	// Once the client has observed enough completed calls, the delay
-	// becomes the trailing p99 latency instead, with HedgeAfter as the
-	// floor — the classic hedge-after-p99 policy, bounding the duplicate
-	// load to ~1% of requests at steady state. Hedges are speculative load
-	// exactly like retries: each spends one budget token, and at most one
-	// hedge is issued per attempt. 0 disables hedging.
-	HedgeAfter time.Duration
 }
-
-// hedgeLatencyWindow is the ring size backing the trailing-p99 hedge delay.
-const hedgeLatencyWindow = 128
-
-// hedgeMinSamples is how many completed calls the ring needs before the
-// p99 estimate replaces the fixed HedgeAfter delay.
-const hedgeMinSamples = 32
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
@@ -109,138 +88,9 @@ func (c *Client) refundRetryToken() {
 	c.mu.Unlock()
 }
 
-// takeHedgeToken spends one budget token for a hedge. Hedges draw from the
-// same bucket as retries — both are speculative duplicate load — but are
-// counted separately (Hedges vs Retries).
-func (c *Client) takeHedgeToken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.retryTokens < 1 {
-		return false
-	}
-	c.retryTokens--
-	return true
-}
-
-// ungetHedgeToken returns a token taken for a hedge that was never sent.
-func (c *Client) ungetHedgeToken() {
-	c.mu.Lock()
-	if c.retryTokens += 1; c.retryTokens > c.retry.RetryBudget {
-		c.retryTokens = c.retry.RetryBudget
-	}
-	c.mu.Unlock()
-}
-
-// Hedges returns the cumulative number of hedge requests issued.
-func (c *Client) Hedges() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hedges
-}
-
-// recordHedgeLatency pushes one successful call's latency into the ring.
-func (c *Client) recordHedgeLatency(d time.Duration) {
-	c.mu.Lock()
-	c.latRing[c.latCount%hedgeLatencyWindow] = int64(d)
-	c.latCount++
-	c.mu.Unlock()
-}
-
-// hedgeDelay returns the delay before arming the hedge: the trailing p99 of
-// the latency ring once it has hedgeMinSamples, the policy's fixed
-// HedgeAfter until then — and never below it.
-func (c *Client) hedgeDelay(p RetryPolicy) time.Duration {
-	c.mu.Lock()
-	n := c.latCount
-	if n > hedgeLatencyWindow {
-		n = hedgeLatencyWindow
-	}
-	samples := append([]int64(nil), c.latRing[:n]...)
-	c.mu.Unlock()
-	if len(samples) < hedgeMinSamples {
-		return p.HedgeAfter
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	d := time.Duration(samples[len(samples)*99/100])
-	if d < p.HedgeAfter {
-		d = p.HedgeAfter
-	}
-	return d
-}
-
-// callHedged is one CallTimeout attempt with tail hedging: if the request
-// has not resolved after hedgeDelay, a duplicate is issued (budget
-// permitting) and the first response wins. Both stream IDs are deregistered
-// on resolution, so the loser's late response is discarded — the server may
-// execute the request twice, which is why hedging (like the cache) is for
-// idempotent methods.
-func (c *Client) callHedged(method string, payload []byte, timeout time.Duration, p RetryPolicy) (uint16, []byte, error) {
-	start := time.Now()
-	type result struct {
-		status  uint16
-		payload []byte
-		err     error
-	}
-	ch := make(chan result, 2) // both attempts may resolve
-	cb := func(status uint16, pl []byte, err error) {
-		ch <- result{status, append([]byte(nil), pl...), err}
-	}
-	var firstID, hedgeID uint32
-	if err := c.goWithID(method, payload, &firstID, cb); err != nil {
-		return 0, nil, err
-	}
-	if err := c.Flush(); err != nil {
-		return 0, nil, err
-	}
-	hedgeTimer := time.NewTimer(c.hedgeDelay(p))
-	defer hedgeTimer.Stop()
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	hedgeIssued := false
-	settle := func() {
-		c.mu.Lock()
-		delete(c.pending, firstID)
-		if hedgeIssued {
-			delete(c.pending, hedgeID)
-		}
-		c.mu.Unlock()
-	}
-	for {
-		select {
-		case r := <-ch:
-			settle()
-			if r.err == nil && r.status == StatusOK {
-				c.recordHedgeLatency(time.Since(start))
-			}
-			return r.status, r.payload, r.err
-		case <-hedgeTimer.C:
-			if !c.takeHedgeToken() {
-				continue // budget drained: wait out the primary alone
-			}
-			if err := c.goWithID(method, payload, &hedgeID, cb); err != nil {
-				c.ungetHedgeToken() // connection failing; the primary reports it
-				continue
-			}
-			hedgeIssued = true
-			c.mu.Lock()
-			c.hedges++
-			c.mu.Unlock()
-			c.Flush()
-		case <-deadline:
-			settle()
-			return 0, nil, ErrTimeout
-		}
-	}
-}
-
 // CallRetry is CallTimeout wrapped in the client's RetryPolicy: transient
 // failures are retried with exponential backoff while attempts and budget
-// allow; the timeout applies per attempt. With HedgeAfter set, each attempt
-// additionally hedges its tail (see callHedged). With no policy installed
+// allow; the timeout applies per attempt. With no policy installed
 // (SetRetryPolicy never called) it degenerates to a single attempt.
 func (c *Client) CallRetry(method string, payload []byte, timeout time.Duration) (uint16, []byte, error) {
 	c.mu.Lock()
@@ -249,15 +99,9 @@ func (c *Client) CallRetry(method string, payload []byte, timeout time.Duration)
 	if p.MaxAttempts == 0 {
 		return c.CallTimeout(method, payload, timeout)
 	}
-	attemptOnce := func() (uint16, []byte, error) {
-		if p.HedgeAfter > 0 {
-			return c.callHedged(method, payload, timeout, p)
-		}
-		return c.CallTimeout(method, payload, timeout)
-	}
 	backoff := p.BaseBackoff
 	for attempt := 1; ; attempt++ {
-		status, resp, err := attemptOnce()
+		status, resp, err := c.CallTimeout(method, payload, timeout)
 		if !Retryable(status, err) {
 			if err == nil && status == StatusOK {
 				c.refundRetryToken()

@@ -137,140 +137,6 @@ func TestCallRetryBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// With HedgeAfter armed, a slow primary gets a duplicate after the delay
-// and the hedge's fast response wins — the call returns long before the
-// primary would have.
-func TestCallRetryHedgesSlowPrimary(t *testing.T) {
-	var calls atomic.Uint64
-	release := make(chan struct{})
-	_, addr := startServer(t, func(method string, payload []byte) (uint16, []byte) {
-		if calls.Add(1) == 1 {
-			<-release // primary parks until the test ends
-		}
-		return StatusOK, payload
-	})
-	defer close(release)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetRetryPolicy(RetryPolicy{HedgeAfter: 5 * time.Millisecond})
-	start := time.Now()
-	status, resp, err := c.CallRetry("/t.S/Tail", []byte("h"), 5*time.Second)
-	if err != nil || status != StatusOK || string(resp) != "h" {
-		t.Fatalf("CallRetry: %d %q %v", status, resp, err)
-	}
-	if took := time.Since(start); took > time.Second {
-		t.Fatalf("hedged call took %v, want well under the parked primary", took)
-	}
-	if got := c.Hedges(); got != 1 {
-		t.Fatalf("Hedges = %d, want 1", got)
-	}
-	// A hedge is not a retry: the retry counter is untouched.
-	if got := c.Retries(); got != 0 {
-		t.Fatalf("Retries = %d, want 0", got)
-	}
-	// Both stream IDs were deregistered; the parked primary's late response
-	// must find nobody home.
-	if c.Pending() != 0 {
-		t.Fatalf("Pending = %d after hedge resolution", c.Pending())
-	}
-}
-
-// A fast primary resolves before the hedge delay: no duplicate is sent.
-func TestCallRetryFastPrimaryNoHedge(t *testing.T) {
-	var calls atomic.Uint64
-	_, addr := startServer(t, func(method string, payload []byte) (uint16, []byte) {
-		calls.Add(1)
-		return StatusOK, payload
-	})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetRetryPolicy(RetryPolicy{HedgeAfter: 200 * time.Millisecond})
-	for i := 0; i < 8; i++ {
-		if status, _, err := c.CallRetry("/t.S/Fast", []byte("f"), time.Second); err != nil || status != StatusOK {
-			t.Fatalf("CallRetry: %d %v", status, err)
-		}
-	}
-	if got := c.Hedges(); got != 0 {
-		t.Fatalf("Hedges = %d, want 0", got)
-	}
-	if got := calls.Load(); got != 8 {
-		t.Fatalf("server saw %d calls, want 8", got)
-	}
-}
-
-// The hedge delay starts at the fixed HedgeAfter and switches to the
-// trailing p99 of observed latencies once the ring has enough samples —
-// never dropping below the configured floor.
-func TestHedgeDelayTracksP99(t *testing.T) {
-	_, addr := startServer(t, func(method string, payload []byte) (uint16, []byte) {
-		return StatusOK, payload
-	})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	p := RetryPolicy{HedgeAfter: time.Millisecond}.withDefaults()
-
-	// Too few samples: the fixed delay applies.
-	for i := 0; i < hedgeMinSamples-1; i++ {
-		c.recordHedgeLatency(10 * time.Millisecond)
-	}
-	if got := c.hedgeDelay(p); got != time.Millisecond {
-		t.Fatalf("under-sampled hedgeDelay = %v, want the fixed %v", got, time.Millisecond)
-	}
-	// Enough samples: the p99 of the ring takes over.
-	c.recordHedgeLatency(10 * time.Millisecond)
-	if got := c.hedgeDelay(p); got != 10*time.Millisecond {
-		t.Fatalf("hedgeDelay = %v, want the 10ms p99", got)
-	}
-	// The fixed delay is a floor, not just a fallback.
-	for i := 0; i < hedgeLatencyWindow; i++ {
-		c.recordHedgeLatency(10 * time.Microsecond)
-	}
-	if got := c.hedgeDelay(p); got != time.Millisecond {
-		t.Fatalf("hedgeDelay = %v, want floored at %v", got, time.Millisecond)
-	}
-}
-
-// Hedges spend the shared token-bucket budget: with the bucket drained no
-// duplicate is sent, and the call waits out the primary.
-func TestHedgeBudgetExhaustion(t *testing.T) {
-	var calls atomic.Uint64
-	_, addr := startServer(t, func(method string, payload []byte) (uint16, []byte) {
-		if calls.Add(1)%2 == 1 {
-			time.Sleep(20 * time.Millisecond) // odd calls are slow
-		}
-		return StatusOK, payload
-	})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetRetryPolicy(RetryPolicy{HedgeAfter: 2 * time.Millisecond, RetryBudget: 1})
-	// First slow call: the single token funds one hedge.
-	if status, _, err := c.CallRetry("/t.S/Odd", nil, time.Second); err != nil || status != StatusOK {
-		t.Fatalf("CallRetry: %d %v", status, err)
-	}
-	if got := c.Hedges(); got != 1 {
-		t.Fatalf("Hedges = %d, want 1", got)
-	}
-	// Budget empty: the next slow call completes unhedged.
-	if status, _, err := c.CallRetry("/t.S/Odd", nil, time.Second); err != nil || status != StatusOK {
-		t.Fatalf("CallRetry: %d %v", status, err)
-	}
-	if got := c.Hedges(); got != 1 {
-		t.Fatalf("Hedges = %d after drained budget, want still 1", got)
-	}
-}
-
 // Non-retryable outcomes (application errors) pass through untouched.
 func TestCallRetryNonRetryable(t *testing.T) {
 	var calls atomic.Uint64

@@ -1,77 +1,6 @@
 package xrpc
 
-import (
-	"fmt"
-
-	"dpurpc/internal/protodesc"
-	"dpurpc/internal/protomsg"
-)
-
 // FullMethodName renders the gRPC-style method path.
 func FullMethodName(service, method string) string {
 	return "/" + service + "/" + method
-}
-
-// UnaryHandler is a typed service method implementation operating on
-// dynamic messages.
-type UnaryHandler func(req *protomsg.Message) (*protomsg.Message, error)
-
-type methodEntry struct {
-	desc    *protodesc.Method
-	handler UnaryHandler
-}
-
-// Dispatcher routes full method names to typed handlers, performing the
-// standard one-copy deserialization on the request and serialization on the
-// response. This is the conventional (non-offloaded) server path whose CPU
-// cost the paper measures as the baseline.
-type Dispatcher struct {
-	methods map[string]methodEntry
-}
-
-// NewDispatcher returns an empty dispatcher.
-func NewDispatcher() *Dispatcher {
-	return &Dispatcher{methods: make(map[string]methodEntry)}
-}
-
-// RegisterService binds implementations for svc's methods. Every method of
-// the service must be implemented.
-func (d *Dispatcher) RegisterService(svc *protodesc.Service, impl map[string]UnaryHandler) error {
-	for _, m := range svc.Methods {
-		h, ok := impl[m.Name]
-		if !ok {
-			return fmt.Errorf("xrpc: service %s: method %s not implemented", svc.Name, m.Name)
-		}
-		d.methods[FullMethodName(svc.Name, m.Name)] = methodEntry{desc: m, handler: h}
-	}
-	if len(impl) != len(svc.Methods) {
-		return fmt.Errorf("xrpc: service %s: %d implementations for %d methods",
-			svc.Name, len(impl), len(svc.Methods))
-	}
-	return nil
-}
-
-// Handler adapts the dispatcher to the raw transport.
-func (d *Dispatcher) Handler() ServerHandler {
-	return func(method string, payload []byte) (uint16, []byte) {
-		e, ok := d.methods[method]
-		if !ok {
-			return StatusUnimplemented, nil
-		}
-		req := protomsg.New(e.desc.Input)
-		if err := req.Unmarshal(payload); err != nil {
-			return StatusInvalidArgument, nil
-		}
-		resp, err := e.handler(req)
-		if err != nil {
-			return StatusInternal, nil
-		}
-		if resp == nil {
-			return StatusOK, nil
-		}
-		if resp.Descriptor() != e.desc.Output {
-			return StatusInternal, nil
-		}
-		return StatusOK, resp.Marshal(nil)
-	}
 }

@@ -290,12 +290,6 @@ type Client struct {
 	retryTokens float64
 	retries     uint64
 
-	// Hedging state (see retry.go): the cumulative hedge count and the ring
-	// of recent successful-call latencies backing the trailing-p99 delay.
-	hedges   uint64
-	latRing  [hedgeLatencyWindow]int64
-	latCount uint64
-
 	// rbuf is the reader goroutine's response buffer, reused across frames.
 	// It grows to the largest response up to the largest pooled frame class;
 	// a bigger response is read into a buffer of its own and not kept.

@@ -9,10 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"dpurpc/internal/protodesc"
-	"dpurpc/internal/protodsl"
-	"dpurpc/internal/protomsg"
 )
 
 // startServer runs a server with the given handler on a loopback listener.
@@ -220,113 +216,6 @@ func TestManyConnections(t *testing.T) {
 	wg.Wait()
 	if srv.Requests() != conns*50 {
 		t.Errorf("requests = %d", srv.Requests())
-	}
-}
-
-// --- dispatcher tests -------------------------------------------------------
-
-const svcSchema = `
-syntax = "proto3";
-package t;
-message Num { int64 v = 1; }
-message Pair { int64 a = 1; int64 b = 2; }
-service Calc {
-  rpc Add (Pair) returns (Num);
-  rpc Neg (Num) returns (Num);
-}
-`
-
-func calcEnv(t *testing.T) (*protodesc.Registry, *protodesc.Service) {
-	t.Helper()
-	f, err := protodsl.Parse("svc.proto", svcSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := protodesc.NewRegistry()
-	if err := reg.Register(f); err != nil {
-		t.Fatal(err)
-	}
-	return reg, reg.Service("t.Calc")
-}
-
-func TestDispatcherEndToEnd(t *testing.T) {
-	reg, svc := calcEnv(t)
-	numDesc := reg.Message("t.Num")
-	d := NewDispatcher()
-	err := d.RegisterService(svc, map[string]UnaryHandler{
-		"Add": func(req *protomsg.Message) (*protomsg.Message, error) {
-			out := protomsg.New(numDesc)
-			out.SetInt64("v", req.Int64("a")+req.Int64("b"))
-			return out, nil
-		},
-		"Neg": func(req *protomsg.Message) (*protomsg.Message, error) {
-			out := protomsg.New(numDesc)
-			out.SetInt64("v", -req.Int64("v"))
-			return out, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, addr := startServer(t, d.Handler())
-	c, _ := Dial(addr)
-	defer c.Close()
-
-	pair := protomsg.New(reg.Message("t.Pair"))
-	pair.SetInt64("a", 20)
-	pair.SetInt64("b", 22)
-	status, resp, err := c.Call(FullMethodName("t.Calc", "Add"), pair.Marshal(nil))
-	if err != nil || status != StatusOK {
-		t.Fatalf("Add: %d %v", status, err)
-	}
-	out := protomsg.New(numDesc)
-	if err := out.Unmarshal(resp); err != nil {
-		t.Fatal(err)
-	}
-	if out.Int64("v") != 42 {
-		t.Errorf("Add = %d", out.Int64("v"))
-	}
-
-	// Unknown method.
-	status, _, _ = c.Call("/t.Calc/Nope", nil)
-	if status != StatusUnimplemented {
-		t.Errorf("unknown method status = %d", status)
-	}
-	// Malformed payload.
-	status, _, _ = c.Call(FullMethodName("t.Calc", "Add"), []byte{0xff, 0xff})
-	if status != StatusInvalidArgument {
-		t.Errorf("malformed payload status = %d", status)
-	}
-}
-
-func TestDispatcherRegistrationErrors(t *testing.T) {
-	_, svc := calcEnv(t)
-	d := NewDispatcher()
-	err := d.RegisterService(svc, map[string]UnaryHandler{
-		"Add": func(req *protomsg.Message) (*protomsg.Message, error) { return nil, nil },
-	})
-	if err == nil {
-		t.Error("missing method accepted")
-	}
-}
-
-func TestDispatcherHandlerErrors(t *testing.T) {
-	reg, svc := calcEnv(t)
-	d := NewDispatcher()
-	d.RegisterService(svc, map[string]UnaryHandler{
-		"Add": func(req *protomsg.Message) (*protomsg.Message, error) {
-			return nil, errors.New("boom")
-		},
-		"Neg": func(req *protomsg.Message) (*protomsg.Message, error) {
-			return protomsg.New(reg.Message("t.Pair")), nil // wrong type
-		},
-	})
-	h := d.Handler()
-	if st, _ := h(FullMethodName("t.Calc", "Add"), nil); st != StatusInternal {
-		t.Errorf("handler error status = %d", st)
-	}
-	if st, _ := h(FullMethodName("t.Calc", "Neg"), nil); st != StatusInternal {
-		t.Errorf("wrong response type status = %d", st)
 	}
 }
 
