@@ -355,8 +355,8 @@ func printConnScale(c connScaleRows) {
 	}
 	w.Flush()
 	o := c.Overload
-	fmt.Printf("   overload (admit<=%d, no client retries): %d ok, %d shed typed UNAVAILABLE (DPU %d / host %d) in %.3fs\n",
-		o.AdmitMaxInflight, o.Succeeded, o.Failed, o.DPUSheds, o.HostSheds, o.WallSeconds)
+	fmt.Printf("   overload (admit<=%d, no client retries): %d ok, %d shed typed UNAVAILABLE (DPU %d) in %.3fs\n",
+		o.DPUAdmitMaxInflight, o.Succeeded, o.Failed, o.DPUSheds, o.WallSeconds)
 	fmt.Println()
 }
 

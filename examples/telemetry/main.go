@@ -29,17 +29,13 @@ func main() {
 		log.Fatal(err)
 	}
 	empty := func(req dpurpc.View) (*dpurpc.Message, uint16) { return nil, 0 }
-	// Instrument the RPC-over-RDMA datapath itself (DPU->host->DPU), as the
-	// paper does "directly at the library level" (Sec. VI).
+	// Instrument the datapath itself (DPU->host->DPU), as the paper does
+	// "directly at the library level" (Sec. VI): every DPU server records
+	// each request's admit-to-delivery latency into the stack's window.
 	reg := metrics.NewRegistry()
-	rdmaLatency := reg.Histogram("rpcrdma_request_latency_us",
-		"DPU-side enqueue-to-response latency over the RDMA datapath.", nil,
-		[]float64{1, 5, 10, 50, 100, 500, 1000})
-	opts := dpurpc.StackOptions{}
-	opts.ClientCfg.LatencyObserver = func(ns float64) { rdmaLatency.Observe(ns / 1e3) }
 	stack, err := dpurpc.NewOffloadedStack(schema, map[string]dpurpc.Impl{
 		"benchpb.Bench": {"CallSmall": empty, "CallInts": empty, "CallChars": empty, "Echo": empty, "EchoBlob": empty},
-	}, opts)
+	}, dpurpc.StackOptions{Window: metrics.NewRPCWindow()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -129,7 +125,8 @@ func main() {
 	fmt.Println("\n--- final metrics (rate stable within 1%) ---")
 	fmt.Printf("stable rate:        %.0f req/s (wall-clock, this machine)\n", mon.Rate())
 	fmt.Printf("p50 client latency: %v us (TCP + datapath)\n", latency.Quantile(0.5))
-	fmt.Printf("p50 rdma datapath:  %v us (library-level instrumentation)\n", rdmaLatency.Quantile(0.5))
+	win := stack.Window().LatencyUS.Snapshot()
+	fmt.Printf("p50 dpu datapath:   %v us (library-level instrumentation, trailing %v)\n", win.Quantile(0.5), win.Window)
 	d2h := d.Link.Stats(fabric.DPUToHost)
 	h2d := d.Link.Stats(fabric.HostToDPU)
 	fmt.Printf("pcie dpu->host:     %d blocks, %d KiB\n", d2h.Transfers, d2h.TotalBytes()>>10)

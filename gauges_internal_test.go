@@ -122,7 +122,7 @@ func TestBufferCacheOnMetrics(t *testing.T) {
 
 // Each DPU server's sheds, reconnects and redial failures are on /metrics,
 // labelled by connection. The deployment is stepped by hand: with one call
-// queued on the poller, an AdmitMaxInflight of 1 sheds the next one, and a
+// queued on the poller, a DPUAdmitMaxInflight of 1 sheds the next one, and a
 // broken connection is replaced on the next passes.
 func TestDPUCountersOnMetrics(t *testing.T) {
 	env := workload.NewEnv()
@@ -160,7 +160,7 @@ func TestDPUCountersOnMetrics(t *testing.T) {
 		}
 	}
 	if len(statuses) != 1 || statuses[0] != xrpc.StatusUnavailable {
-		t.Fatalf("statuses %v after two calls against AdmitMaxInflight=1, want the second shed UNAVAILABLE", statuses)
+		t.Fatalf("statuses %v after two calls against DPUAdmitMaxInflight=1, want the second shed UNAVAILABLE", statuses)
 	}
 	if v := scrape(sheds); v != 1 {
 		t.Errorf("%s = %v after one shed", sheds, v)
@@ -270,8 +270,7 @@ func TestGatherBytesOnMetrics(t *testing.T) {
 // equal to its Counters fields. The DPU's posts fail at random and every
 // request block lands 20 ms late, past a 5 ms RequestTimeout: the DPU
 // retries the rejected posts, reaps every request, sent or not, and drops
-// the late responses, and the host, admitting one request at a time, sheds the rest
-// of each block. No arena runs out, so the recoveries series stays 0.
+// the late responses. No arena runs out, so the recoveries series stays 0.
 func TestFailureCountersOnMetrics(t *testing.T) {
 	env := workload.NewEnv()
 	none := func(abi.View) (*protomsg.Message, uint16) { return nil, 0 }
@@ -282,9 +281,10 @@ func TestFailureCountersOnMetrics(t *testing.T) {
 	// Two credits: blocks also wait for one past RequestTimeout and are
 	// reaped unsent.
 	ccfg := rpcrdma.Config{Credits: 2, CQDepth: 16, RequestTimeout: 5 * time.Millisecond}
-	scfg := rpcrdma.Config{Credits: 2, CQDepth: 16, AdmitMaxInflight: 1}
+	ccfg.Faults = &plan
+	scfg := rpcrdma.Config{Credits: 2, CQDepth: 16}
 	d, err := offload.NewDeploymentWith(env.Table, impls, offload.DeployConfig{
-		Connections: 1, ClientCfg: ccfg, ServerCfg: scfg, ClientFaults: &plan,
+		Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,9 +334,7 @@ func TestFailureCountersOnMetrics(t *testing.T) {
 		{`conn_requests_timed_out_total{conn="0",side="dpu"}`, dc.RequestsTimedOut, true},
 		{`conn_late_responses_dropped_total{conn="0",side="dpu"}`, dc.LateResponsesDropped, true},
 		{`conn_send_full_recoveries_total{conn="0",side="dpu"}`, dc.SendFullRecoveries, false},
-		{`conn_admission_sheds_total{conn="0",side="host"}`, hc.AdmissionSheds, true},
 		{`conn_send_fault_retries_total{conn="0",side="host"}`, hc.SendFaultRetries, false},
-		{`conn_admission_sheds_total{conn="0",side="dpu"}`, dc.AdmissionSheds, false},
 	} {
 		v := scrape(c.series)
 		if v != float64(c.want) {

@@ -122,29 +122,26 @@ func (s *Stats) Add(other Stats) {
 	s.RefBytes += other.RefBytes
 }
 
-// frame is per-nesting-level scratch (counts and cursors per field),
+// frame is per-nesting-level scratch (cursors and array bases per field),
 // recycled across messages so steady-state deserialization performs zero
 // heap allocations.
 type frame struct {
-	counts  []uint32 // repeated-element counts from the count pass
 	cursors []uint32 // fill cursors
 	refs    []uint64 // array base region-offsets per repeated field
 	seen    []bool   // singular message fields already materialized
 }
 
 func (f *frame) prepare(n int) {
-	if cap(f.counts) < n {
-		f.counts = make([]uint32, n)
+	if cap(f.cursors) < n {
 		f.cursors = make([]uint32, n)
 		f.refs = make([]uint64, n)
 		f.seen = make([]bool, n)
 	}
-	f.counts = f.counts[:n]
 	f.cursors = f.cursors[:n]
 	f.refs = f.refs[:n]
 	f.seen = f.seen[:n]
-	for i := range f.counts {
-		f.counts[i], f.cursors[i], f.refs[i], f.seen[i] = 0, 0, 0, false
+	for i := range f.cursors {
+		f.cursors[i], f.refs[i], f.seen[i] = 0, 0, false
 	}
 }
 

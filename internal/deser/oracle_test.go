@@ -18,6 +18,13 @@ import (
 	"dpurpc/internal/wire"
 )
 
+// oracleFrame is one message's scratch: the decoder's frame plus the count
+// pass's repeated-element counts per field.
+type oracleFrame struct {
+	frame
+	counts []uint32
+}
+
 // Deserialize decodes data (one serialized message of layout lay) into a new
 // object allocated from bump, whose byte 0 sits at region offset base. It
 // returns the region offset of the root object.
@@ -57,7 +64,7 @@ func (d *Deserializer) message(lay *abi.Layout, body []byte, bump *arena.Bump, b
 
 // fill decodes body into an existing object.
 func (d *Deserializer) fill(lay *abi.Layout, body []byte, obj []byte, objOff uint64, bump *arena.Bump, base uint64, depth int) error {
-	fr := d.frame(depth)
+	fr := &oracleFrame{counts: make([]uint32, len(lay.Fields))}
 	fr.prepare(len(lay.Fields))
 
 	// Pass 1 (only when the class has repeated fields): count elements so
@@ -141,7 +148,7 @@ func (d *Deserializer) fill(lay *abi.Layout, body []byte, obj []byte, objOff uin
 // countPass scans body counting repeated elements per field. Values are
 // skipped structurally; nested bodies are not descended into (their own fill
 // performs its own count).
-func (d *Deserializer) countPass(lay *abi.Layout, body []byte, fr *frame) error {
+func (d *Deserializer) countPass(lay *abi.Layout, body []byte, fr *oracleFrame) error {
 	return countRepeated(lay, body, fr.counts)
 }
 
@@ -207,7 +214,7 @@ func countRepeated(lay *abi.Layout, body []byte, counts []uint32) error {
 
 // value decodes one field value at the start of rest and returns the bytes
 // consumed.
-func (d *Deserializer) value(lay *abi.Layout, fl *abi.FieldLayout, fr *frame, rest []byte, obj []byte, objOff uint64, wt wire.Type, bump *arena.Bump, base uint64, depth int) (int, error) {
+func (d *Deserializer) value(lay *abi.Layout, fl *abi.FieldLayout, fr *oracleFrame, rest []byte, obj []byte, objOff uint64, wt wire.Type, bump *arena.Bump, base uint64, depth int) (int, error) {
 	f := fl.Desc
 	d.Stats.Fields++
 	switch {
@@ -321,7 +328,7 @@ func (d *Deserializer) value(lay *abi.Layout, fl *abi.FieldLayout, fr *frame, re
 
 // repeatedScalar decodes one wire value (packed record or single element) of
 // a repeated scalar field directly into its pre-allocated array.
-func (d *Deserializer) repeatedScalar(fl *abi.FieldLayout, fr *frame, rest []byte, wt wire.Type, bump *arena.Bump, base uint64) (int, error) {
+func (d *Deserializer) repeatedScalar(fl *abi.FieldLayout, fr *oracleFrame, rest []byte, wt wire.Type, bump *arena.Bump, base uint64) (int, error) {
 	f := fl.Desc
 	elem := int(fl.ElemSize)
 	writeElem := func(arr []byte, i uint32, bits uint64) {

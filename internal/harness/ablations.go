@@ -3,6 +3,7 @@ package harness
 import (
 	"strconv"
 
+	"dpurpc/internal/rpcrdma"
 	"dpurpc/internal/workload"
 )
 
@@ -59,8 +60,8 @@ func PollModes(opts Options) ([]PollModeRow, error) {
 			return nil, err
 		}
 		r := PollModeRow{RPS: row.Result.RPS}
-		hostUtil := 100 * row.Result.HostCores / float64(opts.Machine.Host.Cores)
-		dpuUtil := 100 * row.Result.DPUCores / float64(opts.Machine.DPU.Cores)
+		hostUtil := 100 * row.Result.HostCores / float64(machine.Host.Cores)
+		dpuUtil := 100 * row.Result.DPUCores / float64(machine.DPU.Cores)
 		if busy {
 			// Busy polling spins whenever it is not working: the cores the
 			// pollers own read as fully utilized.
@@ -90,13 +91,13 @@ func TableI(opts Options) []TableIRow {
 	s := opts.ServerCfg.WithDefaults(false)
 	return []TableIRow{
 		{"Hardware", "BlueField-3 (simulated)", "PowerEdge R760 (simulated)"},
-		{"CPU model", opts.Machine.DPU.Name, opts.Machine.Host.Name},
-		{"Threads", itoa(opts.Machine.DPU.Cores), itoa(opts.Machine.Host.Cores)},
+		{"CPU model", machine.DPU.Name, machine.Host.Name},
+		{"Threads", itoa(machine.DPU.Cores), itoa(machine.Host.Cores)},
 		{"Credits", itoa(c.Credits), itoa(s.Credits)},
 		{"Block Size", byteSize(c.BlockSize), byteSize(s.BlockSize)},
-		{"Concurrency", itoa(opts.Concurrency), "n/a"},
+		{"Concurrency", itoa(rpcrdma.DefaultConcurrency), "n/a"},
 		{"Buffer Sizes", byteSize(c.SBufSize), byteSize(s.SBufSize)},
-		{"PCIe link", gbps(opts.Machine.LinkBandwidthGbps), gbps(opts.Machine.LinkBandwidthGbps)},
+		{"PCIe link", gbps(machine.LinkBandwidthGbps), gbps(machine.LinkBandwidthGbps)},
 	}
 }
 

@@ -47,12 +47,11 @@ type ConnScaleRow struct {
 	Kills       uint64
 	Reconnects  uint64
 	RedialFails uint64
-	// DPUSheds / HostSheds count admission-control rejections on each side
-	// (nonzero only on the overload leg).
-	DPUSheds  uint64
-	HostSheds uint64
-	// AdmitMaxInflight echoes the DPU-side gate the leg ran with (0 = off).
-	AdmitMaxInflight int
+	// DPUSheds counts the DPU admission gate's rejections (nonzero only on
+	// the overload leg).
+	DPUSheds uint64
+	// DPUAdmitMaxInflight echoes the DPU gate the leg ran with (0 = off).
+	DPUAdmitMaxInflight int
 	// DeadConns is how many connections failed terminally (reconnect budget
 	// exhausted); their remaining calls fail typed.
 	DeadConns   int
@@ -121,7 +120,7 @@ func RunOverload(opts Options) (ConnScaleRow, error) {
 // must fit one 2 KiB block.
 func connScalePayloads(env *workload.Env, opts Options) [][]byte {
 	rng := mt19937.New(opts.Seed)
-	out := make([][]byte, opts.DistinctMessages)
+	out := make([][]byte, distinctMessages)
 	for i := range out {
 		n := 64 + int(rng.Uint32n(512-64))
 		out[i] = env.GenChars(rng, n).Marshal(nil)
@@ -179,8 +178,8 @@ func runConnScalePoint(opts Options, pt connScalePoint) (ConnScaleRow, error) {
 	}
 	if pt.faultRate > 0 {
 		plan := chaosPlan(pt.faultRate, opts.Seed)
-		dcfg.ClientFaults = &plan
-		dcfg.ServerFaults = &plan
+		dcfg.ClientCfg.Faults = &plan
+		dcfg.ServerCfg.Faults = &plan
 		dcfg.ClientCfg.RequestTimeout = 500 * time.Millisecond
 	}
 	d, err := offload.NewDeploymentWith(env.Table, impls, dcfg)
@@ -362,34 +361,26 @@ func runConnScalePoint(opts Options, pt connScalePoint) (ConnScaleRow, error) {
 	hostWG.Wait()
 
 	row := ConnScaleRow{
-		Conns:            pt.conns,
-		Shards:           shards,
-		Churn:            pt.churn,
-		Requests:         total,
-		Succeeded:        succeeded.Load(),
-		Failed:           failed.Load(),
-		Retries:          retries.Load(),
-		Kills:            kills.Load(),
-		AdmitMaxInflight: pt.admitMaxInflight,
-		DeadConns:        group.DeadCount(),
-		WallSeconds:      wall.Seconds(),
-		GoodputRPS:       safeDiv(float64(succeeded.Load()), wall.Seconds()),
-		P50US:            hist.Quantile(0.50),
-		P99US:            hist.Quantile(0.99),
+		Conns:               pt.conns,
+		Shards:              shards,
+		Churn:               pt.churn,
+		Requests:            total,
+		Succeeded:           succeeded.Load(),
+		Failed:              failed.Load(),
+		Retries:             retries.Load(),
+		Kills:               kills.Load(),
+		DPUAdmitMaxInflight: pt.admitMaxInflight,
+		DeadConns:           group.DeadCount(),
+		WallSeconds:         wall.Seconds(),
+		GoodputRPS:          safeDiv(float64(succeeded.Load()), wall.Seconds()),
+		P50US:               hist.Quantile(0.50),
+		P99US:               hist.Quantile(0.99),
 	}
 	for _, dpuSrv := range d.DPUs {
 		st := dpuSrv.Stats()
 		row.Reconnects += st.Reconnects
 		row.RedialFails += st.RedialFails
 		row.DPUSheds += st.Sheds
-	}
-	for _, p := range d.Pollers {
-		for _, conn := range p.Conns() {
-			row.HostSheds += conn.Counters.AdmissionSheds
-		}
-		for _, c := range p.DeadCounters() {
-			row.HostSheds += c.AdmissionSheds
-		}
 	}
 	d.Close()
 

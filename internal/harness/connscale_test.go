@@ -75,8 +75,8 @@ func TestRunOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("ok=%d failed=%d dpuSheds=%d hostSheds=%d wall=%.2fs",
-		row.Succeeded, row.Failed, row.DPUSheds, row.HostSheds, row.WallSeconds)
+	t.Logf("ok=%d failed=%d dpuSheds=%d wall=%.2fs",
+		row.Succeeded, row.Failed, row.DPUSheds, row.WallSeconds)
 	if row.DPUSheds == 0 {
 		t.Fatal("overload leg shed nothing")
 	}
@@ -137,7 +137,7 @@ func BenchmarkConnScale(b *testing.B) {
 				}
 				goodput += row.GoodputRPS
 				reconnects += float64(row.Reconnects)
-				sheds += float64(row.DPUSheds + row.HostSheds)
+				sheds += float64(row.DPUSheds)
 			}
 			b.ReportMetric(goodput/float64(b.N), "goodput/s")
 			b.ReportMetric(reconnects/float64(b.N), "reconnects")

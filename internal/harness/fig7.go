@@ -83,8 +83,8 @@ func Fig7(opts Options, counts []int, wallIters int) ([]Fig7Row, error) {
 			row := Fig7Row{
 				Kind:      kind,
 				Count:     n,
-				CPUNS:     opts.Machine.Host.DeserNS(stats),
-				DPUNS:     opts.Machine.DPU.DeserNS(stats),
+				CPUNS:     machine.Host.DeserNS(stats),
+				DPUNS:     machine.DPU.DeserNS(stats),
 				WireBytes: len(data),
 			}
 			row.Ratio = row.DPUNS / row.CPUNS

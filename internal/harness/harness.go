@@ -38,12 +38,6 @@ type Options struct {
 	offload.DeployConfig
 	// Requests per scenario per mode.
 	Requests int
-	// Concurrency is the outstanding-request bound (Table I: 1024).
-	Concurrency int
-	// DistinctMessages is how many pre-generated messages are cycled.
-	DistinctMessages int
-	// Machine is the modeled testbed.
-	Machine *dpu.Machine
 	// BusyPoll selects the modeled polling mode, i.e. whether the cost
 	// model charges a wake-up per block (Table I runs busy-poll on
 	// dedicated cores; the poll() comparison is the Sec. III-C ablation).
@@ -61,14 +55,17 @@ func DefaultOptions() Options {
 			ClientCfg:   rpcrdma.DefaultClientConfig(),
 			ServerCfg:   rpcrdma.DefaultServerConfig(),
 		},
-		Requests:         20000,
-		Concurrency:      rpcrdma.DefaultConcurrency,
-		DistinctMessages: 32,
-		Machine:          dpu.Default(),
-		BusyPoll:         true,
-		Seed:             mt19937.DefaultSeed,
+		Requests: 20000,
+		BusyPoll: true,
+		Seed:     mt19937.DefaultSeed,
 	}
 }
+
+// distinctMessages is how many pre-generated messages a run cycles.
+const distinctMessages = 32
+
+// machine is the modeled testbed (Table I) every run is charged to.
+var machine = dpu.Default()
 
 // deployConfig is the deployment an offloaded run builds from o: at least
 // one connection, and both sides busy-polling, because the harness drives
@@ -155,7 +152,7 @@ func methodName(env *workload.Env, s workload.Scenario) string {
 // genPayloads pre-generates the cycled request payloads.
 func genPayloads(env *workload.Env, s workload.Scenario, opts Options) [][]byte {
 	rng := mt19937.New(opts.Seed)
-	out := make([][]byte, opts.DistinctMessages)
+	out := make([][]byte, distinctMessages)
 	for i := range out {
 		out[i] = env.Gen(s, rng).Marshal(nil)
 	}
@@ -207,7 +204,7 @@ func RunBaseline(s workload.Scenario, opts Options) (Fig8Row, error) {
 	}
 	wall := time.Since(start)
 	st := base.Stats()
-	host := opts.Machine.Host
+	host := machine.Host
 	n := float64(st.Requests)
 
 	// Host work: the full server stack per request, the socket-byte cost of
@@ -225,7 +222,7 @@ func RunBaseline(s workload.Scenario, opts Options) (Fig8Row, error) {
 	// added on top of the framing already counted).
 	linkBytes := uint64(frameBytes)
 
-	r := opts.Machine.Analyze(dpu.Usage{
+	r := machine.Analyze(dpu.Usage{
 		Requests:  st.Requests,
 		HostNS:    hostNS,
 		DPUNS:     0,
@@ -261,7 +258,7 @@ func RunOffload(s workload.Scenario, opts Options) (Fig8Row, error) {
 	start := time.Now()
 	submitted, completed, failed := 0, 0, 0
 	for completed < opts.Requests {
-		for submitted < opts.Requests && submitted-completed < opts.Concurrency {
+		for submitted < opts.Requests && submitted-completed < rpcrdma.DefaultConcurrency {
 			dpuSrv := d.DPUs[submitted%conns] // round-robin across pollers
 			err := dpuSrv.SubmitLocal(method, payloads[submitted%len(payloads)],
 				func(status uint16, errFlag bool, resp []byte) {
@@ -312,7 +309,7 @@ func RunOffload(s workload.Scenario, opts Options) (Fig8Row, error) {
 	}
 	row.Scenario = s
 	row.Mode = ModeDPU
-	row.Result = opts.Machine.Analyze(usage)
+	row.Result = machine.Analyze(usage)
 	row.WallSeconds = wall.Seconds()
 	row.WallRPS = safeDiv(float64(opts.Requests), wall.Seconds())
 	return row, nil
@@ -384,8 +381,8 @@ func offloadUsage(d *offload.Deployment, method string, opts Options) (dpu.Usage
 func usageFromCounters(rc runCounters, method string, opts Options) (dpu.Usage, Fig8Row) {
 	st, cc, sc, hs := rc.st, rc.cc, rc.sc, rc.hs
 	minCredits := rc.minCredits
-	host := opts.Machine.Host
-	dpuP := opts.Machine.DPU
+	host := machine.Host
+	dpuP := machine.DPU
 	n := float64(st.Responses)
 
 	avgReqBlock := int(safeDiv(float64(cc.PayloadBytesSent), float64(cc.BlocksSent)))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dpurpc/internal/rpcrdma"
 	"dpurpc/internal/workload"
 )
 
@@ -281,7 +282,7 @@ func TestCreditsInequalityDocumented(t *testing.T) {
 	// parameters (and that the run confirms it).
 	opts := testOptions()
 	slot := 16 + 48 // header + aligned small object
-	blocksNeeded := float64(opts.Concurrency*slot) / float64(opts.ClientCfg.WithDefaults(true).BlockSize)
+	blocksNeeded := float64(rpcrdma.DefaultConcurrency*slot) / float64(opts.ClientCfg.WithDefaults(true).BlockSize)
 	if blocksNeeded >= float64(opts.ClientCfg.WithDefaults(true).Credits) {
 		t.Fatalf("Table I inequality violated for Small: %.1f blocks >= credits", blocksNeeded)
 	}

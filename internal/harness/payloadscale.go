@@ -7,6 +7,7 @@ import (
 	"dpurpc/internal/dpu"
 	"dpurpc/internal/mt19937"
 	"dpurpc/internal/offload"
+	"dpurpc/internal/rpcrdma"
 	"dpurpc/internal/workload"
 	"dpurpc/internal/xrpc"
 )
@@ -87,7 +88,7 @@ func runPayload(opts Options, size, sgMin int) (PayloadScaleRow, error) {
 	if requests < 64 {
 		requests = 64
 	}
-	concurrency := opts.Concurrency
+	concurrency := rpcrdma.DefaultConcurrency
 	if maxConc := (16 << 20) / size; concurrency > maxConc {
 		concurrency = maxConc
 	}
@@ -112,8 +113,8 @@ func runPayload(opts Options, size, sgMin int) (PayloadScaleRow, error) {
 	defer d.Close()
 
 	rng := mt19937.New(opts.Seed)
-	distinct := opts.DistinctMessages
-	if distinct <= 0 || distinct*size > (64<<20) {
+	distinct := distinctMessages
+	if distinct*size > (64 << 20) {
 		distinct = 4
 	}
 	payloads := make([][]byte, distinct)
@@ -169,12 +170,12 @@ func runPayload(opts Options, size, sgMin int) (PayloadScaleRow, error) {
 	o.Requests = requests
 	usage, _ := offloadUsage(d, method, o)
 	n := float64(st.Responses)
-	deserNS := opts.Machine.DPU.DeserNS(st.Deser)
+	deserNS := machine.DPU.DeserNS(st.Deser)
 	row := PayloadScaleRow{
 		PayloadBytes:      size,
 		SGPayloadMin:      sgMin,
 		Requests:          requests,
-		Result:            opts.Machine.Analyze(usage),
+		Result:            machine.Analyze(usage),
 		CopiedBytesPerReq: safeDiv(float64(st.Deser.CopyBytes), n),
 		RefBytesPerReq:    safeDiv(float64(st.Deser.RefBytes), n),
 		SGMsgsPerReq:      safeDiv(float64(sgMsgs), n),

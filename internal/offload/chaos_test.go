@@ -72,10 +72,9 @@ func chaosSoak(t *testing.T, plan fault.Plan) {
 	ccfg.RequestTimeout = requestTimeout
 	scfg.HostWorkers = 2
 	ccfg.FlightRecorder = 256
+	ccfg.Faults, scfg.Faults = &plan, &plan
 	d, err := NewDeploymentWith(table, impls, DeployConfig{
 		Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
-		ClientFaults: &plan,
-		ServerFaults: &plan,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -136,9 +136,9 @@ func (d *Deployment) Close() {
 // DeployConfig is the one deployment configuration: the offloaded stack
 // (dpurpc.StackOptions is this type), the experiment harness (which embeds
 // it) and the DPU servers all read their knobs from it. Per-side protocol
-// knobs (block size, credits, host workers, deadlines, host admission) live
-// in ClientCfg and ServerCfg alone; the fields here
-// are the ones that span both sides or belong to neither protocol endpoint.
+// knobs (block size, credits, host workers, deadlines, fault plans) live in
+// ClientCfg and ServerCfg alone; the fields here are the ones that span both
+// sides or belong to neither protocol endpoint.
 type DeployConfig struct {
 	// Connections is the number of host<->DPU RPC-over-RDMA connections
 	// (one DPU poller each, Sec. III-C). Default 1.
@@ -148,8 +148,12 @@ type DeployConfig struct {
 	// blocks, 256 credits, 3/16 MiB buffers). HostWorkers > 1 on
 	// ServerCfg runs the host duplex response pool (handlers must then be
 	// safe for concurrent invocation); RequestTimeout on ClientCfg bounds
-	// each request (enable it whenever faults are injected);
-	// AdmitMaxInflight on ServerCfg arms the host admission gate.
+	// each request (enable it whenever faults are injected). Faults on
+	// either side inject deterministic faults (error CQEs, drops, delivery
+	// delays, CQ overflows) into that side's sends (see internal/fault);
+	// chaos testing only. Connection i runs a copy of the plan with i added
+	// to its Seed, so multi-connection chaos runs are reproducible but not
+	// in lockstep; the caller's plan is not modified.
 	ClientCfg rpcrdma.Config
 	ServerCfg rpcrdma.Config
 	// OffloadResponseSerialization moves response serialization to the DPU
@@ -191,15 +195,6 @@ type DeployConfig struct {
 	// ID) so /metrics, /anatomy and /tail report the trailing window's
 	// req/s, quantiles and worst requests.
 	Window *metrics.RPCWindow
-	// ClientFaults/ServerFaults inject deterministic faults (error CQEs,
-	// drops, delivery delays, CQ overflows) into the DPU->host and
-	// host->DPU RDMA paths respectively (see internal/fault); chaos testing
-	// only. Each connection derives its own schedule (plan seed + index) so
-	// multi-connection chaos runs are reproducible but not in lockstep. Nil
-	// (the default) keeps the datapath byte-identical to a fault-free
-	// build.
-	ClientFaults *fault.Plan
-	ServerFaults *fault.Plan
 	// ReconnectBudget > 0 arms transparent reconnect on every DPU server: a
 	// broken connection is redialed (fresh QP pair against the same host
 	// poller, same per-connection config). Requests in flight on the wire
@@ -226,6 +221,17 @@ type DeployConfig struct {
 	// rpccache's defaults (8 MiB, no count limit, no expiry). Unknown
 	// names fail construction; empty disables caching.
 	CacheMethods []string
+}
+
+// connPlan returns connection i's copy of a deployment's fault plan: the
+// same plan with i added to its seed. Nil stays nil.
+func connPlan(p *fault.Plan, i int) *fault.Plan {
+	if p == nil {
+		return nil
+	}
+	q := *p
+	q.Seed += uint32(i)
+	return &q
 }
 
 // NewDeploymentWith performs the ADT handshake and wires cfg.Connections
@@ -292,16 +298,8 @@ func NewDeploymentWith(hostTable *adt.Table, impls map[string]Impl, cfg DeployCo
 		if ccfgi.FlightRecorder > 0 && ccfgi.FlightLabel == "" {
 			ccfgi.FlightLabel = fmt.Sprintf("conn%d", i)
 		}
-		if cfg.ClientFaults != nil {
-			p := *cfg.ClientFaults
-			p.Seed += uint32(i)
-			ccfgi.Faults = &p
-		}
-		if cfg.ServerFaults != nil {
-			p := *cfg.ServerFaults
-			p.Seed += uint32(i)
-			scfgi.Faults = &p
-		}
+		ccfgi.Faults = connPlan(ccfg.Faults, i)
+		scfgi.Faults = connPlan(scfg.Faults, i)
 		client, server, err := rpcrdma.Connect(dpuDev, hostDev, ccfgi, scfgi, poller, host.Handler())
 		if err != nil {
 			// Close the DPU servers and pollers built so far; the pollers

@@ -12,6 +12,7 @@ import (
 	"dpurpc/internal/abi"
 	"dpurpc/internal/adt"
 	"dpurpc/internal/fabric"
+	"dpurpc/internal/fault"
 	"dpurpc/internal/mt19937"
 	"dpurpc/internal/protodesc"
 	"dpurpc/internal/protodsl"
@@ -472,6 +473,38 @@ func TestMultiConnectionDeployment(t *testing.T) {
 	pumpDeployment(t, d, func() bool { return done.Load() == conns*per })
 	if impl.smallSeen.Load() != conns*per {
 		t.Errorf("host saw %d", impl.smallSeen.Load())
+	}
+}
+
+// Each connection of a deployment runs its own copy of a side's fault plan,
+// seeded Seed+i, so multi-connection chaos is reproducible but not in
+// lockstep; the caller's plan is left as it was.
+func TestConnectionFaultSeeds(t *testing.T) {
+	env := workload.NewEnv()
+	impl := &benchImpl{env: env}
+	ccfg, scfg := smallTestCfg()
+	cplan := fault.Plan{DelayRate: 0.1, Delay: time.Millisecond, Seed: 7}
+	splan := fault.Plan{ErrorRate: 0.1, Seed: 100}
+	cwant, swant := cplan, splan
+	ccfg.Faults, scfg.Faults = &cplan, &splan
+	const conns = 3
+	d, err := NewDeploymentWith(env.Table, impl.impls(), DeployConfig{Connections: conns, ClientCfg: ccfg, ServerCfg: scfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < conns; i++ {
+		c, s := d.DPUs[i].Client().FaultInjector().Plan(), d.HostConn(i).FaultInjector().Plan()
+		if c.Seed != cwant.Seed+uint32(i) || s.Seed != swant.Seed+uint32(i) {
+			t.Errorf("connection %d: seeds %d/%d, want %d/%d", i, c.Seed, s.Seed, cwant.Seed+uint32(i), swant.Seed+uint32(i))
+		}
+		c.Seed, s.Seed = cwant.Seed, swant.Seed
+		if c != cwant || s != swant {
+			t.Errorf("connection %d: plans %v/%v, want %v/%v with its own seed", i, c, s, cwant, swant)
+		}
+	}
+	if cplan != cwant || splan != swant {
+		t.Errorf("caller's plans became %v/%v, want %v/%v", cplan, splan, cwant, swant)
 	}
 }
 

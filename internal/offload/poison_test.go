@@ -120,8 +120,8 @@ func TestPoisonOnRelease(t *testing.T) {
 		// only when it posts; a block reaped unsent must never post them,
 		// because its frames are released (and poisoned) once the reap is
 		// answered, and their pool hands them to later requests.
-		{name: "sg_reap", cfg: DeployConfig{SGPayloadMin: 4096, ClientFaults: &fault.Plan{ErrorRate: 0.7, Seed: 5},
-			ClientCfg: rpcrdma.Config{RequestTimeout: 2 * time.Millisecond}}, lossy: true,
+		{name: "sg_reap", cfg: DeployConfig{SGPayloadMin: 4096,
+			ClientCfg: rpcrdma.Config{RequestTimeout: 2 * time.Millisecond, Faults: &fault.Plan{ErrorRate: 0.7, Seed: 5}}}, lossy: true,
 			check: func(t *testing.T, r poisonRun) {
 				if c := r.dpu; r.typed == 0 || c.RequestsTimedOut == 0 || c.SendFaultRetries == 0 {
 					t.Errorf("%d typed failures, %d reaped, %d rejected posts: nothing was reaped unsent",
@@ -131,8 +131,8 @@ func TestPoisonOnRelease(t *testing.T) {
 					t.Error("no SG segment was gathered")
 				}
 			}},
-		{name: "reconnect", cfg: DeployConfig{ClientFaults: &flaky, ServerFaults: &flaky,
-			ClientCfg: rpcrdma.Config{RequestTimeout: time.Second}, ReconnectBudget: 10}, kill: true,
+		{name: "reconnect", cfg: DeployConfig{ServerCfg: rpcrdma.Config{Faults: &flaky},
+			ClientCfg: rpcrdma.Config{RequestTimeout: time.Second, Faults: &flaky}, ReconnectBudget: 10}, kill: true,
 			check: func(t *testing.T, r poisonRun) {
 				if r.st.Reconnects == 0 {
 					t.Error("no reconnect")

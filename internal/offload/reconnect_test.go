@@ -407,96 +407,149 @@ func TestFailStatusMapping(t *testing.T) {
 }
 
 // TestDPUAdmissionShed pins the DPU-side admission gate: a burst beyond
-// AdmitMaxInflight is rejected with UNAVAILABLE before entering the
+// DPUAdmitMaxInflight is rejected with UNAVAILABLE before entering the
 // pipeline — counted as sheds, never surfacing as DEADLINE_EXCEEDED or a
 // queue that outlives the burst.
+//
+// The blocked row is why the host needs no gate of its own: a request the
+// host has not answered is still outstanding on the DPU, so with every
+// handler held, at most DPUAdmitMaxInflight requests ever reach the host and
+// every other call is shed on the DPU.
 func TestDPUAdmissionShed(t *testing.T) {
-	table, reg := echoEnv(t)
-	respDesc := reg.Message("echopb.Resp")
-	impls := map[string]Impl{
-		"echopb.Echo": {
-			"Call": func(req abi.View) (*protomsg.Message, uint16) {
-				m := protomsg.New(respDesc)
-				m.SetUint64("id", req.U64Name("id"))
-				return m, 0
-			},
-		},
-	}
-	ccfg, scfg := smallTestCfg()
-	d, err := NewDeploymentWith(table, impls, DeployConfig{
-		Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
-		DPUAdmitMaxInflight: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	stop := make(chan struct{})
-	var hostWG sync.WaitGroup
-	hostWG.Add(1)
-	go func() {
-		defer hostWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	const gate, drivers = 2, 16
+	for _, row := range []struct {
+		name        string
+		hostWorkers int
+		calls       int  // per driver
+		block       bool // handlers wait until every other call has resolved
+	}{
+		{name: "fast", calls: 20},
+		{name: "blocked_workers4", hostWorkers: 4, calls: 1, block: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			table, reg := echoEnv(t)
+			respDesc := reg.Message("echopb.Resp")
+			release := make(chan struct{})
+			if !row.block {
+				close(release)
 			}
-			n, err := d.Poller.Progress()
+			var running, peak atomic.Int64
+			impls := map[string]Impl{
+				"echopb.Echo": {
+					"Call": func(req abi.View) (*protomsg.Message, uint16) {
+						n := running.Add(1)
+						for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+						}
+						<-release
+						running.Add(-1)
+						m := protomsg.New(respDesc)
+						m.SetUint64("id", req.U64Name("id"))
+						return m, 0
+					},
+				},
+			}
+			ccfg, scfg := smallTestCfg()
+			scfg.HostWorkers = row.hostWorkers
+			d, err := NewDeploymentWith(table, impls, DeployConfig{
+				Connections: 1, ClientCfg: ccfg, ServerCfg: scfg,
+				DPUAdmitMaxInflight: gate,
+			})
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			if n == 0 {
-				runtime.Gosched()
-			}
-		}
-	}()
-	group := NewPollerGroup(d.DPUs, 1)
-	group.Start()
+			defer d.Close()
 
-	dpu := d.DPUs[0]
-	h := dpu.XRPCHandler().Copying()
-	reqDesc := reg.Message("echopb.Req")
-	var ok, unavailable, other atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				m := protomsg.New(reqDesc)
-				m.SetUint64("id", uint64(w*20+i+1))
-				m.SetString("data", "x")
-				status, _ := h("/echopb.Echo/Call", m.Marshal(nil))
-				switch status {
-				case xrpc.StatusOK:
-					ok.Add(1)
-				case xrpc.StatusUnavailable:
-					unavailable.Add(1)
-				default:
-					other.Add(1)
+			stop := make(chan struct{})
+			var hostWG sync.WaitGroup
+			hostWG.Add(1)
+			go func() {
+				defer hostWG.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					n, err := d.Poller.Progress()
+					if err != nil {
+						return
+					}
+					if n == 0 {
+						runtime.Gosched()
+					}
+				}
+			}()
+			group := NewPollerGroup(d.DPUs, 1)
+			group.Start()
+
+			dpu := d.DPUs[0]
+			h := dpu.XRPCHandler().Copying()
+			reqDesc := reg.Message("echopb.Req")
+			var ok, unavailable, other atomic.Uint64
+			var wg sync.WaitGroup
+			for w := 0; w < drivers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < row.calls; i++ {
+						m := protomsg.New(reqDesc)
+						m.SetUint64("id", uint64(w*row.calls+i+1))
+						m.SetString("data", "x")
+						status, _ := h("/echopb.Echo/Call", m.Marshal(nil))
+						switch status {
+						case xrpc.StatusOK:
+							ok.Add(1)
+						case xrpc.StatusUnavailable:
+							unavailable.Add(1)
+						default:
+							other.Add(1)
+						}
+					}
+				}(w)
+			}
+			if row.block {
+				// The gate's two calls hold their handlers, so each of the
+				// others resolves only by being shed. A failure still
+				// releases the handlers, so the deployment can shut down.
+				deadline := time.Now().Add(10 * time.Second)
+				for unavailable.Load()+other.Load() < drivers-gate && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if n := unavailable.Load() + other.Load(); n < drivers-gate {
+					t.Errorf("%d of %d calls resolved with the handlers held", n, drivers-gate)
+				}
+				if n := ok.Load(); n != 0 {
+					t.Errorf("%d calls answered OK while every handler was held", n)
+				}
+				close(release)
+			}
+			wg.Wait()
+			group.Stop()
+			close(stop)
+			hostWG.Wait()
+
+			if n := other.Load(); n > 0 {
+				t.Fatalf("%d calls resolved with a status other than OK/UNAVAILABLE", n)
+			}
+			st := dpu.Stats()
+			if st.Sheds != unavailable.Load() {
+				t.Fatalf("stats count %d sheds, callers saw %d UNAVAILABLE", st.Sheds, unavailable.Load())
+			}
+			if unavailable.Load() == 0 {
+				t.Fatalf("%d concurrent drivers against DPUAdmitMaxInflight=%d shed nothing", drivers, gate)
+			}
+			if ok.Load() == 0 {
+				t.Fatal("admission gate starved every call")
+			}
+			if row.block {
+				if got := d.HostConn(0).Counters.RequestsReceived; got != gate || ok.Load() != gate {
+					t.Errorf("%d requests reached the host and %d answered OK, want %d each", got, ok.Load(), gate)
+				}
+				if p := peak.Load(); p > gate {
+					t.Errorf("%d handlers ran at once, want at most %d", p, gate)
 				}
 			}
-		}(w)
+			t.Logf("ok=%d shed=%d peak handlers=%d", ok.Load(), unavailable.Load(), peak.Load())
+		})
 	}
-	wg.Wait()
-	group.Stop()
-	close(stop)
-	hostWG.Wait()
-
-	if n := other.Load(); n > 0 {
-		t.Fatalf("%d calls resolved with a status other than OK/UNAVAILABLE", n)
-	}
-	st := dpu.Stats()
-	if st.Sheds == 0 {
-		t.Fatal("16 concurrent drivers against AdmitMaxInflight=2 shed nothing")
-	}
-	if unavailable.Load() == 0 {
-		t.Fatal("sheds counted but no caller saw UNAVAILABLE")
-	}
-	if ok.Load() == 0 {
-		t.Fatal("admission gate starved every call")
-	}
-	t.Logf("ok=%d shed=%d (stats sheds=%d)", ok.Load(), unavailable.Load(), st.Sheds)
 }

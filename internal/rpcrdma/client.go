@@ -132,10 +132,9 @@ type ClientConn struct {
 	recvCQ *rdma.CQ
 
 	pool *idPool
-	// conts, started and idGen are indexed by request ID and cover every
-	// ID bound so far (growIDTables).
+	// conts and idGen are indexed by request ID and cover every ID bound
+	// so far (growIDTables).
 	conts       []func(Response)
-	started     []int64  // per-ID enqueue timestamps (latency instrumentation)
 	freeIDs     []uint16 // IDs to return to the pool at the next send
 	outstanding int
 
@@ -178,9 +177,6 @@ func newClientConn(cfg Config, qp *rdma.QP, sendCQ, recvCQ *rdma.CQ, sbuf []byte
 	if err := c.receiver.init(rbuf, &c.sender, c, recvPosts); err != nil {
 		return nil, err
 	}
-	if cfg.LatencyObserver != nil {
-		c.started = []int64{}
-	}
 	if cfg.RequestTimeout > 0 {
 		c.idGen = []uint32{}
 		c.timedOut = make(map[uint16]struct{})
@@ -202,9 +198,6 @@ func (c *ClientConn) growIDTables(id uint16) {
 	}
 	n = min(n, IDPoolSize)
 	c.conts = append(c.conts, make([]func(Response), n-len(c.conts))...)
-	if c.started != nil {
-		c.started = append(c.started, make([]int64, n-len(c.started))...)
-	}
 	if c.idGen != nil {
 		c.idGen = append(c.idGen, make([]uint32, n-len(c.idGen))...)
 	}
@@ -306,9 +299,6 @@ func (c *ClientConn) Reserve(method uint16, size int, onResponse func(Response))
 	r.h.method = method
 	b := r.b
 	b.conts = append(b.conts, onResponse)
-	if c.cfg.LatencyObserver != nil {
-		b.times = append(b.times, nowNS())
-	}
 	if c.traceTab != nil {
 		b.trs = append(b.trs, nil)
 	}
@@ -326,9 +316,6 @@ func (c *ClientConn) cancelled(r *Reservation, tail bool) {
 	}
 	b.conts[r.idx] = nil
 	b.conts = b.conts[:r.idx]
-	if b.times != nil {
-		b.times = b.times[:r.idx]
-	}
 	if b.trs != nil {
 		b.trs[r.idx] = nil
 		b.trs = b.trs[:r.idx]
@@ -361,9 +348,6 @@ func (c *ClientConn) bind(b *block) bool {
 		b.ids = append(b.ids, id)
 		c.growIDTables(id)
 		c.conts[id] = b.conts[i]
-		if c.started != nil {
-			c.started[id] = b.times[i]
-		}
 		if b.trs != nil {
 			// Publish (or clear a stale) trace ID under the request ID
 			// the server is about to replay.
@@ -461,9 +445,6 @@ func (c *ClientConn) message(_ int, h header, payload []byte, regionOff uint64) 
 	}
 	c.conts[h.reqID] = nil
 	c.outstanding--
-	if c.started != nil {
-		c.cfg.LatencyObserver(float64(nowNS() - c.started[h.reqID]))
-	}
 	c.Counters.ResponsesReceived++
 	if h.errFlag {
 		c.Counters.ErrorsReceived++

@@ -117,19 +117,6 @@ type Config struct {
 	// run. A failed build is committed as an error tombstone (status 13,
 	// error flag set) instead of breaking the connection.
 	HostWorkers int
-	// AdmitMaxInflight (server side) > 0 enables admission control on the
-	// in-flight axis: once more than this many requests are in flight
-	// (received but not yet fully answered and acknowledged), new requests
-	// are rejected immediately with StatusUnavailable — before they reach
-	// any handler or the response-arena reserve path — so overload degrades
-	// into retryable sheds instead of bounded-wait timeouts. 0 (the
-	// default) admits everything.
-	AdmitMaxInflight int
-	// LatencyObserver, when non-nil, receives the enqueue-to-response
-	// latency of every request in nanoseconds (client side). The paper
-	// instruments the library itself with a Prometheus client (Sec. VI);
-	// plug a metrics.Histogram's Observe here.
-	LatencyObserver func(ns float64)
 	// RequestTimeout (client side) bounds each request from enqueue to
 	// response. Expired requests fail with a typed error response
 	// (Response.LocalErr == ErrRequestTimeout); a response that arrives
@@ -142,7 +129,8 @@ type Config struct {
 	// Faults, when non-nil and enabled, injects faults into this side's
 	// outbound RDMA operations (see internal/fault). Both sides default to
 	// nil; with no injector the datapath is byte-identical to an
-	// injector-free build.
+	// injector-free build. A deployment runs connection i on a copy with i
+	// added to Seed.
 	Faults *fault.Plan
 	// FlightRecorder (client side) > 0 enables the per-connection
 	// black-box ring: the last N protocol events (reserves, commits,
@@ -252,11 +240,6 @@ type Counters struct {
 	FlushBatch    uint64 // always zero
 	FlushTimer    uint64 // always zero
 	FlushExplicit uint64 // the per-pass seal, Flush/Drain or teardown
-
-	// AdmissionSheds counts requests rejected by server-side admission
-	// control (AdmitMaxInflight) with StatusUnavailable
-	// before reaching a handler.
-	AdmissionSheds uint64
 
 	// Failure-path counters (all zero unless faults are injected or
 	// deadlines enabled).

@@ -129,58 +129,3 @@ func TestIdleConnDetectsDeadQP(t *testing.T) {
 		t.Fatalf("request resolved err=%v status=%d, want typed UNAVAILABLE", got.Err, got.Status)
 	}
 }
-
-// TestHostAdmissionShed pins the server-side admission gate below the
-// reserve-arena wait: a batch beyond AdmitMaxInflight is answered with
-// immediate UNAVAILABLE error responses (counted as sheds), while requests
-// under the high-water mark still succeed.
-func TestHostAdmissionShed(t *testing.T) {
-	ccfg, scfg := smallCfg()
-	scfg.AdmitMaxInflight = 2
-	r := newRig(t, ccfg, scfg, nil)
-
-	const calls = 10
-	var ok, shed, other int
-	for i := 0; i < calls; i++ {
-		err := r.client.Enqueue(CallSpec{Size: 16, OnResponse: func(resp Response) {
-			switch {
-			case !resp.Err:
-				ok++
-			case resp.Status == StatusUnavailable:
-				shed++
-			default:
-				other++
-			}
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One flush batches all the calls into few blocks: they register
-	// together, so the tail of the batch is over the high-water mark when
-	// the server walks it.
-	if err := r.client.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r.pump(t)
-
-	if ok+shed+other != calls {
-		t.Fatalf("resolved %d/%d calls", ok+shed+other, calls)
-	}
-	if other > 0 {
-		t.Fatalf("%d calls failed with a status other than UNAVAILABLE", other)
-	}
-	if shed == 0 {
-		t.Fatalf("no sheds across %d batched calls with AdmitMaxInflight=2", calls)
-	}
-	if ok == 0 {
-		t.Fatal("admission control shed everything, including under-limit requests")
-	}
-	if got := r.server.Counters.AdmissionSheds; got != uint64(shed) {
-		t.Fatalf("AdmissionSheds = %d, callers saw %d", got, shed)
-	}
-	if r.client.Broken() != nil || r.server.Broken() != nil {
-		t.Fatalf("admission sheds broke the connection: client=%v server=%v",
-			r.client.Broken(), r.server.Broken())
-	}
-}

@@ -31,11 +31,9 @@ type block struct {
 	ids      []uint16 // request IDs of the slots, in slot order (bound at reserve or at send)
 	seq      uint32   // assigned at send
 	sealedAt int64    // when the block entered the send queue (deadline reaping)
-	// Request blocks only, parallel to the slots: continuations, enqueue
-	// timestamps (latency instrumentation) and trace handles (nil when
-	// untraced).
+	// Request blocks only, parallel to the slots: continuations and trace
+	// handles (nil when untraced).
 	conts []func(Response)
-	times []int64
 	trs   []*trace.Active
 	// res holds each slot's Reservation, reused by the block's later
 	// tenants: a reservation is spent once committed or cancelled, before
@@ -305,7 +303,7 @@ func (s *sender) recycle(b *block) {
 	clear(b.trs)
 	clear(b.holes)
 	clear(b.sgl)
-	*b = block{ids: b.ids[:0], conts: b.conts[:0], times: b.times[:0], trs: b.trs[:0], res: b.res,
+	*b = block{ids: b.ids[:0], conts: b.conts[:0], trs: b.trs[:0], res: b.res,
 		holes: b.holes[:0], sgl: b.sgl}
 	s.freeBlocks = append(s.freeBlocks, b)
 }
@@ -743,7 +741,6 @@ type ConnGauges struct {
 	RequestsTimedOut     atomic.Uint64 // mirrors Counters.RequestsTimedOut
 	LateResponsesDropped atomic.Uint64 // mirrors Counters.LateResponsesDropped
 	SendFullRecoveries   atomic.Uint64 // mirrors Counters.SendFullRecoveries
-	AdmissionSheds       atomic.Uint64 // mirrors Counters.AdmissionSheds
 	// ResponseBuildFailures mirrors Counters.DuplexTombstones.
 	ResponseBuildFailures atomic.Uint64
 }

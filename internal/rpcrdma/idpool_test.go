@@ -100,22 +100,19 @@ func TestIDPoolFIFOOrder(t *testing.T) {
 	}
 }
 
-// A client's per-ID tables start empty and grow, all three in step, as the
+// A client's per-ID tables start empty and grow, both in step, as the
 // pool hands out never-used IDs, instead of covering all IDPoolSize IDs from
 // set-up (512 KiB of continuations alone).
 func TestClientIDTablesGrowWithBoundIDs(t *testing.T) {
 	ccfg, scfg := smallCfg()
 	ccfg.RequestTimeout = time.Minute
-	ccfg.LatencyObserver = func(float64) {}
 	r := newRig(t, ccfg, scfg, nil)
 	c := r.client
-	if len(c.conts) != 0 || len(c.started) != 0 || len(c.idGen) != 0 {
-		t.Fatalf("fresh connection: tables of %d/%d/%d entries, want none",
-			len(c.conts), len(c.started), len(c.idGen))
+	if len(c.conts) != 0 || len(c.idGen) != 0 {
+		t.Fatalf("fresh connection: tables of %d/%d entries, want none", len(c.conts), len(c.idGen))
 	}
 	r.call(t, 300, 16) // binds IDs 0..299
-	if n := len(c.conts); n != 512 || len(c.started) != n || len(c.idGen) != n {
-		t.Errorf("after 300 IDs: tables of %d/%d/%d entries, want 512 each",
-			len(c.conts), len(c.started), len(c.idGen))
+	if n := len(c.conts); n != 512 || len(c.idGen) != n {
+		t.Errorf("after 300 IDs: tables of %d/%d entries, want 512 each", len(c.conts), len(c.idGen))
 	}
 }

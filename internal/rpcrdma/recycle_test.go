@@ -7,12 +7,11 @@ import (
 )
 
 // recycleRig is the BenchmarkEchoRoundTrip fixture with every optional
-// per-message slice of a block switched on (latency timestamps, trace
-// handles), so all four parallel slices ride the free list.
+// per-message slice of a block switched on (trace handles), so all three
+// parallel slices ride the free list.
 func recycleRig(t *testing.T, tr *trace.Tracer) *testRig {
 	t.Helper()
-	ccfg := Config{BlockSize: 8192, Credits: 64, SBufSize: 1 << 22, CQDepth: 256, BusyPoll: true,
-		LatencyObserver: func(float64) {}, Tracer: tr}
+	ccfg := Config{BlockSize: 8192, Credits: 64, SBufSize: 1 << 22, CQDepth: 256, BusyPoll: true, Tracer: tr}
 	scfg := Config{BlockSize: 8192, Credits: 64, SBufSize: 1 << 22, CQDepth: 256, BusyPoll: true, Tracer: tr}
 	return newRig(t, ccfg, scfg, func(Request) ResponseSpec { return ResponseSpec{} })
 }
@@ -77,7 +76,7 @@ func TestRecycledBlocksCarryNoPreviousState(t *testing.T) {
 	}
 	if first.off != 0 || first.buf != nil || first.used != 0 || first.pending != 0 ||
 		first.seq != 0 || first.sealedAt != 0 ||
-		len(first.conts) != 0 || len(first.times) != 0 || len(first.trs) != 0 || len(first.ids) != 0 {
+		len(first.conts) != 0 || len(first.trs) != 0 || len(first.ids) != 0 {
 		t.Errorf("parked block keeps state: %+v", *first)
 	}
 	if cap(first.conts) < 3 || cap(first.trs) < 3 || cap(first.ids) < 3 {
@@ -99,9 +98,6 @@ func TestRecycledBlocksCarryNoPreviousState(t *testing.T) {
 	for i := range first.ids[:cap(first.ids)] {
 		first.ids[:cap(first.ids)][i] = 0xDEAD
 	}
-	for i := range first.times[:cap(first.times)] {
-		first.times[:cap(first.times)][i] = -1
-	}
 
 	// Tenancy 2: one untraced message reuses the struct.
 	newCalls := 0
@@ -111,9 +107,8 @@ func TestRecycledBlocksCarryNoPreviousState(t *testing.T) {
 	if r.client.cur != first {
 		t.Fatal("second block did not reuse the parked struct")
 	}
-	if len(first.conts) != 1 || len(first.trs) != 1 || first.trs[0] != nil || len(first.times) != 1 ||
-		first.times[0] <= 0 || len(first.ids) != 0 {
-		t.Errorf("reused block: conts=%d trs=%v times=%v ids=%v", len(first.conts), first.trs, first.times, first.ids)
+	if len(first.conts) != 1 || len(first.trs) != 1 || first.trs[0] != nil || len(first.ids) != 0 {
+		t.Errorf("reused block: conts=%d trs=%v ids=%v", len(first.conts), first.trs, first.ids)
 	}
 	r.pump(t)
 	if newCalls != 1 || oldCalls != 3 {

@@ -839,22 +839,6 @@ func TestHeaderObjectFlag(t *testing.T) {
 	}
 }
 
-func TestLatencyObserver(t *testing.T) {
-	ccfg, scfg := smallCfg()
-	var samples []float64
-	ccfg.LatencyObserver = func(ns float64) { samples = append(samples, ns) }
-	r := newRig(t, ccfg, scfg, nil)
-	r.call(t, 200, 32)
-	if len(samples) != 200 {
-		t.Fatalf("observed %d latencies", len(samples))
-	}
-	for i, ns := range samples {
-		if ns < 0 || ns > 60e9 {
-			t.Fatalf("sample %d implausible: %g ns", i, ns)
-		}
-	}
-}
-
 func TestAbortFailsEverything(t *testing.T) {
 	ccfg, scfg := smallCfg()
 	r := newRig(t, ccfg, scfg, nil)

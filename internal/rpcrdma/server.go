@@ -85,7 +85,7 @@ type Handler func(Request) ResponseSpec
 // ServerConn is the host-side endpoint of one connection. The embedded
 // sender carries response blocks, the embedded receiver walks request
 // blocks; what is the server's own is request-ID binding on receipt and
-// freeing on acknowledgment, admission shedding and the response pipeline.
+// freeing on acknowledgment and the response pipeline.
 type ServerConn struct {
 	sender
 	receiver
@@ -267,10 +267,10 @@ func (s *ServerConn) admit(ib *inBlock, msgs int) error {
 	return nil
 }
 
-// message runs one request through the response pipeline: answered by
-// admission control's shed, or handed to the handler — on the poller, or on
-// a duplex worker. The whole block is processed before its responses flush,
-// which is what makes first-response acknowledgment safe (Sec. IV-B).
+// message runs one request through the response pipeline: its handler runs
+// on the poller or on a duplex worker. The whole block is processed before
+// its responses flush, which is what makes first-response acknowledgment
+// safe (Sec. IV-B).
 func (s *ServerConn) message(i int, h header, payload []byte, regionOff uint64) error {
 	var reqT0 int64
 	if s.traceOf != nil {
@@ -285,18 +285,6 @@ func (s *ServerConn) message(i int, h header, payload []byte, regionOff uint64) 
 	}
 	t.id = s.idScratch[i]
 	s.Counters.RequestsReceived++
-	if s.shouldShed() {
-		// Admission control: reject before the request reaches any handler
-		// or response-arena wait, with the retryable status, so overload
-		// degrades into immediate UNAVAILABLE sheds instead of bounded-wait
-		// timeouts downstream.
-		s.Counters.AdmissionSheds++
-		s.gauges.AdmissionSheds.Add(1)
-		t.spec = ResponseSpec{Status: StatusUnavailable, Err: true}
-		s.dxInflight++
-		s.dxDone(t)
-		return s.broken
-	}
 	t.req = Request{
 		Method:    h.method,
 		ID:        t.id,
@@ -330,14 +318,6 @@ func (s *ServerConn) message(i int, h header, payload []byte, regionOff uint64) 
 }
 
 func (s *ServerConn) delivered() {}
-
-// shouldShed reports whether admission control rejects a new request: the
-// in-flight request count crossed Config.AdmitMaxInflight. Zero (the
-// default) never sheds.
-func (s *ServerConn) shouldShed() bool {
-	hw := s.cfg.AdmitMaxInflight
-	return hw > 0 && len(s.reqBlockOf) > hw
-}
 
 // ServerPoller drives one or more server connections over a shared receive
 // completion queue — the paper's server threading model where "a single

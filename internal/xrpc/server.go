@@ -25,22 +25,11 @@ import (
 // Reply either.
 type Handler func(call *Call)
 
-// ReleasingHandler is a blocking handler that returns its status, its
-// response payload and the response buffer's release; ServerHandler is one
-// with nothing to release: the host baseline, the examples, any blocking
-// handler that allocates (or aliases) its response. Both run on the server's
-// handler goroutines through Async.
-type ReleasingHandler func(method string, payload []byte) (status uint16, resp []byte, release func())
-
-// ServerHandler is the ReleasingHandler of a handler with nothing to release.
+// ServerHandler is a blocking handler that returns its status and response
+// payload, with nothing to release: the host baseline, the examples, any
+// blocking handler that allocates (or aliases) its response. It runs on the
+// server's handler goroutines through Async.
 type ServerHandler func(method string, payload []byte) (uint16, []byte)
-
-// Async adapts h to the call contract: it replies before it returns.
-func (h ReleasingHandler) Async() Handler {
-	return func(call *Call) {
-		call.Reply(h(call.Method, call.Payload))
-	}
-}
 
 // Async adapts h to the call contract: it replies before it returns.
 func (h ServerHandler) Async() Handler {
@@ -199,12 +188,6 @@ type ServerStats struct {
 
 // NewServer returns a server dispatching to a blocking handler.
 func NewServer(handler ServerHandler) *Server {
-	return NewAsyncServer(handler.Async())
-}
-
-// NewReleasingServer returns a server dispatching to a blocking handler that
-// recycles its response buffers.
-func NewReleasingServer(handler ReleasingHandler) *Server {
 	return NewAsyncServer(handler.Async())
 }
 

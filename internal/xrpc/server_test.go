@@ -178,11 +178,12 @@ func TestWriterDeadlineClosesNonReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewReleasingServer(func(method string, payload []byte) (uint16, []byte, func()) {
-		if method == "/t.S/Big" {
-			return StatusOK, big, func() { released.Add(1) }
+	srv := NewAsyncServer(func(call *Call) {
+		if call.Method == "/t.S/Big" {
+			call.Reply(StatusOK, big, func() { released.Add(1) })
+			return
 		}
-		return StatusOK, payload, nil
+		call.Reply(StatusOK, call.Payload, nil)
 	})
 	srv.writeTimeout = deadline
 	go srv.Serve(ln)
@@ -596,12 +597,12 @@ func TestReleaseCalledOncePerRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewReleasingServer(func(method string, payload []byte) (uint16, []byte, func()) {
-		resp := append([]byte("re:"), payload...)
-		return StatusOK, resp, func() {
+	srv := NewAsyncServer(func(call *Call) {
+		resp := append([]byte("re:"), call.Payload...)
+		call.Reply(StatusOK, resp, func() {
 			arena.PoisonReleased(resp)
 			released.Add(1)
-		}
+		})
 	})
 	go srv.Serve(ln)
 	defer srv.Close()

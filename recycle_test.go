@@ -56,13 +56,13 @@ func TestRecycledBuffersUnderChurn(t *testing.T) {
 	hits0, _ := rpcrdma.BufferCacheStats()
 	var ok, typed, reconnects uint64
 	for cycle := 0; cycle < cycles; cycle++ {
-		ccfg := Config{BlockSize: 8192, Credits: 32, SBufSize: 1 << 20, CQDepth: 128,
-			RequestTimeout: 2 * time.Second}
-		scfg := Config{BlockSize: 8192, Credits: 32, SBufSize: 1 << 20, CQDepth: 128, HostWorkers: 2}
 		delay := fault.Plan{DelayRate: 0.2, Delay: 300 * time.Microsecond, Seed: uint32(1 + cycle)}
+		ccfg := Config{BlockSize: 8192, Credits: 32, SBufSize: 1 << 20, CQDepth: 128,
+			RequestTimeout: 2 * time.Second, Faults: &delay}
+		scfg := Config{BlockSize: 8192, Credits: 32, SBufSize: 1 << 20, CQDepth: 128, HostWorkers: 2,
+			Faults: &delay}
 		d, err := offload.NewDeploymentWith(schema.Table, impls, offload.DeployConfig{
 			Connections: 2, ClientCfg: ccfg, ServerCfg: scfg,
-			ClientFaults: &delay, ServerFaults: &delay,
 			// Alternate cycles move the data through SG segments and
 			// response objects too.
 			SGPayloadMin:                 []int{0, 64}[cycle%2],

@@ -319,8 +319,6 @@ func registerConnGauges(smp *metrics.Sampler, l map[string]string, g func() *rpc
 			func(g *rpcrdma.ConnGauges) float64 { return float64(g.LateResponsesDropped.Load()) }},
 		{"conn_send_full_recoveries_total", "Send-arena exhaustions the endpoint recovered by waiting for acknowledgments.",
 			func(g *rpcrdma.ConnGauges) float64 { return float64(g.SendFullRecoveries.Load()) }},
-		{"conn_admission_sheds_total", "Requests the endpoint's admission control answered UNAVAILABLE.",
-			func(g *rpcrdma.ConnGauges) float64 { return float64(g.AdmissionSheds.Load()) }},
 		{"conn_response_build_failures_total", "Response builds that failed and were answered with an error status.",
 			func(g *rpcrdma.ConnGauges) float64 { return float64(g.ResponseBuildFailures.Load()) }},
 	} {
